@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import itertools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -27,7 +28,7 @@ from .constitutive import (
     TwoBranchCurve,
 )
 from .errors import ConfigError, MemElementsError
-from .excitation import DEFAULT_GRID_N, Excitation, grid
+from .excitation import DEFAULT_GRID_N, Excitation, excite, grid
 from .loci import SpecialPoint, phase_shift
 from .taxonomy import (
     ClassificationReport,
@@ -37,9 +38,7 @@ from .taxonomy import (
     theorem_suite,
 )
 from .tolerances import ANALYTIC_DEFAULTS, NUMERIC_DEFAULTS, ToleranceSet
-from .transform import analytic_locus, locus_to_csv
-from .excitation import excite
-from .transform import chain_ordinate
+from .transform import chain_ordinate, columns_to_csv, locus_to_csv
 
 SCHEMA_VERSION = "1"
 _ALL_FORMATS = ("csv", "json", "svg")
@@ -71,6 +70,8 @@ def _require(node: dict, key: str, path: str):
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path} must be a number")
+    if not math.isfinite(value):
+        raise ConfigError(f"{path} must be finite, got {value!r}")
     return float(value)
 
 
@@ -531,43 +532,24 @@ def render_svg(panels: list[Panel], title: str | None = None,
 # analyze
 # ----------------------------------------------------------------------
 
-def _analysis_files(rpt: ClassificationReport, curve: ConstitutiveCurve,
-                    formats: tuple[str, ...]) -> dict[str, str]:
+def _analysis_files(rpt: ClassificationReport, formats: tuple[str, ...]) -> dict[str, str]:
     """File name -> text content for one classification run."""
     files: dict[str, str] = {}
     if "json" in formats:
         files["report.json"] = _dump_json(report_to_dict(rpt))
-    exc = rpt.excitation
-    loci = []
-    if "csv" in formats or "svg" in formats:
-        g = grid(exc, rpt.grid_n)
-        chain = [
-            analytic_locus(curve, exc, d, g, labels=rpt.planes[d].axis_labels)
-            for d in range(len(rpt.planes))
-        ]
-        if rpt.provenance == "numeric":
-            from .transform import numeric_transform
-
-            loci = [chain[0]]
-            for d in range(1, len(rpt.planes)):
-                loci.append(
-                    numeric_transform(loci[-1], labels=rpt.planes[d].axis_labels)
-                )
-        else:
-            loci = chain
     if "csv" in formats:
-        for locus in loci:
+        for locus in rpt.loci:
             files[f"depth{locus.depth}.csv"] = locus_to_csv(locus)
     if "svg" in formats:
         panels = []
-        for locus in loci:
+        for locus, plane in zip(rpt.loci, rpt.planes):
             panel = Panel(
                 title=f"depth {locus.depth}",
-                xlabel=locus.axis_labels[0],
-                ylabel=locus.axis_labels[1],
+                xlabel=plane.axis_labels[0],
+                ylabel=plane.axis_labels[1],
             )
             panel.add_series("", locus.u_values, locus.w_values)
-            if locus.depth == len(loci) - 1:
+            if locus.depth == len(rpt.loci) - 1:
                 for p in rpt.witnesses:
                     panel.add_marker(p.u, p.w, f"({p.u:.3g}, {p.w:.3g})")
             panels.append(panel)
@@ -595,7 +577,7 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
     )
     outdir = Path(ns.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    files = _analysis_files(rpt, curve, formats)
+    files = _analysis_files(rpt, formats)
     for name, content in sorted(files.items()):
         (outdir / name).write_text(content, encoding="utf-8")
 
@@ -638,7 +620,7 @@ def _two_branch() -> TwoBranchCurve:
 def _chain_figure(curve: ConstitutiveCurve, cell: tuple[int, int],
                   stem: str, title: str) -> dict[str, str]:
     rpt = classify(cell, curve)
-    files = _analysis_files(rpt, curve, ("csv", "svg"))
+    files = _analysis_files(rpt, ("csv", "svg"))
     out = {f"{stem}.depth{d}.csv": files[f"depth{d}.csv"]
            for d in range(len(rpt.planes))}
     svg = files["loci.svg"]
@@ -654,10 +636,7 @@ def _waveform_figure(curve: ConstitutiveCurve, stem: str, title: str) -> dict[st
     t = grid(exc).t_values
     ordinate = chain_ordinate(curve, exc, t, 1)
     rate = excite(exc, t, 1)
-    lines = ["t,ordinate,abscissa_rate"]
-    for tv, ov, rv in zip(t, ordinate, rate):
-        lines.append(f"{float(tv)!r},{float(ov)!r},{float(rv)!r}")
-    csv_text = "\n".join(lines) + "\n"
+    csv_text = columns_to_csv("t,ordinate,abscissa_rate", t, ordinate, rate)
 
     # overlay convention: drive rate rescaled to share the ordinate's peak
     scale = float(np.max(ordinate)) / float(np.max(rate))
@@ -715,10 +694,7 @@ def _fig10() -> dict[str, str]:
     f = curve.eval(xs)
     df = curve.derivative(xs, 1)
     d2f = curve.derivative(xs, 2)
-    lines = ["x,f,df,d2f"]
-    for row in zip(xs, f, df, d2f):
-        lines.append(",".join(repr(float(v)) for v in row))
-    csv_text = "\n".join(lines) + "\n"
+    csv_text = columns_to_csv("x,f,df,d2f", xs, f, df, d2f)
 
     panel = Panel(title="degenerate curve and derivatives", xlabel="x", ylabel="value")
     panel.add_series("f", xs, f)

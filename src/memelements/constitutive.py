@@ -74,6 +74,9 @@ class ConstitutiveCurve(abc.ABC):
             raise DomainError(f"operating range must satisfy lo < hi, got ({lo}, {hi})")
         if int(self.max_derivative_order) < 1:
             raise DomainError("max_derivative_order must be a positive integer")
+        for name, value in self._params().items():
+            if not np.all(np.isfinite(np.asarray(value, dtype=float))):
+                raise DomainError(f"{self.family} {name} must be finite, got {value!r}")
         if lo <= 0.0 <= hi:
             y0 = float(np.asarray(self._value(np.asarray(0.0))))
             if abs(y0) > _ORIGIN_TOL:

@@ -39,6 +39,8 @@ class Excitation:
             raise DomainError("omega must be positive")
         if self.offset is None:
             object.__setattr__(self, "offset", float(self.amplitude))
+        if not np.all(np.isfinite((self.amplitude, self.omega, self.offset))):
+            raise DomainError("amplitude, omega and offset must be finite")
 
     @property
     def period(self) -> float:

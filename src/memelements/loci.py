@@ -38,6 +38,7 @@ __all__ = [
     "zero_tangent_points",
     "vertical_tangent_points",
     "negative_slope_arcs",
+    "rate_landmarks",
     "phase_shift",
 ]
 
@@ -235,24 +236,11 @@ def _dedupe(values: list[float], tol: float) -> list[float]:
     return out
 
 
-def _component_fn(locus: ParametricLocus, index: int):
-    if locus.value_fn is None:
+def _scalar_hook(hook, index: int):
+    """Component ``index`` of an evaluation hook as a scalar function, or None."""
+    if hook is None:
         return None
-
-    def fn(t, _idx=index):
-        return float(locus.value_fn(t)[_idx])
-
-    return fn
-
-
-def _derivative_component_fn(locus: ParametricLocus, index: int):
-    if locus.derivative_fn is None:
-        return None
-
-    def fn(t, _idx=index):
-        return float(locus.derivative_fn(t)[_idx])
-
-    return fn
+    return lambda t: float(hook(t)[index])
 
 
 # ----------------------------------------------------------------------
@@ -267,7 +255,7 @@ def origin_crossing(locus: ParametricLocus, pinch_tol: float = 1e-9) -> OriginCr
     scale_u = max(1.0, float(np.max(np.abs(u))))
     scale_w = max(1.0, float(np.max(np.abs(w))))
 
-    roots = _refined_roots(t, u, _component_fn(locus, 0))
+    roots = _refined_roots(t, u, _scalar_hook(locus.value_fn, 0))
 
     # tangential zeros never flip sign; pick them up from near-zero samples
     near = np.abs(u) <= pinch_tol * scale_u
@@ -377,27 +365,41 @@ def odd_symmetry(locus: ParametricLocus, tol: float = 1e-9) -> SymmetryReport:
 
 
 # ----------------------------------------------------------------------
-# tangent landmarks
+# tangent landmarks and slope arcs
 # ----------------------------------------------------------------------
 
-def _tangent_points(locus: ParametricLocus, root_tol: float, vertical: bool
-                    ) -> tuple[SpecialPoint, ...]:
-    du_a, dw_a = _derivative_arrays(locus)
-    if vertical:
-        scan, other = du_a, dw_a
-        fn = _derivative_component_fn(locus, 0)
-        kind = PointKind.VERTICAL_TANGENT
-        tangent_angle = 0.5 * np.pi
-    else:
-        scan, other = dw_a, du_a
-        fn = _derivative_component_fn(locus, 1)
-        kind = PointKind.ZERO_TANGENT
-        tangent_angle = 0.0
+def rate_landmarks(locus: ParametricLocus, root_tol: float = 1e-10
+                   ) -> tuple[tuple[SpecialPoint, ...], tuple[SpecialPoint, ...],
+                              tuple[ArcInterval, ...]]:
+    """Zero tangents, vertical tangents and negative-slope arcs of a locus.
 
+    The transversal roots of du/dt and dw/dt are refined once each and
+    shared by all three results.
+    """
+    rates = _derivative_arrays(locus)
+    du_roots, dw_roots = (
+        _refined_roots(locus.t_values, rates[i], _scalar_hook(locus.derivative_fn, i),
+                       transversal_only=True)
+        for i in (0, 1)
+    )
+    return (
+        _tangent_points(locus, dw_roots, rates, root_tol, vertical=False),
+        _tangent_points(locus, du_roots, rates, root_tol, vertical=True),
+        _negative_arcs(locus, du_roots + dw_roots, rates),
+    )
+
+
+def _tangent_points(locus: ParametricLocus, roots: list[float],
+                    rates: tuple[np.ndarray, np.ndarray], root_tol: float,
+                    vertical: bool) -> tuple[SpecialPoint, ...]:
+    if vertical:
+        other, kind, tangent_angle = rates[1], PointKind.VERTICAL_TANGENT, 0.5 * np.pi
+    else:
+        other, kind, tangent_angle = rates[0], PointKind.ZERO_TANGENT, 0.0
     gate = root_tol * max(1.0, float(np.max(np.abs(other))))
     points: list[SpecialPoint] = []
-    for r in _refined_roots(locus.t_values, scan, fn, transversal_only=True):
-        du_r, dw_r = _derivative_at(locus, r, (du_a, dw_a))
+    for r in roots:
+        du_r, dw_r = _derivative_at(locus, r, rates)
         other_r = dw_r if vertical else du_r
         if abs(other_r) <= gate:
             continue  # both rates vanish: a cusp, not a tangent landmark
@@ -412,21 +414,36 @@ def _tangent_points(locus: ParametricLocus, root_tol: float, vertical: bool
     return tuple(points)
 
 
+def _negative_arcs(locus: ParametricLocus, roots: list[float],
+                   rates: tuple[np.ndarray, np.ndarray]) -> tuple[ArcInterval, ...]:
+    t = locus.t_values
+    bps = _dedupe(roots + [float(t[0]), float(t[-1])], 1e-9)
+
+    negative: list[tuple[float, float]] = []
+    for a, b in zip(bps[:-1], bps[1:]):
+        if b - a <= 1e-9:
+            continue
+        mid = 0.5 * (a + b)
+        du_m, dw_m = _derivative_at(locus, mid, rates)
+        if du_m * dw_m < 0.0:
+            if negative and abs(negative[-1][1] - a) <= 1e-9:
+                negative[-1] = (negative[-1][0], b)
+            else:
+                negative.append((a, b))
+    return tuple(ArcInterval(t_start=a, t_end=b) for a, b in negative)
+
+
 def zero_tangent_points(locus: ParametricLocus, root_tol: float = 1e-10
                         ) -> tuple[SpecialPoint, ...]:
     """Points where dw/dt vanishes while du/dt does not (horizontal tangent)."""
-    return _tangent_points(locus, root_tol, vertical=False)
+    return rate_landmarks(locus, root_tol)[0]
 
 
 def vertical_tangent_points(locus: ParametricLocus, root_tol: float = 1e-10
                             ) -> tuple[SpecialPoint, ...]:
     """Points where du/dt vanishes while dw/dt does not (vertical tangent)."""
-    return _tangent_points(locus, root_tol, vertical=True)
+    return rate_landmarks(locus, root_tol)[1]
 
-
-# ----------------------------------------------------------------------
-# slope arcs
-# ----------------------------------------------------------------------
 
 def negative_slope_arcs(locus: ParametricLocus, root_tol: float = 1e-10
                         ) -> tuple[ArcInterval, ...]:
@@ -435,29 +452,7 @@ def negative_slope_arcs(locus: ParametricLocus, root_tol: float = 1e-10
     Breakpoints are the refined roots of either coordinate rate, so each
     arc endpoint is a tangent landmark, a cusp, or a period boundary.
     """
-    t = locus.t_values
-    du_a, dw_a = _derivative_arrays(locus)
-    breaks = set(
-        _refined_roots(t, dw_a, _derivative_component_fn(locus, 1), transversal_only=True)
-    )
-    breaks.update(
-        _refined_roots(t, du_a, _derivative_component_fn(locus, 0), transversal_only=True)
-    )
-    breaks.update((float(t[0]), float(t[-1])))
-    bps = _dedupe(list(breaks), 1e-9)
-
-    negative: list[tuple[float, float]] = []
-    for a, b in zip(bps[:-1], bps[1:]):
-        if b - a <= 1e-9:
-            continue
-        mid = 0.5 * (a + b)
-        du_m, dw_m = _derivative_at(locus, mid, (du_a, dw_a))
-        if du_m * dw_m < 0.0:
-            if negative and abs(negative[-1][1] - a) <= 1e-9:
-                negative[-1] = (negative[-1][0], b)
-            else:
-                negative.append((a, b))
-    return tuple(ArcInterval(t_start=a, t_end=b) for a, b in negative)
+    return rate_landmarks(locus, root_tol)[2]
 
 
 # ----------------------------------------------------------------------

@@ -16,7 +16,7 @@ disagreement is an internal error, never a verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from types import MappingProxyType
 from typing import Mapping
@@ -31,13 +31,11 @@ from .loci import (
     PointKind,
     SpecialPoint,
     Valuedness,
-    negative_slope_arcs,
     odd_symmetry,
     origin_crossing,
     point_at,
+    rate_landmarks,
     valuedness,
-    vertical_tangent_points,
-    zero_tangent_points,
 )
 from .tolerances import ANALYTIC_DEFAULTS, NUMERIC_DEFAULTS, ToleranceSet
 from .transform import ParametricLocus, analytic_locus, numeric_transform
@@ -217,6 +215,8 @@ class ClassificationReport:
     degeneration: Degeneration
     internal_source: InternalSource
     caveats: tuple[str, ...]
+    # the locus chain the verdict was read from, one locus per plane
+    loci: tuple[ParametricLocus, ...] = field(repr=False, compare=False)
 
     @property
     def verdict_plane(self) -> PlaneAnalysis:
@@ -238,6 +238,7 @@ def _analyze_plane(locus: ParametricLocus, tol: ToleranceSet) -> PlaneAnalysis:
     oc = origin_crossing(locus, tol.pinch_tol)
     val = valuedness(locus, tol.valuedness_tol)
     sym = odd_symmetry(locus, tol.valuedness_tol)
+    zero, vertical, arcs = rate_landmarks(locus, tol.root_tol)
     return PlaneAnalysis(
         depth=locus.depth,
         axis_labels=locus.axis_labels,
@@ -249,9 +250,9 @@ def _analyze_plane(locus: ParametricLocus, tol: ToleranceSet) -> PlaneAnalysis:
         max_pair_gap=val.max_gap,
         odd_symmetric=sym.odd_symmetric,
         odd_violation=sym.max_violation,
-        zero_tangents=zero_tangent_points(locus, tol.root_tol),
-        vertical_tangents=vertical_tangent_points(locus, tol.root_tol),
-        negative_arcs=negative_slope_arcs(locus, tol.root_tol),
+        zero_tangents=zero,
+        vertical_tangents=vertical,
+        negative_arcs=arcs,
     )
 
 
@@ -321,7 +322,7 @@ def _select_witnesses(
 
 def _verdict(
     descriptor: ElementDescriptor,
-    chain: list[ParametricLocus],
+    chain: tuple[ParametricLocus, ...],
     planes: tuple[PlaneAnalysis, ...],
     tol: ToleranceSet,
 ) -> tuple[Verdict, tuple[SpecialPoint, ...], float | None, tuple[str, ...]]:
@@ -401,6 +402,97 @@ def _consequences(
     return Degeneration.NONE, InternalSource.NONE
 
 
+@dataclass(frozen=True)
+class _ChainAnalysis:
+    """One locus chain, built with default labels, and its plane geometry."""
+
+    excitation: Excitation
+    grid_n: int
+    tolerances: ToleranceSet
+    provenance: str
+    loci: tuple[ParametricLocus, ...]
+    planes: tuple[PlaneAnalysis, ...]
+
+
+def _analyze_chain(
+    curve: ConstitutiveCurve,
+    exc: Excitation,
+    depth: int,
+    tol: ToleranceSet,
+    grid_n: int,
+    numeric_chain: bool,
+) -> _ChainAnalysis:
+    """Build the chain from the constitutive plane to depth, analyse each plane."""
+    if curve.max_derivative_order < depth:
+        raise CapabilityError(
+            f"classification to the verdict plane needs {depth} transforms; "
+            f"curve supports {curve.max_derivative_order}"
+        )
+    lo, hi = curve.operating_range
+    sw_lo, sw_hi = exc.sweep_range
+    span = hi - lo
+    if sw_lo < lo - 1e-12 * span or sw_hi > hi + 1e-12 * span:
+        raise DomainError(
+            f"drive sweep [{sw_lo}, {sw_hi}] exceeds the curve operating "
+            f"range [{lo}, {hi}]"
+        )
+    g = grid(exc, grid_n)
+    chain = [analytic_locus(curve, exc, 0, g)]
+    for d in range(1, depth + 1):
+        chain.append(
+            numeric_transform(chain[-1]) if numeric_chain
+            else analytic_locus(curve, exc, d, g)
+        )
+    return _ChainAnalysis(
+        excitation=exc,
+        grid_n=g.count,
+        tolerances=tol,
+        provenance="numeric" if numeric_chain else "analytic",
+        loci=tuple(chain),
+        planes=tuple(_analyze_plane(locus, tol) for locus in chain),
+    )
+
+
+def _read_cell(
+    descriptor: ElementDescriptor, analysis: _ChainAnalysis, ideality: IdealityReport
+) -> ClassificationReport:
+    """The report of one table cell, read off a deep enough chain analysis."""
+    k = descriptor.transforms_to_verdict_plane
+    chain = analysis.loci[: k + 1]
+    planes = tuple(
+        replace(plane, axis_labels=plane_labels(descriptor, d))
+        for d, plane in enumerate(analysis.planes[: k + 1])
+    )
+    caveats: list[str] = []
+    if not ideality.ideal:
+        caveats.append(
+            "curve is not ideal: fails " + ", ".join(ideality.failed_criteria())
+        )
+    verdict, witnesses, cand, extra = _verdict(
+        descriptor, chain, planes, analysis.tolerances
+    )
+    caveats.extend(extra)
+    degeneration, source = _consequences(descriptor, verdict)
+
+    return ClassificationReport(
+        descriptor=descriptor,
+        element=table_position(descriptor),
+        excitation=analysis.excitation,
+        grid_n=analysis.grid_n,
+        provenance=analysis.provenance,
+        tolerances=analysis.tolerances,
+        ideality=ideality,
+        planes=planes,
+        verdict=verdict,
+        witnesses=witnesses,
+        candidate_witness_magnitude=cand,
+        degeneration=degeneration,
+        internal_source=source,
+        caveats=tuple(caveats),
+        loci=chain,
+    )
+
+
 def classify(
     descriptor,
     curve: ConstitutiveCurve,
@@ -418,64 +510,11 @@ def classify(
     """
     descriptor = _as_descriptor(descriptor)
     exc = exc if exc is not None else Excitation()
-    k_star = descriptor.transforms_to_verdict_plane
-    if curve.max_derivative_order < k_star:
-        raise CapabilityError(
-            f"classification to the verdict plane needs {k_star} transforms; "
-            f"curve supports {curve.max_derivative_order}"
-        )
-    lo, hi = curve.operating_range
-    sw_lo, sw_hi = exc.sweep_range
-    span = hi - lo
-    if sw_lo < lo - 1e-12 * span or sw_hi > hi + 1e-12 * span:
-        raise DomainError(
-            f"drive sweep [{sw_lo}, {sw_hi}] exceeds the curve operating "
-            f"range [{lo}, {hi}]"
-        )
     tol = tolerances or (NUMERIC_DEFAULTS if numeric_chain else ANALYTIC_DEFAULTS)
-    g = grid(exc, grid_n)
-
-    chain: list[ParametricLocus] = [
-        analytic_locus(curve, exc, 0, g, labels=plane_labels(descriptor, 0))
-    ]
-    for d in range(1, k_star + 1):
-        if numeric_chain:
-            chain.append(
-                numeric_transform(chain[-1], labels=plane_labels(descriptor, d))
-            )
-        else:
-            chain.append(
-                analytic_locus(curve, exc, d, g, labels=plane_labels(descriptor, d))
-            )
-
-    ideality = check_ideality(curve, tol)
-    caveats: list[str] = []
-    if not ideality.ideal:
-        caveats.append(
-            "curve is not ideal: fails " + ", ".join(ideality.failed_criteria())
-        )
-
-    planes = tuple(_analyze_plane(locus, tol) for locus in chain)
-    verdict, witnesses, cand, extra = _verdict(descriptor, chain, planes, tol)
-    caveats.extend(extra)
-    degeneration, source = _consequences(descriptor, verdict)
-
-    return ClassificationReport(
-        descriptor=descriptor,
-        element=table_position(descriptor),
-        excitation=exc,
-        grid_n=g.count,
-        provenance="numeric" if numeric_chain else "analytic",
-        tolerances=tol,
-        ideality=ideality,
-        planes=planes,
-        verdict=verdict,
-        witnesses=witnesses,
-        candidate_witness_magnitude=cand,
-        degeneration=degeneration,
-        internal_source=source,
-        caveats=tuple(caveats),
+    analysis = _analyze_chain(
+        curve, exc, descriptor.transforms_to_verdict_plane, tol, grid_n, numeric_chain
     )
+    return _read_cell(descriptor, analysis, check_ideality(curve, tol))
 
 
 # ----------------------------------------------------------------------
@@ -614,8 +653,10 @@ def theorem_suite(
             checks = _skipped_checks(reason)
         else:
             checks = {}
-
-            rpt1 = classify((-1, -1), curve, exc, tol, grid_n)
+            analysis = _analyze_chain(
+                curve, exc, min(2, curve.max_derivative_order), tol, grid_n, False
+            )
+            rpt1 = _read_cell(ElementDescriptor(-1, -1), analysis, ideality)
             expected = np.array([0.0, 0.5 * exc.period, exc.period])
             if rpt1.verdict is Verdict.LOCALLY_PASSIVE:
                 got = np.array(sorted(p.t for p in rpt1.witnesses))
@@ -643,19 +684,18 @@ def theorem_suite(
                 for name in ALL_CHECKS[1:]:
                     checks[name] = CheckResult(CheckStatus.SKIPPED, reason, {})
             else:
-                locus2 = analytic_locus(curve, exc, 2, grid(exc, grid_n))
-                val = valuedness(locus2, tol.valuedness_tol)
-                if val.kind is Valuedness.SINGLE:
+                plane2 = analysis.planes[2]
+                if plane2.valuedness is Valuedness.SINGLE:
                     checks[CHECK_SINGLE_VALUED] = CheckResult(
                         CheckStatus.PASS,
                         "depth-2 locus is single-valued",
-                        {"max_pair_gap": val.max_gap},
+                        {"max_pair_gap": plane2.max_pair_gap},
                     )
                 else:
                     checks[CHECK_SINGLE_VALUED] = CheckResult(
                         CheckStatus.FAIL,
                         "depth-2 locus is double-valued",
-                        {"max_pair_gap": val.max_gap},
+                        {"max_pair_gap": plane2.max_pair_gap},
                     )
 
                 for name, cell, want_deg, want_src in (
@@ -678,7 +718,7 @@ def theorem_suite(
                         InternalSource.VOLTAGE_SOURCE,
                     ),
                 ):
-                    rpt = classify(cell, curve, exc, tol, grid_n)
+                    rpt = _read_cell(ElementDescriptor(*cell), analysis, ideality)
                     checks[name] = _activity_check(rpt, want_deg, want_src)
 
         for name, result in checks.items():

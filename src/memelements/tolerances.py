@@ -42,8 +42,8 @@ class ToleranceSet:
             "phase_tol",
             "witness_tol",
         ):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < float("inf"):
+                raise ValueError(f"{name} must be positive and finite")
 
     def for_numeric(self) -> "ToleranceSet":
         """Relaxed copy suitable for finite-difference loci."""

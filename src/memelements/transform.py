@@ -38,6 +38,7 @@ __all__ = [
     "numeric_transform",
     "periodic_derivative",
     "project_point",
+    "columns_to_csv",
     "locus_to_csv",
     "write_locus_csv",
     "read_locus_csv",
@@ -311,12 +312,15 @@ def project_point(
 # serialization
 # ----------------------------------------------------------------------
 
+def columns_to_csv(header: str, *columns) -> str:
+    """CSV text: the header, then one row per sample; repr floats round-trip exactly."""
+    text = [map(repr, np.asarray(col, dtype=float).tolist()) for col in columns]
+    return "\n".join([header, *map(",".join, zip(*text))]) + "\n"
+
+
 def locus_to_csv(locus: ParametricLocus) -> str:
     """CSV text with header t,u,w; full float precision, round-trip exact."""
-    lines = ["t,u,w"]
-    for t, u, w in zip(locus.t_values, locus.u_values, locus.w_values):
-        lines.append(f"{float(t)!r},{float(u)!r},{float(w)!r}")
-    return "\n".join(lines) + "\n"
+    return columns_to_csv("t,u,w", locus.t_values, locus.u_values, locus.w_values)
 
 
 def write_locus_csv(locus: ParametricLocus, path) -> None:

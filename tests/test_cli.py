@@ -4,7 +4,16 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from memelements import DEFAULT_GRID_N, Excitation, PolynomialCurve, classify
+from memelements import (
+    DEFAULT_GRID_N,
+    Excitation,
+    PolynomialCurve,
+    analytic_locus,
+    classify,
+    grid,
+    locus_to_csv,
+    numeric_transform,
+)
 from memelements.cli import (
     FIGURES,
     _set_path,
@@ -169,6 +178,47 @@ class TestAnalyzeCommand:
         }
         cfg = write_config(tmp_path, bad)
         assert run(["analyze", "--config", cfg, "--output-dir", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("curve", {"family": "polynomial",
+                       "params": {"coefficients": [0, 1, 0, float("nan")]}}),
+            ("tolerances", {"witness_tol": float("nan")}),
+            ("excitation", {"omega": float("inf")}),
+        ],
+    )
+    def test_non_finite_number_exit_code(self, tmp_path, capsys, key, value):
+        cfg = dict(MEMRISTOR_CFG, **{key: value})
+        assert run(
+            ["analyze", "--config", write_config(tmp_path, cfg),
+             "--output-dir", str(tmp_path / "out")]
+        ) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("numeric", [False, True])
+    def test_csv_matches_independent_chain(self, tmp_path, numeric):
+        cfg = dict(MEMRISTOR_CFG, descriptor={"alpha": -2, "beta": -2},
+                   numeric_chain=numeric, grid_n=256)
+        out = tmp_path / "out"
+        assert run(["analyze", "--config", write_config(tmp_path, cfg),
+                    "--output-dir", str(out), "--formats", "csv"]) == 0
+        curve = curve_from_spec(cfg["curve"])
+        exc = Excitation()
+        g = grid(exc, 256)
+        chain = [analytic_locus(curve, exc, 0, g)]
+        for d in (1, 2):
+            chain.append(
+                numeric_transform(chain[-1]) if numeric
+                else analytic_locus(curve, exc, d, g)
+            )
+        assert sorted(p.name for p in out.iterdir()) == [
+            "depth0.csv", "depth1.csv", "depth2.csv"
+        ]
+        for locus in chain:
+            written = (out / f"depth{locus.depth}.csv").read_text()
+            assert written == locus_to_csv(locus)
 
     def test_usage_error_exit_code(self, capsys):
         assert run([]) == 2

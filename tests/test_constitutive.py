@@ -6,10 +6,12 @@ from memelements import (
     RETURNING,
     CapabilityError,
     DomainError,
+    Excitation,
     LogisticCurve,
     PiecewiseLinearCurve,
     PolynomialCurve,
     TanhScaledCurve,
+    ToleranceSet,
     TwoBranchCurve,
     check_ideality,
     mvt_point,
@@ -223,3 +225,33 @@ class TestMvtPoint:
     def test_interval_inside_range(self, cubic):
         with pytest.raises(DomainError):
             mvt_point(cubic, 0.0, 3.0)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+class TestNonFiniteParameters:
+    @pytest.mark.parametrize(
+        "build, error",
+        [
+            (lambda: PolynomialCurve(coefficients=(0.0, 1.0, NAN)), DomainError),
+            (lambda: PolynomialCurve(coefficients=(0.0, INF)), DomainError),
+            (lambda: TanhScaledCurve(a=NAN), DomainError),
+            (lambda: TanhScaledCurve(b=-INF), DomainError),
+            (lambda: PiecewiseLinearCurve(knots=((0.0, 0.0), (1.0, NAN))),
+             DomainError),
+            (lambda: Excitation(amplitude=INF), DomainError),
+            (lambda: Excitation(omega=INF), DomainError),
+            (lambda: Excitation(offset=NAN), DomainError),
+            (lambda: ToleranceSet(witness_tol=NAN), ValueError),
+            (lambda: ToleranceSet(root_tol=INF), ValueError),
+        ],
+        ids=[
+            "poly-nan", "poly-inf", "tanh-a-nan", "tanh-b-inf", "pwl-knot-nan",
+            "drive-amplitude-inf", "drive-omega-inf", "drive-offset-nan",
+            "tol-witness-nan", "tol-root-inf",
+        ],
+    )
+    def test_constructor_rejects(self, build, error):
+        with pytest.raises(error, match="finite"):
+            build()

@@ -25,6 +25,7 @@ from memelements import (
     table_position,
     theorem_suite,
 )
+from memelements import loci, taxonomy
 import oracles
 
 
@@ -219,3 +220,31 @@ class TestTheoremSuite:
         inst = rep.instances[0]
         assert not inst.ideal
         assert rep.all_passed  # skips never count as failures
+
+
+class TestChainAnalysedOnce:
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        tally = {"planes": 0, "ideality": 0, "bisections": 0}
+
+        def counting(key, fn):
+            def wrapper(*args, **kwargs):
+                tally[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        # origin_crossing runs once per plane analysed
+        monkeypatch.setattr(taxonomy, "origin_crossing",
+                            counting("planes", taxonomy.origin_crossing))
+        monkeypatch.setattr(taxonomy, "check_ideality",
+                            counting("ideality", taxonomy.check_ideality))
+        monkeypatch.setattr(loci, "bisect", counting("bisections", loci.bisect))
+        return tally
+
+    def test_suite_analyses_one_depth_two_chain(self, cubic, counts):
+        assert theorem_suite([cubic]).all_passed
+        assert counts == {"planes": 3, "ideality": 1, "bisections": 15}
+
+    def test_classify_refines_each_root_once(self, cubic, counts):
+        classify((-2, -2), cubic)
+        assert counts == {"planes": 3, "ideality": 1, "bisections": 15}
