@@ -70,9 +70,13 @@ def _require(node: dict, key: str, path: str):
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path} must be a number")
-    if not math.isfinite(value):
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ConfigError(f"{path} must be finite, got an integer beyond float range") from None
+    if not math.isfinite(number):
         raise ConfigError(f"{path} must be finite, got {value!r}")
-    return float(value)
+    return number
 
 
 def curve_from_spec(node, path: str = "curve") -> ConstitutiveCurve:

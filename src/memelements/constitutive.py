@@ -183,6 +183,11 @@ class PolynomialCurve(ConstitutiveCurve):
         object.__setattr__(self, "coefficients", coeffs)
         object.__setattr__(self, "operating_range", _as_range(self.operating_range))
         self._validate_common()
+        # coefficients of each derivative the curve may be asked for, built
+        # once; not a field, so equality, repr and spec() see only parameters
+        orders = range(min(len(coeffs), int(self.max_derivative_order) + 1))
+        object.__setattr__(self, "_derivative_stack",
+                           tuple(npoly.polyder(coeffs, m=k) for k in orders))
 
     def _value(self, x: np.ndarray) -> np.ndarray:
         return npoly.polyval(x, self.coefficients)
@@ -190,7 +195,7 @@ class PolynomialCurve(ConstitutiveCurve):
     def _derivative(self, x: np.ndarray, k: int) -> np.ndarray:
         if k >= len(self.coefficients):
             return np.zeros_like(x)
-        return npoly.polyval(x, npoly.polyder(self.coefficients, m=k))
+        return npoly.polyval(x, self._derivative_stack[k])
 
     def _params(self) -> dict:
         return {"coefficients": list(self.coefficients)}

@@ -3,8 +3,11 @@
 Everything here consumes a ParametricLocus and reports geometry with
 numerical witnesses: origin crossings, tangent landmarks, symmetry,
 valuedness, negative-slope arcs, and the ordinate/abscissa phase lag.
-Roots are located by sign-change scans over the sample grid and refined
-by bisection through the locus evaluation hooks when those exist.
+Roots are located by sign-change scans over the sample grid and, when
+the locus has evaluation hooks, refined by one lock-step bisection per
+scan: every bracket of a signal (or of both coordinate rates) halves
+together, one hook call per step, and each lands on exactly the root
+scipy.optimize.bisect would return for it.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import bisect
 
 from .constitutive import ConstitutiveCurve
 from .errors import CapabilityError, NumericalError
@@ -40,7 +42,12 @@ __all__ = [
     "negative_slope_arcs",
     "rate_landmarks",
     "phase_shift",
+    "bisect",
 ]
+
+# scipy.optimize.bisect's defaults, which bisect below reproduces
+_BISECT_RTOL = 4.0 * np.finfo(float).eps
+_BISECT_MAXITER = 100
 
 
 class PointKind(Enum):
@@ -181,51 +188,95 @@ def _derivative_at(locus: ParametricLocus, t: float,
     )
 
 
-def _refined_roots(t: np.ndarray, vals: np.ndarray, fn=None,
-                   xtol: float = 1e-12, transversal_only: bool = False) -> list[float]:
-    """Roots of a sampled signal: sign-change scan plus bisection via fn.
+def bisect(fn, a, b, rows, xtol: float = 1e-12) -> np.ndarray:
+    """Refine every bracket [a[j], b[j]] of a sign change at once.
 
-    A run of exact-zero samples yields one representative root at its
-    middle.  With transversal_only the signal must change sign across a
-    root, which drops tangential (double) zeros; the signal is treated
-    as periodic when looking up the run's neighbours.  Without fn, roots
+    Each bracket follows scipy.optimize.bisect (rtol = 4 eps, at most 100
+    halvings) step for step, so every root is the one scipy returns for
+    the same bracket, bit for bit.  fn is an evaluation hook called once
+    per step on the live brackets' midpoints; component rows[j] of its
+    output is the signal of bracket j.  Raises NumericalError when a
+    bracket holds no sign change, fn returns NaN, or a bracket does not
+    converge.
+    """
+    rows = np.asarray(rows, dtype=int)
+
+    def f(x, live):
+        out = np.atleast_2d(np.asarray(fn(x), dtype=float))[rows[live], np.arange(len(live))]
+        if np.isnan(out).any():
+            raise NumericalError("root refinement hook returned NaN")
+        return out
+
+    a = np.array(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    every = np.arange(len(a))
+    fa, fb = f(a, every), f(b, every)
+    if np.any(fa * fb > 0.0):
+        raise NumericalError("bisection bracket holds no sign change")
+    root = np.where(fa == 0.0, a, b)
+    live = np.flatnonzero((fa != 0.0) & (fb != 0.0))
+    dm = b - a
+    for _ in range(_BISECT_MAXITER):
+        if not live.size:
+            break
+        dm[live] *= 0.5
+        xm = a[live] + dm[live]
+        fm = f(xm, live)
+        a[live] = np.where(fm * fa[live] >= 0.0, xm, a[live])
+        done = (fm == 0.0) | (np.abs(dm[live]) < xtol + _BISECT_RTOL * np.abs(xm))
+        root[live[done]] = xm[done]
+        live = live[~done]
+    if live.size:
+        raise NumericalError(f"bisection did not converge in {_BISECT_MAXITER} steps")
+    return root
+
+
+def _runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First and last index of each run of True samples."""
+    edges = np.diff(mask.astype(np.int8), prepend=0, append=0)
+    return np.flatnonzero(edges == 1), np.flatnonzero(edges == -1) - 1
+
+
+def _refined_roots(t: np.ndarray, vals: np.ndarray, fn=None, xtol: float = 1e-12,
+                   transversal_only: bool = False) -> list[list[float]]:
+    """Roots of each row of a sampled signal: sign-change scan plus bisection via fn.
+
+    vals is one signal or a stack of them; row r of vals is component r
+    of fn's output, and all rows are refined in one bisect call.  A run of
+    exact-zero samples yields one representative root at its middle.
+    With transversal_only the signal must change sign across a root,
+    which drops tangential (double) zeros; the signal is treated as
+    periodic when looking up the run's neighbours.  Without fn, roots
     between samples fall back to linear interpolation in the bracket.
     """
-    vals = np.asarray(vals, dtype=float)
-    n = len(t)
-    core_n = n - 1  # last sample duplicates the first, one period later
+    t = np.asarray(t, dtype=float)
+    vals = np.atleast_2d(np.asarray(vals, dtype=float))
+    rows, left = np.nonzero(vals[:, :-1] * vals[:, 1:] < 0.0)
+    if fn is None:
+        a, b = vals[rows, left], vals[rows, left + 1]
+        crossings = t[left] - a * (t[left + 1] - t[left]) / (b - a)
+    elif rows.size:
+        crossings = bisect(fn, t[left], t[left + 1], rows, xtol=xtol)
+    else:
+        crossings = t[left]  # no brackets, so no hook calls
 
-    def neighbor_sign(idx: int, step: int) -> float:
-        for k in range(1, core_n):
-            v = float(vals[(idx + step * k) % core_n])
-            if v != 0.0:
-                return float(np.sign(v))
-        return 0.0
-
-    roots: list[float] = []
-    i = 0
-    while i < n:
-        if float(vals[i]) == 0.0:
-            j = i
-            while j + 1 < n and float(vals[j + 1]) == 0.0:
-                j += 1
-            keep = True
-            if transversal_only:
-                left = neighbor_sign(i % core_n, -1)
-                right = neighbor_sign(j % core_n, +1)
-                keep = left * right < 0.0
-            if keep:
-                roots.append(float(t[(i + j) // 2]))
-            i = j + 1
-            continue
-        if i + 1 < n and float(vals[i]) * float(vals[i + 1]) < 0.0:
-            if fn is not None:
-                roots.append(float(bisect(fn, float(t[i]), float(t[i + 1]), xtol=xtol)))
+    out = []
+    for r, row in enumerate(vals):
+        first, last = _runs(row == 0.0)
+        if transversal_only:
+            # the last sample duplicates the first, one period later
+            core = row[:-1]
+            nz = np.flatnonzero(core)
+            if nz.size:
+                before = nz[np.searchsorted(nz, first % core.size) - 1]
+                after = nz[np.searchsorted(nz, last % core.size, side="right") % nz.size]
+                keep = np.sign(core[before]) * np.sign(core[after]) < 0.0
+                first, last = first[keep], last[keep]
             else:
-                a, b = float(vals[i]), float(vals[i + 1])
-                roots.append(float(t[i]) - a * (float(t[i + 1]) - float(t[i])) / (b - a))
-        i += 1
-    return _dedupe(roots, max(10.0 * xtol, 1e-12))
+                first = last = first[:0]
+        roots = crossings[rows == r].tolist() + t[(first + last) // 2].tolist()
+        out.append(_dedupe(roots, max(10.0 * xtol, 1e-12)))
+    return out
 
 
 def _dedupe(values: list[float], tol: float) -> list[float]:
@@ -234,13 +285,6 @@ def _dedupe(values: list[float], tol: float) -> list[float]:
         if not out or v - out[-1] > tol:
             out.append(v)
     return out
-
-
-def _scalar_hook(hook, index: int):
-    """Component ``index`` of an evaluation hook as a scalar function, or None."""
-    if hook is None:
-        return None
-    return lambda t: float(hook(t)[index])
 
 
 # ----------------------------------------------------------------------
@@ -255,7 +299,7 @@ def origin_crossing(locus: ParametricLocus, pinch_tol: float = 1e-9) -> OriginCr
     scale_u = max(1.0, float(np.max(np.abs(u))))
     scale_w = max(1.0, float(np.max(np.abs(w))))
 
-    roots = _refined_roots(t, u, _scalar_hook(locus.value_fn, 0))
+    roots = _refined_roots(t, u, locus.value_fn)[0]
 
     # tangential zeros never flip sign; pick them up from near-zero samples
     near = np.abs(u) <= pinch_tol * scale_u
@@ -288,20 +332,7 @@ def origin_crossing(locus: ParametricLocus, pinch_tol: float = 1e-9) -> OriginCr
 
 def _cluster_minima(mask: np.ndarray, magnitude: np.ndarray) -> list[int]:
     """Index of the smallest magnitude inside each run of True samples."""
-    out: list[int] = []
-    i = 0
-    n = len(mask)
-    while i < n:
-        if mask[i]:
-            j = i
-            while j + 1 < n and mask[j + 1]:
-                j += 1
-            seg = magnitude[i : j + 1]
-            out.append(i + int(np.argmin(seg)))
-            i = j + 1
-        else:
-            i += 1
-    return out
+    return [int(i + np.argmin(magnitude[i : j + 1])) for i, j in zip(*_runs(mask))]
 
 
 # ----------------------------------------------------------------------
@@ -377,11 +408,8 @@ def rate_landmarks(locus: ParametricLocus, root_tol: float = 1e-10
     shared by all three results.
     """
     rates = _derivative_arrays(locus)
-    du_roots, dw_roots = (
-        _refined_roots(locus.t_values, rates[i], _scalar_hook(locus.derivative_fn, i),
-                       transversal_only=True)
-        for i in (0, 1)
-    )
+    du_roots, dw_roots = _refined_roots(locus.t_values, rates, locus.derivative_fn,
+                                        transversal_only=True)
     return (
         _tangent_points(locus, dw_roots, rates, root_tol, vertical=False),
         _tangent_points(locus, du_roots, rates, root_tol, vertical=True),
@@ -497,7 +525,7 @@ def _first_maximum(rate_fn, T: float) -> float:
     ts = np.linspace(0.0, 0.5 * T, 4097)
     vals = np.asarray(rate_fn(ts))
     probe = min(1e-7 * T, 0.25 * (ts[1] - ts[0]))
-    for r in _refined_roots(ts, vals, rate_fn):
+    for r in _refined_roots(ts, vals, rate_fn)[0]:
         if not (0.0 < r < 0.5 * T):
             continue
         if rate_fn(max(r - probe, 0.0)) > 0.0 > rate_fn(min(r + probe, 0.5 * T)):

@@ -186,6 +186,9 @@ class TestAnalyzeCommand:
                        "params": {"coefficients": [0, 1, 0, float("nan")]}}),
             ("tolerances", {"witness_tol": float("nan")}),
             ("excitation", {"omega": float("inf")}),
+            # an integer JSON number beyond float range
+            ("curve", {"family": "polynomial",
+                       "params": {"coefficients": [0, 1, 0, 10 ** 400]}}),
         ],
     )
     def test_non_finite_number_exit_code(self, tmp_path, capsys, key, value):
@@ -194,7 +197,9 @@ class TestAnalyzeCommand:
             ["analyze", "--config", write_config(tmp_path, cfg),
              "--output-dir", str(tmp_path / "out")]
         ) == 2
-        assert "must be finite" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "must be finite" in err
+        assert f"{key}." in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("numeric", [False, True])

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memelements import (
+    NumericalError,
     PhaseClass,
     PointKind,
     Valuedness,
@@ -15,6 +19,7 @@ from memelements import (
     vertical_tangent_points,
     zero_tangent_points,
 )
+from memelements import loci
 import oracles
 
 
@@ -193,3 +198,195 @@ class TestPhaseShift:
         report = phase_shift(line, drive)
         assert report.classification is PhaseClass.IN_PHASE
         assert abs(report.shift) < 1e-9
+
+
+# ----------------------------------------------------------------------
+# root refinement: lock-step bisection against scalar references
+# ----------------------------------------------------------------------
+
+def _bracket_case(a, width, where, frac, slope, bend):
+    """One bracket [a, b] and a monotone signal through its root r.
+
+    where picks the root: an endpoint (the signal is exactly zero there),
+    the first midpoint the bisection visits (exactly zero there too), or
+    an arbitrary interior point.
+    """
+    b = a + width
+    r = {"a": a, "b": b, "mid": a + 0.5 * (b - a), "inside": a + frac * (b - a)}[where]
+
+    def g(x):
+        d = x - r
+        return slope * d * (1.0 + bend * d * d)
+
+    return a, b, g
+
+
+bracket_cases = st.lists(
+    st.tuples(
+        st.floats(-100.0, 100.0),
+        st.floats(1e-6, 10.0),
+        st.sampled_from(["a", "b", "mid", "inside"]),
+        st.floats(0.0, 1.0),
+        st.sampled_from([-3.0, -1.0, 0.5, 2.0]),
+        st.floats(0.0, 2.0),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+class TestBisect:
+    @settings(max_examples=200, deadline=None)
+    @given(cases=bracket_cases, xtol=st.sampled_from([1e-12, 1e-9, 1e-4]))
+    def test_matches_scipy_bit_for_bit(self, cases, xtol):
+        brackets = [_bracket_case(*c) for c in cases]
+        a = np.array([br[0] for br in brackets])
+        b = np.array([br[1] for br in brackets])
+
+        # bracket j reads row j of the hook, its own signal
+        def hook(x):
+            return np.array([g(x) for _, _, g in brackets])
+
+        got = loci.bisect(hook, a, b, np.arange(len(brackets)), xtol=xtol)
+        want = np.array([scipy.optimize.bisect(g, lo, hi, xtol=xtol)
+                         for lo, hi, g in brackets])
+        assert got.tobytes() == want.tobytes()
+
+    def test_one_hook_call_per_step(self):
+        calls = []
+
+        def hook(x):
+            calls.append(np.size(x))
+            return np.array([x - 0.3, x - 0.7])
+
+        a, b, rows = [0.0, 0.0, 0.5], [0.5, 1.0, 1.0], [0, 1, 1]
+        roots = loci.bisect(hook, a, b, rows, xtol=1e-6)
+        assert np.allclose(roots, [0.3, 0.7, 0.7], atol=1e-6)
+        # both endpoint sets, then one call per halving on the brackets
+        # still live: the widest bracket needs one halving more than the rest
+        steps = [scipy.optimize.bisect(lambda x, r=r: x - (0.3, 0.7)[r], lo, hi,
+                                       xtol=1e-6, full_output=True)[1].iterations
+                 for lo, hi, r in zip(a, b, rows)]
+        assert steps == [19, 20, 19]
+        assert calls == [3, 3] + [3] * 19 + [1]
+
+    def test_rejects_bracket_without_sign_change(self):
+        with pytest.raises(NumericalError):
+            loci.bisect(lambda x: x * x + 1.0, [0.0], [1.0], [0])
+
+    def test_rejects_nan_signal(self):
+        with pytest.raises(NumericalError):
+            loci.bisect(lambda x: np.where(x > 0.4, np.nan, x - 0.5), [0.0], [1.0], [0])
+
+    def test_reports_non_convergence(self):
+        # the midpoints of [-1, 2] never land on 0, and xtol is below reach
+        with pytest.raises(NumericalError):
+            loci.bisect(lambda x: x, [-1.0], [2.0], [0], xtol=1e-300)
+
+
+def _reference_roots(t, vals, fn=None, xtol=1e-12, transversal_only=False):
+    """The per-sample scan with scalar scipy bisection that _refined_roots replaced."""
+    vals = np.asarray(vals, dtype=float)
+    n = len(t)
+    core_n = n - 1
+
+    def neighbor_sign(idx, step):
+        for k in range(1, core_n):
+            v = float(vals[(idx + step * k) % core_n])
+            if v != 0.0:
+                return float(np.sign(v))
+        return 0.0
+
+    roots = []
+    i = 0
+    while i < n:
+        if float(vals[i]) == 0.0:
+            j = i
+            while j + 1 < n and float(vals[j + 1]) == 0.0:
+                j += 1
+            keep = True
+            if transversal_only:
+                keep = neighbor_sign(i % core_n, -1) * neighbor_sign(j % core_n, +1) < 0.0
+            if keep:
+                roots.append(float(t[(i + j) // 2]))
+            i = j + 1
+            continue
+        if i + 1 < n and float(vals[i]) * float(vals[i + 1]) < 0.0:
+            if fn is not None:
+                roots.append(float(scipy.optimize.bisect(
+                    fn, float(t[i]), float(t[i + 1]), xtol=xtol)))
+            else:
+                a, b = float(vals[i]), float(vals[i + 1])
+                roots.append(float(t[i]) - a * (float(t[i + 1]) - float(t[i])) / (b - a))
+        i += 1
+    return loci._dedupe(roots, max(10.0 * xtol, 1e-12))
+
+
+T65 = np.linspace(0.0, 2.0 * np.pi, 65)
+
+
+def _seam_run():
+    # exact zeros at both ends of the period: one run split by the seam
+    v = np.sin(T65)
+    v[:2] = 0.0
+    v[-2:] = 0.0
+    return v
+
+
+def _double_zero():
+    # touches zero at one sample without changing sign
+    v = (T65 - T65[20]) ** 2 * np.cos(T65)
+    v[20] = 0.0
+    return v
+
+
+SIGNALS = {
+    "seam_run": _seam_run(),
+    "double_zero": _double_zero(),
+    "all_zero": np.zeros_like(T65),
+    "sign_changes": np.sin(3.0 * T65 + 0.1),
+}
+
+
+class TestRefinedRoots:
+    @pytest.mark.parametrize("transversal_only", [False, True])
+    @pytest.mark.parametrize("name", sorted(SIGNALS))
+    def test_interpolation_matches_reference_scan(self, name, transversal_only):
+        vals = SIGNALS[name]
+        (got,) = loci._refined_roots(T65, vals, transversal_only=transversal_only)
+        assert got == _reference_roots(T65, vals, transversal_only=transversal_only)
+
+    def test_seam_run_and_double_zero_semantics(self):
+        # the seam run is kept from both of its ends, the double zero dropped
+        (seam,) = loci._refined_roots(T65, SIGNALS["seam_run"], transversal_only=True)
+        assert T65[0] in seam and T65[63] in seam
+        (double,) = loci._refined_roots(T65, SIGNALS["double_zero"], transversal_only=True)
+        assert T65[20] not in double
+        (kept,) = loci._refined_roots(T65, SIGNALS["double_zero"])
+        assert T65[20] in kept
+        assert loci._refined_roots(T65, SIGNALS["all_zero"], transversal_only=True) == [[]]
+        assert loci._refined_roots(T65, SIGNALS["all_zero"]) == [[T65[32]]]
+
+    @pytest.mark.parametrize("transversal_only", [False, True])
+    def test_two_rows_refined_together_match_scalar_scans(self, transversal_only):
+        def hook(x):
+            return np.sin(3.0 * x + 0.1), (x - T65[20]) ** 2 * np.cos(x) - 0.05
+
+        vals = np.array(hook(T65))
+        vals[0, 40] = 0.0  # an exact zero sample among the sign changes
+        got = loci._refined_roots(T65, vals, hook, transversal_only=transversal_only)
+        want = [
+            _reference_roots(T65, vals[r], lambda x, r=r: float(hook(x)[r]),
+                             transversal_only=transversal_only)
+            for r in (0, 1)
+        ]
+        assert got == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(samples=st.lists(st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.0, 0.0, 1.0, 3.0]),
+                            min_size=2, max_size=40),
+           transversal_only=st.booleans())
+    def test_random_runs_match_reference_scan(self, samples, transversal_only):
+        t = np.arange(len(samples), dtype=float)
+        (got,) = loci._refined_roots(t, samples, transversal_only=transversal_only)
+        assert got == _reference_roots(t, samples, transversal_only=transversal_only)

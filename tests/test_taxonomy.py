@@ -225,7 +225,7 @@ class TestTheoremSuite:
 class TestChainAnalysedOnce:
     @pytest.fixture
     def counts(self, monkeypatch):
-        tally = {"planes": 0, "ideality": 0, "bisections": 0}
+        tally = {"planes": 0, "ideality": 0, "bisect_calls": 0, "brackets": 0}
 
         def counting(key, fn):
             def wrapper(*args, **kwargs):
@@ -233,18 +233,29 @@ class TestChainAnalysedOnce:
                 return fn(*args, **kwargs)
             return wrapper
 
+        bisect = loci.bisect
+
+        def counting_bisect(fn, a, b, *args, **kwargs):
+            tally["bisect_calls"] += 1
+            tally["brackets"] += np.size(a)
+            return bisect(fn, a, b, *args, **kwargs)
+
         # origin_crossing runs once per plane analysed
         monkeypatch.setattr(taxonomy, "origin_crossing",
                             counting("planes", taxonomy.origin_crossing))
         monkeypatch.setattr(taxonomy, "check_ideality",
                             counting("ideality", taxonomy.check_ideality))
-        monkeypatch.setattr(loci, "bisect", counting("bisections", loci.bisect))
+        monkeypatch.setattr(loci, "bisect", counting_bisect)
         return tally
+
+    # 15 brackets, refined in one lock-step call per signal scanned: the
+    # abscissa of the depth-1 and depth-2 planes and the rates of each plane
+    EXPECTED = {"planes": 3, "ideality": 1, "bisect_calls": 5, "brackets": 15}
 
     def test_suite_analyses_one_depth_two_chain(self, cubic, counts):
         assert theorem_suite([cubic]).all_passed
-        assert counts == {"planes": 3, "ideality": 1, "bisections": 15}
+        assert counts == self.EXPECTED
 
     def test_classify_refines_each_root_once(self, cubic, counts):
         classify((-2, -2), cubic)
-        assert counts == {"planes": 3, "ideality": 1, "bisections": 15}
+        assert counts == self.EXPECTED
