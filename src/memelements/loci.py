@@ -176,15 +176,15 @@ def _derivative_arrays(locus: ParametricLocus) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def _derivative_at(locus: ParametricLocus, t: float,
-                   arrays: tuple[np.ndarray, np.ndarray] | None = None):
+def _rates_at(locus: ParametricLocus, t: np.ndarray,
+              arrays: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinate rates at times t: exact via derivative_fn, else interpolated in arrays."""
     if locus.derivative_fn is not None:
         du, dw = locus.derivative_fn(t)
-        return float(du), float(dw)
-    du_a, dw_a = arrays if arrays is not None else _derivative_arrays(locus)
+        return np.asarray(du, dtype=float), np.asarray(dw, dtype=float)
     return (
-        float(np.interp(t, locus.t_values, du_a)),
-        float(np.interp(t, locus.t_values, dw_a)),
+        np.interp(t, locus.t_values, arrays[0]),
+        np.interp(t, locus.t_values, arrays[1]),
     )
 
 
@@ -243,7 +243,8 @@ def _refined_roots(t: np.ndarray, vals: np.ndarray, fn=None, xtol: float = 1e-12
 
     vals is one signal or a stack of them; row r of vals is component r
     of fn's output, and all rows are refined in one bisect call.  A run of
-    exact-zero samples yields one representative root at its middle.
+    exact-zero samples yields one representative root at its middle; a run
+    split by the period seam counts once, its middle taken modulo the period.
     With transversal_only the signal must change sign across a root,
     which drops tangential (double) zeros; the signal is treated as
     periodic when looking up the run's neighbours.  Without fn, roots
@@ -262,7 +263,14 @@ def _refined_roots(t: np.ndarray, vals: np.ndarray, fn=None, xtol: float = 1e-12
 
     out = []
     for r, row in enumerate(vals):
+        n = row.size
         first, last = _runs(row == 0.0)
+        if first.size > 1 and first[0] == 0 and last[-1] == n - 1 and (
+                last[0] > 0 or first[-1] < n - 1):
+            # t[-1] is t[0] one period later, so a zero run through the seam is
+            # one run, whose end index goes past n - 1; a zero at the seam
+            # sample alone stays listed at both t[0] and t[-1]
+            first, last = first[1:], np.append(last[1:-1], last[0] + n - 1)
         if transversal_only:
             # the last sample duplicates the first, one period later
             core = row[:-1]
@@ -274,7 +282,9 @@ def _refined_roots(t: np.ndarray, vals: np.ndarray, fn=None, xtol: float = 1e-12
                 first, last = first[keep], last[keep]
             else:
                 first = last = first[:0]
-        roots = crossings[rows == r].tolist() + t[(first + last) // 2].tolist()
+        mid = (first + last) // 2
+        mid = np.where(last < n, mid, mid % (n - 1))
+        roots = crossings[rows == r].tolist() + t[mid].tolist()
         out.append(_dedupe(roots, max(10.0 * xtol, 1e-12)))
     return out
 
@@ -310,9 +320,9 @@ def origin_crossing(locus: ParametricLocus, pinch_tol: float = 1e-9) -> OriginCr
             roots.append(cand)
     roots = _dedupe(roots, 1e-12)
 
+    us, ws = point_at(locus, np.asarray(roots, dtype=float))
     points: list[SpecialPoint] = []
-    for r in roots:
-        ur, wr = point_at(locus, r)
+    for r, ur, wr in zip(roots, us.tolist(), ws.tolist()):
         if abs(ur) <= pinch_tol * scale_u and abs(wr) <= pinch_tol * scale_w:
             points.append(SpecialPoint(t=r, u=ur, w=wr, kind=PointKind.PINCH))
         else:
@@ -425,13 +435,14 @@ def _tangent_points(locus: ParametricLocus, roots: list[float],
     else:
         other, kind, tangent_angle = rates[0], PointKind.ZERO_TANGENT, 0.0
     gate = root_tol * max(1.0, float(np.max(np.abs(other))))
+    ts = np.asarray(roots, dtype=float)
+    du, dw = _rates_at(locus, ts, rates)
+    us, ws = point_at(locus, ts)
     points: list[SpecialPoint] = []
-    for r in roots:
-        du_r, dw_r = _derivative_at(locus, r, rates)
-        other_r = dw_r if vertical else du_r
+    for r, other_r, ur, wr in zip(roots, (dw if vertical else du).tolist(),
+                                  us.tolist(), ws.tolist()):
         if abs(other_r) <= gate:
             continue  # both rates vanish: a cusp, not a tangent landmark
-        ur, wr = point_at(locus, r)
         chord = None
         if max(abs(ur), abs(wr)) > 0.0:
             chord = float(np.arctan2(wr, ur))
@@ -447,13 +458,11 @@ def _negative_arcs(locus: ParametricLocus, roots: list[float],
     t = locus.t_values
     bps = _dedupe(roots + [float(t[0]), float(t[-1])], 1e-9)
 
+    spans = [(a, b) for a, b in zip(bps[:-1], bps[1:]) if b - a > 1e-9]
+    du, dw = _rates_at(locus, np.array([0.5 * (a + b) for a, b in spans]), rates)
     negative: list[tuple[float, float]] = []
-    for a, b in zip(bps[:-1], bps[1:]):
-        if b - a <= 1e-9:
-            continue
-        mid = 0.5 * (a + b)
-        du_m, dw_m = _derivative_at(locus, mid, rates)
-        if du_m * dw_m < 0.0:
+    for (a, b), falling in zip(spans, (du * dw < 0.0).tolist()):
+        if falling:
             if negative and abs(negative[-1][1] - a) <= 1e-9:
                 negative[-1] = (negative[-1][0], b)
             else:

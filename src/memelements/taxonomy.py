@@ -256,11 +256,17 @@ def _analyze_plane(locus: ParametricLocus, tol: ToleranceSet) -> PlaneAnalysis:
     )
 
 
-def _project_witness(vlocus: ParametricLocus, t0: float) -> SpecialPoint:
-    u, w = point_at(vlocus, t0)
-    chord = float(np.arctan2(w, u)) if max(abs(u), abs(w)) > 0.0 else None
-    return SpecialPoint(
-        t=float(t0), u=u, w=w, kind=PointKind.ACTIVITY_WITNESS, chord_angle=chord
+def _project_witnesses(vlocus: ParametricLocus, points: tuple[SpecialPoint, ...]
+                       ) -> tuple[SpecialPoint, ...]:
+    """Images in the verdict plane of source landmarks, at their times."""
+    ts = [p.t for p in points]
+    us, ws = point_at(vlocus, np.asarray(ts, dtype=float))
+    return tuple(
+        SpecialPoint(
+            t=float(t0), u=u, w=w, kind=PointKind.ACTIVITY_WITNESS,
+            chord_angle=float(np.arctan2(w, u)) if max(abs(u), abs(w)) > 0.0 else None,
+        )
+        for t0, u, w in zip(ts, us.tolist(), ws.tolist())
     )
 
 
@@ -350,8 +356,8 @@ def _verdict(
     vlocus = chain[k]
     src = planes[k - 1]
     eq_axis = tuple(p for p in vp.abscissa_zeros if abs(p.w) > wtol)
-    c_proj = tuple(_project_witness(vlocus, p.t) for p in src.zero_tangents)
-    q_proj = tuple(_project_witness(vlocus, p.t) for p in src.vertical_tangents)
+    c_proj = _project_witnesses(vlocus, src.zero_tangents)
+    q_proj = _project_witnesses(vlocus, src.vertical_tangents)
     _check_route_agreement(vlocus, eq_axis, q_proj, tol)
 
     c_off = tuple(p for p in c_proj if abs(p.u) > wtol)

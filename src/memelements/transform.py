@@ -8,20 +8,22 @@ of the map, that the tangent direction at a source point equals the
 origin-chord direction of its image, is what the downstream geometry
 analyses rely on.
 
-Ordinates are produced by the chain rule in closed form up to depth four:
+Ordinates come from the chain rule in closed form at every depth the
+curve supports (Faa di Bruno's formula):
 
-    w1 = f' x'
-    w2 = f'' x'^2 + f' x''
-    w3 = f''' x'^3 + 3 f'' x' x'' + f' x'''
-    w4 = f'''' x'^4 + 6 f''' x'^2 x'' + 3 f'' x''^2 + 4 f'' x' x''' + f' x''''
+    d^k/dt^k f(x(t)) = sum_{j=1..k} f^(j)(x) B_{k,j}(x', x'', ...)
 
-Deeper loci fall back to periodic finite differences with a warning.
+with the partial Bell polynomials built by the recursion
+
+    B_{0,0} = 1,  B_{n,j} = sum_i C(n-1, i-1) x^(i) B_{n-i,j-1}.
+
+The depth a chain may reach is the curve's max_derivative_order.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
+from math import comb
 from typing import Callable
 
 import numpy as np
@@ -31,7 +33,6 @@ from .errors import CapabilityError, DomainError, NumericalError
 from .excitation import Excitation, SampleGrid, excite, grid
 
 __all__ = [
-    "ANALYTIC_DEPTH_LIMIT",
     "ParametricLocus",
     "chain_ordinate",
     "analytic_locus",
@@ -43,10 +44,6 @@ __all__ = [
     "write_locus_csv",
     "read_locus_csv",
 ]
-
-# Depth of the closed-form chain-rule bank above.
-ANALYTIC_DEPTH_LIMIT = 4
-
 
 def default_labels(depth: int) -> tuple[str, str]:
     """Generic axis labels for a depth-k locus."""
@@ -116,10 +113,29 @@ def _branch_mask(exc: Excitation, t: np.ndarray) -> np.ndarray:
     tm = np.mod(t, exc.period)
     return tm <= 0.5 * exc.period * (1.0 + 1e-12)
 
+
+def _bell(x: list, n: int) -> list:
+    """Row n of the partial Bell polynomials in x[1], x[2], ...: entry j is B_{n,j}.
+
+    B_{n,0} is 1 at n = 0 and zero otherwise; the zero is held as None so
+    that no sum ever adds it.
+    """
+    rows = [[1.0]]
+    for m in range(1, n + 1):
+        row = [None, x[m]]
+        for j in range(2, m + 1):
+            terms = [comb(m - 1, i - 1) * x[i] * rows[m - i][j - 1]
+                     for i in range(1, m - j + 2)]
+            row.append(sum(terms[1:], terms[0]))
+        rows.append(row)
+    return rows[n]
+
+
 def chain_ordinate(curve: ConstitutiveCurve, exc: Excitation, t, depth: int,
                    branch: str | None = None):
     """Exact depth-k ordinate d^k/dt^k f(x(t)) at time t.
 
+    Raises CapabilityError when k exceeds the curve's max_derivative_order.
     For two-branch curves with branch = None the outgoing branch covers
     the first half-period and the returning branch the second, matching
     the direction the drive actually sweeps.
@@ -127,48 +143,34 @@ def chain_ordinate(curve: ConstitutiveCurve, exc: Excitation, t, depth: int,
     depth = int(depth)
     if depth < 0:
         raise DomainError("depth must be non-negative")
-    if depth > ANALYTIC_DEPTH_LIMIT:
-        raise CapabilityError(
-            f"closed-form chain rule stops at depth {ANALYTIC_DEPTH_LIMIT}, got {depth}"
-        )
     ta = np.asarray(t, dtype=float)
+    x = [excite(exc, ta, i) for i in range(depth + 1)]
+    bell = _bell(x, depth)
+
+    def ordinate(br):
+        # summed from the j = k term down and never from zero, so depths 0-2
+        # round exactly like f' x' and f'' x'^2 + f' x'', signed zeros included
+        terms = [curve.derivative(x[0], j, branch=br) * bell[j]
+                 for j in range(depth, -1, -1) if bell[j] is not None]
+        return sum(terms[1:], terms[0])
 
     if curve.is_two_branch and branch is None:
-        wo = chain_ordinate(curve, exc, ta, depth, OUTGOING)
-        wr = chain_ordinate(curve, exc, ta, depth, RETURNING)
-        out = np.where(_branch_mask(exc, ta), wo, wr)
-        return float(out) if np.ndim(t) == 0 else out
-
-    x = excite(exc, ta, 0)
-
-    def f(k: int):
-        return np.asarray(curve.derivative(x, k, branch=branch))
-
-    def e(k: int):
-        return np.asarray(excite(exc, ta, k))
-
-    if depth == 0:
-        out = f(0)
-    elif depth == 1:
-        out = f(1) * e(1)
-    elif depth == 2:
-        out = f(2) * e(1) ** 2 + f(1) * e(2)
-    elif depth == 3:
-        out = f(3) * e(1) ** 3 + 3.0 * f(2) * e(1) * e(2) + f(1) * e(3)
+        out = np.where(_branch_mask(exc, ta), ordinate(OUTGOING), ordinate(RETURNING))
     else:
-        out = (
-            f(4) * e(1) ** 4
-            + 6.0 * f(3) * e(1) ** 2 * e(2)
-            + 3.0 * f(2) * e(2) ** 2
-            + 4.0 * f(2) * e(1) * e(3)
-            + f(1) * e(4)
-        )
+        out = ordinate(branch)
     return float(out) if np.ndim(t) == 0 else out
 
 
 # ----------------------------------------------------------------------
 # locus construction
 # ----------------------------------------------------------------------
+
+def _hook(curve: ConstitutiveCurve, exc: Excitation, depth: int) -> Callable:
+    """Exact depth-k coordinates (u, w) at arbitrary times."""
+    def hook(t):
+        return excite(exc, t, depth), chain_ordinate(curve, exc, t, depth)
+    return hook
+
 
 def analytic_locus(
     curve: ConstitutiveCurve,
@@ -177,64 +179,32 @@ def analytic_locus(
     sample_grid: SampleGrid | None = None,
     labels: tuple[str, str] | None = None,
 ) -> ParametricLocus:
-    """Depth-k locus of the curve under the drive, exact where possible.
+    """Depth-k locus of the curve under the drive, from the closed-form chain rule.
 
-    Depths up to ANALYTIC_DEPTH_LIMIT come from the closed-form chain
-    rule and carry evaluation hooks.  Deeper requests are completed with
-    periodic finite differences and a warning, losing the hooks.
+    value_fn is the depth-k hook and derivative_fn the depth-(k+1) one;
+    derivative_fn is None when the curve has no derivative of order k+1.
     """
     depth = int(depth)
     if depth < 0:
         raise DomainError("depth must be non-negative")
-    # only the closed-form prefix consumes curve derivatives; the numeric
-    # completion beyond the bank differentiates samples, not the curve
-    if min(depth, ANALYTIC_DEPTH_LIMIT) > curve.max_derivative_order:
+    if depth > curve.max_derivative_order:
         raise CapabilityError(
-            f"depth {depth} needs curve derivatives up to order "
-            f"{min(depth, ANALYTIC_DEPTH_LIMIT)}; this {curve.family} curve "
-            f"supports {curve.max_derivative_order}"
+            f"depth {depth} needs curve derivatives up to order {depth}; this "
+            f"{curve.family} curve supports {curve.max_derivative_order}"
         )
     g = sample_grid if sample_grid is not None else grid(exc)
-    t = g.t_values
-
-    if depth > ANALYTIC_DEPTH_LIMIT:
-        warnings.warn(
-            f"depth {depth} exceeds the closed-form bank (limit "
-            f"{ANALYTIC_DEPTH_LIMIT}); completing with finite differences",
-            stacklevel=2,
-        )
-        locus = analytic_locus(curve, exc, ANALYTIC_DEPTH_LIMIT, g)
-        for _ in range(depth - ANALYTIC_DEPTH_LIMIT):
-            locus = numeric_transform(locus)
-        return ParametricLocus(
-            locus.t_values,
-            locus.u_values,
-            locus.w_values,
-            depth,
-            labels or default_labels(depth),
-            provenance="numeric",
-        )
-
-    u = excite(exc, t, depth)
-    w = chain_ordinate(curve, exc, t, depth)
-
-    def value_fn(tt, _d=depth):
-        return excite(exc, tt, _d), chain_ordinate(curve, exc, tt, _d)
-
-    derivative_fn = None
-    if depth + 1 <= min(ANALYTIC_DEPTH_LIMIT, curve.max_derivative_order):
-        def derivative_fn(tt, _d=depth + 1):
-            return excite(exc, tt, _d), chain_ordinate(curve, exc, tt, _d)
-
+    value_fn = _hook(curve, exc, depth)
+    u, w = value_fn(g.t_values)
     return ParametricLocus(
-        t_values=t,
+        t_values=g.t_values,
         u_values=u,
         w_values=w,
         depth=depth,
         axis_labels=labels or default_labels(depth),
         provenance="analytic",
         value_fn=value_fn,
-        derivative_fn=derivative_fn,
+        derivative_fn=(_hook(curve, exc, depth + 1)
+                       if depth < curve.max_derivative_order else None),
     )
 
 

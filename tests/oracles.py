@@ -77,6 +77,29 @@ def tanh_rate_slope(t):
     return sech2 * (-2.0 * np.tanh(x) * np.sin(t) ** 2 + np.cos(t))
 
 
+def chain_oracle(f, k: int, times, amplitude=1.0, omega=1.0, offset=None):
+    """d^k/dt^k of the drive and of f(drive) at each time, from sympy.
+
+    The drive is offset - amplitude * cos(omega t) (offset defaults to the
+    amplitude); f maps a sympy expression to a sympy expression.  Both
+    derivatives are taken symbolically and evaluated with mpmath at 40
+    digits, every float parameter entering as its exact binary value.
+    Returns (u, w) float arrays.
+    """
+    import mpmath
+    import sympy as sp
+
+    t = sp.Symbol("t", real=True)
+    off = amplitude if offset is None else offset
+    drive = sp.Float(off, 40) - sp.Float(amplitude, 40) * sp.cos(sp.Float(omega, 40) * t)
+    u_fn = sp.lambdify(t, sp.diff(drive, t, k), modules="mpmath")
+    w_fn = sp.lambdify(t, sp.diff(f(drive), t, k), modules="mpmath")
+    with mpmath.workdps(40):
+        at = [mpmath.mpf(float(s)) for s in np.atleast_1d(times)]
+        return (np.array([float(u_fn(s)) for s in at]),
+                np.array([float(w_fn(s)) for s in at]))
+
+
 # frozen roots of the rate slopes (zero-tangent times), bisection at 1e-13
 T_C_CUBIC = 2.20050765847209          # root of cubic_rate_slope in (pi/2, pi)
 T_C_CUBIC_MIRROR = 4.082677648707496  # 2*pi - T_C_CUBIC

@@ -142,6 +142,19 @@ class TestAnalyzeCommand:
         assert (out / "depth1.csv").exists()
         assert (out / "loci.svg").exists()
 
+    def test_deep_memristor_report(self, tmp_path):
+        cfg = dict(MEMRISTOR_CFG, descriptor={"alpha": -6, "beta": -6})
+        cfg["curve"] = dict(cfg["curve"], max_derivative_order=7)
+        out = tmp_path / "out"
+        assert run(["analyze", "--config", write_config(tmp_path, cfg),
+                    "--output-dir", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        jsonschema.validate(report, load_schema("classification_report.schema.json"))
+        assert report["provenance"] == "analytic"
+        assert report["verdict"] == "locally_active"
+        assert report["witnesses"]
+        assert all(abs(abs(p["w"]) - 32.0) <= 1e-9 for p in report["witnesses"])
+
     def test_report_dict_matches_library_call(self, cubic):
         rpt = classify((-2, -2), cubic)
         payload = report_to_dict(rpt)

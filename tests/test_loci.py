@@ -298,11 +298,22 @@ def _reference_roots(t, vals, fn=None, xtol=1e-12, transversal_only=False):
         return 0.0
 
     roots = []
-    i = 0
-    while i < n:
+    lo, hi = 0, n
+    head = next((i for i in range(n) if float(vals[i]) != 0.0), n)
+    tail = next((i for i in range(n) if float(vals[n - 1 - i]) != 0.0), n)
+    if 0 < head < n and tail > 0 and head + tail > 2:
+        # one zero run through the seam, t[-1] being t[0] one period later;
+        # a lone zero at the seam sample is listed at both ends instead
+        first, last = n - tail, head - 1 + core_n
+        if not transversal_only or (
+                neighbor_sign(first % core_n, -1) * neighbor_sign(last % core_n, +1) < 0.0):
+            roots.append(float(t[(first + last) // 2 % core_n]))
+        lo, hi = head, n - tail
+    i = lo
+    while i < hi:
         if float(vals[i]) == 0.0:
             j = i
-            while j + 1 < n and float(vals[j + 1]) == 0.0:
+            while j + 1 < hi and float(vals[j + 1]) == 0.0:
                 j += 1
             keep = True
             if transversal_only:
@@ -311,7 +322,7 @@ def _reference_roots(t, vals, fn=None, xtol=1e-12, transversal_only=False):
                 roots.append(float(t[(i + j) // 2]))
             i = j + 1
             continue
-        if i + 1 < n and float(vals[i]) * float(vals[i + 1]) < 0.0:
+        if i + 1 < hi and float(vals[i]) * float(vals[i + 1]) < 0.0:
             if fn is not None:
                 roots.append(float(scipy.optimize.bisect(
                     fn, float(t[i]), float(t[i + 1]), xtol=xtol)))
@@ -333,6 +344,21 @@ def _seam_run():
     return v
 
 
+def _seam_zero():
+    # one exact zero at the seam sample, at both ends of the period
+    v = np.sin(T65)
+    v[0] = v[-1] = 0.0
+    return v
+
+
+def _seam_run_late():
+    # a seam run reaching further before the seam than after it
+    v = np.sin(T65)
+    v[:1] = 0.0
+    v[-4:] = 0.0
+    return v
+
+
 def _double_zero():
     # touches zero at one sample without changing sign
     v = (T65 - T65[20]) ** 2 * np.cos(T65)
@@ -342,6 +368,8 @@ def _double_zero():
 
 SIGNALS = {
     "seam_run": _seam_run(),
+    "seam_zero": _seam_zero(),
+    "seam_run_late": _seam_run_late(),
     "double_zero": _double_zero(),
     "all_zero": np.zeros_like(T65),
     "sign_changes": np.sin(3.0 * T65 + 0.1),
@@ -357,9 +385,16 @@ class TestRefinedRoots:
         assert got == _reference_roots(T65, vals, transversal_only=transversal_only)
 
     def test_seam_run_and_double_zero_semantics(self):
-        # the seam run is kept from both of its ends, the double zero dropped
+        # a run split by the seam counts once, at its middle modulo the period;
+        # a lone zero at the seam sample stays listed at both ends; the double
+        # zero is dropped
         (seam,) = loci._refined_roots(T65, SIGNALS["seam_run"], transversal_only=True)
-        assert T65[0] in seam and T65[63] in seam
+        assert T65[0] in seam
+        assert T65[1] not in seam and T65[63] not in seam and T65[64] not in seam
+        (late,) = loci._refined_roots(T65, SIGNALS["seam_run_late"], transversal_only=True)
+        assert T65[62] in late and T65[0] not in late and T65[64] not in late
+        (lone,) = loci._refined_roots(T65, SIGNALS["seam_zero"], transversal_only=True)
+        assert T65[0] in lone and T65[64] in lone
         (double,) = loci._refined_roots(T65, SIGNALS["double_zero"], transversal_only=True)
         assert T65[20] not in double
         (kept,) = loci._refined_roots(T65, SIGNALS["double_zero"])

@@ -156,6 +156,33 @@ class TestClassifySecondOrder:
         assert max(mags) == pytest.approx(2.0, abs=1e-3)
 
 
+class TestClassifyDeep:
+    @pytest.mark.parametrize("cell", [(-5, -5), (-6, -6)])
+    def test_every_plane_closed_form_and_witnesses_exact(self, cell):
+        curve = PolynomialCurve(coefficients=(0.0, 1.0, 0.0, 1.0 / 3.0),
+                                max_derivative_order=7)
+        rpt = classify(cell, curve)
+        assert rpt.provenance == "analytic"
+        assert [p.provenance for p in rpt.planes] == ["analytic"] * len(rpt.planes)
+        assert rpt.verdict is Verdict.LOCALLY_ACTIVE
+        u, w = oracles.chain_oracle(lambda x: x + (1.0 / 3.0) * x**3, -max(cell),
+                                    [p.t for p in rpt.witnesses])
+        assert np.max(np.abs([p.u for p in rpt.witnesses] - u)) <= 1e-9
+        assert np.max(np.abs([p.w for p in rpt.witnesses] - w)) <= 1e-9
+
+
+class TestSeamRun:
+    def test_flat_run_through_the_seam_is_one_landmark(self):
+        # f vanishes on [0, 0.1], so every rate is exactly zero around t = 0
+        curve = PiecewiseLinearCurve(knots=((0.0, 0.0), (0.1, 0.0), (2.0, 2.0)))
+        rpt = classify((-1, -1), curve)
+        h, T = rpt.loci[0].spacing, rpt.loci[0].period
+        for plane in rpt.planes:
+            marks = plane.zero_tangents + plane.vertical_tangents
+            assert len(marks) <= 1
+            assert all(min(p.t, T - p.t) <= h for p in marks)
+
+
 class TestClassifyGuards:
     def test_sweep_must_fit_the_range(self):
         narrow = PolynomialCurve(

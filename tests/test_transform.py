@@ -1,13 +1,18 @@
-import warnings
-
 import numpy as np
 import pytest
+import sympy as sp
 
 from memelements import (
+    OUTGOING,
+    RETURNING,
     CapabilityError,
     Excitation,
+    LogisticCurve,
     NumericalError,
     PointKind,
+    PolynomialCurve,
+    TanhScaledCurve,
+    TwoBranchCurve,
     analytic_locus,
     chain_ordinate,
     excite,
@@ -20,11 +25,35 @@ from memelements import (
     write_locus_csv,
 )
 from memelements.transform import default_labels
-from oracles import cubic_rate, tanh_rate
+from oracles import chain_oracle, cubic_rate, tanh_rate
 
 
 def high_res_diff(fn, t, h=1e-5):
     return (fn(t + h) - fn(t - h)) / (2.0 * h)
+
+
+DEEP = 6
+LOOP = TwoBranchCurve(
+    outgoing=PolynomialCurve((0.0, 1.0, 0.0, 1.0 / 3.0), max_derivative_order=DEEP),
+    returning=PolynomialCurve((0.0, 4.0 / 3.0, 0.5), max_derivative_order=DEEP),
+)
+# curve with derivatives to order DEEP, its branch, its sympy form, a drive inside its range
+SYMBOLIC = {
+    "cubic": (PolynomialCurve((0.0, 1.0, 0.0, 1.0 / 3.0), max_derivative_order=DEEP), None,
+              lambda x: x + (1.0 / 3.0) * x**3, Excitation(0.8, 1.7, 1.0)),
+    "tanh": (TanhScaledCurve(a=1.3, b=0.8, max_derivative_order=DEEP), None,
+             lambda x: 1.3 * sp.tanh(0.8 * x), Excitation(0.8, 1.7, 1.0)),
+    "logistic": (LogisticCurve(max_derivative_order=DEEP), None,
+                 lambda x: 1 / (1 + sp.exp(-x)), Excitation(0.7, 0.6, 1.25)),
+    "outgoing": (LOOP, OUTGOING, lambda x: x + (1.0 / 3.0) * x**3, Excitation(0.9, 1.3)),
+    "returning": (LOOP, RETURNING, lambda x: (4.0 / 3.0) * x + 0.5 * x**2,
+                  Excitation(0.9, 1.3)),
+}
+
+
+def _oracle(name, depth, times):
+    _, _, f, exc = SYMBOLIC[name]
+    return chain_oracle(f, depth, times, exc.amplitude, exc.omega, exc.offset)
 
 
 class TestChainOrdinate:
@@ -51,9 +80,45 @@ class TestChainOrdinate:
         got = chain_ordinate(cubic, drive, t, depth)
         assert np.allclose(got, approx, atol=1e-6)
 
-    def test_depth_beyond_formula_bank(self, cubic, drive):
+    @pytest.mark.parametrize("depth", range(DEEP + 1))
+    @pytest.mark.parametrize("name", sorted(SYMBOLIC))
+    def test_matches_symbolic_chain_rule(self, name, depth):
+        curve, branch, _, exc = SYMBOLIC[name]
+        t = np.linspace(0.0, exc.period, 33)
+        u, w = _oracle(name, depth, t)
+        got = chain_ordinate(curve, exc, t, depth, branch)
+        assert np.max(np.abs(got - w)) <= 1e-12 * np.max(np.abs(w))
+        assert np.max(np.abs(excite(exc, t, depth) - u)) <= 1e-12 * np.max(np.abs(u))
+
+    def test_low_depths_round_like_the_textbook_forms(self, cubic, tanh_curve, drive):
+        # bit for bit, signed zeros included (t = 0 and t = T/2 give x' = +-0)
+        t = np.linspace(0.0, drive.period, 257)
+        x, x1, x2 = (excite(drive, t, i) for i in range(3))
+        falling = PolynomialCurve((0.0, -1.0, 0.0, 1.0 / 3.0))  # f'(0) < 0 makes -0.0
+        for curve in (cubic, tanh_curve, falling):
+            f1, f2 = curve.derivative(x, 1), curve.derivative(x, 2)
+            for depth, want in enumerate((curve.eval(x), f1 * x1, f2 * x1**2 + f1 * x2)):
+                got = chain_ordinate(curve, drive, t, depth)
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("depth", [3, DEEP])
+    def test_two_branch_depths_follow_the_sweep(self, depth):
+        exc = SYMBOLIC["outgoing"][3]
+        t = np.linspace(0.0, exc.period, 32, endpoint=False) + 0.01
+        want = np.where(t < 0.5 * exc.period, _oracle("outgoing", depth, t)[1],
+                        _oracle("returning", depth, t)[1])
+        got = chain_ordinate(LOOP, exc, t, depth)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("order", [1, 4, 7])
+    def test_depth_beyond_curve_capability(self, drive, order):
+        curve = PolynomialCurve((0.0, 1.0, 0.0, 1.0 / 3.0), max_derivative_order=order)
+        assert np.isfinite(chain_ordinate(curve, drive, 1.0, order))
         with pytest.raises(CapabilityError):
-            chain_ordinate(cubic, drive, 1.0, 5)
+            chain_ordinate(curve, drive, 1.0, order + 1)
+        with pytest.raises(CapabilityError):
+            analytic_locus(curve, drive, order + 1)
 
     def test_two_branch_uses_half_period_split(self, loop_curve, drive):
         t_out, t_ret = 1.0, 1.0 + drive.period / 2.0
@@ -82,18 +147,23 @@ class TestAnalyticLocus:
         du, dw = locus.derivative_fn(0.12345)
         assert du == pytest.approx(np.cos(0.12345))
 
-    def test_derivative_hook_absent_at_formula_edge(self, cubic, drive):
-        locus = analytic_locus(cubic, drive, 4)
+    @pytest.mark.parametrize("depth", range(DEEP + 1))
+    def test_derivative_hook_absent_exactly_at_capability_edge(self, depth):
+        curve, _, _, exc = SYMBOLIC["cubic"]
+        locus = analytic_locus(curve, exc, depth, grid(exc, 64))
         assert locus.value_fn is not None
-        assert locus.derivative_fn is None
+        assert (locus.derivative_fn is None) == (depth == curve.max_derivative_order)
 
-    def test_deep_request_falls_back_to_numeric(self, cubic, drive):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            locus = analytic_locus(cubic, drive, 5)
-        assert locus.provenance == "numeric"
-        assert locus.depth == 5
-        assert any("finite differences" in str(w.message) for w in caught)
+    def test_deep_locus_is_closed_form(self):
+        curve, _, _, exc = SYMBOLIC["tanh"]
+        locus = analytic_locus(curve, exc, DEEP, grid(exc, 64))
+        assert locus.provenance == "analytic"
+        assert locus.depth == DEEP
+        u, w = _oracle("tanh", DEEP, locus.t_values)
+        assert np.max(np.abs(locus.u_values - u)) <= 1e-12 * np.max(np.abs(u))
+        assert np.max(np.abs(locus.w_values - w)) <= 1e-12 * np.max(np.abs(w))
+        hook_u, hook_w = locus.value_fn(0.3)
+        assert (hook_u, hook_w) == (excite(exc, 0.3, DEEP), chain_ordinate(curve, exc, 0.3, DEEP))
 
 
 class TestNumericTransform:
