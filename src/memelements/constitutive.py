@@ -98,12 +98,11 @@ class ConstitutiveCurve(abc.ABC):
     # -- family internals ---------------------------------------------
 
     @abc.abstractmethod
-    def _value(self, x: np.ndarray) -> np.ndarray:
-        """Ordinates for in-range abscissae (single branch)."""
+    def _derivatives(self, x: np.ndarray, order: int) -> np.ndarray:
+        """Rows f, f', ..., f^(order) for in-range abscissae (single branch)."""
 
-    @abc.abstractmethod
-    def _derivative(self, x: np.ndarray, k: int) -> np.ndarray:
-        """k-th derivative for in-range abscissae (single branch)."""
+    def _value(self, x: np.ndarray) -> np.ndarray:
+        return self._derivatives(x, 0)[0]
 
     # -- public evaluation --------------------------------------------
 
@@ -122,20 +121,28 @@ class ConstitutiveCurve(abc.ABC):
 
     def derivative(self, x, k: int, branch: str | None = None):
         """Evaluate the k-th derivative of f at x (k = 0 means f itself)."""
+        out = self.derivatives(x, k, branch)[int(k)]
+        return float(out) if np.ndim(x) == 0 else out
+
+    def derivatives(self, x, order: int, branch: str | None = None) -> np.ndarray:
+        """Derivatives 0..order of f at x, stacked: row k is f^(k)(x).
+
+        One range check covers every row, and row k equals derivative(x, k)
+        bit for bit.
+        """
         if branch not in (None, OUTGOING, RETURNING):
             raise ValueError(f"unknown branch selector {branch!r}")
-        k = int(k)
-        if k < 0:
+        order = int(order)
+        if order < 0:
             raise DomainError("derivative order must be non-negative")
-        if k > self.max_derivative_order:
+        if order > self.max_derivative_order:
             raise CapabilityError(
-                f"derivative order {k} exceeds max_derivative_order "
+                f"derivative order {order} exceeds max_derivative_order "
                 f"{self.max_derivative_order} for this {self.family} curve"
             )
         xa = np.asarray(x, dtype=float)
         self._check_range(xa)
-        out = self._value(xa) if k == 0 else self._derivative(xa, k)
-        return float(out) if np.ndim(x) == 0 else out
+        return self._derivatives(xa, order)
 
     # -- metadata -------------------------------------------------------
 
@@ -182,20 +189,28 @@ class PolynomialCurve(ConstitutiveCurve):
             raise DomainError("polynomial needs at least one coefficient")
         object.__setattr__(self, "coefficients", coeffs)
         object.__setattr__(self, "operating_range", _as_range(self.operating_range))
+        # column k holds the coefficients of f^(k), zero-padded at the top,
+        # for every order the curve may be asked for that is not identically
+        # zero; built once and not a field, so equality, repr and spec() see
+        # only parameters
+        n = len(coeffs)
+        stack = np.zeros((n, min(n, max(int(self.max_derivative_order), 0) + 1)))
+        column = np.array(coeffs)
+        for k in range(stack.shape[1]):
+            stack[: column.size, k] = column
+            column = np.arange(1, column.size) * column[1:]  # npoly.polyder's step
+        stack.flags.writeable = False
+        object.__setattr__(self, "_derivative_stack", stack)
         self._validate_common()
-        # coefficients of each derivative the curve may be asked for, built
-        # once; not a field, so equality, repr and spec() see only parameters
-        orders = range(min(len(coeffs), int(self.max_derivative_order) + 1))
-        object.__setattr__(self, "_derivative_stack",
-                           tuple(npoly.polyder(coeffs, m=k) for k in orders))
 
-    def _value(self, x: np.ndarray) -> np.ndarray:
-        return npoly.polyval(x, self.coefficients)
-
-    def _derivative(self, x: np.ndarray, k: int) -> np.ndarray:
-        if k >= len(self.coefficients):
-            return np.zeros_like(x)
-        return npoly.polyval(x, self._derivative_stack[k])
+    def _derivatives(self, x: np.ndarray, order: int) -> np.ndarray:
+        # one Horner pass over every column; the zero padding only prefixes
+        # +0.0, so each row equals npoly.polyval of its own coefficients
+        stack = self._derivative_stack
+        rows = npoly.polyval(x, stack[:, : order + 1])
+        if order < stack.shape[1]:
+            return rows
+        return np.concatenate((rows, np.zeros((order + 1 - stack.shape[1],) + x.shape)))
 
     def _params(self) -> dict:
         return {"coefficients": list(self.coefficients)}
@@ -215,6 +230,25 @@ def _tanh_poly(k: int) -> tuple[float, ...]:
     return tuple(float(c) for c in step)
 
 
+@lru_cache(maxsize=None)
+def _tanh_stack(order: int) -> np.ndarray:
+    """Coefficients of P_1..P_order as columns, zero-padded at the top."""
+    width = len(_tanh_poly(order))
+    stack = np.column_stack(
+        [np.pad(_tanh_poly(k), (0, width - len(_tanh_poly(k)))) for k in range(1, order + 1)])
+    stack.flags.writeable = False  # shared by every caller through the cache
+    return stack
+
+
+def _tanh_derivatives(value, t, scales: list[float]) -> np.ndarray:
+    """Rows value, scales[k - 1] * P_k(t) for k = 1..len(scales), P_k in one Horner pass."""
+    if not scales:
+        return np.asarray(value)[None]
+    rows = npoly.polyval(t, _tanh_stack(len(scales)))
+    scale = np.reshape(scales, (-1,) + (1,) * np.ndim(t))
+    return np.concatenate((np.asarray(value)[None], scale * rows))
+
+
 @dataclass(frozen=True)
 class TanhScaledCurve(ConstitutiveCurve):
     """f(x) = a * tanh(b * x)."""
@@ -232,12 +266,10 @@ class TanhScaledCurve(ConstitutiveCurve):
         object.__setattr__(self, "operating_range", _as_range(self.operating_range))
         self._validate_common()
 
-    def _value(self, x: np.ndarray) -> np.ndarray:
-        return self.a * np.tanh(self.b * x)
-
-    def _derivative(self, x: np.ndarray, k: int) -> np.ndarray:
+    def _derivatives(self, x: np.ndarray, order: int) -> np.ndarray:
         t = np.tanh(self.b * x)
-        return self.a * self.b ** k * npoly.polyval(t, _tanh_poly(k))
+        return _tanh_derivatives(self.a * t, t,
+                                 [self.a * self.b ** k for k in range(1, order + 1)])
 
     def _params(self) -> dict:
         return {"a": self.a, "b": self.b}
@@ -259,13 +291,11 @@ class LogisticCurve(ConstitutiveCurve):
         object.__setattr__(self, "operating_range", _as_range(self.operating_range))
         self._validate_common()
 
-    def _value(self, x: np.ndarray) -> np.ndarray:
+    def _derivatives(self, x: np.ndarray, order: int) -> np.ndarray:
         # 1/(1+e^-x) = 1/2 + 1/2 tanh(x/2), which shares the tanh machinery
-        return 0.5 + 0.5 * np.tanh(0.5 * x)
-
-    def _derivative(self, x: np.ndarray, k: int) -> np.ndarray:
         t = np.tanh(0.5 * x)
-        return 0.5 ** (k + 1) * npoly.polyval(t, _tanh_poly(k))
+        return _tanh_derivatives(0.5 + 0.5 * t, t,
+                                 [0.5 ** (k + 1) for k in range(1, order + 1)])
 
     def _params(self) -> dict:
         return {}
@@ -308,17 +338,12 @@ class PiecewiseLinearCurve(ConstitutiveCurve):
         ys = np.array([p[1] for p in self.knots])
         return xs, ys
 
-    def _value(self, x: np.ndarray) -> np.ndarray:
-        xs, ys = self._xy()
-        return np.interp(x, xs, ys)
-
-    def _derivative(self, x: np.ndarray, k: int) -> np.ndarray:
-        if k >= 2:
-            return np.zeros_like(x)
+    def _derivatives(self, x: np.ndarray, order: int) -> np.ndarray:
         xs, ys = self._xy()
         slopes = np.diff(ys) / np.diff(xs)
         idx = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, len(slopes) - 1)
-        return slopes[idx]
+        rows = [np.interp(x, xs, ys), slopes[idx]] + [np.zeros_like(x)] * (order - 1)
+        return np.array(rows[: order + 1])
 
     @property
     def smooth(self) -> bool:
@@ -402,15 +427,17 @@ class TwoBranchCurve(ConstitutiveCurve):
             raise ValueError("two-branch curve requires an explicit branch selector")
         return self.branch(branch).derivative(x, k)
 
+    def derivatives(self, x, order: int, branch: str | None = None) -> np.ndarray:
+        if branch is None:
+            raise ValueError("two-branch curve requires an explicit branch selector")
+        return self.branch(branch).derivatives(x, order)
+
     def kink_points(self, slope_tol: float = 1e-9) -> tuple[float, ...]:
         pts = set(self.outgoing.kink_points(slope_tol))
         pts.update(self.returning.kink_points(slope_tol))
         return tuple(sorted(pts))
 
-    def _value(self, x: np.ndarray) -> np.ndarray:  # pragma: no cover
-        raise ValueError("two-branch curve requires an explicit branch selector")
-
-    def _derivative(self, x: np.ndarray, k: int) -> np.ndarray:  # pragma: no cover
+    def _derivatives(self, x: np.ndarray, order: int) -> np.ndarray:  # pragma: no cover
         raise ValueError("two-branch curve requires an explicit branch selector")
 
     def _params(self) -> dict:

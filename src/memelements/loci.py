@@ -5,9 +5,12 @@ numerical witnesses: origin crossings, tangent landmarks, symmetry,
 valuedness, negative-slope arcs, and the ordinate/abscissa phase lag.
 Roots are located by sign-change scans over the sample grid and, when
 the locus has evaluation hooks, refined by one lock-step bisection per
-scan: every bracket of a signal (or of both coordinate rates) halves
-together, one hook call per step, and each lands on exactly the root
-scipy.optimize.bisect would return for it.
+locus chain: refine_chain scans every plane's abscissa and coordinate
+rates, and all brackets halve together, one evaluation per step in which
+each bracket reads its own signal off the chain's Taylor jet.  A bracket
+two planes share is refined once, and each lands on exactly the root
+scipy.optimize.bisect would return for it.  A locus analysed on its own
+is refined as a one-plane chain, with the same roots.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ import numpy as np
 from .constitutive import ConstitutiveCurve
 from .errors import CapabilityError, NumericalError
 from .excitation import Excitation, excite
-from .transform import ParametricLocus, chain_ordinate, periodic_derivative
+from .transform import (JetHook, ParametricLocus, chain_ordinate, jet_signals,
+                        periodic_derivative)
 
 __all__ = [
     "PointKind",
@@ -192,17 +196,24 @@ def bisect(fn, a, b, rows, xtol: float = 1e-12) -> np.ndarray:
     """Refine every bracket [a[j], b[j]] of a sign change at once.
 
     Each bracket follows scipy.optimize.bisect (rtol = 4 eps, at most 100
-    halvings) step for step, so every root is the one scipy returns for
-    the same bracket, bit for bit.  fn is an evaluation hook called once
-    per step on the live brackets' midpoints; component rows[j] of its
-    output is the signal of bracket j.  Raises NumericalError when a
-    bracket holds no sign change, fn returns NaN, or a bracket does not
-    converge.
+    halvings, signs compared without multiplying) step for step, so every
+    root is the one scipy returns for the same bracket, bit for bit.  fn
+    is an evaluation hook called once per step on the live brackets'
+    midpoints; component rows[j] of its output is the signal of bracket j.  With rows None, fn(x, live) gets
+    the indices of the live brackets too and returns one value per
+    bracket, each from that bracket's own signal.  Raises NumericalError
+    when a bracket holds no sign change, fn returns NaN, or a bracket does
+    not converge.
     """
-    rows = np.asarray(rows, dtype=int)
+    if rows is not None:
+        rows = np.asarray(rows, dtype=int)
 
     def f(x, live):
-        out = np.atleast_2d(np.asarray(fn(x), dtype=float))[rows[live], np.arange(len(live))]
+        if rows is None:
+            out = np.asarray(fn(x, live), dtype=float)
+        else:
+            out = np.atleast_2d(np.asarray(fn(x), dtype=float))
+            out = out[rows[live], np.arange(len(live))]
         if np.isnan(out).any():
             raise NumericalError("root refinement hook returned NaN")
         return out
@@ -211,10 +222,12 @@ def bisect(fn, a, b, rows, xtol: float = 1e-12) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     every = np.arange(len(a))
     fa, fb = f(a, every), f(b, every)
-    if np.any(fa * fb > 0.0):
+    # signs are compared, not products, which underflow for tiny values
+    live = np.flatnonzero((fa != 0.0) & (fb != 0.0))
+    negative = np.signbit(fa)
+    if np.any(negative[live] == np.signbit(fb[live])):
         raise NumericalError("bisection bracket holds no sign change")
     root = np.where(fa == 0.0, a, b)
-    live = np.flatnonzero((fa != 0.0) & (fb != 0.0))
     dm = b - a
     for _ in range(_BISECT_MAXITER):
         if not live.size:
@@ -222,7 +235,7 @@ def bisect(fn, a, b, rows, xtol: float = 1e-12) -> np.ndarray:
         dm[live] *= 0.5
         xm = a[live] + dm[live]
         fm = f(xm, live)
-        a[live] = np.where(fm * fa[live] >= 0.0, xm, a[live])
+        a[live] = np.where(np.signbit(fm) == negative[live], xm, a[live])
         done = (fm == 0.0) | (np.abs(dm[live]) < xtol + _BISECT_RTOL * np.abs(xm))
         root[live[done]] = xm[done]
         live = live[~done]
@@ -237,56 +250,183 @@ def _runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(edges == 1), np.flatnonzero(edges == -1) - 1
 
 
+def _scan(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sign-change brackets of a stack of signals: row and left sample index of each."""
+    return np.nonzero(vals[:, :-1] * vals[:, 1:] < 0.0)
+
+
+def _interpolated(t: np.ndarray, vals: np.ndarray, rows: np.ndarray,
+                  left: np.ndarray) -> np.ndarray:
+    """Linear-interpolation roots in the brackets, for signals without a hook."""
+    a, b = vals[rows, left], vals[rows, left + 1]
+    return t[left] - a * (t[left + 1] - t[left]) / (b - a)
+
+
+def _signal_roots(t: np.ndarray, row: np.ndarray, crossings: np.ndarray, xtol: float,
+                  transversal_only: bool) -> list[float]:
+    """A signal's roots: its refined bracket crossings plus one per run of exact zeros.
+
+    A run of exact-zero samples yields one representative root at its
+    middle; a run split by the period seam counts once, its middle taken
+    modulo the period.  With transversal_only the signal must change sign
+    across a root, which drops tangential (double) zeros; the signal is
+    treated as periodic when looking up the run's neighbours.
+    """
+    n = row.size
+    first, last = _runs(row == 0.0)
+    if first.size > 1 and first[0] == 0 and last[-1] == n - 1 and (
+            last[0] > 0 or first[-1] < n - 1):
+        # t[-1] is t[0] one period later, so a zero run through the seam is
+        # one run, whose end index goes past n - 1; a zero at the seam
+        # sample alone stays listed at both t[0] and t[-1]
+        first, last = first[1:], np.append(last[1:-1], last[0] + n - 1)
+    if transversal_only:
+        # the last sample duplicates the first, one period later
+        core = row[:-1]
+        nz = np.flatnonzero(core)
+        if nz.size:
+            before = nz[np.searchsorted(nz, first % core.size) - 1]
+            after = nz[np.searchsorted(nz, last % core.size, side="right") % nz.size]
+            keep = np.sign(core[before]) * np.sign(core[after]) < 0.0
+            first, last = first[keep], last[keep]
+        else:
+            first = last = first[:0]
+    mid = (first + last) // 2
+    mid = np.where(last < n, mid, mid % (n - 1))
+    return _dedupe(crossings.tolist() + t[mid].tolist(), max(10.0 * xtol, 1e-12))
+
+
 def _refined_roots(t: np.ndarray, vals: np.ndarray, fn=None, xtol: float = 1e-12,
                    transversal_only: bool = False) -> list[list[float]]:
     """Roots of each row of a sampled signal: sign-change scan plus bisection via fn.
 
     vals is one signal or a stack of them; row r of vals is component r
-    of fn's output, and all rows are refined in one bisect call.  A run of
-    exact-zero samples yields one representative root at its middle; a run
-    split by the period seam counts once, its middle taken modulo the period.
-    With transversal_only the signal must change sign across a root,
-    which drops tangential (double) zeros; the signal is treated as
-    periodic when looking up the run's neighbours.  Without fn, roots
+    of fn's output, and all rows are refined in one bisect call.  Zero
+    runs and transversal_only are as in _signal_roots.  Without fn, roots
     between samples fall back to linear interpolation in the bracket.
     """
     t = np.asarray(t, dtype=float)
     vals = np.atleast_2d(np.asarray(vals, dtype=float))
-    rows, left = np.nonzero(vals[:, :-1] * vals[:, 1:] < 0.0)
+    rows, left = _scan(vals)
     if fn is None:
-        a, b = vals[rows, left], vals[rows, left + 1]
-        crossings = t[left] - a * (t[left + 1] - t[left]) / (b - a)
+        crossings = _interpolated(t, vals, rows, left)
     elif rows.size:
         crossings = bisect(fn, t[left], t[left + 1], rows, xtol=xtol)
     else:
         crossings = t[left]  # no brackets, so no hook calls
+    return [_signal_roots(t, row, crossings[rows == r], xtol, transversal_only)
+            for r, row in enumerate(vals)]
 
-    out = []
-    for r, row in enumerate(vals):
-        n = row.size
-        first, last = _runs(row == 0.0)
-        if first.size > 1 and first[0] == 0 and last[-1] == n - 1 and (
-                last[0] > 0 or first[-1] < n - 1):
-            # t[-1] is t[0] one period later, so a zero run through the seam is
-            # one run, whose end index goes past n - 1; a zero at the seam
-            # sample alone stays listed at both t[0] and t[-1]
-            first, last = first[1:], np.append(last[1:-1], last[0] + n - 1)
-        if transversal_only:
-            # the last sample duplicates the first, one period later
-            core = row[:-1]
-            nz = np.flatnonzero(core)
-            if nz.size:
-                before = nz[np.searchsorted(nz, first % core.size) - 1]
-                after = nz[np.searchsorted(nz, last % core.size, side="right") % nz.size]
-                keep = np.sign(core[before]) * np.sign(core[after]) < 0.0
-                first, last = first[keep], last[keep]
-            else:
-                first = last = first[:0]
-        mid = (first + last) // 2
-        mid = np.where(last < n, mid, mid % (n - 1))
-        roots = crossings[rows == r].tolist() + t[mid].tolist()
-        out.append(_dedupe(roots, max(10.0 * xtol, 1e-12)))
-    return out
+
+@dataclass(frozen=True)
+class _PlaneRoots:
+    """One plane's abscissa roots, its coordinate rates and their transversal roots."""
+
+    abscissa: list[float]
+    rates: tuple[np.ndarray, np.ndarray]
+    du: list[float]
+    dw: list[float]
+
+
+def _source(hook):
+    """(source key, evaluator, depth) of a hook.
+
+    Hooks reading one curve and drive's jet share a source, whose
+    evaluator takes each element's depth and component; any other hook is
+    a source of its own.
+    """
+    if isinstance(hook, JetHook):
+        curve, exc = hook.curve, hook.exc
+
+        def jet(t, depth, comp):
+            return jet_signals(curve, exc, t, depth, comp == 1)
+        return (id(curve), id(exc)), jet, hook.depth
+
+    def own(t, depth, comp):
+        return np.atleast_2d(np.asarray(hook(t), dtype=float))[comp, np.arange(t.size)]
+    return id(hook), own, 0
+
+
+def refine_chain(chain) -> None:
+    """Refine every root the analyses of a locus chain need, in one bisect call.
+
+    Each plane's abscissa u (for origin_crossing) and coordinate rates
+    du/dt and dw/dt (for rate_landmarks) are scanned for sign changes, and
+    every bracket with a hook is refined in the same lock-step bisection,
+    one evaluation per step for all of them.  chain[d + 1] is taken to be
+    the transform of chain[d] on the same grid, so its samples serve as
+    plane d's rates when both come from the same kind of evaluation
+    (hooks, or finite differences).  A bracket two planes share, such as
+    plane d's du/dt and plane d + 1's u, is refined once.  The roots are
+    stored on each locus, where origin_crossing and rate_landmarks read
+    them.
+    """
+    xtol = 1e-12
+    scans, brackets, keys = [], {}, []
+    slots_of, evaluators = {}, []
+
+    def signal(hook):
+        """(evaluator slot, depth) of a hook, or None without one."""
+        if hook is None:
+            return None
+        source, evaluate, depth = _source(hook)
+        if source not in slots_of:
+            slots_of[source] = len(evaluators)
+            evaluators.append(evaluate)
+        return slots_of[source], depth
+
+    for d, locus in enumerate(chain):
+        after = chain[d + 1] if d + 1 < len(chain) else None
+        if after is not None and (locus.derivative_fn is None) == (after.value_fn is None):
+            rates = (after.u_values, after.w_values)
+        else:
+            rates = _derivative_arrays(locus)
+        t = locus.t_values
+        vals = np.stack((locus.u_values, *rates))
+        rows, left = _scan(vals)
+        # rows 0, 1, 2 are component 0 of value_fn and components 0, 1 of derivative_fn
+        hooks = (signal(locus.value_fn), signal(locus.derivative_fn))
+        slots = np.full(rows.size, -1)
+        for j, (r, i) in enumerate(zip(rows.tolist(), left.tolist())):
+            if hooks[min(r, 1)] is not None:
+                key = (*hooks[min(r, 1)], int(r == 2), t[i], t[i + 1])
+                slots[j] = brackets.setdefault(key, len(keys))
+                if slots[j] == len(keys):
+                    keys.append(key)
+        scans.append((locus, rates, vals, rows, left, slots))
+
+    roots = np.empty(0)
+    if keys:
+        slot, depth, comp, a, b = (np.array(col) for col in zip(*keys))
+
+        def signals(x, live):
+            if len(evaluators) == 1:
+                return evaluators[0](x, depth[live], comp[live])
+            out = np.empty(x.size)
+            for k, evaluate in enumerate(evaluators):
+                pick = slot[live] == k
+                if pick.any():
+                    out[pick] = evaluate(x[pick], depth[live][pick], comp[live][pick])
+            return out
+
+        roots = bisect(signals, a, b, None, xtol=xtol)
+
+    for locus, rates, vals, rows, left, slots in scans:
+        t = locus.t_values
+        crossings = _interpolated(t, vals, rows, left)
+        hooked = slots >= 0
+        crossings[hooked] = roots[slots[hooked]]
+        abscissa, du, dw = (
+            _signal_roots(t, row, crossings[rows == r], xtol, transversal_only=r > 0)
+            for r, row in enumerate(vals))
+        object.__setattr__(locus, "_roots", _PlaneRoots(abscissa, rates, du, dw))
+
+
+def _plane_roots(locus: ParametricLocus) -> _PlaneRoots:
+    """The roots refine_chain stored on the locus, refining it alone if none are."""
+    if "_roots" not in vars(locus):
+        refine_chain((locus,))
+    return vars(locus)["_roots"]
 
 
 def _dedupe(values: list[float], tol: float) -> list[float]:
@@ -309,7 +449,7 @@ def origin_crossing(locus: ParametricLocus, pinch_tol: float = 1e-9) -> OriginCr
     scale_u = max(1.0, float(np.max(np.abs(u))))
     scale_w = max(1.0, float(np.max(np.abs(w))))
 
-    roots = _refined_roots(t, u, locus.value_fn)[0]
+    roots = list(_plane_roots(locus).abscissa)
 
     # tangential zeros never flip sign; pick them up from near-zero samples
     near = np.abs(u) <= pinch_tol * scale_u
@@ -417,13 +557,11 @@ def rate_landmarks(locus: ParametricLocus, root_tol: float = 1e-10
     The transversal roots of du/dt and dw/dt are refined once each and
     shared by all three results.
     """
-    rates = _derivative_arrays(locus)
-    du_roots, dw_roots = _refined_roots(locus.t_values, rates, locus.derivative_fn,
-                                        transversal_only=True)
+    roots = _plane_roots(locus)
     return (
-        _tangent_points(locus, dw_roots, rates, root_tol, vertical=False),
-        _tangent_points(locus, du_roots, rates, root_tol, vertical=True),
-        _negative_arcs(locus, du_roots + dw_roots, rates),
+        _tangent_points(locus, roots.dw, roots.rates, root_tol, vertical=False),
+        _tangent_points(locus, roots.du, roots.rates, root_tol, vertical=True),
+        _negative_arcs(locus, roots.du + roots.dw, roots.rates),
     )
 
 

@@ -35,6 +35,7 @@ from .loci import (
     origin_crossing,
     point_at,
     rate_landmarks,
+    refine_chain,
     valuedness,
 )
 from .tolerances import ANALYTIC_DEFAULTS, NUMERIC_DEFAULTS, ToleranceSet
@@ -428,7 +429,11 @@ def _analyze_chain(
     grid_n: int,
     numeric_chain: bool,
 ) -> _ChainAnalysis:
-    """Build the chain from the constitutive plane to depth, analyse each plane."""
+    """Build the chain from the constitutive plane to depth, analyse each plane.
+
+    Every root the plane analyses need is refined first, for the whole
+    chain in one lock-step bisection.
+    """
     if curve.max_derivative_order < depth:
         raise CapabilityError(
             f"classification to the verdict plane needs {depth} transforms; "
@@ -449,6 +454,7 @@ def _analyze_chain(
             numeric_transform(chain[-1]) if numeric_chain
             else analytic_locus(curve, exc, d, g)
         )
+    refine_chain(chain)
     return _ChainAnalysis(
         excitation=exc,
         grid_n=g.count,

@@ -17,7 +17,12 @@ with the partial Bell polynomials built by the recursion
 
     B_{0,0} = 1,  B_{n,j} = sum_i C(n-1, i-1) x^(i) B_{n-i,j-1}.
 
-The depth a chain may reach is the curve's max_derivative_order.
+Every coordinate is read off one Taylor jet of the curve and drive at the
+times asked for: the drive levels x, x', ... from one cos and one sin,
+the curve derivatives after one range check, and the Bell rows built
+once.  chain_ordinate, the locus hooks and the chain-wide root
+refinement in loci all evaluate through it.  The depth a chain may reach
+is the curve's max_derivative_order.
 """
 
 from __future__ import annotations
@@ -114,21 +119,73 @@ def _branch_mask(exc: Excitation, t: np.ndarray) -> np.ndarray:
     return tm <= 0.5 * exc.period * (1.0 + 1e-12)
 
 
-def _bell(x: list, n: int) -> list:
-    """Row n of the partial Bell polynomials in x[1], x[2], ...: entry j is B_{n,j}.
+def _levels(exc: Excitation, ta: np.ndarray, top: int) -> np.ndarray:
+    """Drive levels 0..top at times ta, stacked; row i equals excite(exc, ta, i) bit for bit.
 
-    B_{n,0} is 1 at n = 0 and zero otherwise; the zero is held as None so
+    cos and sin of the phase are computed once, and level i is the signed
+    multiple +-A w^i of one of them that excite takes.
+    """
+    theta = exc.omega * ta
+    c = np.cos(theta)
+    rows = [exc.offset - exc.amplitude * c]
+    if top:
+        s = np.sin(theta)
+        for i in range(1, top + 1):
+            scale = exc.amplitude * exc.omega ** i
+            rows.append((-scale if i % 4 in (0, 3) else scale) * (s if i % 2 else c))
+    return np.where(ta < 0.0, 0.0, rows)
+
+
+def _bell(x, n: int) -> list:
+    """Rows 0..n of the partial Bell polynomials in x[1], x[2], ...: rows[m][j] is B_{m,j}.
+
+    B_{m,0} is 1 at m = 0 and zero otherwise; the zero is held as None so
     that no sum ever adds it.
     """
+    x = list(x[: n + 1])
+    # C(m - 1, i - 1) x^(i), with the exact products by 1 skipped
+    scaled = {(m, i): x[i] if comb(m - 1, i - 1) == 1 else comb(m - 1, i - 1) * x[i]
+              for m in range(2, n + 1) for i in range(1, m)}
     rows = [[1.0]]
     for m in range(1, n + 1):
         row = [None, x[m]]
         for j in range(2, m + 1):
-            terms = [comb(m - 1, i - 1) * x[i] * rows[m - i][j - 1]
-                     for i in range(1, m - j + 2)]
+            terms = [scaled[m, i] * rows[m - i][j - 1] for i in range(1, m - j + 2)]
             row.append(sum(terms[1:], terms[0]))
         rows.append(row)
-    return rows[n]
+    return rows
+
+
+class _Jet:
+    """Taylor jet of f(x(t)) for one curve and drive at times t.
+
+    Holds the drive levels x, x', ..., x^(top), and, up to depth order,
+    the curve derivatives at x (one range check per branch) and the
+    partial Bell rows.  Every depth-k abscissa is a level and every depth-k
+    ordinate a Faa di Bruno sum over them, so all depths share one jet.
+    """
+
+    def __init__(self, curve: ConstitutiveCurve, exc: Excitation, t, top: int,
+                 order: int | None = None):
+        self.curve, self.exc, self.order = curve, exc, order
+        self.t = np.asarray(t, dtype=float)
+        self.x = _levels(exc, self.t, top)
+        if order is not None:
+            self.bell = _bell(self.x, order)
+            self.f = {}
+
+    def ordinate(self, depth: int, branch: str | None = None) -> np.ndarray:
+        """d^k/dt^k f(x(t)); a two-branch curve with branch None follows the sweep."""
+        if self.curve.is_two_branch and branch is None:
+            return np.where(_branch_mask(self.exc, self.t),
+                            self.ordinate(depth, OUTGOING), self.ordinate(depth, RETURNING))
+        if branch not in self.f:
+            self.f[branch] = self.curve.derivatives(self.x[0], self.order, branch=branch)
+        f, bell = self.f[branch], self.bell[depth]
+        # summed from the j = k term down and never from zero, so depths 0-2
+        # round exactly like f' x' and f'' x'^2 + f' x'', signed zeros included
+        terms = [f[j] * bell[j] for j in range(depth, -1, -1) if bell[j] is not None]
+        return sum(terms[1:], terms[0])
 
 
 def chain_ordinate(curve: ConstitutiveCurve, exc: Excitation, t, depth: int,
@@ -143,33 +200,44 @@ def chain_ordinate(curve: ConstitutiveCurve, exc: Excitation, t, depth: int,
     depth = int(depth)
     if depth < 0:
         raise DomainError("depth must be non-negative")
-    ta = np.asarray(t, dtype=float)
-    x = [excite(exc, ta, i) for i in range(depth + 1)]
-    bell = _bell(x, depth)
-
-    def ordinate(br):
-        # summed from the j = k term down and never from zero, so depths 0-2
-        # round exactly like f' x' and f'' x'^2 + f' x'', signed zeros included
-        terms = [curve.derivative(x[0], j, branch=br) * bell[j]
-                 for j in range(depth, -1, -1) if bell[j] is not None]
-        return sum(terms[1:], terms[0])
-
-    if curve.is_two_branch and branch is None:
-        out = np.where(_branch_mask(exc, ta), ordinate(OUTGOING), ordinate(RETURNING))
-    else:
-        out = ordinate(branch)
+    out = _Jet(curve, exc, t, depth, depth).ordinate(depth, branch)
     return float(out) if np.ndim(t) == 0 else out
+
+
+def jet_signals(curve: ConstitutiveCurve, exc: Excitation, t: np.ndarray,
+                depth: np.ndarray, ordinate: np.ndarray) -> np.ndarray:
+    """Per element e, x^(depth[e]) or, where ordinate[e], d^depth[e]/dt f(x(t)).
+
+    One jet serves every element: the levels run to the deepest element and
+    the curve derivatives and Bell rows to the deepest ordinate.
+    """
+    deep = depth[ordinate]
+    jet = _Jet(curve, exc, t, int(depth.max()), int(deep.max()) if deep.size else None)
+    out = jet.x[depth, np.arange(depth.size)]
+    for k in sorted(set(deep.tolist())):
+        pick = ordinate & (depth == k)
+        out[pick] = jet.ordinate(k)[pick]
+    return out
 
 
 # ----------------------------------------------------------------------
 # locus construction
 # ----------------------------------------------------------------------
 
-def _hook(curve: ConstitutiveCurve, exc: Excitation, depth: int) -> Callable:
-    """Exact depth-k coordinates (u, w) at arbitrary times."""
-    def hook(t):
-        return excite(exc, t, depth), chain_ordinate(curve, exc, t, depth)
-    return hook
+@dataclass(frozen=True, eq=False)
+class JetHook:
+    """Exact depth-k coordinates (u, w) at arbitrary times, read off the jet."""
+
+    curve: ConstitutiveCurve
+    exc: Excitation
+    depth: int
+
+    def __call__(self, t):
+        jet = _Jet(self.curve, self.exc, t, self.depth, self.depth)
+        u, w = jet.x[self.depth], jet.ordinate(self.depth)
+        if np.ndim(t) == 0:
+            return float(u), float(w)
+        return u, w
 
 
 def analytic_locus(
@@ -193,7 +261,7 @@ def analytic_locus(
             f"{curve.family} curve supports {curve.max_derivative_order}"
         )
     g = sample_grid if sample_grid is not None else grid(exc)
-    value_fn = _hook(curve, exc, depth)
+    value_fn = JetHook(curve, exc, depth)
     u, w = value_fn(g.t_values)
     return ParametricLocus(
         t_values=g.t_values,
@@ -203,7 +271,7 @@ def analytic_locus(
         axis_labels=labels or default_labels(depth),
         provenance="analytic",
         value_fn=value_fn,
-        derivative_fn=(_hook(curve, exc, depth + 1)
+        derivative_fn=(JetHook(curve, exc, depth + 1)
                        if depth < curve.max_derivative_order else None),
     )
 

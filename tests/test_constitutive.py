@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 from memelements import (
     OUTGOING,
@@ -16,6 +17,7 @@ from memelements import (
     check_ideality,
     mvt_point,
 )
+from memelements.constitutive import _tanh_poly
 from oracles import MVT_POINT_CUBIC
 
 
@@ -67,6 +69,58 @@ class TestPolynomial:
     def test_degenerate_curve_constructs(self, degenerate):
         assert degenerate.eval(0.0) == 0.0
         assert degenerate.derivative(1.0, 2) == pytest.approx(0.0, abs=1e-15)
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+class TestStackedDerivatives:
+    # -0.0 coefficients and x = -0.0 reach the signed zeros a zero-padded
+    # Horner row could flip; f'' of the first is -0.0 + 2x
+    POLYS = ((0.0, 1.0, -0.0, 1.0 / 3.0), (0.0, -1.0, 0.0, 1.0 / 3.0),
+             (0.0, 0.8, 0.1, 0.3, 0.0, 0.05), (0.0, 2.0), (-0.0, 1.0, 0.0, -0.0))
+    XS = np.concatenate(([0.0, -0.0, 1e-300, 2.0], np.linspace(0.0, 2.0, 257)))
+
+    @pytest.mark.parametrize("coeffs", POLYS)
+    def test_polynomial_rows_equal_polyval(self, coeffs):
+        curve = PolynomialCurve(coeffs, max_derivative_order=7)
+        rows = curve.derivatives(self.XS, 7)
+        for k in range(8):
+            want = npoly.polyval(self.XS, npoly.polyder(coeffs, m=k)) if k < len(coeffs) \
+                else np.zeros_like(self.XS)
+            assert _bits(rows[k]) == _bits(want)
+            assert _bits(curve.derivative(self.XS, k)) == _bits(want)
+            assert _bits([curve.derivative(x, k) for x in self.XS]) == _bits(want)
+
+    @pytest.mark.parametrize("curve, scale", [
+        (TanhScaledCurve(a=1.3, b=0.7, max_derivative_order=7), lambda k: 1.3 * 0.7 ** k),
+        (TanhScaledCurve(a=-2.0, b=-0.3, operating_range=(-2.0, 2.0), max_derivative_order=7),
+         lambda k: -2.0 * (-0.3) ** k),
+        (LogisticCurve(max_derivative_order=7), lambda k: 0.5 ** (k + 1)),
+    ])
+    def test_tanh_rows_equal_per_order_polyval(self, curve, scale):
+        lo, hi = curve.operating_range
+        xs = np.concatenate(([lo, hi, 0.0, -0.0] if lo <= 0.0 else [lo, hi],
+                             np.linspace(lo, hi, 257)))
+        b = 0.5 if curve.family == "logistic" else curve.b
+        t = np.tanh(b * xs)
+        rows = curve.derivatives(xs, 7)
+        assert _bits(rows[0]) == _bits(curve.eval(xs))
+        for k in range(1, 8):
+            want = scale(k) * npoly.polyval(t, _tanh_poly(k))
+            assert _bits(rows[k]) == _bits(want)
+            assert _bits(curve.derivative(xs, k)) == _bits(want)
+
+    def test_range_capability_and_branch_checks(self, cubic, loop_curve):
+        with pytest.raises(DomainError):
+            cubic.derivatives(np.array([1.0, 2.5]), 2)
+        with pytest.raises(CapabilityError):
+            cubic.derivatives(1.0, 5)
+        with pytest.raises(ValueError):
+            loop_curve.derivatives(1.0, 2)
+        assert _bits(loop_curve.derivatives(self.XS, 3, RETURNING)) == _bits(
+            loop_curve.returning.derivatives(self.XS, 3))
 
 
 class TestTanhScaled:

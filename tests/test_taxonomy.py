@@ -1,8 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memelements import (
     ALL_CHECKS,
+    ANALYTIC_DEFAULTS,
+    NUMERIC_DEFAULTS,
     CHECK_FIRST_ORDER,
     CHECK_MEM_CAPACITOR,
     CHECK_MEM_INDUCTOR,
@@ -15,13 +21,22 @@ from memelements import (
     ElementDescriptor,
     Excitation,
     InternalSource,
+    LogisticCurve,
+    ParametricLocus,
     PiecewiseLinearCurve,
     PointKind,
     PolynomialCurve,
+    TanhScaledCurve,
+    TwoBranchCurve,
     Valuedness,
     Verdict,
+    analytic_locus,
     classify,
+    grid,
+    numeric_transform,
+    origin_crossing,
     plane_labels,
+    rate_landmarks,
     table_position,
     theorem_suite,
 )
@@ -275,9 +290,10 @@ class TestChainAnalysedOnce:
         monkeypatch.setattr(loci, "bisect", counting_bisect)
         return tally
 
-    # 15 brackets, refined in one lock-step call per signal scanned: the
-    # abscissa of the depth-1 and depth-2 planes and the rates of each plane
-    EXPECTED = {"planes": 3, "ideality": 1, "bisect_calls": 5, "brackets": 15}
+    # one lock-step call refines the whole chain: the abscissa of the depth-1
+    # and depth-2 planes and the rates of each plane give 15 brackets, of
+    # which 3 are counted once only, since plane d's du/dt is plane d+1's u
+    EXPECTED = {"planes": 3, "ideality": 1, "bisect_calls": 1, "brackets": 12}
 
     def test_suite_analyses_one_depth_two_chain(self, cubic, counts):
         assert theorem_suite([cubic]).all_passed
@@ -286,3 +302,101 @@ class TestChainAnalysedOnce:
     def test_classify_refines_each_root_once(self, cubic, counts):
         classify((-2, -2), cubic)
         assert counts == self.EXPECTED
+
+
+def _standalone_landmarks(curve, exc, depth, tol, n, numeric):
+    """Each plane's landmarks from origin_crossing and rate_landmarks on a fresh locus."""
+    g = grid(exc, n)
+    chain = [analytic_locus(curve, exc, 0, g)]
+    for d in range(1, depth + 1):
+        chain.append(numeric_transform(chain[-1]) if numeric else analytic_locus(curve, exc, d, g))
+    return [(origin_crossing(locus, tol.pinch_tol), rate_landmarks(locus, tol.root_tol), locus)
+            for locus in chain]
+
+
+def _assert_chain_matches_standalone(curve, exc, depth, n, numeric):
+    tol = NUMERIC_DEFAULTS if numeric else ANALYTIC_DEFAULTS
+    analysis = taxonomy._analyze_chain(curve, exc, depth, tol, n, numeric)
+    for plane, locus, (oc, (zero, vertical, arcs), alone) in zip(
+            analysis.planes, analysis.loci,
+            _standalone_landmarks(curve, exc, depth, tol, n, numeric), strict=True):
+        got = (plane.pinch_points, plane.abscissa_zeros, plane.zero_tangents,
+               plane.vertical_tangents, plane.negative_arcs)
+        want = (oc.pinch_points, oc.abscissa_zeros, zero, vertical, arcs)
+        # == on every float, and repr tells -0.0 from 0.0
+        assert got == want
+        assert repr(got) == repr(want)
+        # the rates a chain reads off the next plane are the ones the plane computes
+        for chained, own in zip(loci._plane_roots(locus).rates, loci._plane_roots(alone).rates,
+                                strict=True):
+            assert chained.tobytes() == own.tobytes()
+
+
+_LOOP = TwoBranchCurve(outgoing=PolynomialCurve((0.0, 1.0, 0.0, 1.0 / 3.0)),
+                       returning=PolynomialCurve((0.0, 4.0 / 3.0, 0.5)))
+_KINKED = PiecewiseLinearCurve(knots=((0.0, 0.0), (1.0, 0.5), (2.0, 2.0)))
+_FLAT = PiecewiseLinearCurve(knots=((0.0, 0.0), (0.1, 0.0), (2.0, 2.0)))
+CHAIN_CASES = {
+    "cubic": (PolynomialCurve((0.0, 1.0, 0.0, 1.0 / 3.0)), Excitation(), False),
+    "quintic": (PolynomialCurve((0.0, 0.8, 0.1, 0.3, 0.0, 0.05)), Excitation(0.7, 1.6), False),
+    "tanh": (TanhScaledCurve(a=1.3, b=0.8), Excitation(0.9, 0.7), False),
+    "logistic": (LogisticCurve(), Excitation(0.5, 1.3, 1.0), False),
+    "two_branch": (_LOOP, Excitation(), False),
+    "cubic_numeric": (PolynomialCurve((0.0, 1.0, 0.0, 1.0 / 3.0)), Excitation(), True),
+    "kinked_numeric": (_KINKED, Excitation(), True),
+    "flat_numeric": (_FLAT, Excitation(), True),
+}
+
+
+class TestChainRefinement:
+    """Roots refined for a whole chain equal the planes refined one by one, bit for bit."""
+
+    @pytest.mark.parametrize("n", [256, 4096])
+    @pytest.mark.parametrize("depth", range(5))
+    @pytest.mark.parametrize("name", sorted(CHAIN_CASES))
+    def test_chain_landmarks_equal_standalone(self, name, depth, n):
+        curve, exc, numeric = CHAIN_CASES[name]
+        _assert_chain_matches_standalone(curve, exc, depth, n, numeric)
+
+    @settings(max_examples=25, deadline=None)
+    @given(c1=st.floats(0.2, 2.0), c2=st.floats(0.0, 0.5), c3=st.floats(0.05, 1.0),
+           amplitude=st.floats(0.3, 1.0), omega=st.floats(0.5, 2.0),
+           depth=st.integers(0, 4))
+    def test_random_monotone_cubics(self, c1, c2, c3, amplitude, omega, depth):
+        curve = PolynomialCurve((0.0, c1, c2, c3))
+        _assert_chain_matches_standalone(curve, Excitation(amplitude, omega), depth, 256, False)
+
+    def test_hooks_from_several_sources(self, tanh_curve):
+        # a plain function and the jet of an equal but distinct curve are two
+        # sources; on a grid coarsest at T/2 the plain function's bracket
+        # there outlasts the jet's, and each is refined through its own hook
+        exc = Excitation(0.8, 1.3)
+        exact = analytic_locus(tanh_curve, exc, 1, grid(exc, 256))
+        twin = analytic_locus(dataclasses.replace(tanh_curve), exc, 1)
+        s = np.linspace(0.0, 1.0, 257)
+        t = exc.period * (s - 0.9 * np.sin(2.0 * np.pi * s) / (2.0 * np.pi))
+        mixed = ParametricLocus(t, *exact.value_fn(t), 1, exact.axis_labels,
+                                value_fn=lambda s: exact.value_fn(s),
+                                derivative_fn=twin.derivative_fn)
+        roots = loci._plane_roots(mixed)
+        assert roots.abscissa == loci._refined_roots(t, mixed.u_values, exact.value_fn)[0]
+        assert [roots.du, roots.dw] == loci._refined_roots(
+            t, exact.derivative_fn(t), exact.derivative_fn, transversal_only=True)
+
+    def test_report_reads_the_chain_refined_roots(self, cubic, monkeypatch):
+        # a (-4,-4) report's planes are the chain's, and one bisect call made them
+        calls = []
+        bisect = loci.bisect
+
+        def counting(fn, a, b, *args, **kwargs):
+            calls.append(np.size(a))
+            return bisect(fn, a, b, *args, **kwargs)
+
+        monkeypatch.setattr(loci, "bisect", counting)
+        rpt = classify((-4, -4), cubic)
+        assert len(calls) == 1
+        for plane, (oc, (zero, vertical, arcs), _) in zip(
+                rpt.planes, _standalone_landmarks(cubic, Excitation(), 4, ANALYTIC_DEFAULTS,
+                                                  4096, False)):
+            assert (plane.abscissa_zeros, plane.zero_tangents, plane.vertical_tangents,
+                    plane.negative_arcs) == (oc.abscissa_zeros, zero, vertical, arcs)

@@ -24,6 +24,7 @@ from memelements import (
     read_locus_csv,
     write_locus_csv,
 )
+from memelements import transform
 from memelements.transform import default_labels
 from oracles import chain_oracle, cubic_rate, tanh_rate
 
@@ -128,6 +129,66 @@ class TestChainOrdinate:
         x2 = excite(drive, t_ret)
         w_ret = chain_ordinate(loop_curve, drive, t_ret, 0)
         assert w_ret == pytest.approx(4.0 * x2 / 3.0 + x2**2 / 2.0)
+
+
+def _same_bits(got, want) -> bool:
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestJet:
+    DRIVES = (Excitation(), Excitation(0.8, 1.7, 1.0), Excitation(0.3, 0.5, 0.9))
+
+    @pytest.mark.parametrize("exc", DRIVES)
+    def test_levels_equal_excite_bit_for_bit(self, exc):
+        # t < 0 rests at +0.0; t = 0, T/2, T give signed zeros in the odd levels
+        t = np.concatenate(([-1.0, -1e-300, -0.0, 0.0, 0.5 * exc.period, exc.period],
+                            np.linspace(0.0, exc.period, 129)))
+        levels = transform._levels(exc, t, 9)
+        for i in range(10):
+            assert _same_bits(levels[i], excite(exc, t, i))
+        assert _same_bits(levels[:, :2], np.zeros((10, 2)))  # +0.0 before the drive starts
+        for s in (-2.0, 0.0, 1.3):
+            assert _same_bits(transform._levels(exc, np.asarray(s), 5),
+                              [excite(exc, s, i) for i in range(6)])
+
+    @pytest.mark.parametrize("branch", [OUTGOING, RETURNING, None])
+    def test_one_jet_serves_every_depth(self, branch):
+        # a depth-6 jet gives each shallower depth exactly as a jet built for it
+        exc = SYMBOLIC["outgoing"][3]
+        t = np.concatenate(([0.0, 0.5 * exc.period, exc.period],
+                            np.linspace(0.0, exc.period, 65)))
+        jet = transform._Jet(LOOP, exc, t, DEEP, DEEP)
+        for depth in range(DEEP + 1):
+            got = jet.ordinate(depth, branch)
+            assert _same_bits(got, chain_ordinate(LOOP, exc, t, depth, branch))
+            if branch is not None:
+                _, w = _oracle(branch, depth, t[3:])
+                assert np.max(np.abs(got[3:] - w)) <= 1e-12 * np.max(np.abs(w))
+
+    def test_depth_three_sums_from_the_deepest_term(self, tanh_curve, drive):
+        # the first depth with three terms pins their order: j = 3, 2, 1, with
+        # B_{3,2} = x' x'' + 2 x'' x' as the Bell recursion builds it
+        t = np.linspace(0.0, drive.period, 257)
+        x, x1, x2, x3 = (excite(drive, t, i) for i in range(4))
+        f1, f2, f3 = (tanh_curve.derivative(x, k) for k in (1, 2, 3))
+        want = (f3 * (x1 * (x1 * x1)) + f2 * (x1 * x2 + 2 * x2 * x1)) + f1 * x3
+        assert _same_bits(chain_ordinate(tanh_curve, drive, t, 3), want)
+
+    @pytest.mark.parametrize("name", ["cubic", "tanh", "logistic", "outgoing"])
+    def test_signals_mix_depths_and_coordinates(self, name):
+        # jet_signals reads each element's own depth and coordinate off one jet
+        curve, _, _, exc = SYMBOLIC[name]
+        rng = np.random.default_rng(5)
+        t = np.concatenate(([0.0, 0.5 * exc.period], rng.uniform(0.0, exc.period, 62)))
+        depth = rng.integers(0, DEEP + 1, t.size)
+        ordinate = rng.random(t.size) < 0.5
+        got = transform.jet_signals(curve, exc, t, depth, ordinate)
+        want = [chain_ordinate(curve, exc, s, d) if o else excite(exc, s, d)
+                for s, d, o in zip(t, depth, ordinate)]
+        assert _same_bits(got, want)
+        only_u = transform.jet_signals(curve, exc, t, depth, np.zeros(t.size, dtype=bool))
+        assert _same_bits(only_u, [excite(exc, s, d) for s, d in zip(t, depth)])
 
 
 class TestAnalyticLocus:

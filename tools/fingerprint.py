@@ -1,0 +1,199 @@
+"""Fingerprints of memelements' deterministic outputs, one line each.
+
+Every line is ``<name> <value>``: the sha256 of a library report's repr,
+of one file a CLI run wrote, or of its stdout or stderr, or the exit
+code of a CLI run.  A change that must leave results untouched is
+checked by running this script on two checkouts and diffing the output:
+
+    python tools/fingerprint.py > after.txt
+    (cd ../parent && python tools/fingerprint.py) > before.txt
+    diff before.txt after.txt
+
+The script imports the package from the ``src/`` next to it and the
+classify-distinct inputs from ``bench/workloads.py``, so each checkout
+fingerprints its own code; to fingerprint a commit older than the
+script, copy the script into that checkout's ``tools/``.  It takes about
+a minute on two cores.
+
+Covered:
+  * ``classify`` reports of classify-distinct ops 0-119 for seeds 7, 13
+    and 90210;
+  * ``classify`` reports of seven curves over cells (0,0)..(-4,-4) at
+    n = 256 and 4096 on closed-form chains, the diagonal down to (-6,-6),
+    and cubic and tanh diagonals at n = 65536 and on numeric chains;
+  * ``theorem_suite``, ``phase_shift`` and ``mvt_point``;
+  * in-process CLI runs: ``analyze`` of the seven curves at twelve cells
+    on closed-form and numeric chains, every figure, the default and a
+    multi-curve ``suite``, a 2x2 ``sweep`` and three failing configs.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import shutil
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+
+import memelements  # noqa: E402
+from memelements import (  # noqa: E402
+    Excitation,
+    LogisticCurve,
+    PiecewiseLinearCurve,
+    PolynomialCurve,
+    TanhScaledCurve,
+    TwoBranchCurve,
+    cli,
+)
+from workloads import ClassifyDistinct  # noqa: E402
+
+SEEDS = (7, 13, 90210)
+OPS = 120
+CELLS = ((0, 0), (-1, 0), (0, -1), (-1, -1), (-2, -1), (-1, -2), (-2, -2),
+         (-3, -2), (-2, -3), (-3, -3), (-4, -4), (-6, -6))
+
+
+def sha(data) -> str:
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    return hashlib.sha256(data).hexdigest()
+
+
+def emit(name: str, value: str) -> None:
+    print(f"{name} {value}")
+
+
+def outcome(fn, *args, **kwargs) -> str:
+    """repr of the result, or the type and message of the error raised."""
+    try:
+        return repr(fn(*args, **kwargs))
+    except Exception as err:  # a failure is a fingerprint too
+        return f"{type(err).__name__}: {err}"
+
+
+# curve specs in the CLI's config shape; the library curves are built from them
+SPECS = {
+    "cubic": {"family": "polynomial", "params": {"coefficients": [0, 1, 0, 1 / 3]},
+              "max_derivative_order": 7},
+    "quintic": {"family": "polynomial",
+                "params": {"coefficients": [0, 0.8, 0.1, 0.3, 0, 0.05]},
+                "max_derivative_order": 6},
+    "tanh": {"family": "tanh_scaled", "params": {"a": 1.3, "b": 0.7},
+             "max_derivative_order": 7},
+    "logistic": {"family": "logistic", "range": [0.5, 2.0], "max_derivative_order": 6},
+    "loop": {"family": "two_branch", "params": {
+        "outgoing": {"family": "polynomial", "params": {"coefficients": [0, 1, 0, 1 / 3]}},
+        "returning": {"family": "polynomial", "params": {"coefficients": [0, 4 / 3, 0.5]}}}},
+    "kinked": {"family": "piecewise_linear",
+               "params": {"knots": [[0, 0], [1, 0.5], [2, 2]]}},
+    "flat": {"family": "piecewise_linear",
+             "params": {"knots": [[0, 0], [0.1, 0], [2, 2]]}},
+}
+DRIVES = {"logistic": {"amplitude": 0.5, "offset": 1.0}}
+
+
+def library() -> None:
+    for seed in SEEDS:
+        work = ClassifyDistinct(seed, Path(tempfile.mkdtemp()))
+        for i in range(OPS):
+            emit(f"classify-distinct/{seed}/{i}", sha(outcome(work.run, work.op(i))))
+        shutil.rmtree(work.workdir)
+
+    curves = {name: cli.curve_from_spec(spec) for name, spec in SPECS.items()}
+    drives = {name: cli.excitation_from_spec(DRIVES.get(name)) for name in SPECS}
+    cells = [(a, b) for a in range(0, -5, -1) for b in range(0, -5, -1)]
+    diagonal = [(-k, -k) for k in range(7)]
+    for name, curve in curves.items():
+        for n in (256, 4096):
+            for cell in cells + diagonal[5:]:
+                emit(f"classify/{name}/{cell[0]},{cell[1]}/n{n}",
+                     sha(outcome(memelements.classify, cell, curve, drives[name], grid_n=n)))
+    for name in ("cubic", "tanh"):
+        for cell in diagonal:
+            for n, numeric in ((65536, False), (4096, True), (16384, True)):
+                emit(f"classify/{name}/{cell[0]},{cell[1]}/n{n}/numeric{int(numeric)}",
+                     sha(outcome(memelements.classify, cell, curves[name], grid_n=n,
+                                 numeric_chain=numeric)))
+
+    emit("theorem_suite/all", sha(outcome(memelements.theorem_suite, list(curves.values()))))
+    emit("theorem_suite/drive", sha(outcome(
+        memelements.theorem_suite, [curves["cubic"], curves["tanh"]],
+        Excitation(amplitude=0.7, omega=1.7))))
+    for name in ("cubic", "quintic", "tanh", "logistic"):
+        emit(f"phase_shift/{name}",
+             sha(outcome(memelements.loci.phase_shift, curves[name], drives[name])))
+        lo, hi = curves[name].operating_range
+        emit(f"mvt_point/{name}", sha(outcome(memelements.mvt_point, curves[name], lo, hi)))
+
+
+def run_cli(name: str, argv: list[str], outdir: str) -> None:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv + ["--output-dir", outdir])
+    emit(f"cli/{name}/exit", str(code))
+    emit(f"cli/{name}/stdout", sha(out.getvalue()))
+    emit(f"cli/{name}/stderr", sha(err.getvalue()))
+    if os.path.isdir(outdir):
+        for path in sorted(Path(outdir).iterdir()):
+            emit(f"cli/{name}/{path.name}", sha(path.read_bytes()))
+        shutil.rmtree(outdir)
+
+
+def write(path: str, config: dict) -> str:
+    Path(path).write_text(json.dumps(config), encoding="utf-8")
+    return path
+
+
+def commands() -> None:
+    for name, spec in SPECS.items():
+        for alpha, beta in CELLS:
+            for numeric in (False, True):
+                cfg = {"descriptor": {"alpha": alpha, "beta": beta}, "curve": spec,
+                       "excitation": DRIVES.get(name), "numeric_chain": numeric}
+                tag = f"analyze/{name}/{alpha},{beta}/numeric{int(numeric)}"
+                run_cli(tag, ["analyze", "--config", write("analyze.json", cfg)], "out")
+    for n in (256, 16384):
+        cfg = {"descriptor": {"alpha": -2, "beta": -2}, "curve": SPECS["cubic"], "grid_n": n}
+        run_cli(f"analyze/cubic/-2,-2/n{n}", ["analyze", "--config", write("analyze.json", cfg)],
+                "out")
+    for fig in sorted(cli.FIGURES):
+        run_cli(f"figure/{fig}", ["figure", fig], "out")
+    run_cli("suite/default", ["suite", "--strict"], "out")
+    cfg = {"curves": list(SPECS.values()), "excitation": {"amplitude": 0.9, "omega": 1.3}}
+    run_cli("suite/config", ["suite", "--config", write("suite.json", cfg)], "out")
+    cfg = {"descriptor": {"alpha": -2, "beta": -2}, "curve": SPECS["cubic"],
+           "axes": [{"target": "excitation.amplitude", "values": [0.5, 1.0]},
+                    {"target": "descriptor.alpha", "values": [-1, -3]}],
+           "excitation": {"amplitude": 1.0}}
+    run_cli("sweep/2x2", ["sweep", "--config", write("sweep.json", cfg)], "out")
+    failing = {
+        "config-error": {"descriptor": {"alpha": 1, "beta": 0}, "curve": SPECS["cubic"]},
+        "capability": {"descriptor": {"alpha": -6, "beta": -6},
+                       "curve": {"family": "tanh_scaled"}},
+        "range": {"descriptor": {"alpha": -1, "beta": -1}, "curve": SPECS["cubic"],
+                  "excitation": {"amplitude": 2.0}},
+    }
+    for tag, cfg in failing.items():
+        run_cli(f"analyze/{tag}", ["analyze", "--config", write("analyze.json", cfg)], "out")
+
+
+def main() -> None:
+    library()
+    with tempfile.TemporaryDirectory() as work:
+        here = os.getcwd()
+        os.chdir(work)  # relative paths keep stdout free of the temporary name
+        try:
+            commands()
+        finally:
+            os.chdir(here)
+
+
+if __name__ == "__main__":
+    main()
