@@ -121,14 +121,14 @@ class ConstitutiveCurve(abc.ABC):
 
     def derivative(self, x, k: int, branch: str | None = None):
         """Evaluate the k-th derivative of f at x (k = 0 means f itself)."""
-        out = self.derivatives(x, k, branch)[int(k)]
+        out = self._stack(x, k, branch)[int(k)]
         return float(out) if np.ndim(x) == 0 else out
 
-    def derivatives(self, x, order: int, branch: str | None = None) -> np.ndarray:
-        """Derivatives 0..order of f at x, stacked: row k is f^(k)(x).
+    def _stack(self, x, order: int, branch: str | None = None) -> np.ndarray:
+        """Derivatives 0..order of f at x, stacked: row k is derivative(x, k).
 
-        One range check covers every row, and row k equals derivative(x, k)
-        bit for bit.
+        One range check covers every row; the Taylor jet in transform
+        reads all orders it needs from one call.
         """
         if branch not in (None, OUTGOING, RETURNING):
             raise ValueError(f"unknown branch selector {branch!r}")
@@ -427,10 +427,10 @@ class TwoBranchCurve(ConstitutiveCurve):
             raise ValueError("two-branch curve requires an explicit branch selector")
         return self.branch(branch).derivative(x, k)
 
-    def derivatives(self, x, order: int, branch: str | None = None) -> np.ndarray:
+    def _stack(self, x, order: int, branch: str | None = None) -> np.ndarray:
         if branch is None:
             raise ValueError("two-branch curve requires an explicit branch selector")
-        return self.branch(branch).derivatives(x, order)
+        return self.branch(branch)._stack(x, order)
 
     def kink_points(self, slope_tol: float = 1e-9) -> tuple[float, ...]:
         pts = set(self.outgoing.kink_points(slope_tol))

@@ -51,6 +51,23 @@ class Excitation:
         return (self.offset - self.amplitude, self.offset + self.amplitude)
 
 
+def _levels(exc: Excitation, ta: np.ndarray, top: int) -> np.ndarray:
+    """Drive levels 0..top at times ta, stacked: row i is excite(exc, ta, i).
+
+    cos and sin of the phase are computed once; level i > 0 is the signed
+    multiple +-A w^i of one of them, walking the stack sin, cos, -sin, -cos.
+    """
+    theta = exc.omega * ta
+    c = np.cos(theta)
+    rows = [exc.offset - exc.amplitude * c]
+    if top:
+        s = np.sin(theta)
+        for i in range(1, top + 1):
+            scale = exc.amplitude * exc.omega ** i
+            rows.append((-scale if i % 4 in (0, 3) else scale) * (s if i % 2 else c))
+    return np.where(ta < 0.0, 0.0, rows)
+
+
 def excite(exc: Excitation, t, level: int = 0):
     """Level-th time derivative of the drive at time t (0 for t < 0).
 
@@ -61,22 +78,7 @@ def excite(exc: Excitation, t, level: int = 0):
     level = int(level)
     if level < 0:
         raise DomainError("derivative level must be non-negative")
-    ta = np.asarray(t, dtype=float)
-    theta = exc.omega * ta
-    if level == 0:
-        out = exc.offset - exc.amplitude * np.cos(theta)
-    else:
-        scale = exc.amplitude * exc.omega ** level
-        r = level % 4
-        if r == 0:
-            out = -scale * np.cos(theta)
-        elif r == 1:
-            out = scale * np.sin(theta)
-        elif r == 2:
-            out = scale * np.cos(theta)
-        else:
-            out = -scale * np.sin(theta)
-    out = np.where(ta < 0.0, 0.0, out)
+    out = _levels(exc, np.asarray(t, dtype=float), level)[level]
     return float(out) if np.ndim(t) == 0 else out
 
 

@@ -9,8 +9,10 @@ locus chain: refine_chain scans every plane's abscissa and coordinate
 rates, and all brackets halve together, one evaluation per step in which
 each bracket reads its own signal off the chain's Taylor jet.  A bracket
 two planes share is refined once, and each lands on exactly the root
-scipy.optimize.bisect would return for it.  A locus analysed on its own
-is refined as a one-plane chain, with the same roots.
+scipy.optimize.bisect would return for it.  Hooks that are plain
+callables rather than jet views are refined in a bisection of their
+own.  A locus analysed on its own is refined as a one-plane chain, with
+the same roots.
 """
 
 from __future__ import annotations
@@ -199,21 +201,21 @@ def bisect(fn, a, b, rows, xtol: float = 1e-12) -> np.ndarray:
     halvings, signs compared without multiplying) step for step, so every
     root is the one scipy returns for the same bracket, bit for bit.  fn
     is an evaluation hook called once per step on the live brackets'
-    midpoints; component rows[j] of its output is the signal of bracket j.  With rows None, fn(x, live) gets
-    the indices of the live brackets too and returns one value per
-    bracket, each from that bracket's own signal.  Raises NumericalError
-    when a bracket holds no sign change, fn returns NaN, or a bracket does
-    not converge.
+    midpoints; component rows[j] of its output is the signal of bracket j.
+    With rows None, fn(x, live) gets the indices of the live brackets too
+    and returns one value per bracket, each from that bracket's own
+    signal.  Raises NumericalError when a bracket holds no sign change, fn
+    returns NaN, or a bracket does not converge.
     """
     if rows is not None:
-        rows = np.asarray(rows, dtype=int)
+        rows, hook = np.asarray(rows, dtype=int), fn
+
+        def fn(x, live):
+            return np.atleast_2d(np.asarray(hook(x), dtype=float))[rows[live],
+                                                                    np.arange(len(live))]
 
     def f(x, live):
-        if rows is None:
-            out = np.asarray(fn(x, live), dtype=float)
-        else:
-            out = np.atleast_2d(np.asarray(fn(x), dtype=float))
-            out = out[rows[live], np.arange(len(live))]
+        out = np.asarray(fn(x, live), dtype=float)
         if np.isnan(out).any():
             raise NumericalError("root refinement hook returned NaN")
         return out
@@ -348,32 +350,29 @@ def _source(hook):
 
 
 def refine_chain(chain) -> None:
-    """Refine every root the analyses of a locus chain need, in one bisect call.
+    """Refine every root the analyses of a locus chain need, one bisect call per source.
 
     Each plane's abscissa u (for origin_crossing) and coordinate rates
     du/dt and dw/dt (for rate_landmarks) are scanned for sign changes, and
-    every bracket with a hook is refined in the same lock-step bisection,
-    one evaluation per step for all of them.  chain[d + 1] is taken to be
-    the transform of chain[d] on the same grid, so its samples serve as
-    plane d's rates when both come from the same kind of evaluation
-    (hooks, or finite differences).  A bracket two planes share, such as
-    plane d's du/dt and plane d + 1's u, is refined once.  The roots are
-    stored on each locus, where origin_crossing and rate_landmarks read
-    them.
+    the brackets of each hook source are refined in one lock-step
+    bisection, one evaluation per step for all of them; the hooks of an
+    analytic chain all read one jet, so its brackets take one call.
+    chain[d + 1] is taken to be the transform of chain[d] on the same
+    grid, so its samples serve as plane d's rates when both come from the
+    same kind of evaluation (hooks, or finite differences).  A bracket two
+    planes share, such as plane d's du/dt and plane d + 1's u, is refined
+    once.  The roots are stored on each locus, where origin_crossing and
+    rate_landmarks read them.
     """
     xtol = 1e-12
-    scans, brackets, keys = [], {}, []
-    slots_of, evaluators = {}, []
+    scans = []
+    groups = {}  # source key -> (evaluator, {(depth, component, a, b): slot})
 
-    def signal(hook):
-        """(evaluator slot, depth) of a hook, or None without one."""
-        if hook is None:
-            return None
+    def slot(hook, comp, lo, hi):
+        """(source key, slot) of the bracket [lo, hi] of component comp of hook."""
         source, evaluate, depth = _source(hook)
-        if source not in slots_of:
-            slots_of[source] = len(evaluators)
-            evaluators.append(evaluate)
-        return slots_of[source], depth
+        keys = groups.setdefault(source, (evaluate, {}))[1]
+        return source, keys.setdefault((depth, comp, lo, hi), len(keys))
 
     for d, locus in enumerate(chain):
         after = chain[d + 1] if d + 1 < len(chain) else None
@@ -385,37 +384,24 @@ def refine_chain(chain) -> None:
         vals = np.stack((locus.u_values, *rates))
         rows, left = _scan(vals)
         # rows 0, 1, 2 are component 0 of value_fn and components 0, 1 of derivative_fn
-        hooks = (signal(locus.value_fn), signal(locus.derivative_fn))
-        slots = np.full(rows.size, -1)
-        for j, (r, i) in enumerate(zip(rows.tolist(), left.tolist())):
-            if hooks[min(r, 1)] is not None:
-                key = (*hooks[min(r, 1)], int(r == 2), t[i], t[i + 1])
-                slots[j] = brackets.setdefault(key, len(keys))
-                if slots[j] == len(keys):
-                    keys.append(key)
+        hooks = (locus.value_fn, locus.derivative_fn)
+        slots = [None if hooks[min(r, 1)] is None
+                 else slot(hooks[min(r, 1)], int(r == 2), t[i], t[i + 1])
+                 for r, i in zip(rows.tolist(), left.tolist())]
         scans.append((locus, rates, vals, rows, left, slots))
 
-    roots = np.empty(0)
-    if keys:
-        slot, depth, comp, a, b = (np.array(col) for col in zip(*keys))
-
-        def signals(x, live):
-            if len(evaluators) == 1:
-                return evaluators[0](x, depth[live], comp[live])
-            out = np.empty(x.size)
-            for k, evaluate in enumerate(evaluators):
-                pick = slot[live] == k
-                if pick.any():
-                    out[pick] = evaluate(x[pick], depth[live][pick], comp[live][pick])
-            return out
-
-        roots = bisect(signals, a, b, None, xtol=xtol)
+    roots = {}
+    for source, (evaluate, keys) in groups.items():
+        depth, comp, a, b = (np.array(col) for col in zip(*keys))
+        roots[source] = bisect(lambda x, live: evaluate(x, depth[live], comp[live]),
+                               a, b, None, xtol=xtol)
 
     for locus, rates, vals, rows, left, slots in scans:
         t = locus.t_values
         crossings = _interpolated(t, vals, rows, left)
-        hooked = slots >= 0
-        crossings[hooked] = roots[slots[hooked]]
+        for j, at in enumerate(slots):
+            if at is not None:
+                crossings[j] = roots[at[0]][at[1]]
         abscissa, du, dw = (
             _signal_roots(t, row, crossings[rows == r], xtol, transversal_only=r > 0)
             for r, row in enumerate(vals))

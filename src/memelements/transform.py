@@ -35,7 +35,7 @@ import numpy as np
 
 from .constitutive import OUTGOING, RETURNING, ConstitutiveCurve
 from .errors import CapabilityError, DomainError, NumericalError
-from .excitation import Excitation, SampleGrid, excite, grid
+from .excitation import Excitation, SampleGrid, _levels, excite, grid
 
 __all__ = [
     "ParametricLocus",
@@ -119,23 +119,6 @@ def _branch_mask(exc: Excitation, t: np.ndarray) -> np.ndarray:
     return tm <= 0.5 * exc.period * (1.0 + 1e-12)
 
 
-def _levels(exc: Excitation, ta: np.ndarray, top: int) -> np.ndarray:
-    """Drive levels 0..top at times ta, stacked; row i equals excite(exc, ta, i) bit for bit.
-
-    cos and sin of the phase are computed once, and level i is the signed
-    multiple +-A w^i of one of them that excite takes.
-    """
-    theta = exc.omega * ta
-    c = np.cos(theta)
-    rows = [exc.offset - exc.amplitude * c]
-    if top:
-        s = np.sin(theta)
-        for i in range(1, top + 1):
-            scale = exc.amplitude * exc.omega ** i
-            rows.append((-scale if i % 4 in (0, 3) else scale) * (s if i % 2 else c))
-    return np.where(ta < 0.0, 0.0, rows)
-
-
 def _bell(x, n: int) -> list:
     """Rows 0..n of the partial Bell polynomials in x[1], x[2], ...: rows[m][j] is B_{m,j}.
 
@@ -180,7 +163,7 @@ class _Jet:
             return np.where(_branch_mask(self.exc, self.t),
                             self.ordinate(depth, OUTGOING), self.ordinate(depth, RETURNING))
         if branch not in self.f:
-            self.f[branch] = self.curve.derivatives(self.x[0], self.order, branch=branch)
+            self.f[branch] = self.curve._stack(self.x[0], self.order, branch=branch)
         f, bell = self.f[branch], self.bell[depth]
         # summed from the j = k term down and never from zero, so depths 0-2
         # round exactly like f' x' and f'' x'^2 + f' x'', signed zeros included

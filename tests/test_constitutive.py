@@ -85,7 +85,7 @@ class TestStackedDerivatives:
     @pytest.mark.parametrize("coeffs", POLYS)
     def test_polynomial_rows_equal_polyval(self, coeffs):
         curve = PolynomialCurve(coeffs, max_derivative_order=7)
-        rows = curve.derivatives(self.XS, 7)
+        rows = curve._stack(self.XS, 7)
         for k in range(8):
             want = npoly.polyval(self.XS, npoly.polyder(coeffs, m=k)) if k < len(coeffs) \
                 else np.zeros_like(self.XS)
@@ -105,7 +105,7 @@ class TestStackedDerivatives:
                              np.linspace(lo, hi, 257)))
         b = 0.5 if curve.family == "logistic" else curve.b
         t = np.tanh(b * xs)
-        rows = curve.derivatives(xs, 7)
+        rows = curve._stack(xs, 7)
         assert _bits(rows[0]) == _bits(curve.eval(xs))
         for k in range(1, 8):
             want = scale(k) * npoly.polyval(t, _tanh_poly(k))
@@ -114,13 +114,13 @@ class TestStackedDerivatives:
 
     def test_range_capability_and_branch_checks(self, cubic, loop_curve):
         with pytest.raises(DomainError):
-            cubic.derivatives(np.array([1.0, 2.5]), 2)
+            cubic._stack(np.array([1.0, 2.5]), 2)
         with pytest.raises(CapabilityError):
-            cubic.derivatives(1.0, 5)
+            cubic._stack(1.0, 5)
         with pytest.raises(ValueError):
-            loop_curve.derivatives(1.0, 2)
-        assert _bits(loop_curve.derivatives(self.XS, 3, RETURNING)) == _bits(
-            loop_curve.returning.derivatives(self.XS, 3))
+            loop_curve._stack(1.0, 2)
+        assert _bits(loop_curve._stack(self.XS, 3, RETURNING)) == _bits(
+            loop_curve.returning._stack(self.XS, 3))
 
 
 class TestTanhScaled:

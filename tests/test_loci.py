@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from memelements import (
@@ -238,6 +238,9 @@ bracket_cases = st.lists(
 class TestBisect:
     @settings(max_examples=200, deadline=None)
     @given(cases=bracket_cases, xtol=st.sampled_from([1e-12, 1e-9, 1e-4]))
+    # a root at 1.1e-314: products of the endpoint and midpoint signals
+    # underflow to zero, so only a sign comparison keeps scipy's steps
+    @example(cases=[(0.0, 1e-06, "inside", 1.1125369292536007e-308, -3.0, 0.0)], xtol=1e-12)
     def test_matches_scipy_bit_for_bit(self, cases, xtol):
         brackets = [_bracket_case(*c) for c in cases]
         a = np.array([br[0] for br in brackets])
@@ -269,6 +272,28 @@ class TestBisect:
                  for lo, hi, r in zip(a, b, rows)]
         assert steps == [19, 20, 19]
         assert calls == [3, 3] + [3] * 19 + [1]
+
+    def test_per_bracket_hook(self):
+        # with rows None the hook gets the live brackets and returns one value each
+        signals = [lambda x: x - 0.3, lambda x: np.exp(x) - 2.0, lambda x: 0.7 - x]
+        seen = []
+
+        def hook(x, live):
+            seen.append(live.tolist())
+            return np.array([signals[j](v) for j, v in zip(live.tolist(), x.tolist())])
+
+        a, b = [0.0, 0.0, 0.5], [0.5, 1.0, 1.0]
+        got = loci.bisect(hook, a, b, None, xtol=1e-9)
+        want = [scipy.optimize.bisect(g, lo, hi, xtol=1e-9) for g, lo, hi in zip(signals, a, b)]
+        assert got.tolist() == want
+        assert seen[:2] == [[0, 1, 2], [0, 1, 2]]
+        assert all(set(later) <= set(earlier) for earlier, later in zip(seen, seen[1:]))
+
+        with pytest.raises(NumericalError):
+            loci.bisect(lambda x, live: x * x + 1.0, [0.0, 0.0], [1.0, 1.0], None)
+        with pytest.raises(NumericalError):
+            loci.bisect(lambda x, live: np.where(live == 1, np.nan, x - 0.5),
+                        [0.0, 0.0], [1.0, 1.0], None)
 
     def test_rejects_bracket_without_sign_change(self):
         with pytest.raises(NumericalError):

@@ -24,7 +24,7 @@ from memelements import (
     read_locus_csv,
     write_locus_csv,
 )
-from memelements import transform
+from memelements import excitation, transform
 from memelements.transform import default_labels
 from oracles import chain_oracle, cubic_rate, tanh_rate
 
@@ -139,18 +139,34 @@ def _same_bits(got, want) -> bool:
 class TestJet:
     DRIVES = (Excitation(), Excitation(0.8, 1.7, 1.0), Excitation(0.3, 0.5, 0.9))
 
+    @staticmethod
+    def _closed_form(exc, t, level):
+        """Drive level from its own cos or sin, one branch per place in the stack."""
+        theta = exc.omega * t
+        scale = exc.amplitude * exc.omega ** level
+        out = {0: -scale * np.cos(theta), 1: scale * np.sin(theta),
+               2: scale * np.cos(theta), 3: -scale * np.sin(theta)}[level % 4]
+        if level == 0:
+            out = exc.offset - exc.amplitude * np.cos(theta)
+        return np.where(t < 0.0, 0.0, out)
+
     @pytest.mark.parametrize("exc", DRIVES)
     def test_levels_equal_excite_bit_for_bit(self, exc):
         # t < 0 rests at +0.0; t = 0, T/2, T give signed zeros in the odd levels
         t = np.concatenate(([-1.0, -1e-300, -0.0, 0.0, 0.5 * exc.period, exc.period],
                             np.linspace(0.0, exc.period, 129)))
-        levels = transform._levels(exc, t, 9)
+        levels = excitation._levels(exc, t, 9)
         for i in range(10):
-            assert _same_bits(levels[i], excite(exc, t, i))
+            want = self._closed_form(exc, t, i)
+            assert _same_bits(levels[i], want)
+            assert _same_bits(excite(exc, t, i), want)
         assert _same_bits(levels[:, :2], np.zeros((10, 2)))  # +0.0 before the drive starts
         for s in (-2.0, 0.0, 1.3):
-            assert _same_bits(transform._levels(exc, np.asarray(s), 5),
+            assert _same_bits(excitation._levels(exc, np.asarray(s), 5),
                               [excite(exc, s, i) for i in range(6)])
+            assert _same_bits(np.array([excite(exc, s, i) for i in range(6)]),
+                              np.array([self._closed_form(exc, np.asarray(s), i)
+                                        for i in range(6)]))
 
     @pytest.mark.parametrize("branch", [OUTGOING, RETURNING, None])
     def test_one_jet_serves_every_depth(self, branch):
