@@ -6,13 +6,16 @@ valuedness, negative-slope arcs, and the ordinate/abscissa phase lag.
 Roots are located by sign-change scans over the sample grid and, when
 the locus has evaluation hooks, refined by one lock-step bisection per
 locus chain: refine_chain scans every plane's abscissa and coordinate
-rates, and all brackets halve together, one evaluation per step in which
-each bracket reads its own signal off the chain's Taylor jet.  A bracket
-two planes share is refined once, and each lands on exactly the root
-scipy.optimize.bisect would return for it.  Hooks that are plain
-callables rather than jet views are refined in a bisection of their
-own.  A locus analysed on its own is refined as a one-plane chain, with
-the same roots.
+rates, and bisect refines all the brackets together, each reading its
+own signal off the chain's Taylor jet.  A Chandrupatla predictor
+estimates every root, the midpoints scipy.optimize.bisect would visit on
+its way to each estimate are evaluated in one call, and only decisions
+those values confirm are taken, so each bracket lands on exactly the
+root scipy would return for it, in five evaluations where bisection
+takes one per halving.  A bracket two planes share is refined once.
+Hooks that are plain callables rather than jet views are refined in a
+bisection of their own.  A locus analysed on its own is refined as a
+one-plane chain, with the same roots.
 """
 
 from __future__ import annotations
@@ -54,6 +57,9 @@ __all__ = [
 # scipy.optimize.bisect's defaults, which bisect below reproduces
 _BISECT_RTOL = 4.0 * np.finfo(float).eps
 _BISECT_MAXITER = 100
+# hook calls of the root predictor: after the endpoints' secant point and
+# one interpolation step, its third estimate predicts the bisection path
+_PREDICT_CALLS = 2
 
 
 class PointKind(Enum):
@@ -194,18 +200,110 @@ def _rates_at(locus: ParametricLocus, t: np.ndarray,
     )
 
 
+def _coordinates_and_rates(locus: ParametricLocus, t: np.ndarray,
+                           arrays: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, ...]:
+    """u, w, du/dt and dw/dt at times t, in one evaluation when the hooks share a source.
+
+    The value and rate hooks of an analytic locus read one curve and
+    drive's jet, which gives depth d and d + 1 at once; the values are
+    those of the two hooks called apart, since a jet's rows do not depend
+    on its top order.
+    """
+    hooks = (locus.value_fn, locus.derivative_fn)
+    if t.size and None not in hooks:
+        (source, evaluate, depth), (other, _, rate_depth) = map(_source, hooks)
+        if source == other:
+            n = t.size
+            depths = np.repeat([depth, depth, rate_depth, rate_depth], n)
+            return tuple(evaluate(np.tile(t, 4), depths, np.tile(np.repeat([0, 1], n), 2))
+                         .reshape(4, n))
+    return (*point_at(locus, t), *_rates_at(locus, t, arrays))
+
+
+def _predict(fn, a, b, fa, fb, live) -> np.ndarray:
+    """An estimate of the root in each live bracket, NaN where there is none.
+
+    Lock-step iterations of Chandrupatla's method (inverse quadratic
+    interpolation where it is safe, else bisection; Adv. Eng. Software
+    28(3), 1997), _PREDICT_CALLS fn calls, every point inside its
+    bracket.  The first point is the endpoints' secant root rather than
+    the midpoint, since their values are known already.  The estimate is
+    the next point the method would try, or the better of the two
+    bracketing points where it would bisect.  fn's values steer nothing
+    but the estimate, so they are not checked: a NaN or inf just leaves
+    its bracket without one.
+    """
+    x1, f1, x2, f2 = a[live], fa[live], b[live], fb[live]
+    x3, f3 = x2, f2
+    finite = np.isfinite(f1) & np.isfinite(f2)
+    with np.errstate(all="ignore"):
+        t = f1 / (f1 - f2)
+        for _ in range(_PREDICT_CALLS):
+            t = np.where((t >= 0.0) & (t <= 1.0), t, 0.5)
+            x = x1 + t * (x2 - x1)
+            fx = np.asarray(fn(x, live), dtype=float)
+            finite &= np.isfinite(fx)
+            # the new point replaces the bracket end whose value has its sign
+            same = np.signbit(fx) == np.signbit(f1)
+            x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
+            x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
+            x1, f1 = x, fx
+            xi = (x1 - x2) / (x3 - x2)
+            phi = (f1 - f2) / (f3 - f2)
+            alpha = (x3 - x1) / (x2 - x1)
+            t = np.where((1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi)),
+                         f1 / (f1 - f2) * f3 / (f3 - f2)
+                         - alpha * f1 / (f3 - f1) * f2 / (f2 - f3), np.nan)
+    estimate = np.where((t >= 0.0) & (t <= 1.0), x1 + t * (x2 - x1),
+                        np.where(np.abs(f1) <= np.abs(f2), x1, x2))
+    return np.where(finite, estimate, np.nan)
+
+
+def _path(a, dm, guess, xtol):
+    """The halvings bisection makes from (a, dm) if every sign falls on guess's side.
+
+    Rows are steps and columns brackets.  Returns each step's midpoint,
+    the bracket start a after it, the halved width dm and whether it
+    meets the stop test, and each bracket's step count: through its
+    first stop, else all _BISECT_MAXITER.  The float operations are
+    scipy's (dm *= .5, xm = a + dm), so these are the points it visits.
+    """
+    halves = np.full((_BISECT_MAXITER, dm.size), 0.5)
+    half = np.multiply.accumulate(np.vstack((dm, halves)))[1:]
+    # |dm| < xtol stops a bracket whatever xm is, so no path runs longer
+    steps = min(_BISECT_MAXITER, int((np.abs(half) >= xtol).sum(0).max()) + 1)
+    half = half[:steps]
+    xm, start = np.empty_like(half), np.empty_like(half)
+    up = dm > 0.0
+    for k in range(steps):
+        x = np.add(a, half[k], out=xm[k])
+        a = start[k] = np.where((x < guess) == up, x, a)
+    stop = np.abs(half) < xtol + _BISECT_RTOL * np.abs(xm)
+    return xm, start, half, stop, np.where(stop.any(0), stop.argmax(0) + 1, steps)
+
+
 def bisect(fn, a, b, rows, xtol: float = 1e-12) -> np.ndarray:
     """Refine every bracket [a[j], b[j]] of a sign change at once.
 
-    Each bracket follows scipy.optimize.bisect (rtol = 4 eps, at most 100
-    halvings, signs compared without multiplying) step for step, so every
-    root is the one scipy returns for the same bracket, bit for bit.  fn
-    is an evaluation hook called once per step on the live brackets'
-    midpoints; component rows[j] of its output is the signal of bracket j.
-    With rows None, fn(x, live) gets the indices of the live brackets too
-    and returns one value per bracket, each from that bracket's own
-    signal.  Raises NumericalError when a bracket holds no sign change, fn
-    returns NaN, or a bracket does not converge.
+    Every root is the one scipy.optimize.bisect returns for the same
+    bracket (rtol = 4 eps, at most 100 halvings, signs compared without
+    multiplying), bit for bit, from a handful of fn calls.  After one
+    call per endpoint set, _PREDICT_CALLS calls estimate each root
+    (_predict), and one call evaluates, for every bracket, the midpoints
+    scipy would visit if each sign fell on the estimate's side.  A
+    bracket whose signs all fall as predicted is done.  Otherwise the
+    first midpoint off the prediction, or an exact zero, is still one
+    scipy visits, so its value's own decision is taken there, and the
+    bracket goes on halving with one call per step for all such brackets.
+    Every decision is thus read off fn at a point scipy visits.
+
+    fn is an evaluation hook; component rows[j] of fn(x) is the signal of
+    bracket j.  With rows None, fn(x, live) gets, for each point, the
+    index of its bracket, and returns one value per point from that
+    bracket's own signal; each call's indices are among the last call's.
+    Raises NumericalError when a bracket holds no sign change, fn
+    returns NaN at an endpoint or at a midpoint scipy visits, or a
+    bracket does not converge.
     """
     if rows is not None:
         rows, hook = np.asarray(rows, dtype=int), fn
@@ -231,9 +329,38 @@ def bisect(fn, a, b, rows, xtol: float = 1e-12) -> np.ndarray:
         raise NumericalError("bisection bracket holds no sign change")
     root = np.where(fa == 0.0, a, b)
     dm = b - a
-    for _ in range(_BISECT_MAXITER):
-        if not live.size:
-            break
+    spent = np.zeros(len(a), dtype=int)  # halvings made
+    if live.size:
+        guess = _predict(fn, a, b, fa, fb, live)
+        xm, start, half, stop, steps = _path(a[live], dm[live], guess, xtol)
+        steps[np.isnan(guess)] = 1  # no estimate: evaluate the first midpoint alone
+        on = np.arange(len(xm))[:, None] < steps
+        fm = np.full(xm.shape, np.nan)
+        fm[on] = fn(xm[on], np.broadcast_to(live, xm.shape)[on])
+        # a step checks out when its sign falls as predicted and it is no zero (or NaN)
+        ok = (np.signbit(fm) == negative[live]) == ((xm < guess) == (dm[live] > 0.0))
+        ok &= np.abs(fm) > 0.0
+        ok[0, np.isnan(guess)] = False
+        checked = np.logical_and.accumulate(ok).sum(0)
+        held = checked == steps
+        # the step whose value decides: the path's last, or its first unchecked one
+        k, col = np.minimum(checked, steps - 1), np.arange(live.size)
+        x, fx = xm[k, col], fm[k, col]
+        if np.isnan(fx[~held]).any():
+            raise NumericalError("root refinement hook returned NaN")
+        if not stop[k, col][held].all():
+            raise NumericalError(f"bisection did not converge in {_BISECT_MAXITER} steps")
+        done = held | (fx == 0.0) | stop[k, col]
+        root[live[done]] = x[done]
+        a[live] = np.where(np.signbit(fx) == negative[live], x,
+                           np.where(k > 0, start[k - 1, col], a[live]))
+        dm[live] = half[k, col]
+        spent[live] = k + 1
+        live = live[~done]
+    while live.size:
+        if np.any(spent[live] == _BISECT_MAXITER):
+            raise NumericalError(f"bisection did not converge in {_BISECT_MAXITER} steps")
+        spent[live] += 1
         dm[live] *= 0.5
         xm = a[live] + dm[live]
         fm = f(xm, live)
@@ -241,8 +368,6 @@ def bisect(fn, a, b, rows, xtol: float = 1e-12) -> np.ndarray:
         done = (fm == 0.0) | (np.abs(dm[live]) < xtol + _BISECT_RTOL * np.abs(xm))
         root[live[done]] = xm[done]
         live = live[~done]
-    if live.size:
-        raise NumericalError(f"bisection did not converge in {_BISECT_MAXITER} steps")
     return root
 
 
@@ -559,9 +684,7 @@ def _tangent_points(locus: ParametricLocus, roots: list[float],
     else:
         other, kind, tangent_angle = rates[0], PointKind.ZERO_TANGENT, 0.0
     gate = root_tol * max(1.0, float(np.max(np.abs(other))))
-    ts = np.asarray(roots, dtype=float)
-    du, dw = _rates_at(locus, ts, rates)
-    us, ws = point_at(locus, ts)
+    us, ws, du, dw = _coordinates_and_rates(locus, np.asarray(roots, dtype=float), rates)
     points: list[SpecialPoint] = []
     for r, other_r, ur, wr in zip(roots, (dw if vertical else du).tolist(),
                                   us.tolist(), ws.tolist()):

@@ -204,18 +204,35 @@ class TestPhaseShift:
 # root refinement: lock-step bisection against scalar references
 # ----------------------------------------------------------------------
 
+def _coin(x):
+    """A pseudo-random sign for each float, fixed by its low bits."""
+    bits = np.asarray(x, dtype=float).view(np.uint64)
+    return np.where((bits ^ (bits >> np.uint64(1)) ^ (bits >> np.uint64(3))) & np.uint64(1),
+                    -1.0, 1.0)
+
+
 def _bracket_case(a, width, where, frac, slope, bend):
-    """One bracket [a, b] and a monotone signal through its root r.
+    """One bracket [a, b] and a signal through its root r.
 
     where picks the root: an endpoint (the signal is exactly zero there),
     the first midpoint the bisection visits (exactly zero there too), or
-    an arbitrary interior point.
+    an arbitrary interior point, where the signal is monotone ("inside"),
+    has two more roots in the bracket ("multi"), or has a pseudo-random
+    sign within a thousandth of the bracket of r ("noisy").
     """
     b = a + width
-    r = {"a": a, "b": b, "mid": a + 0.5 * (b - a), "inside": a + frac * (b - a)}[where]
+    if where == "noisy":
+        frac = 0.25 + 0.5 * frac  # the endpoints stay clear of the noise
+    r = {"a": a, "b": b, "mid": a + 0.5 * (b - a)}.get(where, a + frac * (b - a))
 
     def g(x):
         d = x - r
+        if where == "multi":
+            # roots at r and a third of the bracket either side, wrapped into it
+            d = d * (x - (a + (frac + 1.0 / 3.0) % 1.0 * width)) * (
+                x - (a + (frac + 2.0 / 3.0) % 1.0 * width))
+        elif where == "noisy":
+            d = np.where(np.abs(d) < 1e-3 * width, _coin(x) * 1e-30, d)
         return slope * d * (1.0 + bend * d * d)
 
     return a, b, g
@@ -225,7 +242,7 @@ bracket_cases = st.lists(
     st.tuples(
         st.floats(-100.0, 100.0),
         st.floats(1e-6, 10.0),
-        st.sampled_from(["a", "b", "mid", "inside"]),
+        st.sampled_from(["a", "b", "mid", "inside", "multi", "noisy"]),
         st.floats(0.0, 1.0),
         st.sampled_from([-3.0, -1.0, 0.5, 2.0]),
         st.floats(0.0, 2.0),
@@ -255,7 +272,7 @@ class TestBisect:
                          for lo, hi, g in brackets])
         assert got.tobytes() == want.tobytes()
 
-    def test_one_hook_call_per_step(self):
+    def test_predicted_paths_take_one_call(self):
         calls = []
 
         def hook(x):
@@ -264,14 +281,62 @@ class TestBisect:
 
         a, b, rows = [0.0, 0.0, 0.5], [0.5, 1.0, 1.0], [0, 1, 1]
         roots = loci.bisect(hook, a, b, rows, xtol=1e-6)
-        assert np.allclose(roots, [0.3, 0.7, 0.7], atol=1e-6)
-        # both endpoint sets, then one call per halving on the brackets
-        # still live: the widest bracket needs one halving more than the rest
-        steps = [scipy.optimize.bisect(lambda x, r=r: x - (0.3, 0.7)[r], lo, hi,
-                                       xtol=1e-6, full_output=True)[1].iterations
-                 for lo, hi, r in zip(a, b, rows)]
+        runs = [scipy.optimize.bisect(lambda x, r=r: x - (0.3, 0.7)[r], lo, hi,
+                                      xtol=1e-6, full_output=True)
+                for lo, hi, r in zip(a, b, rows)]
+        assert roots.tobytes() == np.array([root for root, _ in runs]).tobytes()
+        steps = [info.iterations for _, info in runs]
         assert steps == [19, 20, 19]
-        assert calls == [3, 3] + [3] * 19 + [1]
+        # both endpoint sets, the predictor's calls on the three brackets,
+        # then every midpoint scipy visits in one call
+        assert calls == [3, 3] + [3] * loci._PREDICT_CALLS + [sum(steps)]
+
+    @pytest.mark.parametrize("case", ["three_roots", "step", "noisy_root", "first_midpoint",
+                                      "endpoint_root", "subnormal_root"])
+    @pytest.mark.parametrize("xtol", [1e-12, 1e-300])
+    def test_adversarial_brackets_match_scipy(self, case, xtol):
+        lo, hi, g = {
+            "three_roots": (0.0, 1.0, lambda x: (x - 0.2) * (x - 0.45) * (x - 0.8)),
+            "step": (-1.0, 2.0, lambda x: np.where(x > 0.3, 1.0, -1.0)),
+            # the sign is pseudo-random within 1e-15 of the root
+            "noisy_root": (0.0, 1.0, lambda x: np.where(np.abs(x - 0.6) < 1e-15,
+                                                        _coin(x), x - 0.6)),
+            "first_midpoint": (0.0, 1.0, lambda x: x - 0.5),
+            "endpoint_root": (0.3, 1.0, lambda x: x - 0.3),
+            "subnormal_root": (0.0, 1e-6, lambda x: -3.0 * (x - 1.1125369292536007e-314)),
+        }[case]
+        try:
+            want = scipy.optimize.bisect(g, lo, hi, xtol=xtol)
+        except RuntimeError:  # no convergence in 100 halvings, as for the subnormal root
+            with pytest.raises(NumericalError):
+                loci.bisect(g, [lo, lo], [hi, hi], [0, 0], xtol=xtol)
+            return
+        got = loci.bisect(g, [lo, lo], [hi, hi], [0, 0], xtol=xtol)
+        assert got.tobytes() == np.array([want, want]).tobytes()
+
+    def test_nan_off_the_visited_path_is_ignored(self):
+        # NaN everywhere but at the endpoints and the midpoints scipy visits,
+        # so every point the predictor tries is NaN
+        visited = set()
+
+        def g(x):
+            visited.add(float(x))
+            return x - 0.3
+
+        want = scipy.optimize.bisect(g, 0.0, 1.0, xtol=1e-9)
+
+        def hook(x):
+            x = np.asarray(x, dtype=float)
+            return np.where(np.isin(x, list(visited)), x - 0.3, np.nan)
+
+        got = loci.bisect(hook, [0.0], [1.0], [0], xtol=1e-9)
+        assert got.tobytes() == np.array([want]).tobytes()
+
+    def test_nan_on_the_visited_path_raises(self):
+        # the sixth midpoint scipy visits for the root 0.3 of [0, 1]
+        x6 = 0.296875
+        with pytest.raises(NumericalError):
+            loci.bisect(lambda x: np.where(x == x6, np.nan, x - 0.3), [0.0], [1.0], [0])
 
     def test_per_bracket_hook(self):
         # with rows None the hook gets the live brackets and returns one value each
@@ -307,6 +372,27 @@ class TestBisect:
         # the midpoints of [-1, 2] never land on 0, and xtol is below reach
         with pytest.raises(NumericalError):
             loci.bisect(lambda x: x, [-1.0], [2.0], [0], xtol=1e-300)
+        # also next to a bracket that converges
+        with pytest.raises(NumericalError):
+            loci.bisect(lambda x: x, [-1.0, 0.5], [2.0, -2.0], [0, 0], xtol=1e-300)
+
+    def test_halvings_off_the_predicted_path_count_toward_the_limit(self):
+        # at this xtol [-1, 2] stops at its 101st halving, one past the limit
+        xtol = 0.75 * 3.0 * 2.0 ** -100
+        visited = set()
+
+        def g(x):
+            visited.add(float(x))
+            return x
+
+        scipy.optimize.bisect(g, -1.0, 2.0, xtol=xtol, maxiter=101)
+        with pytest.raises(RuntimeError):
+            scipy.optimize.bisect(g, -1.0, 2.0, xtol=xtol)
+        # NaN off scipy's path leaves the predictor no estimate, so the
+        # bracket leaves its path at the first midpoint and halves on alone
+        with pytest.raises(NumericalError, match="converge"):
+            loci.bisect(lambda x: np.where(np.isin(x, list(visited)), x, np.nan),
+                        [-1.0], [2.0], [0], xtol=xtol)
 
 
 def _reference_roots(t, vals, fn=None, xtol=1e-12, transversal_only=False):

@@ -267,7 +267,7 @@ class TestTheoremSuite:
 class TestChainAnalysedOnce:
     @pytest.fixture
     def counts(self, monkeypatch):
-        tally = {"planes": 0, "ideality": 0, "bisect_calls": 0, "brackets": 0}
+        tally = {"planes": 0, "ideality": 0, "bisect_calls": 0, "brackets": 0, "hook_calls": 0}
 
         def counting(key, fn):
             def wrapper(*args, **kwargs):
@@ -280,7 +280,7 @@ class TestChainAnalysedOnce:
         def counting_bisect(fn, a, b, *args, **kwargs):
             tally["bisect_calls"] += 1
             tally["brackets"] += np.size(a)
-            return bisect(fn, a, b, *args, **kwargs)
+            return bisect(counting("hook_calls", fn), a, b, *args, **kwargs)
 
         # origin_crossing runs once per plane analysed
         monkeypatch.setattr(taxonomy, "origin_crossing",
@@ -294,13 +294,18 @@ class TestChainAnalysedOnce:
     # and depth-2 planes and the rates of each plane give 15 brackets, of
     # which 3 are counted once only, since plane d's du/dt is plane d+1's u
     EXPECTED = {"planes": 3, "ideality": 1, "bisect_calls": 1, "brackets": 12}
+    # two endpoint calls, the predictor's and one on the predicted paths
+    # (33 when each halving took a call)
+    MAX_HOOK_CALLS = 3 + loci._PREDICT_CALLS
 
     def test_suite_analyses_one_depth_two_chain(self, cubic, counts):
         assert theorem_suite([cubic]).all_passed
+        assert counts.pop("hook_calls") <= self.MAX_HOOK_CALLS
         assert counts == self.EXPECTED
 
     def test_classify_refines_each_root_once(self, cubic, counts):
         classify((-2, -2), cubic)
+        assert counts.pop("hook_calls") <= self.MAX_HOOK_CALLS
         assert counts == self.EXPECTED
 
 

@@ -22,6 +22,10 @@ Covered:
     n = 256 and 4096 on closed-form chains, the diagonal down to (-6,-6),
     and cubic and tanh diagonals at n = 65536 and on numeric chains;
   * ``theorem_suite``, ``phase_shift`` and ``mvt_point``;
+  * ``float.hex`` of every root ``loci.refine_chain`` stores (each plane's
+    abscissa zeros and transversal du/dt and dw/dt zeros, including the
+    ones no report shows) on closed-form chains of the seven curves to
+    depths 0-4 at n = 256 and 4096;
   * in-process CLI runs: ``analyze`` of the seven curves at twelve cells
     on closed-form and numeric chains, every figure, the default and a
     multi-curve ``suite``, a 2x2 ``sweep`` and three failing configs.
@@ -122,6 +126,7 @@ def library() -> None:
                      sha(outcome(memelements.classify, cell, curves[name], grid_n=n,
                                  numeric_chain=numeric)))
 
+    stored_roots(curves, drives)
     emit("theorem_suite/all", sha(outcome(memelements.theorem_suite, list(curves.values()))))
     emit("theorem_suite/drive", sha(outcome(
         memelements.theorem_suite, [curves["cubic"], curves["tanh"]],
@@ -131,6 +136,27 @@ def library() -> None:
              sha(outcome(memelements.loci.phase_shift, curves[name], drives[name])))
         lo, hi = curves[name].operating_range
         emit(f"mvt_point/{name}", sha(outcome(memelements.mvt_point, curves[name], lo, hi)))
+
+
+def stored_roots(curves: dict, drives: dict) -> None:
+    """Every root refine_chain stores, whether a report shows it or not."""
+    for name, curve in curves.items():
+        for n in (256, 4096):
+            for depth in range(5):
+                tag = f"roots/{name}/depth{depth}/n{n}"
+                try:
+                    g = memelements.grid(drives[name], n)
+                    chain = [memelements.analytic_locus(curve, drives[name], d, g)
+                             for d in range(depth + 1)]
+                    memelements.loci.refine_chain(chain)
+                except Exception as err:
+                    emit(tag, f"{type(err).__name__}: {err}")
+                    continue
+                for d, locus in enumerate(chain):
+                    roots = memelements.loci._plane_roots(locus)
+                    for signal in ("abscissa", "du", "dw"):
+                        values = getattr(roots, signal)
+                        emit(f"{tag}/plane{d}/{signal}", " ".join(map(float.hex, values)) or "-")
 
 
 def run_cli(name: str, argv: list[str], outdir: str) -> None:
