@@ -81,9 +81,6 @@ from .transform import (
     locus_to_csv,
     numeric_transform,
     periodic_derivative,
-    project_point,
-    read_locus_csv,
-    write_locus_csv,
 )
 
 __version__ = "0.1.0"
@@ -121,10 +118,7 @@ __all__ = [
     "analytic_locus",
     "numeric_transform",
     "periodic_derivative",
-    "project_point",
     "locus_to_csv",
-    "write_locus_csv",
-    "read_locus_csv",
     # loci
     "PointKind",
     "SpecialPoint",

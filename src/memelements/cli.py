@@ -14,6 +14,8 @@ import itertools
 import json
 import math
 import sys
+from collections.abc import Mapping
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +31,7 @@ from .constitutive import (
 )
 from .errors import ConfigError, MemElementsError
 from .excitation import DEFAULT_GRID_N, Excitation, excite, grid
-from .loci import SpecialPoint, phase_shift
+from .loci import phase_shift
 from .taxonomy import (
     ClassificationReport,
     ElementDescriptor,
@@ -243,115 +245,35 @@ def _grid_n_from(node: dict, path: str) -> int:
 # JSON serialization
 # ----------------------------------------------------------------------
 
-def _point_to_dict(p: SpecialPoint) -> dict:
-    return {
-        "t": p.t,
-        "u": p.u,
-        "w": p.w,
-        "kind": p.kind.value,
-        "chord_angle": p.chord_angle,
-        "tangent_angle": p.tangent_angle,
-    }
+def _plain(obj):
+    """obj as JSON-ready data: dataclasses by their compared fields, enums by value."""
+    if obj is None or isinstance(obj, (str, int, float)):
+        return obj
+    if isinstance(obj, Enum):
+        return obj.value
+    if isinstance(obj, (tuple, list)):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, Mapping):
+        return {k: _plain(v) for k, v in obj.items()}
+    return {f.name: _plain(getattr(obj, f.name))
+            for f in dataclasses.fields(obj) if f.compare}
 
 
 def report_to_dict(rpt: ClassificationReport) -> dict:
-    """JSON-ready dictionary for a classification report."""
-    ide = rpt.ideality
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "package_version": __version__,
-        "kind": "classification_report",
-        "descriptor": {"alpha": rpt.descriptor.alpha, "beta": rpt.descriptor.beta},
-        "element": {
-            "name": rpt.element.name,
-            "in_six_pointed_star": rpt.element.in_six_pointed_star,
-            "constitutive_labels": list(rpt.element.constitutive_labels),
-            "verdict_labels": list(rpt.element.verdict_labels),
-        },
-        "excitation": {
-            "amplitude": rpt.excitation.amplitude,
-            "omega": rpt.excitation.omega,
-            "offset": rpt.excitation.offset,
-            "period": rpt.excitation.period,
-        },
-        "grid_n": rpt.grid_n,
-        "provenance": rpt.provenance,
-        "tolerances": dataclasses.asdict(rpt.tolerances),
-        "ideality": {
-            "ideal": ide.ideal,
-            "single_valued": ide.single_valued,
-            "single_valued_violation_at": ide.single_valued_violation_at,
-            "nonlinear": ide.nonlinear,
-            "max_secant_deviation": ide.max_secant_deviation,
-            "continuously_differentiable": ide.continuously_differentiable,
-            "worst_slope_jump": ide.worst_slope_jump,
-            "worst_slope_jump_at": ide.worst_slope_jump_at,
-            "strictly_monotone": ide.strictly_monotone,
-            "violating_interval": (
-                list(ide.violating_interval) if ide.violating_interval else None
-            ),
-            "zero_derivative_abscissae": list(ide.zero_derivative_abscissae),
-        },
-        "planes": [
-            {
-                "depth": plane.depth,
-                "axis_labels": list(plane.axis_labels),
-                "provenance": plane.provenance,
-                "pinched": plane.pinched,
-                "pinch_points": [_point_to_dict(p) for p in plane.pinch_points],
-                "abscissa_zeros": [_point_to_dict(p) for p in plane.abscissa_zeros],
-                "valuedness": plane.valuedness.value,
-                "max_pair_gap": plane.max_pair_gap,
-                "odd_symmetric": plane.odd_symmetric,
-                "odd_violation": plane.odd_violation,
-                "zero_tangents": [_point_to_dict(p) for p in plane.zero_tangents],
-                "vertical_tangents": [
-                    _point_to_dict(p) for p in plane.vertical_tangents
-                ],
-                "negative_arcs": [
-                    {"t_start": a.t_start, "t_end": a.t_end}
-                    for a in plane.negative_arcs
-                ],
-            }
-            for plane in rpt.planes
-        ],
-        "verdict": rpt.verdict.value,
-        "witnesses": [_point_to_dict(p) for p in rpt.witnesses],
-        "candidate_witness_magnitude": rpt.candidate_witness_magnitude,
-        "degeneration": rpt.degeneration.value,
-        "internal_source": rpt.internal_source.value,
-        "caveats": list(rpt.caveats),
-    }
+    """JSON-ready dictionary for a classification report: its fields plus a header."""
+    out = _plain(rpt)
+    out.update(schema_version=SCHEMA_VERSION, package_version=__version__,
+               kind="classification_report")
+    out["excitation"]["period"] = rpt.excitation.period
+    out["ideality"]["ideal"] = rpt.ideality.ideal
+    return out
 
 
 def suite_to_dict(rep: SuiteReport) -> dict:
-    """JSON-ready dictionary for a theorem-suite report."""
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "package_version": __version__,
-        "kind": "suite_report",
-        "instances": [
-            {
-                "index": inst.index,
-                "label": inst.label,
-                "family": inst.family,
-                "ideal": inst.ideal,
-                "failed_criteria": list(inst.failed_criteria),
-                "checks": {
-                    name: {
-                        "status": res.status.value,
-                        "detail": res.detail,
-                        "data": dict(res.data),
-                    }
-                    for name, res in inst.checks.items()
-                },
-            }
-            for inst in rep.instances
-        ],
-        "aggregate": {k: dict(v) for k, v in rep.aggregate.items()},
-        "counterexamples": list(rep.counterexamples),
-        "all_passed": rep.all_passed,
-    }
+    """JSON-ready dictionary for a theorem-suite report: its fields plus a header."""
+    out = _plain(rep)
+    out.update(schema_version=SCHEMA_VERSION, package_version=__version__, kind="suite_report")
+    return out
 
 
 def _dump_json(obj: dict) -> str:

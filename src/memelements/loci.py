@@ -11,8 +11,10 @@ own signal off the chain's Taylor jet.  A Chandrupatla predictor
 estimates every root, the midpoints scipy.optimize.bisect would visit on
 its way to each estimate are evaluated in one call, and only decisions
 those values confirm are taken, so each bracket lands on exactly the
-root scipy would return for it, in five evaluations where bisection
-takes one per halving.  A bracket two planes share is refined once.
+root scipy would return for it, usually in five evaluations where
+bisection takes one per halving.  A bracket whose signs leave the
+predicted path walks its path again from there, in the next call.  A
+bracket two planes share is refined once.
 Hooks that are plain callables rather than jet views are refined in a
 bisection of their own.  A locus analysed on its own is refined as a
 one-plane chain, with the same roots.
@@ -289,13 +291,15 @@ def bisect(fn, a, b, rows, xtol: float = 1e-12) -> np.ndarray:
     bracket (rtol = 4 eps, at most 100 halvings, signs compared without
     multiplying), bit for bit, from a handful of fn calls.  After one
     call per endpoint set, _PREDICT_CALLS calls estimate each root
-    (_predict), and one call evaluates, for every bracket, the midpoints
-    scipy would visit if each sign fell on the estimate's side.  A
-    bracket whose signs all fall as predicted is done.  Otherwise the
-    first midpoint off the prediction, or an exact zero, is still one
-    scipy visits, so its value's own decision is taken there, and the
-    bracket goes on halving with one call per step for all such brackets.
-    Every decision is thus read off fn at a point scipy visits.
+    (_predict).  Then each call evaluates, for every live bracket, the
+    midpoints scipy would visit from its current state if each sign fell
+    on the estimate's side.  A bracket whose signs all fall as predicted
+    is done.  Otherwise the first midpoint off the prediction, or an
+    exact zero, is still one scipy visits, so its value's own decision is
+    taken there, and the next call walks the bracket's path again from
+    that point with the same estimate.  Every call takes at least one
+    decision per bracket, and every decision is read off fn at a point
+    scipy visits.
 
     fn is an evaluation hook; component rows[j] of fn(x) is the signal of
     bracket j.  With rows None, fn(x, live) gets, for each point, the
@@ -312,16 +316,13 @@ def bisect(fn, a, b, rows, xtol: float = 1e-12) -> np.ndarray:
             return np.atleast_2d(np.asarray(hook(x), dtype=float))[rows[live],
                                                                     np.arange(len(live))]
 
-    def f(x, live):
-        out = np.asarray(fn(x, live), dtype=float)
-        if np.isnan(out).any():
-            raise NumericalError("root refinement hook returned NaN")
-        return out
-
     a = np.array(a, dtype=float)
     b = np.asarray(b, dtype=float)
     every = np.arange(len(a))
-    fa, fb = f(a, every), f(b, every)
+    fa = np.asarray(fn(a, every), dtype=float)
+    fb = np.asarray(fn(b, every), dtype=float)
+    if np.isnan(fa).any() or np.isnan(fb).any():
+        raise NumericalError("root refinement hook returned NaN")
     # signs are compared, not products, which underflow for tiny values
     live = np.flatnonzero((fa != 0.0) & (fb != 0.0))
     negative = np.signbit(fa)
@@ -330,44 +331,33 @@ def bisect(fn, a, b, rows, xtol: float = 1e-12) -> np.ndarray:
     root = np.where(fa == 0.0, a, b)
     dm = b - a
     spent = np.zeros(len(a), dtype=int)  # halvings made
+    guess = np.full(len(a), np.nan)
     if live.size:
-        guess = _predict(fn, a, b, fa, fb, live)
-        xm, start, half, stop, steps = _path(a[live], dm[live], guess, xtol)
-        steps[np.isnan(guess)] = 1  # no estimate: evaluate the first midpoint alone
+        guess[live] = _predict(fn, a, b, fa, fb, live)
+    while live.size:
+        xm, start, half, stop, steps = _path(a[live], dm[live], guess[live], xtol)
+        steps = np.minimum(steps, _BISECT_MAXITER - spent[live])
         on = np.arange(len(xm))[:, None] < steps
         fm = np.full(xm.shape, np.nan)
         fm[on] = fn(xm[on], np.broadcast_to(live, xm.shape)[on])
         # a step checks out when its sign falls as predicted and it is no zero (or NaN)
-        ok = (np.signbit(fm) == negative[live]) == ((xm < guess) == (dm[live] > 0.0))
+        ok = (np.signbit(fm) == negative[live]) == ((xm < guess[live]) == (dm[live] > 0.0))
         ok &= np.abs(fm) > 0.0
-        ok[0, np.isnan(guess)] = False
-        checked = np.logical_and.accumulate(ok).sum(0)
-        held = checked == steps
         # the step whose value decides: the path's last, or its first unchecked one
-        k, col = np.minimum(checked, steps - 1), np.arange(live.size)
+        k = np.minimum(np.logical_and.accumulate(ok).sum(0), steps - 1)
+        col = np.arange(live.size)
         x, fx = xm[k, col], fm[k, col]
-        if np.isnan(fx[~held]).any():
+        if np.isnan(fx).any():
             raise NumericalError("root refinement hook returned NaN")
-        if not stop[k, col][held].all():
-            raise NumericalError(f"bisection did not converge in {_BISECT_MAXITER} steps")
-        done = held | (fx == 0.0) | stop[k, col]
+        done = (fx == 0.0) | stop[k, col]
         root[live[done]] = x[done]
         a[live] = np.where(np.signbit(fx) == negative[live], x,
                            np.where(k > 0, start[k - 1, col], a[live]))
         dm[live] = half[k, col]
-        spent[live] = k + 1
+        spent[live] += k + 1
         live = live[~done]
-    while live.size:
         if np.any(spent[live] == _BISECT_MAXITER):
             raise NumericalError(f"bisection did not converge in {_BISECT_MAXITER} steps")
-        spent[live] += 1
-        dm[live] *= 0.5
-        xm = a[live] + dm[live]
-        fm = f(xm, live)
-        a[live] = np.where(np.signbit(fm) == negative[live], xm, a[live])
-        done = (fm == 0.0) | (np.abs(dm[live]) < xtol + _BISECT_RTOL * np.abs(xm))
-        root[live[done]] = xm[done]
-        live = live[~done]
     return root
 
 

@@ -35,7 +35,7 @@ import numpy as np
 
 from .constitutive import OUTGOING, RETURNING, ConstitutiveCurve
 from .errors import CapabilityError, DomainError, NumericalError
-from .excitation import Excitation, SampleGrid, _levels, excite, grid
+from .excitation import Excitation, SampleGrid, _levels, grid
 
 __all__ = [
     "ParametricLocus",
@@ -43,11 +43,8 @@ __all__ = [
     "analytic_locus",
     "numeric_transform",
     "periodic_derivative",
-    "project_point",
     "columns_to_csv",
     "locus_to_csv",
-    "write_locus_csv",
-    "read_locus_csv",
 ]
 
 def default_labels(depth: int) -> tuple[str, str]:
@@ -292,43 +289,6 @@ def numeric_transform(
     )
 
 
-def project_point(
-    curve: ConstitutiveCurve,
-    exc: Excitation,
-    t0: float,
-    depth: int,
-    pinch_tol: float = 1e-9,
-):
-    """Image of the time-t0 point in the depth-k plane, as a SpecialPoint.
-
-    Points landing on the origin are tagged as pinch points and carry no
-    chord angle.  Elsewhere the chord angle from the origin is recorded,
-    and (for depth >= 1) the tangent direction of the source locus at the
-    pre-image, which the conformal property makes equal to the chord.
-    """
-    from .loci import PointKind, SpecialPoint
-
-    depth = int(depth)
-    u = float(excite(exc, t0, depth))
-    w = float(chain_ordinate(curve, exc, t0, depth))
-    scale = max(1.0, exc.amplitude * exc.omega ** depth)
-    if max(abs(u), abs(w)) <= pinch_tol * scale:
-        return SpecialPoint(t=float(t0), u=u, w=w, kind=PointKind.PINCH)
-    chord = float(np.arctan2(w, u))
-    tangent = None
-    if depth >= 1:
-        # principal direction in (-pi/2, pi/2]; equals chord modulo pi
-        tangent = chord
-        if tangent <= -0.5 * np.pi:
-            tangent += np.pi
-        elif tangent > 0.5 * np.pi:
-            tangent -= np.pi
-    return SpecialPoint(
-        t=float(t0), u=u, w=w, kind=PointKind.PROJECTED,
-        chord_angle=chord, tangent_angle=tangent,
-    )
-
-
 # ----------------------------------------------------------------------
 # serialization
 # ----------------------------------------------------------------------
@@ -342,16 +302,3 @@ def columns_to_csv(header: str, *columns) -> str:
 def locus_to_csv(locus: ParametricLocus) -> str:
     """CSV text with header t,u,w; full float precision, round-trip exact."""
     return columns_to_csv("t,u,w", locus.t_values, locus.u_values, locus.w_values)
-
-
-def write_locus_csv(locus: ParametricLocus, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(locus_to_csv(locus))
-
-
-def read_locus_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read a t,u,w CSV back into arrays (inverse of write_locus_csv)."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if data.shape[1] != 3:
-        raise NumericalError(f"expected 3 CSV columns, got {data.shape[1]}")
-    return data[:, 0], data[:, 1], data[:, 2]

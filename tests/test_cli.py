@@ -41,6 +41,9 @@ def write_config(tmp_path, payload, name="config.json"):
     return str(path)
 
 
+# a flat run and a kink: not monotone, not continuously differentiable
+FLAT_SPEC = {"family": "piecewise_linear", "params": {"knots": [[0, 0], [0.1, 0], [2, 2]]}}
+
 MEMRISTOR_CFG = {
     "descriptor": {"alpha": -1, "beta": -1},
     "curve": {
@@ -155,13 +158,38 @@ class TestAnalyzeCommand:
         assert report["witnesses"]
         assert all(abs(abs(p["w"]) - 32.0) <= 1e-9 for p in report["witnesses"])
 
-    def test_report_dict_matches_library_call(self, cubic):
+    def test_report_dict_matches_library_call(self, cubic, loop_curve):
         rpt = classify((-2, -2), cubic)
         payload = report_to_dict(rpt)
         assert payload["verdict"] == "locally_active"
         assert payload["degeneration"] == "negative_nonlinear_resistor"
         assert payload["grid_n"] == DEFAULT_GRID_N
         assert len(payload["planes"]) == 3
+        # each report fills in a part of the schema that the others leave empty
+        reports = {
+            "memristor": rpt,
+            "flat": classify((-1, -1), curve_from_spec(FLAT_SPEC)),
+            "loop": classify((-2, -2), loop_curve),
+            "inconclusive": classify((-2, -2), cubic, Excitation(amplitude=1e-3)),
+            "numeric": classify((-2, -2), cubic, numeric_chain=True),
+            "cell00": classify((0, 0), cubic),
+        }
+        schema = load_schema("classification_report.schema.json")
+        payloads = {}
+        for name, rpt in reports.items():
+            payloads[name] = payload = report_to_dict(rpt)
+            jsonschema.validate(payload, schema)
+            assert payload["verdict"] == rpt.verdict.value
+            assert payload["excitation"]["period"] == rpt.excitation.period
+            assert payload["ideality"]["ideal"] is rpt.ideality.ideal
+            assert len(payload["witnesses"]) == len(rpt.witnesses)
+        assert payloads["flat"]["ideality"]["violating_interval"] == list(
+            reports["flat"].ideality.violating_interval)
+        assert payloads["flat"]["caveats"]
+        assert payloads["loop"]["witnesses"]
+        assert payloads["inconclusive"]["candidate_witness_magnitude"] > 0.0
+        assert payloads["numeric"]["provenance"] == "numeric"
+        assert len(payloads["cell00"]["planes"]) == 1
 
     def test_format_subset(self, tmp_path):
         cfg = write_config(tmp_path, MEMRISTOR_CFG)
@@ -301,6 +329,15 @@ class TestSuiteCommand:
         payload = suite_to_dict(theorem_suite([cubic]))
         assert payload["kind"] == "suite_report"
         assert payload["all_passed"] is True
+        # a non-ideal curve and a first-order-only curve skip checks
+        first_order = PolynomialCurve(coefficients=(0.0, 1.0, 0.0, 1.0 / 3.0),
+                                      max_derivative_order=1)
+        payload = suite_to_dict(theorem_suite([cubic, curve_from_spec(FLAT_SPEC), first_order]))
+        jsonschema.validate(payload, load_schema("suite_report.schema.json"))
+        assert [inst["ideal"] for inst in payload["instances"]] == [True, False, True]
+        skipped = [[c["status"] == "skipped" for c in inst["checks"].values()]
+                   for inst in payload["instances"]]
+        assert not any(skipped[0]) and all(skipped[1]) and any(skipped[2])
 
 
 class TestSweepCommand:

@@ -291,8 +291,24 @@ class TestBisect:
         # then every midpoint scipy visits in one call
         assert calls == [3, 3] + [3] * loci._PREDICT_CALLS + [sum(steps)]
 
+    def test_mispredicted_path_is_walked_again(self):
+        # the predictor's estimate misses a step's jump, so each predicted
+        # path leaves scipy's after a few midpoints; every call re-walks the
+        # rest from where it left, and still takes at least one decision
+        calls = []
+
+        def hook(x):
+            calls.append(np.size(x))
+            return np.where(x < 0.3, -1.0, 1.0)
+
+        got = loci.bisect(hook, [0.0], [1.0], [0])
+        want = scipy.optimize.bisect(lambda x: np.where(x < 0.3, -1.0, 1.0), 0.0, 1.0,
+                                     xtol=1e-12)
+        assert got.tobytes() == np.array([want]).tobytes()
+        assert len(calls) <= 30
+
     @pytest.mark.parametrize("case", ["three_roots", "step", "noisy_root", "first_midpoint",
-                                      "endpoint_root", "subnormal_root"])
+                                      "endpoint_root", "subnormal_root", "noisy_zero"])
     @pytest.mark.parametrize("xtol", [1e-12, 1e-300])
     def test_adversarial_brackets_match_scipy(self, case, xtol):
         lo, hi, g = {
@@ -304,6 +320,9 @@ class TestBisect:
             "first_midpoint": (0.0, 1.0, lambda x: x - 0.5),
             "endpoint_root": (0.3, 1.0, lambda x: x - 0.3),
             "subnormal_root": (0.0, 1e-6, lambda x: -3.0 * (x - 1.1125369292536007e-314)),
+            # noise near a root at 0, where the relative stop term vanishes:
+            # paths re-walked after each miss must still stop at 100 halvings
+            "noisy_zero": (-1.0, 2.0, lambda x: np.where(np.abs(x) < 1e-20, _coin(x), x)),
         }[case]
         try:
             want = scipy.optimize.bisect(g, lo, hi, xtol=xtol)
@@ -388,8 +407,8 @@ class TestBisect:
         scipy.optimize.bisect(g, -1.0, 2.0, xtol=xtol, maxiter=101)
         with pytest.raises(RuntimeError):
             scipy.optimize.bisect(g, -1.0, 2.0, xtol=xtol)
-        # NaN off scipy's path leaves the predictor no estimate, so the
-        # bracket leaves its path at the first midpoint and halves on alone
+        # NaN off scipy's path leaves the predictor no estimate, so every
+        # predicted path is wrong in one direction and each call decides few steps
         with pytest.raises(NumericalError, match="converge"):
             loci.bisect(lambda x: np.where(np.isin(x, list(visited)), x, np.nan),
                         [-1.0], [2.0], [0], xtol=xtol)

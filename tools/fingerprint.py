@@ -17,7 +17,7 @@ a minute on two cores.
 
 Covered:
   * ``classify`` reports of classify-distinct ops 0-119 for seeds 7, 13
-    and 90210;
+    and 90210, and the report.json text the CLI would write for each;
   * ``classify`` reports of seven curves over cells (0,0)..(-4,-4) at
     n = 256 and 4096 on closed-form chains, the diagonal down to (-6,-6),
     and cubic and tanh diagonals at n = 65536 and on numeric chains;
@@ -107,7 +107,14 @@ def library() -> None:
     for seed in SEEDS:
         work = ClassifyDistinct(seed, Path(tempfile.mkdtemp()))
         for i in range(OPS):
-            emit(f"classify-distinct/{seed}/{i}", sha(outcome(work.run, work.op(i))))
+            tag = f"classify-distinct/{seed}/{i}"
+            try:
+                rpt = work.run(work.op(i))
+            except Exception as err:  # a failure is a fingerprint too
+                emit(tag, sha(f"{type(err).__name__}: {err}"))
+                continue
+            emit(tag, sha(repr(rpt)))
+            emit(f"{tag}/json", sha(cli._dump_json(cli.report_to_dict(rpt))))
         shutil.rmtree(work.workdir)
 
     curves = {name: cli.curve_from_spec(spec) for name, spec in SPECS.items()}
