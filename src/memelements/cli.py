@@ -768,6 +768,10 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
         values = _require(axis, "values", f"config.axes[{i}]")
         if not isinstance(values, list) or not values:
             raise ConfigError(f"config.axes[{i}].values must be a non-empty array")
+        for j, value in enumerate(values):
+            # the CSV writes each value as a float
+            if not isinstance(value, (int, float)):
+                raise ConfigError(f"config.axes[{i}].values[{j}] must be a number")
         targets.append(str(target))
         grids.append(values)
 
@@ -791,7 +795,7 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
                 curve_from_spec(trial["curve"]),
                 excitation_from_spec(trial.get("excitation")),
                 tolerances=tolerances_from_spec(trial.get("tolerances"), numeric),
-                grid_n=int(trial.get("grid_n", DEFAULT_GRID_N)),
+                grid_n=_grid_n_from(trial, "config"),
                 numeric_chain=numeric,
             )
         except ConfigError:

@@ -502,6 +502,14 @@ def _branches(curve: ConstitutiveCurve) -> tuple[ConstitutiveCurve, ...]:
     return (curve,)
 
 
+def _first_run(xs: np.ndarray, mask: np.ndarray) -> tuple[float, float]:
+    """First and last abscissa of the first run of True samples in mask."""
+    start = end = int(np.argmax(mask))
+    while end + 1 < len(xs) and mask[end + 1]:
+        end += 1
+    return float(xs[start]), float(xs[end])
+
+
 def check_ideality(
     curve: ConstitutiveCurve,
     tolerances: ToleranceSet | None = None,
@@ -568,24 +576,15 @@ def check_ideality(
         d1 = sub.derivative(xs, 1)
         if np.any(d1 < -tol.slope_tol):
             monotone = False
-            bad = d1 < -tol.slope_tol
-            start = int(np.argmax(bad))
-            end = start
-            while end + 1 < len(xs) and bad[end + 1]:
-                end += 1
             if violating is None:
-                violating = (float(xs[start]), float(xs[end]))
+                violating = _first_run(xs, d1 < -tol.slope_tol)
             continue
         flat = d1 <= tol.slope_tol
         n_flat = int(np.count_nonzero(flat))
         if n_flat > max(1, 0.01 * samples):
             monotone = False
-            start = int(np.argmax(flat))
-            end = start
-            while end + 1 < len(xs) and flat[end + 1]:
-                end += 1
             if violating is None:
-                violating = (float(xs[start]), float(xs[end]))
+                violating = _first_run(xs, flat)
         else:
             flats.extend(float(x) for x in xs[flat])
 

@@ -4,8 +4,8 @@ Everything here consumes a ParametricLocus and reports geometry with
 numerical witnesses: origin crossings, tangent landmarks, symmetry,
 valuedness, negative-slope arcs, and the ordinate/abscissa phase lag.
 Roots are located by sign-change scans over the sample grid and, when
-the locus has evaluation hooks, refined by one lock-step bisection per
-locus chain: refine_chain scans every plane's abscissa and coordinate
+the locus has a jet, refined by one lock-step bisection per locus
+chain: refine_chain scans every plane's abscissa and coordinate
 rates, and bisect refines all the brackets together, each reading its
 own signal off the chain's Taylor jet.  A Chandrupatla predictor
 estimates every root, the midpoints scipy.optimize.bisect would visit on
@@ -14,10 +14,9 @@ those values confirm are taken, so each bracket lands on exactly the
 root scipy would return for it, usually in five evaluations where
 bisection takes one per halving.  A bracket whose signs leave the
 predicted path walks its path again from there, in the next call.  A
-bracket two planes share is refined once.
-Hooks that are plain callables rather than jet views are refined in a
-bisection of their own.  A locus analysed on its own is refined as a
-one-plane chain, with the same roots.
+bracket two planes share is refined once.  A locus analysed on its own
+is refined as a one-plane chain, with the same roots; phase_shift reads
+its peaks off such a chain too.
 """
 
 from __future__ import annotations
@@ -29,9 +28,8 @@ import numpy as np
 
 from .constitutive import ConstitutiveCurve
 from .errors import CapabilityError, NumericalError
-from .excitation import Excitation, excite
-from .transform import (JetHook, ParametricLocus, chain_ordinate, jet_signals,
-                        periodic_derivative)
+from .excitation import Excitation, grid
+from .transform import ParametricLocus, analytic_locus, jet_signals, periodic_derivative
 
 __all__ = [
     "PointKind",
@@ -204,21 +202,17 @@ def _rates_at(locus: ParametricLocus, t: np.ndarray,
 
 def _coordinates_and_rates(locus: ParametricLocus, t: np.ndarray,
                            arrays: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, ...]:
-    """u, w, du/dt and dw/dt at times t, in one evaluation when the hooks share a source.
+    """u, w, du/dt and dw/dt at times t, in one jet evaluation when the locus has a rate hook.
 
-    The value and rate hooks of an analytic locus read one curve and
-    drive's jet, which gives depth d and d + 1 at once; the values are
-    those of the two hooks called apart, since a jet's rows do not depend
-    on its top order.
+    One jet gives depths d and d + 1 at once; the values are those of the
+    two hooks called apart, since a jet's rows do not depend on its top
+    order.
     """
-    hooks = (locus.value_fn, locus.derivative_fn)
-    if t.size and None not in hooks:
-        (source, evaluate, depth), (other, _, rate_depth) = map(_source, hooks)
-        if source == other:
-            n = t.size
-            depths = np.repeat([depth, depth, rate_depth, rate_depth], n)
-            return tuple(evaluate(np.tile(t, 4), depths, np.tile(np.repeat([0, 1], n), 2))
-                         .reshape(4, n))
+    if t.size and locus.derivative_fn is not None:
+        n, d = t.size, locus.depth
+        depths = np.repeat([d, d, d + 1, d + 1], n)
+        ordinate = np.tile(np.repeat([False, True], n), 2)
+        return tuple(jet_signals(*locus.jet, np.tile(t, 4), depths, ordinate).reshape(4, n))
     return (*point_at(locus, t), *_rates_at(locus, t, arrays))
 
 
@@ -284,7 +278,7 @@ def _path(a, dm, guess, xtol):
     return xm, start, half, stop, np.where(stop.any(0), stop.argmax(0) + 1, steps)
 
 
-def bisect(fn, a, b, rows, xtol: float = 1e-12) -> np.ndarray:
+def bisect(fn, a, b, xtol: float = 1e-12) -> np.ndarray:
     """Refine every bracket [a[j], b[j]] of a sign change at once.
 
     Every root is the one scipy.optimize.bisect returns for the same
@@ -301,21 +295,12 @@ def bisect(fn, a, b, rows, xtol: float = 1e-12) -> np.ndarray:
     decision per bracket, and every decision is read off fn at a point
     scipy visits.
 
-    fn is an evaluation hook; component rows[j] of fn(x) is the signal of
-    bracket j.  With rows None, fn(x, live) gets, for each point, the
-    index of its bracket, and returns one value per point from that
-    bracket's own signal; each call's indices are among the last call's.
-    Raises NumericalError when a bracket holds no sign change, fn
-    returns NaN at an endpoint or at a midpoint scipy visits, or a
-    bracket does not converge.
+    fn(x, live) gets, for each point, the index of its bracket, and
+    returns one value per point from that bracket's own signal; each
+    call's indices are among the last call's.  Raises NumericalError
+    when a bracket holds no sign change, fn returns NaN at an endpoint or
+    at a midpoint scipy visits, or a bracket does not converge.
     """
-    if rows is not None:
-        rows, hook = np.asarray(rows, dtype=int), fn
-
-        def fn(x, live):
-            return np.atleast_2d(np.asarray(hook(x), dtype=float))[rows[live],
-                                                                    np.arange(len(live))]
-
     a = np.array(a, dtype=float)
     b = np.asarray(b, dtype=float)
     every = np.arange(len(a))
@@ -413,28 +398,6 @@ def _signal_roots(t: np.ndarray, row: np.ndarray, crossings: np.ndarray, xtol: f
     return _dedupe(crossings.tolist() + t[mid].tolist(), max(10.0 * xtol, 1e-12))
 
 
-def _refined_roots(t: np.ndarray, vals: np.ndarray, fn=None, xtol: float = 1e-12,
-                   transversal_only: bool = False) -> list[list[float]]:
-    """Roots of each row of a sampled signal: sign-change scan plus bisection via fn.
-
-    vals is one signal or a stack of them; row r of vals is component r
-    of fn's output, and all rows are refined in one bisect call.  Zero
-    runs and transversal_only are as in _signal_roots.  Without fn, roots
-    between samples fall back to linear interpolation in the bracket.
-    """
-    t = np.asarray(t, dtype=float)
-    vals = np.atleast_2d(np.asarray(vals, dtype=float))
-    rows, left = _scan(vals)
-    if fn is None:
-        crossings = _interpolated(t, vals, rows, left)
-    elif rows.size:
-        crossings = bisect(fn, t[left], t[left + 1], rows, xtol=xtol)
-    else:
-        crossings = t[left]  # no brackets, so no hook calls
-    return [_signal_roots(t, row, crossings[rows == r], xtol, transversal_only)
-            for r, row in enumerate(vals)]
-
-
 @dataclass(frozen=True)
 class _PlaneRoots:
     """One plane's abscissa roots, its coordinate rates and their transversal roots."""
@@ -445,78 +408,53 @@ class _PlaneRoots:
     dw: list[float]
 
 
-def _source(hook):
-    """(source key, evaluator, depth) of a hook.
-
-    Hooks reading one curve and drive's jet share a source, whose
-    evaluator takes each element's depth and component; any other hook is
-    a source of its own.
-    """
-    if isinstance(hook, JetHook):
-        curve, exc = hook.curve, hook.exc
-
-        def jet(t, depth, comp):
-            return jet_signals(curve, exc, t, depth, comp == 1)
-        return (id(curve), id(exc)), jet, hook.depth
-
-    def own(t, depth, comp):
-        return np.atleast_2d(np.asarray(hook(t), dtype=float))[comp, np.arange(t.size)]
-    return id(hook), own, 0
-
-
 def refine_chain(chain) -> None:
-    """Refine every root the analyses of a locus chain need, one bisect call per source.
+    """Refine every root the analyses of a locus chain need, in one bisect call.
 
     Each plane's abscissa u (for origin_crossing) and coordinate rates
     du/dt and dw/dt (for rate_landmarks) are scanned for sign changes, and
-    the brackets of each hook source are refined in one lock-step
-    bisection, one evaluation per step for all of them; the hooks of an
-    analytic chain all read one jet, so its brackets take one call.
-    chain[d + 1] is taken to be the transform of chain[d] on the same
-    grid, so its samples serve as plane d's rates when both come from the
-    same kind of evaluation (hooks, or finite differences).  A bracket two
-    planes share, such as plane d's du/dt and plane d + 1's u, is refined
-    once.  The roots are stored on each locus, where origin_crossing and
-    rate_landmarks read them.
+    every bracket a hook covers is refined in one lock-step bisection
+    through jet_signals, one evaluation per step for all of them; brackets
+    of signals without a hook keep their linear-interpolation root.  The
+    loci of a chain are taken to share one jet, and chain[d + 1] to be the
+    transform of chain[d] on the same grid, so its samples serve as plane
+    d's rates when both come from the same kind of evaluation (hooks, or
+    finite differences).  A bracket two planes share, such as plane d's
+    du/dt and plane d + 1's u, is refined once.  The roots are stored on
+    each locus, where origin_crossing and rate_landmarks read them.
     """
     xtol = 1e-12
     scans = []
-    groups = {}  # source key -> (evaluator, {(depth, component, a, b): slot})
-
-    def slot(hook, comp, lo, hi):
-        """(source key, slot) of the bracket [lo, hi] of component comp of hook."""
-        source, evaluate, depth = _source(hook)
-        keys = groups.setdefault(source, (evaluate, {}))[1]
-        return source, keys.setdefault((depth, comp, lo, hi), len(keys))
-
+    keys = {}  # (depth, is ordinate, a, b) -> index of the bracket in the bisect call
     for d, locus in enumerate(chain):
         after = chain[d + 1] if d + 1 < len(chain) else None
-        if after is not None and (locus.derivative_fn is None) == (after.value_fn is None):
+        if after is not None and (locus.derivative_fn is None) == (after.jet is None):
             rates = (after.u_values, after.w_values)
         else:
             rates = _derivative_arrays(locus)
         t = locus.t_values
         vals = np.stack((locus.u_values, *rates))
         rows, left = _scan(vals)
-        # rows 0, 1, 2 are component 0 of value_fn and components 0, 1 of derivative_fn
-        hooks = (locus.value_fn, locus.derivative_fn)
-        slots = [None if hooks[min(r, 1)] is None
-                 else slot(hooks[min(r, 1)], int(r == 2), t[i], t[i + 1])
+        # rows 0, 1, 2 are the abscissa at depth k and the abscissa and
+        # ordinate at depth k + 1, read off the value and rate hooks
+        hooked = (locus.jet is not None, locus.derivative_fn is not None)
+        slots = [keys.setdefault((locus.depth + min(r, 1), r == 2, t[i], t[i + 1]),
+                                 len(keys)) if hooked[min(r, 1)] else None
                  for r, i in zip(rows.tolist(), left.tolist())]
         scans.append((locus, rates, vals, rows, left, slots))
 
-    roots = {}
-    for source, (evaluate, keys) in groups.items():
-        depth, comp, a, b = (np.array(col) for col in zip(*keys))
-        roots[source] = bisect(lambda x, live: evaluate(x, depth[live], comp[live]),
-                               a, b, None, xtol=xtol)
+    if keys:
+        curve, exc = next(locus.jet for locus in chain if locus.jet is not None)
+        depth, ordinate, a, b = (np.array(col) for col in zip(*keys))
+        roots = bisect(lambda x, live: jet_signals(curve, exc, x, depth[live], ordinate[live]),
+                       a, b, xtol=xtol)
 
     for locus, rates, vals, rows, left, slots in scans:
         t = locus.t_values
         crossings = _interpolated(t, vals, rows, left)
         for j, at in enumerate(slots):
             if at is not None:
-                crossings[j] = roots[at[0]][at[1]]
+                crossings[j] = roots[at]
         abscissa, du, dw = (
             _signal_roots(t, row, crossings[rows == r], xtol, transversal_only=r > 0)
             for r, row in enumerate(vals))
@@ -737,23 +675,20 @@ def phase_shift(curve: ConstitutiveCurve, exc: Excitation,
                 phase_tol: float = 1e-6) -> PhaseReport:
     """Timing of the first depth-1 ordinate peak against the drive-rate peak.
 
-    Peaks are maxima: roots of the second chain derivative crossed from
-    positive to negative, located on the outgoing half-period.  Requires
-    second derivatives of the curve.
+    Peaks are maxima: transversal roots of the depth-1 locus's rates
+    dw/dt and du/dt crossed from positive to negative, located on the
+    outgoing half-period.  The roots are the ones refine_chain finds for
+    that locus on an 8192-interval grid, whose first half is a
+    4096-interval grid of the outgoing half-period.  Requires second
+    derivatives of the curve.
     """
     if curve.max_derivative_order < 2:
         raise CapabilityError("phase analysis needs curve second derivatives")
 
-    T = exc.period
-
-    def rate_w(t):
-        return chain_ordinate(curve, exc, t, 2)
-
-    def rate_u(t):
-        return excite(exc, t, 2)
-
-    t_w = _first_maximum(rate_w, T)
-    t_u = _first_maximum(rate_u, T)
+    locus = analytic_locus(curve, exc, 1, grid(exc, 8192))
+    roots = _plane_roots(locus)
+    t_w = _first_maximum(locus, roots.dw, 1)
+    t_u = _first_maximum(locus, roots.du, 0)
     shift = t_w - t_u
     if shift > phase_tol:
         cls = PhaseClass.LAG
@@ -766,14 +701,13 @@ def phase_shift(curve: ConstitutiveCurve, exc: Excitation,
     )
 
 
-def _first_maximum(rate_fn, T: float) -> float:
-    """First time in (0, T/2) where rate_fn crosses from + to -."""
-    ts = np.linspace(0.0, 0.5 * T, 4097)
-    vals = np.asarray(rate_fn(ts))
-    probe = min(1e-7 * T, 0.25 * (ts[1] - ts[0]))
-    for r in _refined_roots(ts, vals, rate_fn)[0]:
-        if not (0.0 < r < 0.5 * T):
-            continue
-        if rate_fn(max(r - probe, 0.0)) > 0.0 > rate_fn(min(r + probe, 0.5 * T)):
+def _first_maximum(locus: ParametricLocus, roots: list[float], component: int) -> float:
+    """First root in (0, T/2) where the locus's rate component crosses from + to -."""
+    half = 0.5 * locus.period
+    probe = min(1e-7 * locus.period, 0.25 * locus.spacing)
+    rate = locus.derivative_fn
+    for r in roots:
+        if 0.0 < r < half and (rate(max(r - probe, 0.0))[component] > 0.0
+                               > rate(min(r + probe, half))[component]):
             return float(r)
     raise NumericalError("no ordinate maximum found on the outgoing half-period")

@@ -20,16 +20,17 @@ with the partial Bell polynomials built by the recursion
 Every coordinate is read off one Taylor jet of the curve and drive at the
 times asked for: the drive levels x, x', ... from one cos and one sin,
 the curve derivatives after one range check, and the Bell rows built
-once.  chain_ordinate, the locus hooks and the chain-wide root
-refinement in loci all evaluate through it.  The depth a chain may reach
-is the curve's max_derivative_order.
+once.  An analytic locus names its (curve, drive) pair as its jet, and
+its hooks are views of that pair at depths k and k + 1, so both always
+read the same jet.  chain_ordinate, the locus hooks and the chain-wide
+root refinement in loci all evaluate through it.  The depth a chain may
+reach is the curve's max_derivative_order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import comb
-from typing import Callable
 
 import numpy as np
 
@@ -59,10 +60,12 @@ def default_labels(depth: int) -> tuple[str, str]:
 class ParametricLocus:
     """One closed locus (u(t), w(t)) sampled over a drive period.
 
-    value_fn and derivative_fn, when present, evaluate exact coordinates
-    and exact coordinate rates at arbitrary times; analyses use them to
-    refine roots far below the grid resolution.  Finite-difference loci
-    carry no hooks and are analysed at grid accuracy instead.
+    jet, on an analytic locus, is the (curve, drive) pair whose depth-k
+    transform the locus is.  The hooks value_fn and derivative_fn read
+    exact coordinates and exact coordinate rates off that pair's Taylor
+    jet at arbitrary times; analyses use them to refine roots far below
+    the grid resolution.  Finite-difference loci carry no jet and are
+    analysed at grid accuracy instead.
     """
 
     t_values: np.ndarray
@@ -71,8 +74,7 @@ class ParametricLocus:
     depth: int
     axis_labels: tuple[str, str]
     provenance: str = "analytic"
-    value_fn: Callable | None = field(default=None, repr=False)
-    derivative_fn: Callable | None = field(default=None, repr=False)
+    jet: tuple[ConstitutiveCurve, Excitation] | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         t = np.asarray(self.t_values, dtype=float)
@@ -88,11 +90,29 @@ class ParametricLocus:
             raise DomainError(f"unknown provenance {self.provenance!r}")
         if self.depth < 0:
             raise DomainError("depth must be non-negative")
+        if self.jet is not None and not (
+                isinstance(self.jet, tuple) and len(self.jet) == 2
+                and isinstance(self.jet[0], ConstitutiveCurve)
+                and isinstance(self.jet[1], Excitation)
+                and self.depth <= self.jet[0].max_derivative_order):
+            raise DomainError("jet must be a (curve, drive) pair whose curve reaches the depth")
         for name, arr in (("t_values", t), ("u_values", u), ("w_values", w)):
             arr = arr.copy()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "axis_labels", tuple(self.axis_labels))
+
+    @property
+    def value_fn(self) -> JetHook | None:
+        """Exact (u, w) at arbitrary times; None without a jet."""
+        return None if self.jet is None else JetHook(*self.jet, self.depth)
+
+    @property
+    def derivative_fn(self) -> JetHook | None:
+        """Exact (du/dt, dw/dt) at arbitrary times; None without a jet or at the order cap."""
+        if self.jet is None or self.depth >= self.jet[0].max_derivative_order:
+            return None
+        return JetHook(*self.jet, self.depth + 1)
 
     @property
     def period(self) -> float:
@@ -229,8 +249,9 @@ def analytic_locus(
 ) -> ParametricLocus:
     """Depth-k locus of the curve under the drive, from the closed-form chain rule.
 
-    value_fn is the depth-k hook and derivative_fn the depth-(k+1) one;
-    derivative_fn is None when the curve has no derivative of order k+1.
+    The locus's jet is (curve, exc): value_fn is the depth-k hook and
+    derivative_fn the depth-(k+1) one, None when the curve has no
+    derivative of order k+1.
     """
     depth = int(depth)
     if depth < 0:
@@ -241,8 +262,7 @@ def analytic_locus(
             f"{curve.family} curve supports {curve.max_derivative_order}"
         )
     g = sample_grid if sample_grid is not None else grid(exc)
-    value_fn = JetHook(curve, exc, depth)
-    u, w = value_fn(g.t_values)
+    u, w = JetHook(curve, exc, depth)(g.t_values)
     return ParametricLocus(
         t_values=g.t_values,
         u_values=u,
@@ -250,9 +270,7 @@ def analytic_locus(
         depth=depth,
         axis_labels=labels or default_labels(depth),
         provenance="analytic",
-        value_fn=value_fn,
-        derivative_fn=(JetHook(curve, exc, depth + 1)
-                       if depth < curve.max_derivative_order else None),
+        jet=(curve, exc),
     )
 
 

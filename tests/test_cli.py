@@ -400,6 +400,31 @@ class TestSweepCommand:
         )
         assert run(["sweep", "--config", cfg, "--output-dir", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("target, bad", [
+        ("grid_n", "abc"),
+        ("grid_n", 4096.7),
+        ("curve.family", "tanh_scaled"),
+        ("excitation", None),
+        ("excitation", {"amplitude": 0.5}),
+        ("curve.params.coefficients", [0, 1, 0, 0.5]),
+    ])
+    def test_axis_values_parse_like_analyze(self, tmp_path, capsys, monkeypatch, target, bad):
+        # a value the CSV cannot write as a float, or a grid_n analyze would
+        # reject, is a config error before any trial is classified
+        import memelements.cli as cli
+
+        trials = []
+        monkeypatch.setattr(cli, "classify", lambda *a, **k: trials.append(a))
+        cfg = write_config(tmp_path, dict(MEMRISTOR_CFG, axes=[
+            {"target": "descriptor.alpha", "values": [-1]},
+            {"target": target, "values": [bad]},
+        ]))
+        assert run(["sweep", "--config", cfg, "--output-dir", str(tmp_path / "out")]) == 2
+        assert trials == []
+        assert not (tmp_path / "out").exists()
+        where = "config.grid_n" if isinstance(bad, float) else "config.axes[1].values[0]"
+        assert where in capsys.readouterr().err
+
     def test_three_axes_rejected(self, tmp_path):
         cfg = write_config(
             tmp_path,

@@ -199,6 +199,26 @@ class TestPhaseShift:
         assert report.classification is PhaseClass.IN_PHASE
         assert abs(report.shift) < 1e-9
 
+    @pytest.mark.parametrize("name", ["cubic", "tanh_curve"])
+    def test_peak_phases_do_not_depend_on_omega(self, name, request):
+        from memelements import Excitation
+
+        curve = request.getfixturevalue(name)
+        base = phase_shift(curve, Excitation())
+        for omega in (0.3, 2.7, 13.0):
+            report = phase_shift(curve, Excitation(omega=omega))
+            assert report.classification is base.classification
+            for key in ("t_peak_ordinate", "t_peak_abscissa", "shift"):
+                assert omega * getattr(report, key) == pytest.approx(getattr(base, key),
+                                                                     abs=1e-9)
+
+    def test_needs_second_derivatives(self, drive):
+        from memelements import CapabilityError, PolynomialCurve
+
+        curve = PolynomialCurve(coefficients=(0.0, 1.0, 0.0, 1.0 / 3.0), max_derivative_order=1)
+        with pytest.raises(CapabilityError):
+            phase_shift(curve, drive)
+
 
 # ----------------------------------------------------------------------
 # root refinement: lock-step bisection against scalar references
@@ -263,11 +283,13 @@ class TestBisect:
         a = np.array([br[0] for br in brackets])
         b = np.array([br[1] for br in brackets])
 
-        # bracket j reads row j of the hook, its own signal
-        def hook(x):
-            return np.array([g(x) for _, _, g in brackets])
+        signals = [g for _, _, g in brackets]
 
-        got = loci.bisect(hook, a, b, np.arange(len(brackets)), xtol=xtol)
+        # bracket j reads its own signal
+        def hook(x, live):
+            return np.array([g(x) for g in signals])[live, np.arange(x.size)]
+
+        got = loci.bisect(hook, a, b, xtol=xtol)
         want = np.array([scipy.optimize.bisect(g, lo, hi, xtol=xtol)
                          for lo, hi, g in brackets])
         assert got.tobytes() == want.tobytes()
@@ -275,12 +297,13 @@ class TestBisect:
     def test_predicted_paths_take_one_call(self):
         calls = []
 
-        def hook(x):
-            calls.append(np.size(x))
-            return np.array([x - 0.3, x - 0.7])
-
         a, b, rows = [0.0, 0.0, 0.5], [0.5, 1.0, 1.0], [0, 1, 1]
-        roots = loci.bisect(hook, a, b, rows, xtol=1e-6)
+
+        def hook(x, live):
+            calls.append(np.size(x))
+            return x - np.array([0.3, 0.7])[np.array(rows)[live]]
+
+        roots = loci.bisect(hook, a, b, xtol=1e-6)
         runs = [scipy.optimize.bisect(lambda x, r=r: x - (0.3, 0.7)[r], lo, hi,
                                       xtol=1e-6, full_output=True)
                 for lo, hi, r in zip(a, b, rows)]
@@ -297,11 +320,11 @@ class TestBisect:
         # rest from where it left, and still takes at least one decision
         calls = []
 
-        def hook(x):
+        def hook(x, live):
             calls.append(np.size(x))
             return np.where(x < 0.3, -1.0, 1.0)
 
-        got = loci.bisect(hook, [0.0], [1.0], [0])
+        got = loci.bisect(hook, [0.0], [1.0])
         want = scipy.optimize.bisect(lambda x: np.where(x < 0.3, -1.0, 1.0), 0.0, 1.0,
                                      xtol=1e-12)
         assert got.tobytes() == np.array([want]).tobytes()
@@ -328,9 +351,9 @@ class TestBisect:
             want = scipy.optimize.bisect(g, lo, hi, xtol=xtol)
         except RuntimeError:  # no convergence in 100 halvings, as for the subnormal root
             with pytest.raises(NumericalError):
-                loci.bisect(g, [lo, lo], [hi, hi], [0, 0], xtol=xtol)
+                loci.bisect(lambda x, live: g(x), [lo, lo], [hi, hi], xtol=xtol)
             return
-        got = loci.bisect(g, [lo, lo], [hi, hi], [0, 0], xtol=xtol)
+        got = loci.bisect(lambda x, live: g(x), [lo, lo], [hi, hi], xtol=xtol)
         assert got.tobytes() == np.array([want, want]).tobytes()
 
     def test_nan_off_the_visited_path_is_ignored(self):
@@ -344,21 +367,20 @@ class TestBisect:
 
         want = scipy.optimize.bisect(g, 0.0, 1.0, xtol=1e-9)
 
-        def hook(x):
-            x = np.asarray(x, dtype=float)
+        def hook(x, live):
             return np.where(np.isin(x, list(visited)), x - 0.3, np.nan)
 
-        got = loci.bisect(hook, [0.0], [1.0], [0], xtol=1e-9)
+        got = loci.bisect(hook, [0.0], [1.0], xtol=1e-9)
         assert got.tobytes() == np.array([want]).tobytes()
 
     def test_nan_on_the_visited_path_raises(self):
         # the sixth midpoint scipy visits for the root 0.3 of [0, 1]
         x6 = 0.296875
         with pytest.raises(NumericalError):
-            loci.bisect(lambda x: np.where(x == x6, np.nan, x - 0.3), [0.0], [1.0], [0])
+            loci.bisect(lambda x, live: np.where(x == x6, np.nan, x - 0.3), [0.0], [1.0])
 
     def test_per_bracket_hook(self):
-        # with rows None the hook gets the live brackets and returns one value each
+        # the hook gets the live brackets and returns one value each
         signals = [lambda x: x - 0.3, lambda x: np.exp(x) - 2.0, lambda x: 0.7 - x]
         seen = []
 
@@ -367,33 +389,33 @@ class TestBisect:
             return np.array([signals[j](v) for j, v in zip(live.tolist(), x.tolist())])
 
         a, b = [0.0, 0.0, 0.5], [0.5, 1.0, 1.0]
-        got = loci.bisect(hook, a, b, None, xtol=1e-9)
+        got = loci.bisect(hook, a, b, xtol=1e-9)
         want = [scipy.optimize.bisect(g, lo, hi, xtol=1e-9) for g, lo, hi in zip(signals, a, b)]
         assert got.tolist() == want
         assert seen[:2] == [[0, 1, 2], [0, 1, 2]]
         assert all(set(later) <= set(earlier) for earlier, later in zip(seen, seen[1:]))
 
         with pytest.raises(NumericalError):
-            loci.bisect(lambda x, live: x * x + 1.0, [0.0, 0.0], [1.0, 1.0], None)
+            loci.bisect(lambda x, live: x * x + 1.0, [0.0, 0.0], [1.0, 1.0])
         with pytest.raises(NumericalError):
             loci.bisect(lambda x, live: np.where(live == 1, np.nan, x - 0.5),
-                        [0.0, 0.0], [1.0, 1.0], None)
+                        [0.0, 0.0], [1.0, 1.0])
 
     def test_rejects_bracket_without_sign_change(self):
         with pytest.raises(NumericalError):
-            loci.bisect(lambda x: x * x + 1.0, [0.0], [1.0], [0])
+            loci.bisect(lambda x, live: x * x + 1.0, [0.0], [1.0])
 
     def test_rejects_nan_signal(self):
         with pytest.raises(NumericalError):
-            loci.bisect(lambda x: np.where(x > 0.4, np.nan, x - 0.5), [0.0], [1.0], [0])
+            loci.bisect(lambda x, live: np.where(x > 0.4, np.nan, x - 0.5), [0.0], [1.0])
 
     def test_reports_non_convergence(self):
         # the midpoints of [-1, 2] never land on 0, and xtol is below reach
         with pytest.raises(NumericalError):
-            loci.bisect(lambda x: x, [-1.0], [2.0], [0], xtol=1e-300)
+            loci.bisect(lambda x, live: x, [-1.0], [2.0], xtol=1e-300)
         # also next to a bracket that converges
         with pytest.raises(NumericalError):
-            loci.bisect(lambda x: x, [-1.0, 0.5], [2.0, -2.0], [0, 0], xtol=1e-300)
+            loci.bisect(lambda x, live: x, [-1.0, 0.5], [2.0, -2.0], xtol=1e-300)
 
     def test_halvings_off_the_predicted_path_count_toward_the_limit(self):
         # at this xtol [-1, 2] stops at its 101st halving, one past the limit
@@ -410,12 +432,12 @@ class TestBisect:
         # NaN off scipy's path leaves the predictor no estimate, so every
         # predicted path is wrong in one direction and each call decides few steps
         with pytest.raises(NumericalError, match="converge"):
-            loci.bisect(lambda x: np.where(np.isin(x, list(visited)), x, np.nan),
-                        [-1.0], [2.0], [0], xtol=xtol)
+            loci.bisect(lambda x, live: np.where(np.isin(x, list(visited)), x, np.nan),
+                        [-1.0], [2.0], xtol=xtol)
 
 
 def _reference_roots(t, vals, fn=None, xtol=1e-12, transversal_only=False):
-    """The per-sample scan with scalar scipy bisection that _refined_roots replaced."""
+    """The per-sample scan with scalar scipy bisection that the lock-step scan replaced."""
     vals = np.asarray(vals, dtype=float)
     n = len(t)
     core_n = n - 1
@@ -461,6 +483,25 @@ def _reference_roots(t, vals, fn=None, xtol=1e-12, transversal_only=False):
                 roots.append(float(t[i]) - a * (float(t[i + 1]) - float(t[i])) / (b - a))
         i += 1
     return loci._dedupe(roots, max(10.0 * xtol, 1e-12))
+
+
+def _chain_roots(t, vals, hook=None, transversal_only=False):
+    """Roots of each row of vals, found the way refine_chain finds them.
+
+    _scan brackets the sign changes, _interpolated places a root in each,
+    bisect refines them all in one call when a hook is given (row r of
+    hook(x) is row r's signal), and _signal_roots adds the zero runs.
+    """
+    t = np.asarray(t, dtype=float)
+    vals = np.atleast_2d(np.asarray(vals, dtype=float))
+    rows, left = loci._scan(vals)
+    crossings = loci._interpolated(t, vals, rows, left)
+    if hook is not None and rows.size:
+        crossings = loci.bisect(
+            lambda x, live: np.asarray(hook(x))[rows[live], np.arange(x.size)],
+            t[left], t[left + 1])
+    return [loci._signal_roots(t, row, crossings[rows == r], 1e-12, transversal_only)
+            for r, row in enumerate(vals)]
 
 
 T65 = np.linspace(0.0, 2.0 * np.pi, 65)
@@ -511,26 +552,26 @@ class TestRefinedRoots:
     @pytest.mark.parametrize("name", sorted(SIGNALS))
     def test_interpolation_matches_reference_scan(self, name, transversal_only):
         vals = SIGNALS[name]
-        (got,) = loci._refined_roots(T65, vals, transversal_only=transversal_only)
+        (got,) = _chain_roots(T65, vals, transversal_only=transversal_only)
         assert got == _reference_roots(T65, vals, transversal_only=transversal_only)
 
     def test_seam_run_and_double_zero_semantics(self):
         # a run split by the seam counts once, at its middle modulo the period;
         # a lone zero at the seam sample stays listed at both ends; the double
         # zero is dropped
-        (seam,) = loci._refined_roots(T65, SIGNALS["seam_run"], transversal_only=True)
+        (seam,) = _chain_roots(T65, SIGNALS["seam_run"], transversal_only=True)
         assert T65[0] in seam
         assert T65[1] not in seam and T65[63] not in seam and T65[64] not in seam
-        (late,) = loci._refined_roots(T65, SIGNALS["seam_run_late"], transversal_only=True)
+        (late,) = _chain_roots(T65, SIGNALS["seam_run_late"], transversal_only=True)
         assert T65[62] in late and T65[0] not in late and T65[64] not in late
-        (lone,) = loci._refined_roots(T65, SIGNALS["seam_zero"], transversal_only=True)
+        (lone,) = _chain_roots(T65, SIGNALS["seam_zero"], transversal_only=True)
         assert T65[0] in lone and T65[64] in lone
-        (double,) = loci._refined_roots(T65, SIGNALS["double_zero"], transversal_only=True)
+        (double,) = _chain_roots(T65, SIGNALS["double_zero"], transversal_only=True)
         assert T65[20] not in double
-        (kept,) = loci._refined_roots(T65, SIGNALS["double_zero"])
+        (kept,) = _chain_roots(T65, SIGNALS["double_zero"])
         assert T65[20] in kept
-        assert loci._refined_roots(T65, SIGNALS["all_zero"], transversal_only=True) == [[]]
-        assert loci._refined_roots(T65, SIGNALS["all_zero"]) == [[T65[32]]]
+        assert _chain_roots(T65, SIGNALS["all_zero"], transversal_only=True) == [[]]
+        assert _chain_roots(T65, SIGNALS["all_zero"]) == [[T65[32]]]
 
     @pytest.mark.parametrize("transversal_only", [False, True])
     def test_two_rows_refined_together_match_scalar_scans(self, transversal_only):
@@ -539,7 +580,7 @@ class TestRefinedRoots:
 
         vals = np.array(hook(T65))
         vals[0, 40] = 0.0  # an exact zero sample among the sign changes
-        got = loci._refined_roots(T65, vals, hook, transversal_only=transversal_only)
+        got = _chain_roots(T65, vals, hook, transversal_only=transversal_only)
         want = [
             _reference_roots(T65, vals[r], lambda x, r=r: float(hook(x)[r]),
                              transversal_only=transversal_only)
@@ -553,5 +594,5 @@ class TestRefinedRoots:
            transversal_only=st.booleans())
     def test_random_runs_match_reference_scan(self, samples, transversal_only):
         t = np.arange(len(samples), dtype=float)
-        (got,) = loci._refined_roots(t, samples, transversal_only=transversal_only)
+        (got,) = _chain_roots(t, samples, transversal_only=transversal_only)
         assert got == _reference_roots(t, samples, transversal_only=transversal_only)

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,7 +20,6 @@ from memelements import (
     Excitation,
     InternalSource,
     LogisticCurve,
-    ParametricLocus,
     PiecewiseLinearCurve,
     PointKind,
     PolynomialCurve,
@@ -370,23 +367,6 @@ class TestChainRefinement:
     def test_random_monotone_cubics(self, c1, c2, c3, amplitude, omega, depth):
         curve = PolynomialCurve((0.0, c1, c2, c3))
         _assert_chain_matches_standalone(curve, Excitation(amplitude, omega), depth, 256, False)
-
-    def test_hooks_from_several_sources(self, tanh_curve):
-        # a plain function and the jet of an equal but distinct curve are two
-        # sources; on a grid coarsest at T/2 the plain function's bracket
-        # there outlasts the jet's, and each is refined through its own hook
-        exc = Excitation(0.8, 1.3)
-        exact = analytic_locus(tanh_curve, exc, 1, grid(exc, 256))
-        twin = analytic_locus(dataclasses.replace(tanh_curve), exc, 1)
-        s = np.linspace(0.0, 1.0, 257)
-        t = exc.period * (s - 0.9 * np.sin(2.0 * np.pi * s) / (2.0 * np.pi))
-        mixed = ParametricLocus(t, *exact.value_fn(t), 1, exact.axis_labels,
-                                value_fn=lambda s: exact.value_fn(s),
-                                derivative_fn=twin.derivative_fn)
-        roots = loci._plane_roots(mixed)
-        assert roots.abscissa == loci._refined_roots(t, mixed.u_values, exact.value_fn)[0]
-        assert [roots.du, roots.dw] == loci._refined_roots(
-            t, exact.derivative_fn(t), exact.derivative_fn, transversal_only=True)
 
     def test_report_reads_the_chain_refined_roots(self, cubic, monkeypatch):
         # a (-4,-4) report's planes are the chain's, and one bisect call made them

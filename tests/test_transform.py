@@ -8,9 +8,11 @@ from memelements import (
     OUTGOING,
     RETURNING,
     CapabilityError,
+    DomainError,
     Excitation,
     LogisticCurve,
     PolynomialCurve,
+    ParametricLocus,
     TanhScaledCurve,
     TwoBranchCurve,
     analytic_locus,
@@ -227,6 +229,20 @@ class TestAnalyticLocus:
         locus = analytic_locus(curve, exc, depth, grid(exc, 64))
         assert locus.value_fn is not None
         assert (locus.derivative_fn is None) == (depth == curve.max_derivative_order)
+
+    def test_hooks_are_views_of_the_jet(self, cubic, drive):
+        # a locus names its (curve, drive) pair; a plain callable is no jet
+        locus = analytic_locus(cubic, drive, 1, grid(drive, 64))
+        args = (locus.t_values, locus.u_values, locus.w_values, 1, locus.axis_labels)
+        for jet in (locus.value_fn, lambda t: (t, t), (locus.value_fn, drive), (cubic,)):
+            with pytest.raises(DomainError):
+                ParametricLocus(*args, jet=jet)
+        with pytest.raises(DomainError):  # the jet's curve has no derivative of order 5
+            ParametricLocus(*args[:3], 5, args[4], jet=(cubic, drive))
+        rebuilt = ParametricLocus(*args, jet=(cubic, drive))
+        for hook in ("value_fn", "derivative_fn"):
+            got, want = getattr(rebuilt, hook), getattr(locus, hook)
+            assert (got.curve, got.exc, got.depth) == (want.curve, want.exc, want.depth)
 
     def test_deep_locus_is_closed_form(self):
         curve, _, _, exc = SYMBOLIC["tanh"]

@@ -21,7 +21,10 @@ Covered:
   * ``classify`` reports of seven curves over cells (0,0)..(-4,-4) at
     n = 256 and 4096 on closed-form chains, the diagonal down to (-6,-6),
     and cubic and tanh diagonals at n = 65536 and on numeric chains;
-  * ``theorem_suite``, ``phase_shift`` and ``mvt_point``;
+  * ``theorem_suite`` and ``mvt_point``;
+  * ``phase_shift`` of the seven curves, each under its default drive and
+    14 seeded drives of varied amplitude, offset and omega in
+    {0.3, 1, 2.7, 13};
   * ``float.hex`` of every root ``loci.refine_chain`` stores (each plane's
     abscissa zeros and transversal du/dt and dw/dt zeros, including the
     ones no report shows) on closed-form chains of the seven curves to
@@ -38,6 +41,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import shutil
 import sys
 import tempfile
@@ -101,6 +105,7 @@ SPECS = {
              "params": {"knots": [[0, 0], [0.1, 0], [2, 2]]}},
 }
 DRIVES = {"logistic": {"amplitude": 0.5, "offset": 1.0}}
+OMEGAS = (0.3, 1.0, 2.7, 13.0)
 
 
 def library() -> None:
@@ -139,10 +144,24 @@ def library() -> None:
         memelements.theorem_suite, [curves["cubic"], curves["tanh"]],
         Excitation(amplitude=0.7, omega=1.7))))
     for name in ("cubic", "quintic", "tanh", "logistic"):
-        emit(f"phase_shift/{name}",
-             sha(outcome(memelements.loci.phase_shift, curves[name], drives[name])))
         lo, hi = curves[name].operating_range
         emit(f"mvt_point/{name}", sha(outcome(memelements.mvt_point, curves[name], lo, hi)))
+    rng = random.Random(17)
+    for name, curve in curves.items():
+        for k, exc in enumerate(phase_drives(rng, drives[name], curve.operating_range)):
+            emit(f"phase_shift/{name}/{k}",
+                 sha(outcome(memelements.loci.phase_shift, curve, exc)))
+
+
+def phase_drives(rng: random.Random, default: Excitation, operating_range) -> list:
+    """The default drive, then 14 drives sweeping inside the operating range."""
+    lo, hi = operating_range
+    out = [default]
+    for k in range(1, 15):
+        amplitude = rng.uniform(0.05, 0.5) * (hi - lo)
+        offset = rng.uniform(lo + amplitude, hi - amplitude)
+        out.append(Excitation(amplitude=amplitude, omega=OMEGAS[k % 4], offset=offset))
+    return out
 
 
 def stored_roots(curves: dict, drives: dict) -> None:
