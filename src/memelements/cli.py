@@ -14,6 +14,7 @@ import itertools
 import json
 import math
 import sys
+from collections import Counter
 from collections.abc import Mapping
 from enum import Enum
 from pathlib import Path
@@ -30,8 +31,8 @@ from .constitutive import (
     TwoBranchCurve,
 )
 from .errors import ConfigError, MemElementsError
-from .excitation import DEFAULT_GRID_N, Excitation, excite, grid
-from .loci import phase_shift
+from .excitation import DEFAULT_GRID_N, Excitation
+from .loci import phase_shift, point_at
 from .taxonomy import (
     ClassificationReport,
     ElementDescriptor,
@@ -40,10 +41,20 @@ from .taxonomy import (
     theorem_suite,
 )
 from .tolerances import ANALYTIC_DEFAULTS, NUMERIC_DEFAULTS, ToleranceSet
-from .transform import chain_ordinate, columns_to_csv, locus_to_csv
+from .transform import analytic_locus, columns_to_csv, locus_to_csv
 
 SCHEMA_VERSION = "1"
 _ALL_FORMATS = ("csv", "json", "svg")
+# top-level keys of an analyze config that _classify_args reads
+_ANALYSIS_KEYS = ("descriptor", "curve", "excitation", "tolerances", "grid_n", "numeric_chain")
+# the params each curve family reads, which are the ones its spec() writes
+_FAMILY_PARAMS = {
+    "polynomial": ("coefficients",),
+    "tanh_scaled": ("a", "b"),
+    "logistic": (),
+    "piecewise_linear": ("knots",),
+    "two_branch": ("outgoing", "returning"),
+}
 
 
 # ----------------------------------------------------------------------
@@ -69,6 +80,13 @@ def _require(node: dict, key: str, path: str):
     return node[key]
 
 
+def _known(node: dict, keys, path: str) -> None:
+    """Reject a key of node that its reader does not read."""
+    for key in node:
+        if key not in keys:
+            raise ConfigError(f"{path}.{key} is not a known key")
+
+
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path} must be a number")
@@ -86,14 +104,20 @@ def curve_from_spec(node, path: str = "curve") -> ConstitutiveCurve:
 
     Shape: {"family": ..., "params": {...}, "range": [lo, hi],
     "max_derivative_order": n}; two_branch nests full sub-specs under
-    params.outgoing and params.returning.
+    params.outgoing and params.returning, and its range and order, which
+    come from the branches, are accepted and not read.  Every curve's
+    spec() is such a node.
     """
     if not isinstance(node, dict):
         raise ConfigError(f"{path} must be an object")
+    _known(node, ("family", "params", "range", "max_derivative_order"), path)
     family = _require(node, "family", path)
     params = node.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError(f"{path}.params must be an object")
+    if not isinstance(family, str) or family not in _FAMILY_PARAMS:
+        raise ConfigError(f"{path}.family {family!r} is not a known curve family")
+    _known(params, _FAMILY_PARAMS[family], f"{path}.params")
 
     if family == "two_branch":
         out = curve_from_spec(_require(params, "outgoing", f"{path}.params"),
@@ -142,28 +166,26 @@ def curve_from_spec(node, path: str = "curve") -> ConstitutiveCurve:
             )
         if family == "logistic":
             return LogisticCurve(**kwargs)
-        if family == "piecewise_linear":
-            knots = _require(params, "knots", f"{path}.params")
-            if not isinstance(knots, (list, tuple)) or len(knots) < 2:
-                raise ConfigError(
-                    f"{path}.params.knots must list at least two [x, y] pairs"
+        knots = _require(params, "knots", f"{path}.params")
+        if not isinstance(knots, (list, tuple)) or len(knots) < 2:
+            raise ConfigError(
+                f"{path}.params.knots must list at least two [x, y] pairs"
+            )
+        pairs = []
+        for i, raw in enumerate(knots):
+            if not (isinstance(raw, (list, tuple)) and len(raw) == 2):
+                raise ConfigError(f"{path}.params.knots[{i}] must be [x, y]")
+            pairs.append(
+                (
+                    _number(raw[0], f"{path}.params.knots[{i}][0]"),
+                    _number(raw[1], f"{path}.params.knots[{i}][1]"),
                 )
-            pairs = []
-            for i, raw in enumerate(knots):
-                if not (isinstance(raw, (list, tuple)) and len(raw) == 2):
-                    raise ConfigError(f"{path}.params.knots[{i}] must be [x, y]")
-                pairs.append(
-                    (
-                        _number(raw[0], f"{path}.params.knots[{i}][0]"),
-                        _number(raw[1], f"{path}.params.knots[{i}][1]"),
-                    )
-                )
-            return PiecewiseLinearCurve(knots=tuple(pairs), **kwargs)
+            )
+        return PiecewiseLinearCurve(knots=tuple(pairs), **kwargs)
     except ConfigError:
         raise
     except MemElementsError as err:
         raise ConfigError(f"{path}: {err}") from err
-    raise ConfigError(f"{path}.family {family!r} is not a known curve family")
 
 
 def excitation_from_spec(node, path: str = "excitation") -> Excitation:
@@ -171,6 +193,7 @@ def excitation_from_spec(node, path: str = "excitation") -> Excitation:
         return Excitation()
     if not isinstance(node, dict):
         raise ConfigError(f"{path} must be an object")
+    _known(node, ("amplitude", "omega", "offset"), path)
     kwargs: dict = {}
     if "amplitude" in node:
         kwargs["amplitude"] = _number(node["amplitude"], f"{path}.amplitude")
@@ -187,6 +210,7 @@ def excitation_from_spec(node, path: str = "excitation") -> Excitation:
 def descriptor_from_spec(node, path: str = "descriptor") -> ElementDescriptor:
     if not isinstance(node, dict):
         raise ConfigError(f"{path} must be an object")
+    _known(node, ("alpha", "beta"), path)
     alpha = _require(node, "alpha", path)
     beta = _require(node, "beta", path)
     for name, value in (("alpha", alpha), ("beta", beta)):
@@ -241,6 +265,20 @@ def _grid_n_from(node: dict, path: str) -> int:
     return value
 
 
+def _classify_args(cfg: dict) -> tuple:
+    """classify's positional arguments from the analysis sections of a config.
+
+    The sections are read in the order descriptor, curve, excitation,
+    tolerances, grid_n, numeric_chain, so the first bad one is reported.
+    """
+    descriptor = descriptor_from_spec(_require(cfg, "descriptor", "config"))
+    curve = curve_from_spec(_require(cfg, "curve", "config"))
+    exc = excitation_from_spec(cfg.get("excitation"))
+    numeric = bool(cfg.get("numeric_chain", False))
+    tol = tolerances_from_spec(cfg.get("tolerances"), numeric)
+    return descriptor, curve, exc, tol, _grid_n_from(cfg, "config"), numeric
+
+
 # ----------------------------------------------------------------------
 # JSON serialization
 # ----------------------------------------------------------------------
@@ -278,6 +316,15 @@ def suite_to_dict(rep: SuiteReport) -> dict:
 
 def _dump_json(obj: dict) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+
+
+def _write(output_dir, files: dict[str, str]) -> str:
+    """Write files into output_dir, creating it; the 'wrote:' line naming them."""
+    outdir = Path(output_dir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name in sorted(files):
+        (outdir / name).write_text(files[name], encoding="utf-8")
+    return "wrote: " + ", ".join(str(outdir / name) for name in sorted(files))
 
 
 # ----------------------------------------------------------------------
@@ -488,26 +535,17 @@ def _analysis_files(rpt: ClassificationReport, formats: tuple[str, ...]) -> dict
 
 def cmd_analyze(ns: argparse.Namespace) -> int:
     cfg = _load_json(ns.config)
-    descriptor = descriptor_from_spec(_require(cfg, "descriptor", "config"))
-    curve = curve_from_spec(_require(cfg, "curve", "config"))
-    exc = excitation_from_spec(cfg.get("excitation"))
-    numeric = bool(cfg.get("numeric_chain", False))
-    tol = tolerances_from_spec(cfg.get("tolerances"), numeric)
-    grid_n = _grid_n_from(cfg, "config")
+    _known(cfg, _ANALYSIS_KEYS + ("formats",), "config")
+    args = _classify_args(cfg)
     formats = _formats_from(
         ns.formats if ns.formats is not None else cfg.get("formats"), "formats"
     )
 
-    rpt = classify(
-        descriptor, curve, exc, tolerances=tol, grid_n=grid_n, numeric_chain=numeric
-    )
-    outdir = Path(ns.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    files = _analysis_files(rpt, formats)
-    for name, content in sorted(files.items()):
-        (outdir / name).write_text(content, encoding="utf-8")
+    rpt = classify(*args)
+    wrote = _write(ns.output_dir, _analysis_files(rpt, formats))
 
-    print(f"element: {rpt.element.name} (alpha={descriptor.alpha}, beta={descriptor.beta})")
+    alpha, beta = rpt.descriptor.alpha, rpt.descriptor.beta
+    print(f"element: {rpt.element.name} (alpha={alpha}, beta={beta})")
     print(f"verdict: {rpt.verdict.value}")
     if rpt.witnesses:
         p = rpt.witnesses[0]
@@ -516,7 +554,7 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
         print(f"candidate witness magnitude: {rpt.candidate_witness_magnitude:.6g}")
     for caveat in rpt.caveats:
         print(f"caveat: {caveat}")
-    print("wrote: " + ", ".join(str(outdir / n) for n in sorted(files)))
+    print(wrote)
     return 0
 
 
@@ -528,19 +566,8 @@ def _cubic() -> PolynomialCurve:
     return PolynomialCurve(coefficients=(0.0, 1.0, 0.0, 1.0 / 3.0))
 
 
-def _tanh() -> TanhScaledCurve:
-    return TanhScaledCurve(a=1.0, b=1.0)
-
-
 def _degenerate() -> PolynomialCurve:
     return PolynomialCurve(coefficients=(0.0, 0.0, 0.5, -1.0 / 6.0))
-
-
-def _two_branch() -> TwoBranchCurve:
-    return TwoBranchCurve(
-        outgoing=PolynomialCurve(coefficients=(0.0, 1.0, 0.0, 1.0 / 3.0)),
-        returning=PolynomialCurve(coefficients=(0.0, 4.0 / 3.0, 0.5)),
-    )
 
 
 def _chain_figure(curve: ConstitutiveCurve, cell: tuple[int, int],
@@ -558,10 +585,10 @@ def _chain_figure(curve: ConstitutiveCurve, cell: tuple[int, int],
 
 
 def _waveform_figure(curve: ConstitutiveCurve, stem: str, title: str) -> dict[str, str]:
+    """Depth-1 ordinate and drive rate over one period: the depth-1 locus's w and u."""
     exc = Excitation()
-    t = grid(exc).t_values
-    ordinate = chain_ordinate(curve, exc, t, 1)
-    rate = excite(exc, t, 1)
+    locus = analytic_locus(curve, exc, 1)
+    t, rate, ordinate = locus.t_values, locus.u_values, locus.w_values
     csv_text = columns_to_csv("t,ordinate,abscissa_rate", t, ordinate, rate)
 
     # overlay convention: drive rate rescaled to share the ordinate's peak
@@ -570,47 +597,15 @@ def _waveform_figure(curve: ConstitutiveCurve, stem: str, title: str) -> dict[st
     panel = Panel(title=title, xlabel="t", ylabel="rate", include_origin=False)
     panel.add_series("depth-1 ordinate", t, ordinate)
     panel.add_series(f"drive rate (scaled {scale:.3g}x)", t, rate * scale)
-    panel.add_marker(ph.t_peak_ordinate,
-                     float(chain_ordinate(curve, exc, ph.t_peak_ordinate, 1)),
+    panel.add_marker(ph.t_peak_ordinate, point_at(locus, ph.t_peak_ordinate)[1],
                      f"peak t = {ph.t_peak_ordinate:.4g}")
-    panel.add_marker(ph.t_peak_abscissa,
-                     float(excite(exc, ph.t_peak_abscissa, 1)) * scale,
+    panel.add_marker(ph.t_peak_abscissa, point_at(locus, ph.t_peak_abscissa)[0] * scale,
                      f"peak t = {ph.t_peak_abscissa:.4g}")
     svg = render_svg(
         [panel],
         title=f"{title} (shift = {ph.shift:+.4g}, {ph.classification.value})",
     )
     return {f"{stem}.csv": csv_text, f"{stem}.svg": svg}
-
-
-def _fig2() -> dict[str, str]:
-    return _chain_figure(
-        _cubic(), (-1, -1), "fig2", "first-order memristor: pinched loop"
-    )
-
-
-def _fig4() -> dict[str, str]:
-    return _chain_figure(
-        _two_branch(), (-1, -1), "fig4", "two-branch curve: open hysteresis loop"
-    )
-
-
-def _fig6() -> dict[str, str]:
-    return _waveform_figure(
-        _cubic(), "fig6", "cubic curve: ordinate rate lags the drive rate"
-    )
-
-
-def _fig7() -> dict[str, str]:
-    return _chain_figure(
-        _cubic(), (-2, -2), "fig7", "second-order memristor: off-origin witness"
-    )
-
-
-def _fig8() -> dict[str, str]:
-    return _waveform_figure(
-        _tanh(), "fig8", "tanh curve: ordinate rate advances the drive rate"
-    )
 
 
 def _fig10() -> dict[str, str]:
@@ -631,24 +626,26 @@ def _fig10() -> dict[str, str]:
     return {"fig10.csv": csv_text, "fig10.svg": svg}
 
 
+# figure id -> function returning its files; each curve is built when its figure is drawn
 FIGURES = {
-    "fig2": _fig2,
-    "fig4": _fig4,
-    "fig6": _fig6,
-    "fig7": _fig7,
-    "fig8": _fig8,
+    "fig2": lambda: _chain_figure(
+        _cubic(), (-1, -1), "fig2", "first-order memristor: pinched loop"),
+    "fig4": lambda: _chain_figure(
+        TwoBranchCurve(outgoing=_cubic(),
+                       returning=PolynomialCurve(coefficients=(0.0, 4.0 / 3.0, 0.5))),
+        (-1, -1), "fig4", "two-branch curve: open hysteresis loop"),
+    "fig6": lambda: _waveform_figure(
+        _cubic(), "fig6", "cubic curve: ordinate rate lags the drive rate"),
+    "fig7": lambda: _chain_figure(
+        _cubic(), (-2, -2), "fig7", "second-order memristor: off-origin witness"),
+    "fig8": lambda: _waveform_figure(
+        TanhScaledCurve(), "fig8", "tanh curve: ordinate rate advances the drive rate"),
     "fig10": _fig10,
 }
 
 
 def cmd_figure(ns: argparse.Namespace) -> int:
-    builder = FIGURES[ns.id]
-    files = builder()
-    outdir = Path(ns.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    for name, content in sorted(files.items()):
-        (outdir / name).write_text(content, encoding="utf-8")
-    print("wrote: " + ", ".join(str(outdir / n) for n in sorted(files)))
+    print(_write(ns.output_dir, FIGURES[ns.id]()))
     return 0
 
 
@@ -659,15 +656,18 @@ def cmd_figure(ns: argparse.Namespace) -> int:
 def _default_suite_curves() -> list[ConstitutiveCurve]:
     return [
         _cubic(),
-        _tanh(),
+        TanhScaledCurve(),
         _degenerate(),
         PiecewiseLinearCurve(knots=((0.0, 0.0), (1.0, 0.5), (2.0, 2.0))),
     ]
 
 
 def cmd_suite(ns: argparse.Namespace) -> int:
-    if ns.config is not None:
+    if ns.config is None:
+        cfg, curves = {}, _default_suite_curves()
+    else:
         cfg = _load_json(ns.config)
+        _known(cfg, ("curves", "excitation", "tolerances", "grid_n"), "config")
         raw_curves = _require(cfg, "curves", "config")
         if not isinstance(raw_curves, list) or not raw_curves:
             raise ConfigError("config.curves must be a non-empty array")
@@ -675,20 +675,12 @@ def cmd_suite(ns: argparse.Namespace) -> int:
             curve_from_spec(node, f"config.curves[{i}]")
             for i, node in enumerate(raw_curves)
         ]
-        exc = excitation_from_spec(cfg.get("excitation"))
-        tol = tolerances_from_spec(cfg.get("tolerances"), numeric=False)
-        grid_n = _grid_n_from(cfg, "config")
-    else:
-        curves = _default_suite_curves()
-        exc = Excitation()
-        tol = ANALYTIC_DEFAULTS
-        grid_n = DEFAULT_GRID_N
+    exc = excitation_from_spec(cfg.get("excitation"))
+    tol = tolerances_from_spec(cfg.get("tolerances"), numeric=False)
+    grid_n = _grid_n_from(cfg, "config")
 
     rep = theorem_suite(curves, exc, tol, grid_n)
-    outdir = Path(ns.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    path = outdir / "suite_report.json"
-    path.write_text(_dump_json(suite_to_dict(rep)), encoding="utf-8")
+    wrote = _write(ns.output_dir, {"suite_report.json": _dump_json(suite_to_dict(rep))})
 
     for inst in rep.instances:
         statuses = ", ".join(
@@ -698,7 +690,7 @@ def cmd_suite(ns: argparse.Namespace) -> int:
     print(f"all_passed: {rep.all_passed}")
     for line in rep.counterexamples:
         print(f"counterexample: {line}")
-    print(f"wrote: {path}")
+    print(wrote)
     if ns.strict and not rep.all_passed:
         return 1
     return 0
@@ -748,6 +740,7 @@ def _set_path(root: dict, dotted: str, value) -> None:
 
 def cmd_sweep(ns: argparse.Namespace) -> int:
     cfg = _load_json(ns.config)
+    _known(cfg, _ANALYSIS_KEYS + ("axes",), "config")
     base = {
         "descriptor": _require(cfg, "descriptor", "config"),
         "curve": _require(cfg, "curve", "config"),
@@ -764,6 +757,7 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
     for i, axis in enumerate(axes):
         if not isinstance(axis, dict):
             raise ConfigError(f"config.axes[{i}] must be an object")
+        _known(axis, ("target", "values"), f"config.axes[{i}]")
         target = _require(axis, "target", f"config.axes[{i}]")
         values = _require(axis, "values", f"config.axes[{i}]")
         if not isinstance(values, list) or not values:
@@ -783,52 +777,36 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
         "internal_source",
     ]
     rows: list[list[str]] = []
-    counts: dict[str, int] = {}
+    counts: Counter = Counter()
     for combo in itertools.product(*grids):
         trial = json.loads(json.dumps(base))
         for target, value in zip(targets, combo):
             _set_path(trial, target, value)
-        numeric = bool(trial.get("numeric_chain", False))
+        row = [repr(float(v)) for v in combo]
         try:
-            rpt = classify(
-                descriptor_from_spec(trial["descriptor"]),
-                curve_from_spec(trial["curve"]),
-                excitation_from_spec(trial.get("excitation")),
-                tolerances=tolerances_from_spec(trial.get("tolerances"), numeric),
-                grid_n=_grid_n_from(trial, "config"),
-                numeric_chain=numeric,
-            )
+            rpt = classify(*_classify_args(trial))
         except ConfigError:
             raise
         except MemElementsError as err:
-            rows.append(
-                [repr(float(v)) for v in combo]
-                + [f"error: {err}", "", "", "", ""]
-            )
-            counts["error"] = counts.get("error", 0) + 1
+            rows.append(row + [f"error: {err}", "", "", "", ""])
+            counts["error"] += 1
             continue
         witness = max((max(abs(p.u), abs(p.w)) for p in rpt.witnesses), default=0.0)
         cand = rpt.candidate_witness_magnitude
-        rows.append(
-            [repr(float(v)) for v in combo]
-            + [
-                rpt.verdict.value,
-                repr(witness) if rpt.witnesses else "",
-                repr(cand) if cand is not None else "",
-                rpt.degeneration.value,
-                rpt.internal_source.value,
-            ]
-        )
-        counts[rpt.verdict.value] = counts.get(rpt.verdict.value, 0) + 1
+        rows.append(row + [
+            rpt.verdict.value,
+            repr(witness) if rpt.witnesses else "",
+            repr(cand) if cand is not None else "",
+            rpt.degeneration.value,
+            rpt.internal_source.value,
+        ])
+        counts[rpt.verdict.value] += 1
 
     csv_text = "\n".join([",".join(header)] + [",".join(r) for r in rows]) + "\n"
-    outdir = Path(ns.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    path = outdir / "sweep.csv"
-    path.write_text(csv_text, encoding="utf-8")
+    wrote = _write(ns.output_dir, {"sweep.csv": csv_text})
     summary = ", ".join(f"{k}: {v}" for k, v in sorted(counts.items()))
     print(f"{len(rows)} runs ({summary})")
-    print(f"wrote: {path}")
+    print(wrote)
     return 0
 
 

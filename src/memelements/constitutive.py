@@ -349,16 +349,16 @@ class PiecewiseLinearCurve(ConstitutiveCurve):
     def smooth(self) -> bool:
         return False
 
-    def kink_points(self, slope_tol: float = 1e-9) -> tuple[float, ...]:
+    def _slope_jumps(self) -> tuple[np.ndarray, np.ndarray]:
+        """Interior knot abscissae and the size of the slope jump at each."""
         xs, ys = self._xy()
         slopes = np.diff(ys) / np.diff(xs)
-        jumps = np.abs(np.diff(slopes))
+        return xs[1:-1], np.abs(np.diff(slopes))
+
+    def kink_points(self, slope_tol: float = 1e-9) -> tuple[float, ...]:
         lo, hi = self.operating_range
-        out = []
-        for x, j in zip(xs[1:-1], jumps):
-            if j > slope_tol and lo < x < hi:
-                out.append(float(x))
-        return tuple(out)
+        return tuple(float(x) for x, j in zip(*self._slope_jumps())
+                     if j > slope_tol and lo < x < hi)
 
     def _params(self) -> dict:
         return {"knots": [list(p) for p in self.knots]}
@@ -560,10 +560,7 @@ def check_ideality(
                     worst_jump = float(jumps[j])
                     worst_jump_at = float(0.5 * (xs[j] + xs[j + 1]))
         else:
-            xs_k, ys_k = np.array([p[0] for p in sub.knots]), np.array([p[1] for p in sub.knots])  # type: ignore[attr-defined]
-            slopes = np.diff(ys_k) / np.diff(xs_k)
-            jumps = np.abs(np.diff(slopes))
-            for x, jump in zip(xs_k[1:-1], jumps):
+            for x, jump in zip(*sub._slope_jumps()):  # type: ignore[attr-defined]
                 if lo < x < hi and jump >= worst_jump:
                     worst_jump = float(jump)
                     worst_jump_at = float(x)

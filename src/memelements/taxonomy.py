@@ -142,12 +142,8 @@ def table_position(descriptor: ElementDescriptor) -> TableEntry:
         star = True
     else:
         star = False
-        base = {
-            "memristor": "memristor",
-            "mem-inductor": "mem-inductor",
-            "mem-capacitor": "mem-capacitor",
-        }.get(descriptor.kind)
-        name = f"higher-order {base}" if base else "unnamed higher-order element"
+        kind = descriptor.kind
+        name = f"higher-order {kind}" if kind != "mixed" else "unnamed higher-order element"
     return TableEntry(
         name=name,
         in_six_pointed_star=star,
@@ -385,27 +381,20 @@ def _verdict(
     )
 
 
+# what a locally active element two or more transforms deep degenerates into
+_CONSEQUENCES = {
+    # the source type is operating-point dependent for this diagonal
+    "memristor": (Degeneration.NEGATIVE_NONLINEAR_RESISTOR, InternalSource.NONE),
+    "mem-inductor": (Degeneration.NEGATIVE_NONLINEAR_INDUCTOR, InternalSource.CURRENT_SOURCE),
+    "mem-capacitor": (Degeneration.NEGATIVE_NONLINEAR_CAPACITOR, InternalSource.VOLTAGE_SOURCE),
+}
+
+
 def _consequences(
     descriptor: ElementDescriptor, verdict: Verdict
 ) -> tuple[Degeneration, InternalSource]:
-    if verdict is not Verdict.LOCALLY_ACTIVE:
-        return Degeneration.NONE, InternalSource.NONE
-    if descriptor.transforms_to_verdict_plane < 2:
-        return Degeneration.NONE, InternalSource.NONE
-    kind = descriptor.kind
-    if kind == "memristor":
-        # the source type is operating-point dependent for this diagonal
-        return Degeneration.NEGATIVE_NONLINEAR_RESISTOR, InternalSource.NONE
-    if kind == "mem-inductor":
-        return (
-            Degeneration.NEGATIVE_NONLINEAR_INDUCTOR,
-            InternalSource.CURRENT_SOURCE,
-        )
-    if kind == "mem-capacitor":
-        return (
-            Degeneration.NEGATIVE_NONLINEAR_CAPACITOR,
-            InternalSource.VOLTAGE_SOURCE,
-        )
+    if verdict is Verdict.LOCALLY_ACTIVE and descriptor.transforms_to_verdict_plane >= 2:
+        return _CONSEQUENCES.get(descriptor.kind, (Degeneration.NONE, InternalSource.NONE))
     return Degeneration.NONE, InternalSource.NONE
 
 

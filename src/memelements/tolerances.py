@@ -7,7 +7,7 @@ error and need the relaxed preset instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 
 @dataclass(frozen=True)
@@ -33,17 +33,9 @@ class ToleranceSet:
     witness_tol: float = 1e-8
 
     def __post_init__(self) -> None:
-        for name in (
-            "pinch_tol",
-            "valuedness_tol",
-            "root_tol",
-            "slope_tol",
-            "nonlin_tol",
-            "phase_tol",
-            "witness_tol",
-        ):
-            if not 0.0 < getattr(self, name) < float("inf"):
-                raise ValueError(f"{name} must be positive and finite")
+        for knob in fields(self):
+            if not 0.0 < getattr(self, knob.name) < float("inf"):
+                raise ValueError(f"{knob.name} must be positive and finite")
 
     def for_numeric(self) -> "ToleranceSet":
         """Relaxed copy suitable for finite-difference loci."""

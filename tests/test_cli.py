@@ -7,7 +7,11 @@ jsonschema = pytest.importorskip("jsonschema")
 from memelements import (
     DEFAULT_GRID_N,
     Excitation,
+    LogisticCurve,
+    PiecewiseLinearCurve,
     PolynomialCurve,
+    TanhScaledCurve,
+    TwoBranchCurve,
     analytic_locus,
     classify,
     grid,
@@ -109,6 +113,63 @@ class TestConfigParsing:
         assert tol.pinch_tol == 1e-7
         with pytest.raises(ConfigError, match="witnes"):
             tolerances_from_spec({"witnes_tol": 1.0}, numeric=False)
+
+    @pytest.mark.parametrize("curve", [
+        PolynomialCurve(coefficients=(0.0, 0.8, 0.1, 0.3), operating_range=(-1.0, 1.5),
+                        max_derivative_order=6),
+        TanhScaledCurve(a=1.3, b=0.7, max_derivative_order=5),
+        LogisticCurve(operating_range=(0.25, 3.0)),
+        PiecewiseLinearCurve(knots=((0.0, 0.0), (1.0, 0.5), (2.0, 2.0)),
+                             operating_range=(0.5, 2.0)),
+        TwoBranchCurve(
+            outgoing=PolynomialCurve(coefficients=(0.0, 1.0, 0.0, 1.0 / 3.0),
+                                     max_derivative_order=5),
+            returning=PolynomialCurve(coefficients=(0.0, 4.0 / 3.0, 0.5))),
+    ], ids=lambda curve: curve.family)
+    def test_spec_round_trips(self, curve):
+        # spec() writes every key, two-branch's derived range and order included
+        assert curve_from_spec(json.loads(json.dumps(curve.spec()))) == curve
+
+
+class TestUnknownKeys:
+    """A key no reader reads is a config error naming its path, not a silent default."""
+
+    TANH = {"family": "tanh_scaled", "params": {"a": 1.0}}
+    LOOP = {"family": "two_branch", "params": {
+        "outgoing": {"family": "polynomial", "params": {"coefficients": [0, 1, 0, 1.0 / 3.0]}},
+        "returning": {"family": "polynomial", "params": {"coefficients": [0, 4.0 / 3.0, 0.5]},
+                      "rnage": [0, 2]}}}
+    AXIS = {"target": "descriptor.alpha", "values": [-1]}
+
+    CASES = [
+        ("analyze", dict(MEMRISTOR_CFG, excitation={"amplitude": 0.5, "omgea": 1000}),
+         "excitation.omgea"),
+        ("analyze", dict(MEMRISTOR_CFG, curve=dict(TANH, params={"A": 5})), "curve.params.A"),
+        ("analyze", dict(MEMRISTOR_CFG, grid=256), "config.grid"),
+        ("analyze", dict(MEMRISTOR_CFG, descriptor={"alpha": -1, "beta": -1, "gamma": 1}),
+         "descriptor.gamma"),
+        ("analyze", dict(MEMRISTOR_CFG, curve=dict(TANH, rnage=[0, 1])), "curve.rnage"),
+        ("analyze", dict(MEMRISTOR_CFG, curve={"family": "logistic", "params": {"a": 2}}),
+         "curve.params.a"),
+        ("analyze", dict(MEMRISTOR_CFG, curve=LOOP), "curve.params.returning.rnage"),
+        ("analyze", dict(MEMRISTOR_CFG, axes=[AXIS]), "config.axes"),
+        ("sweep", dict(MEMRISTOR_CFG, axes=[dict(AXIS, step=1)]), "config.axes[0].step"),
+        ("sweep", dict(MEMRISTOR_CFG, axes=[AXIS], formats="json"), "config.formats"),
+        ("sweep", dict(MEMRISTOR_CFG, axes=[AXIS], curve=dict(TANH, params={"c": 1})),
+         "curve.params.c"),
+        ("suite", {"curves": [TANH], "numeric_chain": True}, "config.numeric_chain"),
+        ("suite", {"curves": [TANH], "excitation": {"offest": 0.5}}, "excitation.offest"),
+        ("suite", {"curves": [TANH, dict(TANH, params={"B": 2})]}, "config.curves[1].params.B"),
+    ]
+
+    @pytest.mark.parametrize("command, cfg, where", CASES,
+                             ids=[f"{command}-{where}" for command, _, where in CASES])
+    def test_exit_2_naming_the_key(self, tmp_path, capsys, command, cfg, where):
+        out = tmp_path / "out"
+        assert run([command, "--config", write_config(tmp_path, cfg),
+                    "--output-dir", str(out)]) == 2
+        assert f"{where} is not a known key" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSetPath:
@@ -322,6 +383,20 @@ class TestSuiteCommand:
         assert len(payload["instances"]) == 1
         checks = payload["instances"][0]["checks"]
         assert all(entry["status"] == "pass" for entry in checks.values())
+
+    def test_default_set_equals_its_specs(self, tmp_path):
+        # the defaults of a config-less suite are the readers' defaults
+        curves = [
+            PolynomialCurve(coefficients=(0.0, 1.0, 0.0, 1.0 / 3.0)),
+            TanhScaledCurve(),
+            PolynomialCurve(coefficients=(0.0, 0.0, 0.5, -1.0 / 6.0)),
+            PiecewiseLinearCurve(knots=((0.0, 0.0), (1.0, 0.5), (2.0, 2.0))),
+        ]
+        cfg = write_config(tmp_path, {"curves": [c.spec() for c in curves]})
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run(["suite", "--output-dir", str(a)]) == 0
+        assert run(["suite", "--config", cfg, "--output-dir", str(b)]) == 0
+        assert (a / "suite_report.json").read_bytes() == (b / "suite_report.json").read_bytes()
 
     def test_suite_dict_round_trip(self, cubic):
         from memelements import theorem_suite

@@ -30,8 +30,11 @@ Covered:
     ones no report shows) on closed-form chains of the seven curves to
     depths 0-4 at n = 256 and 4096;
   * in-process CLI runs: ``analyze`` of the seven curves at twelve cells
-    on closed-form and numeric chains, every figure, the default and a
-    multi-curve ``suite``, a 2x2 ``sweep`` and three failing configs.
+    on closed-form and numeric chains, every figure, the default ``suite``
+    and two configured ones (one with tolerances and grid_n), ``analyze``
+    with format subsets from ``--formats`` or the config (and two bad
+    ones), ``sweep`` over drive, descriptor, grid_n and numeric_chain axes
+    (one trial ends in an error row) and three failing configs.
 """
 
 from __future__ import annotations
@@ -220,11 +223,11 @@ def commands() -> None:
     run_cli("suite/default", ["suite", "--strict"], "out")
     cfg = {"curves": list(SPECS.values()), "excitation": {"amplitude": 0.9, "omega": 1.3}}
     run_cli("suite/config", ["suite", "--config", write("suite.json", cfg)], "out")
-    cfg = {"descriptor": {"alpha": -2, "beta": -2}, "curve": SPECS["cubic"],
-           "axes": [{"target": "excitation.amplitude", "values": [0.5, 1.0]},
-                    {"target": "descriptor.alpha", "values": [-1, -3]}],
-           "excitation": {"amplitude": 1.0}}
-    run_cli("sweep/2x2", ["sweep", "--config", write("sweep.json", cfg)], "out")
+    cfg = {"curves": [SPECS["cubic"], SPECS["tanh"]], "grid_n": 1024,
+           "tolerances": {"witness_tol": 1e-6, "slope_tol": 1e-7}}
+    run_cli("suite/config-tolerances", ["suite", "--config", write("suite.json", cfg)], "out")
+    formats()
+    sweeps()
     failing = {
         "config-error": {"descriptor": {"alpha": 1, "beta": 0}, "curve": SPECS["cubic"]},
         "capability": {"descriptor": {"alpha": -6, "beta": -6},
@@ -234,6 +237,34 @@ def commands() -> None:
     }
     for tag, cfg in failing.items():
         run_cli(f"analyze/{tag}", ["analyze", "--config", write("analyze.json", cfg)], "out")
+
+
+def formats() -> None:
+    """analyze with a subset of formats, from the flag or from the config."""
+    base = {"descriptor": {"alpha": -2, "beta": -2}, "curve": SPECS["tanh"]}
+    for tag, flag, cfg_formats in (("json", "json", None), ("csv,svg", "csv,svg", None),
+                                   ("config", None, ["svg", "json"]),
+                                   ("flag-over-config", "csv", ["json"]),
+                                   ("bad", "json,pdf", None), ("bad-config", None, "tiff")):
+        cfg = dict(base, formats=cfg_formats) if cfg_formats is not None else base
+        argv = ["analyze", "--config", write("analyze.json", cfg)]
+        run_cli(f"analyze/formats/{tag}", argv + (["--formats", flag] if flag else []), "out")
+
+
+def sweeps() -> None:
+    """sweep over a drive axis that ends in an error row, grid_n and numeric_chain."""
+    cubic = {"descriptor": {"alpha": -2, "beta": -2}, "curve": SPECS["cubic"],
+             "excitation": {"amplitude": 1.0}}
+    for tag, axes in (
+        ("2x2", [{"target": "excitation.amplitude", "values": [0.5, 1.0]},
+                 {"target": "descriptor.alpha", "values": [-1, -3]}]),
+        ("amplitude-error", [{"target": "excitation.amplitude", "values": [0.5, 2.0]},
+                             {"target": "grid_n", "values": [256, 2048]}]),
+        ("numeric", [{"target": "numeric_chain", "values": [False, True]},
+                     {"target": "descriptor.beta", "values": [-1, -2]}]),
+    ):
+        cfg = dict(cubic, axes=axes)
+        run_cli(f"sweep/{tag}", ["sweep", "--config", write("sweep.json", cfg)], "out")
 
 
 def main() -> None:
