@@ -104,9 +104,9 @@ def curve_from_spec(node, path: str = "curve") -> ConstitutiveCurve:
 
     Shape: {"family": ..., "params": {...}, "range": [lo, hi],
     "max_derivative_order": n}; two_branch nests full sub-specs under
-    params.outgoing and params.returning, and its range and order, which
-    come from the branches, are accepted and not read.  Every curve's
-    spec() is such a node.
+    params.outgoing and params.returning, and its range and order come
+    from the branches, so when given they must equal the branches'.
+    Every curve's spec() is such a node.
     """
     if not isinstance(node, dict):
         raise ConfigError(f"{path} must be an object")
@@ -118,16 +118,6 @@ def curve_from_spec(node, path: str = "curve") -> ConstitutiveCurve:
     if not isinstance(family, str) or family not in _FAMILY_PARAMS:
         raise ConfigError(f"{path}.family {family!r} is not a known curve family")
     _known(params, _FAMILY_PARAMS[family], f"{path}.params")
-
-    if family == "two_branch":
-        out = curve_from_spec(_require(params, "outgoing", f"{path}.params"),
-                              f"{path}.params.outgoing")
-        ret = curve_from_spec(_require(params, "returning", f"{path}.params"),
-                              f"{path}.params.returning")
-        try:
-            return TwoBranchCurve(outgoing=out, returning=ret)
-        except MemElementsError as err:
-            raise ConfigError(f"{path}: {err}") from err
 
     kwargs: dict = {}
     if "range" in node:
@@ -143,6 +133,23 @@ def curve_from_spec(node, path: str = "curve") -> ConstitutiveCurve:
         if isinstance(order, bool) or not isinstance(order, int):
             raise ConfigError(f"{path}.max_derivative_order must be an integer")
         kwargs["max_derivative_order"] = order
+
+    if family == "two_branch":
+        out = curve_from_spec(_require(params, "outgoing", f"{path}.params"),
+                              f"{path}.params.outgoing")
+        ret = curve_from_spec(_require(params, "returning", f"{path}.params"),
+                              f"{path}.params.returning")
+        try:
+            curve = TwoBranchCurve(outgoing=out, returning=ret)
+        except MemElementsError as err:
+            raise ConfigError(f"{path}: {err}") from err
+        for key, given in kwargs.items():
+            derived = getattr(curve, key)
+            if given != derived:
+                name = "range" if key == "operating_range" else key
+                raise ConfigError(f"{path}.{name} {given!r} disagrees with the "
+                                  f"branches' {derived!r}")
+        return curve
 
     try:
         if family == "polynomial":
@@ -274,7 +281,9 @@ def _classify_args(cfg: dict) -> tuple:
     descriptor = descriptor_from_spec(_require(cfg, "descriptor", "config"))
     curve = curve_from_spec(_require(cfg, "curve", "config"))
     exc = excitation_from_spec(cfg.get("excitation"))
-    numeric = bool(cfg.get("numeric_chain", False))
+    numeric = cfg.get("numeric_chain", False)
+    if not isinstance(numeric, bool):
+        raise ConfigError("config.numeric_chain must be a boolean")
     tol = tolerances_from_spec(cfg.get("tolerances"), numeric)
     return descriptor, curve, exc, tol, _grid_n_from(cfg, "config"), numeric
 

@@ -89,7 +89,7 @@ class ConstitutiveCurve(abc.ABC):
         lo, hi = self.operating_range
         eps = _RANGE_EPS * (hi - lo)
         bad = (x < lo - eps) | (x > hi + eps)
-        if np.any(bad):
+        if bad.any():
             worst = float(np.asarray(x)[bad].flat[0])
             raise DomainError(
                 f"abscissa {worst!r} outside operating range [{lo}, {hi}]"

@@ -3,20 +3,29 @@
 Everything here consumes a ParametricLocus and reports geometry with
 numerical witnesses: origin crossings, tangent landmarks, symmetry,
 valuedness, negative-slope arcs, and the ordinate/abscissa phase lag.
-Roots are located by sign-change scans over the sample grid and, when
-the locus has a jet, refined by one lock-step bisection per locus
-chain: refine_chain scans every plane's abscissa and coordinate
-rates, and bisect refines all the brackets together, each reading its
-own signal off the chain's Taylor jet.  A Chandrupatla predictor
-estimates every root, the midpoints scipy.optimize.bisect would visit on
-its way to each estimate are evaluated in one call, and only decisions
-those values confirm are taken, so each bracket lands on exactly the
-root scipy would return for it, usually in five evaluations where
-bisection takes one per halving.  A bracket whose signs leave the
-predicted path walks its path again from there, in the next call.  A
-bracket two planes share is refined once.  A locus analysed on its own
-is refined as a one-plane chain, with the same roots; phase_shift reads
-its peaks off such a chain too.
+
+The analyses read what refine_chain prepares for a whole locus chain,
+from the samples of its grid jet and two more jet evaluations:
+
+* roots: every plane's abscissa and coordinate rates are scanned for
+  sign changes over the grid, and when the locus has a jet, all the
+  brackets are refined by one lock-step bisection.  A Chandrupatla
+  predictor estimates every root, the midpoints scipy.optimize.bisect
+  would visit on its way to each estimate are evaluated in one call, and
+  only decisions those values confirm are taken, so each bracket lands on
+  exactly the root scipy would return for it, usually in five
+  evaluations where bisection takes one per halving.  A bracket whose
+  signs leave the predicted path walks its path again from there, in the
+  next call.  A bracket two planes share is refined once.
+* landmark values: one jet_signals call gives (u, w, du/dt, dw/dt) at
+  every plane's roots and slope-span midpoints, which origin_crossing,
+  rate_landmarks and project_landmarks read.
+* valuedness pairs: a sample whose pair time is a grid time reads the
+  sample there, and one jet gives every plane's ordinate at the others.
+
+A locus analysed on its own is prepared as a one-plane chain, with the
+same results.  phase_shift refines only the rate brackets of the
+outgoing half-period it reads.
 """
 
 from __future__ import annotations
@@ -29,7 +38,7 @@ import numpy as np
 from .constitutive import ConstitutiveCurve
 from .errors import CapabilityError, NumericalError
 from .excitation import Excitation, grid
-from .transform import ParametricLocus, analytic_locus, jet_signals, periodic_derivative
+from .transform import ParametricLocus, _Jet, jet_signals, periodic_derivative
 
 __all__ = [
     "PointKind",
@@ -188,34 +197,6 @@ def _derivative_arrays(locus: ParametricLocus) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def _rates_at(locus: ParametricLocus, t: np.ndarray,
-              arrays: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinate rates at times t: exact via derivative_fn, else interpolated in arrays."""
-    if locus.derivative_fn is not None:
-        du, dw = locus.derivative_fn(t)
-        return np.asarray(du, dtype=float), np.asarray(dw, dtype=float)
-    return (
-        np.interp(t, locus.t_values, arrays[0]),
-        np.interp(t, locus.t_values, arrays[1]),
-    )
-
-
-def _coordinates_and_rates(locus: ParametricLocus, t: np.ndarray,
-                           arrays: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, ...]:
-    """u, w, du/dt and dw/dt at times t, in one jet evaluation when the locus has a rate hook.
-
-    One jet gives depths d and d + 1 at once; the values are those of the
-    two hooks called apart, since a jet's rows do not depend on its top
-    order.
-    """
-    if t.size and locus.derivative_fn is not None:
-        n, d = t.size, locus.depth
-        depths = np.repeat([d, d, d + 1, d + 1], n)
-        ordinate = np.tile(np.repeat([False, True], n), 2)
-        return tuple(jet_signals(*locus.jet, np.tile(t, 4), depths, ordinate).reshape(4, n))
-    return (*point_at(locus, t), *_rates_at(locus, t, arrays))
-
-
 def _predict(fn, a, b, fa, fb, live) -> np.ndarray:
     """An estimate of the root in each live bracket, NaN where there is none.
 
@@ -348,8 +329,11 @@ def bisect(fn, a, b, xtol: float = 1e-12) -> np.ndarray:
 
 def _runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """First and last index of each run of True samples."""
-    edges = np.diff(mask.astype(np.int8), prepend=0, append=0)
-    return np.flatnonzero(edges == 1), np.flatnonzero(edges == -1) - 1
+    idx = np.flatnonzero(mask)
+    if not idx.size:
+        return idx, idx
+    cut = idx[1:] != idx[:-1] + 1  # a run ends between these neighbours
+    return idx[np.append(True, cut)], idx[np.append(cut, True)]
 
 
 def _scan(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -374,8 +358,12 @@ def _signal_roots(t: np.ndarray, row: np.ndarray, crossings: np.ndarray, xtol: f
     across a root, which drops tangential (double) zeros; the signal is
     treated as periodic when looking up the run's neighbours.
     """
+    tol = max(10.0 * xtol, 1e-12)
+    zero = row == 0.0
+    if not zero.any():
+        return _dedupe(crossings.tolist(), tol)
     n = row.size
-    first, last = _runs(row == 0.0)
+    first, last = _runs(zero)
     if first.size > 1 and first[0] == 0 and last[-1] == n - 1 and (
             last[0] > 0 or first[-1] < n - 1):
         # t[-1] is t[0] one period later, so a zero run through the seam is
@@ -395,33 +383,49 @@ def _signal_roots(t: np.ndarray, row: np.ndarray, crossings: np.ndarray, xtol: f
             first = last = first[:0]
     mid = (first + last) // 2
     mid = np.where(last < n, mid, mid % (n - 1))
-    return _dedupe(crossings.tolist() + t[mid].tolist(), max(10.0 * xtol, 1e-12))
+    return _dedupe(crossings.tolist() + t[mid].tolist(), tol)
 
 
 @dataclass(frozen=True)
 class _PlaneRoots:
-    """One plane's abscissa roots, its coordinate rates and their transversal roots."""
+    """What the analyses of one plane read: its roots, and its values there.
+
+    abscissa holds the roots of u, du and dw the transversal roots of
+    du/dt and dw/dt, and rates the two rates on the grid.  spans are the
+    intervals between consecutive rate roots and the period ends, over
+    which the slope keeps its sign.  at maps every root and every span
+    midpoint to (u, w, du/dt, dw/dt) there.  t_pair holds each sample's
+    valuedness pair time and w_pair the ordinate there.
+    """
 
     abscissa: list[float]
     rates: tuple[np.ndarray, np.ndarray]
     du: list[float]
     dw: list[float]
+    spans: list[tuple[float, float]]
+    at: dict[float, tuple[float, float, float, float]]
+    t_pair: np.ndarray
+    w_pair: np.ndarray
 
 
-def refine_chain(chain) -> None:
-    """Refine every root the analyses of a locus chain need, in one bisect call.
+def refine_chain(chain, top_rates: tuple[np.ndarray, np.ndarray] | None = None) -> None:
+    """Refine every root the analyses of a locus chain need, and read their values there.
 
     Each plane's abscissa u (for origin_crossing) and coordinate rates
     du/dt and dw/dt (for rate_landmarks) are scanned for sign changes, and
     every bracket a hook covers is refined in one lock-step bisection
     through jet_signals, one evaluation per step for all of them; brackets
     of signals without a hook keep their linear-interpolation root.  The
-    loci of a chain are taken to share one jet, and chain[d + 1] to be the
-    transform of chain[d] on the same grid, so its samples serve as plane
-    d's rates when both come from the same kind of evaluation (hooks, or
-    finite differences).  A bracket two planes share, such as plane d's
-    du/dt and plane d + 1's u, is refined once.  The roots are stored on
-    each locus, where origin_crossing and rate_landmarks read them.
+    loci of a chain are taken to share one jet and one grid, and
+    chain[d + 1] to be the transform of chain[d], so its samples serve as
+    plane d's rates when both come from the same kind of evaluation
+    (hooks, or finite differences); top_rates, when given, are the last
+    plane's rates on the grid.  A bracket two planes share, such as plane
+    d's du/dt and plane d + 1's u, is refined once.  Then one jet_signals
+    call reads (u, w, du/dt, dw/dt) at every plane's roots and slope-span
+    midpoints, and one jet the ordinates at the valuedness pair times that
+    are no grid time.  All of it is stored on each locus, where
+    origin_crossing, valuedness and rate_landmarks read it.
     """
     xtol = 1e-12
     scans = []
@@ -430,6 +434,8 @@ def refine_chain(chain) -> None:
         after = chain[d + 1] if d + 1 < len(chain) else None
         if after is not None and (locus.derivative_fn is None) == (after.jet is None):
             rates = (after.u_values, after.w_values)
+        elif after is None and top_rates is not None:
+            rates = top_rates
         else:
             rates = _derivative_arrays(locus)
         t = locus.t_values
@@ -443,12 +449,13 @@ def refine_chain(chain) -> None:
                  for r, i in zip(rows.tolist(), left.tolist())]
         scans.append((locus, rates, vals, rows, left, slots))
 
+    jet = next((locus.jet for locus in chain if locus.jet is not None), None)
     if keys:
-        curve, exc = next(locus.jet for locus in chain if locus.jet is not None)
         depth, ordinate, a, b = (np.array(col) for col in zip(*keys))
-        roots = bisect(lambda x, live: jet_signals(curve, exc, x, depth[live], ordinate[live]),
+        roots = bisect(lambda x, live: jet_signals(*jet, x, depth[live], ordinate[live]),
                        a, b, xtol=xtol)
 
+    planes = []
     for locus, rates, vals, rows, left, slots in scans:
         t = locus.t_values
         crossings = _interpolated(t, vals, rows, left)
@@ -458,7 +465,84 @@ def refine_chain(chain) -> None:
         abscissa, du, dw = (
             _signal_roots(t, row, crossings[rows == r], xtol, transversal_only=r > 0)
             for r, row in enumerate(vals))
-        object.__setattr__(locus, "_roots", _PlaneRoots(abscissa, rates, du, dw))
+        spans = _spans(t, du + dw)
+        times = np.array(abscissa + du + dw + [0.5 * (a + b) for a, b in spans])
+        planes.append((abscissa, rates, du, dw, spans, times))
+
+    values = _landmark_values(chain, [p[1] for p in planes], [p[5] for p in planes], jet)
+    for locus, (*plane, times), v, pair in zip(chain, planes, values, _pair_ordinates(chain, jet)):
+        at = dict(zip(times.tolist(), zip(*v.tolist())))
+        object.__setattr__(locus, "_roots", _PlaneRoots(*plane, at, *pair))
+
+
+def _spans(t: np.ndarray, roots: list[float]) -> list[tuple[float, float]]:
+    """The intervals longer than 1e-9 between consecutive roots and the period ends."""
+    bps = _dedupe(roots + [float(t[0]), float(t[-1])], 1e-9)
+    return [(a, b) for a, b in zip(bps[:-1], bps[1:]) if b - a > 1e-9]
+
+
+def _landmark_values(chain, rates, times, jet) -> list[np.ndarray]:
+    """Rows u, w, du/dt and dw/dt of each plane at its times.
+
+    Every value a hook covers comes from one jet_signals call for the
+    whole chain; the others are interpolated in the grid samples or rates.
+    """
+    def hooked(locus, row):
+        return (locus.jet if row < 2 else locus.derivative_fn) is not None
+
+    asks = [(tp, np.full(tp.size, locus.depth + row // 2), np.full(tp.size, row % 2 == 1))
+            for locus, tp in zip(chain, times) for row in range(4) if hooked(locus, row)]
+    got = iter(())
+    if asks:
+        t, depth, ordinate = (np.concatenate(col) for col in zip(*asks))
+        got = iter(np.split(jet_signals(*jet, t, depth, ordinate),
+                            np.cumsum([tp.size for tp, _, _ in asks])[:-1]))
+    return [np.array([next(got) if hooked(locus, row) else np.interp(tp, locus.t_values, on_grid)
+                      for row, on_grid in enumerate((locus.u_values, locus.w_values, *plane))])
+            for locus, plane, tp in zip(chain, rates, times)]
+
+
+def _mod(x: np.ndarray, period: float) -> np.ndarray:
+    """np.mod(x, period) for period > 0, bit for bit, at about half its cost."""
+    r = np.fmod(x, period)
+    return np.where(r < 0.0, r + period, r) + 0.0  # + 0.0 turns fmod's -0.0 into +0.0
+
+
+def _pair_ordinates(chain, jet) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each plane's valuedness pair times, and its ordinate at them.
+
+    Odd-depth loci revisit each abscissa at (T/2 - t) mod T, even-depth
+    loci at (T - t) mod T, so the planes of one depth parity share their
+    pair times.  On a plane with a hook, a pair time that is a grid time
+    bit for bit reads the sample there, which is the hook's value since a
+    jet's values do not depend on the other times it is taken at; one jet
+    at the other pair times of both parities serves every such plane.  A
+    plane without a hook interpolates in its samples.
+    """
+    pairs = {}  # depth parity -> pair times, the nearest sample to each, and which are off it
+    for locus in chain:
+        if locus.depth % 2 not in pairs:
+            t, T = locus.t_values, locus.period
+            t_pair = _mod((0.5 * T if locus.depth % 2 else T) - t, T)
+            j = np.minimum(np.rint(t_pair / locus.spacing).astype(int), t.size - 1)
+            pairs[locus.depth % 2] = (t_pair, j, t[j] != t_pair)
+    hooked = [locus.depth for locus in chain if locus.jet is not None]
+    if hooked:
+        parities = sorted({d % 2 for d in hooked})
+        rest = [t_pair[off] for t_pair, _, off in map(pairs.get, parities)]
+        bounds = np.cumsum([0] + [tp.size for tp in rest]).tolist()
+        part = {k: slice(lo, hi) for k, lo, hi in zip(parities, bounds, bounds[1:])}
+        at_rest = _Jet(*jet, np.concatenate(rest), max(hooked), max(hooked))
+    out = []
+    for locus in chain:
+        t_pair, j, off = pairs[locus.depth % 2]
+        if locus.jet is None:
+            w_pair = np.interp(t_pair, locus.t_values, locus.w_values)
+        else:
+            w_pair = locus.w_values[j]
+            w_pair[off] = at_rest.ordinate(locus.depth, part=part[locus.depth % 2])
+        out.append((t_pair, w_pair))
+    return out
 
 
 def _plane_roots(locus: ParametricLocus) -> _PlaneRoots:
@@ -488,7 +572,9 @@ def origin_crossing(locus: ParametricLocus, pinch_tol: float = 1e-9) -> OriginCr
     scale_u = max(1.0, float(np.max(np.abs(u))))
     scale_w = max(1.0, float(np.max(np.abs(w))))
 
-    roots = list(_plane_roots(locus).abscissa)
+    plane = _plane_roots(locus)
+    roots = list(plane.abscissa)
+    at = {r: plane.at[r][:2] for r in roots}
 
     # tangential zeros never flip sign; pick them up from near-zero samples
     near = np.abs(u) <= pinch_tol * scale_u
@@ -497,11 +583,12 @@ def origin_crossing(locus: ParametricLocus, pinch_tol: float = 1e-9) -> OriginCr
         cand = float(t[idx])
         if all(abs(cand - r) > 2.0 * h for r in roots):
             roots.append(cand)
+            at[cand] = (float(u[idx]), float(w[idx]))
     roots = _dedupe(roots, 1e-12)
 
-    us, ws = point_at(locus, np.asarray(roots, dtype=float))
     points: list[SpecialPoint] = []
-    for r, ur, wr in zip(roots, us.tolist(), ws.tolist()):
+    for r in roots:
+        ur, wr = at[r]
         if abs(ur) <= pinch_tol * scale_u and abs(wr) <= pinch_tol * scale_w:
             points.append(SpecialPoint(t=r, u=ur, w=wr, kind=PointKind.PINCH))
         else:
@@ -537,11 +624,8 @@ def valuedness(locus: ParametricLocus, tol: float = 1e-9) -> ValuednessReport:
     """
     t = locus.t_values
     T = locus.period
-    if locus.depth % 2 == 1:
-        t_pair = np.mod(0.5 * T - t, T)
-    else:
-        t_pair = np.mod(T - t, T)
-    _, w_pair = point_at(locus, t_pair)
+    plane = _plane_roots(locus)
+    t_pair, w_pair = plane.t_pair, plane.w_pair
     gap = np.abs(locus.w_values - w_pair)
     scale = max(1.0, float(np.max(np.abs(locus.w_values))))
     max_gap = float(np.max(gap))
@@ -596,27 +680,26 @@ def rate_landmarks(locus: ParametricLocus, root_tol: float = 1e-10
     The transversal roots of du/dt and dw/dt are refined once each and
     shared by all three results.
     """
-    roots = _plane_roots(locus)
+    plane = _plane_roots(locus)
     return (
-        _tangent_points(locus, roots.dw, roots.rates, root_tol, vertical=False),
-        _tangent_points(locus, roots.du, roots.rates, root_tol, vertical=True),
-        _negative_arcs(locus, roots.du + roots.dw, roots.rates),
+        _tangent_points(plane, plane.dw, root_tol, vertical=False),
+        _tangent_points(plane, plane.du, root_tol, vertical=True),
+        _negative_arcs(plane),
     )
 
 
-def _tangent_points(locus: ParametricLocus, roots: list[float],
-                    rates: tuple[np.ndarray, np.ndarray], root_tol: float,
+def _tangent_points(plane: _PlaneRoots, roots: list[float], root_tol: float,
                     vertical: bool) -> tuple[SpecialPoint, ...]:
+    # other indexes (du/dt, dw/dt): the rate that must not vanish at the root too
     if vertical:
-        other, kind, tangent_angle = rates[1], PointKind.VERTICAL_TANGENT, 0.5 * np.pi
+        other, kind, tangent_angle = 1, PointKind.VERTICAL_TANGENT, 0.5 * np.pi
     else:
-        other, kind, tangent_angle = rates[0], PointKind.ZERO_TANGENT, 0.0
-    gate = root_tol * max(1.0, float(np.max(np.abs(other))))
-    us, ws, du, dw = _coordinates_and_rates(locus, np.asarray(roots, dtype=float), rates)
+        other, kind, tangent_angle = 0, PointKind.ZERO_TANGENT, 0.0
+    gate = root_tol * max(1.0, float(np.max(np.abs(plane.rates[other]))))
     points: list[SpecialPoint] = []
-    for r, other_r, ur, wr in zip(roots, (dw if vertical else du).tolist(),
-                                  us.tolist(), ws.tolist()):
-        if abs(other_r) <= gate:
+    for r in roots:
+        ur, wr, *rates = plane.at[r]
+        if abs(rates[other]) <= gate:
             continue  # both rates vanish: a cusp, not a tangent landmark
         chord = None
         if max(abs(ur), abs(wr)) > 0.0:
@@ -628,21 +711,35 @@ def _tangent_points(locus: ParametricLocus, roots: list[float],
     return tuple(points)
 
 
-def _negative_arcs(locus: ParametricLocus, roots: list[float],
-                   rates: tuple[np.ndarray, np.ndarray]) -> tuple[ArcInterval, ...]:
-    t = locus.t_values
-    bps = _dedupe(roots + [float(t[0]), float(t[-1])], 1e-9)
-
-    spans = [(a, b) for a, b in zip(bps[:-1], bps[1:]) if b - a > 1e-9]
-    du, dw = _rates_at(locus, np.array([0.5 * (a + b) for a, b in spans]), rates)
+def _negative_arcs(plane: _PlaneRoots) -> tuple[ArcInterval, ...]:
     negative: list[tuple[float, float]] = []
-    for (a, b), falling in zip(spans, (du * dw < 0.0).tolist()):
-        if falling:
+    for a, b in plane.spans:
+        _, _, du, dw = plane.at[0.5 * (a + b)]
+        if du * dw < 0.0:
             if negative and abs(negative[-1][1] - a) <= 1e-9:
                 negative[-1] = (negative[-1][0], b)
             else:
                 negative.append((a, b))
     return tuple(ArcInterval(t_start=a, t_end=b) for a, b in negative)
+
+
+def project_landmarks(locus: ParametricLocus, points) -> tuple[SpecialPoint, ...]:
+    """Images of a locus's rate landmarks under the transform, at their times.
+
+    The image of the point at time t is the next plane's point at t, whose
+    coordinates are this locus's rates (du/dt, dw/dt) there; they are read
+    off the values stored at the locus's roots, so every point must sit at
+    one of its du/dt or dw/dt roots.
+    """
+    at = _plane_roots(locus).at
+    images = []
+    for p in points:
+        u, w = at[p.t][2:]
+        images.append(SpecialPoint(
+            t=p.t, u=u, w=w, kind=PointKind.ACTIVITY_WITNESS,
+            chord_angle=float(np.arctan2(w, u)) if max(abs(u), abs(w)) > 0.0 else None,
+        ))
+    return tuple(images)
 
 
 def zero_tangent_points(locus: ParametricLocus, root_tol: float = 1e-10
@@ -677,18 +774,29 @@ def phase_shift(curve: ConstitutiveCurve, exc: Excitation,
 
     Peaks are maxima: transversal roots of the depth-1 locus's rates
     dw/dt and du/dt crossed from positive to negative, located on the
-    outgoing half-period.  The roots are the ones refine_chain finds for
-    that locus on an 8192-interval grid, whose first half is a
-    4096-interval grid of the outgoing half-period.  Requires second
-    derivatives of the curve.
+    outgoing half-period.  The rates are taken on an 8192-interval grid,
+    whose first half is a 4096-interval grid of the outgoing half-period,
+    and only their brackets there are refined, each to the root
+    refine_chain finds for it.  Requires second derivatives of the curve.
     """
     if curve.max_derivative_order < 2:
         raise CapabilityError("phase analysis needs curve second derivatives")
 
-    locus = analytic_locus(curve, exc, 1, grid(exc, 8192))
-    roots = _plane_roots(locus)
-    t_w = _first_maximum(locus, roots.dw, 1)
-    t_u = _first_maximum(locus, roots.du, 0)
+    t = grid(exc, 8192).t_values
+    jet = _Jet(curve, exc, t, 2, 2)
+    rates = np.stack((jet.x[2], jet.ordinate(2)))
+    half = 0.5 * float(t[-1] - t[0])
+    rows, left = _scan(rates)
+    outgoing = t[left] < half
+    rows, left = rows[outgoing], left[outgoing]
+    xtol = 1e-12
+    crossings = bisect(
+        lambda x, live: jet_signals(curve, exc, x, np.full(live.size, 2), rows[live] == 1),
+        t[left], t[left + 1], xtol=xtol)
+    t_u, t_w = (
+        _first_maximum(curve, exc, t, _signal_roots(t, rate, crossings[rows == r], xtol,
+                                                    transversal_only=True), r)
+        for r, rate in enumerate(rates))
     shift = t_w - t_u
     if shift > phase_tol:
         cls = PhaseClass.LAG
@@ -701,13 +809,22 @@ def phase_shift(curve: ConstitutiveCurve, exc: Excitation,
     )
 
 
-def _first_maximum(locus: ParametricLocus, roots: list[float], component: int) -> float:
-    """First root in (0, T/2) where the locus's rate component crosses from + to -."""
-    half = 0.5 * locus.period
-    probe = min(1e-7 * locus.period, 0.25 * locus.spacing)
-    rate = locus.derivative_fn
-    for r in roots:
-        if 0.0 < r < half and (rate(max(r - probe, 0.0))[component] > 0.0
-                               > rate(min(r + probe, half))[component]):
-            return float(r)
+def _first_maximum(curve: ConstitutiveCurve, exc: Excitation, t: np.ndarray,
+                   roots: list[float], component: int) -> float:
+    """First root in (0, T/2) where the depth-1 rate component crosses from + to -.
+
+    The rate is probed just before and after every candidate root, all in
+    one jet_signals call.
+    """
+    period, spacing = float(t[-1] - t[0]), float(t[1] - t[0])
+    half = 0.5 * period
+    probe = min(1e-7 * period, 0.25 * spacing)
+    inside = [r for r in roots if 0.0 < r < half]
+    if inside:
+        at = np.array([max(r - probe, 0.0) for r in inside]
+                      + [min(r + probe, half) for r in inside])
+        rate = jet_signals(curve, exc, at, np.full(at.size, 2), np.full(at.size, component == 1))
+        for r, before, after in zip(inside, rate[: len(inside)], rate[len(inside):]):
+            if before > 0.0 > after:
+                return float(r)
     raise NumericalError("no ordinate maximum found on the outgoing half-period")

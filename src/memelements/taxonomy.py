@@ -33,13 +33,13 @@ from .loci import (
     Valuedness,
     odd_symmetry,
     origin_crossing,
-    point_at,
+    project_landmarks,
     rate_landmarks,
     refine_chain,
     valuedness,
 )
 from .tolerances import ANALYTIC_DEFAULTS, NUMERIC_DEFAULTS, ToleranceSet
-from .transform import ParametricLocus, analytic_locus, numeric_transform
+from .transform import ParametricLocus, analytic_chain, analytic_locus, numeric_transform
 
 __all__ = [
     "ElementDescriptor",
@@ -253,20 +253,6 @@ def _analyze_plane(locus: ParametricLocus, tol: ToleranceSet) -> PlaneAnalysis:
     )
 
 
-def _project_witnesses(vlocus: ParametricLocus, points: tuple[SpecialPoint, ...]
-                       ) -> tuple[SpecialPoint, ...]:
-    """Images in the verdict plane of source landmarks, at their times."""
-    ts = [p.t for p in points]
-    us, ws = point_at(vlocus, np.asarray(ts, dtype=float))
-    return tuple(
-        SpecialPoint(
-            t=float(t0), u=u, w=w, kind=PointKind.ACTIVITY_WITNESS,
-            chord_angle=float(np.arctan2(w, u)) if max(abs(u), abs(w)) > 0.0 else None,
-        )
-        for t0, u, w in zip(ts, us.tolist(), ws.tolist())
-    )
-
-
 def _check_route_agreement(
     vlocus: ParametricLocus,
     axis_witnesses: tuple[SpecialPoint, ...],
@@ -353,8 +339,9 @@ def _verdict(
     vlocus = chain[k]
     src = planes[k - 1]
     eq_axis = tuple(p for p in vp.abscissa_zeros if abs(p.w) > wtol)
-    c_proj = _project_witnesses(vlocus, src.zero_tangents)
-    q_proj = _project_witnesses(vlocus, src.vertical_tangents)
+    # the verdict plane's points at the source plane's tangent landmarks
+    c_proj = project_landmarks(chain[k - 1], src.zero_tangents)
+    q_proj = project_landmarks(chain[k - 1], src.vertical_tangents)
     _check_route_agreement(vlocus, eq_axis, q_proj, tol)
 
     c_off = tuple(p for p in c_proj if abs(p.u) > wtol)
@@ -437,13 +424,14 @@ def _analyze_chain(
             f"range [{lo}, {hi}]"
         )
     g = grid(exc, grid_n)
-    chain = [analytic_locus(curve, exc, 0, g)]
-    for d in range(1, depth + 1):
-        chain.append(
-            numeric_transform(chain[-1]) if numeric_chain
-            else analytic_locus(curve, exc, d, g)
-        )
-    refine_chain(chain)
+    if numeric_chain:
+        chain = [analytic_locus(curve, exc, 0, g)]
+        for _ in range(depth):
+            chain.append(numeric_transform(chain[-1]))
+        rates = None
+    else:
+        chain, rates = analytic_chain(curve, exc, depth, g)
+    refine_chain(chain, rates)
     return _ChainAnalysis(
         excitation=exc,
         grid_n=g.count,

@@ -17,19 +17,25 @@ with the partial Bell polynomials built by the recursion
 
     B_{0,0} = 1,  B_{n,j} = sum_i C(n-1, i-1) x^(i) B_{n-i,j-1}.
 
-Every coordinate is read off one Taylor jet of the curve and drive at the
+Every coordinate is read off a Taylor jet of the curve and drive at the
 times asked for: the drive levels x, x', ... from one cos and one sin,
-the curve derivatives after one range check, and the Bell rows built
-once.  An analytic locus names its (curve, drive) pair as its jet, and
-its hooks are views of that pair at depths k and k + 1, so both always
-read the same jet.  chain_ordinate, the locus hooks and the chain-wide
-root refinement in loci all evaluate through it.  The depth a chain may
-reach is the curve's max_derivative_order.
+the curve derivatives after one range check, and the Bell rows from a
+plan cached per order.  Every operation is elementwise, so a value does
+not depend on the other times the jet is taken at, bit for bit; grid
+samples therefore stand in for hook values at grid times.  The loci of
+a chain are views of one jet on the grid (analytic_chain), which runs
+one level deeper to give the last plane's rates.  Off the grid,
+jet_signals evaluates any mix of depths and coordinates in one call,
+each ordinate depth on the elements that ask for it alone.  An analytic
+locus names its (curve, drive) pair as its jet, and its hooks are views
+of that pair at depths k and k + 1.  The depth a chain may reach is the
+curve's max_derivative_order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -136,21 +142,28 @@ def _branch_mask(exc: Excitation, t: np.ndarray) -> np.ndarray:
     return tm <= 0.5 * exc.period * (1.0 + 1e-12)
 
 
+@lru_cache(maxsize=None)
+def _bell_plan(n: int) -> tuple[tuple[int | None, ...], ...]:
+    """For each Bell row m = 1..n, the multipliers C(m - 1, i - 1) of x^(i), i = 1..m-1.
+
+    A multiplier of 1 is held as None, so that no product by 1 is taken.
+    """
+    return tuple(tuple(None if comb(m - 1, i - 1) == 1 else comb(m - 1, i - 1)
+                       for i in range(1, m)) for m in range(1, n + 1))
+
+
 def _bell(x, n: int) -> list:
     """Rows 0..n of the partial Bell polynomials in x[1], x[2], ...: rows[m][j] is B_{m,j}.
 
     B_{m,0} is 1 at m = 0 and zero otherwise; the zero is held as None so
     that no sum ever adds it.
     """
-    x = list(x[: n + 1])
-    # C(m - 1, i - 1) x^(i), with the exact products by 1 skipped
-    scaled = {(m, i): x[i] if comb(m - 1, i - 1) == 1 else comb(m - 1, i - 1) * x[i]
-              for m in range(2, n + 1) for i in range(1, m)}
     rows = [[1.0]]
-    for m in range(1, n + 1):
+    for m, multipliers in enumerate(_bell_plan(n), start=1):
+        scaled = [x[i] if c is None else c * x[i] for i, c in enumerate(multipliers, start=1)]
         row = [None, x[m]]
         for j in range(2, m + 1):
-            terms = [scaled[m, i] * rows[m - i][j - 1] for i in range(1, m - j + 2)]
+            terms = [scaled[i - 1] * rows[m - i][j - 1] for i in range(1, m - j + 2)]
             row.append(sum(terms[1:], terms[0]))
         rows.append(row)
     return rows
@@ -163,28 +176,38 @@ class _Jet:
     the curve derivatives at x (one range check per branch) and the
     partial Bell rows.  Every depth-k abscissa is a level and every depth-k
     ordinate a Faa di Bruno sum over them, so all depths share one jet.
+    levels, when given, are the levels at t already.  Every operation is
+    elementwise, so a value does not depend on the other times in t.
     """
 
     def __init__(self, curve: ConstitutiveCurve, exc: Excitation, t, top: int,
-                 order: int | None = None):
+                 order: int | None = None, levels: np.ndarray | None = None):
         self.curve, self.exc, self.order = curve, exc, order
         self.t = np.asarray(t, dtype=float)
-        self.x = _levels(exc, self.t, top)
+        self.x = _levels(exc, self.t, top) if levels is None else levels
         if order is not None:
             self.bell = _bell(self.x, order)
             self.f = {}
 
-    def ordinate(self, depth: int, branch: str | None = None) -> np.ndarray:
-        """d^k/dt^k f(x(t)); a two-branch curve with branch None follows the sweep."""
+    def ordinate(self, depth: int, branch: str | None = None,
+                 part=...) -> np.ndarray:
+        """d^k/dt^k f(x(t)) at the times in part.
+
+        A two-branch curve with branch None follows the sweep.
+        """
         if self.curve.is_two_branch and branch is None:
-            return np.where(_branch_mask(self.exc, self.t),
-                            self.ordinate(depth, OUTGOING), self.ordinate(depth, RETURNING))
+            return np.where(_branch_mask(self.exc, self.t[part]),
+                            self.ordinate(depth, OUTGOING, part),
+                            self.ordinate(depth, RETURNING, part))
         if branch not in self.f:
             self.f[branch] = self.curve._stack(self.x[0], self.order, branch=branch)
-        f, bell = self.f[branch], self.bell[depth]
-        # summed from the j = k term down and never from zero, so depths 0-2
+        f = self.f[branch]
+        if depth == 0:
+            return f[0][part]  # f B_{0,0}, and a product by 1 changes no bit
+        # summed from the j = k term down and never from zero, so depths 1-2
         # round exactly like f' x' and f'' x'^2 + f' x'', signed zeros included
-        terms = [f[j] * bell[j] for j in range(depth, -1, -1) if bell[j] is not None]
+        bell = self.bell[depth]
+        terms = [f[j][part] * bell[j][part] for j in range(depth, 0, -1)]
         return sum(terms[1:], terms[0])
 
 
@@ -208,15 +231,22 @@ def jet_signals(curve: ConstitutiveCurve, exc: Excitation, t: np.ndarray,
                 depth: np.ndarray, ordinate: np.ndarray) -> np.ndarray:
     """Per element e, x^(depth[e]) or, where ordinate[e], d^depth[e]/dt f(x(t)).
 
-    One jet serves every element: the levels run to the deepest element and
-    the curve derivatives and Bell rows to the deepest ordinate.
+    The levels run to the deepest element.  The curve derivatives and Bell
+    rows are taken on the ordinate elements alone, and each depth's Faa di
+    Bruno sum on the elements that ask for that depth.
     """
-    deep = depth[ordinate]
-    jet = _Jet(curve, exc, t, int(depth.max()), int(deep.max()) if deep.size else None)
-    out = jet.x[depth, np.arange(depth.size)]
-    for k in sorted(set(deep.tolist())):
-        pick = ordinate & (depth == k)
-        out[pick] = jet.ordinate(k)[pick]
+    x = _levels(exc, t, int(depth.max(initial=0)))
+    out = x[depth, np.arange(depth.size)]
+    asks = np.flatnonzero(ordinate)
+    if asks.size:
+        asks = asks[np.argsort(depth[asks], kind="stable")]  # grouped by depth
+        counts = np.bincount(depth[asks]).tolist()
+        jet = _Jet(curve, exc, t[asks], 0, len(counts) - 1, levels=x[:, asks])
+        lo = 0
+        for k, count in enumerate(counts):
+            if count:
+                out[asks[lo:lo + count]] = jet.ordinate(k, part=slice(lo, lo + count))
+                lo += count
     return out
 
 
@@ -240,6 +270,32 @@ class JetHook:
         return u, w
 
 
+def _checked_depth(curve: ConstitutiveCurve, depth) -> int:
+    depth = int(depth)
+    if depth < 0:
+        raise DomainError("depth must be non-negative")
+    if depth > curve.max_derivative_order:
+        raise CapabilityError(
+            f"depth {depth} needs curve derivatives up to order {depth}; this "
+            f"{curve.family} curve supports {curve.max_derivative_order}"
+        )
+    return depth
+
+
+def _jet_locus(t: np.ndarray, jet: _Jet, depth: int,
+               labels: tuple[str, str] | None = None) -> ParametricLocus:
+    """The depth-k locus whose samples are the grid jet's depth-k rows."""
+    return ParametricLocus(
+        t_values=t,
+        u_values=jet.x[depth],
+        w_values=jet.ordinate(depth),
+        depth=depth,
+        axis_labels=labels or default_labels(depth),
+        provenance="analytic",
+        jet=(jet.curve, jet.exc),
+    )
+
+
 def analytic_locus(
     curve: ConstitutiveCurve,
     exc: Excitation,
@@ -253,25 +309,27 @@ def analytic_locus(
     derivative_fn the depth-(k+1) one, None when the curve has no
     derivative of order k+1.
     """
-    depth = int(depth)
-    if depth < 0:
-        raise DomainError("depth must be non-negative")
-    if depth > curve.max_derivative_order:
-        raise CapabilityError(
-            f"depth {depth} needs curve derivatives up to order {depth}; this "
-            f"{curve.family} curve supports {curve.max_derivative_order}"
-        )
-    g = sample_grid if sample_grid is not None else grid(exc)
-    u, w = JetHook(curve, exc, depth)(g.t_values)
-    return ParametricLocus(
-        t_values=g.t_values,
-        u_values=u,
-        w_values=w,
-        depth=depth,
-        axis_labels=labels or default_labels(depth),
-        provenance="analytic",
-        jet=(curve, exc),
-    )
+    depth = _checked_depth(curve, depth)
+    t = (sample_grid if sample_grid is not None else grid(exc)).t_values
+    return _jet_locus(t, _Jet(curve, exc, t, depth, depth), depth, labels)
+
+
+def analytic_chain(
+    curve: ConstitutiveCurve, exc: Excitation, depth: int, sample_grid: SampleGrid
+) -> tuple[tuple[ParametricLocus, ...], tuple[np.ndarray, np.ndarray] | None]:
+    """The loci of depths 0..k, and the depth-k coordinate rates, off one grid jet.
+
+    Each locus equals analytic_locus's for its depth, bit for bit.  The
+    jet runs one level past k where the curve has a derivative of order
+    k + 1, and its depth-(k+1) rows are then the rates (du/dt, dw/dt) of
+    the last locus; without that derivative the rates are None.
+    """
+    depth = _checked_depth(curve, depth)
+    t = sample_grid.t_values
+    top = min(depth + 1, curve.max_derivative_order)
+    jet = _Jet(curve, exc, t, top, top)
+    chain = tuple(_jet_locus(t, jet, d) for d in range(depth + 1))
+    return chain, (jet.x[top], jet.ordinate(top)) if top > depth else None
 
 
 def periodic_derivative(values: np.ndarray, spacing: float) -> np.ndarray:

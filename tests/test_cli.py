@@ -131,6 +131,75 @@ class TestConfigParsing:
         assert curve_from_spec(json.loads(json.dumps(curve.spec()))) == curve
 
 
+LOOP_SPEC = {"family": "two_branch", "params": {
+    "outgoing": {"family": "polynomial", "params": {"coefficients": [0, 1, 0, 1.0 / 3.0]}},
+    "returning": {"family": "polynomial", "params": {"coefficients": [0, 4.0 / 3.0, 0.5]}}}}
+
+
+class TestTwoBranchDerivedKeys:
+    """A two-branch node's range and max_derivative_order must be the branches'."""
+
+    def test_matching_keys_accepted(self):
+        curve = curve_from_spec(dict(LOOP_SPEC, range=[0, 2], max_derivative_order=4))
+        assert curve == curve_from_spec(LOOP_SPEC)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("range", [0, 1.5], "curve.range"),
+        ("range", [0, 2, 3], "curve.range"),
+        ("range", [0, "2"], r"curve.range\[1\]"),
+        ("max_derivative_order", 3, "curve.max_derivative_order"),
+        ("max_derivative_order", 4.0, "curve.max_derivative_order"),
+    ])
+    def test_disagreeing_key_rejected(self, key, value, message):
+        with pytest.raises(ConfigError, match=message):
+            curve_from_spec(dict(LOOP_SPEC, **{key: value}))
+
+    def test_exit_2(self, tmp_path, capsys):
+        cfg = dict(MEMRISTOR_CFG, curve=dict(LOOP_SPEC, max_derivative_order=7))
+        out = tmp_path / "out"
+        assert run(["analyze", "--config", write_config(tmp_path, cfg),
+                    "--output-dir", str(out)]) == 2
+        assert "curve.max_derivative_order" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestNumericChainFlag:
+    """numeric_chain is a JSON boolean, in a config and on a sweep axis alike."""
+
+    @pytest.mark.parametrize("value", ["no", 0, 1, None])
+    @pytest.mark.parametrize("command", ["analyze", "sweep"])
+    def test_non_boolean_config_value(self, tmp_path, capsys, command, value):
+        cfg = dict(MEMRISTOR_CFG, numeric_chain=value)
+        if command == "sweep":
+            cfg["axes"] = [{"target": "descriptor.alpha", "values": [-1]}]
+        out = tmp_path / "out"
+        assert run([command, "--config", write_config(tmp_path, cfg),
+                    "--output-dir", str(out)]) == 2
+        assert "config.numeric_chain must be a boolean" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_boolean_axis_value(self, tmp_path, capsys, monkeypatch):
+        import memelements.cli as cli
+
+        trials = []
+        monkeypatch.setattr(cli, "classify", lambda *a, **k: trials.append(a))
+        cfg = dict(MEMRISTOR_CFG, axes=[{"target": "numeric_chain", "values": [0, 1]}])
+        out = tmp_path / "out"
+        assert run(["sweep", "--config", write_config(tmp_path, cfg),
+                    "--output-dir", str(out)]) == 2
+        assert trials == []
+        assert "config.numeric_chain must be a boolean" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_boolean_axis_values_run(self, tmp_path):
+        cfg = dict(MEMRISTOR_CFG, axes=[{"target": "numeric_chain", "values": [False, True]}])
+        out = tmp_path / "out"
+        assert run(["sweep", "--config", write_config(tmp_path, cfg),
+                    "--output-dir", str(out)]) == 0
+        lines = (out / "sweep.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == ["0.0", "1.0"]
+
+
 class TestUnknownKeys:
     """A key no reader reads is a config error naming its path, not a silent default."""
 

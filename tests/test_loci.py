@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from memelements import (
     NumericalError,
+    classify,
+    grid,
     PhaseClass,
     PointKind,
     Valuedness,
@@ -83,6 +85,21 @@ class TestValuedness:
         for i, a in enumerate(times):
             for b in times[i + 1:]:
                 assert abs(a - b) >= drive.period / 64.0 - 1e-12
+
+
+class TestValuednessPairs:
+    @pytest.mark.parametrize("n", [256, 257, 4095])
+    def test_max_gap_equals_the_hook_evaluated_gap(self, tanh_curve, loop_curve, drive, n):
+        # even n pairs about 2/3 of the samples with a grid time; odd n pairs
+        # none at odd depth, so every such pair goes through the jet
+        for curve, cell in ((tanh_curve, (-3, -3)), (loop_curve, (-2, -2))):
+            rpt = classify(cell, curve, drive, grid_n=n)
+            for plane, locus in zip(rpt.planes, rpt.loci, strict=True):
+                T = locus.period
+                t_pair = np.mod((0.5 * T if locus.depth % 2 else T) - locus.t_values, T)
+                gap = np.abs(locus.w_values - locus.value_fn(t_pair)[1])
+                assert plane.max_pair_gap == float(np.max(gap))
+                assert valuedness(locus).max_gap == plane.max_pair_gap
 
 
 class TestOddSymmetry:
@@ -211,6 +228,23 @@ class TestPhaseShift:
             for key in ("t_peak_ordinate", "t_peak_abscissa", "shift"):
                 assert omega * getattr(report, key) == pytest.approx(getattr(base, key),
                                                                      abs=1e-9)
+
+    def test_refines_only_outgoing_rate_brackets(self, tanh_curve, drive, monkeypatch):
+        brackets = []
+        bisect = loci.bisect
+
+        def recording(fn, a, b, *args, **kwargs):
+            brackets.extend(zip(a, b))
+            return bisect(fn, a, b, *args, **kwargs)
+
+        monkeypatch.setattr(loci, "bisect", recording)
+        rpt = phase_shift(tanh_curve, drive)
+        monkeypatch.undo()
+        assert brackets and all(a < 0.5 * drive.period for a, _ in brackets)
+        # the peaks are among the roots refine_chain finds on the same grid
+        roots = loci._plane_roots(analytic_locus(tanh_curve, drive, 1, grid(drive, 8192)))
+        assert rpt.t_peak_ordinate in roots.dw
+        assert rpt.t_peak_abscissa in roots.du
 
     def test_needs_second_derivatives(self, drive):
         from memelements import CapabilityError, PolynomialCurve

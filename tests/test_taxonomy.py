@@ -37,7 +37,7 @@ from memelements import (
     table_position,
     theorem_suite,
 )
-from memelements import loci, taxonomy
+from memelements import loci, taxonomy, transform
 import oracles
 
 
@@ -299,6 +299,21 @@ class TestChainAnalysedOnce:
         assert theorem_suite([cubic]).all_passed
         assert counts.pop("hook_calls") <= self.MAX_HOOK_CALLS
         assert counts == self.EXPECTED
+
+    def test_classify_builds_one_grid_jet(self, cubic, monkeypatch):
+        # the grid jet, the valuedness pair jet, the bisection's calls and the
+        # landmark batch (26 jets, 7 on the grid, when each reader built its own)
+        sizes = []
+        init = transform._Jet.__init__
+
+        def counting(self, curve, exc, t, *args, **kwargs):
+            sizes.append(np.size(t))
+            init(self, curve, exc, t, *args, **kwargs)
+
+        monkeypatch.setattr(transform._Jet, "__init__", counting)
+        rpt = classify((-2, -2), cubic)
+        assert sizes.count(rpt.grid_n + 1) == 1
+        assert len(sizes) <= 10
 
     def test_classify_refines_each_root_once(self, cubic, counts):
         classify((-2, -2), cubic)

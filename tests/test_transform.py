@@ -206,6 +206,37 @@ class TestJet:
         assert _same_bits(only_u, [excite(exc, s, d) for s, d in zip(t, depth)])
 
 
+class TestBatchIndependence:
+    """A jet's value at a time does not depend on the other times it is taken at, bit for bit.
+
+    The grid jet's samples stand in for hook values wherever a landmark or
+    valuedness pair time is a grid time, so this must hold exactly.
+    """
+
+    CASES = {"polynomial": SYMBOLIC["cubic"][::3], "tanh": SYMBOLIC["tanh"][::3],
+             "logistic": SYMBOLIC["logistic"][::3], "two_branch": SYMBOLIC["outgoing"][::3]}
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_one_point_a_shuffled_subset_and_the_grid_agree(self, name):
+        curve, exc = self.CASES[name]
+        t = grid(exc, 4096).t_values
+        full = transform._Jet(curve, exc, t, 4, 4)
+        subset = np.random.default_rng(11).permutation(t.size)[:101]
+        part = transform._Jet(curve, exc, t[subset], 4, 4)
+        rng = np.random.default_rng(12)
+        depth, ordinate = rng.integers(0, 5, subset.size), rng.random(subset.size) < 0.5
+        mixed = transform.jet_signals(curve, exc, t[subset], depth, ordinate)
+        rows = {d: (full.x[d], full.ordinate(d)) for d in range(5)}
+        assert _same_bits(mixed, [rows[d][int(o)][i] for i, d, o in zip(subset, depth, ordinate)])
+        for d, (u, w) in rows.items():
+            assert _same_bits(part.x[d], u[subset])
+            assert _same_bits(part.ordinate(d), w[subset])
+            for i in subset[:8]:
+                alone = transform._Jet(curve, exc, t[i], d, d)
+                assert _same_bits(alone.x[d], u[i])
+                assert _same_bits(alone.ordinate(d), w[i])
+
+
 class TestAnalyticLocus:
     def test_shape_and_labels(self, cubic, drive):
         locus = analytic_locus(cubic, drive, 1)

@@ -19,7 +19,8 @@ Covered:
   * ``classify`` reports of classify-distinct ops 0-119 for seeds 7, 13
     and 90210, and the report.json text the CLI would write for each;
   * ``classify`` reports of seven curves over cells (0,0)..(-4,-4) at
-    n = 256 and 4096 on closed-form chains, the diagonal down to (-6,-6),
+    n = 256, 257, 4095 and 4096 on closed-form chains (the odd grids pair
+    no odd-depth sample with a grid time), the diagonal down to (-6,-6),
     and cubic and tanh diagonals at n = 65536 and on numeric chains;
   * ``theorem_suite`` and ``mvt_point``;
   * ``phase_shift`` of the seven curves, each under its default drive and
@@ -130,7 +131,7 @@ def library() -> None:
     cells = [(a, b) for a in range(0, -5, -1) for b in range(0, -5, -1)]
     diagonal = [(-k, -k) for k in range(7)]
     for name, curve in curves.items():
-        for n in (256, 4096):
+        for n in (256, 257, 4095, 4096):
             for cell in cells + diagonal[5:]:
                 emit(f"classify/{name}/{cell[0]},{cell[1]}/n{n}",
                      sha(outcome(memelements.classify, cell, curve, drives[name], grid_n=n)))
