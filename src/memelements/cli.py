@@ -29,6 +29,7 @@ from .constitutive import (
     PolynomialCurve,
     TanhScaledCurve,
     TwoBranchCurve,
+    check_ideality,
 )
 from .errors import ConfigError, MemElementsError
 from .excitation import DEFAULT_GRID_N, Excitation
@@ -37,6 +38,8 @@ from .taxonomy import (
     ClassificationReport,
     ElementDescriptor,
     SuiteReport,
+    _analyze_chain,
+    _read_cell,
     classify,
     theorem_suite,
 )
@@ -787,13 +790,20 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
     ]
     rows: list[list[str]] = []
     counts: Counter = Counter()
+    # cells that share a curve, drive, tolerances, grid, chain kind and chain
+    # depth read their reports off one chain analysis and one ideality check
+    analyses: dict = {}
     for combo in itertools.product(*grids):
         trial = json.loads(json.dumps(base))
         for target, value in zip(targets, combo):
             _set_path(trial, target, value)
         row = [repr(float(v)) for v in combo]
         try:
-            rpt = classify(*_classify_args(trial))
+            descriptor, curve, exc, tol, grid_n, numeric = _classify_args(trial)
+            key = (curve, exc, descriptor.transforms_to_verdict_plane, tol, grid_n, numeric)
+            if key not in analyses:
+                analyses[key] = (_analyze_chain(*key), check_ideality(curve, tol))
+            rpt = _read_cell(descriptor, *analyses[key])
         except ConfigError:
             raise
         except MemElementsError as err:

@@ -519,13 +519,14 @@ def check_ideality(
     tol = tolerances or ToleranceSet()
     lo, hi = curve.operating_range
     xs = np.linspace(lo, hi, samples)
+    # f and f' of each branch, from one evaluation pass per branch
+    branches = [(sub, *sub._stack(xs, 1)) for sub in _branches(curve)]
 
     # single-valuedness: only a two-branch curve can fail it
     single = True
     violation_at: float | None = None
     if curve.is_two_branch:
-        yo = curve.eval(xs, branch=OUTGOING)
-        yr = curve.eval(xs, branch=RETURNING)
+        (_, yo, _), (_, yr, _) = branches
         gap = np.abs(yo - yr)
         span = max(float(yo.max() - yo.min()), 1.0)
         j = int(np.argmax(gap))
@@ -536,8 +537,7 @@ def check_ideality(
     # nonlinearity: deviation of f from its own end-to-end secant
     nonlinear = True
     binding_dev = np.inf
-    for sub in _branches(curve):
-        ys = sub.eval(xs)
+    for _, ys, _ in branches:
         span = max(float(ys.max() - ys.min()), 1e-30)
         secant = ys[0] + (ys[-1] - ys[0]) * (xs - lo) / (hi - lo)
         dev = float(np.max(np.abs(ys - secant)))
@@ -550,9 +550,8 @@ def check_ideality(
     c1 = curve.smooth or not curve.kink_points(tol.slope_tol)
     worst_jump = 0.0
     worst_jump_at: float | None = None
-    for sub in _branches(curve):
+    for sub, _, d1 in branches:
         if sub.smooth:
-            d1 = sub.derivative(xs, 1)
             jumps = np.abs(np.diff(d1))
             if jumps.size:
                 j = int(np.argmax(jumps))
@@ -569,8 +568,7 @@ def check_ideality(
     monotone = True
     violating: tuple[float, float] | None = None
     flats: list[float] = []
-    for sub in _branches(curve):
-        d1 = sub.derivative(xs, 1)
+    for _, _, d1 in branches:
         if np.any(d1 < -tol.slope_tol):
             monotone = False
             if violating is None:

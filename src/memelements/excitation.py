@@ -102,8 +102,11 @@ class SampleGrid:
         if t[0] != 0.0:
             raise ConfigError("grid must start at t = 0")
         steps = np.diff(t)
-        if np.any(steps <= 0) or np.max(np.abs(steps - steps[0])) > 1e-9 * steps[0]:
-            raise ConfigError("grid must be strictly increasing and uniform")
+        lo, hi = steps.min(), steps.max()
+        # the largest |step - steps[0]| is at lo or hi, bit for bit, since
+        # rounding is monotone; a NaN or inf time fails the test too
+        if not (lo > 0.0 and max(hi - steps[0], steps[0] - lo) <= 1e-9 * steps[0]):
+            raise ConfigError("grid times must be finite, strictly increasing and uniform")
         t = t.copy()
         t.flags.writeable = False
         object.__setattr__(self, "t_values", t)
@@ -121,4 +124,6 @@ def grid(exc: Excitation, n: int = DEFAULT_GRID_N) -> SampleGrid:
     n = int(n)
     if n < _MIN_GRID_N:
         raise ConfigError(f"grid needs at least {_MIN_GRID_N} intervals, got {n}")
+    # checked all the same: at large n or a tiny period the rounded steps of
+    # linspace stop being uniform (omega = 1e3 at n = 2**23)
     return SampleGrid(t_values=np.linspace(0.0, exc.period, n + 1), count=n)

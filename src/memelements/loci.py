@@ -9,14 +9,16 @@ from the samples of its grid jet and two more jet evaluations:
 
 * roots: every plane's abscissa and coordinate rates are scanned for
   sign changes over the grid, and when the locus has a jet, all the
-  brackets are refined by one lock-step bisection.  A Chandrupatla
-  predictor estimates every root, the midpoints scipy.optimize.bisect
-  would visit on its way to each estimate are evaluated in one call, and
-  only decisions those values confirm are taken, so each bracket lands on
-  exactly the root scipy would return for it, usually in five
-  evaluations where bisection takes one per halving.  A bracket whose
-  signs leave the predicted path walks its path again from there, in the
-  next call.  A bracket two planes share is refined once.
+  brackets are refined by one lock-step bisection.  Its endpoint values
+  are the scanned samples, so the jet is not evaluated there again.  A
+  Chandrupatla predictor estimates every root, the midpoints
+  scipy.optimize.bisect would visit on its way to each estimate are
+  evaluated in one call, and only decisions those values confirm are
+  taken, so each bracket lands on exactly the root scipy would return
+  for it, usually in three evaluations where bisection takes one per
+  halving.  A bracket whose signs leave the predicted path walks its
+  path again from there, in the next call.  A bracket two planes share
+  is refined once.
 * landmark values: one jet_signals call gives (u, w, du/dt, dw/dt) at
   every plane's roots and slope-span midpoints, which origin_crossing,
   rate_landmarks and project_landmarks read.
@@ -259,34 +261,35 @@ def _path(a, dm, guess, xtol):
     return xm, start, half, stop, np.where(stop.any(0), stop.argmax(0) + 1, steps)
 
 
-def bisect(fn, a, b, xtol: float = 1e-12) -> np.ndarray:
+def bisect(fn, a, b, fa, fb, xtol: float = 1e-12) -> np.ndarray:
     """Refine every bracket [a[j], b[j]] of a sign change at once.
 
     Every root is the one scipy.optimize.bisect returns for the same
     bracket (rtol = 4 eps, at most 100 halvings, signs compared without
-    multiplying), bit for bit, from a handful of fn calls.  After one
-    call per endpoint set, _PREDICT_CALLS calls estimate each root
-    (_predict).  Then each call evaluates, for every live bracket, the
-    midpoints scipy would visit from its current state if each sign fell
-    on the estimate's side.  A bracket whose signs all fall as predicted
-    is done.  Otherwise the first midpoint off the prediction, or an
-    exact zero, is still one scipy visits, so its value's own decision is
-    taken there, and the next call walks the bracket's path again from
-    that point with the same estimate.  Every call takes at least one
-    decision per bracket, and every decision is read off fn at a point
-    scipy visits.
+    multiplying), bit for bit, from a handful of fn calls.  fa and fb are
+    fn's values at the endpoints, which the caller holds already (a scan
+    brackets samples it has evaluated), so fn is not called there.
+    _PREDICT_CALLS calls estimate each root (_predict).  Then each call
+    evaluates, for every live bracket, the midpoints scipy would visit
+    from its current state if each sign fell on the estimate's side.  A
+    bracket whose signs all fall as predicted is done.  Otherwise the
+    first midpoint off the prediction, or an exact zero, is still one
+    scipy visits, so its value's own decision is taken there, and the
+    next call walks the bracket's path again from that point with the
+    same estimate.  Every call takes at least one decision per bracket,
+    and every decision is read off fn at a point scipy visits.
 
     fn(x, live) gets, for each point, the index of its bracket, and
     returns one value per point from that bracket's own signal; each
     call's indices are among the last call's.  Raises NumericalError
-    when a bracket holds no sign change, fn returns NaN at an endpoint or
-    at a midpoint scipy visits, or a bracket does not converge.
+    when a bracket holds no sign change, an endpoint value is NaN, fn
+    returns NaN at a midpoint scipy visits, or a bracket does not
+    converge.
     """
     a = np.array(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    every = np.arange(len(a))
-    fa = np.asarray(fn(a, every), dtype=float)
-    fb = np.asarray(fn(b, every), dtype=float)
+    fa = np.asarray(fa, dtype=float)
+    fb = np.asarray(fb, dtype=float)
     if np.isnan(fa).any() or np.isnan(fb).any():
         raise NumericalError("root refinement hook returned NaN")
     # signs are compared, not products, which underflow for tiny values
@@ -393,7 +396,9 @@ class _PlaneRoots:
     abscissa holds the roots of u, du and dw the transversal roots of
     du/dt and dw/dt, and rates the two rates on the grid.  spans are the
     intervals between consecutive rate roots and the period ends, over
-    which the slope keeps its sign.  at maps every root and every span
+    which the slope keeps its sign.  peak holds max |u|, max |w|,
+    max |du/dt| and max |dw/dt| over the grid, the scales the analyses'
+    tolerances are relative to.  at maps every root and every span
     midpoint to (u, w, du/dt, dw/dt) there.  t_pair holds each sample's
     valuedness pair time and w_pair the ordinate there.
     """
@@ -403,6 +408,7 @@ class _PlaneRoots:
     du: list[float]
     dw: list[float]
     spans: list[tuple[float, float]]
+    peak: tuple[float, float, float, float]
     at: dict[float, tuple[float, float, float, float]]
     t_pair: np.ndarray
     w_pair: np.ndarray
@@ -414,7 +420,8 @@ def refine_chain(chain, top_rates: tuple[np.ndarray, np.ndarray] | None = None) 
     Each plane's abscissa u (for origin_crossing) and coordinate rates
     du/dt and dw/dt (for rate_landmarks) are scanned for sign changes, and
     every bracket a hook covers is refined in one lock-step bisection
-    through jet_signals, one evaluation per step for all of them; brackets
+    through jet_signals, one evaluation per step for all of them, from the
+    scanned samples at the bracket ends (the jet's values there); brackets
     of signals without a hook keep their linear-interpolation root.  The
     loci of a chain are taken to share one jet and one grid, and
     chain[d + 1] to be the transform of chain[d], so its samples serve as
@@ -429,7 +436,7 @@ def refine_chain(chain, top_rates: tuple[np.ndarray, np.ndarray] | None = None) 
     """
     xtol = 1e-12
     scans = []
-    keys = {}  # (depth, is ordinate, a, b) -> index of the bracket in the bisect call
+    ends = {}  # (depth, is ordinate, a, b) -> the signal's samples at a and b
     for d, locus in enumerate(chain):
         after = chain[d + 1] if d + 1 < len(chain) else None
         if after is not None and (locus.derivative_fn is None) == (after.jet is None):
@@ -444,32 +451,38 @@ def refine_chain(chain, top_rates: tuple[np.ndarray, np.ndarray] | None = None) 
         # rows 0, 1, 2 are the abscissa at depth k and the abscissa and
         # ordinate at depth k + 1, read off the value and rate hooks
         hooked = (locus.jet is not None, locus.derivative_fn is not None)
-        slots = [keys.setdefault((locus.depth + min(r, 1), r == 2, t[i], t[i + 1]),
-                                 len(keys)) if hooked[min(r, 1)] else None
+        slots = [(locus.depth + min(r, 1), r == 2, t[i], t[i + 1]) if hooked[min(r, 1)] else None
                  for r, i in zip(rows.tolist(), left.tolist())]
+        for key, fa, fb in zip(slots, vals[rows, left].tolist(), vals[rows, left + 1].tolist()):
+            if key is not None:
+                ends.setdefault(key, (fa, fb))
         scans.append((locus, rates, vals, rows, left, slots))
 
     jet = next((locus.jet for locus in chain if locus.jet is not None), None)
-    if keys:
-        depth, ordinate, a, b = (np.array(col) for col in zip(*keys))
-        roots = bisect(lambda x, live: jet_signals(*jet, x, depth[live], ordinate[live]),
-                       a, b, xtol=xtol)
+    if ends:
+        depth, ordinate, a, b = (np.array(col) for col in zip(*ends))
+        fa, fb = zip(*ends.values())
+        roots = dict(zip(ends, bisect(
+            lambda x, live: jet_signals(*jet, x, depth[live], ordinate[live]),
+            a, b, fa, fb, xtol=xtol).tolist()))
 
     planes = []
     for locus, rates, vals, rows, left, slots in scans:
         t = locus.t_values
         crossings = _interpolated(t, vals, rows, left)
-        for j, at in enumerate(slots):
-            if at is not None:
-                crossings[j] = roots[at]
+        for j, key in enumerate(slots):
+            if key is not None:
+                crossings[j] = roots[key]
         abscissa, du, dw = (
             _signal_roots(t, row, crossings[rows == r], xtol, transversal_only=r > 0)
             for r, row in enumerate(vals))
         spans = _spans(t, du + dw)
+        peak_u, peak_du, peak_dw = np.abs(vals).max(1).tolist()
+        peak = (peak_u, float(np.abs(locus.w_values).max()), peak_du, peak_dw)
         times = np.array(abscissa + du + dw + [0.5 * (a + b) for a, b in spans])
-        planes.append((abscissa, rates, du, dw, spans, times))
+        planes.append((abscissa, rates, du, dw, spans, peak, times))
 
-    values = _landmark_values(chain, [p[1] for p in planes], [p[5] for p in planes], jet)
+    values = _landmark_values(chain, [p[1] for p in planes], [p[-1] for p in planes], jet)
     for locus, (*plane, times), v, pair in zip(chain, planes, values, _pair_ordinates(chain, jet)):
         at = dict(zip(times.tolist(), zip(*v.tolist())))
         object.__setattr__(locus, "_roots", _PlaneRoots(*plane, at, *pair))
@@ -569,17 +582,15 @@ def origin_crossing(locus: ParametricLocus, pinch_tol: float = 1e-9) -> OriginCr
     t = locus.t_values
     u = locus.u_values
     w = locus.w_values
-    scale_u = max(1.0, float(np.max(np.abs(u))))
-    scale_w = max(1.0, float(np.max(np.abs(w))))
-
     plane = _plane_roots(locus)
+    scale_u, scale_w = (max(1.0, peak) for peak in plane.peak[:2])
     roots = list(plane.abscissa)
     at = {r: plane.at[r][:2] for r in roots}
 
     # tangential zeros never flip sign; pick them up from near-zero samples
-    near = np.abs(u) <= pinch_tol * scale_u
+    magnitude = np.abs(u)
     h = locus.spacing
-    for idx in _cluster_minima(near, np.abs(u)):
+    for idx in _cluster_minima(magnitude <= pinch_tol * scale_u, magnitude):
         cand = float(t[idx])
         if all(abs(cand - r) > 2.0 * h for r in roots):
             roots.append(cand)
@@ -627,7 +638,7 @@ def valuedness(locus: ParametricLocus, tol: float = 1e-9) -> ValuednessReport:
     plane = _plane_roots(locus)
     t_pair, w_pair = plane.t_pair, plane.w_pair
     gap = np.abs(locus.w_values - w_pair)
-    scale = max(1.0, float(np.max(np.abs(locus.w_values))))
+    scale = max(1.0, plane.peak[1])
     max_gap = float(np.max(gap))
     if max_gap <= tol * scale:
         return ValuednessReport(Valuedness.SINGLE, max_gap, ())
@@ -661,9 +672,7 @@ def odd_symmetry(locus: ParametricLocus, tol: float = 1e-9) -> SymmetryReport:
     viol_u = float(np.max(np.abs(u + u[::-1])))
     viol_w = float(np.max(np.abs(w + w[::-1])))
     violation = max(viol_u, viol_w)
-    scale = max(
-        1.0, float(np.max(np.abs(u))), float(np.max(np.abs(w)))
-    )
+    scale = max(1.0, *_plane_roots(locus).peak[:2])
     return SymmetryReport(odd_symmetric=violation <= tol * scale,
                           max_violation=violation)
 
@@ -695,7 +704,7 @@ def _tangent_points(plane: _PlaneRoots, roots: list[float], root_tol: float,
         other, kind, tangent_angle = 1, PointKind.VERTICAL_TANGENT, 0.5 * np.pi
     else:
         other, kind, tangent_angle = 0, PointKind.ZERO_TANGENT, 0.0
-    gate = root_tol * max(1.0, float(np.max(np.abs(plane.rates[other]))))
+    gate = root_tol * max(1.0, plane.peak[2 + other])
     points: list[SpecialPoint] = []
     for r in roots:
         ur, wr, *rates = plane.at[r]
@@ -792,7 +801,7 @@ def phase_shift(curve: ConstitutiveCurve, exc: Excitation,
     xtol = 1e-12
     crossings = bisect(
         lambda x, live: jet_signals(curve, exc, x, np.full(live.size, 2), rows[live] == 1),
-        t[left], t[left + 1], xtol=xtol)
+        t[left], t[left + 1], rates[rows, left], rates[rows, left + 1], xtol=xtol)
     t_u, t_w = (
         _first_maximum(curve, exc, t, _signal_roots(t, rate, crossings[rows == r], xtol,
                                                     transversal_only=True), r)

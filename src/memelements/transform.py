@@ -72,6 +72,11 @@ class ParametricLocus:
     jet at arbitrary times; analyses use them to refine roots far below
     the grid resolution.  Finite-difference loci carry no jet and are
     analysed at grid accuracy instead.
+
+    A locus built from caller arrays is checked (finite samples, strictly
+    increasing t) and holds read-only copies of them.  The loci this
+    module builds are views of a checked grid's t and of fresh sample
+    rows instead (_view).
     """
 
     t_values: np.ndarray
@@ -90,6 +95,8 @@ class ParametricLocus:
             raise DomainError("t, u, w must be one-dimensional and equally long")
         if len(t) < 65:
             raise DomainError("locus needs at least 65 samples")
+        if not (np.isfinite(t).all() and np.isfinite(u).all() and np.isfinite(w).all()):
+            raise DomainError("t, u, w must be finite")
         if np.any(np.diff(t) <= 0):
             raise DomainError("t_values must strictly increase")
         if self.provenance not in ("analytic", "numeric"):
@@ -107,6 +114,22 @@ class ParametricLocus:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "axis_labels", tuple(self.axis_labels))
+
+    @classmethod
+    def _view(cls, t: np.ndarray, u: np.ndarray, w: np.ndarray, depth: int,
+              labels: tuple[str, str], provenance: str,
+              jet: tuple[ConstitutiveCurve, Excitation] | None = None) -> ParametricLocus:
+        """A locus holding its arrays as given, without __post_init__'s checks and copies.
+
+        t must be a read-only, checked grid (a SampleGrid's or a locus's
+        t_values), and u and w fresh rows that nothing else writes; they
+        are made read-only here.
+        """
+        u.flags.writeable = w.flags.writeable = False
+        locus = object.__new__(cls)
+        vars(locus).update(t_values=t, u_values=u, w_values=w, depth=depth,
+                           axis_labels=tuple(labels), provenance=provenance, jet=jet)
+        return locus
 
     @property
     def value_fn(self) -> JetHook | None:
@@ -284,16 +307,10 @@ def _checked_depth(curve: ConstitutiveCurve, depth) -> int:
 
 def _jet_locus(t: np.ndarray, jet: _Jet, depth: int,
                labels: tuple[str, str] | None = None) -> ParametricLocus:
-    """The depth-k locus whose samples are the grid jet's depth-k rows."""
-    return ParametricLocus(
-        t_values=t,
-        u_values=jet.x[depth],
-        w_values=jet.ordinate(depth),
-        depth=depth,
-        axis_labels=labels or default_labels(depth),
-        provenance="analytic",
-        jet=(jet.curve, jet.exc),
-    )
+    """The depth-k locus whose samples are views of the grid jet's depth-k rows."""
+    return ParametricLocus._view(t, jet.x[depth], jet.ordinate(depth), depth,
+                                 labels or default_labels(depth), "analytic",
+                                 (jet.curve, jet.exc))
 
 
 def analytic_locus(
@@ -353,16 +370,9 @@ def numeric_transform(
     h = float(steps[0])
     if np.max(np.abs(steps - h)) > 1e-9 * h:
         raise NumericalError("numeric transform requires a uniform time grid")
-    du = periodic_derivative(locus.u_values, h)
-    dw = periodic_derivative(locus.w_values, h)
-    return ParametricLocus(
-        t_values=t,
-        u_values=du,
-        w_values=dw,
-        depth=locus.depth + 1,
-        axis_labels=labels or default_labels(locus.depth + 1),
-        provenance="numeric",
-    )
+    return ParametricLocus._view(
+        t, periodic_derivative(locus.u_values, h), periodic_derivative(locus.w_values, h),
+        locus.depth + 1, labels or default_labels(locus.depth + 1), "numeric")
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from memelements import ConfigError, DomainError, Excitation, excite, grid
+from memelements import ConfigError, DomainError, Excitation, SampleGrid, excite, grid
 
 
 class TestExcitation:
@@ -79,6 +79,13 @@ class TestGrid:
         steps = np.diff(g.t_values)
         assert np.allclose(steps, steps[0], rtol=1e-9)
         assert g.spacing == pytest.approx(exc.period / 4096)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_times(self, bad):
+        t = np.linspace(0.0, 2.0 * np.pi, 65)
+        t[5] = bad
+        with pytest.raises(ConfigError, match="finite"):
+            SampleGrid(t_values=t, count=64)
 
     def test_minimum_resolution(self):
         exc = Excitation()

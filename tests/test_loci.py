@@ -306,6 +306,13 @@ bracket_cases = st.lists(
 )
 
 
+def _bisect(hook, a, b, **kwargs):
+    """loci.bisect with the endpoint values a scan would hold: the hook's own there."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    every = np.arange(a.size)
+    return loci.bisect(hook, a, b, hook(a, every), hook(b, every), **kwargs)
+
+
 class TestBisect:
     @settings(max_examples=200, deadline=None)
     @given(cases=bracket_cases, xtol=st.sampled_from([1e-12, 1e-9, 1e-4]))
@@ -323,7 +330,7 @@ class TestBisect:
         def hook(x, live):
             return np.array([g(x) for g in signals])[live, np.arange(x.size)]
 
-        got = loci.bisect(hook, a, b, xtol=xtol)
+        got = _bisect(hook, a, b, xtol=xtol)
         want = np.array([scipy.optimize.bisect(g, lo, hi, xtol=xtol)
                          for lo, hi, g in brackets])
         assert got.tobytes() == want.tobytes()
@@ -332,21 +339,23 @@ class TestBisect:
         calls = []
 
         a, b, rows = [0.0, 0.0, 0.5], [0.5, 1.0, 1.0], [0, 1, 1]
+        root = np.array([0.3, 0.7])[rows]
 
         def hook(x, live):
             calls.append(np.size(x))
-            return x - np.array([0.3, 0.7])[np.array(rows)[live]]
+            return x - root[live]
 
-        roots = loci.bisect(hook, a, b, xtol=1e-6)
+        roots = loci.bisect(hook, a, b, a - root, b - root, xtol=1e-6)
         runs = [scipy.optimize.bisect(lambda x, r=r: x - (0.3, 0.7)[r], lo, hi,
                                       xtol=1e-6, full_output=True)
                 for lo, hi, r in zip(a, b, rows)]
         assert roots.tobytes() == np.array([root for root, _ in runs]).tobytes()
         steps = [info.iterations for _, info in runs]
         assert steps == [19, 20, 19]
-        # both endpoint sets, the predictor's calls on the three brackets,
-        # then every midpoint scipy visits in one call
-        assert calls == [3, 3] + [3] * loci._PREDICT_CALLS + [sum(steps)]
+        # the caller holds the endpoint values, so the predictor's calls on
+        # the three brackets come first, then every midpoint scipy visits in
+        # one call
+        assert calls == [3] * loci._PREDICT_CALLS + [sum(steps)]
 
     def test_mispredicted_path_is_walked_again(self):
         # the predictor's estimate misses a step's jump, so each predicted
@@ -358,7 +367,7 @@ class TestBisect:
             calls.append(np.size(x))
             return np.where(x < 0.3, -1.0, 1.0)
 
-        got = loci.bisect(hook, [0.0], [1.0])
+        got = loci.bisect(hook, [0.0], [1.0], [-1.0], [1.0])
         want = scipy.optimize.bisect(lambda x: np.where(x < 0.3, -1.0, 1.0), 0.0, 1.0,
                                      xtol=1e-12)
         assert got.tobytes() == np.array([want]).tobytes()
@@ -385,9 +394,9 @@ class TestBisect:
             want = scipy.optimize.bisect(g, lo, hi, xtol=xtol)
         except RuntimeError:  # no convergence in 100 halvings, as for the subnormal root
             with pytest.raises(NumericalError):
-                loci.bisect(lambda x, live: g(x), [lo, lo], [hi, hi], xtol=xtol)
+                _bisect(lambda x, live: g(x), [lo, lo], [hi, hi], xtol=xtol)
             return
-        got = loci.bisect(lambda x, live: g(x), [lo, lo], [hi, hi], xtol=xtol)
+        got = _bisect(lambda x, live: g(x), [lo, lo], [hi, hi], xtol=xtol)
         assert got.tobytes() == np.array([want, want]).tobytes()
 
     def test_nan_off_the_visited_path_is_ignored(self):
@@ -404,14 +413,14 @@ class TestBisect:
         def hook(x, live):
             return np.where(np.isin(x, list(visited)), x - 0.3, np.nan)
 
-        got = loci.bisect(hook, [0.0], [1.0], xtol=1e-9)
+        got = _bisect(hook, [0.0], [1.0], xtol=1e-9)
         assert got.tobytes() == np.array([want]).tobytes()
 
     def test_nan_on_the_visited_path_raises(self):
         # the sixth midpoint scipy visits for the root 0.3 of [0, 1]
         x6 = 0.296875
         with pytest.raises(NumericalError):
-            loci.bisect(lambda x, live: np.where(x == x6, np.nan, x - 0.3), [0.0], [1.0])
+            _bisect(lambda x, live: np.where(x == x6, np.nan, x - 0.3), [0.0], [1.0])
 
     def test_per_bracket_hook(self):
         # the hook gets the live brackets and returns one value each
@@ -423,33 +432,34 @@ class TestBisect:
             return np.array([signals[j](v) for j, v in zip(live.tolist(), x.tolist())])
 
         a, b = [0.0, 0.0, 0.5], [0.5, 1.0, 1.0]
-        got = loci.bisect(hook, a, b, xtol=1e-9)
+        got = loci.bisect(hook, a, b, [g(v) for g, v in zip(signals, a)],
+                          [g(v) for g, v in zip(signals, b)], xtol=1e-9)
         want = [scipy.optimize.bisect(g, lo, hi, xtol=1e-9) for g, lo, hi in zip(signals, a, b)]
         assert got.tolist() == want
-        assert seen[:2] == [[0, 1, 2], [0, 1, 2]]
+        assert seen[0] == [0, 1, 2]
         assert all(set(later) <= set(earlier) for earlier, later in zip(seen, seen[1:]))
 
         with pytest.raises(NumericalError):
-            loci.bisect(lambda x, live: x * x + 1.0, [0.0, 0.0], [1.0, 1.0])
+            _bisect(lambda x, live: x * x + 1.0, [0.0, 0.0], [1.0, 1.0])
         with pytest.raises(NumericalError):
-            loci.bisect(lambda x, live: np.where(live == 1, np.nan, x - 0.5),
-                        [0.0, 0.0], [1.0, 1.0])
+            _bisect(lambda x, live: np.where(live == 1, np.nan, x - 0.5),
+                    [0.0, 0.0], [1.0, 1.0])
 
     def test_rejects_bracket_without_sign_change(self):
         with pytest.raises(NumericalError):
-            loci.bisect(lambda x, live: x * x + 1.0, [0.0], [1.0])
+            _bisect(lambda x, live: x * x + 1.0, [0.0], [1.0])
 
     def test_rejects_nan_signal(self):
         with pytest.raises(NumericalError):
-            loci.bisect(lambda x, live: np.where(x > 0.4, np.nan, x - 0.5), [0.0], [1.0])
+            _bisect(lambda x, live: np.where(x > 0.4, np.nan, x - 0.5), [0.0], [1.0])
 
     def test_reports_non_convergence(self):
         # the midpoints of [-1, 2] never land on 0, and xtol is below reach
         with pytest.raises(NumericalError):
-            loci.bisect(lambda x, live: x, [-1.0], [2.0], xtol=1e-300)
+            _bisect(lambda x, live: x, [-1.0], [2.0], xtol=1e-300)
         # also next to a bracket that converges
         with pytest.raises(NumericalError):
-            loci.bisect(lambda x, live: x, [-1.0, 0.5], [2.0, -2.0], xtol=1e-300)
+            _bisect(lambda x, live: x, [-1.0, 0.5], [2.0, -2.0], xtol=1e-300)
 
     def test_halvings_off_the_predicted_path_count_toward_the_limit(self):
         # at this xtol [-1, 2] stops at its 101st halving, one past the limit
@@ -466,8 +476,8 @@ class TestBisect:
         # NaN off scipy's path leaves the predictor no estimate, so every
         # predicted path is wrong in one direction and each call decides few steps
         with pytest.raises(NumericalError, match="converge"):
-            loci.bisect(lambda x, live: np.where(np.isin(x, list(visited)), x, np.nan),
-                        [-1.0], [2.0], xtol=xtol)
+            _bisect(lambda x, live: np.where(np.isin(x, list(visited)), x, np.nan),
+                    [-1.0], [2.0], xtol=xtol)
 
 
 def _reference_roots(t, vals, fn=None, xtol=1e-12, transversal_only=False):
@@ -523,8 +533,9 @@ def _chain_roots(t, vals, hook=None, transversal_only=False):
     """Roots of each row of vals, found the way refine_chain finds them.
 
     _scan brackets the sign changes, _interpolated places a root in each,
-    bisect refines them all in one call when a hook is given (row r of
-    hook(x) is row r's signal), and _signal_roots adds the zero runs.
+    bisect refines them all in one call from the samples at their ends
+    when a hook is given (row r of hook(x) is row r's signal), and
+    _signal_roots adds the zero runs.
     """
     t = np.asarray(t, dtype=float)
     vals = np.atleast_2d(np.asarray(vals, dtype=float))
@@ -533,7 +544,7 @@ def _chain_roots(t, vals, hook=None, transversal_only=False):
     if hook is not None and rows.size:
         crossings = loci.bisect(
             lambda x, live: np.asarray(hook(x))[rows[live], np.arange(x.size)],
-            t[left], t[left + 1])
+            t[left], t[left + 1], vals[rows, left], vals[rows, left + 1])
     return [loci._signal_roots(t, row, crossings[rows == r], 1e-12, transversal_only)
             for r, row in enumerate(vals)]
 

@@ -291,9 +291,9 @@ class TestChainAnalysedOnce:
     # and depth-2 planes and the rates of each plane give 15 brackets, of
     # which 3 are counted once only, since plane d's du/dt is plane d+1's u
     EXPECTED = {"planes": 3, "ideality": 1, "bisect_calls": 1, "brackets": 12}
-    # two endpoint calls, the predictor's and one on the predicted paths
-    # (33 when each halving took a call)
-    MAX_HOOK_CALLS = 3 + loci._PREDICT_CALLS
+    # the predictor's calls and one on the predicted paths; the endpoint
+    # values are the scanned samples (33 calls when each halving took one)
+    MAX_HOOK_CALLS = 1 + loci._PREDICT_CALLS
 
     def test_suite_analyses_one_depth_two_chain(self, cubic, counts):
         assert theorem_suite([cubic]).all_passed
@@ -301,19 +301,41 @@ class TestChainAnalysedOnce:
         assert counts == self.EXPECTED
 
     def test_classify_builds_one_grid_jet(self, cubic, monkeypatch):
-        # the grid jet, the valuedness pair jet, the bisection's calls and the
-        # landmark batch (26 jets, 7 on the grid, when each reader built its own)
-        sizes = []
-        init = transform._Jet.__init__
+        # the grid jet, the valuedness pair jet, and one jet per jet_signals
+        # call: the bisection's three and the landmark batch (26 jets, 7 on
+        # the grid, when each reader built its own; 8 jets and 6 calls when
+        # the bisection evaluated its endpoints again)
+        sizes, calls = [], []
+        init, signals = transform._Jet.__init__, loci.jet_signals
 
         def counting(self, curve, exc, t, *args, **kwargs):
             sizes.append(np.size(t))
             init(self, curve, exc, t, *args, **kwargs)
 
+        def counting_signals(*args, **kwargs):
+            calls.append(1)
+            return signals(*args, **kwargs)
+
         monkeypatch.setattr(transform._Jet, "__init__", counting)
+        monkeypatch.setattr(loci, "jet_signals", counting_signals)
         rpt = classify((-2, -2), cubic)
         assert sizes.count(rpt.grid_n + 1) == 1
-        assert len(sizes) <= 10
+        assert len(sizes) == 6
+        assert len(calls) == 4
+
+    def test_chain_loci_are_read_only_views_of_one_grid(self, cubic):
+        g = grid(Excitation(), 1024)
+        chain, rates = transform.analytic_chain(cubic, Excitation(), 2, g)
+        assert all(locus.t_values is g.t_values for locus in chain)
+        numeric = transform.numeric_transform(chain[-1])
+        assert numeric.t_values is g.t_values
+        for locus in chain + (numeric,):
+            for arr in (locus.t_values, locus.u_values, locus.w_values):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[0] = 1.0
+        rpt = classify((-2, -2), cubic)
+        assert len({id(locus.t_values) for locus in rpt.loci}) == 1
 
     def test_classify_refines_each_root_once(self, cubic, counts):
         classify((-2, -2), cubic)

@@ -287,6 +287,40 @@ class TestAnalyticLocus:
         assert (hook_u, hook_w) == (excite(exc, 0.3, DEEP), chain_ordinate(curve, exc, 0.3, DEEP))
 
 
+class TestCallerLocus:
+    """A locus built from caller arrays is checked and keeps its own copies."""
+
+    @staticmethod
+    def _arrays():
+        t = np.linspace(0.0, 2.0 * np.pi, 65)
+        return t, np.sin(t), np.sin(2.0 * t)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("which", [0, 1, 2])
+    def test_rejects_non_finite_samples(self, which, bad):
+        arrays = list(self._arrays())
+        arrays[which][7] = bad
+        with pytest.raises(DomainError, match="finite"):
+            ParametricLocus(*arrays, depth=1, axis_labels=("x", "y"))
+
+    def test_rejects_non_increasing_t(self):
+        t, u, w = self._arrays()
+        t[10] = t[9]
+        with pytest.raises(DomainError, match="increase"):
+            ParametricLocus(t, u, w, depth=1, axis_labels=("x", "y"))
+
+    def test_holds_read_only_copies(self):
+        t, u, w = self._arrays()
+        locus = ParametricLocus(t, u, w, depth=1, axis_labels=["x", "y"])
+        before = [arr.copy() for arr in (t, u, w)]
+        for arr in (t, u, w):
+            arr[3] = 42.0
+        for held, want in zip((locus.t_values, locus.u_values, locus.w_values), before):
+            assert held.tobytes() == want.tobytes()
+            assert not held.flags.writeable
+        assert locus.axis_labels == ("x", "y")
+
+
 class TestNumericTransform:
     def test_matches_analytic_depth_one(self, cubic, drive):
         base = analytic_locus(cubic, drive, 0)

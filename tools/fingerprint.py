@@ -35,7 +35,8 @@ Covered:
     and two configured ones (one with tolerances and grid_n), ``analyze``
     with format subsets from ``--formats`` or the config (and two bad
     ones), ``sweep`` over drive, descriptor, grid_n and numeric_chain axes
-    (one trial ends in an error row) and three failing configs.
+    (one trial ends in an error row), over the nine cells of depths 0-2 and
+    over omega, and three failing configs.
 """
 
 from __future__ import annotations
@@ -253,9 +254,11 @@ def formats() -> None:
 
 
 def sweeps() -> None:
-    """sweep over a drive axis that ends in an error row, grid_n and numeric_chain."""
+    """sweep over a drive axis that ends in an error row, grid_n, numeric_chain,
+    the descriptor cells of depths 0-2 and omega; cells of one chain share its
+    analysis."""
     cubic = {"descriptor": {"alpha": -2, "beta": -2}, "curve": SPECS["cubic"],
-             "excitation": {"amplitude": 1.0}}
+             "excitation": {"amplitude": 1.0, "omega": 1.0}}
     for tag, axes in (
         ("2x2", [{"target": "excitation.amplitude", "values": [0.5, 1.0]},
                  {"target": "descriptor.alpha", "values": [-1, -3]}]),
@@ -263,6 +266,10 @@ def sweeps() -> None:
                              {"target": "grid_n", "values": [256, 2048]}]),
         ("numeric", [{"target": "numeric_chain", "values": [False, True]},
                      {"target": "descriptor.beta", "values": [-1, -2]}]),
+        ("cells", [{"target": "descriptor.alpha", "values": [0, -1, -2]},
+                   {"target": "descriptor.beta", "values": [0, -1, -2]}]),
+        ("omega", [{"target": "excitation.omega", "values": [0.3, 1.0, 13.0, 100.0]},
+                   {"target": "descriptor.alpha", "values": [-2, -3]}]),
     ):
         cfg = dict(cubic, axes=axes)
         run_cli(f"sweep/{tag}", ["sweep", "--config", write("sweep.json", cfg)], "out")
