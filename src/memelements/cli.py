@@ -750,6 +750,49 @@ def _set_path(root: dict, dotted: str, value) -> None:
             node = node[idx]
 
 
+def _sweep_key(key: tuple, members: list[tuple[int, ElementDescriptor]],
+               rows: list[list[str]], counts: Counter) -> None:
+    """Fill the rows of one sweep key's cells off one analysis of its chain.
+
+    The analysis, and the reports that view its loci, die on return.
+    """
+    try:
+        analysis = _analyze_chain(*key)
+        ideality = check_ideality(key[0], key[3])
+    except ConfigError:
+        raise
+    except MemElementsError as err:
+        for i, _ in members:
+            _fill_sweep_row(rows[i], counts, err)
+        return
+    for i, descriptor in members:
+        try:
+            outcome = _read_cell(descriptor, analysis, ideality)
+        except ConfigError:
+            raise
+        except MemElementsError as err:
+            outcome = err
+        _fill_sweep_row(rows[i], counts, outcome)
+
+
+def _fill_sweep_row(row: list[str], counts: Counter, outcome) -> None:
+    """Append a cell's report columns, or its error, to its row, and count its verdict."""
+    if isinstance(outcome, MemElementsError):
+        row += [f"error: {outcome}", "", "", "", ""]
+        counts["error"] += 1
+        return
+    witness = max((max(abs(p.u), abs(p.w)) for p in outcome.witnesses), default=0.0)
+    cand = outcome.candidate_witness_magnitude
+    row += [
+        outcome.verdict.value,
+        repr(witness) if outcome.witnesses else "",
+        repr(cand) if cand is not None else "",
+        outcome.degeneration.value,
+        outcome.internal_source.value,
+    ]
+    counts[outcome.verdict.value] += 1
+
+
 def cmd_sweep(ns: argparse.Namespace) -> int:
     cfg = _load_json(ns.config)
     _known(cfg, _ANALYSIS_KEYS + ("axes",), "config")
@@ -788,38 +831,31 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
         "degeneration",
         "internal_source",
     ]
+    # every cell's arguments are read before any analysis runs, so a bad
+    # cell stops the sweep before the work of the cells ahead of it
     rows: list[list[str]] = []
     counts: Counter = Counter()
-    # cells that share a curve, drive, tolerances, grid, chain kind and chain
-    # depth read their reports off one chain analysis and one ideality check
-    analyses: dict = {}
+    cells: dict[tuple, list[tuple[int, ElementDescriptor]]] = {}
     for combo in itertools.product(*grids):
         trial = json.loads(json.dumps(base))
         for target, value in zip(targets, combo):
             _set_path(trial, target, value)
-        row = [repr(float(v)) for v in combo]
+        rows.append([repr(float(v)) for v in combo])
         try:
             descriptor, curve, exc, tol, grid_n, numeric = _classify_args(trial)
-            key = (curve, exc, descriptor.transforms_to_verdict_plane, tol, grid_n, numeric)
-            if key not in analyses:
-                analyses[key] = (_analyze_chain(*key), check_ideality(curve, tol))
-            rpt = _read_cell(descriptor, *analyses[key])
         except ConfigError:
             raise
         except MemElementsError as err:
-            rows.append(row + [f"error: {err}", "", "", "", ""])
-            counts["error"] += 1
+            _fill_sweep_row(rows[-1], counts, err)
             continue
-        witness = max((max(abs(p.u), abs(p.w)) for p in rpt.witnesses), default=0.0)
-        cand = rpt.candidate_witness_magnitude
-        rows.append(row + [
-            rpt.verdict.value,
-            repr(witness) if rpt.witnesses else "",
-            repr(cand) if cand is not None else "",
-            rpt.degeneration.value,
-            rpt.internal_source.value,
-        ])
-        counts[rpt.verdict.value] += 1
+        key = (curve, exc, descriptor.transforms_to_verdict_plane, tol, grid_n, numeric)
+        cells.setdefault(key, []).append((len(rows) - 1, descriptor))
+
+    # cells that share a curve, drive, chain depth, tolerances, grid and chain
+    # kind read their reports off one chain analysis and one ideality check,
+    # which is dropped before the next key's is made
+    for key, members in cells.items():
+        _sweep_key(key, members, rows, counts)
 
     csv_text = "\n".join([",".join(header)] + [",".join(r) for r in rows]) + "\n"
     wrote = _write(ns.output_dir, {"sweep.csv": csv_text})

@@ -672,7 +672,14 @@ def odd_symmetry(locus: ParametricLocus, tol: float = 1e-9) -> SymmetryReport:
     viol_u = float(np.max(np.abs(u + u[::-1])))
     viol_w = float(np.max(np.abs(w + w[::-1])))
     violation = max(viol_u, viol_w)
-    scale = max(1.0, *_plane_roots(locus).peak[:2])
+    # a chain's planes hold their scales; a lone locus reduces its own
+    # rather than refining its roots for them
+    plane = vars(locus).get("_roots")
+    if plane is None:
+        peak = (float(np.max(np.abs(u))), float(np.max(np.abs(w))))
+    else:
+        peak = plane.peak[:2]
+    scale = max(1.0, *peak)
     return SymmetryReport(odd_symmetric=violation <= tol * scale,
                           max_violation=violation)
 

@@ -606,6 +606,32 @@ class TestSweepCommand:
         assert lines[1:] == want
         assert {line.split(",")[2] for line in want} >= {"locally_passive", "locally_active"}
 
+    def test_one_analysis_alive_at_a_time(self, tmp_path, monkeypatch):
+        # every amplitude is its own key; each analysis, and the reports
+        # that view its loci, must be gone before the next one is made
+        import gc
+        import weakref
+
+        import memelements.cli as cli
+
+        made = []
+        analyze = cli._analyze_chain
+
+        def tracking(*args):
+            gc.collect()
+            assert all(ref() is None for ref in made)
+            analysis = analyze(*args)
+            made.append(weakref.ref(analysis))
+            return analysis
+
+        monkeypatch.setattr(cli, "_analyze_chain", tracking)
+        cfg = write_config(tmp_path, dict(
+            MEMRISTOR_CFG, descriptor={"alpha": -2, "beta": -1}, excitation={"amplitude": 1.0},
+            axes=[{"target": "descriptor.beta", "values": [-1, -2]},
+                  {"target": "excitation.amplitude", "values": [0.5, 0.75, 1.0]}]))
+        assert run(["sweep", "--config", cfg, "--output-dir", str(tmp_path / "s")]) == 0
+        assert len(made) == 6
+
     def test_three_axes_rejected(self, tmp_path):
         cfg = write_config(
             tmp_path,

@@ -114,6 +114,17 @@ class TestOddSymmetry:
         assert not report.odd_symmetric
         assert report.max_violation > 0.1
 
+    def test_lone_locus_is_not_refined(self, cubic, drive, monkeypatch):
+        # a lone locus takes its scale from two reductions; refined or not,
+        # the report is the same
+        locus = analytic_locus(cubic, drive, 1)
+        monkeypatch.setattr(loci, "refine_chain", lambda *a, **k: pytest.fail("refined"))
+        report = odd_symmetry(locus)
+        assert "_roots" not in vars(locus)
+        monkeypatch.undo()
+        loci.refine_chain((locus,))
+        assert odd_symmetry(locus) == report
+
 
 class TestTangentLandmarks:
     def test_cubic_zero_tangents_match_brute_force(self, cubic_loop):
