@@ -29,7 +29,6 @@ from .constitutive import (
     PolynomialCurve,
     TanhScaledCurve,
     TwoBranchCurve,
-    check_ideality,
 )
 from .errors import ConfigError, MemElementsError
 from .excitation import DEFAULT_GRID_N, Excitation
@@ -38,8 +37,6 @@ from .taxonomy import (
     ClassificationReport,
     ElementDescriptor,
     SuiteReport,
-    _analyze_chain,
-    _read_cell,
     classify,
     theorem_suite,
 )
@@ -750,29 +747,14 @@ def _set_path(root: dict, dotted: str, value) -> None:
             node = node[idx]
 
 
-def _sweep_key(key: tuple, members: list[tuple[int, ElementDescriptor]],
-               rows: list[list[str]], counts: Counter) -> None:
-    """Fill the rows of one sweep key's cells off one analysis of its chain.
-
-    The analysis, and the reports that view its loci, die on return.
-    """
+def _or_error(fn, *args):
+    """fn(*args), or the MemElementsError other than a ConfigError that it raises."""
     try:
-        analysis = _analyze_chain(*key)
-        ideality = check_ideality(key[0], key[3])
+        return fn(*args)
     except ConfigError:
         raise
     except MemElementsError as err:
-        for i, _ in members:
-            _fill_sweep_row(rows[i], counts, err)
-        return
-    for i, descriptor in members:
-        try:
-            outcome = _read_cell(descriptor, analysis, ideality)
-        except ConfigError:
-            raise
-        except MemElementsError as err:
-            outcome = err
-        _fill_sweep_row(rows[i], counts, outcome)
+        return err
 
 
 def _fill_sweep_row(row: list[str], counts: Counter, outcome) -> None:
@@ -818,9 +800,9 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
         if not isinstance(values, list) or not values:
             raise ConfigError(f"config.axes[{i}].values must be a non-empty array")
         for j, value in enumerate(values):
-            # the CSV writes each value as a float
-            if not isinstance(value, (int, float)):
-                raise ConfigError(f"config.axes[{i}].values[{j}] must be a number")
+            # the CSV writes each value as a float, a bool as 0.0 or 1.0
+            if not isinstance(value, bool):
+                _number(value, f"config.axes[{i}].values[{j}]")
         targets.append(str(target))
         grids.append(values)
 
@@ -835,27 +817,16 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
     # cell stops the sweep before the work of the cells ahead of it
     rows: list[list[str]] = []
     counts: Counter = Counter()
-    cells: dict[tuple, list[tuple[int, ElementDescriptor]]] = {}
+    cells: list = []  # classify's arguments for each cell, or the error reading them
     for combo in itertools.product(*grids):
         trial = json.loads(json.dumps(base))
         for target, value in zip(targets, combo):
             _set_path(trial, target, value)
         rows.append([repr(float(v)) for v in combo])
-        try:
-            descriptor, curve, exc, tol, grid_n, numeric = _classify_args(trial)
-        except ConfigError:
-            raise
-        except MemElementsError as err:
-            _fill_sweep_row(rows[-1], counts, err)
-            continue
-        key = (curve, exc, descriptor.transforms_to_verdict_plane, tol, grid_n, numeric)
-        cells.setdefault(key, []).append((len(rows) - 1, descriptor))
-
-    # cells that share a curve, drive, chain depth, tolerances, grid and chain
-    # kind read their reports off one chain analysis and one ideality check,
-    # which is dropped before the next key's is made
-    for key, members in cells.items():
-        _sweep_key(key, members, rows, counts)
+        cells.append(_or_error(_classify_args, trial))
+    for row, args in zip(rows, cells):
+        _fill_sweep_row(row, counts, args if isinstance(args, MemElementsError)
+                        else _or_error(classify, *args))
 
     csv_text = "\n".join([",".join(header)] + [",".join(r) for r in rows]) + "\n"
     wrote = _write(ns.output_dir, {"sweep.csv": csv_text})

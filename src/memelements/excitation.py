@@ -104,8 +104,10 @@ class SampleGrid:
         steps = np.diff(t)
         lo, hi = steps.min(), steps.max()
         # the largest |step - steps[0]| is at lo or hi, bit for bit, since
-        # rounding is monotone; a NaN or inf time fails the test too
-        if not (lo > 0.0 and max(hi - steps[0], steps[0] - lo) <= 1e-9 * steps[0]):
+        # rounding is monotone; a NaN or inf time fails the test too.  The
+        # bound grows with linspace's rounding of i * step, about i * eps
+        bound = max(1e-9, 4.0 * self.count * np.finfo(float).eps)
+        if not (lo > 0.0 and max(hi - steps[0], steps[0] - lo) <= bound * steps[0]):
             raise ConfigError("grid times must be finite, strictly increasing and uniform")
         t = t.copy()
         t.flags.writeable = False
@@ -124,6 +126,6 @@ def grid(exc: Excitation, n: int = DEFAULT_GRID_N) -> SampleGrid:
     n = int(n)
     if n < _MIN_GRID_N:
         raise ConfigError(f"grid needs at least {_MIN_GRID_N} intervals, got {n}")
-    # checked all the same: at large n or a tiny period the rounded steps of
-    # linspace stop being uniform (omega = 1e3 at n = 2**23)
+    # checked all the same: at a period small enough for subnormal steps the
+    # rounded steps of linspace stop being uniform (omega = 1e305 at n = 2**20)
     return SampleGrid(t_values=np.linspace(0.0, exc.period, n + 1), count=n)

@@ -98,10 +98,6 @@ class SpecialPoint:
     chord_angle: float | None = None
     tangent_angle: float | None = None
 
-    @property
-    def chord_defined(self) -> bool:
-        return self.chord_angle is not None
-
 
 @dataclass(frozen=True)
 class ArcInterval:
@@ -176,10 +172,21 @@ class PhaseReport:
 # evaluation helpers
 # ----------------------------------------------------------------------
 
+def _jet_rows(locus: ParametricLocus, t, depth: int):
+    """The depth-d abscissa and ordinate of the locus's jet at times t."""
+    jet = _Jet(*locus.jet, t, depth, depth)
+    return jet.x[depth], jet.ordinate(depth)
+
+
+def _has_rates(locus: ParametricLocus) -> bool:
+    """Whether the locus's jet gives its exact rates: it has one, below the order cap."""
+    return locus.jet is not None and locus.depth < locus.jet[0].max_derivative_order
+
+
 def point_at(locus: ParametricLocus, t):
-    """Locus coordinates at arbitrary time: exact via hooks, else interpolated."""
-    if locus.value_fn is not None:
-        u, w = locus.value_fn(t)
+    """Locus coordinates at arbitrary time: exact off its jet, else interpolated."""
+    if locus.jet is not None:
+        u, w = _jet_rows(locus, t, locus.depth)
     else:
         u = np.interp(t, locus.t_values, locus.u_values)
         w = np.interp(t, locus.t_values, locus.w_values)
@@ -189,9 +196,8 @@ def point_at(locus: ParametricLocus, t):
 
 
 def _derivative_arrays(locus: ParametricLocus) -> tuple[np.ndarray, np.ndarray]:
-    if locus.derivative_fn is not None:
-        du, dw = locus.derivative_fn(locus.t_values)
-        return np.asarray(du, dtype=float), np.asarray(dw, dtype=float)
+    if _has_rates(locus):
+        return _jet_rows(locus, locus.t_values, locus.depth + 1)
     h = locus.spacing
     return (
         periodic_derivative(locus.u_values, h),
@@ -346,7 +352,7 @@ def _scan(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _interpolated(t: np.ndarray, vals: np.ndarray, rows: np.ndarray,
                   left: np.ndarray) -> np.ndarray:
-    """Linear-interpolation roots in the brackets, for signals without a hook."""
+    """Linear-interpolation roots in the brackets, for signals without a jet."""
     a, b = vals[rows, left], vals[rows, left + 1]
     return t[left] - a * (t[left + 1] - t[left]) / (b - a)
 
@@ -393,18 +399,17 @@ def _signal_roots(t: np.ndarray, row: np.ndarray, crossings: np.ndarray, xtol: f
 class _PlaneRoots:
     """What the analyses of one plane read: its roots, and its values there.
 
-    abscissa holds the roots of u, du and dw the transversal roots of
-    du/dt and dw/dt, and rates the two rates on the grid.  spans are the
-    intervals between consecutive rate roots and the period ends, over
-    which the slope keeps its sign.  peak holds max |u|, max |w|,
-    max |du/dt| and max |dw/dt| over the grid, the scales the analyses'
-    tolerances are relative to.  at maps every root and every span
-    midpoint to (u, w, du/dt, dw/dt) there.  t_pair holds each sample's
-    valuedness pair time and w_pair the ordinate there.
+    abscissa holds the roots of u, and du and dw the transversal roots of
+    du/dt and dw/dt.  spans are the intervals between consecutive rate
+    roots and the period ends, over which the slope keeps its sign.  peak
+    holds max |u|, max |w|, max |du/dt| and max |dw/dt| over the grid,
+    the scales the analyses' tolerances are relative to.  at maps every
+    root and every span midpoint to (u, w, du/dt, dw/dt) there.  t_pair
+    holds each sample's valuedness pair time and w_pair the ordinate
+    there.
     """
 
     abscissa: list[float]
-    rates: tuple[np.ndarray, np.ndarray]
     du: list[float]
     dw: list[float]
     spans: list[tuple[float, float]]
@@ -419,14 +424,14 @@ def refine_chain(chain, top_rates: tuple[np.ndarray, np.ndarray] | None = None) 
 
     Each plane's abscissa u (for origin_crossing) and coordinate rates
     du/dt and dw/dt (for rate_landmarks) are scanned for sign changes, and
-    every bracket a hook covers is refined in one lock-step bisection
+    every bracket the jet covers is refined in one lock-step bisection
     through jet_signals, one evaluation per step for all of them, from the
     scanned samples at the bracket ends (the jet's values there); brackets
-    of signals without a hook keep their linear-interpolation root.  The
+    of signals without a jet keep their linear-interpolation root.  The
     loci of a chain are taken to share one jet and one grid, and
     chain[d + 1] to be the transform of chain[d], so its samples serve as
     plane d's rates when both come from the same kind of evaluation
-    (hooks, or finite differences); top_rates, when given, are the last
+    (the jet, or finite differences); top_rates, when given, are the last
     plane's rates on the grid.  A bracket two planes share, such as plane
     d's du/dt and plane d + 1's u, is refined once.  Then one jet_signals
     call reads (u, w, du/dt, dw/dt) at every plane's roots and slope-span
@@ -439,7 +444,7 @@ def refine_chain(chain, top_rates: tuple[np.ndarray, np.ndarray] | None = None) 
     ends = {}  # (depth, is ordinate, a, b) -> the signal's samples at a and b
     for d, locus in enumerate(chain):
         after = chain[d + 1] if d + 1 < len(chain) else None
-        if after is not None and (locus.derivative_fn is None) == (after.jet is None):
+        if after is not None and _has_rates(locus) == (after.jet is not None):
             rates = (after.u_values, after.w_values)
         elif after is None and top_rates is not None:
             rates = top_rates
@@ -449,8 +454,8 @@ def refine_chain(chain, top_rates: tuple[np.ndarray, np.ndarray] | None = None) 
         vals = np.stack((locus.u_values, *rates))
         rows, left = _scan(vals)
         # rows 0, 1, 2 are the abscissa at depth k and the abscissa and
-        # ordinate at depth k + 1, read off the value and rate hooks
-        hooked = (locus.jet is not None, locus.derivative_fn is not None)
+        # ordinate at depth k + 1, read off the jet where it gives them
+        hooked = (locus.jet is not None, _has_rates(locus))
         slots = [(locus.depth + min(r, 1), r == 2, t[i], t[i + 1]) if hooked[min(r, 1)] else None
                  for r, i in zip(rows.tolist(), left.tolist())]
         for key, fa, fb in zip(slots, vals[rows, left].tolist(), vals[rows, left + 1].tolist()):
@@ -480,9 +485,9 @@ def refine_chain(chain, top_rates: tuple[np.ndarray, np.ndarray] | None = None) 
         peak_u, peak_du, peak_dw = np.abs(vals).max(1).tolist()
         peak = (peak_u, float(np.abs(locus.w_values).max()), peak_du, peak_dw)
         times = np.array(abscissa + du + dw + [0.5 * (a + b) for a, b in spans])
-        planes.append((abscissa, rates, du, dw, spans, peak, times))
+        planes.append((abscissa, du, dw, spans, peak, times))
 
-    values = _landmark_values(chain, [p[1] for p in planes], [p[-1] for p in planes], jet)
+    values = _landmark_values(chain, [scan[1] for scan in scans], [p[-1] for p in planes], jet)
     for locus, (*plane, times), v, pair in zip(chain, planes, values, _pair_ordinates(chain, jet)):
         at = dict(zip(times.tolist(), zip(*v.tolist())))
         object.__setattr__(locus, "_roots", _PlaneRoots(*plane, at, *pair))
@@ -497,11 +502,11 @@ def _spans(t: np.ndarray, roots: list[float]) -> list[tuple[float, float]]:
 def _landmark_values(chain, rates, times, jet) -> list[np.ndarray]:
     """Rows u, w, du/dt and dw/dt of each plane at its times.
 
-    Every value a hook covers comes from one jet_signals call for the
+    Every value the jet gives comes from one jet_signals call for the
     whole chain; the others are interpolated in the grid samples or rates.
     """
     def hooked(locus, row):
-        return (locus.jet if row < 2 else locus.derivative_fn) is not None
+        return locus.jet is not None if row < 2 else _has_rates(locus)
 
     asks = [(tp, np.full(tp.size, locus.depth + row // 2), np.full(tp.size, row % 2 == 1))
             for locus, tp in zip(chain, times) for row in range(4) if hooked(locus, row)]
@@ -526,11 +531,11 @@ def _pair_ordinates(chain, jet) -> list[tuple[np.ndarray, np.ndarray]]:
 
     Odd-depth loci revisit each abscissa at (T/2 - t) mod T, even-depth
     loci at (T - t) mod T, so the planes of one depth parity share their
-    pair times.  On a plane with a hook, a pair time that is a grid time
-    bit for bit reads the sample there, which is the hook's value since a
+    pair times.  On a plane with a jet, a pair time that is a grid time
+    bit for bit reads the sample there, which is the jet's value since a
     jet's values do not depend on the other times it is taken at; one jet
     at the other pair times of both parities serves every such plane.  A
-    plane without a hook interpolates in its samples.
+    plane without a jet interpolates in its samples.
     """
     pairs = {}  # depth parity -> pair times, the nearest sample to each, and which are off it
     for locus in chain:
@@ -672,14 +677,7 @@ def odd_symmetry(locus: ParametricLocus, tol: float = 1e-9) -> SymmetryReport:
     viol_u = float(np.max(np.abs(u + u[::-1])))
     viol_w = float(np.max(np.abs(w + w[::-1])))
     violation = max(viol_u, viol_w)
-    # a chain's planes hold their scales; a lone locus reduces its own
-    # rather than refining its roots for them
-    plane = vars(locus).get("_roots")
-    if plane is None:
-        peak = (float(np.max(np.abs(u))), float(np.max(np.abs(w))))
-    else:
-        peak = plane.peak[:2]
-    scale = max(1.0, *peak)
+    scale = max(1.0, float(np.max(np.abs(u))), float(np.max(np.abs(w))))
     return SymmetryReport(odd_symmetric=violation <= tol * scale,
                           max_violation=violation)
 

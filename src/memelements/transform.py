@@ -22,14 +22,15 @@ times asked for: the drive levels x, x', ... from one cos and one sin,
 the curve derivatives after one range check, and the Bell rows from a
 plan cached per order.  Every operation is elementwise, so a value does
 not depend on the other times the jet is taken at, bit for bit; grid
-samples therefore stand in for hook values at grid times.  The loci of
-a chain are views of one jet on the grid (analytic_chain), which runs
-one level deeper to give the last plane's rates.  Off the grid,
-jet_signals evaluates any mix of depths and coordinates in one call,
-each ordinate depth on the elements that ask for it alone.  An analytic
-locus names its (curve, drive) pair as its jet, and its hooks are views
-of that pair at depths k and k + 1.  The depth a chain may reach is the
-curve's max_derivative_order.
+samples therefore stand in for any later jet evaluation at grid times.
+The loci of a chain are views of one jet on the grid (analytic_chain),
+which runs one level deeper to give the last plane's rates.  Off the
+grid, jet_signals evaluates any mix of depths and coordinates in one
+call, each ordinate depth on the elements that ask for it alone.  An
+analytic locus names its (curve, drive) pair as its jet, which
+loci.point_at reads at depth k for coordinates and the analyses at
+depth k + 1 for rates.  The depth a chain may reach is the curve's
+max_derivative_order.
 """
 
 from __future__ import annotations
@@ -67,10 +68,11 @@ class ParametricLocus:
     """One closed locus (u(t), w(t)) sampled over a drive period.
 
     jet, on an analytic locus, is the (curve, drive) pair whose depth-k
-    transform the locus is.  The hooks value_fn and derivative_fn read
-    exact coordinates and exact coordinate rates off that pair's Taylor
-    jet at arbitrary times; analyses use them to refine roots far below
-    the grid resolution.  Finite-difference loci carry no jet and are
+    transform the locus is.  Its Taylor jet gives exact coordinates at
+    depth k and exact coordinate rates at depth k + 1 (where the curve
+    has that derivative) at arbitrary times; analyses read it to refine
+    roots far below the grid resolution, and loci.point_at to evaluate
+    the locus off the grid.  Finite-difference loci carry no jet and are
     analysed at grid accuracy instead.
 
     A locus built from caller arrays is checked (finite samples, strictly
@@ -116,10 +118,9 @@ class ParametricLocus:
         object.__setattr__(self, "axis_labels", tuple(self.axis_labels))
 
     @classmethod
-    def _view(cls, t: np.ndarray, u: np.ndarray, w: np.ndarray, depth: int,
-              labels: tuple[str, str], provenance: str,
+    def _view(cls, t: np.ndarray, u: np.ndarray, w: np.ndarray, depth: int, provenance: str,
               jet: tuple[ConstitutiveCurve, Excitation] | None = None) -> ParametricLocus:
-        """A locus holding its arrays as given, without __post_init__'s checks and copies.
+        """A locus with default labels holding its arrays as given, unchecked and uncopied.
 
         t must be a read-only, checked grid (a SampleGrid's or a locus's
         t_values), and u and w fresh rows that nothing else writes; they
@@ -128,20 +129,8 @@ class ParametricLocus:
         u.flags.writeable = w.flags.writeable = False
         locus = object.__new__(cls)
         vars(locus).update(t_values=t, u_values=u, w_values=w, depth=depth,
-                           axis_labels=tuple(labels), provenance=provenance, jet=jet)
+                           axis_labels=default_labels(depth), provenance=provenance, jet=jet)
         return locus
-
-    @property
-    def value_fn(self) -> JetHook | None:
-        """Exact (u, w) at arbitrary times; None without a jet."""
-        return None if self.jet is None else JetHook(*self.jet, self.depth)
-
-    @property
-    def derivative_fn(self) -> JetHook | None:
-        """Exact (du/dt, dw/dt) at arbitrary times; None without a jet or at the order cap."""
-        if self.jet is None or self.depth >= self.jet[0].max_derivative_order:
-            return None
-        return JetHook(*self.jet, self.depth + 1)
 
     @property
     def period(self) -> float:
@@ -203,14 +192,13 @@ class _Jet:
     elementwise, so a value does not depend on the other times in t.
     """
 
-    def __init__(self, curve: ConstitutiveCurve, exc: Excitation, t, top: int,
-                 order: int | None = None, levels: np.ndarray | None = None):
+    def __init__(self, curve: ConstitutiveCurve, exc: Excitation, t, top: int, order: int,
+                 levels: np.ndarray | None = None):
         self.curve, self.exc, self.order = curve, exc, order
         self.t = np.asarray(t, dtype=float)
         self.x = _levels(exc, self.t, top) if levels is None else levels
-        if order is not None:
-            self.bell = _bell(self.x, order)
-            self.f = {}
+        self.bell = _bell(self.x, order)
+        self.f = {}
 
     def ordinate(self, depth: int, branch: str | None = None,
                  part=...) -> np.ndarray:
@@ -277,22 +265,6 @@ def jet_signals(curve: ConstitutiveCurve, exc: Excitation, t: np.ndarray,
 # locus construction
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class JetHook:
-    """Exact depth-k coordinates (u, w) at arbitrary times, read off the jet."""
-
-    curve: ConstitutiveCurve
-    exc: Excitation
-    depth: int
-
-    def __call__(self, t):
-        jet = _Jet(self.curve, self.exc, t, self.depth, self.depth)
-        u, w = jet.x[self.depth], jet.ordinate(self.depth)
-        if np.ndim(t) == 0:
-            return float(u), float(w)
-        return u, w
-
-
 def _checked_depth(curve: ConstitutiveCurve, depth) -> int:
     depth = int(depth)
     if depth < 0:
@@ -305,11 +277,9 @@ def _checked_depth(curve: ConstitutiveCurve, depth) -> int:
     return depth
 
 
-def _jet_locus(t: np.ndarray, jet: _Jet, depth: int,
-               labels: tuple[str, str] | None = None) -> ParametricLocus:
+def _jet_locus(t: np.ndarray, jet: _Jet, depth: int) -> ParametricLocus:
     """The depth-k locus whose samples are views of the grid jet's depth-k rows."""
-    return ParametricLocus._view(t, jet.x[depth], jet.ordinate(depth), depth,
-                                 labels or default_labels(depth), "analytic",
+    return ParametricLocus._view(t, jet.x[depth], jet.ordinate(depth), depth, "analytic",
                                  (jet.curve, jet.exc))
 
 
@@ -318,17 +288,15 @@ def analytic_locus(
     exc: Excitation,
     depth: int,
     sample_grid: SampleGrid | None = None,
-    labels: tuple[str, str] | None = None,
 ) -> ParametricLocus:
     """Depth-k locus of the curve under the drive, from the closed-form chain rule.
 
-    The locus's jet is (curve, exc): value_fn is the depth-k hook and
-    derivative_fn the depth-(k+1) one, None when the curve has no
-    derivative of order k+1.
+    The locus's jet is (curve, exc), which gives its coordinates at depth k
+    and, where the curve has a derivative of order k + 1, its rates.
     """
     depth = _checked_depth(curve, depth)
     t = (sample_grid if sample_grid is not None else grid(exc)).t_values
-    return _jet_locus(t, _Jet(curve, exc, t, depth, depth), depth, labels)
+    return _jet_locus(t, _Jet(curve, exc, t, depth, depth), depth)
 
 
 def analytic_chain(
@@ -361,9 +329,7 @@ def periodic_derivative(values: np.ndarray, spacing: float) -> np.ndarray:
     return np.append(d, d[0])
 
 
-def numeric_transform(
-    locus: ParametricLocus, labels: tuple[str, str] | None = None
-) -> ParametricLocus:
+def numeric_transform(locus: ParametricLocus) -> ParametricLocus:
     """Finite-difference differential transform of a sampled locus."""
     t = locus.t_values
     steps = np.diff(t)
@@ -372,7 +338,7 @@ def numeric_transform(
         raise NumericalError("numeric transform requires a uniform time grid")
     return ParametricLocus._view(
         t, periodic_derivative(locus.u_values, h), periodic_derivative(locus.w_values, h),
-        locus.depth + 1, labels or default_labels(locus.depth + 1), "numeric")
+        locus.depth + 1, "numeric")
 
 
 # ----------------------------------------------------------------------

@@ -182,7 +182,7 @@ class TestNumericChainFlag:
         import memelements.cli as cli
 
         trials = []
-        monkeypatch.setattr(cli, "_analyze_chain", lambda *a, **k: trials.append(a))
+        monkeypatch.setattr(cli, "classify", lambda *a, **k: trials.append(a))
         cfg = dict(MEMRISTOR_CFG, axes=[{"target": "numeric_chain", "values": [0, 1]}])
         out = tmp_path / "out"
         assert run(["sweep", "--config", write_config(tmp_path, cfg),
@@ -558,7 +558,7 @@ class TestSweepCommand:
         import memelements.cli as cli
 
         trials = []
-        monkeypatch.setattr(cli, "_analyze_chain", lambda *a, **k: trials.append(a))
+        monkeypatch.setattr(cli, "classify", lambda *a, **k: trials.append(a))
         cfg = write_config(tmp_path, dict(MEMRISTOR_CFG, axes=[
             {"target": "descriptor.alpha", "values": [-1]},
             {"target": target, "values": [bad]},
@@ -569,68 +569,12 @@ class TestSweepCommand:
         where = "config.grid_n" if isinstance(bad, float) else "config.axes[1].values[0]"
         assert where in capsys.readouterr().err
 
-    def test_cells_of_one_chain_share_its_analysis(self, tmp_path, monkeypatch):
-        # descriptor (-2,-1) needs a depth-1 chain, (-2,-2) and (-2,-3) a
-        # depth-2 one: two chains per amplitude, four analyses for six cells
-        import memelements.cli as cli
-
-        keys = []
-        analyze = cli._analyze_chain
-
-        def counting(curve, exc, depth, *args):
-            keys.append((exc.amplitude, depth))
-            return analyze(curve, exc, depth, *args)
-
-        monkeypatch.setattr(cli, "_analyze_chain", counting)
-        cfg = write_config(tmp_path, dict(
-            MEMRISTOR_CFG, descriptor={"alpha": -2, "beta": -1}, excitation={"amplitude": 1.0},
-            axes=[{"target": "descriptor.beta", "values": [-1, -2, -3]},
-                  {"target": "excitation.amplitude", "values": [0.5, 1.0]}]))
-        out = tmp_path / "sweep"
-        assert run(["sweep", "--config", cfg, "--output-dir", str(out)]) == 0
-        assert sorted(keys) == [(0.5, 1), (0.5, 2), (1.0, 1), (1.0, 2)]
-        # each row is the report classify gives for its cell on its own
-        curve = curve_from_spec(MEMRISTOR_CFG["curve"])
-        lines = (out / "sweep.csv").read_text().splitlines()
-        want = []
-        for beta in (-1, -2, -3):
-            for amplitude in (0.5, 1.0):
-                rpt = classify((-2, beta), curve, Excitation(amplitude=amplitude))
-                witness = max((max(abs(p.u), abs(p.w)) for p in rpt.witnesses), default=0.0)
-                cand = rpt.candidate_witness_magnitude
-                want.append(",".join([
-                    repr(float(beta)), repr(amplitude), rpt.verdict.value,
-                    repr(witness) if rpt.witnesses else "",
-                    repr(cand) if cand is not None else "",
-                    rpt.degeneration.value, rpt.internal_source.value]))
-        assert lines[1:] == want
-        assert {line.split(",")[2] for line in want} >= {"locally_passive", "locally_active"}
-
-    def test_one_analysis_alive_at_a_time(self, tmp_path, monkeypatch):
-        # every amplitude is its own key; each analysis, and the reports
-        # that view its loci, must be gone before the next one is made
-        import gc
-        import weakref
-
-        import memelements.cli as cli
-
-        made = []
-        analyze = cli._analyze_chain
-
-        def tracking(*args):
-            gc.collect()
-            assert all(ref() is None for ref in made)
-            analysis = analyze(*args)
-            made.append(weakref.ref(analysis))
-            return analysis
-
-        monkeypatch.setattr(cli, "_analyze_chain", tracking)
-        cfg = write_config(tmp_path, dict(
-            MEMRISTOR_CFG, descriptor={"alpha": -2, "beta": -1}, excitation={"amplitude": 1.0},
-            axes=[{"target": "descriptor.beta", "values": [-1, -2]},
-                  {"target": "excitation.amplitude", "values": [0.5, 0.75, 1.0]}]))
-        assert run(["sweep", "--config", cfg, "--output-dir", str(tmp_path / "s")]) == 0
-        assert len(made) == 6
+    def test_axis_integer_beyond_float_range(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, dict(MEMRISTOR_CFG, excitation={"omega": 1.0}, axes=[
+            {"target": "excitation.omega", "values": [1, 10 ** 400]}]))
+        assert run(["sweep", "--config", cfg, "--output-dir", str(tmp_path / "out")]) == 2
+        assert "config.axes[0].values[1] must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_three_axes_rejected(self, tmp_path):
         cfg = write_config(

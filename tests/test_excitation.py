@@ -87,6 +87,16 @@ class TestGrid:
         with pytest.raises(ConfigError, match="finite"):
             SampleGrid(t_values=t, count=64)
 
+    def test_accepts_the_large_grids_it_makes(self):
+        # linspace rounds i * step with an error growing about like i * eps,
+        # which passes 1e-9 of the step near n = 1.1e6
+        g = grid(Excitation(omega=1e3), 2 ** 23)
+        assert g.count == 2 ** 23
+
+    def test_rejects_subnormal_steps(self):
+        with pytest.raises(ConfigError, match="uniform"):
+            grid(Excitation(omega=1e305), 2 ** 20)
+
     def test_minimum_resolution(self):
         exc = Excitation()
         with pytest.raises(ConfigError):

@@ -97,7 +97,7 @@ class TestValuednessPairs:
             for plane, locus in zip(rpt.planes, rpt.loci, strict=True):
                 T = locus.period
                 t_pair = np.mod((0.5 * T if locus.depth % 2 else T) - locus.t_values, T)
-                gap = np.abs(locus.w_values - locus.value_fn(t_pair)[1])
+                gap = np.abs(locus.w_values - point_at(locus, t_pair)[1])
                 assert plane.max_pair_gap == float(np.max(gap))
                 assert valuedness(locus).max_gap == plane.max_pair_gap
 
@@ -177,10 +177,11 @@ class TestNegativeSlopeArcs:
         assert second.t_start == pytest.approx(oracles.T_C_CUBIC_MIRROR, abs=1e-9)
         assert second.t_end == pytest.approx(3.0 * np.pi / 2.0, abs=1e-9)
 
-    def test_arc_midpoints_really_slope_down(self, cubic_loop):
+    def test_arc_midpoints_really_slope_down(self, cubic_loop, cubic, drive):
+        rates = analytic_locus(cubic, drive, 2)
         for arc in negative_slope_arcs(cubic_loop):
             mid = 0.5 * (arc.t_start + arc.t_end)
-            du, dw = cubic_loop.derivative_fn(mid)
+            du, dw = point_at(rates, mid)
             assert du * dw < 0.0
 
 

@@ -365,10 +365,9 @@ def _assert_chain_matches_standalone(curve, exc, depth, n, numeric):
         # == on every float, and repr tells -0.0 from 0.0
         assert got == want
         assert repr(got) == repr(want)
-        # the rates a chain reads off the next plane are the ones the plane computes
-        for chained, own in zip(loci._plane_roots(locus).rates, loci._plane_roots(alone).rates,
-                                strict=True):
-            assert chained.tobytes() == own.tobytes()
+        # the values a chain stores at its roots and span midpoints, rates
+        # read off the next plane included, are the ones the plane computes
+        assert repr(loci._plane_roots(locus).at) == repr(loci._plane_roots(alone).at)
 
 
 _LOOP = TwoBranchCurve(outgoing=PolynomialCurve((0.0, 1.0, 0.0, 1.0 / 3.0)),

@@ -3,6 +3,8 @@ import io
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memelements import (
     OUTGOING,
@@ -22,8 +24,9 @@ from memelements import (
     locus_to_csv,
     numeric_transform,
     periodic_derivative,
+    point_at,
 )
-from memelements import excitation, transform
+from memelements import excitation, loci, transform
 from memelements.transform import default_labels
 from oracles import chain_oracle, cubic_rate, tanh_rate
 
@@ -247,33 +250,56 @@ class TestAnalyticLocus:
         assert np.allclose(locus.u_values, np.sin(locus.t_values), atol=1e-15)
 
     def test_hooks_evaluate_off_grid(self, cubic, drive):
-        locus = analytic_locus(cubic, drive, 1)
-        u, w = locus.value_fn(0.12345)
+        # point_at reads the locus's jet; the next depth's locus gives its rates
+        u, w = point_at(analytic_locus(cubic, drive, 1), 0.12345)
         assert u == pytest.approx(np.sin(0.12345))
         assert w == pytest.approx(cubic_rate(0.12345))
-        du, dw = locus.derivative_fn(0.12345)
+        du, dw = point_at(analytic_locus(cubic, drive, 2), 0.12345)
         assert du == pytest.approx(np.cos(0.12345))
 
     @pytest.mark.parametrize("depth", range(DEEP + 1))
     def test_derivative_hook_absent_exactly_at_capability_edge(self, depth):
+        # the jet gives a locus's rates below the curve's order cap only
         curve, _, _, exc = SYMBOLIC["cubic"]
         locus = analytic_locus(curve, exc, depth, grid(exc, 64))
-        assert locus.value_fn is not None
-        assert (locus.derivative_fn is None) == (depth == curve.max_derivative_order)
+        assert loci._has_rates(locus) == (depth < curve.max_derivative_order)
+        assert not loci._has_rates(numeric_transform(locus))
 
     def test_hooks_are_views_of_the_jet(self, cubic, drive):
         # a locus names its (curve, drive) pair; a plain callable is no jet
         locus = analytic_locus(cubic, drive, 1, grid(drive, 64))
         args = (locus.t_values, locus.u_values, locus.w_values, 1, locus.axis_labels)
-        for jet in (locus.value_fn, lambda t: (t, t), (locus.value_fn, drive), (cubic,)):
+
+        def hook(t):
+            return point_at(locus, t)
+
+        for jet in (hook, lambda t: (t, t), (hook, drive), (cubic,)):
             with pytest.raises(DomainError):
                 ParametricLocus(*args, jet=jet)
         with pytest.raises(DomainError):  # the jet's curve has no derivative of order 5
             ParametricLocus(*args[:3], 5, args[4], jet=(cubic, drive))
         rebuilt = ParametricLocus(*args, jet=(cubic, drive))
-        for hook in ("value_fn", "derivative_fn"):
-            got, want = getattr(rebuilt, hook), getattr(locus, hook)
-            assert (got.curve, got.exc, got.depth) == (want.curve, want.exc, want.depth)
+        t = np.linspace(0.1, 6.0, 7)
+        for got, want in zip(point_at(rebuilt, t), point_at(locus, t), strict=True):
+            assert _same_bits(got, want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(["cubic", "tanh", "logistic", "outgoing"]),
+           phases=st.lists(st.floats(0.0, 1.25), min_size=1, max_size=6))
+    def test_point_at_is_the_scalar_chain(self, name, phases):
+        # exact coordinates at every depth up to the cap, at any time, scalar or array
+        curve, _, _, exc = SYMBOLIC[name]
+        t = np.array(phases) * exc.period
+        g = grid(exc, 64)
+        for depth in range(curve.max_derivative_order + 1):
+            locus = analytic_locus(curve, exc, depth, g)
+            u, w = point_at(locus, t)
+            assert _same_bits(u, excite(exc, t, depth))
+            assert _same_bits(w, chain_ordinate(curve, exc, t, depth))
+            got = point_at(locus, float(t[0]))
+            want = (excite(exc, float(t[0]), depth), chain_ordinate(curve, exc, float(t[0]), depth))
+            assert all(type(v) is float for v in got)
+            assert _same_bits(got, want)
 
     def test_deep_locus_is_closed_form(self):
         curve, _, _, exc = SYMBOLIC["tanh"]
@@ -283,7 +309,7 @@ class TestAnalyticLocus:
         u, w = _oracle("tanh", DEEP, locus.t_values)
         assert np.max(np.abs(locus.u_values - u)) <= 1e-12 * np.max(np.abs(u))
         assert np.max(np.abs(locus.w_values - w)) <= 1e-12 * np.max(np.abs(w))
-        hook_u, hook_w = locus.value_fn(0.3)
+        hook_u, hook_w = point_at(locus, 0.3)
         assert (hook_u, hook_w) == (excite(exc, 0.3, DEEP), chain_ordinate(curve, exc, 0.3, DEEP))
 
 

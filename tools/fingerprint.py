@@ -30,6 +30,8 @@ Covered:
     abscissa zeros and transversal du/dt and dw/dt zeros, including the
     ones no report shows) on closed-form chains of the seven curves to
     depths 0-4 at n = 256 and 4096;
+  * ``float.hex`` of ``point_at`` at off-grid times, array and scalar, on
+    closed-form loci of the seven curves at depths 0-4;
   * in-process CLI runs: ``analyze`` of the seven curves at twelve cells
     on closed-form and numeric chains, every figure, the default ``suite``
     and two configured ones (one with tolerances and grid_n), ``analyze``
@@ -144,6 +146,7 @@ def library() -> None:
                                  numeric_chain=numeric)))
 
     stored_roots(curves, drives)
+    off_grid_points(curves, drives)
     emit("theorem_suite/all", sha(outcome(memelements.theorem_suite, list(curves.values()))))
     emit("theorem_suite/drive", sha(outcome(
         memelements.theorem_suite, [curves["cubic"], curves["tanh"]],
@@ -188,6 +191,24 @@ def stored_roots(curves: dict, drives: dict) -> None:
                     for signal in ("abscissa", "du", "dw"):
                         values = getattr(roots, signal)
                         emit(f"{tag}/plane{d}/{signal}", " ".join(map(float.hex, values)) or "-")
+
+
+def off_grid_points(curves: dict, drives: dict) -> None:
+    """Exact locus coordinates between the grid times, off each locus's jet."""
+    phases = (0.0123, 0.25, 0.3141, 0.5, 0.777, 0.9999, 1.5)
+    for name, curve in curves.items():
+        exc = drives[name]
+        t = [p * exc.period for p in phases]
+        for depth in range(5):
+            tag = f"point_at/{name}/depth{depth}"
+            try:
+                locus = memelements.analytic_locus(curve, exc, depth, memelements.grid(exc, 256))
+                u, w = memelements.point_at(locus, t)
+                scalar = memelements.point_at(locus, t[2])
+            except Exception as err:
+                emit(tag, f"{type(err).__name__}: {err}")
+                continue
+            emit(tag, " ".join(map(float.hex, [*u.tolist(), *w.tolist(), *scalar])))
 
 
 def run_cli(name: str, argv: list[str], outdir: str) -> None:
@@ -255,8 +276,7 @@ def formats() -> None:
 
 def sweeps() -> None:
     """sweep over a drive axis that ends in an error row, grid_n, numeric_chain,
-    the descriptor cells of depths 0-2 and omega; cells of one chain share its
-    analysis."""
+    the descriptor cells of depths 0-2 and omega."""
     cubic = {"descriptor": {"alpha": -2, "beta": -2}, "curve": SPECS["cubic"],
              "excitation": {"amplitude": 1.0, "omega": 1.0}}
     for tag, axes in (
