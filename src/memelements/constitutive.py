@@ -78,7 +78,7 @@ class ConstitutiveCurve(abc.ABC):
             if not np.all(np.isfinite(np.asarray(value, dtype=float))):
                 raise DomainError(f"{self.family} {name} must be finite, got {value!r}")
         if lo <= 0.0 <= hi:
-            y0 = float(np.asarray(self._value(np.asarray(0.0))))
+            y0 = float(self._derivatives(np.asarray(0.0), 0)[0])
             if abs(y0) > _ORIGIN_TOL:
                 raise DomainError(
                     f"{self.family} curve must pass through the origin on a range "
@@ -101,9 +101,6 @@ class ConstitutiveCurve(abc.ABC):
     def _derivatives(self, x: np.ndarray, order: int) -> np.ndarray:
         """Rows f, f', ..., f^(order) for in-range abscissae (single branch)."""
 
-    def _value(self, x: np.ndarray) -> np.ndarray:
-        return self._derivatives(x, 0)[0]
-
     # -- public evaluation --------------------------------------------
 
     def eval(self, x, branch: str | None = None):
@@ -112,11 +109,7 @@ class ConstitutiveCurve(abc.ABC):
         ``branch`` is accepted for interface symmetry with two-branch
         curves and must be None or one of the selectors here.
         """
-        if branch not in (None, OUTGOING, RETURNING):
-            raise ValueError(f"unknown branch selector {branch!r}")
-        xa = np.asarray(x, dtype=float)
-        self._check_range(xa)
-        out = self._value(xa)
+        out = self._stack(x, 0, branch)[0]
         return float(out) if np.ndim(x) == 0 else out
 
     def derivative(self, x, k: int, branch: str | None = None):
@@ -417,16 +410,6 @@ class TwoBranchCurve(ConstitutiveCurve):
             return self.returning
         raise ValueError(f"unknown branch selector {name!r}")
 
-    def eval(self, x, branch: str | None = None):
-        if branch is None:
-            raise ValueError("two-branch curve requires an explicit branch selector")
-        return self.branch(branch).eval(x)
-
-    def derivative(self, x, k: int, branch: str | None = None):
-        if branch is None:
-            raise ValueError("two-branch curve requires an explicit branch selector")
-        return self.branch(branch).derivative(x, k)
-
     def _stack(self, x, order: int, branch: str | None = None) -> np.ndarray:
         if branch is None:
             raise ValueError("two-branch curve requires an explicit branch selector")
@@ -635,8 +618,8 @@ def mvt_point(
 
     sign = np.sign(res)
     for i in range(len(xs) - 1):
-        if res[i] == 0.0:
-            return float(xs[i]) if a < xs[i] else float(xs[i + 1])
+        if res[i] == 0.0 and i > 0:  # an exact zero at a = xs[0] is not interior
+            return float(xs[i])
         if sign[i] * sign[i + 1] < 0:
             c = bisect(residual, float(xs[i]), float(xs[i + 1]), xtol=1e-12)
             return float(c)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, NumericalError
 
 __all__ = ["Excitation", "SampleGrid", "excite", "grid", "DEFAULT_GRID_N"]
 
@@ -56,6 +56,7 @@ def _levels(exc: Excitation, ta: np.ndarray, top: int) -> np.ndarray:
 
     cos and sin of the phase are computed once; level i > 0 is the signed
     multiple +-A w^i of one of them, walking the stack sin, cos, -sin, -cos.
+    Raises NumericalError when A w^i is beyond float range.
     """
     theta = exc.omega * ta
     c = np.cos(theta)
@@ -63,7 +64,13 @@ def _levels(exc: Excitation, ta: np.ndarray, top: int) -> np.ndarray:
     if top:
         s = np.sin(theta)
         for i in range(1, top + 1):
-            scale = exc.amplitude * exc.omega ** i
+            try:
+                scale = exc.amplitude * exc.omega ** i
+            except OverflowError:
+                scale = np.inf
+            if scale == np.inf:
+                raise NumericalError(f"drive level {i} is beyond float range: "
+                                     f"amplitude {exc.amplitude!r}, omega {exc.omega!r}")
             rows.append((-scale if i % 4 in (0, 3) else scale) * (s if i % 2 else c))
     return np.where(ta < 0.0, 0.0, rows)
 

@@ -346,8 +346,12 @@ def _runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _scan(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sign-change brackets of a stack of signals: row and left sample index of each."""
-    return np.nonzero(vals[:, :-1] * vals[:, 1:] < 0.0)
+    """Sign-change brackets of a stack of signals: row and left sample index of each.
+
+    Signs are compared, not products, which underflow; zero and NaN samples have none.
+    """
+    pos, neg = vals > 0.0, vals < 0.0
+    return np.nonzero((pos[:, :-1] & neg[:, 1:]) | (neg[:, :-1] & pos[:, 1:]))
 
 
 def _interpolated(t: np.ndarray, vals: np.ndarray, rows: np.ndarray,

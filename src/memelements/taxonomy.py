@@ -572,47 +572,69 @@ class SuiteReport:
         )
 
 
-def _skipped_checks(reason: str) -> dict:
-    return {
-        name: CheckResult(CheckStatus.SKIPPED, reason, {}) for name in ALL_CHECKS
-    }
+# the second-order cells the suite expects to be locally active; what each
+# degenerates into is read off _CONSEQUENCES, as for every report
+_ACTIVITY_CELLS = {
+    CHECK_MEMRISTOR: ElementDescriptor(-2, -2),
+    CHECK_MEM_INDUCTOR: ElementDescriptor(-3, -2),
+    CHECK_MEM_CAPACITOR: ElementDescriptor(-2, -3),
+}
 
 
-def _activity_check(
-    rpt: ClassificationReport,
-    want_degeneration: Degeneration,
-    want_source: InternalSource,
-) -> CheckResult:
+def _skipped_checks(reason: str, names: tuple[str, ...] = ALL_CHECKS) -> dict:
+    return {name: CheckResult(CheckStatus.SKIPPED, reason, {}) for name in names}
+
+
+def _first_order_check(rpt: ClassificationReport, period: float) -> CheckResult:
+    """First order is passive, pinched at the drive-rate zeros 0, T/2 and T."""
+    if rpt.verdict is not Verdict.LOCALLY_PASSIVE:
+        return CheckResult(CheckStatus.FAIL, f"first-order verdict was {rpt.verdict.value}", {})
+    got = np.array(sorted(p.t for p in rpt.witnesses))
+    expected = np.array([0.0, 0.5 * period, period])
+    if len(got) == len(expected) and np.max(np.abs(got - expected)) < 1e-6:
+        status, detail = CheckStatus.PASS, "pinched at every drive-rate zero"
+    else:
+        status, detail = CheckStatus.FAIL, "pinch times do not match the drive-rate zeros"
+    return CheckResult(status, detail, {"pinch_times": [float(v) for v in got]})
+
+
+def _activity_check(rpt: ClassificationReport) -> CheckResult:
     if rpt.verdict is Verdict.LOCALLY_ACTIVE:
         best = max((abs(p.w) + abs(p.u) for p in rpt.witnesses), default=0.0)
-        if rpt.degeneration is not want_degeneration:
-            return CheckResult(
-                CheckStatus.FAIL,
-                f"active but degenerates to {rpt.degeneration.value}",
-                {"witness_magnitude": best},
-            )
-        if rpt.internal_source is not want_source:
-            return CheckResult(
-                CheckStatus.FAIL,
-                f"active but internal source is {rpt.internal_source.value}",
-                {"witness_magnitude": best},
-            )
-        return CheckResult(
-            CheckStatus.PASS,
-            "locally active with off-origin witness",
-            {"witness_magnitude": best},
-        )
+        return CheckResult(CheckStatus.PASS, "locally active with off-origin witness",
+                           {"witness_magnitude": best})
     if rpt.verdict is Verdict.INCONCLUSIVE:
         return CheckResult(
             CheckStatus.INCONCLUSIVE,
             "witness degenerates at this operating point; activity undecided",
-            {"candidate_witness_magnitude": rpt.candidate_witness_magnitude or 0.0},
-        )
-    return CheckResult(
-        CheckStatus.FAIL,
-        "expected local activity, classified locally passive",
-        {},
+            {"candidate_witness_magnitude": rpt.candidate_witness_magnitude or 0.0})
+    return CheckResult(CheckStatus.FAIL, "expected local activity, classified locally passive", {})
+
+
+def _suite_checks(
+    curve: ConstitutiveCurve,
+    exc: Excitation,
+    tol: ToleranceSet,
+    grid_n: int,
+    ideality: IdealityReport,
+) -> dict[str, CheckResult]:
+    """The five checks of one curve, in ALL_CHECKS order, read off one chain."""
+    if not ideality.ideal:
+        return _skipped_checks("curve not ideal: fails " + ", ".join(ideality.failed_criteria()))
+    analysis = _analyze_chain(curve, exc, min(2, curve.max_derivative_order), tol, grid_n, False)
+    first = _read_cell(ElementDescriptor(-1, -1), analysis, ideality)
+    checks = {CHECK_FIRST_ORDER: _first_order_check(first, exc.period)}
+    if curve.max_derivative_order < 2:
+        return checks | _skipped_checks("needs second derivatives", ALL_CHECKS[1:])
+    plane2 = analysis.planes[2]
+    checks[CHECK_SINGLE_VALUED] = CheckResult(
+        CheckStatus.PASS if plane2.valuedness is Valuedness.SINGLE else CheckStatus.FAIL,
+        f"depth-2 locus is {plane2.valuedness.value}-valued",
+        {"max_pair_gap": plane2.max_pair_gap},
     )
+    for name, cell in _ACTIVITY_CELLS.items():
+        checks[name] = _activity_check(_read_cell(cell, analysis, ideality))
+    return checks
 
 
 def theorem_suite(
@@ -630,108 +652,23 @@ def theorem_suite(
     exc = exc if exc is not None else Excitation()
     tol = tolerances or ANALYTIC_DEFAULTS
     instances: list[SuiteInstance] = []
-    counterexamples: list[str] = []
-
     for index, curve in enumerate(curves):
         lo, hi = curve.operating_range
         label = f"{curve.family}[{lo:g},{hi:g}]"
         ideality = check_ideality(curve, tol)
-        checks: dict[str, CheckResult]
-        if not ideality.ideal:
-            reason = "curve not ideal: fails " + ", ".join(ideality.failed_criteria())
-            checks = _skipped_checks(reason)
-        else:
-            checks = {}
-            analysis = _analyze_chain(
-                curve, exc, min(2, curve.max_derivative_order), tol, grid_n, False
-            )
-            rpt1 = _read_cell(ElementDescriptor(-1, -1), analysis, ideality)
-            expected = np.array([0.0, 0.5 * exc.period, exc.period])
-            if rpt1.verdict is Verdict.LOCALLY_PASSIVE:
-                got = np.array(sorted(p.t for p in rpt1.witnesses))
-                if len(got) == len(expected) and np.max(np.abs(got - expected)) < 1e-6:
-                    checks[CHECK_FIRST_ORDER] = CheckResult(
-                        CheckStatus.PASS,
-                        "pinched at every drive-rate zero",
-                        {"pinch_times": [float(v) for v in got]},
-                    )
-                else:
-                    checks[CHECK_FIRST_ORDER] = CheckResult(
-                        CheckStatus.FAIL,
-                        "pinch times do not match the drive-rate zeros",
-                        {"pinch_times": [float(v) for v in got]},
-                    )
-            else:
-                checks[CHECK_FIRST_ORDER] = CheckResult(
-                    CheckStatus.FAIL,
-                    f"first-order verdict was {rpt1.verdict.value}",
-                    {},
-                )
+        instances.append(SuiteInstance(
+            index=index, label=label, family=curve.family, ideal=ideality.ideal,
+            failed_criteria=ideality.failed_criteria(),
+            checks=_suite_checks(curve, exc, tol, grid_n, ideality)))
 
-            if curve.max_derivative_order < 2:
-                reason = "needs second derivatives"
-                for name in ALL_CHECKS[1:]:
-                    checks[name] = CheckResult(CheckStatus.SKIPPED, reason, {})
-            else:
-                plane2 = analysis.planes[2]
-                if plane2.valuedness is Valuedness.SINGLE:
-                    checks[CHECK_SINGLE_VALUED] = CheckResult(
-                        CheckStatus.PASS,
-                        "depth-2 locus is single-valued",
-                        {"max_pair_gap": plane2.max_pair_gap},
-                    )
-                else:
-                    checks[CHECK_SINGLE_VALUED] = CheckResult(
-                        CheckStatus.FAIL,
-                        "depth-2 locus is double-valued",
-                        {"max_pair_gap": plane2.max_pair_gap},
-                    )
-
-                for name, cell, want_deg, want_src in (
-                    (
-                        CHECK_MEMRISTOR,
-                        (-2, -2),
-                        Degeneration.NEGATIVE_NONLINEAR_RESISTOR,
-                        InternalSource.NONE,
-                    ),
-                    (
-                        CHECK_MEM_INDUCTOR,
-                        (-3, -2),
-                        Degeneration.NEGATIVE_NONLINEAR_INDUCTOR,
-                        InternalSource.CURRENT_SOURCE,
-                    ),
-                    (
-                        CHECK_MEM_CAPACITOR,
-                        (-2, -3),
-                        Degeneration.NEGATIVE_NONLINEAR_CAPACITOR,
-                        InternalSource.VOLTAGE_SOURCE,
-                    ),
-                ):
-                    rpt = _read_cell(ElementDescriptor(*cell), analysis, ideality)
-                    checks[name] = _activity_check(rpt, want_deg, want_src)
-
-        for name, result in checks.items():
-            if result.status is CheckStatus.FAIL:
-                counterexamples.append(
-                    f"instance {index} ({label}): {name}: {result.detail}"
-                )
-        instances.append(
-            SuiteInstance(
-                index=index,
-                label=label,
-                family=curve.family,
-                ideal=ideality.ideal,
-                failed_criteria=ideality.failed_criteria(),
-                checks=checks,
-            )
-        )
-
-    aggregate: dict[str, dict[str, int]] = {
-        name: {status.value: 0 for status in CheckStatus} for name in ALL_CHECKS
-    }
+    aggregate = {name: {status.value: 0 for status in CheckStatus} for name in ALL_CHECKS}
+    counterexamples: list[str] = []
     for inst in instances:
         for name, result in inst.checks.items():
             aggregate[name][result.status.value] += 1
+            if result.status is CheckStatus.FAIL:
+                counterexamples.append(
+                    f"instance {inst.index} ({inst.label}): {name}: {result.detail}")
 
     return SuiteReport(
         instances=tuple(instances),

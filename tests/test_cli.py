@@ -350,6 +350,14 @@ class TestAnalyzeCommand:
         cfg = write_config(tmp_path, bad)
         assert run(["analyze", "--config", cfg, "--output-dir", str(tmp_path)]) == 1
 
+    def test_drive_level_overflow_is_an_analysis_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, dict(MEMRISTOR_CFG, descriptor={"alpha": -2, "beta": -2},
+                                          excitation={"omega": 1e155}))
+        assert run(["analyze", "--config", cfg, "--output-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("analysis failed: drive level 2 ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     @pytest.mark.parametrize(
         "key, value",
         [

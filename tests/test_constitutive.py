@@ -280,6 +280,14 @@ class TestMvtPoint:
         with pytest.raises(DomainError):
             mvt_point(cubic, 0.0, 3.0)
 
+    def test_zero_residual_at_the_left_end_is_no_root(self):
+        # f' - secant = 3x^2 - 3 vanishes exactly at x = a = -1, which is not
+        # interior; the mean-value point is x = 1
+        cube = PolynomialCurve(coefficients=(0.0, 0.0, 0.0, 1.0), operating_range=(-1.0, 2.0))
+        c = mvt_point(cube, -1.0, 2.0)
+        assert c == pytest.approx(1.0, abs=1e-9)
+        assert cube.derivative(c, 1) == pytest.approx(3.0, abs=1e-9)
+
 
 NAN, INF = float("nan"), float("inf")
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from memelements import ConfigError, DomainError, Excitation, SampleGrid, excite, grid
+from memelements import (ConfigError, DomainError, Excitation, NumericalError, PolynomialCurve,
+                         SampleGrid, classify, excite, grid)
 
 
 class TestExcitation:
@@ -67,6 +68,19 @@ class TestExcite:
         out = excite(exc, 0.25, 1)
         assert isinstance(out, float)
         assert out == pytest.approx(np.sin(0.25))
+
+    def test_level_beyond_float_range_names_it(self):
+        # A * omega^2 = 1e310 is not a float; omega = 1e100 still works
+        exc = Excitation(omega=1e155)
+        assert excite(exc, 0.0, 1) == 0.0
+        with pytest.raises(NumericalError, match=r"drive level 2 .*amplitude 1.*omega 1e\+155"):
+            excite(exc, 0.0, 2)
+
+    def test_classify_at_a_huge_omega_raises_numerical_error(self):
+        cubic = PolynomialCurve(coefficients=(0.0, 1.0, 0.0, 1.0 / 3.0))
+        with pytest.raises(NumericalError, match="drive level"):
+            classify((-2, -2), cubic, Excitation(omega=1e155))
+        assert classify((-2, -2), cubic, Excitation(omega=1e100)).verdict.value == "locally_active"
 
 
 class TestGrid:

@@ -604,6 +604,18 @@ SIGNALS = {
 }
 
 
+class TestScan:
+    def test_brackets_whose_sample_product_underflows(self):
+        # 1e-170 * -1e-170 underflows to -0.0, which is not below zero
+        rows, left = loci._scan(np.array([[1e-170, -1e-170, 1.0]]))
+        assert rows.tolist() == [0, 0] and left.tolist() == [0, 1]
+
+    def test_zero_and_nan_samples_start_no_bracket(self):
+        vals = np.array([[1.0, 0.0, -1.0, np.nan, 1.0, -0.0, 2.0, -np.inf]])
+        rows, left = loci._scan(vals)
+        assert rows.tolist() == [0] and left.tolist() == [6]
+
+
 class TestRefinedRoots:
     @pytest.mark.parametrize("transversal_only", [False, True])
     @pytest.mark.parametrize("name", sorted(SIGNALS))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -259,6 +261,107 @@ class TestTheoremSuite:
         inst = rep.instances[0]
         assert not inst.ideal
         assert rep.all_passed  # skips never count as failures
+
+
+class TestSuiteFailurePaths:
+    """Each check's FAIL and SKIPPED detail, forced where a real curve passes."""
+
+    @staticmethod
+    def _patch_cell(monkeypatch, cell, **changes):
+        read = taxonomy._read_cell
+
+        def patched(descriptor, analysis, ideality):
+            rpt = read(descriptor, analysis, ideality)
+            if (descriptor.alpha, descriptor.beta) == cell:
+                rpt = dataclasses.replace(rpt, **changes)
+            return rpt
+
+        monkeypatch.setattr(taxonomy, "_read_cell", patched)
+
+    @staticmethod
+    def _only_failure(rep, name, detail):
+        assert not rep.all_passed
+        assert rep.counterexamples == (f"instance 0 (polynomial[0,2]): {name}: {detail}",)
+        assert rep.aggregate[name]["fail"] == 1
+        result = rep.instances[0].checks[name]
+        assert result.status is CheckStatus.FAIL
+        assert result.detail == detail
+        return result
+
+    def test_first_order_verdict_not_passive(self, cubic, monkeypatch):
+        self._patch_cell(monkeypatch, (-1, -1), verdict=Verdict.LOCALLY_ACTIVE)
+        result = self._only_failure(theorem_suite([cubic]), CHECK_FIRST_ORDER,
+                                    "first-order verdict was locally_active")
+        assert dict(result.data) == {}
+
+    def test_pinch_times_off_the_rate_zeros(self, cubic, monkeypatch):
+        pinch = classify((-1, -1), cubic).witnesses
+        self._patch_cell(monkeypatch, (-1, -1), witnesses=pinch[:-1])
+        result = self._only_failure(theorem_suite([cubic]), CHECK_FIRST_ORDER,
+                                    "pinch times do not match the drive-rate zeros")
+        assert list(result.data) == ["pinch_times"]
+        assert result.data["pinch_times"] == sorted(p.t for p in pinch[:-1])
+
+    def test_double_valued_depth_two_plane(self, cubic, monkeypatch):
+        measure = taxonomy.valuedness
+
+        def double_at_depth_two(locus, tol):
+            report = measure(locus, tol)
+            if locus.depth == 2:
+                report = dataclasses.replace(report, kind=Valuedness.DOUBLE)
+            return report
+
+        monkeypatch.setattr(taxonomy, "valuedness", double_at_depth_two)
+        result = self._only_failure(theorem_suite([cubic]), CHECK_SINGLE_VALUED,
+                                    "depth-2 locus is double-valued")
+        assert list(result.data) == ["max_pair_gap"]
+        assert result.data["max_pair_gap"] == classify((-2, -2), cubic).planes[2].max_pair_gap
+
+    def test_passive_second_order_cell(self, cubic, monkeypatch):
+        self._patch_cell(monkeypatch, (-2, -2), verdict=Verdict.LOCALLY_PASSIVE)
+        result = self._only_failure(theorem_suite([cubic]), CHECK_MEMRISTOR,
+                                    "expected local activity, classified locally passive")
+        assert dict(result.data) == {}
+
+    def test_passing_checks_carry_their_data(self, cubic, degenerate):
+        rep = theorem_suite([cubic, degenerate])
+        checks = rep.instances[0].checks
+        assert checks[CHECK_FIRST_ORDER].detail == "pinched at every drive-rate zero"
+        assert checks[CHECK_FIRST_ORDER].data["pinch_times"] == pytest.approx(
+            [0.0, np.pi, 2 * np.pi], abs=1e-6)
+        assert checks[CHECK_SINGLE_VALUED].detail == "depth-2 locus is single-valued"
+        assert list(checks[CHECK_SINGLE_VALUED].data) == ["max_pair_gap"]
+        for name in (CHECK_MEMRISTOR, CHECK_MEM_INDUCTOR, CHECK_MEM_CAPACITOR):
+            assert checks[name].detail == "locally active with off-origin witness"
+            assert list(checks[name].data) == ["witness_magnitude"]
+            degen = rep.instances[1].checks[name]
+            assert degen.detail == ("witness degenerates at this operating point; "
+                                    "activity undecided")
+            assert list(degen.data) == ["candidate_witness_magnitude"]
+
+    def test_first_order_only_curve(self):
+        curve = PolynomialCurve(coefficients=(0.0, 1.0, 0.0, 1.0 / 3.0),
+                                max_derivative_order=1)
+        rep = theorem_suite([curve])
+        assert rep.all_passed
+        checks = rep.instances[0].checks
+        assert list(checks) == list(ALL_CHECKS)
+        assert checks[CHECK_FIRST_ORDER].status is CheckStatus.PASS
+        assert list(checks[CHECK_FIRST_ORDER].data) == ["pinch_times"]
+        for name in ALL_CHECKS[1:]:
+            assert checks[name].status is CheckStatus.SKIPPED
+            assert checks[name].detail == "needs second derivatives"
+            assert dict(checks[name].data) == {}
+        assert rep.aggregate[CHECK_SINGLE_VALUED]["skipped"] == 1
+
+    def test_skipped_non_ideal_curve_names_its_criteria(self):
+        line = PolynomialCurve(coefficients=(0.0, 1.0))
+        checks = theorem_suite([line]).instances[0].checks
+        assert list(checks) == list(ALL_CHECKS)
+        for result in checks.values():
+            assert result.status is CheckStatus.SKIPPED
+            assert result.detail == "curve not ideal: fails nonlinear"
+            assert dict(result.data) == {}
 
 
 class TestChainAnalysedOnce:

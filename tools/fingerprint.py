@@ -22,7 +22,8 @@ Covered:
     n = 256, 257, 4095 and 4096 on closed-form chains (the odd grids pair
     no odd-depth sample with a grid time), the diagonal down to (-6,-6),
     and cubic and tanh diagonals at n = 65536 and on numeric chains;
-  * ``theorem_suite`` and ``mvt_point``;
+  * ``theorem_suite`` (one run over an ideal cubic that has only first
+    derivatives) and ``mvt_point``;
   * ``phase_shift`` of the seven curves, each under its default drive and
     14 seeded drives of varied amplitude, offset and omega in
     {0.3, 1, 2.7, 13};
@@ -34,7 +35,7 @@ Covered:
     closed-form loci of the seven curves at depths 0-4;
   * in-process CLI runs: ``analyze`` of the seven curves at twelve cells
     on closed-form and numeric chains, every figure, the default ``suite``
-    and two configured ones (one with tolerances and grid_n), ``analyze``
+    and three configured ones (one with tolerances and grid_n), ``analyze``
     with format subsets from ``--formats`` or the config (and two bad
     ones), ``sweep`` over drive, descriptor, grid_n and numeric_chain axes
     (one trial ends in an error row), over the nine cells of depths 0-2 and
@@ -111,6 +112,8 @@ SPECS = {
     "flat": {"family": "piecewise_linear",
              "params": {"knots": [[0, 0], [0.1, 0], [2, 2]]}},
 }
+# ideal, but short of the second derivatives the depth-2 checks need
+FIRST_ORDER_CUBIC = dict(SPECS["cubic"], max_derivative_order=1)
 DRIVES = {"logistic": {"amplitude": 0.5, "offset": 1.0}}
 OMEGAS = (0.3, 1.0, 2.7, 13.0)
 
@@ -151,6 +154,8 @@ def library() -> None:
     emit("theorem_suite/drive", sha(outcome(
         memelements.theorem_suite, [curves["cubic"], curves["tanh"]],
         Excitation(amplitude=0.7, omega=1.7))))
+    emit("theorem_suite/first-order", sha(outcome(
+        memelements.theorem_suite, [cli.curve_from_spec(FIRST_ORDER_CUBIC)])))
     for name in ("cubic", "quintic", "tanh", "logistic"):
         lo, hi = curves[name].operating_range
         emit(f"mvt_point/{name}", sha(outcome(memelements.mvt_point, curves[name], lo, hi)))
@@ -249,6 +254,8 @@ def commands() -> None:
     cfg = {"curves": [SPECS["cubic"], SPECS["tanh"]], "grid_n": 1024,
            "tolerances": {"witness_tol": 1e-6, "slope_tol": 1e-7}}
     run_cli("suite/config-tolerances", ["suite", "--config", write("suite.json", cfg)], "out")
+    cfg = {"curves": [FIRST_ORDER_CUBIC, SPECS["tanh"]]}
+    run_cli("suite/first-order", ["suite", "--config", write("suite.json", cfg)], "out")
     formats()
     sweeps()
     failing = {
