@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -47,14 +48,6 @@ SCHEMA_VERSION = "1"
 _ALL_FORMATS = ("csv", "json", "svg")
 # top-level keys of an analyze config that _classify_args reads
 _ANALYSIS_KEYS = ("descriptor", "curve", "excitation", "tolerances", "grid_n", "numeric_chain")
-# the params each curve family reads, which are the ones its spec() writes
-_FAMILY_PARAMS = {
-    "polynomial": ("coefficients",),
-    "tanh_scaled": ("a", "b"),
-    "logistic": (),
-    "piecewise_linear": ("knots",),
-    "two_branch": ("outgoing", "returning"),
-}
 
 
 # ----------------------------------------------------------------------
@@ -87,6 +80,32 @@ def _known(node: dict, keys, path: str) -> None:
             raise ConfigError(f"{path}.{key} is not a known key")
 
 
+def _object(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path} must be an object")
+    return value
+
+
+def _read(node, path: str, readers: dict, required=()) -> dict:
+    """The keys node holds, each read by its reader, in the order of readers.
+
+    node must be an object with the required keys and no key that readers
+    does not name; a reader takes the value and its path.
+    """
+    _known(_object(node, path), readers, path)
+    for key in required:
+        _require(node, key, path)
+    return {key: read(node[key], f"{path}.{key}") for key, read in readers.items() if key in node}
+
+
+def _construct(cls, path: str, **kwargs):
+    """cls(**kwargs), with the error a bad value raises there as a ConfigError at path."""
+    try:
+        return cls(**kwargs)
+    except (MemElementsError, ValueError) as err:  # ToleranceSet raises a ValueError
+        raise ConfigError(f"{path}: {err}") from err
+
+
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path} must be a number")
@@ -99,152 +118,115 @@ def _number(value, path: str) -> float:
     return number
 
 
+def _offset(value, path: str) -> float | None:
+    """A drive offset; null stands for the default one, the amplitude."""
+    return None if value is None else _number(value, path)
+
+
+def _integer(value, path: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{path} must be an integer")
+    return value
+
+
+def _pair(value, path: str, shape: str = "a [lo, hi] pair") -> tuple[float, float]:
+    if not (isinstance(value, (list, tuple)) and len(value) == 2):
+        raise ConfigError(f"{path} must be {shape}")
+    return _number(value[0], f"{path}[0]"), _number(value[1], f"{path}[1]")
+
+
+def _coefficients(value, path: str) -> tuple[float, ...]:
+    if not isinstance(value, (list, tuple)) or not value:
+        raise ConfigError(f"{path} must be a non-empty array")
+    return tuple(_number(c, f"{path}[{i}]") for i, c in enumerate(value))
+
+
+def _knots(value, path: str) -> tuple[tuple[float, float], ...]:
+    if not isinstance(value, (list, tuple)) or len(value) < 2:
+        raise ConfigError(f"{path} must list at least two [x, y] pairs")
+    return tuple(_pair(knot, f"{path}[{i}]", "[x, y]") for i, knot in enumerate(value))
+
+
+def _axis_values(value, path: str) -> list:
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{path} must be a non-empty array")
+    for j, item in enumerate(value):
+        # the CSV writes each value as a float, a bool as 0.0 or 1.0
+        if not isinstance(item, bool):
+            _number(item, f"{path}[{j}]")
+    return value
+
+
+# a sweep axis: the dotted path it sets and the values it takes there
+_AXIS_KEYS = {"target": lambda value, path: str(value), "values": _axis_values}
+
+
+def _family(value, path: str) -> tuple:
+    if not isinstance(value, str) or value not in _FAMILIES:
+        raise ConfigError(f"{path} {value!r} is not a known curve family")
+    return _FAMILIES[value]
+
+
+# a curve node's keys; range sets the class field operating_range
+_CURVE_KEYS = {"params": _object, "family": _family, "range": _pair,
+               "max_derivative_order": _integer}
+
+
 def curve_from_spec(node, path: str = "curve") -> ConstitutiveCurve:
     """Build a curve from its JSON description.
 
     Shape: {"family": ..., "params": {...}, "range": [lo, hi],
-    "max_derivative_order": n}; two_branch nests full sub-specs under
-    params.outgoing and params.returning, and its range and order come
-    from the branches, so when given they must equal the branches'.
-    Every curve's spec() is such a node.
+    "max_derivative_order": n}; a param is required where its class field
+    has no default.  two_branch nests full sub-specs under params.outgoing
+    and params.returning, and its range and order come from the branches,
+    so when given they must equal the branches'.  Every curve's spec() is
+    such a node.
     """
-    if not isinstance(node, dict):
-        raise ConfigError(f"{path} must be an object")
-    _known(node, ("family", "params", "range", "max_derivative_order"), path)
-    family = _require(node, "family", path)
-    params = node.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigError(f"{path}.params must be an object")
-    if not isinstance(family, str) or family not in _FAMILY_PARAMS:
-        raise ConfigError(f"{path}.family {family!r} is not a known curve family")
-    _known(params, _FAMILY_PARAMS[family], f"{path}.params")
+    spec = _read(node, path, _CURVE_KEYS, required=("family",))
+    cls, readers = spec.pop("family")
+    params = _read(spec.pop("params", {}), f"{path}.params", readers, required=[
+        f.name for f in dataclasses.fields(cls)
+        if f.name in readers and f.default is dataclasses.MISSING])
+    fields = {"operating_range" if key == "range" else key: value for key, value in spec.items()}
+    if cls is not TwoBranchCurve:
+        return _construct(cls, path, **params, **fields)
+    curve = _construct(cls, path, **params)
+    for key, field in zip(spec, fields):
+        given, derived = spec[key], getattr(curve, field)
+        if given != derived:
+            raise ConfigError(f"{path}.{key} {given!r} disagrees with the branches' {derived!r}")
+    return curve
 
-    kwargs: dict = {}
-    if "range" in node:
-        rng = node["range"]
-        if not (isinstance(rng, (list, tuple)) and len(rng) == 2):
-            raise ConfigError(f"{path}.range must be a [lo, hi] pair")
-        kwargs["operating_range"] = (
-            _number(rng[0], f"{path}.range[0]"),
-            _number(rng[1], f"{path}.range[1]"),
-        )
-    if "max_derivative_order" in node:
-        order = node["max_derivative_order"]
-        if isinstance(order, bool) or not isinstance(order, int):
-            raise ConfigError(f"{path}.max_derivative_order must be an integer")
-        kwargs["max_derivative_order"] = order
 
-    if family == "two_branch":
-        out = curve_from_spec(_require(params, "outgoing", f"{path}.params"),
-                              f"{path}.params.outgoing")
-        ret = curve_from_spec(_require(params, "returning", f"{path}.params"),
-                              f"{path}.params.returning")
-        try:
-            curve = TwoBranchCurve(outgoing=out, returning=ret)
-        except MemElementsError as err:
-            raise ConfigError(f"{path}: {err}") from err
-        for key, given in kwargs.items():
-            derived = getattr(curve, key)
-            if given != derived:
-                name = "range" if key == "operating_range" else key
-                raise ConfigError(f"{path}.{name} {given!r} disagrees with the "
-                                  f"branches' {derived!r}")
-        return curve
-
-    try:
-        if family == "polynomial":
-            coeffs = _require(params, "coefficients", f"{path}.params")
-            if not isinstance(coeffs, (list, tuple)) or not coeffs:
-                raise ConfigError(
-                    f"{path}.params.coefficients must be a non-empty array"
-                )
-            return PolynomialCurve(
-                coefficients=tuple(
-                    _number(c, f"{path}.params.coefficients[{i}]")
-                    for i, c in enumerate(coeffs)
-                ),
-                **kwargs,
-            )
-        if family == "tanh_scaled":
-            return TanhScaledCurve(
-                a=_number(params.get("a", 1.0), f"{path}.params.a"),
-                b=_number(params.get("b", 1.0), f"{path}.params.b"),
-                **kwargs,
-            )
-        if family == "logistic":
-            return LogisticCurve(**kwargs)
-        knots = _require(params, "knots", f"{path}.params")
-        if not isinstance(knots, (list, tuple)) or len(knots) < 2:
-            raise ConfigError(
-                f"{path}.params.knots must list at least two [x, y] pairs"
-            )
-        pairs = []
-        for i, raw in enumerate(knots):
-            if not (isinstance(raw, (list, tuple)) and len(raw) == 2):
-                raise ConfigError(f"{path}.params.knots[{i}] must be [x, y]")
-            pairs.append(
-                (
-                    _number(raw[0], f"{path}.params.knots[{i}][0]"),
-                    _number(raw[1], f"{path}.params.knots[{i}][1]"),
-                )
-            )
-        return PiecewiseLinearCurve(knots=tuple(pairs), **kwargs)
-    except ConfigError:
-        raise
-    except MemElementsError as err:
-        raise ConfigError(f"{path}: {err}") from err
+# curve family -> its class and a reader for each of its params
+_FAMILIES = {
+    "polynomial": (PolynomialCurve, {"coefficients": _coefficients}),
+    "tanh_scaled": (TanhScaledCurve, {"a": _number, "b": _number}),
+    "logistic": (LogisticCurve, {}),
+    "piecewise_linear": (PiecewiseLinearCurve, {"knots": _knots}),
+    "two_branch": (TwoBranchCurve, {"outgoing": curve_from_spec, "returning": curve_from_spec}),
+}
 
 
 def excitation_from_spec(node, path: str = "excitation") -> Excitation:
     if node is None:
         return Excitation()
-    if not isinstance(node, dict):
-        raise ConfigError(f"{path} must be an object")
-    _known(node, ("amplitude", "omega", "offset"), path)
-    kwargs: dict = {}
-    if "amplitude" in node:
-        kwargs["amplitude"] = _number(node["amplitude"], f"{path}.amplitude")
-    if "omega" in node:
-        kwargs["omega"] = _number(node["omega"], f"{path}.omega")
-    if node.get("offset") is not None:
-        kwargs["offset"] = _number(node["offset"], f"{path}.offset")
-    try:
-        return Excitation(**kwargs)
-    except MemElementsError as err:
-        raise ConfigError(f"{path}: {err}") from err
+    return _construct(Excitation, path, **_read(
+        node, path, {"amplitude": _number, "omega": _number, "offset": _offset}))
 
 
 def descriptor_from_spec(node, path: str = "descriptor") -> ElementDescriptor:
-    if not isinstance(node, dict):
-        raise ConfigError(f"{path} must be an object")
-    _known(node, ("alpha", "beta"), path)
-    alpha = _require(node, "alpha", path)
-    beta = _require(node, "beta", path)
-    for name, value in (("alpha", alpha), ("beta", beta)):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{path}.{name} must be an integer")
-    try:
-        return ElementDescriptor(alpha=alpha, beta=beta)
-    except MemElementsError as err:
-        raise ConfigError(f"{path}: {err}") from err
+    return _construct(ElementDescriptor, path, **_read(
+        node, path, {"alpha": _integer, "beta": _integer}, required=("alpha", "beta")))
 
 
 def tolerances_from_spec(node, numeric: bool, path: str = "tolerances") -> ToleranceSet:
     base = NUMERIC_DEFAULTS if numeric else ANALYTIC_DEFAULTS
     if node is None:
         return base
-    if not isinstance(node, dict):
-        raise ConfigError(f"{path} must be an object")
-    known = {f.name for f in dataclasses.fields(ToleranceSet)}
-    overrides = {}
-    for key, value in node.items():
-        if key not in known:
-            raise ConfigError(f"{path}.{key} is not a tolerance knob")
-        overrides[key] = _number(value, f"{path}.{key}")
-    try:
-        return dataclasses.replace(base, **overrides)
-    except ValueError as err:
-        raise ConfigError(f"{path}: {err}") from err
+    knobs = {f.name: _number for f in dataclasses.fields(ToleranceSet)}
+    return _construct(functools.partial(dataclasses.replace, base), path,
+                      **_read(node, path, knobs))
 
 
 def _formats_from(value, path: str) -> tuple[str, ...]:
@@ -265,13 +247,6 @@ def _formats_from(value, path: str) -> tuple[str, ...]:
     return tuple(out)
 
 
-def _grid_n_from(node: dict, path: str) -> int:
-    value = node.get("grid_n", DEFAULT_GRID_N)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}.grid_n must be an integer")
-    return value
-
-
 def _classify_args(cfg: dict) -> tuple:
     """classify's positional arguments from the analysis sections of a config.
 
@@ -285,7 +260,8 @@ def _classify_args(cfg: dict) -> tuple:
     if not isinstance(numeric, bool):
         raise ConfigError("config.numeric_chain must be a boolean")
     tol = tolerances_from_spec(cfg.get("tolerances"), numeric)
-    return descriptor, curve, exc, tol, _grid_n_from(cfg, "config"), numeric
+    grid_n = _integer(cfg.get("grid_n", DEFAULT_GRID_N), "config.grid_n")
+    return descriptor, curve, exc, tol, grid_n, numeric
 
 
 # ----------------------------------------------------------------------
@@ -686,7 +662,7 @@ def cmd_suite(ns: argparse.Namespace) -> int:
         ]
     exc = excitation_from_spec(cfg.get("excitation"))
     tol = tolerances_from_spec(cfg.get("tolerances"), numeric=False)
-    grid_n = _grid_n_from(cfg, "config")
+    grid_n = _integer(cfg.get("grid_n", DEFAULT_GRID_N), "config.grid_n")
 
     rep = theorem_suite(curves, exc, tol, grid_n)
     wrote = _write(ns.output_dir, {"suite_report.json": _dump_json(suite_to_dict(rep))})
@@ -789,22 +765,9 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
     axes = _require(cfg, "axes", "config")
     if not isinstance(axes, list) or not 1 <= len(axes) <= 2:
         raise ConfigError("config.axes must list one or two sweep axes")
-    targets: list[str] = []
-    grids: list[list] = []
-    for i, axis in enumerate(axes):
-        if not isinstance(axis, dict):
-            raise ConfigError(f"config.axes[{i}] must be an object")
-        _known(axis, ("target", "values"), f"config.axes[{i}]")
-        target = _require(axis, "target", f"config.axes[{i}]")
-        values = _require(axis, "values", f"config.axes[{i}]")
-        if not isinstance(values, list) or not values:
-            raise ConfigError(f"config.axes[{i}].values must be a non-empty array")
-        for j, value in enumerate(values):
-            # the CSV writes each value as a float, a bool as 0.0 or 1.0
-            if not isinstance(value, bool):
-                _number(value, f"config.axes[{i}].values[{j}]")
-        targets.append(str(target))
-        grids.append(values)
+    axes = [_read(axis, f"config.axes[{i}]", _AXIS_KEYS, required=tuple(_AXIS_KEYS))
+            for i, axis in enumerate(axes)]
+    targets = [axis["target"] for axis in axes]
 
     header = targets + [
         "verdict",
@@ -818,7 +781,7 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
     rows: list[list[str]] = []
     counts: Counter = Counter()
     cells: list = []  # classify's arguments for each cell, or the error reading them
-    for combo in itertools.product(*grids):
+    for combo in itertools.product(*(axis["values"] for axis in axes)):
         trial = json.loads(json.dumps(base))
         for target, value in zip(targets, combo):
             _set_path(trial, target, value)

@@ -14,7 +14,7 @@ restricted to a range that excludes the origin.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -161,9 +161,16 @@ class ConstitutiveCurve(abc.ABC):
             "max_derivative_order": self.max_derivative_order,
         }
 
-    @abc.abstractmethod
     def _params(self) -> dict:
-        ...
+        """The family's own fields, JSON-ready: tuples as lists, branches as their specs."""
+        return {f.name: _plain(getattr(self, f.name)) for f in fields(self)
+                if f.name not in ("operating_range", "max_derivative_order")}
+
+
+def _plain(value):
+    if isinstance(value, ConstitutiveCurve):
+        return value.spec()
+    return [_plain(v) for v in value] if isinstance(value, tuple) else value
 
 
 @dataclass(frozen=True)
@@ -204,9 +211,6 @@ class PolynomialCurve(ConstitutiveCurve):
         if order < stack.shape[1]:
             return rows
         return np.concatenate((rows, np.zeros((order + 1 - stack.shape[1],) + x.shape)))
-
-    def _params(self) -> dict:
-        return {"coefficients": list(self.coefficients)}
 
 
 @lru_cache(maxsize=None)
@@ -264,9 +268,6 @@ class TanhScaledCurve(ConstitutiveCurve):
         return _tanh_derivatives(self.a * t, t,
                                  [self.a * self.b ** k for k in range(1, order + 1)])
 
-    def _params(self) -> dict:
-        return {"a": self.a, "b": self.b}
-
 
 @dataclass(frozen=True)
 class LogisticCurve(ConstitutiveCurve):
@@ -289,9 +290,6 @@ class LogisticCurve(ConstitutiveCurve):
         t = np.tanh(0.5 * x)
         return _tanh_derivatives(0.5 + 0.5 * t, t,
                                  [0.5 ** (k + 1) for k in range(1, order + 1)])
-
-    def _params(self) -> dict:
-        return {}
 
 
 @dataclass(frozen=True)
@@ -352,9 +350,6 @@ class PiecewiseLinearCurve(ConstitutiveCurve):
         lo, hi = self.operating_range
         return tuple(float(x) for x, j in zip(*self._slope_jumps())
                      if j > slope_tol and lo < x < hi)
-
-    def _params(self) -> dict:
-        return {"knots": [list(p) for p in self.knots]}
 
 
 @dataclass(frozen=True)
@@ -422,9 +417,6 @@ class TwoBranchCurve(ConstitutiveCurve):
 
     def _derivatives(self, x: np.ndarray, order: int) -> np.ndarray:  # pragma: no cover
         raise ValueError("two-branch curve requires an explicit branch selector")
-
-    def _params(self) -> dict:
-        return {"outgoing": self.outgoing.spec(), "returning": self.returning.spec()}
 
 
 def _as_range(rng) -> tuple[float, float]:

@@ -89,6 +89,16 @@ def excite(exc: Excitation, t, level: int = 0):
     return float(out) if np.ndim(t) == 0 else out
 
 
+def _uniform(t: np.ndarray) -> bool:
+    """Whether the times t are finite, strictly increasing and uniform."""
+    steps = np.diff(t)
+    lo, hi = steps.min(), steps.max()
+    # the largest |step - steps[0]| is at lo or hi, bit for bit, since rounding
+    # is monotone; the bound grows with linspace's rounding of i * step, about i * eps
+    bound = max(1e-9, 4.0 * (len(t) - 1) * np.finfo(float).eps)
+    return bool(lo > 0.0 and max(hi - steps[0], steps[0] - lo) <= bound * steps[0])
+
+
 @dataclass(frozen=True)
 class SampleGrid:
     """Uniform closed time grid over one drive period.
@@ -108,13 +118,7 @@ class SampleGrid:
             raise ConfigError("t_values must be one-dimensional with count + 1 entries")
         if t[0] != 0.0:
             raise ConfigError("grid must start at t = 0")
-        steps = np.diff(t)
-        lo, hi = steps.min(), steps.max()
-        # the largest |step - steps[0]| is at lo or hi, bit for bit, since
-        # rounding is monotone; a NaN or inf time fails the test too.  The
-        # bound grows with linspace's rounding of i * step, about i * eps
-        bound = max(1e-9, 4.0 * self.count * np.finfo(float).eps)
-        if not (lo > 0.0 and max(hi - steps[0], steps[0] - lo) <= bound * steps[0]):
+        if not _uniform(t):
             raise ConfigError("grid times must be finite, strictly increasing and uniform")
         t = t.copy()
         t.flags.writeable = False

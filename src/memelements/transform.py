@@ -43,7 +43,7 @@ import numpy as np
 
 from .constitutive import OUTGOING, RETURNING, ConstitutiveCurve
 from .errors import CapabilityError, DomainError, NumericalError
-from .excitation import Excitation, SampleGrid, _levels, grid
+from .excitation import Excitation, SampleGrid, _levels, _uniform, grid
 
 __all__ = [
     "ParametricLocus",
@@ -277,10 +277,21 @@ def _checked_depth(curve: ConstitutiveCurve, depth) -> int:
     return depth
 
 
+def _grid_ordinate(jet: _Jet, depth: int) -> np.ndarray:
+    """The depth-k ordinate row of a grid jet; NumericalError where it passes float range."""
+    # the drive levels are finite, but the Bell rows grow like (A w)^k; the jet
+    # is built with overflow warnings off, so such a row shows here alone
+    row = jet.ordinate(depth)
+    if not np.isfinite(row).all():
+        raise NumericalError(f"depth {depth} ordinate is beyond float range: "
+                             f"amplitude {jet.exc.amplitude!r}, omega {jet.exc.omega!r}")
+    return row
+
+
 def _jet_locus(t: np.ndarray, jet: _Jet, depth: int) -> ParametricLocus:
     """The depth-k locus whose samples are views of the grid jet's depth-k rows."""
-    return ParametricLocus._view(t, jet.x[depth], jet.ordinate(depth), depth, "analytic",
-                                 (jet.curve, jet.exc))
+    return ParametricLocus._view(t, jet.x[depth], _grid_ordinate(jet, depth), depth,
+                                 "analytic", (jet.curve, jet.exc))
 
 
 def analytic_locus(
@@ -296,7 +307,8 @@ def analytic_locus(
     """
     depth = _checked_depth(curve, depth)
     t = (sample_grid if sample_grid is not None else grid(exc)).t_values
-    return _jet_locus(t, _Jet(curve, exc, t, depth, depth), depth)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _jet_locus(t, _Jet(curve, exc, t, depth, depth), depth)
 
 
 def analytic_chain(
@@ -312,9 +324,10 @@ def analytic_chain(
     depth = _checked_depth(curve, depth)
     t = sample_grid.t_values
     top = min(depth + 1, curve.max_derivative_order)
-    jet = _Jet(curve, exc, t, top, top)
-    chain = tuple(_jet_locus(t, jet, d) for d in range(depth + 1))
-    return chain, (jet.x[top], jet.ordinate(top)) if top > depth else None
+    with np.errstate(over="ignore", invalid="ignore"):
+        jet = _Jet(curve, exc, t, top, top)
+        chain = tuple(_jet_locus(t, jet, d) for d in range(depth + 1))
+        return chain, (jet.x[top], _grid_ordinate(jet, top)) if top > depth else None
 
 
 def periodic_derivative(values: np.ndarray, spacing: float) -> np.ndarray:
@@ -332,10 +345,9 @@ def periodic_derivative(values: np.ndarray, spacing: float) -> np.ndarray:
 def numeric_transform(locus: ParametricLocus) -> ParametricLocus:
     """Finite-difference differential transform of a sampled locus."""
     t = locus.t_values
-    steps = np.diff(t)
-    h = float(steps[0])
-    if np.max(np.abs(steps - h)) > 1e-9 * h:
+    if not _uniform(t):
         raise NumericalError("numeric transform requires a uniform time grid")
+    h = float(t[1] - t[0])
     return ParametricLocus._view(
         t, periodic_derivative(locus.u_values, h), periodic_derivative(locus.w_values, h),
         locus.depth + 1, "numeric")

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -30,6 +31,7 @@ from memelements.cli import (
     tolerances_from_spec,
 )
 from memelements.errors import ConfigError
+from malformed_configs import MALFORMED
 
 
 def load_schema(name):
@@ -241,6 +243,19 @@ class TestUnknownKeys:
         assert not out.exists()
 
 
+class TestMalformedConfigs:
+    """Each config reader's messages, one fault per config: the exact stderr line, exit 2."""
+
+    @pytest.mark.parametrize("command, cfg, message", [case[1:] for case in MALFORMED],
+                             ids=[case[0] for case in MALFORMED])
+    def test_stderr_line_and_exit_2(self, tmp_path, capsys, command, cfg, message):
+        out = tmp_path / "out"
+        assert run([command, "--config", write_config(tmp_path, cfg),
+                    "--output-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+
 class TestSetPath:
     def test_plain_and_indexed(self):
         cfg = {"curve": {"params": {"coefficients": [0, 1, 0, 0.3]}}}
@@ -357,6 +372,20 @@ class TestAnalyzeCommand:
         err = capsys.readouterr().err
         assert err.startswith("analysis failed: drive level 2 ")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_jet_overflow_is_an_analysis_error(self, tmp_path, capsys):
+        # finite drive levels, but a depth-1 ordinate beyond float range
+        cfg = write_config(tmp_path, {
+            "descriptor": {"alpha": -1, "beta": -1},
+            "curve": dict(MEMRISTOR_CFG["curve"], range=[0, 2e100]),
+            "excitation": {"amplitude": 1e100, "omega": 1e50}})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["analyze", "--config", cfg, "--output-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("analysis failed: depth 1 ordinate is beyond float range")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "key, value",

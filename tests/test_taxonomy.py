@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from memelements import (
     Excitation,
     InternalSource,
     LogisticCurve,
+    NumericalError,
     PiecewiseLinearCurve,
     PointKind,
     PolynomialCurve,
@@ -218,6 +220,17 @@ class TestClassifyGuards:
         )
         rpt = classify((-1, -1), wide, Excitation(amplitude=2.0))
         assert rpt.verdict is Verdict.LOCALLY_PASSIVE
+
+    @pytest.mark.parametrize("cell", [(0, 0), (-1, -1), (-2, -2)])
+    def test_jet_beyond_float_range_raises(self, cell):
+        # the drive levels A w^k are finite; the depth-1 ordinate, about (A w)^3, is not
+        huge = PolynomialCurve(coefficients=(0.0, 1.0, 0.0, 1.0 / 3.0),
+                               operating_range=(0.0, 2e100))
+        exc = Excitation(amplitude=1e100, omega=1e50)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="depth 1 ordinate is beyond float range"):
+                classify(cell, huge, exc)
 
 
 class TestTheoremSuite:

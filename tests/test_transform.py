@@ -1,4 +1,5 @@
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -10,9 +11,11 @@ from memelements import (
     OUTGOING,
     RETURNING,
     CapabilityError,
+    ConfigError,
     DomainError,
     Excitation,
     LogisticCurve,
+    NumericalError,
     PolynomialCurve,
     ParametricLocus,
     TanhScaledCurve,
@@ -367,10 +370,52 @@ class TestNumericTransform:
         # 4x finer grid must cut the error by at least ~16x (allow slack)
         assert errs[1] < errs[0] / 12.0
 
+    def test_accepts_every_grid_a_sample_grid_accepts(self):
+        # linspace's rounding passes 1e-9 of the step near n = 1.1e6; a grid
+        # SampleGrid takes must be uniform enough for the transform too
+        n = 2 ** 21
+        t = np.linspace(0.0, 2.0 * np.pi, n + 1)
+        t[n // 2] += 1.5e-9 * (t[1] - t[0])
+        excitation.SampleGrid(t_values=t, count=n)
+        numeric = numeric_transform(ParametricLocus(t, np.sin(t), np.cos(t), 0, ("x", "y")))
+        assert numeric.depth == 1
+
+    def test_rejects_a_grid_a_sample_grid_rejects(self):
+        t = np.linspace(0.0, 2.0 * np.pi, 4097)
+        t[2048] += 1e-6 * (t[1] - t[0])
+        with pytest.raises(ConfigError, match="uniform"):
+            excitation.SampleGrid(t_values=t, count=4096)
+        with pytest.raises(NumericalError, match="uniform time grid"):
+            numeric_transform(ParametricLocus(t, np.sin(t), np.cos(t), 0, ("x", "y")))
+
     def test_periodic_derivative_of_sin(self):
         t = np.linspace(0.0, 2.0 * np.pi, 4097)
         d = periodic_derivative(np.sin(t), t[1] - t[0])
         assert np.max(np.abs(d - np.cos(t))) < 1e-6
+
+
+# drive levels A w^k stay finite, but x'^k in the Bell rows, about (A w)^k, does not
+HUGE_CUBIC = PolynomialCurve((0.0, 1.0, 0.0, 1.0 / 3.0), operating_range=(0.0, 2e100))
+HUGE_DRIVE = Excitation(amplitude=1e100, omega=1e50)
+
+
+class TestJetOverflow:
+    """A grid ordinate row beyond float range is a NumericalError naming its depth."""
+
+    def test_locus_row(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isfinite(analytic_locus(HUGE_CUBIC, HUGE_DRIVE, 0).w_values).all()
+            with pytest.raises(NumericalError, match=r"depth 1 ordinate .*amplitude 1e\+100"):
+                analytic_locus(HUGE_CUBIC, HUGE_DRIVE, 1)
+
+    @pytest.mark.parametrize("depth", [0, 1, 2])
+    def test_chain_rows_and_rates(self, depth):
+        # depth 0 fails at its rates, the depth-1 row one level deeper
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="depth 1 ordinate"):
+                transform.analytic_chain(HUGE_CUBIC, HUGE_DRIVE, depth, grid(HUGE_DRIVE, 256))
 
 
 class TestCsvRoundTrip:

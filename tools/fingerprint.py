@@ -9,11 +9,12 @@ checked by running this script on two checkouts and diffing the output:
     (cd ../parent && python tools/fingerprint.py) > before.txt
     diff before.txt after.txt
 
-The script imports the package from the ``src/`` next to it and the
-classify-distinct inputs from ``bench/workloads.py``, so each checkout
+The script imports the package from the ``src/`` next to it, the
+classify-distinct inputs from ``bench/workloads.py`` and the malformed
+configs from ``tests/malformed_configs.py``, so each checkout
 fingerprints its own code; to fingerprint a commit older than the
-script, copy the script into that checkout's ``tools/``.  It takes about
-a minute on two cores.
+script, copy the script into that checkout's ``tools/`` (and the config
+table into its ``tests/``).  It takes about a minute on two cores.
 
 Covered:
   * ``classify`` reports of classify-distinct ops 0-119 for seeds 7, 13
@@ -39,7 +40,8 @@ Covered:
     with format subsets from ``--formats`` or the config (and two bad
     ones), ``sweep`` over drive, descriptor, grid_n and numeric_chain axes
     (one trial ends in an error row), over the nine cells of depths 0-2 and
-    over omega, and three failing configs.
+    over omega, three failing configs, and every config of
+    ``tests/malformed_configs.py`` (one fault each, exit code 2).
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench"), str(ROOT / "tests")]
 
 import memelements  # noqa: E402
 from memelements import (  # noqa: E402
@@ -68,6 +70,7 @@ from memelements import (  # noqa: E402
     TwoBranchCurve,
     cli,
 )
+from malformed_configs import MALFORMED  # noqa: E402
 from workloads import ClassifyDistinct  # noqa: E402
 
 SEEDS = (7, 13, 90210)
@@ -267,6 +270,8 @@ def commands() -> None:
     }
     for tag, cfg in failing.items():
         run_cli(f"analyze/{tag}", ["analyze", "--config", write("analyze.json", cfg)], "out")
+    for tag, command, cfg, _ in MALFORMED:
+        run_cli(f"malformed/{tag}", [command, "--config", write("malformed.json", cfg)], "out")
 
 
 def formats() -> None:
