@@ -60,7 +60,8 @@ def _load_json(path) -> dict:
             data = json.load(fh)
     except OSError as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
+        # JSON text is UTF-8, so a file that does not decode is not JSON either
         raise ConfigError(f"config {path} is not valid JSON: {err}") from err
     if not isinstance(data, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
@@ -304,9 +305,16 @@ def _dump_json(obj: dict) -> str:
 
 
 def _write(output_dir, files: dict[str, str]) -> str:
-    """Write files into output_dir, creating it; the 'wrote:' line naming them."""
+    """Write files into output_dir, creating it; the 'wrote:' line naming them.
+
+    A directory that cannot be made, such as a path that is or lies under
+    a file, is a ConfigError naming it.
+    """
     outdir = Path(output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"cannot make output directory {outdir}: {err}") from err
     for name in sorted(files):
         (outdir / name).write_text(files[name], encoding="utf-8")
     return "wrote: " + ", ".join(str(outdir / name) for name in sorted(files))
@@ -803,7 +811,15 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
 # entry points
 # ----------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser, built once per process and reused by every run.
+
+    Reuse changes no output: argparse reads sys.stdout, sys.stderr and the
+    terminal width when it writes, not when it is built.  Each subcommand's
+    cmd_* function is bound when the parser is built, so patching a cmd_*
+    attribute of this module afterwards does not reach run.
+    """
     parser = argparse.ArgumentParser(
         prog="memelements",
         description=(

@@ -343,14 +343,23 @@ def periodic_derivative(values: np.ndarray, spacing: float) -> np.ndarray:
 
 
 def numeric_transform(locus: ParametricLocus) -> ParametricLocus:
-    """Finite-difference differential transform of a sampled locus."""
+    """Finite-difference differential transform of a sampled locus.
+
+    Raises NumericalError, naming the new depth, where a difference
+    quotient passes float range.
+    """
     t = locus.t_values
     if not _uniform(t):
         raise NumericalError("numeric transform requires a uniform time grid")
     h = float(t[1] - t[0])
-    return ParametricLocus._view(
-        t, periodic_derivative(locus.u_values, h), periodic_derivative(locus.w_values, h),
-        locus.depth + 1, "numeric")
+    depth = locus.depth + 1
+    with np.errstate(over="ignore"):
+        u = periodic_derivative(locus.u_values, h)
+        w = periodic_derivative(locus.w_values, h)
+    if not (np.isfinite(u).all() and np.isfinite(w).all()):
+        raise NumericalError(f"depth {depth} finite differences are beyond float range: "
+                             f"sample spacing {h!r}")
+    return ParametricLocus._view(t, u, w, depth, "numeric")
 
 
 # ----------------------------------------------------------------------

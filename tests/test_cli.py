@@ -1,3 +1,4 @@
+import argparse
 import json
 import warnings
 
@@ -7,6 +8,7 @@ jsonschema = pytest.importorskip("jsonschema")
 
 from memelements import (
     DEFAULT_GRID_N,
+    __version__,
     Excitation,
     LogisticCurve,
     PiecewiseLinearCurve,
@@ -22,6 +24,7 @@ from memelements import (
 from memelements.cli import (
     FIGURES,
     _set_path,
+    build_parser,
     curve_from_spec,
     descriptor_from_spec,
     excitation_from_spec,
@@ -355,6 +358,16 @@ class TestAnalyzeCommand:
         missing = str(tmp_path / "nope.json")
         assert run(["analyze", "--config", missing, "--output-dir", str(tmp_path)]) == 2
 
+    def test_non_utf8_config_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_bytes(b"\xff\xfe" + json.dumps(MEMRISTOR_CFG).encode("utf-16-le"))
+        out = tmp_path / "out"
+        assert run(["analyze", "--config", str(cfg), "--output-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: config {cfg} is not valid JSON: 'utf-8' codec")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_analysis_error_exit_code(self, tmp_path):
         bad = dict(MEMRISTOR_CFG)
         bad["curve"] = {
@@ -374,18 +387,23 @@ class TestAnalyzeCommand:
         assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_jet_overflow_is_an_analysis_error(self, tmp_path, capsys):
-        # finite drive levels, but a depth-1 ordinate beyond float range
-        cfg = write_config(tmp_path, {
-            "descriptor": {"alpha": -1, "beta": -1},
-            "curve": dict(MEMRISTOR_CFG["curve"], range=[0, 2e100]),
-            "excitation": {"amplitude": 1e100, "omega": 1e50}})
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert run(["analyze", "--config", cfg, "--output-dir", str(tmp_path / "out")]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("analysis failed: depth 1 ordinate is beyond float range")
-        assert err.count("\n") == 1
-        assert not (tmp_path / "out").exists()
+        # finite drive levels, but a depth-1 ordinate, or difference quotient,
+        # beyond float range
+        for numeric, message in ((False, "depth 1 ordinate is beyond float range"),
+                                 (True, "depth 1 finite differences are beyond float range")):
+            cfg = write_config(tmp_path, {
+                "descriptor": {"alpha": -1, "beta": -1},
+                "curve": dict(MEMRISTOR_CFG["curve"], range=[0, 2e100]),
+                "excitation": {"amplitude": 1e100, "omega": 1e50},
+                "numeric_chain": numeric})
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert run(["analyze", "--config", cfg,
+                            "--output-dir", str(tmp_path / "out")]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"analysis failed: {message}")
+            assert err.count("\n") == 1
+            assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "key, value",
@@ -437,6 +455,65 @@ class TestAnalyzeCommand:
         assert run([]) == 2
         assert run(["analyze"]) == 2
         capsys.readouterr()
+
+
+class TestOutputDirectory:
+    """An output directory that cannot be made is one config error line, exit 2."""
+
+    @pytest.mark.parametrize("command", ["analyze", "suite"])
+    @pytest.mark.parametrize("under_file", [False, True])
+    def test_unmakeable_directory_exit_2(self, tmp_path, capsys, command, under_file):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file\n")
+        out = blocker / "out" if under_file else blocker
+        argv = [command, "--output-dir", str(out)]
+        if command == "analyze":
+            argv += ["--config", write_config(tmp_path, MEMRISTOR_CFG)]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot make output directory {out}: ")
+        assert err.count("\n") == 1
+        assert blocker.read_text() == "a file\n"
+
+
+class TestParserReuse:
+    """run builds the parser once per process, and reuse changes no output."""
+
+    def test_built_once(self, monkeypatch, capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        build_parser.cache_clear()
+        counts = []
+        for argv in ([], ["analyze"], ["--version"]):
+            before = len(built)
+            run(argv)
+            counts.append(len(built) - before)
+        capsys.readouterr()
+        # the top-level parser and one per subcommand, on the first run alone
+        assert counts == [5, 0, 0]
+
+    def test_repeats_are_byte_identical(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")  # usage wrapping follows the terminal width
+        build_parser.cache_clear()
+        argvs = ([], ["analyze"], ["figure", "nofig"], ["--version"])
+
+        def outcome(argv):
+            code = run(argv)
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        first = [outcome(argv) for argv in argvs]
+        assert outcome(["suite", "--strict", "--output-dir", str(tmp_path)])[0] == 0
+        assert [outcome(argv) for argv in argvs] == first
+        assert [code for code, _, _ in first] == [2, 2, 2, 0]
+        assert all(err.startswith("usage: memelements") for _, _, err in first[:3])
+        assert first[3][1:] == (f"{__version__}\n", "")
 
 
 class TestFigureCommand:

@@ -417,6 +417,14 @@ class TestJetOverflow:
             with pytest.raises(NumericalError, match="depth 1 ordinate"):
                 transform.analytic_chain(HUGE_CUBIC, HUGE_DRIVE, depth, grid(HUGE_DRIVE, 256))
 
+    def test_numeric_transform_row(self):
+        # the depth-0 rows are finite, their difference quotients are not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            base = analytic_locus(HUGE_CUBIC, HUGE_DRIVE, 0, grid(HUGE_DRIVE, 256))
+            with pytest.raises(NumericalError, match="depth 1 finite differences are beyond"):
+                numeric_transform(base)
+
 
 class TestCsvRoundTrip:
     def test_header_and_exact_floats(self, cubic, drive):

@@ -41,7 +41,15 @@ Covered:
     ones), ``sweep`` over drive, descriptor, grid_n and numeric_chain axes
     (one trial ends in an error row), over the nine cells of depths 0-2 and
     over omega, three failing configs, and every config of
-    ``tests/malformed_configs.py`` (one fault each, exit code 2).
+    ``tests/malformed_configs.py`` (one fault each, exit code 2);
+  * a config file that is not UTF-8, and ``analyze`` and ``suite`` with an
+    output directory that is, or lies under, a file;
+  * four argument lists argparse settles on its own (none, ``analyze``
+    without its config, an unknown figure and ``--version``), first
+    before every other CLI run and again after them all, with
+    ``COLUMNS`` fixed so that usage wrapping does not follow the terminal.
+
+An error that escapes ``cli.run`` is fingerprinted as the run's exit line.
 """
 
 from __future__ import annotations
@@ -219,14 +227,20 @@ def off_grid_points(curves: dict, drives: dict) -> None:
             emit(tag, " ".join(map(float.hex, [*u.tolist(), *w.tolist(), *scalar])))
 
 
-def run_cli(name: str, argv: list[str], outdir: str) -> None:
+def run_cli(name: str, argv: list[str], outdir: str | None) -> None:
+    """Fingerprint one in-process run; outdir, unless None, goes in as --output-dir."""
+    if outdir is not None:
+        argv = argv + ["--output-dir", outdir]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.run(argv + ["--output-dir", outdir])
+        try:
+            code = cli.run(argv)
+        except Exception as exc:  # an error that escapes run is a fingerprint too
+            code = f"raised {type(exc).__name__}: {exc}"
     emit(f"cli/{name}/exit", str(code))
     emit(f"cli/{name}/stdout", sha(out.getvalue()))
     emit(f"cli/{name}/stderr", sha(err.getvalue()))
-    if os.path.isdir(outdir):
+    if outdir is not None and os.path.isdir(outdir):
         for path in sorted(Path(outdir).iterdir()):
             emit(f"cli/{name}/{path.name}", sha(path.read_bytes()))
         shutil.rmtree(outdir)
@@ -237,7 +251,14 @@ def write(path: str, config: dict) -> str:
     return path
 
 
+# argument lists argparse settles before any command runs
+ARGV_ONLY = {"none": [], "analyze": ["analyze"], "figure-nofig": ["figure", "nofig"],
+             "version": ["--version"]}
+
+
 def commands() -> None:
+    for tag, argv in ARGV_ONLY.items():
+        run_cli(f"argv/{tag}/first", argv, None)
     for name, spec in SPECS.items():
         for alpha, beta in CELLS:
             for numeric in (False, True):
@@ -272,6 +293,22 @@ def commands() -> None:
         run_cli(f"analyze/{tag}", ["analyze", "--config", write("analyze.json", cfg)], "out")
     for tag, command, cfg, _ in MALFORMED:
         run_cli(f"malformed/{tag}", [command, "--config", write("malformed.json", cfg)], "out")
+    unusable_paths()
+    for tag, argv in ARGV_ONLY.items():
+        run_cli(f"argv/{tag}/last", argv, None)
+
+
+def unusable_paths() -> None:
+    """A config that is not UTF-8, and output directories that cannot be made."""
+    cfg = {"descriptor": {"alpha": -1, "beta": -1}, "curve": SPECS["cubic"]}
+    Path("utf16.json").write_bytes(b"\xff\xfe" + json.dumps(cfg).encode("utf-16-le"))
+    run_cli("analyze/non-utf8", ["analyze", "--config", "utf16.json"], "out")
+    Path("blocker").write_text("a file\n", encoding="utf-8")
+    for command, argv in (("analyze", ["analyze", "--config", write("analyze.json", cfg)]),
+                          ("suite", ["suite"])):
+        run_cli(f"{command}/output-dir-file", argv, "blocker")
+        run_cli(f"{command}/output-dir-under-file", argv, "blocker/out")
+    os.remove("blocker")
 
 
 def formats() -> None:
@@ -312,6 +349,7 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as work:
         here = os.getcwd()
         os.chdir(work)  # relative paths keep stdout free of the temporary name
+        os.environ["COLUMNS"] = "80"  # argparse wraps usage text at this width
         try:
             commands()
         finally:
