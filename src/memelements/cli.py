@@ -42,7 +42,7 @@ from .taxonomy import (
     theorem_suite,
 )
 from .tolerances import ANALYTIC_DEFAULTS, NUMERIC_DEFAULTS, ToleranceSet
-from .transform import analytic_locus, columns_to_csv, locus_to_csv
+from .transform import analytic_locus, columns_to_csv, csv_texts
 
 SCHEMA_VERSION = "1"
 _ALL_FORMATS = ("csv", "json", "svg")
@@ -305,10 +305,12 @@ def _dump_json(obj: dict) -> str:
 
 
 def _write(output_dir, files: dict[str, str]) -> str:
-    """Write files into output_dir, creating it; the 'wrote:' line naming them.
+    """Write files into output_dir, creating it, in name order; the 'wrote:' line naming them.
 
     A directory that cannot be made, such as a path that is or lies under
-    a file, is a ConfigError naming it.
+    a file, and a file that cannot be written, such as a name a directory
+    holds, are each a ConfigError naming the path.  The files sorted
+    before one that cannot be written stay written.
     """
     outdir = Path(output_dir)
     try:
@@ -316,7 +318,11 @@ def _write(output_dir, files: dict[str, str]) -> str:
     except OSError as err:
         raise ConfigError(f"cannot make output directory {outdir}: {err}") from err
     for name in sorted(files):
-        (outdir / name).write_text(files[name], encoding="utf-8")
+        path = outdir / name
+        try:
+            path.write_text(files[name], encoding="utf-8")
+        except OSError as err:
+            raise ConfigError(f"cannot write {path}: {err}") from err
     return "wrote: " + ", ".join(str(outdir / name) for name in sorted(files))
 
 
@@ -504,8 +510,12 @@ def _analysis_files(rpt: ClassificationReport, formats: tuple[str, ...]) -> dict
     if "json" in formats:
         files["report.json"] = _dump_json(report_to_dict(rpt))
     if "csv" in formats:
-        for locus in rpt.loci:
-            files[f"depth{locus.depth}.csv"] = locus_to_csv(locus)
+        # a chain's loci share one grid array, so its t text is formatted
+        # once; a locus on another grid is written with its own t
+        for t in {id(locus.t_values): locus.t_values for locus in rpt.loci}.values():
+            chain = [locus for locus in rpt.loci if locus.t_values is t]
+            texts = csv_texts("t,u,w", t, [(locus.u_values, locus.w_values) for locus in chain])
+            files.update(zip([f"depth{locus.depth}.csv" for locus in chain], texts))
     if "svg" in formats:
         panels = []
         for locus, plane in zip(rpt.loci, rpt.planes):

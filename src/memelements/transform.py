@@ -51,6 +51,7 @@ __all__ = [
     "analytic_locus",
     "numeric_transform",
     "periodic_derivative",
+    "csv_texts",
     "columns_to_csv",
     "locus_to_csv",
 ]
@@ -366,10 +367,51 @@ def numeric_transform(locus: ParametricLocus) -> ParametricLocus:
 # serialization
 # ----------------------------------------------------------------------
 
-def columns_to_csv(header: str, *columns) -> str:
+# Rows are formatted and joined this many at a time, so the row strings
+# held at once are one block's, not a whole table's.
+_CSV_BLOCK = 4096
+
+
+def csv_texts(header: str, lead, tables) -> list[str]:
+    """CSV texts of tables that share a leading column, written in one pass.
+
+    Text k is the header, then one row per sample: the lead value, then
+    the values of table k's columns.  Each block of rows formats the
+    lead's repr once for every table; repr floats round-trip exactly.
+    Raises DomainError for a column that is not one-dimensional, columns
+    of unequal length, or a header whose field count is not a table's
+    column count.
+    """
+    lead = _csv_column(lead)
+    tables = [[_csv_column(col) for col in cols] for cols in tables]
+    fields = header.count(",") + 1
+    for cols in tables:
+        if len(cols) + 1 != fields:
+            raise DomainError(f"header has {fields} fields for {len(cols) + 1} columns")
+        for col in cols:
+            if len(col) != len(lead):
+                raise DomainError(f"columns of unequal length: {len(lead)} and {len(col)}")
+    texts = [[header] for _ in tables]
+    for start in range(0, len(lead), _CSV_BLOCK):
+        block = slice(start, start + _CSV_BLOCK)
+        lead_text = list(map(repr, lead[block].tolist()))
+        for text, cols in zip(texts, tables):
+            rows = zip(lead_text, *(map(repr, col[block].tolist()) for col in cols))
+            text.append("\n".join(map(",".join, rows)))
+    # an empty last field ends the text with a newline without copying it again
+    return ["\n".join([*text, ""]) for text in texts]
+
+
+def _csv_column(col) -> np.ndarray:
+    arr = np.asarray(col, dtype=float)
+    if arr.ndim != 1:
+        raise DomainError(f"a CSV column must be one-dimensional, got shape {arr.shape}")
+    return arr
+
+
+def columns_to_csv(header: str, lead, *columns) -> str:
     """CSV text: the header, then one row per sample; repr floats round-trip exactly."""
-    text = [map(repr, np.asarray(col, dtype=float).tolist()) for col in columns]
-    return "\n".join([header, *map(",".join, zip(*text))]) + "\n"
+    return csv_texts(header, lead, [columns])[0]
 
 
 def locus_to_csv(locus: ParametricLocus) -> str:

@@ -1,5 +1,8 @@
 import argparse
+import builtins
+import dataclasses
 import json
+import pathlib
 import warnings
 
 import pytest
@@ -11,6 +14,7 @@ from memelements import (
     __version__,
     Excitation,
     LogisticCurve,
+    ParametricLocus,
     PiecewiseLinearCurve,
     PolynomialCurve,
     TanhScaledCurve,
@@ -21,8 +25,10 @@ from memelements import (
     locus_to_csv,
     numeric_transform,
 )
+from memelements import transform
 from memelements.cli import (
     FIGURES,
+    _analysis_files,
     _set_path,
     build_parser,
     curve_from_spec,
@@ -457,8 +463,59 @@ class TestAnalyzeCommand:
         capsys.readouterr()
 
 
+class TestDepthCsvFiles:
+    """A report's depth CSVs are written in one pass over the chain's grid."""
+
+    @pytest.mark.parametrize("numeric", [False, True])
+    @pytest.mark.parametrize("depth", [0, 1, 2, 3])
+    def test_each_file_is_its_locus(self, tmp_path, depth, numeric):
+        # two blocks of rows and one more
+        cfg = dict(MEMRISTOR_CFG, descriptor={"alpha": -depth, "beta": -depth},
+                   numeric_chain=numeric, grid_n=8192)
+        out = tmp_path / "out"
+        assert run(["analyze", "--config", write_config(tmp_path, cfg),
+                    "--output-dir", str(out), "--formats", "csv"]) == 0
+        rpt = classify((-depth, -depth), curve_from_spec(cfg["curve"]), grid_n=8192,
+                       numeric_chain=numeric)
+        assert len(rpt.loci) == depth + 1
+        assert sorted(p.name for p in out.iterdir()) == [
+            f"depth{k}.csv" for k in range(depth + 1)]
+        for k, locus in enumerate(rpt.loci):
+            assert (out / f"depth{k}.csv").read_text() == locus_to_csv(locus)
+
+    @pytest.mark.parametrize("depth", [0, 1, 2])
+    def test_t_column_formatted_once(self, tmp_path, monkeypatch, depth):
+        calls = [0]
+
+        def counting_repr(value):
+            calls[0] += 1
+            return builtins.repr(value)
+
+        cfg = dict(MEMRISTOR_CFG, descriptor={"alpha": -depth, "beta": -depth}, grid_n=256)
+        argv = ["analyze", "--config", write_config(tmp_path, cfg),
+                "--output-dir", str(tmp_path / "out"), "--formats", "csv"]
+        monkeypatch.setattr(transform, "repr", counting_repr, raising=False)
+        assert run(argv) == 0
+        # t once, then u and w of each of the depth + 1 planes, per row
+        assert calls[0] == (1 + 2 * (depth + 1)) * 257
+
+    def test_loci_on_other_grids_keep_their_own_t(self):
+        rpt = classify((-2, -2), curve_from_spec(MEMRISTOR_CFG["curve"]), grid_n=256)
+        first, second, third = rpt.loci
+        moved = ParametricLocus(second.t_values + 1.0, second.u_values, second.w_values,
+                                second.depth, second.axis_labels)
+        # equal to the grid's t, but another array
+        copied = ParametricLocus(third.t_values, third.u_values, third.w_values,
+                                 third.depth, third.axis_labels)
+        assert copied.t_values is not first.t_values
+        report = dataclasses.replace(rpt, loci=(first, moved, copied))
+        assert _analysis_files(report, ("csv",)) == {
+            f"depth{locus.depth}.csv": locus_to_csv(locus) for locus in report.loci}
+
+
 class TestOutputDirectory:
-    """An output directory that cannot be made is one config error line, exit 2."""
+    """An output directory that cannot be made, or a file in it that cannot
+    be written, is one config error line, exit 2."""
 
     @pytest.mark.parametrize("command", ["analyze", "suite"])
     @pytest.mark.parametrize("under_file", [False, True])
@@ -474,6 +531,41 @@ class TestOutputDirectory:
         assert err.startswith(f"config error: cannot make output directory {out}: ")
         assert err.count("\n") == 1
         assert blocker.read_text() == "a file\n"
+
+    @pytest.mark.parametrize("argv, blocked, before", [
+        (["analyze"], "report.json", ["depth0.csv", "depth1.csv", "loci.svg"]),
+        (["figure", "fig2"], "fig2.svg", ["fig2.depth0.csv", "fig2.depth1.csv"]),
+        (["suite"], "suite_report.json", []),
+    ])
+    def test_unwritable_file_exit_2(self, tmp_path, capsys, argv, blocked, before):
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)
+        if argv == ["analyze"]:
+            argv = argv + ["--config", write_config(tmp_path, MEMRISTOR_CFG)]
+        assert run(argv + ["--output-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write {out / blocked}: ")
+        assert err.count("\n") == 1
+        # the files sorted before the one that failed stay written
+        assert sorted(p.name for p in out.iterdir() if p.is_file()) == before
+
+    def test_permission_denied_exit_2(self, tmp_path, monkeypatch, capsys):
+        argv = ["analyze", "--config", write_config(tmp_path, MEMRISTOR_CFG),
+                "--output-dir", str(tmp_path / "out")]
+        write_text = pathlib.Path.write_text
+
+        def read_only(path, *args, **kwargs):
+            if path.name == "loci.svg":
+                raise PermissionError(13, "Permission denied", str(path))
+            return write_text(path, *args, **kwargs)
+
+        # a read-only directory refuses no one running as root, so the
+        # error is raised where the file is written
+        monkeypatch.setattr(pathlib.Path, "write_text", read_only)
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err == (f"config error: cannot write {tmp_path / 'out' / 'loci.svg'}: "
+                       f"[Errno 13] Permission denied: '{tmp_path / 'out' / 'loci.svg'}'\n")
 
 
 class TestParserReuse:

@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -437,3 +438,81 @@ class TestCsvRoundTrip:
         assert np.array_equal(t, locus.t_values)
         assert np.array_equal(u, locus.u_values)
         assert np.array_equal(w, locus.w_values)
+
+
+def oracle_csv(header, *columns):
+    """CSV text from plain Python lists, one row at a time."""
+    rows = zip(*([float(v) for v in col] for col in columns))
+    return "".join(line + "\n" for line in [header, *(",".join(map(repr, r)) for r in rows)])
+
+
+BLOCK = transform._CSV_BLOCK
+EDGE_FLOATS = (-0.0, 5e-324, 1.7976931348623157e308, 0.1, 1e16)
+
+
+class TestCsvWriter:
+    @pytest.mark.parametrize("rows", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+    def test_row_counts_around_the_block(self, rows):
+        rng = np.random.default_rng(rows)
+        t = np.sort(rng.uniform(-5, 5, rows))
+        tables = [rng.normal(size=(2, rows)) * 10.0 ** rng.integers(-300, 300, size=(2, rows))
+                  for _ in range(3)]
+        texts = transform.csv_texts("t,u,w", t, [tuple(cols) for cols in tables])
+        assert texts == [oracle_csv("t,u,w", t, *cols) for cols in tables]
+        assert all(text.count("\n") == rows + 1 for text in texts)
+
+    def test_edge_floats(self):
+        values = np.array(EDGE_FLOATS)
+        text = transform.columns_to_csv("a,b,c", values, -values, values[::-1])
+        assert text == oracle_csv("a,b,c", values, -values, values[::-1])
+        assert text.splitlines()[1] == "-0.0,0.0,1e+16"
+        back = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1, unpack=True)
+        assert np.array_equal(back[0], values) and np.array_equal(np.signbit(back[0]),
+                                                                  np.signbit(values))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 3), st.data())
+    def test_matches_oracle(self, tables, data):
+        rows = data.draw(st.integers(0, 40), label="rows")
+        floats = st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                          min_size=rows, max_size=rows)
+        lead = data.draw(floats, label="lead")
+        cols = [(data.draw(floats), data.draw(floats)) for _ in range(tables)]
+        assert transform.csv_texts("x,y,z", lead, cols) == [
+            oracle_csv("x,y,z", lead, *c) for c in cols]
+
+    def test_locus_and_columns_are_one_table_calls(self, cubic, drive):
+        locus = analytic_locus(cubic, drive, 2, grid(drive, 256))
+        expected = oracle_csv("t,u,w", locus.t_values, locus.u_values, locus.w_values)
+        assert locus_to_csv(locus) == expected
+        assert transform.columns_to_csv(
+            "t,u,w", locus.t_values, locus.u_values, locus.w_values) == expected
+
+    @pytest.mark.parametrize("header, columns, message", [
+        ("a,b", ([0.0, 1.0, 2.0], [5.0]), "columns of unequal length: 3 and 1"),
+        ("a,b", ([0.0], [5.0, 6.0]), "columns of unequal length: 1 and 2"),
+        ("a,b", ([0.0, 1.0], [[5.0, 6.0]]), r"one-dimensional, got shape \(1, 2\)"),
+        ("a,b", (2.0, [5.0]), r"one-dimensional, got shape \(\)"),
+        ("a,b,c", ([0.0], [5.0]), "header has 3 fields for 2 columns"),
+        ("a", ([0.0], [5.0]), "header has 1 fields for 2 columns"),
+    ])
+    def test_malformed_tables_raise(self, header, columns, message):
+        with pytest.raises(DomainError, match=message):
+            transform.columns_to_csv(header, *columns)
+
+    def test_unequal_table_raises(self):
+        with pytest.raises(DomainError, match="columns of unequal length: 2 and 3"):
+            transform.csv_texts("t,u", [0.0, 1.0], [([1.0, 2.0],), ([1.0, 2.0, 3.0],)])
+
+    def test_peak_memory_is_about_the_text(self, cubic, drive):
+        locus = analytic_locus(cubic, drive, 1, grid(drive, 65536))
+        tracemalloc.start()
+        try:
+            text = locus_to_csv(locus)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(locus.t_values) == 65537
+        # the block strings and the one joined text; whole columns of row
+        # strings would hold about four times the text
+        assert peak <= 2.5 * len(text)

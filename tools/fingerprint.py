@@ -35,15 +35,19 @@ Covered:
   * ``float.hex`` of ``point_at`` at off-grid times, array and scalar, on
     closed-form loci of the seven curves at depths 0-4;
   * in-process CLI runs: ``analyze`` of the seven curves at twelve cells
-    on closed-form and numeric chains, every figure, the default ``suite``
+    on closed-form and numeric chains, of the cubic at (-2,-2) with grid_n
+    256, 4095, 8191 and 16384 (4096 and 8192 rows are one and two whole
+    blocks of the CSV writer), every figure, the default ``suite``
     and three configured ones (one with tolerances and grid_n), ``analyze``
     with format subsets from ``--formats`` or the config (and two bad
     ones), ``sweep`` over drive, descriptor, grid_n and numeric_chain axes
     (one trial ends in an error row), over the nine cells of depths 0-2 and
     over omega, three failing configs, and every config of
     ``tests/malformed_configs.py`` (one fault each, exit code 2);
-  * a config file that is not UTF-8, and ``analyze`` and ``suite`` with an
-    output directory that is, or lies under, a file;
+  * a config file that is not UTF-8, ``analyze`` and ``suite`` with an
+    output directory that is, or lies under, a file, and ``analyze``,
+    ``figure fig2`` and ``suite`` with an output file name that a
+    directory holds;
   * four argument lists argparse settles on its own (none, ``analyze``
     without its config, an unknown figure and ``--version``), first
     before every other CLI run and again after them all, with
@@ -242,7 +246,8 @@ def run_cli(name: str, argv: list[str], outdir: str | None) -> None:
     emit(f"cli/{name}/stderr", sha(err.getvalue()))
     if outdir is not None and os.path.isdir(outdir):
         for path in sorted(Path(outdir).iterdir()):
-            emit(f"cli/{name}/{path.name}", sha(path.read_bytes()))
+            emit(f"cli/{name}/{path.name}",
+                 sha(path.read_bytes()) if path.is_file() else "directory")
         shutil.rmtree(outdir)
 
 
@@ -266,7 +271,8 @@ def commands() -> None:
                        "excitation": DRIVES.get(name), "numeric_chain": numeric}
                 tag = f"analyze/{name}/{alpha},{beta}/numeric{int(numeric)}"
                 run_cli(tag, ["analyze", "--config", write("analyze.json", cfg)], "out")
-    for n in (256, 16384):
+    # 4096 and 8192 rows: one and two whole blocks of the CSV writer
+    for n in (256, 4095, 8191, 16384):
         cfg = {"descriptor": {"alpha": -2, "beta": -2}, "curve": SPECS["cubic"], "grid_n": n}
         run_cli(f"analyze/cubic/-2,-2/n{n}", ["analyze", "--config", write("analyze.json", cfg)],
                 "out")
@@ -299,7 +305,8 @@ def commands() -> None:
 
 
 def unusable_paths() -> None:
-    """A config that is not UTF-8, and output directories that cannot be made."""
+    """A config that is not UTF-8, output directories that cannot be made and
+    output files that cannot be written."""
     cfg = {"descriptor": {"alpha": -1, "beta": -1}, "curve": SPECS["cubic"]}
     Path("utf16.json").write_bytes(b"\xff\xfe" + json.dumps(cfg).encode("utf-16-le"))
     run_cli("analyze/non-utf8", ["analyze", "--config", "utf16.json"], "out")
@@ -309,6 +316,13 @@ def unusable_paths() -> None:
         run_cli(f"{command}/output-dir-file", argv, "blocker")
         run_cli(f"{command}/output-dir-under-file", argv, "blocker/out")
     os.remove("blocker")
+    # a directory holding the name of the last file written, or of the only one
+    for command, argv, name in (
+            ("analyze", ["analyze", "--config", write("analyze.json", cfg)], "report.json"),
+            ("figure", ["figure", "fig2"], "fig2.svg"),
+            ("suite", ["suite"], "suite_report.json")):
+        os.makedirs(os.path.join("out", name))
+        run_cli(f"{command}/unwritable-file", argv, "out")
 
 
 def formats() -> None:
