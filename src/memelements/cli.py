@@ -10,10 +10,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import functools
 import itertools
 import json
 import math
+import os
+import stat
 import sys
 from collections import Counter
 from collections.abc import Mapping
@@ -304,15 +307,27 @@ def _dump_json(obj: dict) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
 
 
-def _write(output_dir, files: dict[str, str]) -> str:
-    """Write files into output_dir, creating it, in name order; the 'wrote:' line naming them.
-
-    A directory that cannot be made, such as a path that is or lies under
-    a file, and a file that cannot be written, such as a name a directory
-    holds, are each a ConfigError naming the path.  The files sorted
-    before one that cannot be written stay written.
-    """
+def _output_dir(output_dir) -> Path:
+    """output_dir as a Path, checked before any analysis and not made: a path
+    that is, or lies under, a file is the ConfigError _write would raise."""
     outdir = Path(output_dir)
+    try:
+        if not stat.S_ISDIR(outdir.stat().st_mode):
+            raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), str(outdir))
+    except FileNotFoundError:
+        pass  # made when the files are written
+    except OSError as err:
+        raise ConfigError(f"cannot make output directory {outdir}: {err}") from err
+    return outdir
+
+
+def _write(outdir: Path, files: dict[str, str]) -> str:
+    """Write files into outdir, creating it, in name order; the 'wrote:' line naming them.
+
+    A directory that cannot be made and a file that cannot be written are
+    each a ConfigError naming the path.  The files sorted before one that
+    cannot be written stay written.
+    """
     try:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as err:
@@ -543,9 +558,10 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
     formats = _formats_from(
         ns.formats if ns.formats is not None else cfg.get("formats"), "formats"
     )
+    outdir = _output_dir(ns.output_dir)
 
     rpt = classify(*args)
-    wrote = _write(ns.output_dir, _analysis_files(rpt, formats))
+    wrote = _write(outdir, _analysis_files(rpt, formats))
 
     alpha, beta = rpt.descriptor.alpha, rpt.descriptor.beta
     print(f"element: {rpt.element.name} (alpha={alpha}, beta={beta})")
@@ -648,7 +664,8 @@ FIGURES = {
 
 
 def cmd_figure(ns: argparse.Namespace) -> int:
-    print(_write(ns.output_dir, FIGURES[ns.id]()))
+    outdir = _output_dir(ns.output_dir)
+    print(_write(outdir, FIGURES[ns.id]()))
     return 0
 
 
@@ -681,9 +698,10 @@ def cmd_suite(ns: argparse.Namespace) -> int:
     exc = excitation_from_spec(cfg.get("excitation"))
     tol = tolerances_from_spec(cfg.get("tolerances"), numeric=False)
     grid_n = _integer(cfg.get("grid_n", DEFAULT_GRID_N), "config.grid_n")
+    outdir = _output_dir(ns.output_dir)
 
     rep = theorem_suite(curves, exc, tol, grid_n)
-    wrote = _write(ns.output_dir, {"suite_report.json": _dump_json(suite_to_dict(rep))})
+    wrote = _write(outdir, {"suite_report.json": _dump_json(suite_to_dict(rep))})
 
     for inst in rep.instances:
         statuses = ", ".join(
@@ -805,12 +823,13 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
             _set_path(trial, target, value)
         rows.append([repr(float(v)) for v in combo])
         cells.append(_or_error(_classify_args, trial))
+    outdir = _output_dir(ns.output_dir)
     for row, args in zip(rows, cells):
         _fill_sweep_row(row, counts, args if isinstance(args, MemElementsError)
                         else _or_error(classify, *args))
 
     csv_text = "\n".join([",".join(header)] + [",".join(r) for r in rows]) + "\n"
-    wrote = _write(ns.output_dir, {"sweep.csv": csv_text})
+    wrote = _write(outdir, {"sweep.csv": csv_text})
     summary = ", ".join(f"{k}: {v}" for k, v in sorted(counts.items()))
     print(f"{len(rows)} runs ({summary})")
     print(wrote)

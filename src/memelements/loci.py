@@ -5,7 +5,7 @@ numerical witnesses: origin crossings, tangent landmarks, symmetry,
 valuedness, negative-slope arcs, and the ordinate/abscissa phase lag.
 
 The analyses read what refine_chain prepares for a whole locus chain,
-from the samples of its grid jet and two more jet evaluations:
+from the samples of its grid jet and one more jet evaluation:
 
 * roots: every plane's abscissa and coordinate rates are scanned for
   sign changes over the grid, and when the locus has a jet, all the
@@ -22,8 +22,8 @@ from the samples of its grid jet and two more jet evaluations:
 * landmark values: one jet_signals call gives (u, w, du/dt, dw/dt) at
   every plane's roots and slope-span midpoints, which origin_crossing,
   rate_landmarks and project_landmarks read.
-* valuedness pairs: a sample whose pair time is a grid time reads the
-  sample there, and one jet gives every plane's ordinate at the others.
+* valuedness pairs: each sample is paired with its mirror sample, by
+  index, and only a pair with no mirror is evaluated (_pair_ordinates).
 
 A locus analysed on its own is prepared as a one-plane chain, with the
 same results.  phase_shift refines only the rate brackets of the
@@ -409,8 +409,8 @@ class _PlaneRoots:
     holds max |u|, max |w|, max |du/dt| and max |dw/dt| over the grid,
     the scales the analyses' tolerances are relative to.  at maps every
     root and every span midpoint to (u, w, du/dt, dw/dt) there.  t_pair
-    holds each sample's valuedness pair time and w_pair the ordinate
-    there.
+    and w_pair hold each sample's valuedness pair time and the ordinate
+    there, its mirror sample's wherever it has one (_pair_ordinates).
     """
 
     abscissa: list[float]
@@ -439,8 +439,8 @@ def refine_chain(chain, top_rates: tuple[np.ndarray, np.ndarray] | None = None) 
     plane's rates on the grid.  A bracket two planes share, such as plane
     d's du/dt and plane d + 1's u, is refined once.  Then one jet_signals
     call reads (u, w, du/dt, dw/dt) at every plane's roots and slope-span
-    midpoints, and one jet the ordinates at the valuedness pair times that
-    are no grid time.  All of it is stored on each locus, where
+    midpoints, and each sample's valuedness pair is read off its mirror
+    sample (_pair_ordinates).  All of it is stored on each locus, where
     origin_crossing, valuedness and rate_landmarks read it.
     """
     xtol = 1e-12
@@ -492,7 +492,7 @@ def refine_chain(chain, top_rates: tuple[np.ndarray, np.ndarray] | None = None) 
         planes.append((abscissa, du, dw, spans, peak, times))
 
     values = _landmark_values(chain, [scan[1] for scan in scans], [p[-1] for p in planes], jet)
-    for locus, (*plane, times), v, pair in zip(chain, planes, values, _pair_ordinates(chain, jet)):
+    for locus, (*plane, times), v, pair in zip(chain, planes, values, _pair_ordinates(chain)):
         at = dict(zip(times.tolist(), zip(*v.tolist())))
         object.__setattr__(locus, "_roots", _PlaneRoots(*plane, at, *pair))
 
@@ -524,46 +524,36 @@ def _landmark_values(chain, rates, times, jet) -> list[np.ndarray]:
             for locus, plane, tp in zip(chain, rates, times)]
 
 
-def _mod(x: np.ndarray, period: float) -> np.ndarray:
-    """np.mod(x, period) for period > 0, bit for bit, at about half its cost."""
-    r = np.fmod(x, period)
-    return np.where(r < 0.0, r + period, r) + 0.0  # + 0.0 turns fmod's -0.0 into +0.0
-
-
-def _pair_ordinates(chain, jet) -> list[tuple[np.ndarray, np.ndarray]]:
+def _pair_ordinates(chain) -> list[tuple[np.ndarray, np.ndarray]]:
     """Each plane's valuedness pair times, and its ordinate at them.
 
     Odd-depth loci revisit each abscissa at (T/2 - t) mod T, even-depth
-    loci at (T - t) mod T, so the planes of one depth parity share their
-    pair times.  On a plane with a jet, a pair time that is a grid time
-    bit for bit reads the sample there, which is the jet's value since a
-    jet's values do not depend on the other times it is taken at; one jet
-    at the other pair times of both parities serves every such plane.  A
-    plane without a jet interpolates in its samples.
+    loci at (T - t) mod T.  On the grid linspace(0, T, n + 1) that
+    excitation.grid makes, that is the time of sample i's mirror, up to
+    rounding: (n - i) mod n at even depth and, for even n, (n/2 - i) mod n
+    at odd depth, which every plane, jet or not, reads by index.  Pairs
+    with no mirror (odd depth on an odd n, or t that is not that grid bit
+    for bit, and may drift from it by 1e-9 T) are read by point_at at the
+    pair times.
     """
-    pairs = {}  # depth parity -> pair times, the nearest sample to each, and which are off it
-    for locus in chain:
-        if locus.depth % 2 not in pairs:
-            t, T = locus.t_values, locus.period
-            t_pair = _mod((0.5 * T if locus.depth % 2 else T) - t, T)
-            j = np.minimum(np.rint(t_pair / locus.spacing).astype(int), t.size - 1)
-            pairs[locus.depth % 2] = (t_pair, j, t[j] != t_pair)
-    hooked = [locus.depth for locus in chain if locus.jet is not None]
-    if hooked:
-        parities = sorted({d % 2 for d in hooked})
-        rest = [t_pair[off] for t_pair, _, off in map(pairs.get, parities)]
-        bounds = np.cumsum([0] + [tp.size for tp in rest]).tolist()
-        part = {k: slice(lo, hi) for k, lo, hi in zip(parities, bounds, bounds[1:])}
-        at_rest = _Jet(*jet, np.concatenate(rest), max(hooked), max(hooked))
+    t = chain[0].t_values
+    n = t.size - 1
+    on_grid = np.array_equal(t, np.linspace(0.0, t[-1], n + 1))
+    mirrors = {}  # depth parity -> each sample's mirror index and its time
     out = []
     for locus in chain:
-        t_pair, j, off = pairs[locus.depth % 2]
-        if locus.jet is None:
-            w_pair = np.interp(t_pair, locus.t_values, locus.w_values)
+        odd = locus.depth % 2
+        if on_grid and not (odd and n % 2):
+            if odd not in mirrors:
+                h = n // 2 * odd  # (h - i) mod n for i = 0..n: h down to 0, then n - 1 to h
+                j = np.concatenate((np.arange(h, -1, -1), np.arange(n - 1, h - 1, -1)))
+                mirrors[odd] = (j, t[j])
+            j, t_pair = mirrors[odd]
+            out.append((t_pair, locus.w_values[j]))
         else:
-            w_pair = locus.w_values[j]
-            w_pair[off] = at_rest.ordinate(locus.depth, part=part[locus.depth % 2])
-        out.append((t_pair, w_pair))
+            T = locus.period
+            t_pair = np.mod((0.5 * T if odd else T) - locus.t_values, T)
+            out.append((t_pair, point_at(locus, t_pair)[1]))
     return out
 
 
@@ -639,38 +629,28 @@ def valuedness(locus: ParametricLocus, tol: float = 1e-9) -> ValuednessReport:
     """Single- vs double-valuedness via the time pairing of equal abscissae.
 
     Odd-depth loci revisit each abscissa at (T/2 - t) mod T, even-depth
-    loci at T - t.  A locus is double-valued when the paired ordinates
-    disagree anywhere beyond tolerance.
+    loci at T - t (_pair_ordinates).  A locus is double-valued when the
+    paired ordinates disagree anywhere beyond tol * max(1, max |w|); its
+    witnesses are up to four of the largest gaps, T/64 apart, and equal
+    gaps, such as a mirror pair's, rank in time order.
     """
-    t = locus.t_values
-    T = locus.period
+    t, w = locus.t_values, locus.w_values
     plane = _plane_roots(locus)
-    t_pair, w_pair = plane.t_pair, plane.w_pair
-    gap = np.abs(locus.w_values - w_pair)
-    scale = max(1.0, plane.peak[1])
+    gap = np.abs(w - plane.w_pair)
+    bar = tol * max(1.0, plane.peak[1])
     max_gap = float(np.max(gap))
-    if max_gap <= tol * scale:
+    if max_gap <= bar:
         return ValuednessReport(Valuedness.SINGLE, max_gap, ())
 
-    order = np.argsort(gap)[::-1]
+    # the largest gap left, T/64 clear of the witnesses before it, is the
+    # next; argmax takes the first of equal gaps, so ties rank in time order
+    rest = np.where(gap > bar, gap, -np.inf)
     witnesses: list[ValuednessWitness] = []
-    min_sep = T / 64.0
-    for idx in order:
-        if gap[idx] <= tol * scale:
-            break
-        tv = float(t[idx])
-        if any(abs(tv - wv.t) < min_sep for wv in witnesses):
-            continue
-        witnesses.append(
-            ValuednessWitness(
-                t=tv,
-                t_pair=float(t_pair[idx]),
-                w=float(locus.w_values[idx]),
-                w_pair=float(w_pair[idx]),
-            )
-        )
-        if len(witnesses) == 4:
-            break
+    while len(witnesses) < 4 and rest.max() > -np.inf:
+        i = int(np.argmax(rest))
+        witnesses.append(ValuednessWitness(
+            *map(float, (t[i], plane.t_pair[i], w[i], plane.w_pair[i]))))
+        rest[np.abs(t - t[i]) < locus.period / 64.0] = -np.inf
     return ValuednessReport(Valuedness.DOUBLE, max_gap, tuple(witnesses))
 
 

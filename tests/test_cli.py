@@ -25,7 +25,7 @@ from memelements import (
     locus_to_csv,
     numeric_transform,
 )
-from memelements import transform
+from memelements import cli, transform
 from memelements.cli import (
     FIGURES,
     _analysis_files,
@@ -531,6 +531,27 @@ class TestOutputDirectory:
         assert err.startswith(f"config error: cannot make output directory {out}: ")
         assert err.count("\n") == 1
         assert blocker.read_text() == "a file\n"
+
+    @pytest.mark.parametrize("argv", [["analyze"], ["figure", "fig2"], ["suite"], ["sweep"]])
+    @pytest.mark.parametrize("under_file", [False, True])
+    def test_checked_before_any_analysis(self, tmp_path, monkeypatch, capsys, argv, under_file):
+        def no_analysis(*args, **kwargs):
+            raise AssertionError("analysis ran before the output directory was checked")
+
+        monkeypatch.setattr(cli, "classify", no_analysis)
+        monkeypatch.setattr(cli, "theorem_suite", no_analysis)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file\n")
+        out = blocker / "out" if under_file else blocker
+        if argv == ["analyze"]:
+            argv = argv + ["--config", write_config(tmp_path, MEMRISTOR_CFG)]
+        elif argv == ["sweep"]:
+            axes = [{"target": "descriptor.alpha", "values": [-1, -2]}]
+            argv = argv + ["--config", write_config(tmp_path, dict(MEMRISTOR_CFG, axes=axes))]
+        assert run(argv + ["--output-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot make output directory {out}: ")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("argv, blocked, before", [
         (["analyze"], "report.json", ["depth0.csv", "depth1.csv", "loci.svg"]),

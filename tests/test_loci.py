@@ -5,7 +5,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from memelements import (
+    Excitation,
     NumericalError,
+    ParametricLocus,
+    PolynomialCurve,
+    SampleGrid,
+    TanhScaledCurve,
     classify,
     grid,
     PhaseClass,
@@ -87,19 +92,117 @@ class TestValuedness:
                 assert abs(a - b) >= drive.period / 64.0 - 1e-12
 
 
+def _mirror(n, depth):
+    """Each sample's valuedness pair on a grid of n intervals, by index."""
+    return np.mod((n // 2 if depth % 2 else n) - np.arange(n + 1), n)
+
+
+def _pair_times(locus):
+    T = locus.period
+    return np.mod((0.5 * T if locus.depth % 2 else T) - locus.t_values, T)
+
+
+# |max_pair_gap - the gap at the exact pair times| on a jet locus: the
+# mirror sample's time is the pair time up to the rounding of the grid
+# times, and the two ordinates round differently (measured: under
+# 300 eps max(1, max |w|) per sample, tanh b up to 20 at depth 4)
+GAP_BOUND = 1e-12
+
+
 class TestValuednessPairs:
-    @pytest.mark.parametrize("n", [256, 257, 4095])
-    def test_max_gap_equals_the_hook_evaluated_gap(self, tanh_curve, loop_curve, drive, n):
-        # even n pairs about 2/3 of the samples with a grid time; odd n pairs
-        # none at odd depth, so every such pair goes through the jet
+    @pytest.mark.parametrize("n", [256, 4096])
+    @pytest.mark.parametrize("numeric", [False, True])
+    def test_even_grid_pairs_each_sample_with_its_mirror(self, tanh_curve, loop_curve,
+                                                         drive, n, numeric):
+        for curve, cell in ((tanh_curve, (-3, -3)), (loop_curve, (-2, -2))):
+            rpt = classify(cell, curve, drive, grid_n=n, numeric_chain=numeric)
+            for plane, locus in zip(rpt.planes, rpt.loci, strict=True):
+                w = locus.w_values
+                assert plane.max_pair_gap == float(np.max(np.abs(w - w[_mirror(n, locus.depth)])))
+                assert valuedness(locus).max_gap == plane.max_pair_gap
+
+    @pytest.mark.parametrize("n", [257, 4095])
+    def test_odd_grid_evaluates_odd_depth_pairs(self, tanh_curve, loop_curve, drive, n):
+        # an odd n has no mirror sample at odd depth, so those pairs are read
+        # off the jet at the pair times; even-depth pairs still are mirrors
         for curve, cell in ((tanh_curve, (-3, -3)), (loop_curve, (-2, -2))):
             rpt = classify(cell, curve, drive, grid_n=n)
             for plane, locus in zip(rpt.planes, rpt.loci, strict=True):
-                T = locus.period
-                t_pair = np.mod((0.5 * T if locus.depth % 2 else T) - locus.t_values, T)
-                gap = np.abs(locus.w_values - point_at(locus, t_pair)[1])
-                assert plane.max_pair_gap == float(np.max(gap))
-                assert valuedness(locus).max_gap == plane.max_pair_gap
+                w = locus.w_values
+                if locus.depth % 2:
+                    w_pair = point_at(locus, _pair_times(locus))[1]
+                else:
+                    w_pair = w[_mirror(n, locus.depth)]
+                assert plane.max_pair_gap == float(np.max(np.abs(w - w_pair)))
+
+    def test_non_uniform_times_evaluate_every_pair(self, drive):
+        # a caller's locus on times that are not the grid linspace makes has
+        # no mirrors
+        t = np.sort(np.append(np.linspace(0.0, drive.period, 257), 1.0 + 2.0 ** -20))
+        locus = ParametricLocus(t, np.sin(t), np.cos(t) + 0.1 * np.cos(3.0 * t), 0, ("u", "w"))
+        w_pair = point_at(locus, _pair_times(locus))[1]
+        assert valuedness(locus).max_gap == float(np.max(np.abs(locus.w_values - w_pair)))
+
+    def test_grid_uniform_only_to_its_bound_has_no_mirrors(self, cubic, drive):
+        # steps 0.9e-9 apart pass SampleGrid's uniformity check, yet they put
+        # a mirror sample 2.3e-10 T off its pair time: read by index, its gap
+        # (1e-8) would call this single-valued locus double-valued
+        n = 4096
+        steps = 1.0 + 0.45e-9 * np.sign(np.arange(n) - n / 4 + 0.5)
+        t = np.append(0.0, np.cumsum(steps)) / steps.sum() * drive.period
+        locus = analytic_locus(cubic, drive, 2, SampleGrid(t_values=t, count=n))
+        report = valuedness(locus)
+        assert report.kind is Valuedness.SINGLE
+        w_pair = point_at(locus, _pair_times(locus))[1]
+        assert report.max_gap == float(np.max(np.abs(locus.w_values - w_pair)))
+        w = locus.w_values
+        assert np.max(np.abs(w - w[_mirror(n, 2)])) > 1e-9 * np.max(np.abs(w))
+
+    def test_tied_gaps_rank_in_time_order(self):
+        # w[i] - w[mirror i] is minus w[mirror i] - w[i], so every gap ties
+        # with its mirror's, bit for bit; the earlier sample ranks first
+        n = 256
+        t = np.linspace(0.0, 2.0 * np.pi, n + 1)
+        locus = ParametricLocus(t, np.cos(t), np.sin(t) + 0.25 * np.sin(3.0 * t), 0, ("u", "w"))
+        report = valuedness(locus)
+        gap = np.abs(locus.w_values - locus.w_values[_mirror(n, 0)])
+        above = [i for i in range(n + 1) if gap[i] > 1e-9 * max(1.0, np.abs(locus.w_values).max())]
+        expect = []
+        for i in sorted(above, key=lambda i: (-gap[i], i)):
+            if all(abs(t[i] - t[k]) >= locus.period / 64.0 for k in expect):
+                expect.append(i)
+        assert [w.t for w in report.witnesses] == [float(t[i]) for i in expect[:4]]
+        first, second = report.witnesses[:2]
+        assert first.gap == second.gap and first.t < second.t
+        assert (first.t_pair, second.t_pair) == (second.t, first.t)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        family=st.sampled_from(["cubic", "tanh"]),
+        shape=st.tuples(st.floats(0.5, 2.0), st.floats(-0.9, 0.9), st.floats(0.01, 1.0)),
+        amplitude=st.floats(0.3, 1.0),
+        omega=st.floats(0.5, 3.0),
+        n=st.integers(128, 8192).map(lambda k: 2 * k),
+        depth=st.integers(0, 4),
+    )
+    def test_mirror_pairs_agree_with_the_jet_at_the_pair_times(
+            self, family, shape, amplitude, omega, n, depth):
+        a, bend, c = shape
+        if family == "cubic":
+            # monotone: b^2 < 3ac
+            curve = PolynomialCurve(coefficients=(0.0, a, bend * np.sqrt(3.0 * a * c), c))
+        else:
+            curve = TanhScaledCurve(a=a, b=10.0 * c)
+        exc = Excitation(amplitude=amplitude, omega=omega)
+        locus = analytic_locus(curve, exc, depth, grid(exc, n))
+        report = valuedness(locus)
+        oracle = np.abs(locus.w_values - point_at(locus, _pair_times(locus))[1])
+        scale = max(1.0, float(np.abs(locus.w_values).max()))
+        assert abs(report.max_gap - float(oracle.max())) <= GAP_BOUND * scale
+        # the kinds agree wherever the oracle's gap is clear of the threshold
+        if abs(float(oracle.max()) - 1e-9 * scale) > GAP_BOUND * scale:
+            oracle_kind = Valuedness.DOUBLE if oracle.max() > 1e-9 * scale else Valuedness.SINGLE
+            assert report.kind is oracle_kind
 
 
 class TestOddSymmetry:

@@ -417,10 +417,11 @@ class TestChainAnalysedOnce:
         assert counts == self.EXPECTED
 
     def test_classify_builds_one_grid_jet(self, cubic, monkeypatch):
-        # the grid jet, the valuedness pair jet, and one jet per jet_signals
-        # call: the bisection's three and the landmark batch (26 jets, 7 on
-        # the grid, when each reader built its own; 8 jets and 6 calls when
-        # the bisection evaluated its endpoints again)
+        # the grid jet and one jet per jet_signals call: the bisection's
+        # three and the landmark batch; valuedness pairs are read off the
+        # grid (26 jets, 7 on the grid, when each reader built its own; 8
+        # jets and 6 calls when the bisection evaluated its endpoints again;
+        # 6 when one jet gave the pairs no grid time held)
         sizes, calls = [], []
         init, signals = transform._Jet.__init__, loci.jet_signals
 
@@ -436,7 +437,7 @@ class TestChainAnalysedOnce:
         monkeypatch.setattr(loci, "jet_signals", counting_signals)
         rpt = classify((-2, -2), cubic)
         assert sizes.count(rpt.grid_n + 1) == 1
-        assert len(sizes) == 6
+        assert len(sizes) == 5
         assert len(calls) == 4
 
     def test_chain_loci_are_read_only_views_of_one_grid(self, cubic):

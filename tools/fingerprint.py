@@ -2,7 +2,10 @@
 
 Every line is ``<name> <value>``: the sha256 of a library report's repr,
 of one file a CLI run wrote, or of its stdout or stderr, or the exit
-code of a CLI run.  A change that must leave results untouched is
+code of a CLI run.  Every ``max_pair_gap`` in a report's repr or a file
+is masked in its hash and printed instead, as ``float.hex``, on a
+``<name>/max_pair_gap`` line just before it, so a change that moves only
+pair gaps shows as exactly the gap lines it moved.  A change that must leave results untouched is
 checked by running this script on two checkouts and diffing the output:
 
     python tools/fingerprint.py > after.txt
@@ -20,9 +23,10 @@ Covered:
   * ``classify`` reports of classify-distinct ops 0-119 for seeds 7, 13
     and 90210, and the report.json text the CLI would write for each;
   * ``classify`` reports of seven curves over cells (0,0)..(-4,-4) at
-    n = 256, 257, 4095 and 4096 on closed-form chains (the odd grids pair
-    no odd-depth sample with a grid time), the diagonal down to (-6,-6),
-    and cubic and tanh diagonals at n = 65536 and on numeric chains;
+    n = 256, 257, 4095 and 4096 on closed-form chains (on the odd grids
+    no odd-depth sample has a mirror sample to pair with), the diagonal
+    down to (-6,-6), and cubic and tanh diagonals at n = 65536 and on
+    numeric chains;
   * ``theorem_suite`` (one run over an ideal cubic that has only first
     derivatives) and ``mvt_point``;
   * ``phase_shift`` of the seven curves, each under its default drive and
@@ -64,6 +68,7 @@ import io
 import json
 import os
 import random
+import re
 import shutil
 import sys
 import tempfile
@@ -99,6 +104,18 @@ def sha(data) -> str:
 
 def emit(name: str, value: str) -> None:
     print(f"{name} {value}")
+
+
+# a plane's max_pair_gap as a dataclass repr, a dict repr or JSON shows it
+PAIR_GAP = re.compile(r"""(max_pair_gap['"]?(?:=|: ))([^,)}\s]+)""")
+
+
+def emit_text(name: str, text: str) -> None:
+    """The sha of text with every max_pair_gap masked, after the gaps in float.hex."""
+    gaps = [float(value) for _, value in PAIR_GAP.findall(text)]
+    if gaps:
+        emit(f"{name}/max_pair_gap", " ".join(map(float.hex, gaps)))
+    emit(name, sha(PAIR_GAP.sub(r"\1*", text)))
 
 
 def outcome(fn, *args, **kwargs) -> str:
@@ -143,8 +160,8 @@ def library() -> None:
             except Exception as err:  # a failure is a fingerprint too
                 emit(tag, sha(f"{type(err).__name__}: {err}"))
                 continue
-            emit(tag, sha(repr(rpt)))
-            emit(f"{tag}/json", sha(cli._dump_json(cli.report_to_dict(rpt))))
+            emit_text(tag, repr(rpt))
+            emit_text(f"{tag}/json", cli._dump_json(cli.report_to_dict(rpt)))
         shutil.rmtree(work.workdir)
 
     curves = {name: cli.curve_from_spec(spec) for name, spec in SPECS.items()}
@@ -154,23 +171,23 @@ def library() -> None:
     for name, curve in curves.items():
         for n in (256, 257, 4095, 4096):
             for cell in cells + diagonal[5:]:
-                emit(f"classify/{name}/{cell[0]},{cell[1]}/n{n}",
-                     sha(outcome(memelements.classify, cell, curve, drives[name], grid_n=n)))
+                emit_text(f"classify/{name}/{cell[0]},{cell[1]}/n{n}",
+                          outcome(memelements.classify, cell, curve, drives[name], grid_n=n))
     for name in ("cubic", "tanh"):
         for cell in diagonal:
             for n, numeric in ((65536, False), (4096, True), (16384, True)):
-                emit(f"classify/{name}/{cell[0]},{cell[1]}/n{n}/numeric{int(numeric)}",
-                     sha(outcome(memelements.classify, cell, curves[name], grid_n=n,
-                                 numeric_chain=numeric)))
+                emit_text(f"classify/{name}/{cell[0]},{cell[1]}/n{n}/numeric{int(numeric)}",
+                          outcome(memelements.classify, cell, curves[name], grid_n=n,
+                                  numeric_chain=numeric))
 
     stored_roots(curves, drives)
     off_grid_points(curves, drives)
-    emit("theorem_suite/all", sha(outcome(memelements.theorem_suite, list(curves.values()))))
-    emit("theorem_suite/drive", sha(outcome(
+    emit_text("theorem_suite/all", outcome(memelements.theorem_suite, list(curves.values())))
+    emit_text("theorem_suite/drive", outcome(
         memelements.theorem_suite, [curves["cubic"], curves["tanh"]],
-        Excitation(amplitude=0.7, omega=1.7))))
-    emit("theorem_suite/first-order", sha(outcome(
-        memelements.theorem_suite, [cli.curve_from_spec(FIRST_ORDER_CUBIC)])))
+        Excitation(amplitude=0.7, omega=1.7)))
+    emit_text("theorem_suite/first-order", outcome(
+        memelements.theorem_suite, [cli.curve_from_spec(FIRST_ORDER_CUBIC)]))
     for name in ("cubic", "quintic", "tanh", "logistic"):
         lo, hi = curves[name].operating_range
         emit(f"mvt_point/{name}", sha(outcome(memelements.mvt_point, curves[name], lo, hi)))
@@ -246,8 +263,10 @@ def run_cli(name: str, argv: list[str], outdir: str | None) -> None:
     emit(f"cli/{name}/stderr", sha(err.getvalue()))
     if outdir is not None and os.path.isdir(outdir):
         for path in sorted(Path(outdir).iterdir()):
-            emit(f"cli/{name}/{path.name}",
-                 sha(path.read_bytes()) if path.is_file() else "directory")
+            if path.is_file():
+                emit_text(f"cli/{name}/{path.name}", path.read_text(encoding="utf-8"))
+            else:
+                emit(f"cli/{name}/{path.name}", "directory")
         shutil.rmtree(outdir)
 
 
