@@ -519,8 +519,10 @@ def render_svg(panels: list[Panel], title: str | None = None,
 # analyze
 # ----------------------------------------------------------------------
 
-def _analysis_files(rpt: ClassificationReport, formats: tuple[str, ...]) -> dict[str, str]:
-    """File name -> text content for one classification run."""
+def _analysis_files(rpt: ClassificationReport, formats: tuple[str, ...],
+                    title: str | None = None) -> dict[str, str]:
+    """File name -> text content for one classification run; title heads the
+    SVG figure, which by default names the element and its verdict."""
     files: dict[str, str] = {}
     if "json" in formats:
         files["report.json"] = _dump_json(report_to_dict(rpt))
@@ -544,10 +546,9 @@ def _analysis_files(rpt: ClassificationReport, formats: tuple[str, ...]) -> dict
                 for p in rpt.witnesses:
                     panel.add_marker(p.u, p.w, f"({p.u:.3g}, {p.w:.3g})")
             panels.append(panel)
-        name = rpt.element.name
-        files["loci.svg"] = render_svg(
-            panels, title=f"{name}: {rpt.verdict.value.replace('_', ' ')}"
-        )
+        if title is None:
+            title = f"{rpt.element.name}: {rpt.verdict.value.replace('_', ' ')}"
+        files["loci.svg"] = render_svg(panels, title=title)
     return files
 
 
@@ -591,16 +592,8 @@ def _degenerate() -> PolynomialCurve:
 
 def _chain_figure(curve: ConstitutiveCurve, cell: tuple[int, int],
                   stem: str, title: str) -> dict[str, str]:
-    rpt = classify(cell, curve)
-    files = _analysis_files(rpt, ("csv", "svg"))
-    out = {f"{stem}.depth{d}.csv": files[f"depth{d}.csv"]
-           for d in range(len(rpt.planes))}
-    svg = files["loci.svg"]
-    # retitle the figure deterministically
-    out[f"{stem}.svg"] = svg.replace(
-        f"{rpt.element.name}: {rpt.verdict.value.replace('_', ' ')}", title, 1
-    )
-    return out
+    files = _analysis_files(classify(cell, curve), ("csv", "svg"), title)
+    return {f"{stem}.{name.removeprefix('loci.')}": text for name, text in files.items()}
 
 
 def _waveform_figure(curve: ConstitutiveCurve, stem: str, title: str) -> dict[str, str]:

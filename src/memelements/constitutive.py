@@ -46,7 +46,7 @@ RETURNING = "returning"
 _RANGE_EPS = 1e-12
 # Absolute bound on |f(0)| when the origin lies in the operating range.
 _ORIGIN_TOL = 1e-9
-# Default sample count for grid-based ideality checks.
+# Sample count of the grid the ideality checks run on.
 IDEALITY_SAMPLES = 4097
 
 
@@ -488,12 +488,11 @@ def _first_run(xs: np.ndarray, mask: np.ndarray) -> tuple[float, float]:
 def check_ideality(
     curve: ConstitutiveCurve,
     tolerances: ToleranceSet | None = None,
-    samples: int = IDEALITY_SAMPLES,
 ) -> IdealityReport:
-    """Grid-based evaluation of the four ideality criteria."""
+    """Grid-based evaluation of the four ideality criteria, on IDEALITY_SAMPLES points."""
     tol = tolerances or ToleranceSet()
     lo, hi = curve.operating_range
-    xs = np.linspace(lo, hi, samples)
+    xs = np.linspace(lo, hi, IDEALITY_SAMPLES)
     # f and f' of each branch, from one evaluation pass per branch
     branches = [(sub, *sub._stack(xs, 1)) for sub in _branches(curve)]
 
@@ -551,7 +550,7 @@ def check_ideality(
             continue
         flat = d1 <= tol.slope_tol
         n_flat = int(np.count_nonzero(flat))
-        if n_flat > max(1, 0.01 * samples):
+        if n_flat > max(1, 0.01 * IDEALITY_SAMPLES):
             monotone = False
             if violating is None:
                 violating = _first_run(xs, flat)

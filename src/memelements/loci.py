@@ -26,8 +26,8 @@ from the samples of its grid jet and one more jet evaluation:
   index, and only a pair with no mirror is evaluated (_pair_ordinates).
 
 A locus analysed on its own is prepared as a one-plane chain, with the
-same results.  phase_shift refines only the rate brackets of the
-outgoing half-period it reads.
+same results.  phase_shift is one too: it reads its peaks off the roots
+and slope-span values refine_chain stores for the depth-1 locus.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import numpy as np
 from .constitutive import ConstitutiveCurve
 from .errors import CapabilityError, NumericalError
 from .excitation import Excitation, grid
-from .transform import ParametricLocus, _Jet, jet_signals, periodic_derivative
+from .transform import ParametricLocus, _Jet, analytic_chain, jet_signals, periodic_derivative
 
 __all__ = [
     "PointKind",
@@ -71,6 +71,8 @@ _BISECT_MAXITER = 100
 # hook calls of the root predictor: after the endpoints' secant point and
 # one interpolation step, its third estimate predicts the bisection path
 _PREDICT_CALLS = 2
+# phase_shift's in-phase band: shifts no larger count as neither lag nor advance
+_PHASE_TOL = 1e-6
 
 
 class PointKind(Enum):
@@ -766,39 +768,30 @@ def negative_slope_arcs(locus: ParametricLocus, root_tol: float = 1e-10
 # phase
 # ----------------------------------------------------------------------
 
-def phase_shift(curve: ConstitutiveCurve, exc: Excitation,
-                phase_tol: float = 1e-6) -> PhaseReport:
+def phase_shift(curve: ConstitutiveCurve, exc: Excitation) -> PhaseReport:
     """Timing of the first depth-1 ordinate peak against the drive-rate peak.
 
     Peaks are maxima: transversal roots of the depth-1 locus's rates
     dw/dt and du/dt crossed from positive to negative, located on the
-    outgoing half-period.  The rates are taken on an 8192-interval grid,
-    whose first half is a 4096-interval grid of the outgoing half-period,
-    and only their brackets there are refined, each to the root
-    refine_chain finds for it.  Requires second derivatives of the curve.
+    outgoing half-period.  The depth-1 locus is analysed as a one-plane
+    chain on an 8192-interval grid, whose first half is a 4096-interval
+    grid of the outgoing half-period, so the peaks are roots refine_chain
+    finds.  A shift within 1e-6 counts as in phase.  Requires second
+    derivatives of the curve.
     """
     if curve.max_derivative_order < 2:
         raise CapabilityError("phase analysis needs curve second derivatives")
 
-    t = grid(exc, 8192).t_values
-    jet = _Jet(curve, exc, t, 2, 2)
-    rates = np.stack((jet.x[2], jet.ordinate(2)))
-    half = 0.5 * float(t[-1] - t[0])
-    rows, left = _scan(rates)
-    outgoing = t[left] < half
-    rows, left = rows[outgoing], left[outgoing]
-    xtol = 1e-12
-    crossings = bisect(
-        lambda x, live: jet_signals(curve, exc, x, np.full(live.size, 2), rows[live] == 1),
-        t[left], t[left + 1], rates[rows, left], rates[rows, left + 1], xtol=xtol)
-    t_u, t_w = (
-        _first_maximum(curve, exc, t, _signal_roots(t, rate, crossings[rows == r], xtol,
-                                                    transversal_only=True), r)
-        for r, rate in enumerate(rates))
+    chain, rates = analytic_chain(curve, exc, 1, grid(exc, 8192))
+    refine_chain(chain[1:], rates)
+    plane = _plane_roots(chain[1])
+    half = 0.5 * chain[1].period
+    t_w = _first_maximum(plane, plane.dw, 3, half)
+    t_u = _first_maximum(plane, plane.du, 2, half)
     shift = t_w - t_u
-    if shift > phase_tol:
+    if shift > _PHASE_TOL:
         cls = PhaseClass.LAG
-    elif shift < -phase_tol:
+    elif shift < -_PHASE_TOL:
         cls = PhaseClass.ADVANCE
     else:
         cls = PhaseClass.IN_PHASE
@@ -807,22 +800,16 @@ def phase_shift(curve: ConstitutiveCurve, exc: Excitation,
     )
 
 
-def _first_maximum(curve: ConstitutiveCurve, exc: Excitation, t: np.ndarray,
-                   roots: list[float], component: int) -> float:
-    """First root in (0, T/2) where the depth-1 rate component crosses from + to -.
+def _first_maximum(plane: _PlaneRoots, roots: list[float], rate: int, half: float) -> float:
+    """First root in (0, half) where plane.at's rate column crosses from + to -.
 
-    The rate is probed just before and after every candidate root, all in
-    one jet_signals call.
+    The spans run between consecutive du/dt and dw/dt roots, so a rate
+    keeps its sign across each, and its values at the midpoints of the
+    spans before and after a root are its signs on either side.
     """
-    period, spacing = float(t[-1] - t[0]), float(t[1] - t[0])
-    half = 0.5 * period
-    probe = min(1e-7 * period, 0.25 * spacing)
-    inside = [r for r in roots if 0.0 < r < half]
-    if inside:
-        at = np.array([max(r - probe, 0.0) for r in inside]
-                      + [min(r + probe, half) for r in inside])
-        rate = jet_signals(curve, exc, at, np.full(at.size, 2), np.full(at.size, component == 1))
-        for r, before, after in zip(inside, rate[: len(inside)], rate[len(inside):]):
-            if before > 0.0 > after:
-                return float(r)
+    mids = [0.5 * (a + b) for a, b in plane.spans]
+    for r, k in zip(roots, np.searchsorted(mids, roots).tolist()):
+        if 0.0 < r < half and 0 < k < len(mids) and (
+                plane.at[mids[k - 1]][rate] > 0.0 > plane.at[mids[k]][rate]):
+            return float(r)
     raise NumericalError("no ordinate maximum found on the outgoing half-period")

@@ -16,6 +16,7 @@ disagreement is an internal error, never a verdict.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from types import MappingProxyType
@@ -73,8 +74,13 @@ class ElementDescriptor:
     beta: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", int(self.alpha))
-        object.__setattr__(self, "beta", int(self.beta))
+        # a level is an integer, not a bool, or a float with an integral value
+        for name in ("alpha", "beta"):
+            level = getattr(self, name)
+            if isinstance(level, bool) or not (isinstance(level, numbers.Integral) or (
+                    isinstance(level, numbers.Real) and float(level).is_integer())):
+                raise DomainError(f"descriptor level {name} must be an integer, got {level!r}")
+            object.__setattr__(self, name, int(level))
         if self.alpha > 0 or self.beta > 0:
             raise DomainError(
                 f"descriptor ({self.alpha}, {self.beta}) lies outside the "
@@ -227,8 +233,7 @@ class ClassificationReport:
 def _as_descriptor(descriptor) -> ElementDescriptor:
     if isinstance(descriptor, ElementDescriptor):
         return descriptor
-    alpha, beta = descriptor
-    return ElementDescriptor(alpha=int(alpha), beta=int(beta))
+    return ElementDescriptor(*descriptor)
 
 
 def _analyze_plane(locus: ParametricLocus, tol: ToleranceSet) -> PlaneAnalysis:

@@ -11,6 +11,7 @@ from memelements import (
     PolynomialCurve,
     SampleGrid,
     TanhScaledCurve,
+    TwoBranchCurve,
     classify,
     grid,
     PhaseClass,
@@ -26,7 +27,7 @@ from memelements import (
     vertical_tangent_points,
     zero_tangent_points,
 )
-from memelements import loci
+from memelements import loci, transform
 import oracles
 
 
@@ -344,22 +345,79 @@ class TestPhaseShift:
                 assert omega * getattr(report, key) == pytest.approx(getattr(base, key),
                                                                      abs=1e-9)
 
-    def test_refines_only_outgoing_rate_brackets(self, tanh_curve, drive, monkeypatch):
-        brackets = []
-        bisect = loci.bisect
+    def test_reads_one_grid_jet_and_no_probe(self, tanh_curve, drive, monkeypatch):
+        events = []
+        jet, bisect, signals = transform._Jet, loci.bisect, loci.jet_signals
 
-        def recording(fn, a, b, *args, **kwargs):
-            brackets.extend(zip(a, b))
-            return bisect(fn, a, b, *args, **kwargs)
+        class RecordingJet(jet):
+            def __init__(self, curve, exc, t, *args, **kwargs):
+                events.append(("jet", np.size(t)))
+                super().__init__(curve, exc, t, *args, **kwargs)
 
-        monkeypatch.setattr(loci, "bisect", recording)
+        def recording_bisect(*args, **kwargs):
+            roots = bisect(*args, **kwargs)
+            events.append(("bisect", None))
+            return roots
+
+        def recording_signals(*args):
+            events.append(("signals", None))
+            return signals(*args)
+
+        monkeypatch.setattr(transform, "_Jet", RecordingJet)
+        monkeypatch.setattr(loci, "_Jet", RecordingJet)
+        monkeypatch.setattr(loci, "bisect", recording_bisect)
+        monkeypatch.setattr(loci, "jet_signals", recording_signals)
         rpt = phase_shift(tanh_curve, drive)
         monkeypatch.undo()
-        assert brackets and all(a < 0.5 * drive.period for a, _ in brackets)
+        assert events.count(("jet", 8193)) == 1
+        assert events.count(("bisect", None)) == 1
+        # after the bisection, the landmark batch is the only evaluation
+        after = events[events.index(("bisect", None)) + 1:]
+        assert after.count(("signals", None)) == 1
         # the peaks are among the roots refine_chain finds on the same grid
         roots = loci._plane_roots(analytic_locus(tanh_curve, drive, 1, grid(drive, 8192)))
         assert rpt.t_peak_ordinate in roots.dw
         assert rpt.t_peak_abscissa in roots.du
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        family=st.sampled_from(["cubic", "quintic", "tanh", "loop"]),
+        shape=st.lists(st.floats(-1.0, 1.0), min_size=5, max_size=5),
+        tanh_b=st.floats(0.5, 8.0),
+        amplitude=st.floats(0.05, 1.0),
+        offset=st.floats(0.0, 1.0),
+        omega=st.floats(0.05, 13.0),
+    )
+    def test_span_signs_pick_the_peak_rate_probes_pick(
+            self, family, shape, tanh_b, amplitude, offset, omega):
+        c1, c2, c3, c4, c5 = shape
+        slope = 1.0 + 0.5 * c1
+        if family == "cubic":
+            curve = PolynomialCurve(coefficients=(0.0, slope, c2, c3))
+        elif family == "quintic":
+            curve = PolynomialCurve(coefficients=(0.0, slope, c2, c3, c4, 0.2 * c5))
+        elif family == "tanh":
+            curve = TanhScaledCurve(a=slope, b=tanh_b)
+        else:
+            # the returning branch leaves the outgoing one by k x (2 - x),
+            # so the two meet at both ends of the range (0, 2)
+            outgoing = (0.0, slope, c2, 0.3 + 0.2 * c3)
+            k = 0.1 + 0.9 * abs(c4)
+            curve = TwoBranchCurve(
+                outgoing=PolynomialCurve(coefficients=outgoing),
+                returning=PolynomialCurve(coefficients=(
+                    0.0, outgoing[1] + 2.0 * k, outgoing[2] - k, outgoing[3])))
+        lo, hi = curve.operating_range
+        a = amplitude * 0.5 * (hi - lo)
+        exc = Excitation(amplitude=a, omega=omega, offset=lo + a + offset * (hi - lo - 2.0 * a))
+        roots = loci._plane_roots(analytic_locus(curve, exc, 1, grid(exc, 8192)))
+        expect = (_probed_peak(curve, exc, roots.dw, 1), _probed_peak(curve, exc, roots.du, 0))
+        if None in expect:
+            with pytest.raises(NumericalError):
+                phase_shift(curve, exc)
+        else:
+            rpt = phase_shift(curve, exc)
+            assert (rpt.t_peak_ordinate, rpt.t_peak_abscissa) == expect
 
     def test_needs_second_derivatives(self, drive):
         from memelements import CapabilityError, PolynomialCurve
@@ -367,6 +425,23 @@ class TestPhaseShift:
         curve = PolynomialCurve(coefficients=(0.0, 1.0, 0.0, 1.0 / 3.0), max_derivative_order=1)
         with pytest.raises(CapabilityError):
             phase_shift(curve, drive)
+
+
+def _probed_peak(curve, exc, roots, component):
+    """First root in (0, T/2) where the depth-1 rate is positive just before and
+    negative just after, probed min(1e-7 T, h/4) either side on the 8192 grid."""
+    t = grid(exc, 8192).t_values
+    period, spacing = float(t[-1] - t[0]), float(t[1] - t[0])
+    half = 0.5 * period
+    probe = min(1e-7 * period, 0.25 * spacing)
+    for r in roots:
+        if 0.0 < r < half:
+            at = np.array([max(r - probe, 0.0), min(r + probe, half)])
+            before, after = transform.jet_signals(curve, exc, at, np.full(2, 2),
+                                                  np.full(2, component == 1))
+            if before > 0.0 > after:
+                return r
+    return None
 
 
 # ----------------------------------------------------------------------

@@ -57,6 +57,22 @@ class TestDescriptor:
         with pytest.raises(DomainError):
             ElementDescriptor(0, 2)
 
+    @pytest.mark.parametrize("level", [-1.5, -0.5, float("nan"), float("inf"), -float("inf"),
+                                       None, "-1", True, False, np.bool_(True)])
+    @pytest.mark.parametrize("side", ["alpha", "beta"])
+    def test_non_integral_levels_rejected(self, level, side, cubic):
+        cell = {"alpha": -1, "beta": -1, side: level}
+        with pytest.raises(DomainError, match=f"level {side} must be an integer"):
+            ElementDescriptor(**cell)
+        with pytest.raises(DomainError, match=f"level {side} must be an integer"):
+            classify((cell["alpha"], cell["beta"]), cubic)
+
+    @pytest.mark.parametrize("level", [-2, -2.0, np.int64(-2), np.float64(-2.0)])
+    def test_integral_levels_accepted(self, level):
+        descriptor = ElementDescriptor(level, level)
+        assert (descriptor.alpha, descriptor.beta) == (-2, -2)
+        assert type(descriptor.alpha) is int and type(descriptor.beta) is int
+
     def test_diagonal_kinds(self):
         assert ElementDescriptor(-2, -2).kind == "memristor"
         assert ElementDescriptor(-3, -2).kind == "mem-inductor"

@@ -31,7 +31,8 @@ Covered:
     derivatives) and ``mvt_point``;
   * ``phase_shift`` of the seven curves, each under its default drive and
     14 seeded drives of varied amplitude, offset and omega in
-    {0.3, 1, 2.7, 13};
+    {0.3, 1, 2.7, 13}, printed as ``float.hex`` of the ordinate and
+    abscissa peak times and the shift, and the class;
   * ``float.hex`` of every root ``loci.refine_chain`` stores (each plane's
     abscissa zeros and transversal du/dt and dw/dt zeros, including the
     ones no report shows) on closed-form chains of the seven curves to
@@ -194,8 +195,17 @@ def library() -> None:
     rng = random.Random(17)
     for name, curve in curves.items():
         for k, exc in enumerate(phase_drives(rng, drives[name], curve.operating_range)):
-            emit(f"phase_shift/{name}/{k}",
-                 sha(outcome(memelements.loci.phase_shift, curve, exc)))
+            emit(f"phase_shift/{name}/{k}", phase(curve, exc))
+
+
+def phase(curve, exc) -> str:
+    """float.hex of a phase report's peak times and shift, and its class."""
+    try:
+        rpt = memelements.loci.phase_shift(curve, exc)
+    except Exception as err:  # a failure is a fingerprint too
+        return f"{type(err).__name__}: {err}"
+    times = (rpt.t_peak_ordinate, rpt.t_peak_abscissa, rpt.shift)
+    return " ".join([*map(float.hex, times), rpt.classification.value])
 
 
 def phase_drives(rng: random.Random, default: Excitation, operating_range) -> list:
