@@ -8,8 +8,6 @@ activity with explicit numerical witnesses.
 """
 
 from .constitutive import (
-    OUTGOING,
-    RETURNING,
     ConstitutiveCurve,
     IdealityReport,
     LogisticCurve,
@@ -104,8 +102,6 @@ __all__ = [
     "IdealityReport",
     "check_ideality",
     "mvt_point",
-    "OUTGOING",
-    "RETURNING",
     # excitation
     "Excitation",
     "DEFAULT_GRID_N",

@@ -394,32 +394,29 @@ class Panel:
         return x0 - padx, x1 + padx, y0 - pady, y1 + pady
 
 
-def render_svg(panels: list[Panel], title: str | None = None,
-               width: int = 800, height: int = 600) -> str:
-    """Self-contained deterministic SVG with the panels side by side."""
+def render_svg(panels: list[Panel], title: str | None = None) -> str:
+    """Self-contained deterministic 800 x 600 SVG with the panels side by side."""
     parts: list[str] = []
-    parts.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width} {height}" '
-        f'font-family="sans-serif">'
-    )
-    parts.append(f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>')
+    parts.append('<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 800 600" '
+                 'font-family="sans-serif">')
+    parts.append('<rect x="0" y="0" width="800" height="600" fill="white"/>')
     top = 8
     if title:
         parts.append(
-            f'<text x="{width / 2:.1f}" y="22" text-anchor="middle" '
+            '<text x="400.0" y="22" text-anchor="middle" '
             f'font-size="16" fill="#111">{_esc(title)}</text>'
         )
         top = 34
 
     n = max(1, len(panels))
-    panel_w = width / n
+    panel_w = 800 / n
     for index, panel in enumerate(panels):
         ox = index * panel_w
         left, right, bottom_m, top_m = 56.0, 14.0, 46.0, 30.0
         plot_x0 = ox + left
         plot_x1 = ox + panel_w - right
         plot_y0 = top + top_m
-        plot_y1 = height - bottom_m
+        plot_y1 = 600 - bottom_m
         x0, x1, y0, y1 = panel._bounds()
 
         def sx(v: float) -> float:
@@ -527,12 +524,10 @@ def _analysis_files(rpt: ClassificationReport, formats: tuple[str, ...],
     if "json" in formats:
         files["report.json"] = _dump_json(report_to_dict(rpt))
     if "csv" in formats:
-        # a chain's loci share one grid array, so its t text is formatted
-        # once; a locus on another grid is written with its own t
-        for t in {id(locus.t_values): locus.t_values for locus in rpt.loci}.values():
-            chain = [locus for locus in rpt.loci if locus.t_values is t]
-            texts = csv_texts("t,u,w", t, [(locus.u_values, locus.w_values) for locus in chain])
-            files.update(zip([f"depth{locus.depth}.csv" for locus in chain], texts))
+        # a report's loci share one grid, so its t text is formatted once
+        texts = csv_texts("t,u,w", rpt.loci[0].t_values,
+                          [(locus.u_values, locus.w_values) for locus in rpt.loci])
+        files.update(zip([f"depth{locus.depth}.csv" for locus in rpt.loci], texts))
     if "svg" in formats:
         panels = []
         for locus, plane in zip(rpt.loci, rpt.planes):

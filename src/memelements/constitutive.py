@@ -25,8 +25,6 @@ from .errors import CapabilityError, DomainError, NumericalError
 from .tolerances import ToleranceSet
 
 __all__ = [
-    "OUTGOING",
-    "RETURNING",
     "ConstitutiveCurve",
     "PolynomialCurve",
     "TanhScaledCurve",
@@ -37,10 +35,6 @@ __all__ = [
     "check_ideality",
     "mvt_point",
 ]
-
-# Branch selectors for double-valued curves.
-OUTGOING = "outgoing"
-RETURNING = "returning"
 
 # Fraction of the operating span tolerated outside the range (float fuzz).
 _RANGE_EPS = 1e-12
@@ -103,28 +97,22 @@ class ConstitutiveCurve(abc.ABC):
 
     # -- public evaluation --------------------------------------------
 
-    def eval(self, x, branch: str | None = None):
-        """Evaluate f(x).  Scalar in, scalar out; array in, array out.
-
-        ``branch`` is accepted for interface symmetry with two-branch
-        curves and must be None or one of the selectors here.
-        """
-        out = self._stack(x, 0, branch)[0]
+    def eval(self, x):
+        """Evaluate f(x).  Scalar in, scalar out; array in, array out."""
+        out = self._stack(x, 0)[0]
         return float(out) if np.ndim(x) == 0 else out
 
-    def derivative(self, x, k: int, branch: str | None = None):
+    def derivative(self, x, k: int):
         """Evaluate the k-th derivative of f at x (k = 0 means f itself)."""
-        out = self._stack(x, k, branch)[int(k)]
+        out = self._stack(x, k)[int(k)]
         return float(out) if np.ndim(x) == 0 else out
 
-    def _stack(self, x, order: int, branch: str | None = None) -> np.ndarray:
+    def _stack(self, x, order: int) -> np.ndarray:
         """Derivatives 0..order of f at x, stacked: row k is derivative(x, k).
 
         One range check covers every row; the Taylor jet in transform
         reads all orders it needs from one call.
         """
-        if branch not in (None, OUTGOING, RETURNING):
-            raise ValueError(f"unknown branch selector {branch!r}")
         order = int(order)
         if order < 0:
             raise DomainError("derivative order must be non-negative")
@@ -357,8 +345,9 @@ class TwoBranchCurve(ConstitutiveCurve):
     """Double-valued curve made of an outgoing and a returning branch.
 
     Both branches share one operating range and must meet at its two
-    endpoints, so that a periodic sweep traces a closed loop.  Every
-    evaluation must name the branch explicitly.
+    endpoints, so that a periodic sweep traces a closed loop.  The loop has
+    no single value, so eval and derivative raise ValueError after their
+    range and order checks; evaluate loop.outgoing or loop.returning.
     """
 
     outgoing: ConstitutiveCurve
@@ -367,7 +356,7 @@ class TwoBranchCurve(ConstitutiveCurve):
     family = "two_branch"
 
     def __post_init__(self) -> None:
-        for name, sub in ((OUTGOING, self.outgoing), (RETURNING, self.returning)):
+        for name, sub in (("outgoing", self.outgoing), ("returning", self.returning)):
             if sub.is_two_branch:
                 raise DomainError(f"{name} branch must be single-valued")
         if self.outgoing.operating_range != self.returning.operating_range:
@@ -398,25 +387,14 @@ class TwoBranchCurve(ConstitutiveCurve):
     def smooth(self) -> bool:
         return self.outgoing.smooth and self.returning.smooth
 
-    def branch(self, name: str) -> ConstitutiveCurve:
-        if name == OUTGOING:
-            return self.outgoing
-        if name == RETURNING:
-            return self.returning
-        raise ValueError(f"unknown branch selector {name!r}")
-
-    def _stack(self, x, order: int, branch: str | None = None) -> np.ndarray:
-        if branch is None:
-            raise ValueError("two-branch curve requires an explicit branch selector")
-        return self.branch(branch)._stack(x, order)
-
     def kink_points(self, slope_tol: float = 1e-9) -> tuple[float, ...]:
         pts = set(self.outgoing.kink_points(slope_tol))
         pts.update(self.returning.kink_points(slope_tol))
         return tuple(sorted(pts))
 
-    def _derivatives(self, x: np.ndarray, order: int) -> np.ndarray:  # pragma: no cover
-        raise ValueError("two-branch curve requires an explicit branch selector")
+    def _derivatives(self, x: np.ndarray, order: int) -> np.ndarray:
+        raise ValueError("a two-branch curve has no single value; "
+                         "evaluate its outgoing or returning branch")
 
 
 def _as_range(rng) -> tuple[float, float]:
@@ -579,7 +557,6 @@ def mvt_point(
     curve: ConstitutiveCurve,
     a: float,
     b: float,
-    branch: str | None = None,
     root_tol: float = 1e-10,
 ) -> float:
     """Abscissa c in (a, b) where f'(c) matches the secant slope over [a, b].
@@ -593,12 +570,12 @@ def mvt_point(
     if not (lo - _RANGE_EPS <= a < b <= hi + _RANGE_EPS):
         raise DomainError(f"need lo <= a < b <= hi, got a={a}, b={b} on [{lo}, {hi}]")
 
-    fa = curve.eval(a, branch=branch)
-    fb = curve.eval(b, branch=branch)
+    fa = curve.eval(a)
+    fb = curve.eval(b)
     secant = (fb - fa) / (b - a)
 
     def residual(x):
-        return curve.derivative(x, 1, branch=branch) - secant
+        return curve.derivative(x, 1) - secant
 
     xs = np.linspace(a, b, 2049)
     res = np.asarray(residual(xs))

@@ -117,11 +117,11 @@ _VOLTAGE_BASE = ("v", "φ", "ρ")   # phi, rho
 
 def _side_label(base: tuple[str, str, str], level: int) -> str:
     if level > 0:
-        return base[0] + "'" * level
+        return base[0] + ("'" * level if level <= 3 else f"^({level})")
     k = -level
     if k < 3:
         return base[k]
-    return "∫" * (k - 2) + base[2]
+    return ("∫" * (k - 2) if k - 2 <= 4 else f"∫^({k - 2})") + base[2]
 
 
 def plane_labels(descriptor: ElementDescriptor, depth: int) -> tuple[str, str]:
@@ -233,7 +233,12 @@ class ClassificationReport:
 def _as_descriptor(descriptor) -> ElementDescriptor:
     if isinstance(descriptor, ElementDescriptor):
         return descriptor
-    return ElementDescriptor(*descriptor)
+    try:
+        alpha, beta = descriptor
+    except (TypeError, ValueError):
+        raise DomainError(
+            f"descriptor must be an (alpha, beta) pair, got {descriptor!r}") from None
+    return ElementDescriptor(alpha, beta)
 
 
 def _analyze_plane(locus: ParametricLocus, tol: ToleranceSet) -> PlaneAnalysis:

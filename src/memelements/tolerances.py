@@ -20,7 +20,7 @@ class ToleranceSet:
     slope_tol       slope threshold for monotonicity and kink detection
     nonlin_tol      secant deviation (relative to ordinate span) below which
                     a curve counts as affine
-    phase_tol       time resolution for peak comparisons
+    phase_tol       unread; stays only while report schema "1" requires it
     witness_tol     min |coordinate| for an off-origin activity witness
     """
 

@@ -41,7 +41,7 @@ from math import comb
 
 import numpy as np
 
-from .constitutive import OUTGOING, RETURNING, ConstitutiveCurve
+from .constitutive import ConstitutiveCurve
 from .errors import CapabilityError, DomainError, NumericalError
 from .excitation import Excitation, SampleGrid, _levels, _uniform, grid
 
@@ -87,7 +87,6 @@ class ParametricLocus:
     w_values: np.ndarray
     depth: int
     axis_labels: tuple[str, str]
-    provenance: str = "analytic"
     jet: tuple[ConstitutiveCurve, Excitation] | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
@@ -102,8 +101,6 @@ class ParametricLocus:
             raise DomainError("t, u, w must be finite")
         if np.any(np.diff(t) <= 0):
             raise DomainError("t_values must strictly increase")
-        if self.provenance not in ("analytic", "numeric"):
-            raise DomainError(f"unknown provenance {self.provenance!r}")
         if self.depth < 0:
             raise DomainError("depth must be non-negative")
         if self.jet is not None and not (
@@ -119,7 +116,7 @@ class ParametricLocus:
         object.__setattr__(self, "axis_labels", tuple(self.axis_labels))
 
     @classmethod
-    def _view(cls, t: np.ndarray, u: np.ndarray, w: np.ndarray, depth: int, provenance: str,
+    def _view(cls, t: np.ndarray, u: np.ndarray, w: np.ndarray, depth: int,
               jet: tuple[ConstitutiveCurve, Excitation] | None = None) -> ParametricLocus:
         """A locus with default labels holding its arrays as given, unchecked and uncopied.
 
@@ -130,8 +127,13 @@ class ParametricLocus:
         u.flags.writeable = w.flags.writeable = False
         locus = object.__new__(cls)
         vars(locus).update(t_values=t, u_values=u, w_values=w, depth=depth,
-                           axis_labels=default_labels(depth), provenance=provenance, jet=jet)
+                           axis_labels=default_labels(depth), jet=jet)
         return locus
+
+    @property
+    def provenance(self) -> str:
+        """"analytic" for a locus with a jet, "numeric" for one without."""
+        return "numeric" if self.jet is None else "analytic"
 
     @property
     def period(self) -> float:
@@ -186,8 +188,8 @@ class _Jet:
     """Taylor jet of f(x(t)) for one curve and drive at times t.
 
     Holds the drive levels x, x', ..., x^(top), and, up to depth order,
-    the curve derivatives at x (one range check per branch) and the
-    partial Bell rows.  Every depth-k abscissa is a level and every depth-k
+    the curve derivatives at x (one range check per single-valued curve)
+    and the partial Bell rows.  Every depth-k abscissa is a level and every depth-k
     ordinate a Faa di Bruno sum over them, so all depths share one jet.
     levels, when given, are the levels at t already.  Every operation is
     elementwise, so a value does not depend on the other times in t.
@@ -201,19 +203,19 @@ class _Jet:
         self.bell = _bell(self.x, order)
         self.f = {}
 
-    def ordinate(self, depth: int, branch: str | None = None,
-                 part=...) -> np.ndarray:
-        """d^k/dt^k f(x(t)) at the times in part.
+    def ordinate(self, depth: int, part=..., curve: ConstitutiveCurve | None = None):
+        """d^k/dt^k f(x(t)) at the times in part, f the jet's curve unless given.
 
-        A two-branch curve with branch None follows the sweep.
+        A two-branch curve follows the sweep, each branch's stack taken once.
         """
-        if self.curve.is_two_branch and branch is None:
+        curve = self.curve if curve is None else curve
+        if curve.is_two_branch:
             return np.where(_branch_mask(self.exc, self.t[part]),
-                            self.ordinate(depth, OUTGOING, part),
-                            self.ordinate(depth, RETURNING, part))
-        if branch not in self.f:
-            self.f[branch] = self.curve._stack(self.x[0], self.order, branch=branch)
-        f = self.f[branch]
+                            self.ordinate(depth, part, curve.outgoing),
+                            self.ordinate(depth, part, curve.returning))
+        if id(curve) not in self.f:
+            self.f[id(curve)] = curve._stack(self.x[0], self.order)
+        f = self.f[id(curve)]
         if depth == 0:
             return f[0][part]  # f B_{0,0}, and a product by 1 changes no bit
         # summed from the j = k term down and never from zero, so depths 1-2
@@ -223,19 +225,18 @@ class _Jet:
         return sum(terms[1:], terms[0])
 
 
-def chain_ordinate(curve: ConstitutiveCurve, exc: Excitation, t, depth: int,
-                   branch: str | None = None):
+def chain_ordinate(curve: ConstitutiveCurve, exc: Excitation, t, depth: int):
     """Exact depth-k ordinate d^k/dt^k f(x(t)) at time t.
 
     Raises CapabilityError when k exceeds the curve's max_derivative_order.
-    For two-branch curves with branch = None the outgoing branch covers
-    the first half-period and the returning branch the second, matching
-    the direction the drive actually sweeps.
+    On a two-branch curve the outgoing branch covers the first half-period
+    and the returning branch the second, matching the direction the drive
+    actually sweeps.
     """
     depth = int(depth)
     if depth < 0:
         raise DomainError("depth must be non-negative")
-    out = _Jet(curve, exc, t, depth, depth).ordinate(depth, branch)
+    out = _Jet(curve, exc, t, depth, depth).ordinate(depth)
     return float(out) if np.ndim(t) == 0 else out
 
 
@@ -292,7 +293,7 @@ def _grid_ordinate(jet: _Jet, depth: int) -> np.ndarray:
 def _jet_locus(t: np.ndarray, jet: _Jet, depth: int) -> ParametricLocus:
     """The depth-k locus whose samples are views of the grid jet's depth-k rows."""
     return ParametricLocus._view(t, jet.x[depth], _grid_ordinate(jet, depth), depth,
-                                 "analytic", (jet.curve, jet.exc))
+                                 (jet.curve, jet.exc))
 
 
 def analytic_locus(
@@ -360,7 +361,7 @@ def numeric_transform(locus: ParametricLocus) -> ParametricLocus:
     if not (np.isfinite(u).all() and np.isfinite(w).all()):
         raise NumericalError(f"depth {depth} finite differences are beyond float range: "
                              f"sample spacing {h!r}")
-    return ParametricLocus._view(t, u, w, depth, "numeric")
+    return ParametricLocus._view(t, u, w, depth)
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,5 @@
 import argparse
 import builtins
-import dataclasses
 import json
 import pathlib
 import warnings
@@ -14,7 +13,6 @@ from memelements import (
     __version__,
     Excitation,
     LogisticCurve,
-    ParametricLocus,
     PiecewiseLinearCurve,
     PolynomialCurve,
     TanhScaledCurve,
@@ -28,7 +26,6 @@ from memelements import (
 from memelements import cli, transform
 from memelements.cli import (
     FIGURES,
-    _analysis_files,
     _set_path,
     build_parser,
     curve_from_spec,
@@ -498,19 +495,6 @@ class TestDepthCsvFiles:
         assert run(argv) == 0
         # t once, then u and w of each of the depth + 1 planes, per row
         assert calls[0] == (1 + 2 * (depth + 1)) * 257
-
-    def test_loci_on_other_grids_keep_their_own_t(self):
-        rpt = classify((-2, -2), curve_from_spec(MEMRISTOR_CFG["curve"]), grid_n=256)
-        first, second, third = rpt.loci
-        moved = ParametricLocus(second.t_values + 1.0, second.u_values, second.w_values,
-                                second.depth, second.axis_labels)
-        # equal to the grid's t, but another array
-        copied = ParametricLocus(third.t_values, third.u_values, third.w_values,
-                                 third.depth, third.axis_labels)
-        assert copied.t_values is not first.t_values
-        report = dataclasses.replace(rpt, loci=(first, moved, copied))
-        assert _analysis_files(report, ("csv",)) == {
-            f"depth{locus.depth}.csv": locus_to_csv(locus) for locus in report.loci}
 
 
 class TestOutputDirectory:

@@ -3,8 +3,6 @@ import pytest
 from numpy.polynomial import polynomial as npoly
 
 from memelements import (
-    OUTGOING,
-    RETURNING,
     CapabilityError,
     DomainError,
     Excitation,
@@ -113,14 +111,14 @@ class TestStackedDerivatives:
             assert _bits(curve.derivative(xs, k)) == _bits(want)
 
     def test_range_capability_and_branch_checks(self, cubic, loop_curve):
-        with pytest.raises(DomainError):
-            cubic._stack(np.array([1.0, 2.5]), 2)
-        with pytest.raises(CapabilityError):
-            cubic._stack(1.0, 5)
-        with pytest.raises(ValueError):
+        # on a loop the range and order checks come before its ValueError
+        for curve in (cubic, loop_curve):
+            with pytest.raises(DomainError):
+                curve._stack(np.array([1.0, 2.5]), 2)
+            with pytest.raises(CapabilityError):
+                curve._stack(1.0, 5)
+        with pytest.raises(ValueError, match="no single value"):
             loop_curve._stack(1.0, 2)
-        assert _bits(loop_curve._stack(self.XS, 3, RETURNING)) == _bits(
-            loop_curve.returning._stack(self.XS, 3))
 
 
 class TestTanhScaled:
@@ -191,20 +189,23 @@ class TestPiecewiseLinear:
 
 class TestTwoBranch:
     def test_branch_selection(self, loop_curve):
-        assert loop_curve.eval(1.0, branch=OUTGOING) == pytest.approx(4.0 / 3.0)
-        assert loop_curve.eval(1.0, branch=RETURNING) == pytest.approx(4.0 / 3.0 + 0.5)
+        assert loop_curve.outgoing.eval(1.0) == pytest.approx(4.0 / 3.0)
+        assert loop_curve.returning.eval(1.0) == pytest.approx(4.0 / 3.0 + 0.5)
         assert loop_curve.is_two_branch
 
     def test_branch_required(self, loop_curve):
-        with pytest.raises(ValueError):
-            loop_curve.eval(1.0)
-        with pytest.raises(ValueError):
-            loop_curve.eval(1.0, branch="sideways")
+        # the loop itself has no single value, scalar or array, at any order
+        for x in (1.0, np.array([0.5, 1.0])):
+            with pytest.raises(ValueError, match="no single value"):
+                loop_curve.eval(x)
+            for k in (0, 1, 2):
+                with pytest.raises(ValueError, match="no single value"):
+                    loop_curve.derivative(x, k)
 
     def test_branches_meet_at_endpoints(self, loop_curve):
         hi = loop_curve.operating_range[1]
-        assert loop_curve.eval(hi, branch=OUTGOING) == pytest.approx(14.0 / 3.0)
-        assert loop_curve.eval(hi, branch=RETURNING) == pytest.approx(14.0 / 3.0)
+        assert loop_curve.outgoing.eval(hi) == pytest.approx(14.0 / 3.0)
+        assert loop_curve.returning.eval(hi) == pytest.approx(14.0 / 3.0)
 
     def test_mismatched_endpoints_rejected(self):
         with pytest.raises(DomainError):
@@ -273,8 +274,10 @@ class TestMvtPoint:
         assert mvt_point(line, 0.0, 2.0) == pytest.approx(1.0)
 
     def test_two_branch_needs_branch(self, loop_curve):
-        c = mvt_point(loop_curve, 0.0, 2.0, branch=OUTGOING)
+        c = mvt_point(loop_curve.outgoing, 0.0, 2.0)
         assert c == pytest.approx(MVT_POINT_CUBIC, abs=1e-9)
+        with pytest.raises(ValueError, match="no single value"):
+            mvt_point(loop_curve, 0.0, 2.0)
 
     def test_interval_inside_range(self, cubic):
         with pytest.raises(DomainError):

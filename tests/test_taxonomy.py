@@ -67,6 +67,11 @@ class TestDescriptor:
         with pytest.raises(DomainError, match=f"level {side} must be an integer"):
             classify((cell["alpha"], cell["beta"]), cubic)
 
+    @pytest.mark.parametrize("descriptor", [(-1, -1, -1), (-1,), (), 5, -1.0, None, iter(())])
+    def test_non_pair_descriptor_rejected(self, descriptor, cubic):
+        with pytest.raises(DomainError, match=r"must be an \(alpha, beta\) pair, got "):
+            classify(descriptor, cubic)
+
     @pytest.mark.parametrize("level", [-2, -2.0, np.int64(-2), np.float64(-2.0)])
     def test_integral_levels_accepted(self, level):
         descriptor = ElementDescriptor(level, level)
@@ -119,6 +124,20 @@ class TestTablePosition:
 
     def test_prime_labels_above_the_cell(self):
         assert plane_labels(ElementDescriptor(0, 0), 2) == ("i''", "v''")
+        assert plane_labels(ElementDescriptor(0, -1), 3) == ("i''", "v'''")
+        assert plane_labels(ElementDescriptor(0, 0), 4) == ("i^(4)", "v^(4)")
+
+    def test_integral_signs_past_four_are_counted(self):
+        entry = table_position(ElementDescriptor(-6, -7))
+        assert entry.constitutive_labels == ("∫^(5)σ", "∫∫∫∫ρ")
+        assert plane_labels(ElementDescriptor(-6, -7), 1) == ("∫∫∫∫σ", "∫∫∫ρ")
+        assert plane_labels(ElementDescriptor(-5000, -1), 1) == ("i", "∫^(4997)ρ")
+
+    def test_a_huge_level_classifies_at_normal_speed(self, cubic):
+        # one sign per level would build a label of 10**9 characters
+        rpt = classify((-10**9, -1), cubic, grid_n=256)
+        assert rpt.planes[-1].axis_labels == ("i", "∫^(999999997)ρ")
+        assert rpt.element.constitutive_labels == ("q", "∫^(999999998)ρ")
 
 
 class TestClassifyFirstOrder:

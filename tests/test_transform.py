@@ -9,8 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memelements import (
-    OUTGOING,
-    RETURNING,
     CapabilityError,
     ConfigError,
     DomainError,
@@ -44,16 +42,18 @@ LOOP = TwoBranchCurve(
     outgoing=PolynomialCurve((0.0, 1.0, 0.0, 1.0 / 3.0), max_derivative_order=DEEP),
     returning=PolynomialCurve((0.0, 4.0 / 3.0, 0.5), max_derivative_order=DEEP),
 )
-# curve with derivatives to order DEEP, its branch, its sympy form, a drive inside its range
+CUBIC = PolynomialCurve((0.0, 1.0, 0.0, 1.0 / 3.0), max_derivative_order=DEEP)
+TANH = TanhScaledCurve(a=1.3, b=0.8, max_derivative_order=DEEP)
+LOGISTIC = LogisticCurve(max_derivative_order=DEEP)
+# curve with derivatives to order DEEP, the single-valued curve its sympy form is (the
+# curve or, on the loop, one branch), that form, a drive inside its range
 SYMBOLIC = {
-    "cubic": (PolynomialCurve((0.0, 1.0, 0.0, 1.0 / 3.0), max_derivative_order=DEEP), None,
-              lambda x: x + (1.0 / 3.0) * x**3, Excitation(0.8, 1.7, 1.0)),
-    "tanh": (TanhScaledCurve(a=1.3, b=0.8, max_derivative_order=DEEP), None,
-             lambda x: 1.3 * sp.tanh(0.8 * x), Excitation(0.8, 1.7, 1.0)),
-    "logistic": (LogisticCurve(max_derivative_order=DEEP), None,
-                 lambda x: 1 / (1 + sp.exp(-x)), Excitation(0.7, 0.6, 1.25)),
-    "outgoing": (LOOP, OUTGOING, lambda x: x + (1.0 / 3.0) * x**3, Excitation(0.9, 1.3)),
-    "returning": (LOOP, RETURNING, lambda x: (4.0 / 3.0) * x + 0.5 * x**2,
+    "cubic": (CUBIC, CUBIC, lambda x: x + (1.0 / 3.0) * x**3, Excitation(0.8, 1.7, 1.0)),
+    "tanh": (TANH, TANH, lambda x: 1.3 * sp.tanh(0.8 * x), Excitation(0.8, 1.7, 1.0)),
+    "logistic": (LOGISTIC, LOGISTIC, lambda x: 1 / (1 + sp.exp(-x)),
+                 Excitation(0.7, 0.6, 1.25)),
+    "outgoing": (LOOP, LOOP.outgoing, lambda x: x + (1.0 / 3.0) * x**3, Excitation(0.9, 1.3)),
+    "returning": (LOOP, LOOP.returning, lambda x: (4.0 / 3.0) * x + 0.5 * x**2,
                   Excitation(0.9, 1.3)),
 }
 
@@ -90,10 +90,10 @@ class TestChainOrdinate:
     @pytest.mark.parametrize("depth", range(DEEP + 1))
     @pytest.mark.parametrize("name", sorted(SYMBOLIC))
     def test_matches_symbolic_chain_rule(self, name, depth):
-        curve, branch, _, exc = SYMBOLIC[name]
+        _, single, _, exc = SYMBOLIC[name]
         t = np.linspace(0.0, exc.period, 33)
         u, w = _oracle(name, depth, t)
-        got = chain_ordinate(curve, exc, t, depth, branch)
+        got = chain_ordinate(single, exc, t, depth)
         assert np.max(np.abs(got - w)) <= 1e-12 * np.max(np.abs(w))
         assert np.max(np.abs(excite(exc, t, depth) - u)) <= 1e-12 * np.max(np.abs(u))
 
@@ -174,16 +174,25 @@ class TestJet:
                               np.array([self._closed_form(exc, np.asarray(s), i)
                                         for i in range(6)]))
 
-    @pytest.mark.parametrize("branch", [OUTGOING, RETURNING, None])
-    def test_one_jet_serves_every_depth(self, branch):
-        # a depth-6 jet gives each shallower depth exactly as a jet built for it
+    @pytest.mark.parametrize("branch", ["outgoing", "returning", None])
+    def test_one_jet_serves_every_depth(self, branch, monkeypatch):
+        # a depth-6 jet gives each shallower depth exactly as a jet built for it,
+        # from one derivative stack per single-valued curve (the loop's two branches)
+        curve = LOOP if branch is None else SYMBOLIC[branch][1]
         exc = SYMBOLIC["outgoing"][3]
         t = np.concatenate(([0.0, 0.5 * exc.period, exc.period],
                             np.linspace(0.0, exc.period, 65)))
-        jet = transform._Jet(LOOP, exc, t, DEEP, DEEP)
-        for depth in range(DEEP + 1):
-            got = jet.ordinate(depth, branch)
-            assert _same_bits(got, chain_ordinate(LOOP, exc, t, depth, branch))
+        jet = transform._Jet(curve, exc, t, DEEP, DEEP)
+        stacks = []
+        stack = PolynomialCurve._stack
+        monkeypatch.setattr(PolynomialCurve, "_stack",
+                            lambda self, *args: stacks.append(self) or stack(self, *args))
+        rows = [jet.ordinate(depth) for depth in range(DEEP + 1)]
+        singles = [LOOP.outgoing, LOOP.returning] if branch is None else [curve]
+        assert len(stacks) == len(singles)
+        assert all(got is want for got, want in zip(stacks, singles))
+        for depth, got in enumerate(rows):
+            assert _same_bits(got, chain_ordinate(curve, exc, t, depth))
             if branch is not None:
                 _, w = _oracle(branch, depth, t[3:])
                 assert np.max(np.abs(got[3:] - w)) <= 1e-12 * np.max(np.abs(w))
@@ -349,6 +358,18 @@ class TestCallerLocus:
             assert held.tobytes() == want.tobytes()
             assert not held.flags.writeable
         assert locus.axis_labels == ("x", "y")
+
+    def test_provenance_follows_the_jet(self, cubic, drive):
+        analytic = analytic_locus(cubic, drive, 1, grid(drive, 64))
+        args = (analytic.t_values, analytic.u_values, analytic.w_values, 1, ("x", "y"))
+        assert analytic.provenance == "analytic"
+        assert numeric_transform(analytic).provenance == "numeric"
+        assert ParametricLocus(*args).provenance == "numeric"
+        assert ParametricLocus(*args, jet=(cubic, drive)).provenance == "analytic"
+        with pytest.raises(TypeError):
+            ParametricLocus(*args, provenance="analytic")
+        with pytest.raises(AttributeError):
+            analytic.provenance = "numeric"
 
 
 class TestNumericTransform:

@@ -39,8 +39,9 @@ Covered:
     depths 0-4 at n = 256 and 4096;
   * ``float.hex`` of ``point_at`` at off-grid times, array and scalar, on
     closed-form loci of the seven curves at depths 0-4;
-  * in-process CLI runs: ``analyze`` of the seven curves at twelve cells
-    on closed-form and numeric chains, of the cubic at (-2,-2) with grid_n
+  * in-process CLI runs: ``analyze`` of the seven curves at thirteen cells
+    (one, (-9,-1), deep enough that its labels count integral signs) on
+    closed-form and numeric chains, of the cubic at (-2,-2) with grid_n
     256, 4095, 8191 and 16384 (4096 and 8192 rows are one and two whole
     blocks of the CSV writer), every figure, the default ``suite``
     and three configured ones (one with tolerances and grid_n), ``analyze``
@@ -94,7 +95,7 @@ from workloads import ClassifyDistinct  # noqa: E402
 SEEDS = (7, 13, 90210)
 OPS = 120
 CELLS = ((0, 0), (-1, 0), (0, -1), (-1, -1), (-2, -1), (-1, -2), (-2, -2),
-         (-3, -2), (-2, -3), (-3, -3), (-4, -4), (-6, -6))
+         (-3, -2), (-2, -3), (-3, -3), (-4, -4), (-6, -6), (-9, -1))
 
 
 def sha(data) -> str:
