@@ -89,44 +89,53 @@ def excite(exc: Excitation, t, level: int = 0):
     return float(out) if np.ndim(t) == 0 else out
 
 
-def _uniform(t: np.ndarray) -> bool:
-    """Whether the times t are finite, strictly increasing and uniform."""
-    steps = np.diff(t)
-    lo, hi = steps.min(), steps.max()
-    # the largest |step - steps[0]| is at lo or hi, bit for bit, since rounding
-    # is monotone; the bound grows with linspace's rounding of i * step, about i * eps
-    bound = max(1e-9, 4.0 * (len(t) - 1) * np.finfo(float).eps)
-    return bool(lo > 0.0 and max(hi - steps[0], steps[0] - lo) <= bound * steps[0])
+def _check_grid(t: np.ndarray, error: type[Exception]) -> None:
+    """Raise error naming the first sample of t off the grid i*T/n, T = t[-1], if any is.
+
+    On it: t[0] == 0, 0 < T < inf and |t_i/T - i/n| <= 4 eps, which holds linspace's
+    rounding (1 eps) at any n and period and puts each mirror sample at its pair time.
+    """
+    n = len(t) - 1
+    first = 0 if t[0] != 0.0 else n if not 0.0 < t[-1] < np.inf else None
+    if first is None:
+        bound = 4.0 * np.finfo(float).eps
+        with np.errstate(over="ignore"):
+            dev = t / t[-1]
+        ramp = np.arange(n + 1.0)  # i/n in place: each large temporary costs its page faults
+        ramp /= n
+        dev -= ramp
+        if not max(dev.max(), -dev.min()) <= bound:  # a NaN sample fails
+            first = int(np.argmax(~(np.abs(dev) <= bound)))
+    if first is not None:
+        raise error(f"times must be finite and increase uniformly from 0: "
+                    f"t[{first}] = {float(t[first])!r} is off the grid i*T/n, T = t[-1]")
 
 
 @dataclass(frozen=True)
 class SampleGrid:
-    """Uniform closed time grid over one drive period.
+    """Closed time grid i*T/n, i = 0..n, over one drive period T, else ConfigError (_check_grid).
 
-    t_values has count + 1 entries: both endpoints are included so that
-    loci close up exactly.
+    Both endpoints are included so that loci close up exactly.
     """
 
     t_values: np.ndarray
-    count: int
 
     def __post_init__(self) -> None:
-        if self.count < _MIN_GRID_N:
-            raise ConfigError(f"grid needs at least {_MIN_GRID_N} intervals, got {self.count}")
-        t = np.asarray(self.t_values, dtype=float)
-        if t.ndim != 1 or len(t) != self.count + 1:
-            raise ConfigError("t_values must be one-dimensional with count + 1 entries")
-        if t[0] != 0.0:
-            raise ConfigError("grid must start at t = 0")
-        if not _uniform(t):
-            raise ConfigError("grid times must be finite, strictly increasing and uniform")
-        t = t.copy()
+        t = np.array(self.t_values, dtype=float)  # a copy
+        if t.ndim != 1 or len(t) <= _MIN_GRID_N:
+            raise ConfigError(f"t_values must be one-dimensional, with at least "
+                              f"{_MIN_GRID_N} intervals, got shape {t.shape}")
+        _check_grid(t, ConfigError)
         t.flags.writeable = False
         object.__setattr__(self, "t_values", t)
 
     @property
+    def count(self) -> int:
+        return len(self.t_values) - 1
+
+    @property
     def spacing(self) -> float:
-        return float(self.t_values[1] - self.t_values[0])
+        return float(self.t_values[1])
 
     def __len__(self) -> int:
         return len(self.t_values)
@@ -137,6 +146,5 @@ def grid(exc: Excitation, n: int = DEFAULT_GRID_N) -> SampleGrid:
     n = int(n)
     if n < _MIN_GRID_N:
         raise ConfigError(f"grid needs at least {_MIN_GRID_N} intervals, got {n}")
-    # checked all the same: at a period small enough for subnormal steps the
-    # rounded steps of linspace stop being uniform (omega = 1e305 at n = 2**20)
-    return SampleGrid(t_values=np.linspace(0.0, exc.period, n + 1), count=n)
+    # checked all the same: subnormal steps leave the grid (omega = 1e305, n = 2**20)
+    return SampleGrid(t_values=np.linspace(0.0, exc.period, n + 1))

@@ -521,8 +521,8 @@ def _landmark_values(chain, rates, times, jet) -> list[np.ndarray]:
         t, depth, ordinate = (np.concatenate(col) for col in zip(*asks))
         got = iter(np.split(jet_signals(*jet, t, depth, ordinate),
                             np.cumsum([tp.size for tp, _, _ in asks])[:-1]))
-    return [np.array([next(got) if hooked(locus, row) else np.interp(tp, locus.t_values, on_grid)
-                      for row, on_grid in enumerate((locus.u_values, locus.w_values, *plane))])
+    return [np.array([next(got) if hooked(locus, row) else np.interp(tp, locus.t_values, samples)
+                      for row, samples in enumerate((locus.u_values, locus.w_values, *plane))])
             for locus, plane, tp in zip(chain, rates, times)]
 
 
@@ -530,32 +530,27 @@ def _pair_ordinates(chain) -> list[tuple[np.ndarray, np.ndarray]]:
     """Each plane's valuedness pair times, and its ordinate at them.
 
     Odd-depth loci revisit each abscissa at (T/2 - t) mod T, even-depth
-    loci at (T - t) mod T.  On the grid linspace(0, T, n + 1) that
-    excitation.grid makes, that is the time of sample i's mirror, up to
-    rounding: (n - i) mod n at even depth and, for even n, (n/2 - i) mod n
-    at odd depth, which every plane, jet or not, reads by index.  Pairs
-    with no mirror (odd depth on an odd n, or t that is not that grid bit
-    for bit, and may drift from it by 1e-9 T) are read by point_at at the
-    pair times.
+    loci at (T - t) mod T.  On the grid i*T/n every locus lies on, that
+    is the time of sample i's mirror, up to rounding: (n - i) mod n at
+    even depth and, for even n, (n/2 - i) mod n at odd depth, which every
+    plane, jet or not, reads by index.  Odd depth on an odd n has no
+    mirror, and is read by point_at at the pair times.
     """
-    t = chain[0].t_values
-    n = t.size - 1
-    on_grid = np.array_equal(t, np.linspace(0.0, t[-1], n + 1))
+    n = chain[0].t_values.size - 1
     mirrors = {}  # depth parity -> each sample's mirror index and its time
     out = []
     for locus in chain:
         odd = locus.depth % 2
-        if on_grid and not (odd and n % 2):
-            if odd not in mirrors:
-                h = n // 2 * odd  # (h - i) mod n for i = 0..n: h down to 0, then n - 1 to h
-                j = np.concatenate((np.arange(h, -1, -1), np.arange(n - 1, h - 1, -1)))
-                mirrors[odd] = (j, t[j])
-            j, t_pair = mirrors[odd]
-            out.append((t_pair, locus.w_values[j]))
-        else:
-            T = locus.period
-            t_pair = np.mod((0.5 * T if odd else T) - locus.t_values, T)
+        if odd and n % 2:
+            t_pair = np.mod(0.5 * locus.period - locus.t_values, locus.period)
             out.append((t_pair, point_at(locus, t_pair)[1]))
+            continue
+        if odd not in mirrors:
+            h = n // 2 * odd  # (h - i) mod n for i = 0..n: h down to 0, then n - 1 to h
+            j = np.concatenate((np.arange(h, -1, -1), np.arange(n - 1, h - 1, -1)))
+            mirrors[odd] = (j, locus.t_values[j])
+        j, t_pair = mirrors[odd]
+        out.append((t_pair, locus.w_values[j]))
     return out
 
 
@@ -657,7 +652,7 @@ def valuedness(locus: ParametricLocus, tol: float = 1e-9) -> ValuednessReport:
 
 
 def odd_symmetry(locus: ParametricLocus, tol: float = 1e-9) -> SymmetryReport:
-    """Point symmetry through the origin under time reversal t -> T - t."""
+    """Point symmetry through the origin under time reversal t_i -> T - t_i = t_(n-i)."""
     u = locus.u_values
     w = locus.w_values
     viol_u = float(np.max(np.abs(u + u[::-1])))

@@ -43,7 +43,7 @@ import numpy as np
 
 from .constitutive import ConstitutiveCurve
 from .errors import CapabilityError, DomainError, NumericalError
-from .excitation import Excitation, SampleGrid, _levels, _uniform, grid
+from .excitation import _MIN_GRID_N, Excitation, SampleGrid, _levels, _check_grid, grid
 
 __all__ = [
     "ParametricLocus",
@@ -76,10 +76,10 @@ class ParametricLocus:
     the locus off the grid.  Finite-difference loci carry no jet and are
     analysed at grid accuracy instead.
 
-    A locus built from caller arrays is checked (finite samples, strictly
-    increasing t) and holds read-only copies of them.  The loci this
-    module builds are views of a checked grid's t and of fresh sample
-    rows instead (_view).
+    A locus built from caller arrays is checked (finite u and w, and t on
+    the grid i*T/n that excitation.grid makes, _check_grid) and holds
+    read-only copies of them.  The loci this module builds are views of a
+    checked grid's t and of fresh sample rows instead (_view).
     """
 
     t_values: np.ndarray
@@ -93,14 +93,12 @@ class ParametricLocus:
         t = np.asarray(self.t_values, dtype=float)
         u = np.asarray(self.u_values, dtype=float)
         w = np.asarray(self.w_values, dtype=float)
-        if not (t.ndim == u.ndim == w.ndim == 1 and len(t) == len(u) == len(w)):
-            raise DomainError("t, u, w must be one-dimensional and equally long")
-        if len(t) < 65:
-            raise DomainError("locus needs at least 65 samples")
-        if not (np.isfinite(t).all() and np.isfinite(u).all() and np.isfinite(w).all()):
-            raise DomainError("t, u, w must be finite")
-        if np.any(np.diff(t) <= 0):
-            raise DomainError("t_values must strictly increase")
+        if not (t.ndim == u.ndim == w.ndim == 1 and _MIN_GRID_N < len(t) == len(u) == len(w)):
+            raise DomainError(f"t, u, w must be one-dimensional and equally long, with at "
+                              f"least {_MIN_GRID_N + 1} samples")
+        _check_grid(t, DomainError)
+        if not (np.isfinite(u).all() and np.isfinite(w).all()):
+            raise DomainError("u and w must be finite")
         if self.depth < 0:
             raise DomainError("depth must be non-negative")
         if self.jet is not None and not (
@@ -137,11 +135,11 @@ class ParametricLocus:
 
     @property
     def period(self) -> float:
-        return float(self.t_values[-1] - self.t_values[0])
+        return float(self.t_values[-1])
 
     @property
     def spacing(self) -> float:
-        return float(self.t_values[1] - self.t_values[0])
+        return float(self.t_values[1])
 
     def __len__(self) -> int:
         return len(self.t_values)
@@ -350,10 +348,7 @@ def numeric_transform(locus: ParametricLocus) -> ParametricLocus:
     Raises NumericalError, naming the new depth, where a difference
     quotient passes float range.
     """
-    t = locus.t_values
-    if not _uniform(t):
-        raise NumericalError("numeric transform requires a uniform time grid")
-    h = float(t[1] - t[0])
+    h = locus.spacing
     depth = locus.depth + 1
     with np.errstate(over="ignore"):
         u = periodic_derivative(locus.u_values, h)
@@ -361,7 +356,7 @@ def numeric_transform(locus: ParametricLocus) -> ParametricLocus:
     if not (np.isfinite(u).all() and np.isfinite(w).all()):
         raise NumericalError(f"depth {depth} finite differences are beyond float range: "
                              f"sample spacing {h!r}")
-    return ParametricLocus._view(t, u, w, depth)
+    return ParametricLocus._view(locus.t_values, u, w, depth)
 
 
 # ----------------------------------------------------------------------

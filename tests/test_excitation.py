@@ -98,14 +98,54 @@ class TestGrid:
     def test_rejects_non_finite_times(self, bad):
         t = np.linspace(0.0, 2.0 * np.pi, 65)
         t[5] = bad
-        with pytest.raises(ConfigError, match="finite"):
-            SampleGrid(t_values=t, count=64)
+        with pytest.raises(ConfigError, match=rf"finite.*t\[5\] = {bad!r} is off the grid"):
+            SampleGrid(t_values=t)
 
     def test_accepts_the_large_grids_it_makes(self):
         # linspace rounds i * step with an error growing about like i * eps,
-        # which passes 1e-9 of the step near n = 1.1e6
+        # which passes 1e-9 of the step near n = 1.1e6; as a fraction of the
+        # period, each sample stays within 1 eps of i/n
         g = grid(Excitation(omega=1e3), 2 ** 23)
         assert g.count == 2 ** 23
+
+    @pytest.mark.parametrize("omega", [1e-3, 1.0, 1e3, 1e300])
+    @pytest.mark.parametrize("n", [64, 65, 257, 4095, 4096, 2 ** 16, 2 ** 20])
+    def test_accepts_every_grid_it_makes(self, n, omega):
+        g = grid(Excitation(omega=omega), n)
+        assert g.count == n and len(g) == n + 1
+        assert g.spacing == g.t_values[1] - g.t_values[0]
+
+    def test_count_is_read_off_the_times(self):
+        g = SampleGrid(t_values=np.linspace(0.0, 1.0, 101))
+        assert g.count == 100
+        with pytest.raises(AttributeError):
+            g.count = 64
+        with pytest.raises(TypeError):
+            SampleGrid(t_values=np.linspace(0.0, 1.0, 101), count=100)
+
+    @pytest.mark.parametrize("t, why", [
+        (np.linspace(0.0, 1.0, 64), r"at least 64 intervals, got shape \(64,\)"),
+        (np.linspace(0.0, 1.0, 65).reshape(5, 13), r"one-dimensional.*shape \(5, 13\)"),
+        (np.linspace(1.0, 2.0, 65), r"t\[0\] = 1.0 is off the grid"),
+        (np.linspace(0.0, -1.0, 65), r"t\[64\] = -1.0 is off the grid"),
+        (np.zeros(65), r"t\[64\] = 0.0 is off the grid"),
+    ])
+    def test_rejects_times_off_the_grid(self, t, why):
+        with pytest.raises(ConfigError, match=why):
+            SampleGrid(t_values=t)
+
+    def test_rejects_a_step_bounded_drift(self):
+        # every step lies within 3 n eps of the mean step, which a bound on
+        # the steps alone accepts; yet the steps drift samples up to 7.9e5 eps
+        # of the period off i*T/n, and odd_symmetry, which pairs sample i
+        # with sample n - i, then calls the cubic's depth-1 locus not odd
+        eps = np.finfo(float).eps
+        n = 2 ** 20
+        steps = 1.0 + 2.0 * n * eps * np.sign(np.arange(n) - n / 4 + 0.5)
+        assert np.max(np.abs(steps / steps.mean() - 1.0)) <= 3.03 * n * eps
+        t = np.append(0.0, np.cumsum(steps)) / steps.sum() * (2.0 * np.pi)
+        with pytest.raises(ConfigError, match="uniform.* is off the grid"):
+            SampleGrid(t_values=t)
 
     def test_rejects_subnormal_steps(self):
         with pytest.raises(ConfigError, match="uniform"):

@@ -5,6 +5,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from memelements import (
+    ConfigError,
+    DomainError,
     Excitation,
     NumericalError,
     ParametricLocus,
@@ -136,28 +138,25 @@ class TestValuednessPairs:
                     w_pair = w[_mirror(n, locus.depth)]
                 assert plane.max_pair_gap == float(np.max(np.abs(w - w_pair)))
 
-    def test_non_uniform_times_evaluate_every_pair(self, drive):
+    def test_a_locus_with_one_extra_sample_is_rejected(self, drive):
         # a caller's locus on times that are not the grid linspace makes has
-        # no mirrors
+        # no mirrors; it used to read every pair through point_at, and is
+        # now refused where it is built, naming the first sample off the grid
+        # i*T/257 its 258 times would stand for
         t = np.sort(np.append(np.linspace(0.0, drive.period, 257), 1.0 + 2.0 ** -20))
-        locus = ParametricLocus(t, np.sin(t), np.cos(t) + 0.1 * np.cos(3.0 * t), 0, ("u", "w"))
-        w_pair = point_at(locus, _pair_times(locus))[1]
-        assert valuedness(locus).max_gap == float(np.max(np.abs(locus.w_values - w_pair)))
+        with pytest.raises(DomainError, match=rf"t\[1\] = {float(t[1])!r} is off the grid"):
+            ParametricLocus(t, np.sin(t), np.cos(t) + 0.1 * np.cos(3.0 * t), 0, ("u", "w"))
 
-    def test_grid_uniform_only_to_its_bound_has_no_mirrors(self, cubic, drive):
-        # steps 0.9e-9 apart pass SampleGrid's uniformity check, yet they put
-        # a mirror sample 2.3e-10 T off its pair time: read by index, its gap
-        # (1e-8) would call this single-valued locus double-valued
+    def test_a_drifting_grid_is_rejected(self, drive):
+        # steps 0.9e-9 apart passed SampleGrid's old check on the steps, yet
+        # they put a mirror sample 2.3e-10 T off its pair time: read by
+        # index, its gap (1e-8) would call the cubic's single-valued depth-2
+        # locus double-valued; the grid is now refused
         n = 4096
         steps = 1.0 + 0.45e-9 * np.sign(np.arange(n) - n / 4 + 0.5)
         t = np.append(0.0, np.cumsum(steps)) / steps.sum() * drive.period
-        locus = analytic_locus(cubic, drive, 2, SampleGrid(t_values=t, count=n))
-        report = valuedness(locus)
-        assert report.kind is Valuedness.SINGLE
-        w_pair = point_at(locus, _pair_times(locus))[1]
-        assert report.max_gap == float(np.max(np.abs(locus.w_values - w_pair)))
-        w = locus.w_values
-        assert np.max(np.abs(w - w[_mirror(n, 2)])) > 1e-9 * np.max(np.abs(w))
+        with pytest.raises(ConfigError, match="uniform.* is off the grid"):
+            SampleGrid(t_values=t)
 
     def test_tied_gaps_rank_in_time_order(self):
         # w[i] - w[mirror i] is minus w[mirror i] - w[i], so every gap ties
@@ -204,6 +203,54 @@ class TestValuednessPairs:
         if abs(float(oracle.max()) - 1e-9 * scale) > GAP_BOUND * scale:
             oracle_kind = Valuedness.DOUBLE if oracle.max() > 1e-9 * scale else Valuedness.SINGLE
             assert report.kind is oracle_kind
+
+
+class TestGridContract:
+    """Every locus lies on the grid i*T/n, so mirrors and spacings are read by index."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        name=st.sampled_from(["cubic", "tanh", "loop"]),
+        depth=st.integers(0, 3),
+        n=st.sampled_from([64, 257, 4095, 4096]),
+        amplitude=st.floats(0.3, 1.0),
+        omega=st.floats(0.5, 3.0),
+    )
+    def test_a_caller_locus_reads_like_the_package_locus(self, name, depth, n, amplitude, omega):
+        # the same arrays and jet, checked on the way in, give the same
+        # reports bit for bit (repr round-trips every float and its sign)
+        cubic = PolynomialCurve(coefficients=(0.0, 1.0, 0.0, 1.0 / 3.0))
+        curve = {"cubic": cubic, "tanh": TanhScaledCurve(a=1.0, b=1.0),
+                 "loop": TwoBranchCurve(outgoing=cubic,
+                                        returning=PolynomialCurve((0.0, 4.0 / 3.0, 0.5)))}[name]
+        exc = Excitation(amplitude=amplitude, omega=omega)
+        made = analytic_locus(curve, exc, depth, grid(exc, n))
+        caller = ParametricLocus(made.t_values, made.u_values, made.w_values, depth, ("u", "w"),
+                                 jet=(curve, exc))
+        for analysis in (valuedness, odd_symmetry, origin_crossing):
+            assert repr(analysis(caller)) == repr(analysis(made))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2 ** 32 - 1),
+        n=st.sampled_from([64, 257, 1024, 4096]),
+        omega=st.floats(0.5, 3.0),
+    )
+    def test_samples_moved_within_the_contract_keep_the_cubic_geometry(self, seed, n, omega):
+        # each interior sample moved by up to 2 eps T stays on the grid
+        # (linspace's 1 eps plus 2), and the cubic's depth-1 and depth-2
+        # loci keep their valuedness and odd symmetry
+        cubic = PolynomialCurve(coefficients=(0.0, 1.0, 0.0, 1.0 / 3.0))
+        exc = Excitation(omega=omega)
+        made = grid(exc, n)
+        t = made.t_values.copy()
+        t[1:-1] += np.random.default_rng(seed).uniform(-2.0, 2.0, n - 1) * (
+            np.finfo(float).eps * t[-1])
+        moved = SampleGrid(t_values=t)
+        for depth in (1, 2):
+            want, got = (analytic_locus(cubic, exc, depth, g) for g in (made, moved))
+            assert valuedness(got).kind is valuedness(want).kind
+            assert odd_symmetry(got).odd_symmetric == odd_symmetry(want).odd_symmetric
 
 
 class TestOddSymmetry:

@@ -345,8 +345,34 @@ class TestCallerLocus:
     def test_rejects_non_increasing_t(self):
         t, u, w = self._arrays()
         t[10] = t[9]
-        with pytest.raises(DomainError, match="increase"):
+        with pytest.raises(DomainError, match=r"increase.*t\[10\] = .* is off the grid"):
             ParametricLocus(t, u, w, depth=1, axis_labels=("x", "y"))
+
+    @staticmethod
+    def _odd_single_locus(t):
+        # single-valued and odd on the grid i*T/n: u = sin t, w = sin t + 0.1 sin 3t
+        return ParametricLocus(t, np.sin(t), np.sin(t) + 0.1 * np.sin(3.0 * t), 1, ("u", "w"))
+
+    def test_an_odd_single_locus_on_the_grid(self):
+        locus = self._odd_single_locus(np.linspace(0.0, 2.0 * np.pi, 1025))
+        assert loci.valuedness(locus).kind is loci.Valuedness.SINGLE
+        assert loci.odd_symmetry(locus).odd_symmetric
+        assert loci.zero_tangent_points(locus) == ()
+
+    @pytest.mark.parametrize("times", ["one extra sample", "warped", "drifting"])
+    def test_rejects_the_same_locus_off_the_grid(self, times):
+        # the analyses pair samples by index and take one spacing, so on these
+        # times the locus above read double-valued (gaps 4.5e-7 and 7.4e-6),
+        # not odd (violations 8.0e-3 and 1.8e-9) or with zero tangents at
+        # pi/2 and 3 pi/2 before the grid contract refused them
+        n = 1024
+        s = np.linspace(0.0, 2.0 * np.pi, n + 1)
+        steps = 1.0 + 0.45e-9 * np.sign(np.arange(n) - n / 4 + 0.5)
+        t = {"one extra sample": np.sort(np.append(s, 1.0 + 2.0 ** -20)),
+             "warped": s + 0.05 * np.sin(s),
+             "drifting": np.append(0.0, np.cumsum(steps)) / steps.sum() * (2.0 * np.pi)}[times]
+        with pytest.raises(DomainError, match="uniform.* is off the grid"):
+            self._odd_single_locus(t)
 
     def test_holds_read_only_copies(self):
         t, u, w = self._arrays()
@@ -393,22 +419,25 @@ class TestNumericTransform:
         assert errs[1] < errs[0] / 12.0
 
     def test_accepts_every_grid_a_sample_grid_accepts(self):
-        # linspace's rounding passes 1e-9 of the step near n = 1.1e6; a grid
-        # SampleGrid takes must be uniform enough for the transform too
+        # a sample moved 1.5e-9 of a step at n = 2**21 stays within 3 eps of the
+        # period from i*T/n, inside the grid contract; SampleGrid and a caller
+        # locus take it alike, and the transform needs no check of its own
         n = 2 ** 21
         t = np.linspace(0.0, 2.0 * np.pi, n + 1)
         t[n // 2] += 1.5e-9 * (t[1] - t[0])
-        excitation.SampleGrid(t_values=t, count=n)
+        excitation.SampleGrid(t_values=t)
         numeric = numeric_transform(ParametricLocus(t, np.sin(t), np.cos(t), 0, ("x", "y")))
         assert numeric.depth == 1
 
     def test_rejects_a_grid_a_sample_grid_rejects(self):
+        # SampleGrid and a caller locus refuse the same grid, each with its
+        # own error, so no transform ever sees it
         t = np.linspace(0.0, 2.0 * np.pi, 4097)
         t[2048] += 1e-6 * (t[1] - t[0])
-        with pytest.raises(ConfigError, match="uniform"):
-            excitation.SampleGrid(t_values=t, count=4096)
-        with pytest.raises(NumericalError, match="uniform time grid"):
-            numeric_transform(ParametricLocus(t, np.sin(t), np.cos(t), 0, ("x", "y")))
+        with pytest.raises(ConfigError, match=r"uniform.*t\[2048\] = .* is off the grid"):
+            excitation.SampleGrid(t_values=t)
+        with pytest.raises(DomainError, match=r"uniform.*t\[2048\] = .* is off the grid"):
+            ParametricLocus(t, np.sin(t), np.cos(t), 0, ("x", "y"))
 
     def test_periodic_derivative_of_sin(self):
         t = np.linspace(0.0, 2.0 * np.pi, 4097)

@@ -57,7 +57,12 @@ Covered:
   * four argument lists argparse settles on its own (none, ``analyze``
     without its config, an unknown figure and ``--version``), first
     before every other CLI run and again after them all, with
-    ``COLUMNS`` fixed so that usage wrapping does not follow the terminal.
+    ``COLUMNS`` fixed so that usage wrapping does not follow the terminal;
+  * last, the grid contract: the error class and message for one odd,
+    single-valued locus on three times off the grid (one extra sample, a
+    smooth warp, a drift of 0.45e-9 per step), and ``float.hex`` of the
+    ``valuedness`` gap and ``odd_symmetry`` violation of a caller-built
+    copy, jet included, of the cubic's depth-2 locus on the default grid.
 
 An error that escapes ``cli.run`` is fingerprinted as the run's exit line.
 """
@@ -75,6 +80,8 @@ import shutil
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench"), str(ROOT / "tests")]
@@ -259,6 +266,24 @@ def off_grid_points(curves: dict, drives: dict) -> None:
             emit(tag, " ".join(map(float.hex, [*u.tolist(), *w.tolist(), *scalar])))
 
 
+def grid_contract() -> None:
+    """Caller loci off the grid i*T/n are refused; one on it reads like the package's."""
+    n = 1024
+    s = np.linspace(0.0, 2.0 * np.pi, n + 1)
+    steps = 1.0 + 0.45e-9 * np.sign(np.arange(n) - n / 4 + 0.5)
+    for tag, t in (("one-extra-sample", np.sort(np.append(s, 1.0 + 2.0 ** -20))),
+                   ("warped", s + 0.05 * np.sin(s)),
+                   ("drifting", np.append(0.0, np.cumsum(steps)) / steps.sum() * (2.0 * np.pi))):
+        emit(f"grid-contract/{tag}", outcome(memelements.ParametricLocus, t, np.sin(t),
+                                             np.sin(t) + 0.1 * np.sin(3.0 * t), 1, ("u", "w")))
+    cubic, exc = PolynomialCurve((0.0, 1.0, 0.0, 1.0 / 3.0)), Excitation()
+    made = memelements.analytic_locus(cubic, exc, 2, memelements.grid(exc, 4096))
+    copy = memelements.ParametricLocus(made.t_values, made.u_values, made.w_values, 2,
+                                       ("u", "w"), jet=(cubic, exc))
+    emit("grid-contract/caller-cubic-depth2", " ".join(map(float.hex, (
+        memelements.valuedness(copy).max_gap, memelements.odd_symmetry(copy).max_violation))))
+
+
 def run_cli(name: str, argv: list[str], outdir: str | None) -> None:
     """Fingerprint one in-process run; outdir, unless None, goes in as --output-dir."""
     if outdir is not None:
@@ -398,6 +423,7 @@ def main() -> None:
             commands()
         finally:
             os.chdir(here)
+    grid_contract()
 
 
 if __name__ == "__main__":
