@@ -40,7 +40,7 @@ import numpy as np
 from .constitutive import ConstitutiveCurve
 from .errors import CapabilityError, NumericalError
 from .excitation import Excitation, grid
-from .transform import ParametricLocus, _Jet, analytic_chain, jet_signals, periodic_derivative
+from .transform import ParametricLocus, _jet, analytic_chain, jet_signals, periodic_derivative
 
 __all__ = [
     "PointKind",
@@ -67,6 +67,8 @@ __all__ = [
 
 # scipy.optimize.bisect's defaults, which bisect below reproduces
 _BISECT_RTOL = 4.0 * np.finfo(float).eps
+# refine_chain's bisection xtol; roots of one signal within ten times it are one root
+_REFINE_XTOL = 1e-12
 _BISECT_MAXITER = 100
 # hook calls of the root predictor: after the endpoints' secant point and
 # one interpolation step, its third estimate predicts the bisection path
@@ -176,8 +178,8 @@ class PhaseReport:
 
 def _jet_rows(locus: ParametricLocus, t, depth: int):
     """The depth-d abscissa and ordinate of the locus's jet at times t."""
-    jet = _Jet(*locus.jet, t, depth, depth)
-    return jet.x[depth], jet.ordinate(depth)
+    x, y = _jet(*locus.jet, t, depth)
+    return x[depth], y[depth]
 
 
 def _has_rates(locus: ParametricLocus) -> bool:
@@ -363,7 +365,7 @@ def _interpolated(t: np.ndarray, vals: np.ndarray, rows: np.ndarray,
     return t[left] - a * (t[left + 1] - t[left]) / (b - a)
 
 
-def _signal_roots(t: np.ndarray, row: np.ndarray, crossings: np.ndarray, xtol: float,
+def _signal_roots(t: np.ndarray, row: np.ndarray, crossings: np.ndarray,
                   transversal_only: bool) -> list[float]:
     """A signal's roots: its refined bracket crossings plus one per run of exact zeros.
 
@@ -373,7 +375,7 @@ def _signal_roots(t: np.ndarray, row: np.ndarray, crossings: np.ndarray, xtol: f
     across a root, which drops tangential (double) zeros; the signal is
     treated as periodic when looking up the run's neighbours.
     """
-    tol = max(10.0 * xtol, 1e-12)
+    tol = 10.0 * _REFINE_XTOL
     zero = row == 0.0
     if not zero.any():
         return _dedupe(crossings.tolist(), tol)
@@ -445,7 +447,6 @@ def refine_chain(chain, top_rates: tuple[np.ndarray, np.ndarray] | None = None) 
     sample (_pair_ordinates).  All of it is stored on each locus, where
     origin_crossing, valuedness and rate_landmarks read it.
     """
-    xtol = 1e-12
     scans = []
     ends = {}  # (depth, is ordinate, a, b) -> the signal's samples at a and b
     for d, locus in enumerate(chain):
@@ -475,7 +476,7 @@ def refine_chain(chain, top_rates: tuple[np.ndarray, np.ndarray] | None = None) 
         fa, fb = zip(*ends.values())
         roots = dict(zip(ends, bisect(
             lambda x, live: jet_signals(*jet, x, depth[live], ordinate[live]),
-            a, b, fa, fb, xtol=xtol).tolist()))
+            a, b, fa, fb, xtol=_REFINE_XTOL).tolist()))
 
     planes = []
     for locus, rates, vals, rows, left, slots in scans:
@@ -485,7 +486,7 @@ def refine_chain(chain, top_rates: tuple[np.ndarray, np.ndarray] | None = None) 
             if key is not None:
                 crossings[j] = roots[key]
         abscissa, du, dw = (
-            _signal_roots(t, row, crossings[rows == r], xtol, transversal_only=r > 0)
+            _signal_roots(t, row, crossings[rows == r], transversal_only=r > 0)
             for r, row in enumerate(vals))
         spans = _spans(t, du + dw)
         peak_u, peak_du, peak_dw = np.abs(vals).max(1).tolist()

@@ -24,7 +24,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .constitutive import ConstitutiveCurve, IdealityReport, check_ideality
+from .constitutive import _RANGE_EPS, ConstitutiveCurve, IdealityReport, check_ideality
 from .errors import CapabilityError, ConsistencyError, DomainError
 from .excitation import DEFAULT_GRID_N, Excitation, grid
 from .loci import (
@@ -428,7 +428,7 @@ def _analyze_chain(
     lo, hi = curve.operating_range
     sw_lo, sw_hi = exc.sweep_range
     span = hi - lo
-    if sw_lo < lo - 1e-12 * span or sw_hi > hi + 1e-12 * span:
+    if sw_lo < lo - _RANGE_EPS * span or sw_hi > hi + _RANGE_EPS * span:
         raise DomainError(
             f"drive sweep [{sw_lo}, {sw_hi}] exceeds the curve operating "
             f"range [{lo}, {hi}]"

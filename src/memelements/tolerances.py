@@ -16,7 +16,8 @@ class ToleranceSet:
 
     pinch_tol       max |coordinate| for a point to count as the origin
     valuedness_tol  max ordinate gap between paired times on a single-valued locus
-    root_tol        residual bound for refined roots of derivative signals
+    root_tol        cusp gate of tangent landmarks: a du/dt or dw/dt root where the
+                    other rate is <= root_tol * max(1, its peak) is no tangent point
     slope_tol       slope threshold for monotonicity and kink detection
     nonlin_tol      secant deviation (relative to ordinate span) below which
                     a curve counts as affine

@@ -17,18 +17,19 @@ with the partial Bell polynomials built by the recursion
 
     B_{0,0} = 1,  B_{n,j} = sum_i C(n-1, i-1) x^(i) B_{n-i,j-1}.
 
-Every coordinate is read off a Taylor jet of the curve and drive at the
-times asked for: the drive levels x, x', ... from one cos and one sin,
-the curve derivatives after one range check, and the Bell rows from a
-plan cached per order.  Every operation is elementwise, so a value does
-not depend on the other times the jet is taken at, bit for bit; grid
-samples therefore stand in for any later jet evaluation at grid times.
-The loci of a chain are views of one jet on the grid (analytic_chain),
-which runs one level deeper to give the last plane's rates.  Off the
-grid, jet_signals evaluates any mix of depths and coordinates in one
-call, each ordinate depth on the elements that ask for it alone.  An
-analytic locus names its (curve, drive) pair as its jet, which
-loci.point_at reads at depth k for coordinates and the analyses at
+Every coordinate is read off one Taylor jet of the curve and drive at
+the times asked for (_jet): the drive levels x, x', ... from one cos and
+one sin, and the ordinate rows from the curve derivatives after one
+range check and the Bell rows from a plan cached per order.  Every
+operation is elementwise,
+so a value does not depend on the other times the jet is taken at, bit
+for bit; grid samples therefore stand in for any later jet evaluation at
+grid times.  The loci of a chain are views of one jet on the grid
+(analytic_chain), which runs one level deeper to give the last plane's
+rates.  Off the grid, jet_signals evaluates any mix of depths and
+coordinates in one call, the ordinate rows on its ordinate elements
+alone.  An analytic locus names its (curve, drive) pair as its jet,
+which loci.point_at reads at depth k for coordinates and the analyses at
 depth k + 1 for rates.  The depth a chain may reach is the curve's
 max_derivative_order.
 """
@@ -182,45 +183,31 @@ def _bell(x, n: int) -> list:
     return rows
 
 
-class _Jet:
-    """Taylor jet of f(x(t)) for one curve and drive at times t.
+def _jet(curve: ConstitutiveCurve, exc: Excitation, t, depth: int,
+         levels: np.ndarray | None = None) -> tuple[np.ndarray, list]:
+    """Taylor jet of f(x(t)) at times t: levels x^(d) and ordinate rows y^(d), d = 0..depth.
 
-    Holds the drive levels x, x', ..., x^(top), and, up to depth order,
-    the curve derivatives at x (one range check per single-valued curve)
-    and the partial Bell rows.  Every depth-k abscissa is a level and every depth-k
-    ordinate a Faa di Bruno sum over them, so all depths share one jet.
-    levels, when given, are the levels at t already.  Every operation is
-    elementwise, so a value does not depend on the other times in t.
+    levels, when given, are the levels at t already.  The rows are Faa di
+    Bruno sums over one set of Bell rows and one derivative stack per
+    single-valued curve; a two-branch curve follows the sweep (_branch_mask).
+    Every operation is elementwise, so a value does not depend on the other
+    times in t.
     """
+    t = np.asarray(t, dtype=float)
+    x = _levels(exc, t, depth) if levels is None else levels
+    bell = _bell(x, depth)
 
-    def __init__(self, curve: ConstitutiveCurve, exc: Excitation, t, top: int, order: int,
-                 levels: np.ndarray | None = None):
-        self.curve, self.exc, self.order = curve, exc, order
-        self.t = np.asarray(t, dtype=float)
-        self.x = _levels(exc, self.t, top) if levels is None else levels
-        self.bell = _bell(self.x, order)
-        self.f = {}
+    def rows(single: ConstitutiveCurve) -> list:
+        f = single._stack(x[0], depth)
+        # f B_{0,0} is f; each deeper sum starts at its j = k term, never at zero,
+        # so depths 1-2 round like f' x' and f'' x'^2 + f' x'', signed zeros included
+        return [f[0], *(sum((f[j] * bell[k][j] for j in range(k - 1, 0, -1)), f[k] * bell[k][k])
+                        for k in range(1, depth + 1))]
 
-    def ordinate(self, depth: int, part=..., curve: ConstitutiveCurve | None = None):
-        """d^k/dt^k f(x(t)) at the times in part, f the jet's curve unless given.
-
-        A two-branch curve follows the sweep, each branch's stack taken once.
-        """
-        curve = self.curve if curve is None else curve
-        if curve.is_two_branch:
-            return np.where(_branch_mask(self.exc, self.t[part]),
-                            self.ordinate(depth, part, curve.outgoing),
-                            self.ordinate(depth, part, curve.returning))
-        if id(curve) not in self.f:
-            self.f[id(curve)] = curve._stack(self.x[0], self.order)
-        f = self.f[id(curve)]
-        if depth == 0:
-            return f[0][part]  # f B_{0,0}, and a product by 1 changes no bit
-        # summed from the j = k term down and never from zero, so depths 1-2
-        # round exactly like f' x' and f'' x'^2 + f' x'', signed zeros included
-        bell = self.bell[depth]
-        terms = [f[j][part] * bell[j][part] for j in range(depth, 0, -1)]
-        return sum(terms[1:], terms[0])
+    if not curve.is_two_branch:
+        return x, rows(curve)
+    out = _branch_mask(exc, t)
+    return x, [np.where(out, a, b) for a, b in zip(rows(curve.outgoing), rows(curve.returning))]
 
 
 def chain_ordinate(curve: ConstitutiveCurve, exc: Excitation, t, depth: int):
@@ -234,7 +221,7 @@ def chain_ordinate(curve: ConstitutiveCurve, exc: Excitation, t, depth: int):
     depth = int(depth)
     if depth < 0:
         raise DomainError("depth must be non-negative")
-    out = _Jet(curve, exc, t, depth, depth).ordinate(depth)
+    out = _jet(curve, exc, t, depth)[1][depth]
     return float(out) if np.ndim(t) == 0 else out
 
 
@@ -242,22 +229,18 @@ def jet_signals(curve: ConstitutiveCurve, exc: Excitation, t: np.ndarray,
                 depth: np.ndarray, ordinate: np.ndarray) -> np.ndarray:
     """Per element e, x^(depth[e]) or, where ordinate[e], d^depth[e]/dt f(x(t)).
 
-    The levels run to the deepest element.  The curve derivatives and Bell
-    rows are taken on the ordinate elements alone, and each depth's Faa di
-    Bruno sum on the elements that ask for that depth.
+    The levels run to the deepest element, and the ordinate rows, on the
+    ordinate elements alone, to the deepest of those; so an abscissa may
+    lie deeper than the curve's max_derivative_order.
     """
     x = _levels(exc, t, int(depth.max(initial=0)))
     out = x[depth, np.arange(depth.size)]
     asks = np.flatnonzero(ordinate)
     if asks.size:
-        asks = asks[np.argsort(depth[asks], kind="stable")]  # grouped by depth
-        counts = np.bincount(depth[asks]).tolist()
-        jet = _Jet(curve, exc, t[asks], 0, len(counts) - 1, levels=x[:, asks])
-        lo = 0
-        for k, count in enumerate(counts):
-            if count:
-                out[asks[lo:lo + count]] = jet.ordinate(k, part=slice(lo, lo + count))
-                lo += count
+        k = depth[asks]
+        top = int(k.max())
+        y = _jet(curve, exc, t[asks], top, levels=x[:top + 1, asks])[1]
+        out[asks] = np.stack(y)[k, np.arange(asks.size)]
     return out
 
 
@@ -277,21 +260,24 @@ def _checked_depth(curve: ConstitutiveCurve, depth) -> int:
     return depth
 
 
-def _grid_ordinate(jet: _Jet, depth: int) -> np.ndarray:
-    """The depth-k ordinate row of a grid jet; NumericalError where it passes float range."""
+def _grid_jet(curve: ConstitutiveCurve, exc: Excitation, t: np.ndarray, top: int, depths):
+    """The rows (x^d, y^d) of the jet to depth top on grid t, for each d in depths.
+
+    Raises DomainError when t spans another period than the drive's, and
+    NumericalError where one of those rows passes float range.
+    """
+    if not abs(t[-1] - exc.period) <= 4.0 * np.finfo(float).eps * exc.period:
+        raise DomainError(f"the grid spans period {float(t[-1])!r}, "
+                          f"the drive's period is {exc.period!r}")
     # the drive levels are finite, but the Bell rows grow like (A w)^k; the jet
     # is built with overflow warnings off, so such a row shows here alone
-    row = jet.ordinate(depth)
-    if not np.isfinite(row).all():
-        raise NumericalError(f"depth {depth} ordinate is beyond float range: "
-                             f"amplitude {jet.exc.amplitude!r}, omega {jet.exc.omega!r}")
-    return row
-
-
-def _jet_locus(t: np.ndarray, jet: _Jet, depth: int) -> ParametricLocus:
-    """The depth-k locus whose samples are views of the grid jet's depth-k rows."""
-    return ParametricLocus._view(t, jet.x[depth], _grid_ordinate(jet, depth), depth,
-                                 (jet.curve, jet.exc))
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, y = _jet(curve, exc, t, top)
+    for d in depths:
+        if not np.isfinite(y[d]).all():
+            raise NumericalError(f"depth {d} ordinate is beyond float range: "
+                                 f"amplitude {exc.amplitude!r}, omega {exc.omega!r}")
+    return [(x[d], y[d]) for d in depths]
 
 
 def analytic_locus(
@@ -303,12 +289,13 @@ def analytic_locus(
     """Depth-k locus of the curve under the drive, from the closed-form chain rule.
 
     The locus's jet is (curve, exc), which gives its coordinates at depth k
-    and, where the curve has a derivative of order k + 1, its rates.
+    and, where the curve has a derivative of order k + 1, its rates.  A grid
+    must span the drive's period (_grid_jet).
     """
     depth = _checked_depth(curve, depth)
     t = (sample_grid if sample_grid is not None else grid(exc)).t_values
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _jet_locus(t, _Jet(curve, exc, t, depth, depth), depth)
+    [(u, w)] = _grid_jet(curve, exc, t, depth, [depth])
+    return ParametricLocus._view(t, u, w, depth, (curve, exc))
 
 
 def analytic_chain(
@@ -324,10 +311,9 @@ def analytic_chain(
     depth = _checked_depth(curve, depth)
     t = sample_grid.t_values
     top = min(depth + 1, curve.max_derivative_order)
-    with np.errstate(over="ignore", invalid="ignore"):
-        jet = _Jet(curve, exc, t, top, top)
-        chain = tuple(_jet_locus(t, jet, d) for d in range(depth + 1))
-        return chain, (jet.x[top], _grid_ordinate(jet, top)) if top > depth else None
+    rows = _grid_jet(curve, exc, t, top, range(top + 1))
+    chain = tuple(ParametricLocus._view(t, *rows[d], d, (curve, exc)) for d in range(depth + 1))
+    return chain, rows[top] if top > depth else None
 
 
 def periodic_derivative(values: np.ndarray, spacing: float) -> np.ndarray:

@@ -394,12 +394,11 @@ class TestPhaseShift:
 
     def test_reads_one_grid_jet_and_no_probe(self, tanh_curve, drive, monkeypatch):
         events = []
-        jet, bisect, signals = transform._Jet, loci.bisect, loci.jet_signals
+        jet, bisect, signals = transform._jet, loci.bisect, loci.jet_signals
 
-        class RecordingJet(jet):
-            def __init__(self, curve, exc, t, *args, **kwargs):
-                events.append(("jet", np.size(t)))
-                super().__init__(curve, exc, t, *args, **kwargs)
+        def recording_jet(curve, exc, t, *args, **kwargs):
+            events.append(("jet", np.size(t)))
+            return jet(curve, exc, t, *args, **kwargs)
 
         def recording_bisect(*args, **kwargs):
             roots = bisect(*args, **kwargs)
@@ -410,8 +409,8 @@ class TestPhaseShift:
             events.append(("signals", None))
             return signals(*args)
 
-        monkeypatch.setattr(transform, "_Jet", RecordingJet)
-        monkeypatch.setattr(loci, "_Jet", RecordingJet)
+        monkeypatch.setattr(transform, "_jet", recording_jet)
+        monkeypatch.setattr(loci, "_jet", recording_jet)
         monkeypatch.setattr(loci, "bisect", recording_bisect)
         monkeypatch.setattr(loci, "jet_signals", recording_signals)
         rpt = phase_shift(tanh_curve, drive)
@@ -782,7 +781,7 @@ def _chain_roots(t, vals, hook=None, transversal_only=False):
         crossings = loci.bisect(
             lambda x, live: np.asarray(hook(x))[rows[live], np.arange(x.size)],
             t[left], t[left + 1], vals[rows, left], vals[rows, left + 1])
-    return [loci._signal_roots(t, row, crossings[rows == r], 1e-12, transversal_only)
+    return [loci._signal_roots(t, row, crossings[rows == r], transversal_only)
             for r, row in enumerate(vals)]
 
 

@@ -458,17 +458,18 @@ class TestChainAnalysedOnce:
         # jets and 6 calls when the bisection evaluated its endpoints again;
         # 6 when one jet gave the pairs no grid time held)
         sizes, calls = [], []
-        init, signals = transform._Jet.__init__, loci.jet_signals
+        jet, signals = transform._jet, loci.jet_signals
 
-        def counting(self, curve, exc, t, *args, **kwargs):
+        def counting(curve, exc, t, *args, **kwargs):
             sizes.append(np.size(t))
-            init(self, curve, exc, t, *args, **kwargs)
+            return jet(curve, exc, t, *args, **kwargs)
 
         def counting_signals(*args, **kwargs):
             calls.append(1)
             return signals(*args, **kwargs)
 
-        monkeypatch.setattr(transform._Jet, "__init__", counting)
+        monkeypatch.setattr(transform, "_jet", counting)
+        monkeypatch.setattr(loci, "_jet", counting)
         monkeypatch.setattr(loci, "jet_signals", counting_signals)
         rpt = classify((-2, -2), cubic)
         assert sizes.count(rpt.grid_n + 1) == 1

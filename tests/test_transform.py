@@ -182,12 +182,13 @@ class TestJet:
         exc = SYMBOLIC["outgoing"][3]
         t = np.concatenate(([0.0, 0.5 * exc.period, exc.period],
                             np.linspace(0.0, exc.period, 65)))
-        jet = transform._Jet(curve, exc, t, DEEP, DEEP)
         stacks = []
         stack = PolynomialCurve._stack
         monkeypatch.setattr(PolynomialCurve, "_stack",
                             lambda self, *args: stacks.append(self) or stack(self, *args))
-        rows = [jet.ordinate(depth) for depth in range(DEEP + 1)]
+        x, rows = transform._jet(curve, exc, t, DEEP)
+        monkeypatch.undo()
+        assert len(x) == len(rows) == DEEP + 1
         singles = [LOOP.outgoing, LOOP.returning] if branch is None else [curve]
         assert len(stacks) == len(singles)
         assert all(got is want for got, want in zip(stacks, singles))
@@ -214,6 +215,9 @@ class TestJet:
         t = np.concatenate(([0.0, 0.5 * exc.period], rng.uniform(0.0, exc.period, 62)))
         depth = rng.integers(0, DEEP + 1, t.size)
         ordinate = rng.random(t.size) < 0.5
+        # an abscissa deeper than the curve's derivatives is still a drive level
+        t, depth = np.append(t, exc.period), np.append(depth, curve.max_derivative_order + 1)
+        ordinate = np.append(ordinate, False)
         got = transform.jet_signals(curve, exc, t, depth, ordinate)
         want = [chain_ordinate(curve, exc, s, d) if o else excite(exc, s, d)
                 for s, d, o in zip(t, depth, ordinate)]
@@ -236,21 +240,21 @@ class TestBatchIndependence:
     def test_one_point_a_shuffled_subset_and_the_grid_agree(self, name):
         curve, exc = self.CASES[name]
         t = grid(exc, 4096).t_values
-        full = transform._Jet(curve, exc, t, 4, 4)
+        full = transform._jet(curve, exc, t, 4)
         subset = np.random.default_rng(11).permutation(t.size)[:101]
-        part = transform._Jet(curve, exc, t[subset], 4, 4)
+        part = transform._jet(curve, exc, t[subset], 4)
         rng = np.random.default_rng(12)
         depth, ordinate = rng.integers(0, 5, subset.size), rng.random(subset.size) < 0.5
         mixed = transform.jet_signals(curve, exc, t[subset], depth, ordinate)
-        rows = {d: (full.x[d], full.ordinate(d)) for d in range(5)}
+        rows = {d: (full[0][d], full[1][d]) for d in range(5)}
         assert _same_bits(mixed, [rows[d][int(o)][i] for i, d, o in zip(subset, depth, ordinate)])
         for d, (u, w) in rows.items():
-            assert _same_bits(part.x[d], u[subset])
-            assert _same_bits(part.ordinate(d), w[subset])
+            assert _same_bits(part[0][d], u[subset])
+            assert _same_bits(part[1][d], w[subset])
             for i in subset[:8]:
-                alone = transform._Jet(curve, exc, t[i], d, d)
-                assert _same_bits(alone.x[d], u[i])
-                assert _same_bits(alone.ordinate(d), w[i])
+                alone = transform._jet(curve, exc, t[i], d)
+                assert _same_bits(alone[0][d], u[i])
+                assert _same_bits(alone[1][d], w[i])
 
 
 class TestAnalyticLocus:
@@ -313,6 +317,20 @@ class TestAnalyticLocus:
             want = (excite(exc, float(t[0]), depth), chain_ordinate(curve, exc, float(t[0]), depth))
             assert all(type(v) is float for v in got)
             assert _same_bits(got, want)
+
+    def test_grid_of_another_period_is_refused(self, cubic):
+        # a grid over half the drive's period would give half of the locus, which
+        # is not odd where the whole one is; the bound is the grid contract's 4 eps
+        exc, eps = Excitation(), np.finfo(float).eps
+        near, far = (grid(Excitation(omega=1.0 + k * eps), 4096) for k in (2, 16))
+        for other in (grid(Excitation(omega=2.0), 4096), far):
+            periods = f"{float(other.t_values[-1])!r}.*{exc.period!r}"
+            for build in (analytic_locus, transform.analytic_chain):
+                with pytest.raises(DomainError, match=periods):
+                    build(cubic, exc, 1, other)
+        locus = analytic_locus(cubic, exc, 1, near)
+        assert loci.odd_symmetry(locus).odd_symmetric
+        assert transform.analytic_chain(cubic, exc, 1, near)[0][1].t_values is near.t_values
 
     def test_deep_locus_is_closed_form(self):
         curve, _, _, exc = SYMBOLIC["tanh"]

@@ -62,7 +62,11 @@ Covered:
     single-valued locus on three times off the grid (one extra sample, a
     smooth warp, a drift of 0.45e-9 per step), and ``float.hex`` of the
     ``valuedness`` gap and ``odd_symmetry`` violation of a caller-built
-    copy, jet included, of the cubic's depth-2 locus on the default grid.
+    copy, jet included, of the cubic's depth-2 locus on the default grid;
+  * then ``float.hex`` of ``transform.jet_signals`` on one seeded batch per
+    curve (t = 0, T/2, T and 29 random times, each at a random depth from
+    0 to the curve's order and a random coordinate), and the error line of
+    an ``analytic_locus`` on a grid over another drive's period.
 
 An error that escapes ``cli.run`` is fingerprinted as the run's exit line.
 """
@@ -284,6 +288,25 @@ def grid_contract() -> None:
         memelements.valuedness(copy).max_gap, memelements.odd_symmetry(copy).max_violation))))
 
 
+def jet_batches() -> None:
+    """Mixed-depth jet_signals batches of the seven curves, and a grid of another period."""
+    rng = np.random.default_rng(23)
+    for name, spec in SPECS.items():
+        curve, exc = cli.curve_from_spec(spec), cli.excitation_from_spec(DRIVES.get(name))
+        t = np.append([0.0, 0.5 * exc.period, exc.period], rng.uniform(0.0, exc.period, 29))
+        depth = rng.integers(0, curve.max_derivative_order + 1, t.size)
+        ordinate = rng.random(t.size) < 0.5
+        try:
+            values = memelements.transform.jet_signals(curve, exc, t, depth, ordinate).tolist()
+        except Exception as err:
+            emit(f"jet_signals/{name}", f"{type(err).__name__}: {err}")
+            continue
+        emit(f"jet_signals/{name}", " ".join(map(float.hex, values)))
+    emit("jet/another-period", outcome(
+        memelements.analytic_locus, PolynomialCurve((0.0, 1.0, 0.0, 1.0 / 3.0)), Excitation(), 1,
+        memelements.grid(Excitation(omega=2.0), 4096)))
+
+
 def run_cli(name: str, argv: list[str], outdir: str | None) -> None:
     """Fingerprint one in-process run; outdir, unless None, goes in as --output-dir."""
     if outdir is not None:
@@ -424,6 +447,7 @@ def main() -> None:
         finally:
             os.chdir(here)
     grid_contract()
+    jet_batches()
 
 
 if __name__ == "__main__":
