@@ -82,9 +82,10 @@ class ConstitutiveCurve(abc.ABC):
     def _check_range(self, x: np.ndarray) -> None:
         lo, hi = self.operating_range
         eps = _RANGE_EPS * (hi - lo)
-        bad = (x < lo - eps) | (x > hi + eps)
-        if bad.any():
-            worst = float(np.asarray(x)[bad].flat[0])
+        # min and max are NaN where x holds a NaN, which then fails the test too
+        if not (np.minimum.reduce(x, axis=None, initial=np.inf) >= lo - eps
+                and np.maximum.reduce(x, axis=None, initial=-np.inf) <= hi + eps):
+            worst = float(x[~((x >= lo - eps) & (x <= hi + eps))].flat[0])
             raise DomainError(
                 f"abscissa {worst!r} outside operating range [{lo}, {hi}]"
             )
@@ -93,7 +94,11 @@ class ConstitutiveCurve(abc.ABC):
 
     @abc.abstractmethod
     def _derivatives(self, x: np.ndarray, order: int) -> np.ndarray:
-        """Rows f, f', ..., f^(order) for in-range abscissae (single branch)."""
+        """Rows f, f', ..., f^(order) for in-range abscissae (single branch).
+
+        The rows are one fresh block, which the Taylor jet in transform
+        overwrites with its ordinates.
+        """
 
     # -- public evaluation --------------------------------------------
 
@@ -195,10 +200,25 @@ class PolynomialCurve(ConstitutiveCurve):
         # one Horner pass over every column; the zero padding only prefixes
         # +0.0, so each row equals npoly.polyval of its own coefficients
         stack = self._derivative_stack
-        rows = npoly.polyval(x, stack[:, : order + 1])
-        if order < stack.shape[1]:
-            return rows
-        return np.concatenate((rows, np.zeros((order + 1 - stack.shape[1],) + x.shape)))
+        out = np.empty((order + 1,) + x.shape)
+        _horner(x, stack[:, : order + 1], out[: stack.shape[1]])
+        out[stack.shape[1]:] = 0.0
+        return out
+
+
+def _horner(x: np.ndarray, c: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[k] = npoly.polyval(x, c[:, k]) for each column k of c, computed in out.
+
+    polyval's float operations in polyval's order, c[-1] + x*0 and then
+    c[-i] + c0*x, so every value equals polyval's bit for bit.
+    """
+    col = (slice(None),) + (None,) * x.ndim
+    np.multiply(x, 0, out=out)
+    out += c[-1][col]
+    for coeffs in c[-2::-1]:
+        out *= x
+        out += coeffs[col]
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -226,12 +246,13 @@ def _tanh_stack(order: int) -> np.ndarray:
 
 
 def _tanh_derivatives(value, t, scales: list[float]) -> np.ndarray:
-    """Rows value, scales[k - 1] * P_k(t) for k = 1..len(scales), P_k in one Horner pass."""
-    if not scales:
-        return np.asarray(value)[None]
-    rows = npoly.polyval(t, _tanh_stack(len(scales)))
-    scale = np.reshape(scales, (-1,) + (1,) * np.ndim(t))
-    return np.concatenate((np.asarray(value)[None], scale * rows))
+    """Rows value, scales[k - 1] * P_k(t) for k = 1..len(scales) in one block, P_k by _horner."""
+    out = np.empty((len(scales) + 1,) + np.shape(t))
+    out[0] = value
+    if scales:
+        _horner(t, _tanh_stack(len(scales)), out[1:])
+        out[1:] *= np.reshape(scales, (-1,) + (1,) * np.ndim(t))
+    return out
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,9 @@
 The default drive is x(t) = 1 - cos(t) for t >= 0 and 0 before that: it
 starts from rest at the origin, sweeps the abscissa over [0, 2A], and
 returns.  Derivatives of any order stay closed form because the stack
-cycles through sin, cos, -sin, -cos.
+cycles through sin, cos, -sin, -cos.  The levels of a Taylor jet are
+written into one block (_levels), row by row, with the same float
+operations in the same order as one multiple of cos or sin per level.
 """
 
 from __future__ import annotations
@@ -52,27 +54,49 @@ class Excitation:
 
 
 def _levels(exc: Excitation, ta: np.ndarray, top: int) -> np.ndarray:
-    """Drive levels 0..top at times ta, stacked: row i is excite(exc, ta, i).
+    """Drive levels 0..top at times ta, one block of shape (top + 1,) + ta.shape.
 
-    cos and sin of the phase are computed once; level i > 0 is the signed
-    multiple +-A w^i of one of them, walking the stack sin, cos, -sin, -cos.
-    Raises NumericalError when A w^i is beyond float range.
+    Row i is excite(exc, ta, i).  cos and sin of the phase are computed
+    once, into rows 0 and 1; level i > 0 is the signed multiple +-A w^i of
+    one of them, walking the stack sin, cos, -sin, -cos, and the rows are
+    written deepest first, so that rows 1 and 0 turn from sin and cos into
+    their levels last.  Rows are zeroed where ta < 0 only.  Raises
+    NumericalError when A w^i is beyond float range.
     """
-    theta = exc.omega * ta
-    c = np.cos(theta)
-    rows = [exc.offset - exc.amplitude * c]
+    scales = []
+    for i in range(1, top + 1):
+        try:
+            scale = exc.amplitude * exc.omega ** i
+        except OverflowError:
+            scale = np.inf
+        if scale == np.inf:
+            raise NumericalError(f"drive level {i} is beyond float range: "
+                                 f"amplitude {exc.amplitude!r}, omega {exc.omega!r}")
+        scales.append(-scale if i % 4 in (0, 3) else scale)
+    flat = ta.reshape(-1)
+    out = np.empty((top + 1, flat.size))
+    c = out[0]
     if top:
-        s = np.sin(theta)
-        for i in range(1, top + 1):
-            try:
-                scale = exc.amplitude * exc.omega ** i
-            except OverflowError:
-                scale = np.inf
-            if scale == np.inf:
-                raise NumericalError(f"drive level {i} is beyond float range: "
-                                     f"amplitude {exc.amplitude!r}, omega {exc.omega!r}")
-            rows.append((-scale if i % 4 in (0, 3) else scale) * (s if i % 2 else c))
-    return np.where(ta < 0.0, 0.0, rows)
+        s = np.multiply(exc.omega, flat, out=out[1])
+        np.cos(s, out=c)
+        np.sin(s, out=s)
+        for i in range(top, 0, -1):
+            np.multiply(scales[i - 1], s if i % 2 else c, out=out[i])
+    else:
+        np.cos(exc.omega * flat, out=c)
+    np.subtract(exc.offset, np.multiply(exc.amplitude, c, out=c), out=c)
+    if np.fmin.reduce(flat, initial=0.0) < 0.0:
+        out[:, flat < 0.0] = 0.0
+    return out.reshape((top + 1,) + ta.shape)
+
+
+def _finite_times(t) -> np.ndarray:
+    """t as a float array, else DomainError naming its first time that is not finite."""
+    ta = np.asarray(t, dtype=float)
+    finite = np.isfinite(ta)
+    if not finite.all():
+        raise DomainError(f"times must be finite, got {float(ta[~finite].flat[0])!r}")
+    return ta
 
 
 def excite(exc: Excitation, t, level: int = 0):
@@ -80,12 +104,13 @@ def excite(exc: Excitation, t, level: int = 0):
 
     level = 0 is the drive itself; positive levels walk the derivative
     stack sin, cos, -sin, -cos exactly, with amplitude * omega**level
-    scaling.  Scalar in, scalar out; array in, array out.
+    scaling.  Scalar in, scalar out; array in, array out.  Raises
+    DomainError for a time that is not finite.
     """
     level = int(level)
     if level < 0:
         raise DomainError("derivative level must be non-negative")
-    out = _levels(exc, np.asarray(t, dtype=float), level)[level]
+    out = _levels(exc, _finite_times(t), level)[level]
     return float(out) if np.ndim(t) == 0 else out
 
 

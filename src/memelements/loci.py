@@ -34,12 +34,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
 from .constitutive import ConstitutiveCurve
 from .errors import CapabilityError, NumericalError
-from .excitation import Excitation, grid
+from .excitation import Excitation, _finite_times, grid
 from .transform import ParametricLocus, _jet, analytic_chain, jet_signals, periodic_derivative
 
 __all__ = [
@@ -188,7 +189,11 @@ def _has_rates(locus: ParametricLocus) -> bool:
 
 
 def point_at(locus: ParametricLocus, t):
-    """Locus coordinates at arbitrary time: exact off its jet, else interpolated."""
+    """Locus coordinates at arbitrary time: exact off its jet, else interpolated.
+
+    Raises DomainError for a time that is not finite.
+    """
+    _finite_times(t)
     if locus.jet is not None:
         u, w = _jet_rows(locus, t, locus.depth)
     else:
@@ -257,12 +262,18 @@ def _path(a, dm, guess, xtol):
     first stop, else all _BISECT_MAXITER.  The float operations are
     scipy's (dm *= .5, xm = a + dm), so these are the points it visits.
     """
-    halves = np.full((_BISECT_MAXITER, dm.size), 0.5)
-    half = np.multiply.accumulate(np.vstack((dm, halves)))[1:]
-    # |dm| < xtol stops a bracket whatever xm is, so no path runs longer
-    steps = min(_BISECT_MAXITER, int((np.abs(half) >= xtol).sum(0).max()) + 1)
-    half = half[:steps]
-    xm, start = np.empty_like(half), np.empty_like(half)
+    # |dm| < xtol stops a bracket whatever xm is, so no path runs longer than
+    # the widest bracket's, halved the same way (halving keeps the order)
+    width, steps = float(np.fmax.reduce(np.abs(dm))), 1
+    while steps < _BISECT_MAXITER:
+        width *= 0.5
+        if not width >= xtol:
+            break
+        steps += 1
+    half = np.full((steps + 1, dm.size), 0.5)
+    half[0] = dm
+    half = np.multiply.accumulate(half)[1:]
+    xm, start = np.empty((2, steps, dm.size))
     up = dm > 0.0
     for k in range(steps):
         x = np.add(a, half[k], out=xm[k])
@@ -388,19 +399,28 @@ def _signal_roots(t: np.ndarray, row: np.ndarray, crossings: np.ndarray,
         # sample alone stays listed at both t[0] and t[-1]
         first, last = first[1:], np.append(last[1:-1], last[0] + n - 1)
     if transversal_only:
-        # the last sample duplicates the first, one period later
+        # the last sample duplicates the first, one period later; runs are
+        # maximal, so the samples either side of a run are its neighbours,
+        # and only a run at the seam walks round the period to find them
         core = row[:-1]
-        nz = np.flatnonzero(core)
-        if nz.size:
-            before = nz[np.searchsorted(nz, first % core.size) - 1]
-            after = nz[np.searchsorted(nz, last % core.size, side="right") % nz.size]
+        if first[0] == 0 and last[0] >= n - 2:
+            first = last = first[:0]  # the core is all zeros
+        else:
+            before = [_nonzero_from(core, i - 1, -1) for i in first.tolist()]
+            after = [_nonzero_from(core, i + 1, 1) for i in last.tolist()]
             keep = np.sign(core[before]) * np.sign(core[after]) < 0.0
             first, last = first[keep], last[keep]
-        else:
-            first = last = first[:0]
     mid = (first + last) // 2
     mid = np.where(last < n, mid, mid % (n - 1))
     return _dedupe(crossings.tolist() + t[mid].tolist(), tol)
+
+
+def _nonzero_from(core: np.ndarray, i: int, step: int) -> int:
+    """The first index from i, stepping by step round the period, where core is not zero."""
+    i %= core.size
+    while core[i] == 0.0:
+        i = (i + step) % core.size
+    return i
 
 
 @dataclass(frozen=True)
@@ -458,6 +478,8 @@ def refine_chain(chain, top_rates: tuple[np.ndarray, np.ndarray] | None = None) 
         else:
             rates = _derivative_arrays(locus)
         t = locus.t_values
+        # the stack is scanned and dropped: what the roots need of it is read
+        # here, and each plane holds its signals' own arrays
         vals = np.stack((locus.u_values, *rates))
         rows, left = _scan(vals)
         # rows 0, 1, 2 are the abscissa at depth k and the abscissa and
@@ -468,7 +490,12 @@ def refine_chain(chain, top_rates: tuple[np.ndarray, np.ndarray] | None = None) 
         for key, fa, fb in zip(slots, vals[rows, left].tolist(), vals[rows, left + 1].tolist()):
             if key is not None:
                 ends.setdefault(key, (fa, fb))
-        scans.append((locus, rates, vals, rows, left, slots))
+        # max |v| without an |v| temporary: negation and abs are exact
+        peak_u, peak_du, peak_dw = np.maximum(vals.max(1), -vals.min(1)).tolist()
+        w = locus.w_values
+        peak = (peak_u, float(np.maximum(w.max(), -w.min())), peak_du, peak_dw)
+        scans.append((locus, rates, rows, _interpolated(t, vals, rows, left), slots, peak))
+        del vals
 
     jet = next((locus.jet for locus in chain if locus.jet is not None), None)
     if ends:
@@ -479,18 +506,15 @@ def refine_chain(chain, top_rates: tuple[np.ndarray, np.ndarray] | None = None) 
             a, b, fa, fb, xtol=_REFINE_XTOL).tolist()))
 
     planes = []
-    for locus, rates, vals, rows, left, slots in scans:
+    for locus, rates, rows, crossings, slots, peak in scans:
         t = locus.t_values
-        crossings = _interpolated(t, vals, rows, left)
         for j, key in enumerate(slots):
             if key is not None:
                 crossings[j] = roots[key]
         abscissa, du, dw = (
             _signal_roots(t, row, crossings[rows == r], transversal_only=r > 0)
-            for r, row in enumerate(vals))
+            for r, row in enumerate((locus.u_values, *rates)))
         spans = _spans(t, du + dw)
-        peak_u, peak_du, peak_dw = np.abs(vals).max(1).tolist()
-        peak = (peak_u, float(np.abs(locus.w_values).max()), peak_du, peak_dw)
         times = np.array(abscissa + du + dw + [0.5 * (a + b) for a, b in spans])
         planes.append((abscissa, du, dw, spans, peak, times))
 
@@ -547,12 +571,20 @@ def _pair_ordinates(chain) -> list[tuple[np.ndarray, np.ndarray]]:
             out.append((t_pair, point_at(locus, t_pair)[1]))
             continue
         if odd not in mirrors:
-            h = n // 2 * odd  # (h - i) mod n for i = 0..n: h down to 0, then n - 1 to h
-            j = np.concatenate((np.arange(h, -1, -1), np.arange(n - 1, h - 1, -1)))
+            j = _mirror(n, odd)
             mirrors[odd] = (j, locus.t_values[j])
         j, t_pair = mirrors[odd]
         out.append((t_pair, locus.w_values[j]))
     return out
+
+
+@lru_cache(maxsize=4)
+def _mirror(n: int, odd: int) -> np.ndarray:
+    """Each sample's mirror index on n intervals: (h - i) mod n for i = 0..n, h = n/2 if odd."""
+    h = n // 2 * odd  # h down to 0, then n - 1 down to h
+    j = np.concatenate((np.arange(h, -1, -1), np.arange(n - 1, h - 1, -1)))
+    j.flags.writeable = False  # shared by every caller through the cache
+    return j
 
 
 def _plane_roots(locus: ParametricLocus) -> _PlaneRoots:
@@ -643,12 +675,15 @@ def valuedness(locus: ParametricLocus, tol: float = 1e-9) -> ValuednessReport:
     # the largest gap left, T/64 clear of the witnesses before it, is the
     # next; argmax takes the first of equal gaps, so ties rank in time order
     rest = np.where(gap > bar, gap, -np.inf)
+    reach = (len(t) - 1) // 64 + 2
     witnesses: list[ValuednessWitness] = []
     while len(witnesses) < 4 and rest.max() > -np.inf:
         i = int(np.argmax(rest))
         witnesses.append(ValuednessWitness(
             *map(float, (t[i], plane.t_pair[i], w[i], plane.w_pair[i]))))
-        rest[np.abs(t - t[i]) < locus.period / 64.0] = -np.inf
+        # on the grid contract no sample T/64 away lies beyond n/64 + 2 samples
+        near = slice(max(i - reach, 0), i + reach + 1)
+        rest[near][np.abs(t[near] - t[i]) < locus.period / 64.0] = -np.inf
     return ValuednessReport(Valuedness.DOUBLE, max_gap, tuple(witnesses))
 
 
@@ -659,7 +694,10 @@ def odd_symmetry(locus: ParametricLocus, tol: float = 1e-9) -> SymmetryReport:
     viol_u = float(np.max(np.abs(u + u[::-1])))
     viol_w = float(np.max(np.abs(w + w[::-1])))
     violation = max(viol_u, viol_w)
-    scale = max(1.0, float(np.max(np.abs(u))), float(np.max(np.abs(w))))
+    # max |u| and max |w|: the peaks refine_chain stored, else two reductions
+    plane = vars(locus).get("_roots")
+    peaks = plane.peak[:2] if plane is not None else (np.abs(u).max(), np.abs(w).max())
+    scale = max(1.0, *map(float, peaks))
     return SymmetryReport(odd_symmetric=violation <= tol * scale,
                           max_violation=violation)
 

@@ -18,20 +18,24 @@ with the partial Bell polynomials built by the recursion
     B_{0,0} = 1,  B_{n,j} = sum_i C(n-1, i-1) x^(i) B_{n-i,j-1}.
 
 Every coordinate is read off one Taylor jet of the curve and drive at
-the times asked for (_jet): the drive levels x, x', ... from one cos and
-one sin, and the ordinate rows from the curve derivatives after one
-range check and the Bell rows from a plan cached per order.  Every
-operation is elementwise,
-so a value does not depend on the other times the jet is taken at, bit
-for bit; grid samples therefore stand in for any later jet evaluation at
-grid times.  The loci of a chain are views of one jet on the grid
-(analytic_chain), which runs one level deeper to give the last plane's
-rates.  Off the grid, jet_signals evaluates any mix of depths and
-coordinates in one call, the ordinate rows on its ordinate elements
-alone.  An analytic locus names its (curve, drive) pair as its jet,
-which loci.point_at reads at depth k for coordinates and the analyses at
-depth k + 1 for rates.  The depth a chain may reach is the curve's
-max_derivative_order.
+the times asked for (_jet): a block of drive levels x, x', ... from one
+cos and one sin, and a block of ordinate rows from the curve derivatives
+after one range check and the Bell rows from a plan cached per order.
+The kernel writes into those blocks: each Bell and Faa di Bruno sum is
+accumulated in place, the ordinates over the derivative block itself,
+and no buffer outlives the call.  Its rule is the same float operations
+in the same order as a kernel that builds lists of rows, nothing
+reordered or fused, so the values are that kernel's bit for bit.  Every
+operation is elementwise, so a value does not depend on the other times
+the jet is taken at, bit for bit; grid samples therefore stand in for
+any later jet evaluation at grid times.  The loci of a chain are views
+of one jet on the grid (analytic_chain), which runs one level deeper to
+give the last plane's rates.  Off the grid, jet_signals evaluates any
+mix of depths and coordinates in one call, the ordinate rows on its
+ordinate elements alone.  An analytic locus names its (curve, drive)
+pair as its jet, which loci.point_at reads at depth k for coordinates
+and the analyses at depth k + 1 for rates.  The depth a chain may reach
+is the curve's max_derivative_order.
 """
 
 from __future__ import annotations
@@ -44,7 +48,8 @@ import numpy as np
 
 from .constitutive import ConstitutiveCurve
 from .errors import CapabilityError, DomainError, NumericalError
-from .excitation import _MIN_GRID_N, Excitation, SampleGrid, _levels, _check_grid, grid
+from .excitation import (_MIN_GRID_N, Excitation, SampleGrid, _check_grid, _finite_times, _levels,
+                         grid)
 
 __all__ = [
     "ParametricLocus",
@@ -166,48 +171,60 @@ def _bell_plan(n: int) -> tuple[tuple[int | None, ...], ...]:
                        for i in range(1, m)) for m in range(1, n + 1))
 
 
-def _bell(x, n: int) -> list:
+def _bell(x: np.ndarray, n: int) -> list:
     """Rows 0..n of the partial Bell polynomials in x[1], x[2], ...: rows[m][j] is B_{m,j}.
 
     B_{m,0} is 1 at m = 0 and zero otherwise; the zero is held as None so
-    that no sum ever adds it.
+    that no sum ever adds it.  Each sum starts at its first term and adds
+    the others in place, in the recursion's order.
     """
     rows = [[1.0]]
+    term = np.empty_like(x[0]) if n > 2 else None
     for m, multipliers in enumerate(_bell_plan(n), start=1):
         scaled = [x[i] if c is None else c * x[i] for i, c in enumerate(multipliers, start=1)]
         row = [None, x[m]]
         for j in range(2, m + 1):
-            terms = [scaled[i - 1] * rows[m - i][j - 1] for i in range(1, m - j + 2)]
-            row.append(sum(terms[1:], terms[0]))
+            acc = scaled[0] * rows[m - 1][j - 1]
+            for i in range(2, m - j + 2):
+                acc += np.multiply(scaled[i - 1], rows[m - i][j - 1], out=term)
+            row.append(acc)
         rows.append(row)
     return rows
 
 
 def _jet(curve: ConstitutiveCurve, exc: Excitation, t, depth: int,
-         levels: np.ndarray | None = None) -> tuple[np.ndarray, list]:
-    """Taylor jet of f(x(t)) at times t: levels x^(d) and ordinate rows y^(d), d = 0..depth.
+         levels: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Taylor jet of f(x(t)) at times t: blocks of levels x^(d) and ordinates y^(d), d = 0..depth.
 
-    levels, when given, are the levels at t already.  The rows are Faa di
-    Bruno sums over one set of Bell rows and one derivative stack per
-    single-valued curve; a two-branch curve follows the sweep (_branch_mask).
-    Every operation is elementwise, so a value does not depend on the other
-    times in t.
+    levels, when given, are the levels at one-dimensional t already.  The
+    ordinate rows are Faa di Bruno sums over one set of Bell rows, each
+    accumulated in place in the derivative block of a single-valued curve;
+    a two-branch curve follows the sweep (_branch_mask).  Every operation
+    is elementwise, so a value does not depend on the other times in t.
     """
     t = np.asarray(t, dtype=float)
-    x = _levels(exc, t, depth) if levels is None else levels
+    flat = t.reshape(-1)
+    x = _levels(exc, flat, depth) if levels is None else levels
     bell = _bell(x, depth)
+    term = np.empty_like(flat) if depth > 1 else None
 
-    def rows(single: ConstitutiveCurve) -> list:
+    def rows(single: ConstitutiveCurve) -> np.ndarray:
+        # each row k is written over f^(k) once no shallower row needs it; it
+        # starts at its j = k term, never at zero, so depths 1-2 round like
+        # f' x' and f'' x'^2 + f' x'', signed zeros included
         f = single._stack(x[0], depth)
-        # f B_{0,0} is f; each deeper sum starts at its j = k term, never at zero,
-        # so depths 1-2 round like f' x' and f'' x'^2 + f' x'', signed zeros included
-        return [f[0], *(sum((f[j] * bell[k][j] for j in range(k - 1, 0, -1)), f[k] * bell[k][k])
-                        for k in range(1, depth + 1))]
+        for k in range(depth, 0, -1):
+            f[k] *= bell[k][k]
+            for j in range(k - 1, 0, -1):
+                f[k] += np.multiply(f[j], bell[k][j], out=term)
+        return f
 
-    if not curve.is_two_branch:
-        return x, rows(curve)
-    out = _branch_mask(exc, t)
-    return x, [np.where(out, a, b) for a, b in zip(rows(curve.outgoing), rows(curve.returning))]
+    if curve.is_two_branch:
+        y = np.where(_branch_mask(exc, flat), rows(curve.outgoing), rows(curve.returning))
+    else:
+        y = rows(curve)
+    shape = (depth + 1,) + t.shape
+    return x.reshape(shape), y.reshape(shape)
 
 
 def chain_ordinate(curve: ConstitutiveCurve, exc: Excitation, t, depth: int):
@@ -216,12 +233,12 @@ def chain_ordinate(curve: ConstitutiveCurve, exc: Excitation, t, depth: int):
     Raises CapabilityError when k exceeds the curve's max_derivative_order.
     On a two-branch curve the outgoing branch covers the first half-period
     and the returning branch the second, matching the direction the drive
-    actually sweeps.
+    actually sweeps.  Raises DomainError for a time that is not finite.
     """
     depth = int(depth)
     if depth < 0:
         raise DomainError("depth must be non-negative")
-    out = _jet(curve, exc, t, depth)[1][depth]
+    out = _jet(curve, exc, _finite_times(t), depth)[1][depth]
     return float(out) if np.ndim(t) == 0 else out
 
 
@@ -233,14 +250,14 @@ def jet_signals(curve: ConstitutiveCurve, exc: Excitation, t: np.ndarray,
     ordinate elements alone, to the deepest of those; so an abscissa may
     lie deeper than the curve's max_derivative_order.
     """
-    x = _levels(exc, t, int(depth.max(initial=0)))
+    x = _levels(exc, t, int(np.maximum.reduce(depth, initial=0)))
     out = x[depth, np.arange(depth.size)]
-    asks = np.flatnonzero(ordinate)
+    asks = ordinate.nonzero()[0]
     if asks.size:
         k = depth[asks]
-        top = int(k.max())
+        top = int(np.maximum.reduce(k))
         y = _jet(curve, exc, t[asks], top, levels=x[:top + 1, asks])[1]
-        out[asks] = np.stack(y)[k, np.arange(asks.size)]
+        out[asks] = y[k, np.arange(asks.size)]
     return out
 
 

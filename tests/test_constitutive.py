@@ -320,3 +320,16 @@ class TestNonFiniteParameters:
     def test_constructor_rejects(self, build, error):
         with pytest.raises(error, match="finite"):
             build()
+
+
+class TestNonFiniteAbscissae:
+    @pytest.mark.parametrize("value", [NAN, INF, -INF], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("curve", [
+        PolynomialCurve((0.0, 1.0, 0.0, 1.0 / 3.0)), TanhScaledCurve(),
+        PiecewiseLinearCurve(knots=((0.0, 0.0), (2.0, 1.0)))], ids=["poly", "tanh", "pwl"])
+    def test_eval_and_derivative_name_the_abscissa(self, curve, value):
+        # NaN compares False with both range ends, so it once passed the range check
+        for call in (lambda: curve.eval(value), lambda: curve.eval([0.5, value]),
+                     lambda: curve.derivative(value, 1), lambda: curve.derivative([0.5, value], 1)):
+            with pytest.raises(DomainError, match=f"abscissa {value!r} outside"):
+                call()

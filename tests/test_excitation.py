@@ -69,6 +69,15 @@ class TestExcite:
         assert isinstance(out, float)
         assert out == pytest.approx(np.sin(0.25))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_rejects_non_finite_times(self, value):
+        # the first time that is not finite is named; -inf once read as before switch-on
+        for level in (0, 1, 3):
+            with pytest.raises(DomainError, match=f"times must be finite, got {value!r}"):
+                excite(Excitation(), value, level)
+            with pytest.raises(DomainError, match=f"got {value!r}"):
+                excite(Excitation(), np.array([0.5, value, np.nan]), level)
+
     def test_level_beyond_float_range_names_it(self):
         # A * omega^2 = 1e310 is not a float; omega = 1e100 still works
         exc = Excitation(omega=1e155)

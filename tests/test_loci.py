@@ -21,6 +21,7 @@ from memelements import (
     Valuedness,
     analytic_locus,
     negative_slope_arcs,
+    numeric_transform,
     odd_symmetry,
     origin_crossing,
     phase_shift,
@@ -41,6 +42,19 @@ def cubic_loop(cubic, drive):
 @pytest.fixture
 def tanh_loop(tanh_curve, drive):
     return analytic_locus(tanh_curve, drive, 1)
+
+
+class TestPointAt:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_rejects_non_finite_times(self, cubic, drive, value):
+        # on a jet and on finite differences alike: NaN and inf once gave (nan, nan)
+        # quietly, and np.interp clamped inf to the period's end
+        jet = analytic_locus(cubic, drive, 1, grid(drive, 256))
+        for locus in (jet, numeric_transform(analytic_locus(cubic, drive, 0, grid(drive, 256)))):
+            with pytest.raises(DomainError, match=f"times must be finite, got {value!r}"):
+                point_at(locus, value)
+            with pytest.raises(DomainError, match=f"got {value!r}"):
+                point_at(locus, np.array([0.5, value]))
 
 
 class TestOriginCrossing:

@@ -1,10 +1,12 @@
 import io
 import tracemalloc
 import warnings
+from math import comb
 
 import numpy as np
 import pytest
 import sympy as sp
+from numpy.polynomial import polynomial as npoly
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,6 +31,7 @@ from memelements import (
     point_at,
 )
 from memelements import excitation, loci, transform
+from memelements.constitutive import _tanh_stack
 from memelements.transform import default_labels
 from oracles import chain_oracle, cubic_rate, tanh_rate
 
@@ -126,6 +129,15 @@ class TestChainOrdinate:
             chain_ordinate(curve, drive, 1.0, order + 1)
         with pytest.raises(CapabilityError):
             analytic_locus(curve, drive, order + 1)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_rejects_non_finite_times(self, cubic, loop_curve, drive, value):
+        for curve in (cubic, loop_curve):
+            for depth in (0, 1, 2):
+                with pytest.raises(DomainError, match=f"times must be finite, got {value!r}"):
+                    chain_ordinate(curve, drive, value, depth)
+                with pytest.raises(DomainError, match=f"got {value!r}"):
+                    chain_ordinate(curve, drive, [1.0, value], depth)
 
     def test_two_branch_uses_half_period_split(self, loop_curve, drive):
         t_out, t_ret = 1.0, 1.0 + drive.period / 2.0
@@ -255,6 +267,156 @@ class TestBatchIndependence:
                 alone = transform._jet(curve, exc, t[i], d)
                 assert _same_bits(alone[0][d], u[i])
                 assert _same_bits(alone[1][d], w[i])
+
+
+# ----------------------------------------------------------------------
+# the jet kernel as it was written before it wrote into blocks, kept frozen:
+# the block kernel must take the same float operations in the same order
+# ----------------------------------------------------------------------
+
+def _frozen_levels(exc, t, top):
+    theta = exc.omega * t
+    c = np.cos(theta)
+    rows = [exc.offset - exc.amplitude * c]
+    s = np.sin(theta)
+    for i in range(1, top + 1):
+        scale = exc.amplitude * exc.omega ** i
+        rows.append((-scale if i % 4 in (0, 3) else scale) * (s if i % 2 else c))
+    return np.where(t < 0.0, 0.0, rows)
+
+
+def _frozen_stack(curve, x, order):
+    x = np.asarray(x, dtype=float)
+    if isinstance(curve, PolynomialCurve):
+        stack = curve._derivative_stack
+        rows = npoly.polyval(x, stack[:, : order + 1])
+        if order < stack.shape[1]:
+            return rows
+        return np.concatenate((rows, np.zeros((order + 1 - stack.shape[1],) + x.shape)))
+    if isinstance(curve, TanhScaledCurve):
+        t = np.tanh(curve.b * x)
+        value, scales = curve.a * t, [curve.a * curve.b ** k for k in range(1, order + 1)]
+    else:
+        t = np.tanh(0.5 * x)
+        value, scales = 0.5 + 0.5 * t, [0.5 ** (k + 1) for k in range(1, order + 1)]
+    if not scales:
+        return np.asarray(value)[None]
+    rows = npoly.polyval(t, _tanh_stack(len(scales)))
+    scale = np.reshape(scales, (-1,) + (1,) * np.ndim(t))
+    return np.concatenate((np.asarray(value)[None], scale * rows))
+
+
+def _frozen_bell(x, n):
+    rows = [[1.0]]
+    for m in range(1, n + 1):
+        scaled = [x[i] if comb(m - 1, i - 1) == 1 else comb(m - 1, i - 1) * x[i]
+                  for i in range(1, m)]
+        row = [None, x[m]]
+        for j in range(2, m + 1):
+            terms = [scaled[i - 1] * rows[m - i][j - 1] for i in range(1, m - j + 2)]
+            row.append(sum(terms[1:], terms[0]))
+        rows.append(row)
+    return rows
+
+
+def _frozen_jet(curve, exc, t, depth):
+    t = np.asarray(t, dtype=float)
+    x = _frozen_levels(exc, t, depth)
+    bell = _frozen_bell(x, depth)
+
+    def rows(single):
+        f = _frozen_stack(single, x[0], depth)
+        return [f[0], *(sum((f[j] * bell[k][j] for j in range(k - 1, 0, -1)), f[k] * bell[k][k])
+                        for k in range(1, depth + 1))]
+
+    if not curve.is_two_branch:
+        return x, np.array(rows(curve))
+    outgoing = np.mod(t, exc.period) <= 0.5 * exc.period * (1.0 + 1e-12)
+    return x, np.array([np.where(outgoing, a, b)
+                        for a, b in zip(rows(curve.outgoing), rows(curve.returning))])
+
+
+def _equal_bits(got, want) -> bool:
+    got, want = np.asarray(got), np.asarray(want)
+    return np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestFrozenKernel:
+    """The block kernel gives the frozen kernel's values bit for bit, signed zeros included."""
+
+    # curve, whether its range holds x = 0 (the drive's level before t = 0),
+    # and the range its sweep must stay in
+    CURVES = {"polynomial": (CUBIC, True, (0.0, 2.0)), "tanh": (TANH, True, (0.0, 2.0)),
+              "logistic": (LOGISTIC, False, (0.5, 2.0)), "two_branch": (LOOP, True, (0.0, 2.0))}
+
+    @staticmethod
+    def _drive(data, lo, hi):
+        amplitude = data.draw(st.floats(0.05, 0.5 * (hi - lo)), label="amplitude")
+        offset = data.draw(st.floats(lo + amplitude, hi - amplitude), label="offset")
+        omega = data.draw(st.floats(0.1, 20.0), label="omega")
+        return Excitation(amplitude, omega, offset)
+
+    @staticmethod
+    def _times(data, exc, rests):
+        phase = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
+                          st.floats(-1.0 if rests else 0.0, 2.0))
+        if data.draw(st.booleans(), label="scalar"):
+            return np.asarray(data.draw(phase, label="phase") * exc.period)
+        return np.array(data.draw(st.lists(phase, min_size=1, max_size=40), label="phases")) \
+            * exc.period
+
+    @settings(max_examples=80, deadline=None)
+    @given(name=st.sampled_from(sorted(CURVES)), data=st.data())
+    def test_jet_and_signals_equal_the_frozen_kernel(self, name, data):
+        curve, rests, (lo, hi) = self.CURVES[name]
+        exc = self._drive(data, lo, hi)
+        t = self._times(data, exc, rests)
+        depth = data.draw(st.integers(0, curve.max_derivative_order), label="depth")
+        x, y = transform._jet(curve, exc, t, depth)
+        want_x, want_y = _frozen_jet(curve, exc, t, depth)
+        assert _equal_bits(x, want_x) and _equal_bits(y, want_y)
+        t = np.atleast_1d(t)
+        depths = np.array(data.draw(st.lists(st.integers(0, depth), min_size=t.size,
+                                             max_size=t.size), label="depths"))
+        ordinate = np.array(data.draw(st.lists(st.booleans(), min_size=t.size, max_size=t.size),
+                                      label="ordinate"))
+        want_x, want_y = _frozen_jet(curve, exc, t, depth)
+        want = np.where(ordinate, want_y, want_x)[depths, np.arange(t.size)]
+        assert _equal_bits(transform.jet_signals(curve, exc, t, depths, ordinate), want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(sorted(CURVES)), n=st.sampled_from([64, 65, 256]),
+           data=st.data())
+    def test_chain_equals_the_frozen_kernel(self, name, n, data):
+        curve, _, (lo, hi) = self.CURVES[name]
+        exc = self._drive(data, lo, hi)
+        depth = data.draw(st.integers(0, curve.max_derivative_order), label="depth")
+        g = grid(exc, n)
+        chain, rates = transform.analytic_chain(curve, exc, depth, g)
+        top = min(depth + 1, curve.max_derivative_order)
+        want_x, want_y = _frozen_jet(curve, exc, g.t_values, top)
+        for d, locus in enumerate(chain):
+            assert _equal_bits(locus.u_values, want_x[d]) and _equal_bits(locus.w_values, want_y[d])
+        if top > depth:
+            assert _equal_bits(rates[0], want_x[top]) and _equal_bits(rates[1], want_y[top])
+
+
+class TestJetMemory:
+    def test_grid_jet_peak_is_its_blocks_and_the_bell_rows(self, cubic, drive):
+        # the depth-2 chain's jet runs to depth 3: blocks of 4 level and 4 ordinate
+        # rows, which the loci and rates hold, plus the Bell rows B_{2,2}, B_{3,2}
+        # and B_{3,3} and one term row while it sums, 1.5 times the blocks; the
+        # jet that pushed lists of rows through np.where peaked at 2.38 times
+        g = grid(drive, 65536)
+        tracemalloc.start()
+        try:
+            chain, rates = transform.analytic_chain(cubic, drive, 2, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        blocks = 2 * 4 * len(g) * 8
+        assert rates[0].base is chain[0].u_values.base  # the levels block
+        assert peak <= 1.6 * blocks
 
 
 class TestAnalyticLocus:

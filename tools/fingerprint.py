@@ -58,7 +58,7 @@ Covered:
     without its config, an unknown figure and ``--version``), first
     before every other CLI run and again after them all, with
     ``COLUMNS`` fixed so that usage wrapping does not follow the terminal;
-  * last, the grid contract: the error class and message for one odd,
+  * then the grid contract: the error class and message for one odd,
     single-valued locus on three times off the grid (one extra sample, a
     smooth warp, a drift of 0.45e-9 per step), and ``float.hex`` of the
     ``valuedness`` gap and ``odd_symmetry`` violation of a caller-built
@@ -66,7 +66,12 @@ Covered:
   * then ``float.hex`` of ``transform.jet_signals`` on one seeded batch per
     curve (t = 0, T/2, T and 29 random times, each at a random depth from
     0 to the curve's order and a random coordinate), and the error line of
-    an ``analytic_locus`` on a grid over another drive's period.
+    an ``analytic_locus`` on a grid over another drive's period;
+  * last, the ``DomainError`` line of each time or abscissa that is not
+    finite where the package once returned NaN or a value quietly:
+    ``eval`` and ``derivative`` at NaN, and ``excite``, ``chain_ordinate``
+    and ``point_at`` (on a closed-form and a finite-difference locus) at
+    NaN, inf and -inf.
 
 An error that escapes ``cli.run`` is fingerprinted as the run's exit line.
 """
@@ -307,6 +312,24 @@ def jet_batches() -> None:
         memelements.grid(Excitation(omega=2.0), 4096)))
 
 
+def non_finite() -> None:
+    """Times and abscissae that are not finite, each a DomainError naming the value."""
+    cubic, exc = PolynomialCurve((0.0, 1.0, 0.0, 1.0 / 3.0)), Excitation()
+    jet_locus = memelements.analytic_locus(cubic, exc, 1)
+    numeric = memelements.numeric_transform(memelements.analytic_locus(cubic, exc, 0))
+    for name, fn, values in (
+            ("eval", cubic.eval, ("nan",)),
+            ("derivative", lambda v: cubic.derivative([0.5, v], 1), ("nan",)),
+            ("excite", lambda v: memelements.excite(exc, v), ("nan", "inf", "-inf")),
+            ("chain_ordinate", lambda v: memelements.chain_ordinate(cubic, exc, v, 1),
+             ("nan", "inf", "-inf")),
+            ("point_at/jet", lambda v: memelements.point_at(jet_locus, v), ("nan", "inf", "-inf")),
+            ("point_at/numeric", lambda v: memelements.point_at(numeric, [1.0, v]),
+             ("nan", "inf", "-inf"))):
+        for value in values:
+            emit(f"non-finite/{name}/{value}", outcome(fn, float(value)))
+
+
 def run_cli(name: str, argv: list[str], outdir: str | None) -> None:
     """Fingerprint one in-process run; outdir, unless None, goes in as --output-dir."""
     if outdir is not None:
@@ -448,6 +471,7 @@ def main() -> None:
             os.chdir(here)
     grid_contract()
     jet_batches()
+    non_finite()
 
 
 if __name__ == "__main__":
