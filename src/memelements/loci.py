@@ -34,7 +34,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
@@ -262,18 +261,12 @@ def _path(a, dm, guess, xtol):
     first stop, else all _BISECT_MAXITER.  The float operations are
     scipy's (dm *= .5, xm = a + dm), so these are the points it visits.
     """
-    # |dm| < xtol stops a bracket whatever xm is, so no path runs longer than
-    # the widest bracket's, halved the same way (halving keeps the order)
-    width, steps = float(np.fmax.reduce(np.abs(dm))), 1
-    while steps < _BISECT_MAXITER:
-        width *= 0.5
-        if not width >= xtol:
-            break
-        steps += 1
-    half = np.full((steps + 1, dm.size), 0.5)
-    half[0] = dm
-    half = np.multiply.accumulate(half)[1:]
-    xm, start = np.empty((2, steps, dm.size))
+    halves = np.full((_BISECT_MAXITER, dm.size), 0.5)
+    half = np.multiply.accumulate(np.vstack((dm, halves)))[1:]
+    # |dm| < xtol stops a bracket whatever xm is, so no path runs longer
+    steps = min(_BISECT_MAXITER, int((np.abs(half) >= xtol).sum(0).max()) + 1)
+    half = half[:steps]
+    xm, start = np.empty_like(half), np.empty_like(half)
     up = dm > 0.0
     for k in range(steps):
         x = np.add(a, half[k], out=xm[k])
@@ -571,20 +564,12 @@ def _pair_ordinates(chain) -> list[tuple[np.ndarray, np.ndarray]]:
             out.append((t_pair, point_at(locus, t_pair)[1]))
             continue
         if odd not in mirrors:
-            j = _mirror(n, odd)
+            h = n // 2 * odd  # (h - i) mod n for i = 0..n: h down to 0, then n - 1 to h
+            j = np.concatenate((np.arange(h, -1, -1), np.arange(n - 1, h - 1, -1)))
             mirrors[odd] = (j, locus.t_values[j])
         j, t_pair = mirrors[odd]
         out.append((t_pair, locus.w_values[j]))
     return out
-
-
-@lru_cache(maxsize=4)
-def _mirror(n: int, odd: int) -> np.ndarray:
-    """Each sample's mirror index on n intervals: (h - i) mod n for i = 0..n, h = n/2 if odd."""
-    h = n // 2 * odd  # h down to 0, then n - 1 down to h
-    j = np.concatenate((np.arange(h, -1, -1), np.arange(n - 1, h - 1, -1)))
-    j.flags.writeable = False  # shared by every caller through the cache
-    return j
 
 
 def _plane_roots(locus: ParametricLocus) -> _PlaneRoots:
@@ -694,10 +679,7 @@ def odd_symmetry(locus: ParametricLocus, tol: float = 1e-9) -> SymmetryReport:
     viol_u = float(np.max(np.abs(u + u[::-1])))
     viol_w = float(np.max(np.abs(w + w[::-1])))
     violation = max(viol_u, viol_w)
-    # max |u| and max |w|: the peaks refine_chain stored, else two reductions
-    plane = vars(locus).get("_roots")
-    peaks = plane.peak[:2] if plane is not None else (np.abs(u).max(), np.abs(w).max())
-    scale = max(1.0, *map(float, peaks))
+    scale = max(1.0, float(np.max(np.abs(u))), float(np.max(np.abs(w))))
     return SymmetryReport(odd_symmetric=violation <= tol * scale,
                           max_violation=violation)
 

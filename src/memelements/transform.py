@@ -312,6 +312,8 @@ def analytic_locus(
     depth = _checked_depth(curve, depth)
     t = (sample_grid if sample_grid is not None else grid(exc)).t_values
     [(u, w)] = _grid_jet(curve, exc, t, depth, [depth])
+    if depth:  # copies, so that the locus does not keep the jet's shallower rows alive
+        u, w = u.copy(), w.copy()
     return ParametricLocus._view(t, u, w, depth, (curve, exc))
 
 

@@ -418,6 +418,20 @@ class TestJetMemory:
         assert rates[0].base is chain[0].u_values.base  # the levels block
         assert peak <= 1.6 * blocks
 
+    def test_held_locus_keeps_its_own_rows_alone(self, cubic, drive):
+        # a depth-3 locus reads one row of blocks with four; holding it must not
+        # keep the other three alive
+        g = grid(drive, 65536)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            locus = analytic_locus(cubic, drive, 3, g)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(locus) == len(g)
+        assert held <= 1.1 * 2 * len(g) * 8
+
 
 class TestAnalyticLocus:
     def test_shape_and_labels(self, cubic, drive):

@@ -13,7 +13,9 @@ on each side; the side that runs first alternates op by op, so drift in
 the host's speed falls on both sides alike.  Every report's JSON
 (verdict, planes, witnesses) must be equal on both sides, else the run
 stops naming the op.  Printed: each side's mean best-of-k op time and
-their ratio, change over base.
+their ratio, change over base.  The ratio is an in-process diagnostic
+(for instance, the share of one change in a larger one); the benchmark's
+end-to-end metrics come from ``bench/run.py``.
 """
 
 from __future__ import annotations
