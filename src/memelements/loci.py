@@ -10,15 +10,16 @@ from the samples of its grid jet and one more jet evaluation:
 * roots: every plane's abscissa and coordinate rates are scanned for
   sign changes over the grid, and when the locus has a jet, all the
   brackets are refined by one lock-step bisection.  Its endpoint values
-  are the scanned samples, so the jet is not evaluated there again.  A
-  Chandrupatla predictor estimates every root, the midpoints
+  are the scanned samples, so the jet is not evaluated there again.
+  Each root is estimated from the samples the scan holds, by inverse
+  interpolation through six of them round its bracket; the midpoints
   scipy.optimize.bisect would visit on its way to each estimate are
   evaluated in one call, and only decisions those values confirm are
   taken, so each bracket lands on exactly the root scipy would return
-  for it, usually in three evaluations where bisection takes one per
-  halving.  A bracket whose signs leave the predicted path walks its
-  path again from there, in the next call.  A bracket two planes share
-  is refined once.
+  for it, usually in that one evaluation where bisection takes one per
+  halving.  A bracket whose signs leave the predicted path is walked on
+  from there in the next call, aimed at the secant root of what is left
+  of it.  A bracket two planes share is refined once.
 * landmark values: one jet_signals call gives (u, w, du/dt, dw/dt) at
   every plane's roots and slope-span midpoints, which origin_crossing,
   rate_landmarks and project_landmarks read.
@@ -70,9 +71,9 @@ _BISECT_RTOL = 4.0 * np.finfo(float).eps
 # refine_chain's bisection xtol; roots of one signal within ten times it are one root
 _REFINE_XTOL = 1e-12
 _BISECT_MAXITER = 100
-# hook calls of the root predictor: after the endpoints' secant point and
-# one interpolation step, its third estimate predicts the bisection path
-_PREDICT_CALLS = 2
+# grid offsets of the samples whose inverse interpolant seeds a bracket's root
+_STENCIL = np.arange(-2, 4)
+_DIAGONAL = np.eye(_STENCIL.size, dtype=bool)
 # phase_shift's in-phase band: shifts no larger count as neither lag nor advance
 _PHASE_TOL = 1e-6
 
@@ -213,85 +214,58 @@ def _derivative_arrays(locus: ParametricLocus) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def _predict(fn, a, b, fa, fb, live) -> np.ndarray:
-    """An estimate of the root in each live bracket, NaN where there is none.
+def _path(a: float, dm: float, aim: float, steps: int, xtol: float) -> list[float]:
+    """The midpoints bisection visits from (a, dm) if every sign falls on aim's side.
 
-    Lock-step iterations of Chandrupatla's method (inverse quadratic
-    interpolation where it is safe, else bisection; Adv. Eng. Software
-    28(3), 1997), _PREDICT_CALLS fn calls, every point inside its
-    bracket.  The first point is the endpoints' secant root rather than
-    the midpoint, since their values are known already.  The estimate is
-    the next point the method would try, or the better of the two
-    bracketing points where it would bisect.  fn's values steer nothing
-    but the estimate, so they are not checked: a NaN or inf just leaves
-    its bracket without one.
+    At most steps of them, through the first that meets the stop test.
+    The float operations are scipy's (dm *= .5, xm = a + dm), the same on
+    Python floats as on float64, so these are the points it visits.
     """
-    x1, f1, x2, f2 = a[live], fa[live], b[live], fb[live]
-    x3, f3 = x2, f2
-    finite = np.isfinite(f1) & np.isfinite(f2)
-    with np.errstate(all="ignore"):
-        t = f1 / (f1 - f2)
-        for _ in range(_PREDICT_CALLS):
-            t = np.where((t >= 0.0) & (t <= 1.0), t, 0.5)
-            x = x1 + t * (x2 - x1)
-            fx = np.asarray(fn(x, live), dtype=float)
-            finite &= np.isfinite(fx)
-            # the new point replaces the bracket end whose value has its sign
-            same = np.signbit(fx) == np.signbit(f1)
-            x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
-            x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
-            x1, f1 = x, fx
-            xi = (x1 - x2) / (x3 - x2)
-            phi = (f1 - f2) / (f3 - f2)
-            alpha = (x3 - x1) / (x2 - x1)
-            t = np.where((1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi)),
-                         f1 / (f1 - f2) * f3 / (f3 - f2)
-                         - alpha * f1 / (f3 - f1) * f2 / (f2 - f3), np.nan)
-    estimate = np.where((t >= 0.0) & (t <= 1.0), x1 + t * (x2 - x1),
-                        np.where(np.abs(f1) <= np.abs(f2), x1, x2))
-    return np.where(finite, estimate, np.nan)
-
-
-def _path(a, dm, guess, xtol):
-    """The halvings bisection makes from (a, dm) if every sign falls on guess's side.
-
-    Rows are steps and columns brackets.  Returns each step's midpoint,
-    the bracket start a after it, the halved width dm and whether it
-    meets the stop test, and each bracket's step count: through its
-    first stop, else all _BISECT_MAXITER.  The float operations are
-    scipy's (dm *= .5, xm = a + dm), so these are the points it visits.
-    """
-    halves = np.full((_BISECT_MAXITER, dm.size), 0.5)
-    half = np.multiply.accumulate(np.vstack((dm, halves)))[1:]
-    # |dm| < xtol stops a bracket whatever xm is, so no path runs longer
-    steps = min(_BISECT_MAXITER, int((np.abs(half) >= xtol).sum(0).max()) + 1)
-    half = half[:steps]
-    xm, start = np.empty_like(half), np.empty_like(half)
     up = dm > 0.0
-    for k in range(steps):
-        x = np.add(a, half[k], out=xm[k])
-        a = start[k] = np.where((x < guess) == up, x, a)
-    stop = np.abs(half) < xtol + _BISECT_RTOL * np.abs(xm)
-    return xm, start, half, stop, np.where(stop.any(0), stop.argmax(0) + 1, steps)
+    path = []
+    for _ in range(steps):
+        dm *= 0.5
+        xm = a + dm
+        path.append(xm)
+        if abs(dm) < xtol + _BISECT_RTOL * abs(xm):
+            break
+        if (xm < aim) == up:
+            a = xm
+    return path
 
 
-def bisect(fn, a, b, fa, fb, xtol: float = 1e-12) -> np.ndarray:
+def _secant(a: float, fa: float, dm: float, fb: float) -> float:
+    """The secant root of the bracket from a to a + dm, whose end values are fa and fb.
+
+    fa and fb are nonzero and of opposite signs, so fa - fb is not zero;
+    infinite end values give NaN, which only steers a path.
+    """
+    return a + dm * (fa / (fa - fb))
+
+
+def bisect(fn, a, b, fa, fb, xtol: float = 1e-12, guess=None) -> np.ndarray:
     """Refine every bracket [a[j], b[j]] of a sign change at once.
 
     Every root is the one scipy.optimize.bisect returns for the same
     bracket (rtol = 4 eps, at most 100 halvings, signs compared without
-    multiplying), bit for bit, from a handful of fn calls.  fa and fb are
+    multiplying), bit for bit, usually from one fn call.  fa and fb are
     fn's values at the endpoints, which the caller holds already (a scan
     brackets samples it has evaluated), so fn is not called there.
-    _PREDICT_CALLS calls estimate each root (_predict).  Then each call
-    evaluates, for every live bracket, the midpoints scipy would visit
-    from its current state if each sign fell on the estimate's side.  A
-    bracket whose signs all fall as predicted is done.  Otherwise the
-    first midpoint off the prediction, or an exact zero, is still one
-    scipy visits, so its value's own decision is taken there, and the
-    next call walks the bracket's path again from that point with the
-    same estimate.  Every call takes at least one decision per bracket,
-    and every decision is read off fn at a point scipy visits.
+    guess[j], when given, estimates bracket j's root; where it is not
+    finite or not inside the open bracket, or no guess is given, the
+    endpoints' secant root is the estimate.
+
+    Each round is one fn call on, for every live bracket, the midpoints
+    scipy would visit from its current state if each sign fell on the
+    estimate's side (_path).  A bracket whose signs all fall as predicted
+    is done.  Otherwise the first midpoint off the prediction, or an exact
+    zero, is still one scipy visits, so its value's own decision is taken
+    there, and the next round walks the bracket on from that point,
+    aimed at the secant root of the bracket it is left with, whose ends
+    lie on either side of the root.  Every round takes at least one
+    decision per bracket, and every decision is read off fn at a point
+    scipy visits.  The paths and decisions are kept in Python floats,
+    whose operations are float64's; only fn sees arrays.
 
     fn(x, live) gets, for each point, the index of its bracket, and
     returns one value per point from that bracket's own signal; each
@@ -300,7 +274,7 @@ def bisect(fn, a, b, fa, fb, xtol: float = 1e-12) -> np.ndarray:
     returns NaN at a midpoint scipy visits, or a bracket does not
     converge.
     """
-    a = np.array(a, dtype=float)
+    a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     fa = np.asarray(fa, dtype=float)
     fb = np.asarray(fb, dtype=float)
@@ -308,39 +282,48 @@ def bisect(fn, a, b, fa, fb, xtol: float = 1e-12) -> np.ndarray:
         raise NumericalError("root refinement hook returned NaN")
     # signs are compared, not products, which underflow for tiny values
     live = np.flatnonzero((fa != 0.0) & (fb != 0.0))
-    negative = np.signbit(fa)
-    if np.any(negative[live] == np.signbit(fb[live])):
+    if np.any(np.signbit(fa[live]) == np.signbit(fb[live])):
         raise NumericalError("bisection bracket holds no sign change")
     root = np.where(fa == 0.0, a, b)
-    dm = b - a
-    spent = np.zeros(len(a), dtype=int)  # halvings made
-    guess = np.full(len(a), np.nan)
-    if live.size:
-        guess[live] = _predict(fn, a, b, fa, fb, live)
-    while live.size:
-        xm, start, half, stop, steps = _path(a[live], dm[live], guess[live], xtol)
-        steps = np.minimum(steps, _BISECT_MAXITER - spent[live])
-        on = np.arange(len(xm))[:, None] < steps
-        fm = np.full(xm.shape, np.nan)
-        fm[on] = fn(xm[on], np.broadcast_to(live, xm.shape)[on])
-        # a step checks out when its sign falls as predicted and it is no zero (or NaN)
-        ok = (np.signbit(fm) == negative[live]) == ((xm < guess[live]) == (dm[live] > 0.0))
-        ok &= np.abs(fm) > 0.0
-        # the step whose value decides: the path's last, or its first unchecked one
-        k = np.minimum(np.logical_and.accumulate(ok).sum(0), steps - 1)
-        col = np.arange(live.size)
-        x, fx = xm[k, col], fm[k, col]
-        if np.isnan(fx).any():
-            raise NumericalError("root refinement hook returned NaN")
-        done = (fx == 0.0) | stop[k, col]
-        root[live[done]] = x[done]
-        a[live] = np.where(np.signbit(fx) == negative[live], x,
-                           np.where(k > 0, start[k - 1, col], a[live]))
-        dm[live] = half[k, col]
-        spent[live] += k + 1
-        live = live[~done]
-        if np.any(spent[live] == _BISECT_MAXITER):
-            raise NumericalError(f"bisection did not converge in {_BISECT_MAXITER} steps")
+    guess = np.full(a.shape, np.nan) if guess is None else np.asarray(guess, dtype=float)
+    # each live bracket's index, start a and fn there, width dm, fn at
+    # a + dm, the estimate its path aims at, and the halvings made
+    todo = []
+    for j, lo, hi, flo, fhi, g in zip(*(v.tolist() for v in (
+            live, a[live], b[live], fa[live], fb[live], guess[live]))):
+        aim = g if min(lo, hi) < g < max(lo, hi) else _secant(lo, flo, hi - lo, fhi)
+        todo.append((j, lo, flo, hi - lo, fhi, aim, 0))
+    while todo:
+        paths = [_path(lo, dm, aim, _BISECT_MAXITER - spent, xtol)
+                 for _, lo, _, dm, _, aim, spent in todo]
+        fm = fn(np.array([xm for path in paths for xm in path]),
+                np.repeat([j for j, *_ in todo], [len(path) for path in paths]))
+        fm = np.asarray(fm, dtype=float).tolist()
+        left, start = [], 0
+        for (j, lo, flo, dm, fhi, aim, spent), path in zip(todo, paths):
+            # a stays on fa's side, so flo's sign is fa's; up is the side b lies on
+            negative, up = flo < 0.0, dm > 0.0
+            for xm, f in zip(path, fm[start:start + len(path)]):
+                if f != f:
+                    raise NumericalError("root refinement hook returned NaN")
+                dm *= 0.5
+                spent += 1
+                if f == 0.0 or abs(dm) < xtol + _BISECT_RTOL * abs(xm):
+                    root[j] = xm
+                    break
+                if spent == _BISECT_MAXITER:
+                    raise NumericalError(f"bisection did not converge in {_BISECT_MAXITER} steps")
+                # f is no zero, so f < 0.0 is its sign bit
+                moved = (f < 0.0) == negative
+                if moved:
+                    lo, flo = xm, f
+                else:
+                    fhi = f
+                if moved != ((xm < aim) == up):  # off the path
+                    left.append((j, lo, flo, dm, fhi, _secant(lo, flo, dm, fhi), spent))
+                    break
+            start += len(path)
+        todo = left
     return root
 
 
@@ -446,22 +429,23 @@ def refine_chain(chain, top_rates: tuple[np.ndarray, np.ndarray] | None = None) 
     Each plane's abscissa u (for origin_crossing) and coordinate rates
     du/dt and dw/dt (for rate_landmarks) are scanned for sign changes, and
     every bracket the jet covers is refined in one lock-step bisection
-    through jet_signals, one evaluation per step for all of them, from the
-    scanned samples at the bracket ends (the jet's values there); brackets
-    of signals without a jet keep their linear-interpolation root.  The
-    loci of a chain are taken to share one jet and one grid, and
-    chain[d + 1] to be the transform of chain[d], so its samples serve as
-    plane d's rates when both come from the same kind of evaluation
-    (the jet, or finite differences); top_rates, when given, are the last
-    plane's rates on the grid.  A bracket two planes share, such as plane
-    d's du/dt and plane d + 1's u, is refined once.  Then one jet_signals
-    call reads (u, w, du/dt, dw/dt) at every plane's roots and slope-span
-    midpoints, and each sample's valuedness pair is read off its mirror
-    sample (_pair_ordinates).  All of it is stored on each locus, where
-    origin_crossing, valuedness and rate_landmarks read it.
+    through jet_signals, usually one evaluation for all of them, from the
+    scanned samples at the bracket ends (the jet's values there), aimed at
+    the root of the inverse interpolant through the six samples round each
+    bracket (_inverse_root); brackets of signals without a jet keep their
+    linear-interpolation root.  The loci of a chain are taken to share one
+    jet and one grid, and chain[d + 1] to be the transform of chain[d], so
+    its samples serve as plane d's rates when both come from the same kind
+    of evaluation (the jet, or finite differences); top_rates, when given,
+    are the last plane's rates on the grid.  A bracket two planes share,
+    such as plane d's du/dt and plane d + 1's u, is refined once.  Then
+    one jet_signals call reads (u, w, du/dt, dw/dt) at every plane's roots
+    and slope-span midpoints, and each sample's valuedness pair is read
+    off its mirror sample (_pair_ordinates).  All of it is stored on each
+    locus, where origin_crossing, valuedness and rate_landmarks read it.
     """
-    scans = []
-    ends = {}  # (depth, is ordinate, a, b) -> the signal's samples at a and b
+    scans, stencils = [], []
+    ends = {}  # (depth, is ordinate, a, b) -> the bracket's row in the stencils
     for d, locus in enumerate(chain):
         after = chain[d + 1] if d + 1 < len(chain) else None
         if after is not None and _has_rates(locus) == (after.jet is not None):
@@ -480,9 +464,15 @@ def refine_chain(chain, top_rates: tuple[np.ndarray, np.ndarray] | None = None) 
         hooked = (locus.jet is not None, _has_rates(locus))
         slots = [(locus.depth + min(r, 1), r == 2, t[i], t[i + 1]) if hooked[min(r, 1)] else None
                  for r, i in zip(rows.tolist(), left.tolist())]
-        for key, fa, fb in zip(slots, vals[rows, left].tolist(), vals[rows, left + 1].tolist()):
+        first = sum(map(len, stencils))
+        for j, key in enumerate(slots):
             if key is not None:
-                ends.setdefault(key, (fa, fb))
+                ends.setdefault(key, first + j)
+        # samples left - 2 ... left + 3 round each bracket, wrapped round the
+        # period (t[-1] is t[0] one period later); the bracket ends are 2 and 3
+        n = t.size - 1
+        k = left[:, None] + _STENCIL
+        stencils.append(vals[rows[:, None], np.where((k < 0) | (k > n), k % n, k)])
         # max |v| without an |v| temporary: negation and abs are exact
         peak_u, peak_du, peak_dw = np.maximum(vals.max(1), -vals.min(1)).tolist()
         w = locus.w_values
@@ -493,10 +483,11 @@ def refine_chain(chain, top_rates: tuple[np.ndarray, np.ndarray] | None = None) 
     jet = next((locus.jet for locus in chain if locus.jet is not None), None)
     if ends:
         depth, ordinate, a, b = (np.array(col) for col in zip(*ends))
-        fa, fb = zip(*ends.values())
+        samples = np.concatenate(stencils)[list(ends.values())]
         roots = dict(zip(ends, bisect(
             lambda x, live: jet_signals(*jet, x, depth[live], ordinate[live]),
-            a, b, fa, fb, xtol=_REFINE_XTOL).tolist()))
+            a, b, samples[:, 2], samples[:, 3], xtol=_REFINE_XTOL,
+            guess=a + _inverse_root(samples) * (b - a)).tolist()))
 
     planes = []
     for locus, rates, rows, crossings, slots, peak in scans:
@@ -515,6 +506,20 @@ def refine_chain(chain, top_rates: tuple[np.ndarray, np.ndarray] | None = None) 
     for locus, (*plane, times), v, pair in zip(chain, planes, values, _pair_ordinates(chain)):
         at = dict(zip(times.tolist(), zip(*v.tolist())))
         object.__setattr__(locus, "_roots", _PlaneRoots(*plane, at, *pair))
+
+
+def _inverse_root(samples: np.ndarray) -> np.ndarray:
+    """Each row's root, in grid steps from its third sample, by inverse interpolation.
+
+    A row holds a signal's samples at _STENCIL's offsets.  The polynomial
+    through the points (value, offset) is evaluated at value 0, in
+    Lagrange form.  Where values repeat, the result is not finite.
+    """
+    with np.errstate(all="ignore"):
+        # ratio[:, k, i] = v_i / (v_i - v_k), and the product over i != k is basis k at 0
+        ratio = samples[:, None, :] / (samples[:, None, :] - samples[:, :, None])
+        ratio[:, _DIAGONAL] = 1.0
+        return ratio.prod(2) @ _STENCIL
 
 
 def _spans(t: np.ndarray, roots: list[float]) -> list[tuple[float, float]]:

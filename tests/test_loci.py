@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -8,6 +10,7 @@ from memelements import (
     ConfigError,
     DomainError,
     Excitation,
+    LogisticCurve,
     NumericalError,
     ParametricLocus,
     PolynomialCurve,
@@ -602,15 +605,15 @@ class TestBisect:
         assert roots.tobytes() == np.array([root for root, _ in runs]).tobytes()
         steps = [info.iterations for _, info in runs]
         assert steps == [19, 20, 19]
-        # the caller holds the endpoint values, so the predictor's calls on
-        # the three brackets come first, then every midpoint scipy visits in
-        # one call
-        assert calls == [3] * loci._PREDICT_CALLS + [sum(steps)]
+        # the caller holds the endpoint values, and the secant root of a
+        # linear hook is its root, so every midpoint scipy visits is in one call
+        assert calls == [sum(steps)]
 
     def test_mispredicted_path_is_walked_again(self):
-        # the predictor's estimate misses a step's jump, so each predicted
-        # path leaves scipy's after a few midpoints; every call re-walks the
-        # rest from where it left, and still takes at least one decision
+        # a secant root of a step is its bracket's midpoint, so each path
+        # leaves scipy's after a few midpoints; every call walks on from
+        # where it left, re-aimed, and still takes at least one decision
+        # (22 calls on 413 points when each call kept the first estimate)
         calls = []
 
         def hook(x, live):
@@ -621,7 +624,64 @@ class TestBisect:
         want = scipy.optimize.bisect(lambda x: np.where(x < 0.3, -1.0, 1.0), 0.0, 1.0,
                                      xtol=1e-12)
         assert got.tobytes() == np.array([want]).tobytes()
-        assert len(calls) <= 30
+        assert len(calls) <= 11
+        assert sum(calls) <= 230
+
+    @settings(max_examples=200, deadline=None)
+    @given(cases=bracket_cases,
+           kinds=st.lists(st.sampled_from(["nan", "inf", "-inf", "outside", "a", "b",
+                                           "visited", "interior"]), min_size=8, max_size=8),
+           picks=st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8),
+           xtol=st.sampled_from([1e-12, 1e-9, 1e-4, 1e-300]),
+           nan_at=st.none() | st.floats(0.0, 1.0))
+    # a root at 0, where the relative stop term vanishes: no convergence at xtol 1e-300
+    @example(cases=[(-1.0, 3.0, "inside", 1.0 / 3.0, 1.0, 0.0)], kinds=["interior"] * 8,
+             picks=[0.5] * 8, xtol=1e-300, nan_at=None)
+    def test_any_guess_gives_scipys_root(self, cases, kinds, picks, xtol, nan_at):
+        """Whatever the guess, each root is scipy's bit for bit, and the errors are the same.
+
+        nan_at, when set, makes the first bracket's signal NaN at one
+        midpoint scipy visits, which bisect refuses.
+        """
+        signals, guesses, want = [], [], []
+        for case, kind, pick in zip(cases, kinds, picks):
+            lo, hi, g = _bracket_case(*case)
+            visited = []
+
+            def record(x, g=g):
+                visited.append(x)
+                return g(x)
+
+            try:
+                want.append(scipy.optimize.bisect(record, lo, hi, xtol=xtol))
+            except RuntimeError:  # no convergence in 100 halvings
+                want.append(None)
+            mids = visited[2:] or [lo]  # after the endpoints; none when one is a root
+            if nan_at is not None and not signals and len(visited) > 2:
+                bad = mids[int(nan_at * (len(mids) - 1))]
+                g = lambda x, g=g, bad=bad: np.where(x == bad, np.nan, g(x))
+                want[-1] = None
+            signals.append(g)
+            guesses.append({
+                "nan": np.nan, "inf": np.inf, "-inf": -np.inf,
+                "outside": lo - (1.0 + pick) * (hi - lo) if pick < 0.5 else hi + pick,
+                "a": lo, "b": hi, "visited": mids[int(pick * (len(mids) - 1))],
+                "interior": lo + pick * (hi - lo),
+            }[kind])
+        a = np.array([case[0] for case in cases])
+        b = a + np.array([case[1] for case in cases])
+
+        def hook(x, live):
+            return np.array([g(x) for g in signals])[live, np.arange(x.size)]
+
+        every = np.arange(a.size)
+        run = lambda: loci.bisect(hook, a, b, hook(a, every), hook(b, every), xtol=xtol,
+                                  guess=guesses)
+        if None in want:
+            with pytest.raises(NumericalError):
+                run()
+        else:
+            assert run().tobytes() == np.array(want).tobytes()
 
     @pytest.mark.parametrize("case", ["three_roots", "step", "noisy_root", "first_midpoint",
                                       "endpoint_root", "subnormal_root", "noisy_zero"])
@@ -686,7 +746,8 @@ class TestBisect:
                           [g(v) for g, v in zip(signals, b)], xtol=1e-9)
         want = [scipy.optimize.bisect(g, lo, hi, xtol=1e-9) for g, lo, hi in zip(signals, a, b)]
         assert got.tolist() == want
-        assert seen[0] == [0, 1, 2]
+        # the first call carries each bracket's whole path
+        assert set(seen[0]) == {0, 1, 2}
         assert all(set(later) <= set(earlier) for earlier, later in zip(seen, seen[1:]))
 
         with pytest.raises(NumericalError):
@@ -728,6 +789,52 @@ class TestBisect:
         with pytest.raises(NumericalError, match="converge"):
             _bisect(lambda x, live: np.where(np.isin(x, list(visited)), x, np.nan),
                     [-1.0], [2.0], xtol=xtol)
+
+
+class TestGridSeed:
+    """refine_chain's inverse-interpolation seed steers the bisection, never its roots."""
+
+    # a curve with derivatives to order 5 and a drive inside its range
+    CHAINS = {
+        "polynomial": (PolynomialCurve((0.0, 1.0, 0.0, 1.0 / 3.0), max_derivative_order=5),
+                       Excitation(0.8, 1.7, 1.0)),
+        "tanh": (TanhScaledCurve(a=1.3, b=0.8, max_derivative_order=5),
+                 Excitation(0.8, 1.7, 1.0)),
+        "logistic": (LogisticCurve(max_derivative_order=5), Excitation(0.7, 0.6, 1.25)),
+        "two_branch": (TwoBranchCurve(
+            outgoing=PolynomialCurve((0.0, 1.0, 0.0, 1.0 / 3.0), max_derivative_order=5),
+            returning=PolynomialCurve((0.0, 4.0 / 3.0, 0.5), max_derivative_order=5)),
+            Excitation(0.9, 1.3)),
+    }
+
+    @pytest.mark.parametrize("n", [256, 4096])
+    @pytest.mark.parametrize("name", sorted(CHAINS))
+    def test_seed_leaves_the_stored_roots_alone(self, name, n, monkeypatch):
+        curve, exc = self.CHAINS[name]
+        bisect, guessed = loci.bisect, []
+
+        def refined():
+            chain, rates = transform.analytic_chain(curve, exc, 4, grid(exc, n))
+            loci.refine_chain(chain, rates)
+            return [vars(locus)["_roots"] for locus in chain]
+
+        def recording(*args, guess=None, **kwargs):
+            guessed.append(guess is not None)
+            return bisect(*args, guess=guess, **kwargs)
+
+        monkeypatch.setattr(loci, "bisect", recording)
+        seeded = refined()
+        monkeypatch.setattr(loci, "bisect", lambda *args, guess=None, **kwargs:
+                            bisect(*args, **kwargs))
+        unseeded = refined()
+        assert guessed == [True]
+        for got, want in zip(seeded, unseeded, strict=True):
+            for field in dataclasses.fields(got):
+                g, w = getattr(got, field.name), getattr(want, field.name)
+                if isinstance(g, np.ndarray):
+                    assert g.tobytes() == w.tobytes()
+                else:  # repr tells every float bit, the sign of zero included
+                    assert repr(g) == repr(w)
 
 
 def _reference_roots(t, vals, fn=None, xtol=1e-12, transversal_only=False):

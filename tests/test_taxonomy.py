@@ -1,5 +1,8 @@
 import dataclasses
+import importlib.util
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -442,9 +445,10 @@ class TestChainAnalysedOnce:
     # and depth-2 planes and the rates of each plane give 15 brackets, of
     # which 3 are counted once only, since plane d's du/dt is plane d+1's u
     EXPECTED = {"planes": 3, "ideality": 1, "bisect_calls": 1, "brackets": 12}
-    # the predictor's calls and one on the predicted paths; the endpoint
-    # values are the scanned samples (33 calls when each halving took one)
-    MAX_HOOK_CALLS = 1 + loci._PREDICT_CALLS
+    # one on the paths aimed at the grid samples' estimates; the endpoint
+    # values are the scanned samples (33 calls when each halving took one,
+    # 3 when two Chandrupatla calls estimated the roots)
+    MAX_HOOK_CALLS = 1
 
     def test_suite_analyses_one_depth_two_chain(self, cubic, counts):
         assert theorem_suite([cubic]).all_passed
@@ -453,10 +457,11 @@ class TestChainAnalysedOnce:
 
     def test_classify_builds_one_grid_jet(self, cubic, monkeypatch):
         # the grid jet and one jet per jet_signals call: the bisection's
-        # three and the landmark batch; valuedness pairs are read off the
+        # one and the landmark batch; valuedness pairs are read off the
         # grid (26 jets, 7 on the grid, when each reader built its own; 8
         # jets and 6 calls when the bisection evaluated its endpoints again;
-        # 6 when one jet gave the pairs no grid time held)
+        # 6 when one jet gave the pairs no grid time held; 5 jets and 4
+        # calls when two calls estimated the roots)
         sizes, calls = [], []
         jet, signals = transform._jet, loci.jet_signals
 
@@ -473,8 +478,8 @@ class TestChainAnalysedOnce:
         monkeypatch.setattr(loci, "jet_signals", counting_signals)
         rpt = classify((-2, -2), cubic)
         assert sizes.count(rpt.grid_n + 1) == 1
-        assert len(sizes) == 5
-        assert len(calls) == 4
+        assert len(sizes) == 3
+        assert len(calls) == 2
 
     def test_chain_loci_are_read_only_views_of_one_grid(self, cubic):
         g = grid(Excitation(), 1024)
@@ -494,6 +499,71 @@ class TestChainAnalysedOnce:
         classify((-2, -2), cubic)
         assert counts.pop("hook_calls") <= self.MAX_HOOK_CALLS
         assert counts == self.EXPECTED
+
+
+def _classify_distinct(seed: int, workdir, monkeypatch):
+    """The benchmark's classify-distinct workload (bench/workloads.py) for seed."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module.ClassifyDistinct(seed, workdir)
+
+
+class TestHookCallsPerBisection:
+    # calls per bisection on ops 0-119 of seed 13: 2.13 at n = 256 and 1.05
+    # at n = 4096 (3.43 and 3.00 when two Chandrupatla calls estimated the
+    # roots); a coarse grid seeds the roots less closely
+    @pytest.mark.parametrize("n, bound", [(256, 2.25), (4096, 1.1)])
+    def test_classify_distinct_cells(self, n, bound, tmp_path, monkeypatch):
+        ops = _classify_distinct(13, tmp_path, monkeypatch)
+        tally = {"bisect": 0, "calls": 0}
+        bisect = loci.bisect
+
+        def counting(fn, *args, **kwargs):
+            tally["bisect"] += 1
+
+            def hook(*hook_args):
+                tally["calls"] += 1
+                return fn(*hook_args)
+
+            return bisect(hook, *args, **kwargs)
+
+        monkeypatch.setattr(loci, "bisect", counting)
+        for i in range(120):
+            cell, curve, exc = ops.make(i).payload
+            classify(cell, curve, exc, grid_n=n)
+        assert tally["bisect"] == 120
+        assert tally["calls"] <= bound * tally["bisect"]
+
+
+class TestPairGapOracle:
+    """The depth-1 pair gap is the gap between A(t0) and B(pi - t0), from the curve's slope.
+
+    At depth 1 the locus is (x', f'(x) x') with x = off - A cos(theta),
+    theta = omega t, and its pair at pi - theta has the same abscissa
+    A omega sin(theta), so the gap is
+    A omega |sin(theta)| |f'(off - A cos(theta)) - f'(off + A cos(theta))|.
+    """
+
+    # each curve and its slope f', written out
+    SLOPES = {
+        "cubic": (PolynomialCurve((0.0, 1.0, 0.0, 1.0 / 3.0)), lambda x: 1.0 + x * x),
+        "tanh": (TanhScaledCurve(a=1.3, b=0.8), lambda x: 1.3 * 0.8 / np.cosh(0.8 * x) ** 2),
+    }
+
+    @pytest.mark.parametrize("exc", [Excitation(), Excitation(0.8, 1.7, 1.0)])
+    @pytest.mark.parametrize("name", sorted(SLOPES))
+    def test_depth_one_gap_is_the_closed_form_gap(self, name, exc):
+        curve, slope = self.SLOPES[name]
+        rpt = classify((-2, -2), curve, exc, grid_n=4096)
+        assert rpt.planes[1].depth == 1
+        theta = exc.omega * grid(exc, 4096).t_values
+        a, off = exc.amplitude, exc.offset
+        gap = a * exc.omega * np.abs(np.sin(theta)) * np.abs(
+            slope(off - a * np.cos(theta)) - slope(off + a * np.cos(theta)))
+        assert rpt.planes[1].max_pair_gap == pytest.approx(gap.max(), rel=1e-12, abs=0.0)
 
 
 def _standalone_landmarks(curve, exc, depth, tol, n, numeric):

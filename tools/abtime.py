@@ -13,7 +13,9 @@ on each side; the side that runs first alternates op by op, so drift in
 the host's speed falls on both sides alike.  Every report's JSON
 (verdict, planes, witnesses) must be equal on both sides, else the run
 stops naming the op.  Printed: each side's mean best-of-k op time and
-their ratio, change over base.  The ratio is an in-process diagnostic
+``loci.jet_signals`` calls per classify call (the bisection's hook calls
+plus the landmark batch), and the ratio of the times, change over base,
+all from the same runs.  The ratio is an in-process diagnostic
 (for instance, the share of one change in a larger one); the benchmark's
 end-to-end metrics come from ``bench/run.py``.
 """
@@ -54,6 +56,18 @@ def rebuild(pkg, expect: dict):
     return tuple(expect["cell"]), pkg.cli.curve_from_spec(expect["spec"]), exc
 
 
+def count_calls(module, name: str) -> list[int]:
+    """Wrap module.name to count its calls; the count is the list's one element."""
+    fn, calls = getattr(module, name), [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return fn(*args, **kwargs)
+
+    setattr(module, name, counted)
+    return calls
+
+
 def best_of(pkg, args, k: int) -> tuple[float, object]:
     """Least wall time of k classify calls on args, and the last report."""
     best = float("inf")
@@ -81,6 +95,7 @@ def main(argv=None) -> None:
 
     sides = (base, change)
     total = [0.0, 0.0]
+    signals = [count_calls(pkg.loci, "jet_signals") for pkg in sides]
     with tempfile.TemporaryDirectory() as work:
         ops = ClassifyDistinct(args.seed, Path(work))
         for i in range(args.ops):
@@ -96,10 +111,11 @@ def main(argv=None) -> None:
             if reports[0] != reports[1]:
                 raise SystemExit(f"op {i} (seed {args.seed}): the reports differ")
     base_ms, change_ms = (1e3 * s / args.ops for s in total)
+    base_calls, change_calls = (n / (args.ops * args.best_of) for n, in signals)
     print(f"classify-distinct seed {args.seed}, {args.ops} ops, best of {args.best_of}: "
           f"reports equal")
-    print(f"base   {base_ms:.4f} ms/op")
-    print(f"change {change_ms:.4f} ms/op")
+    print(f"base   {base_ms:.4f} ms/op  {base_calls:.3f} jet_signals calls/op")
+    print(f"change {change_ms:.4f} ms/op  {change_calls:.3f} jet_signals calls/op")
     print(f"ratio  {change_ms / base_ms:.4f}")
 
 
