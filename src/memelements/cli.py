@@ -478,10 +478,12 @@ def render_svg(panels: list[Panel], title: str | None = None) -> str:
         for s_index, (label, xs, ys) in enumerate(panel.series):
             color = _PALETTE[s_index % len(_PALETTE)]
             step = max(1, len(xs) // 1024)
-            pts = " ".join(
-                f"{sx(float(xv)):.2f},{sy(float(yv)):.2f}"
-                for xv, yv in zip(xs[::step], ys[::step])
-            )
+            # sx and sy over the arrays, in their order of operations; the
+            # errstate keeps Python floats' silence on overflow
+            with np.errstate(all="ignore"):
+                px = plot_x0 + (xs[::step] - x0) / (x1 - x0) * (plot_x1 - plot_x0)
+                py = plot_y1 - (ys[::step] - y0) / (y1 - y0) * (plot_y1 - plot_y0)
+            pts = " ".join(map("{:.2f},{:.2f}".format, px.tolist(), py.tolist()))
             parts.append(
                 f'<polyline points="{pts}" fill="none" stroke="{color}" '
                 f'stroke-width="1.5"/>'

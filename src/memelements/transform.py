@@ -377,8 +377,9 @@ def csv_texts(header: str, lead, tables) -> list[str]:
     """CSV texts of tables that share a leading column, written in one pass.
 
     Text k is the header, then one row per sample: the lead value, then
-    the values of table k's columns.  Each block of rows formats the
-    lead's repr once for every table; repr floats round-trip exactly.
+    the values of table k's columns, each float as repr writes it (_reprs),
+    so it round-trips exactly.  Each block of rows formats the lead once
+    for every table.
     Raises DomainError for a column that is not one-dimensional, columns
     of unequal length, or a header whose field count is not a table's
     column count.
@@ -395,12 +396,30 @@ def csv_texts(header: str, lead, tables) -> list[str]:
     texts = [[header] for _ in tables]
     for start in range(0, len(lead), _CSV_BLOCK):
         block = slice(start, start + _CSV_BLOCK)
-        lead_text = list(map(repr, lead[block].tolist()))
+        lead_text = _reprs(lead[block])
         for text, cols in zip(texts, tables):
-            rows = zip(lead_text, *(map(repr, col[block].tolist()) for col in cols))
+            rows = zip(lead_text, *(_reprs(col[block]) for col in cols))
             text.append("\n".join(map(",".join, rows)))
     # an empty last field ends the text with a newline without copying it again
     return ["\n".join([*text, ""]) for text in texts]
+
+
+def _reprs(col: np.ndarray) -> list[str]:
+    """repr's text of each float in a nonempty one-dimensional float array.
+
+    orjson writes the shortest round-trip digits, as repr does, and in
+    the same notation for zeros and 1e-4 <= |x| < 1e16; it writes the
+    other values as 0.00001, 1e16 or null, so those take repr itself.
+    orjson is imported here, so that importing the package does not load it.
+    """
+    import orjson
+
+    texts = orjson.dumps(np.ascontiguousarray(col),
+                         option=orjson.OPT_SERIALIZE_NUMPY).decode()[1:-1].split(",")
+    mag = np.abs(col)
+    for i in np.flatnonzero(~((mag >= 1e-4) & (mag < 1e16)) & (col != 0.0)).tolist():
+        texts[i] = repr(float(col[i]))
+    return texts
 
 
 def _csv_column(col) -> np.ndarray:

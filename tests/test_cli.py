@@ -1,9 +1,10 @@
 import argparse
-import builtins
 import json
 import pathlib
+import re
 import warnings
 
+import numpy as np
 import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
@@ -482,19 +483,20 @@ class TestDepthCsvFiles:
 
     @pytest.mark.parametrize("depth", [0, 1, 2])
     def test_t_column_formatted_once(self, tmp_path, monkeypatch, depth):
-        calls = [0]
+        formatted = [0]
+        reprs = transform._reprs
 
-        def counting_repr(value):
-            calls[0] += 1
-            return builtins.repr(value)
+        def counting_reprs(col):
+            formatted[0] += len(col)
+            return reprs(col)
 
         cfg = dict(MEMRISTOR_CFG, descriptor={"alpha": -depth, "beta": -depth}, grid_n=256)
         argv = ["analyze", "--config", write_config(tmp_path, cfg),
                 "--output-dir", str(tmp_path / "out"), "--formats", "csv"]
-        monkeypatch.setattr(transform, "repr", counting_repr, raising=False)
+        monkeypatch.setattr(transform, "_reprs", counting_reprs)
         assert run(argv) == 0
         # t once, then u and w of each of the depth + 1 planes, per row
-        assert calls[0] == (1 + 2 * (depth + 1)) * 257
+        assert formatted[0] == (1 + 2 * (depth + 1)) * 257
 
 
 class TestOutputDirectory:
@@ -632,6 +634,25 @@ class TestFigureCommand:
         assert run(["figure", "fig6", "--output-dir", str(b)]) == 0
         for name in ("fig6.csv", "fig6.svg"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+class TestRenderSvg:
+    def test_polylines_scale_each_decimated_sample(self):
+        # one titled panel spans x 56..786 and y 64..554
+        rng = np.random.default_rng(5)
+        panel = cli.Panel("p", "x", "y")
+        for n in (7, 1500, 2048, 3001):
+            panel.add_series(f"n={n}", rng.normal(size=n) * 1e3, rng.normal(size=n) ** 3)
+        x0, x1, y0, y1 = panel._bounds()
+        expected = []
+        for _, xs, ys in panel.series:
+            step = max(1, len(xs) // 1024)
+            expected.append(" ".join(
+                f"{56.0 + (x - x0) / (x1 - x0) * (786.0 - 56.0):.2f},"
+                f"{554.0 - (y - y0) / (y1 - y0) * (554.0 - 64.0):.2f}"
+                for x, y in zip(xs[::step].tolist(), ys[::step].tolist())))
+        svg = cli.render_svg([panel], "title")
+        assert re.findall(r'<polyline points="([^"]*)"', svg) == expected
 
 
 class TestSuiteCommand:

@@ -1,4 +1,8 @@
 import io
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from math import comb
@@ -760,3 +764,39 @@ class TestCsvWriter:
         # the block strings and the one joined text; whole columns of row
         # strings would hold about four times the text
         assert peak <= 2.5 * len(text)
+
+
+class TestReprs:
+    """transform._reprs gives repr's text of every float64, the ones that
+    orjson writes in another notation included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=40))
+    def test_matches_repr(self, values):
+        col = np.array(values, dtype=float)
+        assert transform._reprs(col) == [repr(v) for v in col.tolist()]
+
+    def test_explicit_cases(self):
+        bounds = np.array([1e-4, 1e16])
+        values = np.concatenate([
+            [0.0, 5e-324, 1.7976931348623157e308, np.nan, np.inf],
+            bounds, np.nextafter(bounds, 0.0), np.nextafter(bounds, np.inf),
+            [1.0, 123.0, 1e15, 9999999999999998.0, 2.0 ** 53, 1e22],
+            2.0 ** np.arange(-1074, 1024),
+            10.0 ** np.arange(-8, 20),
+        ])
+        col = np.concatenate([values, -values])
+        assert transform._reprs(col) == [repr(v) for v in col.tolist()]
+
+    def test_strided_column(self):
+        a = np.linspace(-3.0, 3.0, 12) ** 9 * 1e-6
+        assert not a[::2].flags.c_contiguous
+        text = transform.columns_to_csv("t,u", a[::2], a[1::2])
+        assert text == oracle_csv("t,u", a[::2], a[1::2])
+
+    def test_package_import_leaves_orjson_unloaded(self):
+        src = pathlib.Path(transform.__file__).parents[1]
+        code = "import memelements, memelements.cli, sys; print('orjson' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": str(src)})
+        assert out.stdout == "False\n"
