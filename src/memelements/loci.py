@@ -5,24 +5,29 @@ numerical witnesses: origin crossings, tangent landmarks, symmetry,
 valuedness, negative-slope arcs, and the ordinate/abscissa phase lag.
 
 The analyses read what refine_chain prepares for a whole locus chain,
-from the samples of its grid jet and one more jet evaluation:
+from the samples of its grid jet and one more jet evaluation.  Plane
+d's rates are plane d + 1's coordinates, so the chain's signal rows
+(each plane's abscissa and coordinate rates) are taken once each, 2k + 3
+of them on a closed-form depth-k chain, and every step below is one
+pass over all of them; each plane's results are its rows' slices:
 
-* roots: every plane's abscissa and coordinate rates are scanned for
-  sign changes over the grid, and when the locus has a jet, all the
-  brackets are refined by one lock-step bisection.  Its endpoint values
-  are the scanned samples, so the jet is not evaluated there again.
-  Each root is estimated from the samples the scan holds, by inverse
-  interpolation through six of them round its bracket; the midpoints
-  scipy.optimize.bisect would visit on its way to each estimate are
-  evaluated in one call, and only decisions those values confirm are
-  taken, so each bracket lands on exactly the root scipy would return
-  for it, usually in that one evaluation where bisection takes one per
-  halving.  A bracket whose signs leave the predicted path is walked on
-  from there in the next call, aimed at the secant root of what is left
-  of it.  A bracket two planes share is refined once.
-* landmark values: one jet_signals call gives (u, w, du/dt, dw/dt) at
-  every plane's roots and slope-span midpoints, which origin_crossing,
-  rate_landmarks and project_landmarks read.
+* roots: the rows are scanned for sign changes over the grid, and when
+  the locus has a jet, all the brackets are refined by one lock-step
+  bisection.  Its endpoint values are the scanned samples, so the jet
+  is not evaluated there again.  Each root is estimated from the
+  samples the scan holds, by inverse interpolation through six of them
+  round its bracket; the midpoints scipy.optimize.bisect would visit on
+  its way to each estimate are evaluated in one call, and only
+  decisions those values confirm are taken, so each bracket lands on
+  exactly the root scipy would return for it, usually in that one
+  evaluation where bisection takes one per halving.  A bracket whose
+  signs leave the predicted path is walked on from there in the next
+  call, aimed at the secant root of what is left of it.  The few runs
+  of exact-zero samples are walked in Python (_zero_roots).
+* landmark values: one jet block at every plane's roots and slope-span
+  midpoints gives (u, w, du/dt, dw/dt) there, plane d reading its rows
+  d and d + 1, which origin_crossing, rate_landmarks and
+  project_landmarks read.
 * valuedness pairs: each sample is paired with its mirror sample, by
   index, and only a pair with no mirror is evaluated (_pair_ordinates).
 
@@ -342,7 +347,8 @@ def _scan(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Signs are compared, not products, which underflow; zero and NaN samples have none.
     """
     pos, neg = vals > 0.0, vals < 0.0
-    return np.nonzero((pos[:, :-1] & neg[:, 1:]) | (neg[:, :-1] & pos[:, 1:]))
+    change = (pos[:, :-1] & neg[:, 1:]) | (neg[:, :-1] & pos[:, 1:])
+    return np.divmod(np.flatnonzero(change), change.shape[1])
 
 
 def _interpolated(t: np.ndarray, vals: np.ndarray, rows: np.ndarray,
@@ -352,51 +358,41 @@ def _interpolated(t: np.ndarray, vals: np.ndarray, rows: np.ndarray,
     return t[left] - a * (t[left + 1] - t[left]) / (b - a)
 
 
-def _signal_roots(t: np.ndarray, row: np.ndarray, crossings: np.ndarray,
-                  transversal_only: bool) -> list[float]:
-    """A signal's roots: its refined bracket crossings plus one per run of exact zeros.
+def _zero_roots(t: np.ndarray, row: np.ndarray, zeros: list[int],
+                transversal_only: bool) -> list[float]:
+    """t at the middle of each run of a signal's exact-zero samples, whose indices are zeros.
 
-    A run of exact-zero samples yields one representative root at its
-    middle; a run split by the period seam counts once, its middle taken
-    modulo the period.  With transversal_only the signal must change sign
-    across a root, which drops tangential (double) zeros; the signal is
-    treated as periodic when looking up the run's neighbours.
+    A run split by the period seam counts once, its middle taken modulo
+    the period; a zero at the seam sample alone stays listed at both t[0]
+    and t[-1].  With transversal_only the signal must change sign across
+    a run, which drops tangential (double) zeros: runs are maximal, so the
+    samples either side of a run are its neighbours, looked up round the
+    period, and a core of zeros alone has no root.
     """
-    tol = 10.0 * _REFINE_XTOL
-    zero = row == 0.0
-    if not zero.any():
-        return _dedupe(crossings.tolist(), tol)
-    n = row.size
-    first, last = _runs(zero)
-    if first.size > 1 and first[0] == 0 and last[-1] == n - 1 and (
-            last[0] > 0 or first[-1] < n - 1):
-        # t[-1] is t[0] one period later, so a zero run through the seam is
-        # one run, whose end index goes past n - 1; a zero at the seam
-        # sample alone stays listed at both t[0] and t[-1]
-        first, last = first[1:], np.append(last[1:-1], last[0] + n - 1)
-    if transversal_only:
-        # the last sample duplicates the first, one period later; runs are
-        # maximal, so the samples either side of a run are its neighbours,
-        # and only a run at the seam walks round the period to find them
-        core = row[:-1]
-        if first[0] == 0 and last[0] >= n - 2:
-            first = last = first[:0]  # the core is all zeros
+    n = row.size - 1  # the last sample is the first, one period later
+    runs = []
+    for i in zeros:
+        if runs and runs[-1][1] == i - 1:
+            runs[-1][1] = i
         else:
-            before = [_nonzero_from(core, i - 1, -1) for i in first.tolist()]
-            after = [_nonzero_from(core, i + 1, 1) for i in last.tolist()]
-            keep = np.sign(core[before]) * np.sign(core[after]) < 0.0
-            first, last = first[keep], last[keep]
-    mid = (first + last) // 2
-    mid = np.where(last < n, mid, mid % (n - 1))
-    return _dedupe(crossings.tolist() + t[mid].tolist(), tol)
+            runs.append([i, i])
+    if len(runs) > 1 and runs[0][0] == 0 and runs[-1][1] == n and (
+            runs[0][1] > 0 or runs[-1][0] < n):
+        runs[-1][1] = runs.pop(0)[1] + n  # one run through the seam, its end past n
+    if transversal_only:
+        if runs and runs[0][0] == 0 and runs[0][1] >= n - 1:
+            return []
+        runs = [(a, b) for a, b in runs if np.sign(_nonzero_from(row, a - 1, -1, n))
+                * np.sign(_nonzero_from(row, b + 1, 1, n)) < 0.0]
+    return [float(t[(a + b) // 2 if b <= n else (a + b) // 2 % n]) for a, b in runs]
 
 
-def _nonzero_from(core: np.ndarray, i: int, step: int) -> int:
-    """The first index from i, stepping by step round the period, where core is not zero."""
-    i %= core.size
-    while core[i] == 0.0:
-        i = (i + step) % core.size
-    return i
+def _nonzero_from(row: np.ndarray, i: int, step: int, n: int) -> float:
+    """The first nonzero sample from i, stepping by step round the period of n samples."""
+    i %= n
+    while row[i] == 0.0:
+        i = (i + step) % n
+    return row[i]
 
 
 @dataclass(frozen=True)
@@ -411,6 +407,8 @@ class _PlaneRoots:
     root and every span midpoint to (u, w, du/dt, dw/dt) there.  t_pair
     and w_pair hold each sample's valuedness pair time and the ordinate
     there, its mirror sample's wherever it has one (_pair_ordinates).
+    Each is read off refine_chain's one pass over the chain's distinct
+    rows: a row two planes share gives both the same roots and peak.
     """
 
     abscissa: list[float]
@@ -426,26 +424,34 @@ class _PlaneRoots:
 def refine_chain(chain, top_rates: tuple[np.ndarray, np.ndarray] | None = None) -> None:
     """Refine every root the analyses of a locus chain need, and read their values there.
 
-    Each plane's abscissa u (for origin_crossing) and coordinate rates
-    du/dt and dw/dt (for rate_landmarks) are scanned for sign changes, and
-    every bracket the jet covers is refined in one lock-step bisection
-    through jet_signals, usually one evaluation for all of them, from the
-    scanned samples at the bracket ends (the jet's values there), aimed at
-    the root of the inverse interpolant through the six samples round each
-    bracket (_inverse_root); brackets of signals without a jet keep their
-    linear-interpolation root.  The loci of a chain are taken to share one
-    jet and one grid, and chain[d + 1] to be the transform of chain[d], so
-    its samples serve as plane d's rates when both come from the same kind
-    of evaluation (the jet, or finite differences); top_rates, when given,
-    are the last plane's rates on the grid.  A bracket two planes share,
-    such as plane d's du/dt and plane d + 1's u, is refined once.  Then
-    one jet_signals call reads (u, w, du/dt, dw/dt) at every plane's roots
-    and slope-span midpoints, and each sample's valuedness pair is read
-    off its mirror sample (_pair_ordinates).  All of it is stored on each
-    locus, where origin_crossing, valuedness and rate_landmarks read it.
+    The loci of a chain are taken to share one jet and one grid, and
+    chain[d + 1] to be the transform of chain[d], so its samples serve as
+    plane d's rates when both come from the same kind of evaluation (the
+    jet, or finite differences); top_rates, when given, are the last
+    plane's rates on the grid.  A plane's signal rows are its abscissa u
+    (for origin_crossing) and its rates du/dt and dw/dt (for
+    rate_landmarks); a row two planes share, such as plane d's du/dt and
+    plane d + 1's u, is one array, taken once.  The distinct rows get one
+    scan for sign changes, one stencil gather, one peaks pass and one
+    search for exact zeros (_zero_roots).  Every bracket the jet covers is
+    refined in one lock-step bisection through jet_signals, seeded by
+    _inverse_root; the others keep their linear-interpolation root.  One
+    _jet block at every jet plane's roots and slope-span midpoints gives
+    (u, w, du/dt, dw/dt) there, plane d reading rows d and d + 1; what the
+    jet does not give is interpolated in the grid samples or rates.  Each
+    plane's _PlaneRoots, its rows' slices of all this and its valuedness
+    pairs (_pair_ordinates), is stored on its locus.
     """
-    scans, stencils = [], []
-    ends = {}  # (depth, is ordinate, a, b) -> the bracket's row in the stencils
+    rows, signals, index = [], [], {}  # distinct rows, their jet signals, id -> row
+
+    def row(values: np.ndarray, signal: tuple[int, bool] | None) -> int:
+        if id(values) not in index:
+            index[id(values)] = len(rows)
+            rows.append(values)
+            signals.append(signal)
+        return index[id(values)]
+
+    planes = []
     for d, locus in enumerate(chain):
         after = chain[d + 1] if d + 1 < len(chain) else None
         if after is not None and _has_rates(locus) == (after.jet is not None):
@@ -454,57 +460,70 @@ def refine_chain(chain, top_rates: tuple[np.ndarray, np.ndarray] | None = None) 
             rates = top_rates
         else:
             rates = _derivative_arrays(locus)
-        t = locus.t_values
-        # the stack is scanned and dropped: what the roots need of it is read
-        # here, and each plane holds its signals' own arrays
-        vals = np.stack((locus.u_values, *rates))
-        rows, left = _scan(vals)
-        # rows 0, 1, 2 are the abscissa at depth k and the abscissa and
-        # ordinate at depth k + 1, read off the jet where it gives them
-        hooked = (locus.jet is not None, _has_rates(locus))
-        slots = [(locus.depth + min(r, 1), r == 2, t[i], t[i + 1]) if hooked[min(r, 1)] else None
-                 for r, i in zip(rows.tolist(), left.tolist())]
-        first = sum(map(len, stencils))
-        for j, key in enumerate(slots):
-            if key is not None:
-                ends.setdefault(key, first + j)
-        # samples left - 2 ... left + 3 round each bracket, wrapped round the
-        # period (t[-1] is t[0] one period later); the bracket ends are 2 and 3
-        n = t.size - 1
-        k = left[:, None] + _STENCIL
-        stencils.append(vals[rows[:, None], np.where((k < 0) | (k > n), k % n, k)])
-        # max |v| without an |v| temporary: negation and abs are exact
-        peak_u, peak_du, peak_dw = np.maximum(vals.max(1), -vals.min(1)).tolist()
-        w = locus.w_values
-        peak = (peak_u, float(np.maximum(w.max(), -w.min())), peak_du, peak_dw)
-        scans.append((locus, rates, rows, _interpolated(t, vals, rows, left), slots, peak))
-        del vals
+        # (depth, is ordinate) of each row the jet gives
+        k, exact = locus.depth, _has_rates(locus)
+        planes.append((locus, rates, row(locus.u_values, (k, False) if locus.jet else None),
+                       row(rates[0], (k + 1, False) if exact else None),
+                       row(rates[1], (k + 1, True) if exact else None)))
 
+    t = chain[0].t_values
+    n = t.size - 1
+    vals = np.stack(rows)
+    # max |v| without an |v| temporary: negation and abs are exact
+    peaks = np.maximum(vals.max(1), -vals.min(1)).tolist()
+    at_row, left = _scan(vals)
+    crossings = _interpolated(t, vals, at_row, left)
+    # the brackets the jet covers
+    hooked = np.flatnonzero(np.array([s is not None for s in signals])[at_row])
     jet = next((locus.jet for locus in chain if locus.jet is not None), None)
-    if ends:
-        depth, ordinate, a, b = (np.array(col) for col in zip(*ends))
-        samples = np.concatenate(stencils)[list(ends.values())]
-        roots = dict(zip(ends, bisect(
+    if hooked.size:
+        depth, ordinate = map(np.array, zip(*(signals[r] for r in at_row[hooked].tolist())))
+        i = left[hooked]
+        a, b = t[i], t[i + 1]
+        # samples i - 2 ... i + 3 round each bracket, wrapped round the
+        # period (t[-1] is t[0] one period later); the bracket ends are 2 and 3
+        k = i[:, None] + _STENCIL
+        samples = vals[at_row[hooked, None], np.where((k < 0) | (k > n), k % n, k)]
+        crossings[hooked] = bisect(
             lambda x, live: jet_signals(*jet, x, depth[live], ordinate[live]),
             a, b, samples[:, 2], samples[:, 3], xtol=_REFINE_XTOL,
-            guess=a + _inverse_root(samples) * (b - a)).tolist()))
+            guess=a + _inverse_root(samples) * (b - a))
 
-    planes = []
-    for locus, rates, rows, crossings, slots, peak in scans:
-        t = locus.t_values
-        for j, key in enumerate(slots):
-            if key is not None:
-                crossings[j] = roots[key]
-        abscissa, du, dw = (
-            _signal_roots(t, row, crossings[rows == r], transversal_only=r > 0)
-            for r, row in enumerate((locus.u_values, *rates)))
-        spans = _spans(t, du + dw)
-        times = np.array(abscissa + du + dw + [0.5 * (a + b) for a, b in spans])
-        planes.append((abscissa, du, dw, spans, peak, times))
+    # each row's crossings, in scan order, and its exact-zero sample indices
+    stops = np.cumsum(np.bincount(at_row, minlength=len(rows))).tolist()
+    crossings = crossings.tolist()
+    zeros = [[] for _ in rows]
+    for r, i in zip(*(v.tolist() for v in np.divmod(np.flatnonzero(vals == 0.0), n + 1))):
+        zeros[r].append(i)
+    del vals
 
-    values = _landmark_values(chain, [scan[1] for scan in scans], [p[-1] for p in planes], jet)
-    for locus, (*plane, times), v, pair in zip(chain, planes, values, _pair_ordinates(chain)):
-        at = dict(zip(times.tolist(), zip(*v.tolist())))
+    def roots(r: int, transversal_only: bool) -> list[float]:
+        return _dedupe(crossings[stops[r - 1] if r else 0:stops[r]]
+                       + _zero_roots(t, rows[r], zeros[r], transversal_only), 10.0 * _REFINE_XTOL)
+
+    found = []
+    for locus, rates, u, du, dw in planes:
+        w = locus.w_values
+        peak_w = peaks[index[id(w)]] if id(w) in index else float(np.maximum(w.max(), -w.min()))
+        abscissa, du_roots, dw_roots = roots(u, False), roots(du, True), roots(dw, True)
+        spans = _spans(t, du_roots + dw_roots)
+        times = abscissa + du_roots + dw_roots + [0.5 * (a + b) for a, b in spans]
+        found.append(([abscissa, du_roots, dw_roots, spans,
+                       (peaks[u], peak_w, peaks[du], peaks[dw])], times))
+
+    # one jet block at every jet plane's times; plane d reads rows d and d + 1
+    jets = [times for (locus, *_), (_, times) in zip(planes, found) if locus.jet]
+    if jets:
+        top = max(locus.depth + _has_rates(locus) for locus, *_ in planes if locus.jet)
+        block = iter(np.split(np.stack(_jet(*jet, np.concatenate(jets), top)),
+                              np.cumsum([len(times) for times in jets])[:-1], axis=2))
+    for (locus, rates, *_), (plane, times), pair in zip(planes, found, _pair_ordinates(chain)):
+        k, xy = locus.depth, next(block) if locus.jet else None
+        values = [*(xy[:, k] if locus.jet else
+                    [np.interp(times, t, v) for v in (locus.u_values, locus.w_values)]),
+                  *(xy[:, k + 1] if _has_rates(locus) else
+                    [np.interp(times, t, v) for v in rates])]
+        at = dict(zip(times, zip(*(v.tolist() for v in values))))
         object.__setattr__(locus, "_roots", _PlaneRoots(*plane, at, *pair))
 
 
@@ -526,27 +545,6 @@ def _spans(t: np.ndarray, roots: list[float]) -> list[tuple[float, float]]:
     """The intervals longer than 1e-9 between consecutive roots and the period ends."""
     bps = _dedupe(roots + [float(t[0]), float(t[-1])], 1e-9)
     return [(a, b) for a, b in zip(bps[:-1], bps[1:]) if b - a > 1e-9]
-
-
-def _landmark_values(chain, rates, times, jet) -> list[np.ndarray]:
-    """Rows u, w, du/dt and dw/dt of each plane at its times.
-
-    Every value the jet gives comes from one jet_signals call for the
-    whole chain; the others are interpolated in the grid samples or rates.
-    """
-    def hooked(locus, row):
-        return locus.jet is not None if row < 2 else _has_rates(locus)
-
-    asks = [(tp, np.full(tp.size, locus.depth + row // 2), np.full(tp.size, row % 2 == 1))
-            for locus, tp in zip(chain, times) for row in range(4) if hooked(locus, row)]
-    got = iter(())
-    if asks:
-        t, depth, ordinate = (np.concatenate(col) for col in zip(*asks))
-        got = iter(np.split(jet_signals(*jet, t, depth, ordinate),
-                            np.cumsum([tp.size for tp, _, _ in asks])[:-1]))
-    return [np.array([next(got) if hooked(locus, row) else np.interp(tp, locus.t_values, samples)
-                      for row, samples in enumerate((locus.u_values, locus.w_values, *plane))])
-            for locus, plane, tp in zip(chain, rates, times)]
 
 
 def _pair_ordinates(chain) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -13,6 +13,7 @@ from memelements import (
     LogisticCurve,
     NumericalError,
     ParametricLocus,
+    PiecewiseLinearCurve,
     PolynomialCurve,
     SampleGrid,
     TanhScaledCurve,
@@ -434,11 +435,13 @@ class TestPhaseShift:
         monkeypatch.undo()
         assert events.count(("jet", 8193)) == 1
         assert events.count(("bisect", None)) == 1
-        # after the bisection, the landmark batch is the only evaluation
-        after = events[events.index(("bisect", None)) + 1:]
-        assert after.count(("signals", None)) == 1
         # the peaks are among the roots refine_chain finds on the same grid
         roots = loci._plane_roots(analytic_locus(tanh_curve, drive, 1, grid(drive, 8192)))
+        # after the bisection, the landmark values are one jet block, at the
+        # locus's roots and slope-span midpoints, and no jet_signals call
+        after = events[events.index(("bisect", None)) + 1:]
+        times = roots.abscissa + roots.du + roots.dw + [0.5 * (a + b) for a, b in roots.spans]
+        assert after == [("jet", len(times))]
         assert rpt.t_peak_ordinate in roots.dw
         assert rpt.t_peak_abscissa in roots.du
 
@@ -829,12 +832,7 @@ class TestGridSeed:
         unseeded = refined()
         assert guessed == [True]
         for got, want in zip(seeded, unseeded, strict=True):
-            for field in dataclasses.fields(got):
-                g, w = getattr(got, field.name), getattr(want, field.name)
-                if isinstance(g, np.ndarray):
-                    assert g.tobytes() == w.tobytes()
-                else:  # repr tells every float bit, the sign of zero included
-                    assert repr(g) == repr(w)
+            assert _same_fields(got, want)
 
 
 def _reference_roots(t, vals, fn=None, xtol=1e-12, transversal_only=False):
@@ -892,7 +890,7 @@ def _chain_roots(t, vals, hook=None, transversal_only=False):
     _scan brackets the sign changes, _interpolated places a root in each,
     bisect refines them all in one call from the samples at their ends
     when a hook is given (row r of hook(x) is row r's signal), and
-    _signal_roots adds the zero runs.
+    _zero_roots adds the runs of exact zeros.
     """
     t = np.asarray(t, dtype=float)
     vals = np.atleast_2d(np.asarray(vals, dtype=float))
@@ -902,7 +900,9 @@ def _chain_roots(t, vals, hook=None, transversal_only=False):
         crossings = loci.bisect(
             lambda x, live: np.asarray(hook(x))[rows[live], np.arange(x.size)],
             t[left], t[left + 1], vals[rows, left], vals[rows, left + 1])
-    return [loci._signal_roots(t, row, crossings[rows == r], transversal_only)
+    return [loci._dedupe(crossings[rows == r].tolist() + loci._zero_roots(
+                t, row, np.flatnonzero(row == 0.0).tolist(), transversal_only),
+                         10.0 * loci._REFINE_XTOL)
             for r, row in enumerate(vals)]
 
 
@@ -939,6 +939,22 @@ def _double_zero():
     return v
 
 
+def _beside_nan(offset):
+    # a zero run at 19..21, where the signal rises through zero, with a NaN
+    # sample just before (offset -1) or after (3) it
+    v = np.sin(3.0 * T65 + 0.4)
+    v[19:22] = 0.0
+    v[19 + offset] = np.nan
+    return v
+
+
+def _tangential_seam_runs():
+    # a signal that never goes positive, touching zero at the seam and at 40..41
+    v = -np.abs(np.sin(3.0 * T65 + 0.4))
+    v[0] = v[-1] = v[40] = v[41] = 0.0
+    return v
+
+
 SIGNALS = {
     "seam_run": _seam_run(),
     "seam_zero": _seam_zero(),
@@ -946,6 +962,14 @@ SIGNALS = {
     "double_zero": _double_zero(),
     "all_zero": np.zeros_like(T65),
     "sign_changes": np.sin(3.0 * T65 + 0.1),
+    # sin vanishes exactly at phase 0 alone, so each of these two crosses zero
+    # at one end of the period while the other end holds a tiny nonzero sample
+    "zero_at_t0_only": np.sin(T65),
+    "zero_at_t_end_only": np.sin(T65 - T65[-1]),
+    "all_zero_core": np.append(np.zeros(64), 1e-300),
+    "nan_before_zero_run": _beside_nan(-1),
+    "nan_after_zero_run": _beside_nan(3),
+    "tangential_seam_runs": _tangential_seam_runs(),
 }
 
 
@@ -987,6 +1011,28 @@ class TestRefinedRoots:
         assert _chain_roots(T65, SIGNALS["all_zero"], transversal_only=True) == [[]]
         assert _chain_roots(T65, SIGNALS["all_zero"]) == [[T65[32]]]
 
+    def test_zero_runs_at_the_ends_and_beside_nan(self):
+        def roots(name, transversal_only=True):
+            return _chain_roots(T65, SIGNALS[name], transversal_only=transversal_only)[0]
+
+        assert SIGNALS["zero_at_t0_only"][-1] != 0.0 != SIGNALS["zero_at_t_end_only"][0]
+        assert T65[0] in roots("zero_at_t0_only") and T65[64] not in roots("zero_at_t0_only")
+        assert T65[64] in roots("zero_at_t_end_only") and T65[0] not in roots("zero_at_t_end_only")
+        # a core of zeros has no crossing, but is one run, 0..63, without the filter
+        assert roots("all_zero_core") == []
+        assert roots("all_zero_core", False) == [T65[31]]
+        # a NaN neighbour has no sign, so the run is not known to be crossed
+        for name in ("nan_before_zero_run", "nan_after_zero_run"):
+            assert T65[20] not in roots(name) and T65[20] in roots(name, False)
+        assert roots("tangential_seam_runs") == []
+        assert set(roots("tangential_seam_runs", False)) == {T65[0], T65[40], T65[64]}
+
+    @pytest.mark.parametrize("transversal_only", [False, True])
+    @pytest.mark.parametrize("name", sorted(SIGNALS))
+    def test_zero_walk_matches_the_frozen_signal_roots(self, name, transversal_only):
+        (got,) = _chain_roots(T65, SIGNALS[name], transversal_only=transversal_only)
+        assert repr(got) == repr(_frozen_roots(T65, SIGNALS[name], transversal_only))
+
     @pytest.mark.parametrize("transversal_only", [False, True])
     def test_two_rows_refined_together_match_scalar_scans(self, transversal_only):
         def hook(x):
@@ -1010,3 +1056,211 @@ class TestRefinedRoots:
         t = np.arange(len(samples), dtype=float)
         (got,) = _chain_roots(t, samples, transversal_only=transversal_only)
         assert got == _reference_roots(t, samples, transversal_only=transversal_only)
+        assert repr(got) == repr(_frozen_roots(t, np.array(samples), transversal_only))
+
+
+# ----------------------------------------------------------------------
+# refine_chain as it was written plane by plane, three rows to a plane,
+# before it took each distinct row of a chain once, kept frozen with the
+# helpers it alone used: the one-pass version must store the same fields
+# bit for bit.  The helpers both versions share are called from loci.
+# ----------------------------------------------------------------------
+
+def _frozen_scan(vals):
+    pos, neg = vals > 0.0, vals < 0.0
+    return np.nonzero((pos[:, :-1] & neg[:, 1:]) | (neg[:, :-1] & pos[:, 1:]))
+
+
+def _frozen_runs(mask):
+    idx = np.flatnonzero(mask)
+    if not idx.size:
+        return idx, idx
+    cut = idx[1:] != idx[:-1] + 1
+    return idx[np.append(True, cut)], idx[np.append(cut, True)]
+
+
+def _frozen_nonzero_from(core, i, step):
+    i %= core.size
+    while core[i] == 0.0:
+        i = (i + step) % core.size
+    return i
+
+
+def _frozen_signal_roots(t, row, crossings, transversal_only):
+    tol = 10.0 * loci._REFINE_XTOL
+    zero = row == 0.0
+    if not zero.any():
+        return loci._dedupe(crossings.tolist(), tol)
+    n = row.size
+    first, last = _frozen_runs(zero)
+    if first.size > 1 and first[0] == 0 and last[-1] == n - 1 and (
+            last[0] > 0 or first[-1] < n - 1):
+        first, last = first[1:], np.append(last[1:-1], last[0] + n - 1)
+    if transversal_only:
+        core = row[:-1]
+        if first[0] == 0 and last[0] >= n - 2:
+            first = last = first[:0]
+        else:
+            before = [_frozen_nonzero_from(core, i - 1, -1) for i in first.tolist()]
+            after = [_frozen_nonzero_from(core, i + 1, 1) for i in last.tolist()]
+            keep = np.sign(core[before]) * np.sign(core[after]) < 0.0
+            first, last = first[keep], last[keep]
+    mid = (first + last) // 2
+    mid = np.where(last < n, mid, mid % (n - 1))
+    return loci._dedupe(crossings.tolist() + t[mid].tolist(), tol)
+
+
+def _frozen_roots(t, row, transversal_only):
+    """A row's roots as the per-plane pass found them without a jet."""
+    rows, left = _frozen_scan(row[None])
+    crossings = loci._interpolated(t, row[None], rows, left)
+    return _frozen_signal_roots(t, row, crossings, transversal_only)
+
+
+def _frozen_landmark_values(chain, rates, times, jet):
+    def hooked(locus, row):
+        return locus.jet is not None if row < 2 else loci._has_rates(locus)
+
+    asks = [(tp, np.full(tp.size, locus.depth + row // 2), np.full(tp.size, row % 2 == 1))
+            for locus, tp in zip(chain, times) for row in range(4) if hooked(locus, row)]
+    got = iter(())
+    if asks:
+        t, depth, ordinate = (np.concatenate(col) for col in zip(*asks))
+        got = iter(np.split(transform.jet_signals(*jet, t, depth, ordinate),
+                            np.cumsum([tp.size for tp, _, _ in asks])[:-1]))
+    return [np.array([next(got) if hooked(locus, row) else np.interp(tp, locus.t_values, samples)
+                      for row, samples in enumerate((locus.u_values, locus.w_values, *plane))])
+            for locus, plane, tp in zip(chain, rates, times)]
+
+
+def _frozen_refine_chain(chain, top_rates=None):
+    """The _PlaneRoots of each plane of the chain, as the per-plane pass made them."""
+    scans, stencils = [], []
+    ends = {}
+    for d, locus in enumerate(chain):
+        after = chain[d + 1] if d + 1 < len(chain) else None
+        if after is not None and loci._has_rates(locus) == (after.jet is not None):
+            rates = (after.u_values, after.w_values)
+        elif after is None and top_rates is not None:
+            rates = top_rates
+        else:
+            rates = loci._derivative_arrays(locus)
+        t = locus.t_values
+        vals = np.stack((locus.u_values, *rates))
+        rows, left = _frozen_scan(vals)
+        hooked = (locus.jet is not None, loci._has_rates(locus))
+        slots = [(locus.depth + min(r, 1), r == 2, t[i], t[i + 1]) if hooked[min(r, 1)] else None
+                 for r, i in zip(rows.tolist(), left.tolist())]
+        first = sum(map(len, stencils))
+        for j, key in enumerate(slots):
+            if key is not None:
+                ends.setdefault(key, first + j)
+        n = t.size - 1
+        k = left[:, None] + loci._STENCIL
+        stencils.append(vals[rows[:, None], np.where((k < 0) | (k > n), k % n, k)])
+        peak_u, peak_du, peak_dw = np.maximum(vals.max(1), -vals.min(1)).tolist()
+        w = locus.w_values
+        peak = (peak_u, float(np.maximum(w.max(), -w.min())), peak_du, peak_dw)
+        scans.append((locus, rates, rows, loci._interpolated(t, vals, rows, left), slots, peak))
+
+    jet = next((locus.jet for locus in chain if locus.jet is not None), None)
+    if ends:
+        depth, ordinate, a, b = (np.array(col) for col in zip(*ends))
+        samples = np.concatenate(stencils)[list(ends.values())]
+        roots = dict(zip(ends, loci.bisect(
+            lambda x, live: transform.jet_signals(*jet, x, depth[live], ordinate[live]),
+            a, b, samples[:, 2], samples[:, 3], xtol=loci._REFINE_XTOL,
+            guess=a + loci._inverse_root(samples) * (b - a)).tolist()))
+
+    planes = []
+    for locus, rates, rows, crossings, slots, peak in scans:
+        t = locus.t_values
+        for j, key in enumerate(slots):
+            if key is not None:
+                crossings[j] = roots[key]
+        abscissa, du, dw = (
+            _frozen_signal_roots(t, row, crossings[rows == r], transversal_only=r > 0)
+            for r, row in enumerate((locus.u_values, *rates)))
+        spans = loci._spans(t, du + dw)
+        times = np.array(abscissa + du + dw + [0.5 * (a + b) for a, b in spans])
+        planes.append((abscissa, du, dw, spans, peak, times))
+
+    values = _frozen_landmark_values(chain, [scan[1] for scan in scans],
+                                     [p[-1] for p in planes], jet)
+    return [loci._PlaneRoots(*plane, dict(zip(times.tolist(), zip(*v.tolist()))), *pair)
+            for (*plane, times), v, pair in zip(planes, values, loci._pair_ordinates(chain))]
+
+
+def _same_fields(got, want):
+    """Whether two _PlaneRoots hold the same values, every float bit included."""
+    for field in dataclasses.fields(want):
+        g, w = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(w, np.ndarray):
+            if g.dtype != w.dtype or g.tobytes() != w.tobytes():
+                return False
+        elif repr(g) != repr(w):  # repr tells every float bit, the sign of zero included
+            return False
+    return True
+
+
+class TestOnePassRefinement:
+    """The one pass over a chain's distinct rows stores what the per-plane pass stored."""
+
+    # derivative orders 4 and 5, so some deepest planes have exact rates and some do not
+    CURVES = {
+        "polynomial": (PolynomialCurve((0.0, 1.0, 0.0, 1.0 / 3.0), max_derivative_order=5),
+                       (0.0, 2.0)),
+        "tanh": (TanhScaledCurve(a=1.3, b=0.8), (0.0, 2.0)),
+        "logistic": (LogisticCurve(max_derivative_order=5), (0.5, 2.0)),
+        "piecewise_linear": (PiecewiseLinearCurve(((0.0, 0.0), (1.0, 0.5), (2.0, 2.0))),
+                             (0.0, 2.0)),
+        "two_branch": (TwoBranchCurve(
+            outgoing=PolynomialCurve((0.0, 1.0, 0.0, 1.0 / 3.0), max_derivative_order=5),
+            returning=PolynomialCurve((0.0, 4.0 / 3.0, 0.5), max_derivative_order=5)),
+            (0.0, 2.0)),
+    }
+
+    @staticmethod
+    def _drive(data, lo, hi):
+        amplitude = data.draw(st.floats(0.05, 0.5 * (hi - lo)), label="amplitude")
+        # an offset of one amplitude from the range's low end pins x(0) there
+        # exactly; at lo = 0 the abscissa has exact zeros at the seam
+        offset = data.draw(st.one_of(st.just(lo + amplitude),
+                                     st.floats(lo + amplitude, hi - amplitude)), label="offset")
+        omega = data.draw(st.sampled_from([0.3, 1.0, 2.7, 13.0]), label="omega")
+        return Excitation(amplitude, omega, offset)
+
+    @settings(max_examples=120, deadline=None)
+    @given(name=st.sampled_from(sorted(CURVES)), depth=st.integers(0, 4),
+           n=st.sampled_from([64, 257, 4095, 4096]),
+           kind=st.sampled_from(["closed", "numeric", "lone", "lone_numeric"]), data=st.data())
+    def test_every_field_equals_the_frozen_pass(self, name, depth, n, kind, data):
+        curve, (lo, hi) = self.CURVES[name]
+        exc = self._drive(data, lo, hi)
+        g = grid(exc, n)
+        rates = None
+        if kind in ("closed", "lone"):
+            chain, rates = transform.analytic_chain(curve, exc, depth, g)
+        else:
+            chain = [analytic_locus(curve, exc, 0, g)]
+            for _ in range(depth):
+                chain.append(numeric_transform(chain[-1]))
+        if kind.startswith("lone"):
+            chain, rates = (chain[-1],), None
+        want = _frozen_refine_chain(chain, rates)
+        loci.refine_chain(chain, rates)
+        for locus, plane in zip(chain, want, strict=True):
+            assert _same_fields(vars(locus)["_roots"], plane)
+
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(sorted(CURVES)), n=st.sampled_from([64, 257, 4095, 8192]),
+           data=st.data())
+    def test_phase_shift_chain_equals_the_frozen_pass(self, name, n, data):
+        # phase_shift refines the depth-1 locus alone, with the jet's depth-2 rows as its rates
+        curve, (lo, hi) = self.CURVES[name]
+        exc = self._drive(data, lo, hi)
+        chain, rates = transform.analytic_chain(curve, exc, 1, grid(exc, n))
+        (want,) = _frozen_refine_chain(chain[1:], rates)
+        loci.refine_chain(chain[1:], rates)
+        assert _same_fields(vars(chain[1])["_roots"], want)
+        assert "_roots" not in vars(chain[0])

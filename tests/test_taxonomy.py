@@ -456,12 +456,13 @@ class TestChainAnalysedOnce:
         assert counts == self.EXPECTED
 
     def test_classify_builds_one_grid_jet(self, cubic, monkeypatch):
-        # the grid jet and one jet per jet_signals call: the bisection's
-        # one and the landmark batch; valuedness pairs are read off the
-        # grid (26 jets, 7 on the grid, when each reader built its own; 8
-        # jets and 6 calls when the bisection evaluated its endpoints again;
-        # 6 when one jet gave the pairs no grid time held; 5 jets and 4
-        # calls when two calls estimated the roots)
+        # the grid jet, the jet of the bisection's one jet_signals call, and
+        # the landmark block at every plane's roots; valuedness pairs are
+        # read off the grid (26 jets, 7 on the grid, when each reader built
+        # its own; 8 jets and 6 calls when the bisection evaluated its
+        # endpoints again; 6 when one jet gave the pairs no grid time held;
+        # 5 jets and 4 calls when two calls estimated the roots; 3 jets and
+        # 2 calls when the landmark values were a jet_signals batch)
         sizes, calls = [], []
         jet, signals = transform._jet, loci.jet_signals
 
@@ -479,7 +480,20 @@ class TestChainAnalysedOnce:
         rpt = classify((-2, -2), cubic)
         assert sizes.count(rpt.grid_n + 1) == 1
         assert len(sizes) == 3
-        assert len(calls) == 2
+        assert len(calls) == 1
+
+    def test_classify_scans_each_distinct_row_once(self, cubic, monkeypatch):
+        # u0, u1 and u2, w1 and w2, and the depth-2 plane's rates: plane d's
+        # rates are plane d + 1's coordinates, so 7 rows, not 3 per plane
+        scan, shapes = loci._scan, []
+
+        def recording(vals):
+            shapes.append(vals.shape)
+            return scan(vals)
+
+        monkeypatch.setattr(loci, "_scan", recording)
+        rpt = classify((-2, -2), cubic)
+        assert shapes == [(7, rpt.grid_n + 1)]
 
     def test_chain_loci_are_read_only_views_of_one_grid(self, cubic):
         g = grid(Excitation(), 1024)

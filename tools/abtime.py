@@ -12,10 +12,13 @@ checkout) is rebuilt in both packages from its spec, with
 on each side; the side that runs first alternates op by op, so drift in
 the host's speed falls on both sides alike.  Every report's JSON
 (verdict, planes, witnesses) must be equal on both sides, else the run
-stops naming the op.  Printed: each side's mean best-of-k op time and
-``loci.jet_signals`` calls per classify call (the bisection's hook calls
-plus the landmark batch), and the ratio of the times, change over base,
-all from the same runs.  The ratio is an in-process diagnostic
+stops naming the op.  Printed: each side's mean best-of-k op time, its
+``loci.jet_signals`` calls per classify call (the hook calls of the
+root bisection; a tree older than the one-pass refinement also reads
+its landmark values through one), and its ``transform._jet`` calls per
+classify call (the grid jet, each hook call's ordinate jet, the landmark
+values and any ``point_at``), and the ratio of the times, change over
+base, all from the same runs.  The ratio is an in-process diagnostic
 (for instance, the share of one change in a larger one); the benchmark's
 end-to-end metrics come from ``bench/run.py``.
 """
@@ -56,15 +59,19 @@ def rebuild(pkg, expect: dict):
     return tuple(expect["cell"]), pkg.cli.curve_from_spec(expect["spec"]), exc
 
 
-def count_calls(module, name: str) -> list[int]:
-    """Wrap module.name to count its calls; the count is the list's one element."""
-    fn, calls = getattr(module, name), [0]
+def count_calls(name: str, *modules) -> list[int]:
+    """Wrap the function name of modules[0], wherever modules hold it, to count its calls.
+
+    The count is the list's one element.
+    """
+    fn, calls = getattr(modules[0], name), [0]
 
     def counted(*args, **kwargs):
         calls[0] += 1
         return fn(*args, **kwargs)
 
-    setattr(module, name, counted)
+    for module in modules:
+        setattr(module, name, counted)
     return calls
 
 
@@ -95,7 +102,9 @@ def main(argv=None) -> None:
 
     sides = (base, change)
     total = [0.0, 0.0]
-    signals = [count_calls(pkg.loci, "jet_signals") for pkg in sides]
+    signals = [count_calls("jet_signals", pkg.loci) for pkg in sides]
+    # loci imports _jet by name, for its own evaluations
+    jets = [count_calls("_jet", pkg.transform, pkg.loci) for pkg in sides]
     with tempfile.TemporaryDirectory() as work:
         ops = ClassifyDistinct(args.seed, Path(work))
         for i in range(args.ops):
@@ -111,11 +120,13 @@ def main(argv=None) -> None:
             if reports[0] != reports[1]:
                 raise SystemExit(f"op {i} (seed {args.seed}): the reports differ")
     base_ms, change_ms = (1e3 * s / args.ops for s in total)
-    base_calls, change_calls = (n / (args.ops * args.best_of) for n, in signals)
+    calls = args.ops * args.best_of
     print(f"classify-distinct seed {args.seed}, {args.ops} ops, best of {args.best_of}: "
           f"reports equal")
-    print(f"base   {base_ms:.4f} ms/op  {base_calls:.3f} jet_signals calls/op")
-    print(f"change {change_ms:.4f} ms/op  {change_calls:.3f} jet_signals calls/op")
+    for label, ms, (n_signals,), (n_jets,) in zip(
+            ("base  ", "change"), (base_ms, change_ms), signals, jets):
+        print(f"{label} {ms:.4f} ms/op  {n_signals / calls:.3f} jet_signals calls/op  "
+              f"{n_jets / calls:.3f} _jet calls/op")
     print(f"ratio  {change_ms / base_ms:.4f}")
 
 

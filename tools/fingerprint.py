@@ -35,8 +35,10 @@ Covered:
     abscissa peak times and the shift, and the class;
   * ``float.hex`` of every root ``loci.refine_chain`` stores (each plane's
     abscissa zeros and transversal du/dt and dw/dt zeros, including the
-    ones no report shows) on closed-form chains of the seven curves to
-    depths 0-4 at n = 256 and 4096;
+    ones no report shows), of each plane's slope spans and peaks, and of
+    every time and value of its landmark table, on closed-form and
+    numeric chains of the seven curves to depths 0-4 at n = 256, 257,
+    4095 and 4096;
   * ``float.hex`` of ``point_at`` at off-grid times, array and scalar, on
     closed-form loci of the seven curves at depths 0-4;
   * in-process CLI runs: ``analyze`` of the seven curves at thirteen cells
@@ -237,24 +239,37 @@ def phase_drives(rng: random.Random, default: Excitation, operating_range) -> li
 
 
 def stored_roots(curves: dict, drives: dict) -> None:
-    """Every root refine_chain stores, whether a report shows it or not."""
-    for name, curve in curves.items():
-        for n in (256, 4096):
-            for depth in range(5):
-                tag = f"roots/{name}/depth{depth}/n{n}"
-                try:
-                    g = memelements.grid(drives[name], n)
-                    chain = [memelements.analytic_locus(curve, drives[name], d, g)
-                             for d in range(depth + 1)]
-                    memelements.loci.refine_chain(chain)
-                except Exception as err:
-                    emit(tag, f"{type(err).__name__}: {err}")
-                    continue
-                for d, locus in enumerate(chain):
-                    roots = memelements.loci._plane_roots(locus)
-                    for signal in ("abscissa", "du", "dw"):
-                        values = getattr(roots, signal)
-                        emit(f"{tag}/plane{d}/{signal}", " ".join(map(float.hex, values)) or "-")
+    """Everything refine_chain stores but the pairs, whether a report shows it or not."""
+    for kind in ("roots", "roots-numeric"):
+        for name, curve in curves.items():
+            for n in (256, 257, 4095, 4096):
+                for depth in range(5):
+                    tag = f"{kind}/{name}/depth{depth}/n{n}"
+                    try:
+                        g = memelements.grid(drives[name], n)
+                        if kind == "roots":
+                            chain = [memelements.analytic_locus(curve, drives[name], d, g)
+                                     for d in range(depth + 1)]
+                        else:
+                            chain = [memelements.analytic_locus(curve, drives[name], 0, g)]
+                            for _ in range(depth):
+                                chain.append(memelements.numeric_transform(chain[-1]))
+                        memelements.loci.refine_chain(chain)
+                    except Exception as err:
+                        emit(tag, f"{type(err).__name__}: {err}")
+                        continue
+                    for d, locus in enumerate(chain):
+                        plane_roots(f"{tag}/plane{d}", memelements.loci._plane_roots(locus))
+
+
+def plane_roots(tag: str, roots) -> None:
+    """float.hex of a plane's roots, slope spans, peaks and landmark values."""
+    for signal in ("abscissa", "du", "dw"):
+        emit(f"{tag}/{signal}", " ".join(map(float.hex, getattr(roots, signal))) or "-")
+    emit(f"{tag}/spans", " ".join(float.hex(v) for span in roots.spans for v in span))
+    emit(f"{tag}/peak", " ".join(map(float.hex, roots.peak)))
+    emit(f"{tag}/at", " ".join(float.hex(v) for t, values in roots.at.items()
+                               for v in (t, *values)))
 
 
 def off_grid_points(curves: dict, drives: dict) -> None:
