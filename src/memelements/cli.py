@@ -47,7 +47,7 @@ from .taxonomy import (
 from .tolerances import ANALYTIC_DEFAULTS, NUMERIC_DEFAULTS, ToleranceSet
 from .transform import analytic_locus, columns_to_csv, csv_texts
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 _ALL_FORMATS = ("csv", "json", "svg")
 # top-level keys of an analyze config that _classify_args reads
 _ANALYSIS_KEYS = ("descriptor", "curve", "excitation", "tolerances", "grid_n", "numeric_chain")

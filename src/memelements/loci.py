@@ -16,14 +16,14 @@ pass over all of them; each plane's results are its rows' slices:
   bisection.  Its endpoint values are the scanned samples, so the jet
   is not evaluated there again.  Each root is estimated from the
   samples the scan holds, by inverse interpolation through six of them
-  round its bracket; the midpoints scipy.optimize.bisect would visit on
-  its way to each estimate are evaluated in one call, and only
-  decisions those values confirm are taken, so each bracket lands on
-  exactly the root scipy would return for it, usually in that one
-  evaluation where bisection takes one per halving.  A bracket whose
-  signs leave the predicted path is walked on from there in the next
-  call, aimed at the secant root of what is left of it.  The few runs
-  of exact-zero samples are walked in Python (_zero_roots).
+  round its bracket; _path walks scipy.optimize.bisect's float steps to
+  the midpoints it would visit on its way to each estimate, one call
+  evaluates them all, and bisect reads each value once, taking only the
+  decisions they confirm, so each bracket lands on scipy's root for it,
+  usually in that one evaluation where bisection takes one per halving.
+  A bracket whose signs leave the predicted path is walked on from there
+  in the next call, aimed at the secant root of what is left of it.  The
+  few runs of exact-zero samples are walked in Python (_zero_roots).
 * landmark values: one jet block at every plane's roots and slope-span
   midpoints gives (u, w, du/dt, dw/dt) there, plane d reading its rows
   d and d + 1, which origin_crossing, rate_landmarks and
@@ -88,7 +88,6 @@ class PointKind(Enum):
     ZERO_TANGENT = "zero_tangent"
     VERTICAL_TANGENT = "vertical_tangent"
     ACTIVITY_WITNESS = "activity_witness"
-    PROJECTED = "projected"
 
 
 @dataclass(frozen=True)
@@ -219,24 +218,25 @@ def _derivative_arrays(locus: ParametricLocus) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def _path(a: float, dm: float, aim: float, steps: int, xtol: float) -> list[float]:
+def _path(a: float, dm: float, aim: float, steps: int, xtol: float) -> tuple[list, list, bool]:
     """The midpoints bisection visits from (a, dm) if every sign falls on aim's side.
 
-    At most steps of them, through the first that meets the stop test.
-    The float operations are scipy's (dm *= .5, xm = a + dm), the same on
-    Python floats as on float64, so these are the points it visits.
+    Returns them, the width after each one's halving, and whether the last met
+    the stop test.  Only here are scipy's float steps taken (dm *= .5, xm = a + dm,
+    the stop test, at most steps halvings), on Python floats, which are float64's.
     """
     up = dm > 0.0
-    path = []
+    path, widths = [], []
     for _ in range(steps):
         dm *= 0.5
         xm = a + dm
         path.append(xm)
+        widths.append(dm)
         if abs(dm) < xtol + _BISECT_RTOL * abs(xm):
-            break
+            return path, widths, True
         if (xm < aim) == up:
             a = xm
-    return path
+    return path, widths, False
 
 
 def _secant(a: float, fa: float, dm: float, fb: float) -> float:
@@ -262,15 +262,15 @@ def bisect(fn, a, b, fa, fb, xtol: float = 1e-12, guess=None) -> np.ndarray:
 
     Each round is one fn call on, for every live bracket, the midpoints
     scipy would visit from its current state if each sign fell on the
-    estimate's side (_path).  A bracket whose signs all fall as predicted
-    is done.  Otherwise the first midpoint off the prediction, or an exact
-    zero, is still one scipy visits, so its value's own decision is taken
-    there, and the next round walks the bracket on from that point,
+    estimate's side (_path, which alone takes scipy's float steps), and
+    reads each value once.  An exact zero, or the last midpoint of a
+    path that met the stop test, is the root; the last of a path out of
+    halvings does not converge; any other value is a sign decision.  At
+    the first one off the prediction, still a point scipy visits, the
+    next round walks the bracket on with the width _path held there,
     aimed at the secant root of the bracket it is left with, whose ends
     lie on either side of the root.  Every round takes at least one
-    decision per bracket, and every decision is read off fn at a point
-    scipy visits.  The paths and decisions are kept in Python floats,
-    whose operations are float64's; only fn sees arrays.
+    decision per bracket; only fn sees arrays.
 
     fn(x, live) gets, for each point, the index of its bracket, and
     returns one value per point from that bracket's own signal; each
@@ -301,22 +301,20 @@ def bisect(fn, a, b, fa, fb, xtol: float = 1e-12, guess=None) -> np.ndarray:
     while todo:
         paths = [_path(lo, dm, aim, _BISECT_MAXITER - spent, xtol)
                  for _, lo, _, dm, _, aim, spent in todo]
-        fm = fn(np.array([xm for path in paths for xm in path]),
-                np.repeat([j for j, *_ in todo], [len(path) for path in paths]))
+        fm = fn(np.array([xm for path, _, _ in paths for xm in path]),
+                np.repeat([j for j, *_ in todo], [len(path) for path, _, _ in paths]))
         fm = np.asarray(fm, dtype=float).tolist()
         left, start = [], 0
-        for (j, lo, flo, dm, fhi, aim, spent), path in zip(todo, paths):
+        for (j, lo, flo, dm, fhi, aim, spent), (path, widths, stopped) in zip(todo, paths):
             # a stays on fa's side, so flo's sign is fa's; up is the side b lies on
-            negative, up = flo < 0.0, dm > 0.0
-            for xm, f in zip(path, fm[start:start + len(path)]):
+            negative, up, last = flo < 0.0, dm > 0.0, len(path) - 1
+            for i, (xm, f) in enumerate(zip(path, fm[start:start + len(path)])):
                 if f != f:
                     raise NumericalError("root refinement hook returned NaN")
-                dm *= 0.5
-                spent += 1
-                if f == 0.0 or abs(dm) < xtol + _BISECT_RTOL * abs(xm):
+                if f == 0.0 or (stopped and i == last):
                     root[j] = xm
                     break
-                if spent == _BISECT_MAXITER:
+                if i == last:
                     raise NumericalError(f"bisection did not converge in {_BISECT_MAXITER} steps")
                 # f is no zero, so f < 0.0 is its sign bit
                 moved = (f < 0.0) == negative
@@ -325,7 +323,8 @@ def bisect(fn, a, b, fa, fb, xtol: float = 1e-12, guess=None) -> np.ndarray:
                 else:
                     fhi = f
                 if moved != ((xm < aim) == up):  # off the path
-                    left.append((j, lo, flo, dm, fhi, _secant(lo, flo, dm, fhi), spent))
+                    dm = widths[i]
+                    left.append((j, lo, flo, dm, fhi, _secant(lo, flo, dm, fhi), spent + i + 1))
                     break
             start += len(path)
         todo = left

@@ -21,7 +21,6 @@ class ToleranceSet:
     slope_tol       slope threshold for monotonicity and kink detection
     nonlin_tol      secant deviation (relative to ordinate span) below which
                     a curve counts as affine
-    phase_tol       unread; stays only while report schema "1" requires it
     witness_tol     min |coordinate| for an off-origin activity witness
     """
 
@@ -30,7 +29,6 @@ class ToleranceSet:
     root_tol: float = 1e-10
     slope_tol: float = 1e-9
     nonlin_tol: float = 1e-9
-    phase_tol: float = 1e-6
     witness_tol: float = 1e-8
 
     def __post_init__(self) -> None:

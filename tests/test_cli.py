@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import pathlib
 import re
@@ -15,8 +16,10 @@ from memelements import (
     Excitation,
     LogisticCurve,
     PiecewiseLinearCurve,
+    PointKind,
     PolynomialCurve,
     TanhScaledCurve,
+    ToleranceSet,
     TwoBranchCurve,
     analytic_locus,
     classify,
@@ -238,6 +241,8 @@ class TestUnknownKeys:
         ("suite", {"curves": [TANH], "numeric_chain": True}, "config.numeric_chain"),
         ("suite", {"curves": [TANH], "excitation": {"offest": 0.5}}, "excitation.offest"),
         ("suite", {"curves": [TANH, dict(TANH, params={"B": 2})]}, "config.curves[1].params.B"),
+        # a knob report schema "1" carried, which nothing read
+        ("analyze", dict(MEMRISTOR_CFG, tolerances={"phase_tol": 1e-6}), "tolerances.phase_tol"),
     ]
 
     @pytest.mark.parametrize("command, cfg, where", CASES,
@@ -281,6 +286,21 @@ class TestSetPath:
     def test_bad_index_rejected(self):
         with pytest.raises(ConfigError):
             _set_path({"a": [1, 2]}, "a[5]", 1)
+
+
+class TestSchemasMatchTheCode:
+    """The shipped schemas name what the code writes: point kinds, tolerance knobs, version."""
+
+    def test_kinds_knobs_and_version(self):
+        report = load_schema("classification_report.schema.json")
+        suite = load_schema("suite_report.schema.json")
+        kinds = report["$defs"]["point"]["properties"]["kind"]["enum"]
+        assert sorted(kinds) == sorted(k.value for k in PointKind)
+        tolerances = report["properties"]["tolerances"]
+        knobs = sorted(f.name for f in dataclasses.fields(ToleranceSet))
+        assert sorted(tolerances["required"]) == sorted(tolerances["properties"]) == knobs
+        for schema in (report, suite):
+            assert schema["properties"]["schema_version"] == {"const": cli.SCHEMA_VERSION}
 
 
 class TestAnalyzeCommand:

@@ -562,6 +562,58 @@ bracket_cases = st.lists(
 )
 
 
+# guesses of every kind, for bisect's guess argument
+guessed_cases = dict(
+    cases=bracket_cases,
+    kinds=st.lists(st.sampled_from(["nan", "inf", "-inf", "outside", "a", "b", "visited",
+                                    "interior"]), min_size=8, max_size=8),
+    picks=st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8),
+    xtol=st.sampled_from([1e-12, 1e-9, 1e-4, 1e-300]),
+    nan_at=st.none() | st.floats(0.0, 1.0),
+)
+
+
+def _guessed(cases, kinds, picks, xtol, nan_at):
+    """Brackets, a hook, a guess of each kind for each, and scipy's roots.
+
+    nan_at, when set, makes the first bracket's signal NaN at one
+    midpoint scipy visits, which bisect refuses.  A root is None where
+    scipy does not converge or the signal is NaN on its path.
+    """
+    signals, guesses, want = [], [], []
+    for case, kind, pick in zip(cases, kinds, picks):
+        lo, hi, g = _bracket_case(*case)
+        visited = []
+
+        def record(x, g=g):
+            visited.append(x)
+            return g(x)
+
+        try:
+            want.append(scipy.optimize.bisect(record, lo, hi, xtol=xtol))
+        except RuntimeError:  # no convergence in 100 halvings
+            want.append(None)
+        mids = visited[2:] or [lo]  # after the endpoints; none when one is a root
+        if nan_at is not None and not signals and len(visited) > 2:
+            bad = mids[int(nan_at * (len(mids) - 1))]
+            g = lambda x, g=g, bad=bad: np.where(x == bad, np.nan, g(x))
+            want[-1] = None
+        signals.append(g)
+        guesses.append({
+            "nan": np.nan, "inf": np.inf, "-inf": -np.inf,
+            "outside": lo - (1.0 + pick) * (hi - lo) if pick < 0.5 else hi + pick,
+            "a": lo, "b": hi, "visited": mids[int(pick * (len(mids) - 1))],
+            "interior": lo + pick * (hi - lo),
+        }[kind])
+    a = np.array([case[0] for case in cases])
+    b = a + np.array([case[1] for case in cases])
+
+    def hook(x, live):
+        return np.array([g(x) for g in signals])[live, np.arange(x.size)]
+
+    return a, b, hook, guesses, want
+
+
 def _bisect(hook, a, b, **kwargs):
     """loci.bisect with the endpoint values a scan would hold: the hook's own there."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
@@ -631,52 +683,13 @@ class TestBisect:
         assert sum(calls) <= 230
 
     @settings(max_examples=200, deadline=None)
-    @given(cases=bracket_cases,
-           kinds=st.lists(st.sampled_from(["nan", "inf", "-inf", "outside", "a", "b",
-                                           "visited", "interior"]), min_size=8, max_size=8),
-           picks=st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8),
-           xtol=st.sampled_from([1e-12, 1e-9, 1e-4, 1e-300]),
-           nan_at=st.none() | st.floats(0.0, 1.0))
+    @given(**guessed_cases)
     # a root at 0, where the relative stop term vanishes: no convergence at xtol 1e-300
     @example(cases=[(-1.0, 3.0, "inside", 1.0 / 3.0, 1.0, 0.0)], kinds=["interior"] * 8,
              picks=[0.5] * 8, xtol=1e-300, nan_at=None)
     def test_any_guess_gives_scipys_root(self, cases, kinds, picks, xtol, nan_at):
-        """Whatever the guess, each root is scipy's bit for bit, and the errors are the same.
-
-        nan_at, when set, makes the first bracket's signal NaN at one
-        midpoint scipy visits, which bisect refuses.
-        """
-        signals, guesses, want = [], [], []
-        for case, kind, pick in zip(cases, kinds, picks):
-            lo, hi, g = _bracket_case(*case)
-            visited = []
-
-            def record(x, g=g):
-                visited.append(x)
-                return g(x)
-
-            try:
-                want.append(scipy.optimize.bisect(record, lo, hi, xtol=xtol))
-            except RuntimeError:  # no convergence in 100 halvings
-                want.append(None)
-            mids = visited[2:] or [lo]  # after the endpoints; none when one is a root
-            if nan_at is not None and not signals and len(visited) > 2:
-                bad = mids[int(nan_at * (len(mids) - 1))]
-                g = lambda x, g=g, bad=bad: np.where(x == bad, np.nan, g(x))
-                want[-1] = None
-            signals.append(g)
-            guesses.append({
-                "nan": np.nan, "inf": np.inf, "-inf": -np.inf,
-                "outside": lo - (1.0 + pick) * (hi - lo) if pick < 0.5 else hi + pick,
-                "a": lo, "b": hi, "visited": mids[int(pick * (len(mids) - 1))],
-                "interior": lo + pick * (hi - lo),
-            }[kind])
-        a = np.array([case[0] for case in cases])
-        b = a + np.array([case[1] for case in cases])
-
-        def hook(x, live):
-            return np.array([g(x) for g in signals])[live, np.arange(x.size)]
-
+        """Whatever the guess, each root is scipy's bit for bit, and the errors are the same."""
+        a, b, hook, guesses, want = _guessed(cases, kinds, picks, xtol, nan_at)
         every = np.arange(a.size)
         run = lambda: loci.bisect(hook, a, b, hook(a, every), hook(b, every), xtol=xtol,
                                   guess=guesses)
@@ -792,6 +805,146 @@ class TestBisect:
         with pytest.raises(NumericalError, match="converge"):
             _bisect(lambda x, live: np.where(np.isin(x, list(visited)), x, np.nan),
                     [-1.0], [2.0], xtol=xtol)
+
+    def test_a_zero_at_the_last_halving_is_the_root(self):
+        # scipy reads fm == 0 before it gives up: the 100th midpoint of
+        # [-1, 2] for the signal x is m, so a signal zero there has root m,
+        # and one zero nowhere scipy visits does not converge
+        m = -7.888609052210118e-31
+        visited = []
+        with pytest.raises(RuntimeError):
+            scipy.optimize.bisect(lambda x: visited.append(x) or x, -1.0, 2.0, xtol=1e-300)
+        assert visited[2:][99:] == [m]
+        assert scipy.optimize.bisect(lambda x: x - m, -1.0, 2.0, xtol=1e-300) == m
+        got = _bisect(lambda x, live: x - m, [-1.0], [2.0], xtol=1e-300)
+        assert got.tobytes() == np.array([m]).tobytes()
+        with pytest.raises(RuntimeError):
+            scipy.optimize.bisect(lambda x: x - 1.5 * m, -1.0, 2.0, xtol=1e-300)
+        with pytest.raises(NumericalError, match="did not converge in 100 steps"):
+            _bisect(lambda x, live: x - 1.5 * m, [-1.0], [2.0], xtol=1e-300)
+
+    @pytest.mark.parametrize("ulps", [23, 41])
+    def test_subnormal_widths_round_at_every_halving(self, ulps):
+        # each halving of a subnormal width rounds, so a bracket walked on
+        # after a wrong prediction keeps the width those roundings left,
+        # which one multiply by a power of two does not always give
+        tiny = 5e-324
+        hi = ulps * tiny
+        for step in range(1, ulps):
+            g = lambda x, r=(step + 0.5) * tiny: np.where(x < r, -1.0, 1.0)
+            want = scipy.optimize.bisect(g, 0.0, hi, xtol=tiny)
+            got = _bisect(lambda x, live: g(x), [0.0], [hi], xtol=tiny, guess=[0.9 * hi])
+            assert got.tobytes() == np.array([want]).tobytes()
+
+
+# ----------------------------------------------------------------------
+# bisect and _path as they were while bisect's loop repeated _path's
+# halvings, stop test and halving count at every midpoint, kept frozen:
+# the one walk must call fn and end as the double walk did.
+# ----------------------------------------------------------------------
+
+def _frozen_path(a, dm, aim, steps, xtol):
+    up = dm > 0.0
+    path = []
+    for _ in range(steps):
+        dm *= 0.5
+        xm = a + dm
+        path.append(xm)
+        if abs(dm) < xtol + loci._BISECT_RTOL * abs(xm):
+            break
+        if (xm < aim) == up:
+            a = xm
+    return path
+
+
+def _frozen_bisect(fn, a, b, fa, fb, xtol=1e-12, guess=None):
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    fa = np.asarray(fa, dtype=float)
+    fb = np.asarray(fb, dtype=float)
+    if np.isnan(fa).any() or np.isnan(fb).any():
+        raise NumericalError("root refinement hook returned NaN")
+    live = np.flatnonzero((fa != 0.0) & (fb != 0.0))
+    if np.any(np.signbit(fa[live]) == np.signbit(fb[live])):
+        raise NumericalError("bisection bracket holds no sign change")
+    root = np.where(fa == 0.0, a, b)
+    guess = np.full(a.shape, np.nan) if guess is None else np.asarray(guess, dtype=float)
+    todo = []
+    for j, lo, hi, flo, fhi, g in zip(*(v.tolist() for v in (
+            live, a[live], b[live], fa[live], fb[live], guess[live]))):
+        aim = g if min(lo, hi) < g < max(lo, hi) else loci._secant(lo, flo, hi - lo, fhi)
+        todo.append((j, lo, flo, hi - lo, fhi, aim, 0))
+    while todo:
+        paths = [_frozen_path(lo, dm, aim, loci._BISECT_MAXITER - spent, xtol)
+                 for _, lo, _, dm, _, aim, spent in todo]
+        fm = fn(np.array([xm for path in paths for xm in path]),
+                np.repeat([j for j, *_ in todo], [len(path) for path in paths]))
+        fm = np.asarray(fm, dtype=float).tolist()
+        left, start = [], 0
+        for (j, lo, flo, dm, fhi, aim, spent), path in zip(todo, paths):
+            negative, up = flo < 0.0, dm > 0.0
+            for xm, f in zip(path, fm[start:start + len(path)]):
+                if f != f:
+                    raise NumericalError("root refinement hook returned NaN")
+                dm *= 0.5
+                spent += 1
+                if f == 0.0 or abs(dm) < xtol + loci._BISECT_RTOL * abs(xm):
+                    root[j] = xm
+                    break
+                if spent == loci._BISECT_MAXITER:
+                    raise NumericalError(
+                        f"bisection did not converge in {loci._BISECT_MAXITER} steps")
+                moved = (f < 0.0) == negative
+                if moved:
+                    lo, flo = xm, f
+                else:
+                    fhi = f
+                if moved != ((xm < aim) == up):
+                    left.append((j, lo, flo, dm, fhi, loci._secant(lo, flo, dm, fhi), spent))
+                    break
+            start += len(path)
+        todo = left
+    return root
+
+
+def _walk(bisect, hook, a, b, **kwargs):
+    """Every fn call bisect makes, as the bytes of its x and live, and its root bytes or error."""
+    calls = []
+
+    def recorded(x, live):
+        calls.append((x.dtype.str, x.tobytes(), live.dtype.str, live.tobytes()))
+        return hook(x, live)
+
+    every = np.arange(a.size)
+    try:
+        return calls, bisect(recorded, a, b, hook(a, every), hook(b, every), **kwargs).tobytes()
+    except NumericalError as err:
+        return calls, str(err)
+
+
+class TestOneWalk:
+    """bisect reads each of _path's midpoints once, and calls fn as the double walk did."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(**guessed_cases)
+    @example(cases=[(-1.0, 3.0, "inside", 1.0 / 3.0, 1.0, 0.0)], kinds=["interior"] * 8,
+             picks=[0.5] * 8, xtol=1e-300, nan_at=None)
+    def test_same_calls_and_ends_as_the_frozen_walk(self, cases, kinds, picks, xtol, nan_at):
+        a, b, hook, guesses, _ = _guessed(cases, kinds, picks, xtol, nan_at)
+        got = _walk(loci.bisect, hook, a, b, xtol=xtol, guess=guesses)
+        assert got == _walk(_frozen_bisect, hook, a, b, xtol=xtol, guess=guesses)
+
+    @pytest.mark.parametrize("signal, xtol", [
+        (lambda x, live: x, 1e-300),  # no convergence
+        (lambda x, live: x + 7.888609052210118e-31, 1e-300),  # a zero at the 100th halving
+        (lambda x, live: np.where(x < 0.3, -1.0, 1.0), 1e-12),  # many walks
+        (lambda x, live: np.where(np.abs(x) < 1e-20, _coin(x), x), 1e-300),
+        (lambda x, live: np.where(x > 0.4, np.nan, x - 0.5), 1e-12),
+    ])
+    def test_named_brackets_walk_as_the_frozen_walk(self, signal, xtol):
+        a, b = np.array([-1.0, 0.0]), np.array([2.0, 1.0])
+        got = _walk(loci.bisect, signal, a, b, xtol=xtol)
+        assert got == _walk(_frozen_bisect, signal, a, b, xtol=xtol)
 
 
 class TestGridSeed:

@@ -15,7 +15,9 @@ the host's speed falls on both sides alike.  Every report's JSON
 stops naming the op.  Printed: each side's mean best-of-k op time, its
 ``loci.jet_signals`` calls per classify call (the hook calls of the
 root bisection; a tree older than the one-pass refinement also reads
-its landmark values through one), and its ``transform._jet`` calls per
+its landmark values through one) and hook points per classify call (the
+summed size of those calls' times, so two trees that must evaluate the
+same midpoints show the same count), its ``transform._jet`` calls per
 classify call (the grid jet, each hook call's ordinate jet, the landmark
 values and any ``point_at``), and the ratio of the times, change over
 base, all from the same runs.  The ratio is an in-process diagnostic
@@ -33,6 +35,8 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -62,12 +66,14 @@ def rebuild(pkg, expect: dict):
 def count_calls(name: str, *modules) -> list[int]:
     """Wrap the function name of modules[0], wherever modules hold it, to count its calls.
 
-    The count is the list's one element.
+    The list holds the count of calls and the summed size of each call's
+    third argument (the times, for jet_signals and _jet).
     """
-    fn, calls = getattr(modules[0], name), [0]
+    fn, calls = getattr(modules[0], name), [0, 0]
 
     def counted(*args, **kwargs):
         calls[0] += 1
+        calls[1] += np.size(args[2])
         return fn(*args, **kwargs)
 
     for module in modules:
@@ -123,10 +129,10 @@ def main(argv=None) -> None:
     calls = args.ops * args.best_of
     print(f"classify-distinct seed {args.seed}, {args.ops} ops, best of {args.best_of}: "
           f"reports equal")
-    for label, ms, (n_signals,), (n_jets,) in zip(
+    for label, ms, (n_signals, n_points), (n_jets, _) in zip(
             ("base  ", "change"), (base_ms, change_ms), signals, jets):
         print(f"{label} {ms:.4f} ms/op  {n_signals / calls:.3f} jet_signals calls/op  "
-              f"{n_jets / calls:.3f} _jet calls/op")
+              f"{n_points / calls:.1f} hook points/op  {n_jets / calls:.3f} _jet calls/op")
     print(f"ratio  {change_ms / base_ms:.4f}")
 
 
