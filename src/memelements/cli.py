@@ -9,9 +9,11 @@ usage errors.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import errno
 import functools
+import io
 import itertools
 import json
 import math
@@ -526,7 +528,7 @@ def _analysis_files(rpt: ClassificationReport, formats: tuple[str, ...],
     if "json" in formats:
         files["report.json"] = _dump_json(report_to_dict(rpt))
     if "csv" in formats:
-        # a report's loci share one grid, so its t text is formatted once
+        # a report's loci share one grid, so every file takes its t column
         texts = csv_texts("t,u,w", rpt.loci[0].t_values,
                           [(locus.u_values, locus.w_values) for locus in rpt.loci])
         files.update(zip([f"depth{locus.depth}.csv" for locus in rpt.loci], texts))
@@ -818,8 +820,10 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
         _fill_sweep_row(row, counts, args if isinstance(args, MemElementsError)
                         else _or_error(classify, *args))
 
-    csv_text = "\n".join([",".join(header)] + [",".join(r) for r in rows]) + "\n"
-    wrote = _write(outdir, {"sweep.csv": csv_text})
+    # error messages may hold commas and quotes, which RFC 4180 quoting keeps in one field
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows([header, *rows])
+    wrote = _write(outdir, {"sweep.csv": text.getvalue()})
     summary = ", ".join(f"{k}: {v}" for k, v in sorted(counts.items()))
     print(f"{len(rows)} runs ({summary})")
     print(wrote)

@@ -368,8 +368,8 @@ def numeric_transform(locus: ParametricLocus) -> ParametricLocus:
 # serialization
 # ----------------------------------------------------------------------
 
-# Rows are formatted and joined this many at a time, so the row strings
-# held at once are one block's, not a whole table's.
+# Rows are dumped this many at a time, so that besides the finished
+# blocks' text only one block's dump is held at once.
 _CSV_BLOCK = 4096
 
 
@@ -377,9 +377,8 @@ def csv_texts(header: str, lead, tables) -> list[str]:
     """CSV texts of tables that share a leading column, written in one pass.
 
     Text k is the header, then one row per sample: the lead value, then
-    the values of table k's columns, each float as repr writes it (_reprs),
-    so it round-trips exactly.  Each block of rows formats the lead once
-    for every table.
+    the values of table k's columns, each float as repr writes it (_rows),
+    so it round-trips exactly.
     Raises DomainError for a column that is not one-dimensional, columns
     of unequal length, or a header whose field count is not a table's
     column count.
@@ -396,30 +395,43 @@ def csv_texts(header: str, lead, tables) -> list[str]:
     texts = [[header] for _ in tables]
     for start in range(0, len(lead), _CSV_BLOCK):
         block = slice(start, start + _CSV_BLOCK)
-        lead_text = _reprs(lead[block])
         for text, cols in zip(texts, tables):
-            rows = zip(lead_text, *(_reprs(col[block]) for col in cols))
-            text.append("\n".join(map(",".join, rows)))
+            text.append(_rows(np.column_stack([lead[block], *(col[block] for col in cols)])))
     # an empty last field ends the text with a newline without copying it again
     return ["\n".join([*text, ""]) for text in texts]
 
 
-def _reprs(col: np.ndarray) -> list[str]:
-    """repr's text of each float in a nonempty one-dimensional float array.
+def _rows(block: np.ndarray) -> str:
+    """CSV rows of a nonempty two-dimensional float array, each float as repr writes it.
 
-    orjson writes the shortest round-trip digits, as repr does, and in
-    the same notation for zeros and 1e-4 <= |x| < 1e16; it writes the
-    other values as 0.00001, 1e16 or null, so those take repr itself.
+    One orjson dump of the raveled rows gives the values between commas;
+    every row's last comma becomes a newline.  orjson writes the shortest
+    round-trip digits, as repr does, and in the same notation for zeros
+    and 1e-4 <= |x| < 1e16; it writes the other values as 0.00001, 1e16
+    or null, so those take repr itself.
     orjson is imported here, so that importing the package does not load it.
     """
     import orjson
 
-    texts = orjson.dumps(np.ascontiguousarray(col),
-                         option=orjson.OPT_SERIALIZE_NUMPY).decode()[1:-1].split(",")
-    mag = np.abs(col)
-    for i in np.flatnonzero(~((mag >= 1e-4) & (mag < 1e16)) & (col != 0.0)).tolist():
-        texts[i] = repr(float(col[i]))
-    return texts
+    flat = block.ravel()
+    raw = bytearray(orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY))
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    seps = np.flatnonzero(buf == 44)  # ","
+    buf[seps[block.shape[1] - 1::block.shape[1]]] = 10  # "\n"
+    text = str(memoryview(raw)[1:-1], "ascii")  # bytearray.decode is far slower
+    mag = np.abs(flat)
+    odd = np.flatnonzero(~((mag >= 1e-4) & (mag < 1e16)) & (flat != 0.0))
+    if not len(odd):
+        return text
+    # value i of text lies between bounds[i] and bounds[i + 1] - 1
+    bounds = np.concatenate([[0], seps, [len(raw) - 1]])
+    parts, prev = [], 0
+    for x, lo, hi in zip(flat[odd].tolist(), bounds[odd].tolist(),
+                         (bounds[odd + 1] - 1).tolist()):
+        parts += [text[prev:lo], repr(x)]
+        prev = hi
+    parts.append(text[prev:])
+    return "".join(parts)
 
 
 def _csv_column(col) -> np.ndarray:

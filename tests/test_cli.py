@@ -1,4 +1,5 @@
 import argparse
+import csv
 import dataclasses
 import json
 import pathlib
@@ -27,7 +28,7 @@ from memelements import (
     locus_to_csv,
     numeric_transform,
 )
-from memelements import cli, transform
+from memelements import cli
 from memelements.cli import (
     FIGURES,
     _set_path,
@@ -40,7 +41,7 @@ from memelements.cli import (
     suite_to_dict,
     tolerances_from_spec,
 )
-from memelements.errors import ConfigError
+from memelements.errors import ConfigError, NumericalError
 from malformed_configs import MALFORMED
 
 
@@ -502,21 +503,23 @@ class TestDepthCsvFiles:
             assert (out / f"depth{k}.csv").read_text() == locus_to_csv(locus)
 
     @pytest.mark.parametrize("depth", [0, 1, 2])
-    def test_t_column_formatted_once(self, tmp_path, monkeypatch, depth):
-        formatted = [0]
-        reprs = transform._reprs
+    def test_each_table_is_one_dump_per_block(self, tmp_path, monkeypatch, depth):
+        import orjson
 
-        def counting_reprs(col):
-            formatted[0] += len(col)
-            return reprs(col)
+        dumped = []
+        dumps = orjson.dumps
+
+        def counting_dumps(obj, *args, **kwargs):
+            dumped.append(np.size(obj))
+            return dumps(obj, *args, **kwargs)
 
         cfg = dict(MEMRISTOR_CFG, descriptor={"alpha": -depth, "beta": -depth}, grid_n=256)
         argv = ["analyze", "--config", write_config(tmp_path, cfg),
                 "--output-dir", str(tmp_path / "out"), "--formats", "csv"]
-        monkeypatch.setattr(transform, "_reprs", counting_reprs)
+        monkeypatch.setattr(orjson, "dumps", counting_dumps)
         assert run(argv) == 0
-        # t once, then u and w of each of the depth + 1 planes, per row
-        assert formatted[0] == (1 + 2 * (depth + 1)) * 257
+        # each of the depth + 1 tables formats its t, u and w rows in one dump
+        assert dumped == [(1 + 2) * 257] * (depth + 1)
 
 
 class TestOutputDirectory:
@@ -781,6 +784,32 @@ class TestSweepCommand:
         assert run(["sweep", "--config", cfg, "--output-dir", str(out)]) == 0
         lines = (out / "sweep.csv").read_text().splitlines()
         assert len(lines) == 7
+
+    def test_error_rows_are_quoted(self, tmp_path, monkeypatch):
+        # 1.5 passes the curve's operating range, whose message holds commas;
+        # 1.0 raises a message with a comma and a quote
+        message = 'no root in [0.0, 1.0]: "bracket" has one sign'
+        real = cli.classify
+
+        def classify_or_raise(*args):
+            if args[2].amplitude == 1.0:
+                raise NumericalError(message)
+            return real(*args)
+
+        monkeypatch.setattr(cli, "classify", classify_or_raise)
+        cfg = write_config(tmp_path, dict(
+            MEMRISTOR_CFG, grid_n=256, excitation={"amplitude": 1.0},
+            axes=[{"target": "excitation.amplitude", "values": [0.5, 1.0, 1.5]}]))
+        out = tmp_path / "sweep"
+        assert run(["sweep", "--config", cfg, "--output-dir", str(out)]) == 0
+        text = (out / "sweep.csv").read_text()
+        rows = list(csv.reader(text.splitlines()))
+        assert [len(row) for row in rows] == [6] * 4
+        assert rows[2][1] == f"error: {message}"
+        assert rows[3][1].startswith("error: drive sweep [0.0, 3.0] exceeds")
+        # a row with no comma, quote or newline is written unquoted
+        assert text.splitlines()[1] == ",".join(rows[1])
+        assert '"' not in text.splitlines()[1]
 
     def test_bad_target_is_config_error(self, tmp_path):
         cfg = write_config(

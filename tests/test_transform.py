@@ -696,6 +696,13 @@ def oracle_csv(header, *columns):
 
 BLOCK = transform._CSV_BLOCK
 EDGE_FLOATS = (-0.0, 5e-324, 1.7976931348623157e308, 0.1, 1e16)
+_BOUNDS = np.array([1e-4, 1e16])
+# zeros, subnormals, nan, inf, and the bounds of orjson's repr-equal notation
+# with their neighbours
+AWKWARD_FLOATS = np.concatenate([
+    [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1.7976931348623157e308, np.nan, np.inf],
+    _BOUNDS, np.nextafter(_BOUNDS, 0.0), np.nextafter(_BOUNDS, np.inf),
+])
 
 
 class TestCsvWriter:
@@ -767,26 +774,59 @@ class TestCsvWriter:
 
 
 class TestReprs:
-    """transform._reprs gives repr's text of every float64, the ones that
+    """transform._rows gives repr's text of every float64, the ones that
     orjson writes in another notation included."""
+
+    @staticmethod
+    def texts(col):
+        # one value per row
+        return transform._rows(col[:, None]).split("\n")
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.floats(), min_size=1, max_size=40))
     def test_matches_repr(self, values):
         col = np.array(values, dtype=float)
-        assert transform._reprs(col) == [repr(v) for v in col.tolist()]
+        assert self.texts(col) == [repr(v) for v in col.tolist()]
 
     def test_explicit_cases(self):
-        bounds = np.array([1e-4, 1e16])
-        values = np.concatenate([
-            [0.0, 5e-324, 1.7976931348623157e308, np.nan, np.inf],
-            bounds, np.nextafter(bounds, 0.0), np.nextafter(bounds, np.inf),
-            [1.0, 123.0, 1e15, 9999999999999998.0, 2.0 ** 53, 1e22],
+        col = np.concatenate([AWKWARD_FLOATS, [
+            1.0, 123.0, 1e15, 9999999999999998.0, 2.0 ** 53, 1e22],
             2.0 ** np.arange(-1074, 1024),
             10.0 ** np.arange(-8, 20),
         ])
-        col = np.concatenate([values, -values])
-        assert transform._reprs(col) == [repr(v) for v in col.tolist()]
+        col = np.concatenate([col, -col])
+        assert self.texts(col) == [repr(v) for v in col.tolist()]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([1, 2, 3, 5]),
+           st.sampled_from([1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1]),
+           st.lists(st.sampled_from(["first", "last", "block end", "block"]),
+                    min_size=1, max_size=4, unique=True),
+           st.data())
+    def test_awkward_values_match_oracle(self, k, rows, places, data):
+        # awkward values (orjson's text is not repr's) as a row's first or
+        # last field, a block's last row and a whole block, among ordinary ones
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+        table = rng.normal(size=(rows, k)) * 10.0 ** rng.integers(-3, 15, size=(rows, k))
+
+        def awkward(size):
+            return rng.choice(np.concatenate([AWKWARD_FLOATS, -AWKWARD_FLOATS]), size)
+
+        row = data.draw(st.integers(0, rows - 1), label="row")
+        block = data.draw(st.integers(0, (rows - 1) // BLOCK), label="block")
+        last = min(rows, (block + 1) * BLOCK) - 1
+        if "first" in places:
+            table[row, 0] = awkward(1)[0]
+        if "last" in places:
+            table[row, -1] = awkward(1)[0]
+        if "block end" in places:
+            table[last] = awkward(k)
+        if "block" in places:
+            table[block * BLOCK:last + 1] = awkward((last + 1 - block * BLOCK, k))
+        header = ",".join("abcde"[:k])
+        text, = transform.csv_texts(header, table[:, 0], [tuple(table[:, 1:].T)])
+        # line lists, which pytest compares far faster than long strings
+        assert text.split("\n") == oracle_csv(header, *table.T).split("\n")
 
     def test_strided_column(self):
         a = np.linspace(-3.0, 3.0, 12) ** 9 * 1e-6

@@ -1,16 +1,20 @@
-"""Paired timing of classify-distinct ops on two source trees, in one process.
+"""Paired timing of benchmark ops on two source trees, in one process.
 
     python tools/abtime.py BASE_SRC [CHANGE_SRC] [--seed 13] [--ops 240] [--best-of 6]
+    python tools/abtime.py BASE_SRC [CHANGE_SRC] --csv [--seed 13] [--ops 240] [--best-of 6]
 
 BASE_SRC and CHANGE_SRC are ``src/`` directories, each holding a
 ``memelements`` package; CHANGE_SRC defaults to the ``src/`` next to this
 script.  The change is loaded as ``memelements`` and the base, through
-importlib, as ``memelements_base``, so both live in this process.  Each
-op of the classify-distinct workload (``bench/workloads.py``, from this
-checkout) is rebuilt in both packages from its spec, with
-``cli.curve_from_spec`` and ``Excitation``, and classified best-of-k times
-on each side; the side that runs first alternates op by op, so drift in
-the host's speed falls on both sides alike.  Every report's JSON
+importlib, as ``memelements_base``, so both live in this process.  The
+ops are read from ``bench/workloads.py`` in this checkout, which this
+tool does not change, and each op is timed best-of-k on each side; the
+side that runs first alternates op by op, so drift in the host's speed
+falls on both sides alike.
+
+By default the ops are the first ``--ops`` of classify-distinct.  Each
+is rebuilt in both packages from its spec, with ``cli.curve_from_spec``
+and ``Excitation``, and classified on each side.  Every report's JSON
 (verdict, planes, witnesses) must be equal on both sides, else the run
 stops naming the op.  Printed: each side's mean best-of-k op time, its
 ``loci.jet_signals`` calls per classify call (the hook calls of the
@@ -20,9 +24,18 @@ summed size of those calls' times, so two trees that must evaluate the
 same midpoints show the same count), its ``transform._jet`` calls per
 classify call (the grid jet, each hook call's ordinate jet, the landmark
 values and any ``point_at``), and the ratio of the times, change over
-base, all from the same runs.  The ratio is an in-process diagnostic
-(for instance, the share of one change in a larger one); the benchmark's
-end-to-end metrics come from ``bench/run.py``.
+base, all from the same runs.
+
+With ``--csv`` the ops are the ``analyze`` ops among the first ``--ops``
+of emit-fine.  Each op's loci are built once, by the change, and
+``transform.csv_texts`` of each side writes the op's ``depth{k}.csv``
+texts from those same arrays.  The texts must be equal on both sides,
+else the run stops naming the op.  Printed: each side's mean best-of-k
+time per op, and the ratio, change over base.
+
+The ratio is an in-process diagnostic (for instance, the share of one
+change in a larger one); the benchmark's end-to-end metrics come from
+``bench/run.py``.
 """
 
 from __future__ import annotations
@@ -81,50 +94,37 @@ def count_calls(name: str, *modules) -> list[int]:
     return calls
 
 
-def best_of(pkg, args, k: int) -> tuple[float, object]:
-    """Least wall time of k classify calls on args, and the last report."""
+def best_of(fn, args, k: int) -> tuple[float, object]:
+    """Least wall time of k calls of fn on args, and the last result."""
     best = float("inf")
     for _ in range(k):
         t0 = time.perf_counter()
-        rpt = pkg.classify(*args)
+        out = fn(*args)
         best = min(best, time.perf_counter() - t0)
-    return best, rpt
+    return best, out
 
 
-def main(argv=None) -> None:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("base", type=Path, help="src/ directory of the base tree")
-    ap.add_argument("change", type=Path, nargs="?", default=ROOT / "src",
-                    help="src/ directory of the changed tree (default: this checkout's)")
-    ap.add_argument("--seed", type=int, default=13)
-    ap.add_argument("--ops", type=int, default=240)
-    ap.add_argument("--best-of", type=int, default=6)
-    args = ap.parse_args(argv)
-
-    change = load("memelements", args.change.resolve())
-    base = load("memelements_base", args.base.resolve())
-    sys.path.insert(0, str(ROOT / "bench"))
+def classify_ab(sides, args, work: Path) -> None:
+    """Time classify on classify-distinct's ops in both trees, and print the counts."""
     from workloads import ClassifyDistinct  # imports the change as memelements
 
-    sides = (base, change)
     total = [0.0, 0.0]
     signals = [count_calls("jet_signals", pkg.loci) for pkg in sides]
     # loci imports _jet by name, for its own evaluations
     jets = [count_calls("_jet", pkg.transform, pkg.loci) for pkg in sides]
-    with tempfile.TemporaryDirectory() as work:
-        ops = ClassifyDistinct(args.seed, Path(work))
-        for i in range(args.ops):
-            expect = ops.make(i).expect
-            order = (0, 1) if i % 2 == 0 else (1, 0)
-            reports = [None, None]
-            gc.collect()
-            for s in order:
-                pkg = sides[s]
-                dt, rpt = best_of(pkg, rebuild(pkg, expect), args.best_of)
-                total[s] += dt
-                reports[s] = json.dumps(pkg.cli.report_to_dict(rpt), sort_keys=True)
-            if reports[0] != reports[1]:
-                raise SystemExit(f"op {i} (seed {args.seed}): the reports differ")
+    ops = ClassifyDistinct(args.seed, work)
+    for i in range(args.ops):
+        expect = ops.make(i).expect
+        order = (0, 1) if i % 2 == 0 else (1, 0)
+        reports = [None, None]
+        gc.collect()
+        for s in order:
+            pkg = sides[s]
+            dt, rpt = best_of(pkg.classify, rebuild(pkg, expect), args.best_of)
+            total[s] += dt
+            reports[s] = json.dumps(pkg.cli.report_to_dict(rpt), sort_keys=True)
+        if reports[0] != reports[1]:
+            raise SystemExit(f"op {i} (seed {args.seed}): the reports differ")
     base_ms, change_ms = (1e3 * s / args.ops for s in total)
     calls = args.ops * args.best_of
     print(f"classify-distinct seed {args.seed}, {args.ops} ops, best of {args.best_of}: "
@@ -134,6 +134,57 @@ def main(argv=None) -> None:
         print(f"{label} {ms:.4f} ms/op  {n_signals / calls:.3f} jet_signals calls/op  "
               f"{n_points / calls:.1f} hook points/op  {n_jets / calls:.3f} _jet calls/op")
     print(f"ratio  {change_ms / base_ms:.4f}")
+
+
+def csv_ab(sides, args, work: Path) -> None:
+    """Time csv_texts on the loci of emit-fine's analyze ops in both trees."""
+    from workloads import EmitFine  # imports the change as memelements
+
+    change = sides[1]
+    total, count = [0.0, 0.0], 0
+    ops = EmitFine(args.seed, work)
+    for i in range(args.ops):
+        op = ops.make(i)
+        if op.kind != "analyze":
+            continue
+        loci = change.classify(*change.cli._classify_args(op.expect)).loci
+        csv_args = ("t,u,w", loci[0].t_values, [(lo.u_values, lo.w_values) for lo in loci])
+        order = (0, 1) if count % 2 == 0 else (1, 0)
+        texts = [None, None]
+        gc.collect()
+        for s in order:
+            dt, texts[s] = best_of(sides[s].transform.csv_texts, csv_args, args.best_of)
+            total[s] += dt
+        if texts[0] != texts[1]:
+            raise SystemExit(f"op {i} (seed {args.seed}): the CSV texts differ")
+        count += 1
+    if not count:
+        raise SystemExit(f"no analyze op among the first {args.ops} emit-fine ops")
+    base_ms, change_ms = (1e3 * s / count for s in total)
+    print(f"emit-fine seed {args.seed}, {count} analyze ops of {args.ops}, "
+          f"best of {args.best_of}: CSV texts equal")
+    for label, ms in zip(("base  ", "change"), (base_ms, change_ms)):
+        print(f"{label} {ms:.4f} ms/op")
+    print(f"ratio  {change_ms / base_ms:.4f}")
+
+
+def main(argv=None) -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("base", type=Path, help="src/ directory of the base tree")
+    ap.add_argument("change", type=Path, nargs="?", default=ROOT / "src",
+                    help="src/ directory of the changed tree (default: this checkout's)")
+    ap.add_argument("--csv", action="store_true",
+                    help="time csv_texts on emit-fine's analyze ops, not classify")
+    ap.add_argument("--seed", type=int, default=13)
+    ap.add_argument("--ops", type=int, default=240)
+    ap.add_argument("--best-of", type=int, default=6)
+    args = ap.parse_args(argv)
+
+    change = load("memelements", args.change.resolve())
+    base = load("memelements_base", args.base.resolve())
+    sys.path.insert(0, str(ROOT / "bench"))
+    with tempfile.TemporaryDirectory() as work:
+        (csv_ab if args.csv else classify_ab)((base, change), args, Path(work))
 
 
 if __name__ == "__main__":
