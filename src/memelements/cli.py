@@ -47,7 +47,7 @@ from .taxonomy import (
     theorem_suite,
 )
 from .tolerances import ANALYTIC_DEFAULTS, NUMERIC_DEFAULTS, ToleranceSet
-from .transform import analytic_locus, columns_to_csv, csv_texts
+from .transform import analytic_locus, columns_to_csv, locus_to_csv
 
 SCHEMA_VERSION = "2"
 _ALL_FORMATS = ("csv", "json", "svg")
@@ -421,10 +421,10 @@ def render_svg(panels: list[Panel], title: str | None = None) -> str:
         plot_y1 = 600 - bottom_m
         x0, x1, y0, y1 = panel._bounds()
 
-        def sx(v: float) -> float:
+        def sx(v: float | np.ndarray) -> float | np.ndarray:
             return plot_x0 + (v - x0) / (x1 - x0) * (plot_x1 - plot_x0)
 
-        def sy(v: float) -> float:
+        def sy(v: float | np.ndarray) -> float | np.ndarray:
             return plot_y1 - (v - y0) / (y1 - y0) * (plot_y1 - plot_y0)
 
         parts.append(
@@ -480,11 +480,9 @@ def render_svg(panels: list[Panel], title: str | None = None) -> str:
         for s_index, (label, xs, ys) in enumerate(panel.series):
             color = _PALETTE[s_index % len(_PALETTE)]
             step = max(1, len(xs) // 1024)
-            # sx and sy over the arrays, in their order of operations; the
-            # errstate keeps Python floats' silence on overflow
+            # the errstate keeps Python floats' silence on overflow
             with np.errstate(all="ignore"):
-                px = plot_x0 + (xs[::step] - x0) / (x1 - x0) * (plot_x1 - plot_x0)
-                py = plot_y1 - (ys[::step] - y0) / (y1 - y0) * (plot_y1 - plot_y0)
+                px, py = sx(xs[::step]), sy(ys[::step])
             pts = " ".join(map("{:.2f},{:.2f}".format, px.tolist(), py.tolist()))
             parts.append(
                 f'<polyline points="{pts}" fill="none" stroke="{color}" '
@@ -528,10 +526,8 @@ def _analysis_files(rpt: ClassificationReport, formats: tuple[str, ...],
     if "json" in formats:
         files["report.json"] = _dump_json(report_to_dict(rpt))
     if "csv" in formats:
-        # a report's loci share one grid, so every file takes its t column
-        texts = csv_texts("t,u,w", rpt.loci[0].t_values,
-                          [(locus.u_values, locus.w_values) for locus in rpt.loci])
-        files.update(zip([f"depth{locus.depth}.csv" for locus in rpt.loci], texts))
+        for locus in rpt.loci:
+            files[f"depth{locus.depth}.csv"] = locus_to_csv(locus)
     if "svg" in formats:
         panels = []
         for locus, plane in zip(rpt.loci, rpt.planes):

@@ -28,8 +28,6 @@ pass over all of them; each plane's results are its rows' slices:
   midpoints gives (u, w, du/dt, dw/dt) there, plane d reading its rows
   d and d + 1, which origin_crossing, rate_landmarks and
   project_landmarks read.
-* valuedness pairs: each sample is paired with its mirror sample, by
-  index, and only a pair with no mirror is evaluated (_pair_ordinates).
 
 A locus analysed on its own is prepared as a one-plane chain, with the
 same results.  phase_shift is one too: it reads its peaks off the roots
@@ -403,11 +401,9 @@ class _PlaneRoots:
     roots and the period ends, over which the slope keeps its sign.  peak
     holds max |u|, max |w|, max |du/dt| and max |dw/dt| over the grid,
     the scales the analyses' tolerances are relative to.  at maps every
-    root and every span midpoint to (u, w, du/dt, dw/dt) there.  t_pair
-    and w_pair hold each sample's valuedness pair time and the ordinate
-    there, its mirror sample's wherever it has one (_pair_ordinates).
-    Each is read off refine_chain's one pass over the chain's distinct
-    rows: a row two planes share gives both the same roots and peak.
+    root and every span midpoint to (u, w, du/dt, dw/dt) there.  Each is
+    read off refine_chain's one pass over the chain's distinct rows: a row
+    two planes share gives both the same roots and peak.
     """
 
     abscissa: list[float]
@@ -416,8 +412,6 @@ class _PlaneRoots:
     spans: list[tuple[float, float]]
     peak: tuple[float, float, float, float]
     at: dict[float, tuple[float, float, float, float]]
-    t_pair: np.ndarray
-    w_pair: np.ndarray
 
 
 def refine_chain(chain, top_rates: tuple[np.ndarray, np.ndarray] | None = None) -> None:
@@ -438,8 +432,8 @@ def refine_chain(chain, top_rates: tuple[np.ndarray, np.ndarray] | None = None) 
     _jet block at every jet plane's roots and slope-span midpoints gives
     (u, w, du/dt, dw/dt) there, plane d reading rows d and d + 1; what the
     jet does not give is interpolated in the grid samples or rates.  Each
-    plane's _PlaneRoots, its rows' slices of all this and its valuedness
-    pairs (_pair_ordinates), is stored on its locus.
+    plane's _PlaneRoots, its rows' slices of all this, is stored on its
+    locus.
     """
     rows, signals, index = [], [], {}  # distinct rows, their jet signals, id -> row
 
@@ -516,14 +510,14 @@ def refine_chain(chain, top_rates: tuple[np.ndarray, np.ndarray] | None = None) 
         top = max(locus.depth + _has_rates(locus) for locus, *_ in planes if locus.jet)
         block = iter(np.split(np.stack(_jet(*jet, np.concatenate(jets), top)),
                               np.cumsum([len(times) for times in jets])[:-1], axis=2))
-    for (locus, rates, *_), (plane, times), pair in zip(planes, found, _pair_ordinates(chain)):
+    for (locus, rates, *_), (plane, times) in zip(planes, found):
         k, xy = locus.depth, next(block) if locus.jet else None
         values = [*(xy[:, k] if locus.jet else
                     [np.interp(times, t, v) for v in (locus.u_values, locus.w_values)]),
                   *(xy[:, k + 1] if _has_rates(locus) else
                     [np.interp(times, t, v) for v in rates])]
         at = dict(zip(times, zip(*(v.tolist() for v in values))))
-        object.__setattr__(locus, "_roots", _PlaneRoots(*plane, at, *pair))
+        object.__setattr__(locus, "_roots", _PlaneRoots(*plane, at))
 
 
 def _inverse_root(samples: np.ndarray) -> np.ndarray:
@@ -544,34 +538,6 @@ def _spans(t: np.ndarray, roots: list[float]) -> list[tuple[float, float]]:
     """The intervals longer than 1e-9 between consecutive roots and the period ends."""
     bps = _dedupe(roots + [float(t[0]), float(t[-1])], 1e-9)
     return [(a, b) for a, b in zip(bps[:-1], bps[1:]) if b - a > 1e-9]
-
-
-def _pair_ordinates(chain) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Each plane's valuedness pair times, and its ordinate at them.
-
-    Odd-depth loci revisit each abscissa at (T/2 - t) mod T, even-depth
-    loci at (T - t) mod T.  On the grid i*T/n every locus lies on, that
-    is the time of sample i's mirror, up to rounding: (n - i) mod n at
-    even depth and, for even n, (n/2 - i) mod n at odd depth, which every
-    plane, jet or not, reads by index.  Odd depth on an odd n has no
-    mirror, and is read by point_at at the pair times.
-    """
-    n = chain[0].t_values.size - 1
-    mirrors = {}  # depth parity -> each sample's mirror index and its time
-    out = []
-    for locus in chain:
-        odd = locus.depth % 2
-        if odd and n % 2:
-            t_pair = np.mod(0.5 * locus.period - locus.t_values, locus.period)
-            out.append((t_pair, point_at(locus, t_pair)[1]))
-            continue
-        if odd not in mirrors:
-            h = n // 2 * odd  # (h - i) mod n for i = 0..n: h down to 0, then n - 1 to h
-            j = np.concatenate((np.arange(h, -1, -1), np.arange(n - 1, h - 1, -1)))
-            mirrors[odd] = (j, locus.t_values[j])
-        j, t_pair = mirrors[odd]
-        out.append((t_pair, locus.w_values[j]))
-    return out
 
 
 def _plane_roots(locus: ParametricLocus) -> _PlaneRoots:
@@ -646,15 +612,15 @@ def valuedness(locus: ParametricLocus, tol: float = 1e-9) -> ValuednessReport:
     """Single- vs double-valuedness via the time pairing of equal abscissae.
 
     Odd-depth loci revisit each abscissa at (T/2 - t) mod T, even-depth
-    loci at T - t (_pair_ordinates).  A locus is double-valued when the
+    loci at T - t (_pairs).  A locus is double-valued when the
     paired ordinates disagree anywhere beyond tol * max(1, max |w|); its
     witnesses are up to four of the largest gaps, T/64 apart, and equal
     gaps, such as a mirror pair's, rank in time order.
     """
     t, w = locus.t_values, locus.w_values
-    plane = _plane_roots(locus)
-    gap = np.abs(w - plane.w_pair)
-    bar = tol * max(1.0, plane.peak[1])
+    t_pair, w_pair = _pairs(locus)
+    gap = np.abs(w - w_pair)
+    bar = tol * max(1.0, _plane_roots(locus).peak[1])
     max_gap = float(np.max(gap))
     if max_gap <= bar:
         return ValuednessReport(Valuedness.SINGLE, max_gap, ())
@@ -667,11 +633,31 @@ def valuedness(locus: ParametricLocus, tol: float = 1e-9) -> ValuednessReport:
     while len(witnesses) < 4 and rest.max() > -np.inf:
         i = int(np.argmax(rest))
         witnesses.append(ValuednessWitness(
-            *map(float, (t[i], plane.t_pair[i], w[i], plane.w_pair[i]))))
+            *map(float, (t[i], t_pair[i], w[i], w_pair[i]))))
         # on the grid contract no sample T/64 away lies beyond n/64 + 2 samples
         near = slice(max(i - reach, 0), i + reach + 1)
         rest[near][np.abs(t[near] - t[i]) < locus.period / 64.0] = -np.inf
     return ValuednessReport(Valuedness.DOUBLE, max_gap, tuple(witnesses))
+
+
+def _pairs(locus: ParametricLocus) -> tuple[np.ndarray, np.ndarray]:
+    """The locus's valuedness pair times, and its ordinate at them.
+
+    Odd-depth loci revisit each abscissa at (T/2 - t) mod T, even-depth
+    loci at (T - t) mod T.  On the grid i*T/n every locus lies on, that
+    is the time of sample i's mirror, up to rounding: (n - i) mod n at
+    even depth and, for even n, (n/2 - i) mod n at odd depth, which is
+    read by index.  Odd depth on an odd n has no mirror, and is read by
+    point_at at the pair times.
+    """
+    n = locus.t_values.size - 1
+    odd = locus.depth % 2
+    if odd and n % 2:
+        t_pair = np.mod(0.5 * locus.period - locus.t_values, locus.period)
+        return t_pair, point_at(locus, t_pair)[1]
+    h = n // 2 * odd  # (h - i) mod n for i = 0..n: h down to 0, then n - 1 to h
+    j = np.concatenate((np.arange(h, -1, -1), np.arange(n - 1, h - 1, -1)))
+    return locus.t_values[j], locus.w_values[j]
 
 
 def odd_symmetry(locus: ParametricLocus, tol: float = 1e-9) -> SymmetryReport:

@@ -57,7 +57,6 @@ __all__ = [
     "analytic_locus",
     "numeric_transform",
     "periodic_derivative",
-    "csv_texts",
     "columns_to_csv",
     "locus_to_csv",
 ]
@@ -373,32 +372,29 @@ def numeric_transform(locus: ParametricLocus) -> ParametricLocus:
 _CSV_BLOCK = 4096
 
 
-def csv_texts(header: str, lead, tables) -> list[str]:
-    """CSV texts of tables that share a leading column, written in one pass.
+def columns_to_csv(header: str, lead, *columns) -> str:
+    """CSV text: the header, then one row per sample.
 
-    Text k is the header, then one row per sample: the lead value, then
-    the values of table k's columns, each float as repr writes it (_rows),
-    so it round-trips exactly.
+    Each row is the lead value, then the columns' values, each float as
+    repr writes it (_rows), so it round-trips exactly.
     Raises DomainError for a column that is not one-dimensional, columns
-    of unequal length, or a header whose field count is not a table's
-    column count.
+    of unequal length, or a header whose field count is not the column
+    count.
     """
     lead = _csv_column(lead)
-    tables = [[_csv_column(col) for col in cols] for cols in tables]
+    cols = [_csv_column(col) for col in columns]
     fields = header.count(",") + 1
-    for cols in tables:
-        if len(cols) + 1 != fields:
-            raise DomainError(f"header has {fields} fields for {len(cols) + 1} columns")
-        for col in cols:
-            if len(col) != len(lead):
-                raise DomainError(f"columns of unequal length: {len(lead)} and {len(col)}")
-    texts = [[header] for _ in tables]
+    if len(cols) + 1 != fields:
+        raise DomainError(f"header has {fields} fields for {len(cols) + 1} columns")
+    for col in cols:
+        if len(col) != len(lead):
+            raise DomainError(f"columns of unequal length: {len(lead)} and {len(col)}")
+    text = [header]
     for start in range(0, len(lead), _CSV_BLOCK):
         block = slice(start, start + _CSV_BLOCK)
-        for text, cols in zip(texts, tables):
-            text.append(_rows(np.column_stack([lead[block], *(col[block] for col in cols)])))
+        text.append(_rows(np.column_stack([lead[block], *(col[block] for col in cols)])))
     # an empty last field ends the text with a newline without copying it again
-    return ["\n".join([*text, ""]) for text in texts]
+    return "\n".join([*text, ""])
 
 
 def _rows(block: np.ndarray) -> str:
@@ -439,11 +435,6 @@ def _csv_column(col) -> np.ndarray:
     if arr.ndim != 1:
         raise DomainError(f"a CSV column must be one-dimensional, got shape {arr.shape}")
     return arr
-
-
-def columns_to_csv(header: str, lead, *columns) -> str:
-    """CSV text: the header, then one row per sample; repr floats round-trip exactly."""
-    return csv_texts(header, lead, [columns])[0]
 
 
 def locus_to_csv(locus: ParametricLocus) -> str:

@@ -483,7 +483,7 @@ class TestAnalyzeCommand:
 
 
 class TestDepthCsvFiles:
-    """A report's depth CSVs are written in one pass over the chain's grid."""
+    """Each of a report's depth CSVs is locus_to_csv of its locus."""
 
     @pytest.mark.parametrize("numeric", [False, True])
     @pytest.mark.parametrize("depth", [0, 1, 2, 3])
@@ -520,6 +520,22 @@ class TestDepthCsvFiles:
         assert run(argv) == 0
         # each of the depth + 1 tables formats its t, u and w rows in one dump
         assert dumped == [(1 + 2) * 257] * (depth + 1)
+
+    @pytest.mark.parametrize("depth", [0, 1, 2])
+    def test_each_file_is_one_locus_to_csv_call(self, tmp_path, monkeypatch, depth):
+        # per-layer timings of analyze's CSV work wrap cli.locus_to_csv
+        depths = []
+
+        def counting_locus_to_csv(locus):
+            depths.append(locus.depth)
+            return locus_to_csv(locus)
+
+        cfg = dict(MEMRISTOR_CFG, descriptor={"alpha": -depth, "beta": -depth}, grid_n=256)
+        argv = ["analyze", "--config", write_config(tmp_path, cfg),
+                "--output-dir", str(tmp_path / "out"), "--formats", "csv"]
+        monkeypatch.setattr(cli, "locus_to_csv", counting_locus_to_csv)
+        assert run(argv) == 0
+        assert depths == list(range(depth + 1))
 
 
 class TestOutputDirectory:

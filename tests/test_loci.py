@@ -1340,18 +1340,15 @@ def _frozen_refine_chain(chain, top_rates=None):
 
     values = _frozen_landmark_values(chain, [scan[1] for scan in scans],
                                      [p[-1] for p in planes], jet)
-    return [loci._PlaneRoots(*plane, dict(zip(times.tolist(), zip(*v.tolist()))), *pair)
-            for (*plane, times), v, pair in zip(planes, values, loci._pair_ordinates(chain))]
+    return [loci._PlaneRoots(*plane, dict(zip(times.tolist(), zip(*v.tolist()))))
+            for (*plane, times), v in zip(planes, values)]
 
 
 def _same_fields(got, want):
     """Whether two _PlaneRoots hold the same values, every float bit included."""
     for field in dataclasses.fields(want):
         g, w = getattr(got, field.name), getattr(want, field.name)
-        if isinstance(w, np.ndarray):
-            if g.dtype != w.dtype or g.tobytes() != w.tobytes():
-                return False
-        elif repr(g) != repr(w):  # repr tells every float bit, the sign of zero included
+        if repr(g) != repr(w):  # repr tells every float bit, the sign of zero included
             return False
     return True
 

@@ -712,7 +712,7 @@ class TestCsvWriter:
         t = np.sort(rng.uniform(-5, 5, rows))
         tables = [rng.normal(size=(2, rows)) * 10.0 ** rng.integers(-300, 300, size=(2, rows))
                   for _ in range(3)]
-        texts = transform.csv_texts("t,u,w", t, [tuple(cols) for cols in tables])
+        texts = [transform.columns_to_csv("t,u,w", t, *cols) for cols in tables]
         assert texts == [oracle_csv("t,u,w", t, *cols) for cols in tables]
         assert all(text.count("\n") == rows + 1 for text in texts)
 
@@ -733,7 +733,7 @@ class TestCsvWriter:
                           min_size=rows, max_size=rows)
         lead = data.draw(floats, label="lead")
         cols = [(data.draw(floats), data.draw(floats)) for _ in range(tables)]
-        assert transform.csv_texts("x,y,z", lead, cols) == [
+        assert [transform.columns_to_csv("x,y,z", lead, *c) for c in cols] == [
             oracle_csv("x,y,z", lead, *c) for c in cols]
 
     def test_locus_and_columns_are_one_table_calls(self, cubic, drive):
@@ -756,8 +756,9 @@ class TestCsvWriter:
             transform.columns_to_csv(header, *columns)
 
     def test_unequal_table_raises(self):
+        transform.columns_to_csv("t,u", [0.0, 1.0], [1.0, 2.0])
         with pytest.raises(DomainError, match="columns of unequal length: 2 and 3"):
-            transform.csv_texts("t,u", [0.0, 1.0], [([1.0, 2.0],), ([1.0, 2.0, 3.0],)])
+            transform.columns_to_csv("t,u", [0.0, 1.0], [1.0, 2.0, 3.0])
 
     def test_peak_memory_is_about_the_text(self, cubic, drive):
         locus = analytic_locus(cubic, drive, 1, grid(drive, 65536))
@@ -824,7 +825,7 @@ class TestReprs:
         if "block" in places:
             table[block * BLOCK:last + 1] = awkward((last + 1 - block * BLOCK, k))
         header = ",".join("abcde"[:k])
-        text, = transform.csv_texts(header, table[:, 0], [tuple(table[:, 1:].T)])
+        text = transform.columns_to_csv(header, table[:, 0], *table[:, 1:].T)
         # line lists, which pytest compares far faster than long strings
         assert text.split("\n") == oracle_csv(header, *table.T).split("\n")
 

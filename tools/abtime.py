@@ -28,8 +28,8 @@ base, all from the same runs.
 
 With ``--csv`` the ops are the ``analyze`` ops among the first ``--ops``
 of emit-fine.  Each op's loci are built once, by the change, and
-``transform.csv_texts`` of each side writes the op's ``depth{k}.csv``
-texts from those same arrays.  The texts must be equal on both sides,
+``transform.locus_to_csv`` of each side writes the op's ``depth{k}.csv``
+texts from those same loci.  The texts must be equal on both sides,
 else the run stops naming the op.  Printed: each side's mean best-of-k
 time per op, and the ratio, change over base.
 
@@ -137,7 +137,7 @@ def classify_ab(sides, args, work: Path) -> None:
 
 
 def csv_ab(sides, args, work: Path) -> None:
-    """Time csv_texts on the loci of emit-fine's analyze ops in both trees."""
+    """Time locus_to_csv on the loci of emit-fine's analyze ops in both trees."""
     from workloads import EmitFine  # imports the change as memelements
 
     change = sides[1]
@@ -148,12 +148,12 @@ def csv_ab(sides, args, work: Path) -> None:
         if op.kind != "analyze":
             continue
         loci = change.classify(*change.cli._classify_args(op.expect)).loci
-        csv_args = ("t,u,w", loci[0].t_values, [(lo.u_values, lo.w_values) for lo in loci])
         order = (0, 1) if count % 2 == 0 else (1, 0)
         texts = [None, None]
         gc.collect()
         for s in order:
-            dt, texts[s] = best_of(sides[s].transform.csv_texts, csv_args, args.best_of)
+            dt, texts[s] = best_of(lambda pkg: [pkg.transform.locus_to_csv(lo) for lo in loci],
+                                   (sides[s],), args.best_of)
             total[s] += dt
         if texts[0] != texts[1]:
             raise SystemExit(f"op {i} (seed {args.seed}): the CSV texts differ")
@@ -174,7 +174,7 @@ def main(argv=None) -> None:
     ap.add_argument("change", type=Path, nargs="?", default=ROOT / "src",
                     help="src/ directory of the changed tree (default: this checkout's)")
     ap.add_argument("--csv", action="store_true",
-                    help="time csv_texts on emit-fine's analyze ops, not classify")
+                    help="time locus_to_csv on emit-fine's analyze ops, not classify")
     ap.add_argument("--seed", type=int, default=13)
     ap.add_argument("--ops", type=int, default=240)
     ap.add_argument("--best-of", type=int, default=6)
