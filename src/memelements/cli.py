@@ -36,7 +36,7 @@ from .constitutive import (
     TanhScaledCurve,
     TwoBranchCurve,
 )
-from .errors import ConfigError, MemElementsError
+from .errors import ConfigError, DomainError, MemElementsError
 from .excitation import DEFAULT_GRID_N, Excitation
 from .loci import phase_shift, point_at
 from .taxonomy import (
@@ -47,7 +47,7 @@ from .taxonomy import (
     theorem_suite,
 )
 from .tolerances import ANALYTIC_DEFAULTS, NUMERIC_DEFAULTS, ToleranceSet
-from .transform import analytic_locus, columns_to_csv, locus_to_csv
+from .transform import _splice, analytic_locus, columns_to_csv, locus_to_csv
 
 SCHEMA_VERSION = "2"
 _ALL_FORMATS = ("csv", "json", "svg")
@@ -323,21 +323,27 @@ def _output_dir(output_dir) -> Path:
     return outdir
 
 
-def _write(outdir: Path, files: dict[str, str]) -> str:
+def _write(outdir: Path, files: dict[str, str | list[bytes]]) -> str:
     """Write files into outdir, creating it, in name order; the 'wrote:' line naming them.
 
-    A directory that cannot be made and a file that cannot be written are
-    each a ConfigError naming the path.  The files sorted before one that
-    cannot be written stay written.
+    A file's content is its text, written as UTF-8, or its byte blocks
+    (columns_to_csv's), written as they are.  A directory that cannot be
+    made and a file that cannot be written are each a ConfigError naming
+    the path.  The files sorted before one that cannot be written stay
+    written.
     """
     try:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as err:
         raise ConfigError(f"cannot make output directory {outdir}: {err}") from err
     for name in sorted(files):
-        path = outdir / name
+        path, content = outdir / name, files[name]
         try:
-            path.write_text(files[name], encoding="utf-8")
+            if isinstance(content, str):
+                path.write_text(content, encoding="utf-8")
+            else:
+                with path.open("wb") as out:
+                    out.writelines(content)
         except OSError as err:
             raise ConfigError(f"cannot write {path}: {err}") from err
     return "wrote: " + ", ".join(str(outdir / name) for name in sorted(files))
@@ -372,16 +378,27 @@ class Panel:
         self.markers: list[tuple[float, float, str]] = []
 
     def add_series(self, label: str, x, y) -> None:
-        self.series.append((label, np.asarray(x, float), np.asarray(y, float)))
+        x, y = np.asarray(x, float), np.asarray(y, float)
+        if x.ndim != 1 or x.shape != y.shape:
+            raise DomainError(f"series {label!r} of panel {self.title!r}: x and y must be "
+                              f"one-dimensional and of equal length, got shapes "
+                              f"{x.shape} and {y.shape}")
+        self.series.append((label, x, y))
 
     def add_marker(self, x: float, y: float, label: str) -> None:
         self.markers.append((float(x), float(y), label))
 
     def _bounds(self) -> tuple[float, float, float, float]:
+        """The drawn x and y ranges, padded; DomainError for a panel with
+        nothing to draw or a sample or marker that is not finite."""
         xs = [s[1] for s in self.series] + [np.array([m[0] for m in self.markers])]
         ys = [s[2] for s in self.series] + [np.array([m[1] for m in self.markers])]
-        allx = np.concatenate([a for a in xs if a.size])
-        ally = np.concatenate([a for a in ys if a.size])
+        allx = np.concatenate(xs)
+        ally = np.concatenate(ys)
+        if not allx.size:
+            raise DomainError(f"panel {self.title!r} has no sample or marker to draw")
+        if not (np.isfinite(allx).all() and np.isfinite(ally).all()):
+            raise DomainError(f"panel {self.title!r} has a sample or marker that is not finite")
         x0, x1 = float(allx.min()), float(allx.max())
         y0, y1 = float(ally.min()), float(ally.max())
         if self.include_origin:
@@ -396,8 +413,47 @@ class Panel:
         return x0 - padx, x1 + padx, y0 - pady, y1 + pady
 
 
+def _points(px: np.ndarray, py: np.ndarray) -> str:
+    """Polyline points "x,y x,y ...", each value as format(v, ".2f") writes it.
+
+    A value v that is finite, with |v| < 1e6 and 100 v more than 1e-6 from
+    a .5 tie, is r / 100 for r = rint(100 v): the product's rounding error
+    is below 2**-53 * 1e8, so r is the exact value's rounding, and r / 100
+    has at most 10 significant digits, so its shortest repr, which orjson
+    writes, is the two-decimal text without trailing zeros.  One orjson
+    dump of r / 100 then gives every such value once a "0" is appended to
+    each one written with one decimal (r % 10 == 0); every other value
+    takes format itself.
+    orjson is imported here, so that importing the package does not load it.
+    """
+    import orjson
+
+    v = np.column_stack([px, py]).ravel()
+    if not v.size:
+        return ""
+    with np.errstate(invalid="ignore", over="ignore"):
+        hundred = 100.0 * v
+        r = np.rint(hundred)
+        plain = (np.abs(v) < 1e6) & (0.5 - np.abs(hundred - r) > 1e-6)
+    r[~plain] = 0.0
+    dump = np.frombuffer(orjson.dumps(r / 100.0, option=orjson.OPT_SERIALIZE_NUMPY),
+                         dtype=np.uint8)
+    ends = np.append(np.flatnonzero(dump == 44), len(dump) - 1)  # each "," and the "]"
+    # a value written with one decimal, r % 10 == 0, gets a "0": 1.5 -> 1.50
+    dump = np.insert(dump, ends[dump[ends - 2] == 46], 48)
+    seps = np.flatnonzero(dump == 44)
+    dump[seps[1::2]] = 32  # " " between points
+    odd = np.flatnonzero(~plain)
+    text = _splice(dump, seps, odd, [format(x, ".2f").encode() for x in v[odd].tolist()])
+    return text[:-1].decode("ascii")  # "]"
+
+
 def render_svg(panels: list[Panel], title: str | None = None) -> str:
-    """Self-contained deterministic 800 x 600 SVG with the panels side by side."""
+    """Self-contained deterministic 800 x 600 SVG with the panels side by side.
+
+    Raises DomainError, before any text is built, for a panel with nothing
+    to draw or a sample or marker that is not finite.
+    """
     parts: list[str] = []
     parts.append('<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 800 600" '
                  'font-family="sans-serif">')
@@ -412,14 +468,14 @@ def render_svg(panels: list[Panel], title: str | None = None) -> str:
 
     n = max(1, len(panels))
     panel_w = 800 / n
-    for index, panel in enumerate(panels):
+    bounds = [panel._bounds() for panel in panels]
+    for index, (panel, (x0, x1, y0, y1)) in enumerate(zip(panels, bounds)):
         ox = index * panel_w
         left, right, bottom_m, top_m = 56.0, 14.0, 46.0, 30.0
         plot_x0 = ox + left
         plot_x1 = ox + panel_w - right
         plot_y0 = top + top_m
         plot_y1 = 600 - bottom_m
-        x0, x1, y0, y1 = panel._bounds()
 
         def sx(v: float | np.ndarray) -> float | np.ndarray:
             return plot_x0 + (v - x0) / (x1 - x0) * (plot_x1 - plot_x0)
@@ -483,9 +539,8 @@ def render_svg(panels: list[Panel], title: str | None = None) -> str:
             # the errstate keeps Python floats' silence on overflow
             with np.errstate(all="ignore"):
                 px, py = sx(xs[::step]), sy(ys[::step])
-            pts = " ".join(map("{:.2f},{:.2f}".format, px.tolist(), py.tolist()))
             parts.append(
-                f'<polyline points="{pts}" fill="none" stroke="{color}" '
+                f'<polyline points="{_points(px, py)}" fill="none" stroke="{color}" '
                 f'stroke-width="1.5"/>'
             )
             if label:
@@ -519,10 +574,11 @@ def render_svg(panels: list[Panel], title: str | None = None) -> str:
 # ----------------------------------------------------------------------
 
 def _analysis_files(rpt: ClassificationReport, formats: tuple[str, ...],
-                    title: str | None = None) -> dict[str, str]:
-    """File name -> text content for one classification run; title heads the
-    SVG figure, which by default names the element and its verdict."""
-    files: dict[str, str] = {}
+                    title: str | None = None) -> dict[str, str | list[bytes]]:
+    """File name -> content, as _write takes it, for one classification run;
+    title heads the SVG figure, which by default names the element and its
+    verdict."""
+    files: dict[str, str | list[bytes]] = {}
     if "json" in formats:
         files["report.json"] = _dump_json(report_to_dict(rpt))
     if "csv" in formats:
@@ -586,17 +642,18 @@ def _degenerate() -> PolynomialCurve:
 
 
 def _chain_figure(curve: ConstitutiveCurve, cell: tuple[int, int],
-                  stem: str, title: str) -> dict[str, str]:
+                  stem: str, title: str) -> dict[str, str | list[bytes]]:
     files = _analysis_files(classify(cell, curve), ("csv", "svg"), title)
-    return {f"{stem}.{name.removeprefix('loci.')}": text for name, text in files.items()}
+    return {f"{stem}.{name.removeprefix('loci.')}": content for name, content in files.items()}
 
 
-def _waveform_figure(curve: ConstitutiveCurve, stem: str, title: str) -> dict[str, str]:
+def _waveform_figure(curve: ConstitutiveCurve, stem: str,
+                     title: str) -> dict[str, str | list[bytes]]:
     """Depth-1 ordinate and drive rate over one period: the depth-1 locus's w and u."""
     exc = Excitation()
     locus = analytic_locus(curve, exc, 1)
     t, rate, ordinate = locus.t_values, locus.u_values, locus.w_values
-    csv_text = columns_to_csv("t,ordinate,abscissa_rate", t, ordinate, rate)
+    table = columns_to_csv("t,ordinate,abscissa_rate", t, ordinate, rate)
 
     # overlay convention: drive rate rescaled to share the ordinate's peak
     scale = float(np.max(ordinate)) / float(np.max(rate))
@@ -612,17 +669,17 @@ def _waveform_figure(curve: ConstitutiveCurve, stem: str, title: str) -> dict[st
         [panel],
         title=f"{title} (shift = {ph.shift:+.4g}, {ph.classification.value})",
     )
-    return {f"{stem}.csv": csv_text, f"{stem}.svg": svg}
+    return {f"{stem}.csv": table, f"{stem}.svg": svg}
 
 
-def _fig10() -> dict[str, str]:
+def _fig10() -> dict[str, str | list[bytes]]:
     curve = _degenerate()
     lo, hi = curve.operating_range
     xs = np.linspace(lo, hi, 1025)
     f = curve.eval(xs)
     df = curve.derivative(xs, 1)
     d2f = curve.derivative(xs, 2)
-    csv_text = columns_to_csv("x,f,df,d2f", xs, f, df, d2f)
+    table = columns_to_csv("x,f,df,d2f", xs, f, df, d2f)
 
     panel = Panel(title="degenerate curve and derivatives", xlabel="x", ylabel="value")
     panel.add_series("f", xs, f)
@@ -630,7 +687,7 @@ def _fig10() -> dict[str, str]:
     panel.add_series("f''", xs, d2f)
     panel.add_marker(1.0, 0.0, "f'' = 0 at sweep midpoint")
     svg = render_svg([panel], title="degenerate witness: activity test inconclusive")
-    return {"fig10.csv": csv_text, "fig10.svg": svg}
+    return {"fig10.csv": table, "fig10.svg": svg}
 
 
 # figure id -> function returning its files; each curve is built when its figure is drawn

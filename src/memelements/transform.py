@@ -368,15 +368,16 @@ def numeric_transform(locus: ParametricLocus) -> ParametricLocus:
 # ----------------------------------------------------------------------
 
 # Rows are dumped this many at a time, so that besides the finished
-# blocks' text only one block's dump is held at once.
+# blocks only one block's dump is held at once.
 _CSV_BLOCK = 4096
 
 
-def columns_to_csv(header: str, lead, *columns) -> str:
-    """CSV text: the header, then one row per sample.
+def columns_to_csv(header: str, lead, *columns) -> list[bytes]:
+    """The CSV file as byte blocks: the header line, then one block per 4096 rows.
 
     Each row is the lead value, then the columns' values, each float as
-    repr writes it (_rows), so it round-trips exactly.
+    repr writes it (_rows), so it round-trips exactly.  The blocks are
+    ASCII but for the header, which is UTF-8; b"".join(blocks) is the file.
     Raises DomainError for a column that is not one-dimensional, columns
     of unequal length, or a header whose field count is not the column
     count.
@@ -389,22 +390,21 @@ def columns_to_csv(header: str, lead, *columns) -> str:
     for col in cols:
         if len(col) != len(lead):
             raise DomainError(f"columns of unequal length: {len(lead)} and {len(col)}")
-    text = [header]
+    blocks = [header.encode() + b"\n"]
     for start in range(0, len(lead), _CSV_BLOCK):
         block = slice(start, start + _CSV_BLOCK)
-        text.append(_rows(np.column_stack([lead[block], *(col[block] for col in cols)])))
-    # an empty last field ends the text with a newline without copying it again
-    return "\n".join([*text, ""])
+        blocks.append(_rows(np.column_stack([lead[block], *(col[block] for col in cols)])))
+    return blocks
 
 
-def _rows(block: np.ndarray) -> str:
+def _rows(block: np.ndarray) -> bytes:
     """CSV rows of a nonempty two-dimensional float array, each float as repr writes it.
 
     One orjson dump of the raveled rows gives the values between commas;
-    every row's last comma becomes a newline.  orjson writes the shortest
-    round-trip digits, as repr does, and in the same notation for zeros
-    and 1e-4 <= |x| < 1e16; it writes the other values as 0.00001, 1e16
-    or null, so those take repr itself.
+    every row's last comma and the closing bracket become newlines.
+    orjson writes the shortest round-trip digits, as repr does, and in the
+    same notation for zeros and 1e-4 <= |x| < 1e16; it writes the other
+    values as 0.00001, 1e16 or null, so those take repr itself.
     orjson is imported here, so that importing the package does not load it.
     """
     import orjson
@@ -414,20 +414,29 @@ def _rows(block: np.ndarray) -> str:
     buf = np.frombuffer(raw, dtype=np.uint8)
     seps = np.flatnonzero(buf == 44)  # ","
     buf[seps[block.shape[1] - 1::block.shape[1]]] = 10  # "\n"
-    text = str(memoryview(raw)[1:-1], "ascii")  # bytearray.decode is far slower
+    buf[-1] = 10  # "]"
     mag = np.abs(flat)
     odd = np.flatnonzero(~((mag >= 1e-4) & (mag < 1e16)) & (flat != 0.0))
+    return _splice(raw, seps, odd, [repr(x).encode() for x in flat[odd].tolist()])
+
+
+def _splice(dump, seps: np.ndarray, odd: np.ndarray, texts: list[bytes]) -> bytes:
+    """The bytes of a dump after its opening "[", with value odd[j] replaced by texts[j].
+
+    seps holds the positions of the separators between values.  Value i
+    runs from just after separator i - 1 (the "[" for i = 0) up to
+    separator i, or up to the dump's last byte for the last value.
+    """
+    view = memoryview(dump)
     if not len(odd):
-        return text
-    # value i of text lies between bounds[i] and bounds[i + 1] - 1
-    bounds = np.concatenate([[0], seps, [len(raw) - 1]])
-    parts, prev = [], 0
-    for x, lo, hi in zip(flat[odd].tolist(), bounds[odd].tolist(),
-                         (bounds[odd + 1] - 1).tolist()):
-        parts += [text[prev:lo], repr(x)]
+        return view[1:].tobytes()
+    bounds = np.concatenate([[0], seps, [len(view) - 1]])
+    parts, prev = [], 1
+    for text, lo, hi in zip(texts, (bounds[odd] + 1).tolist(), bounds[odd + 1].tolist()):
+        parts += [view[prev:lo], text]
         prev = hi
-    parts.append(text[prev:])
-    return "".join(parts)
+    parts.append(view[prev:])
+    return b"".join(parts)
 
 
 def _csv_column(col) -> np.ndarray:
@@ -437,6 +446,7 @@ def _csv_column(col) -> np.ndarray:
     return arr
 
 
-def locus_to_csv(locus: ParametricLocus) -> str:
-    """CSV text with header t,u,w; full float precision, round-trip exact."""
+def locus_to_csv(locus: ParametricLocus) -> list[bytes]:
+    """The CSV file of the locus as columns_to_csv's byte blocks, with header
+    t,u,w; full float precision, round-trip exact."""
     return columns_to_csv("t,u,w", locus.t_values, locus.u_values, locus.w_values)

@@ -2,12 +2,15 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import pathlib
 import re
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -41,7 +44,7 @@ from memelements.cli import (
     suite_to_dict,
     tolerances_from_spec,
 )
-from memelements.errors import ConfigError, NumericalError
+from memelements.errors import ConfigError, DomainError, NumericalError
 from malformed_configs import MALFORMED
 
 
@@ -473,8 +476,8 @@ class TestAnalyzeCommand:
             "depth0.csv", "depth1.csv", "depth2.csv"
         ]
         for locus in chain:
-            written = (out / f"depth{locus.depth}.csv").read_text()
-            assert written == locus_to_csv(locus)
+            written = (out / f"depth{locus.depth}.csv").read_bytes()
+            assert written == b"".join(locus_to_csv(locus))
 
     def test_usage_error_exit_code(self, capsys):
         assert run([]) == 2
@@ -500,7 +503,7 @@ class TestDepthCsvFiles:
         assert sorted(p.name for p in out.iterdir()) == [
             f"depth{k}.csv" for k in range(depth + 1)]
         for k, locus in enumerate(rpt.loci):
-            assert (out / f"depth{k}.csv").read_text() == locus_to_csv(locus)
+            assert (out / f"depth{k}.csv").read_bytes() == b"".join(locus_to_csv(locus))
 
     @pytest.mark.parametrize("depth", [0, 1, 2])
     def test_each_table_is_one_dump_per_block(self, tmp_path, monkeypatch, depth):
@@ -536,6 +539,30 @@ class TestDepthCsvFiles:
         monkeypatch.setattr(cli, "locus_to_csv", counting_locus_to_csv)
         assert run(argv) == 0
         assert depths == list(range(depth + 1))
+
+
+class TestWrite:
+    """_write writes text as UTF-8 and byte blocks as they are, in name order."""
+
+    def test_blocks_and_text(self, tmp_path):
+        out = tmp_path / "out"
+        files = {"c.csv": [b"x\n"], "b.svg": "<svg>\u00b5</svg>\n",
+                 "a.csv": [b"t,u\n", b"0.0,1.5\n1e-05,-0.0\n", b""]}
+        assert cli._write(out, files) == "wrote: " + ", ".join(
+            str(out / name) for name in ("a.csv", "b.svg", "c.csv"))
+        assert (out / "a.csv").read_bytes() == b"t,u\n0.0,1.5\n1e-05,-0.0\n"
+        assert (out / "b.svg").read_bytes() == b"<svg>\xc2\xb5</svg>\n"
+        assert (out / "c.csv").read_bytes() == b"x\n"
+
+    def test_unwritable_block_file(self, tmp_path):
+        out = tmp_path / "out"
+        (out / "b.csv").mkdir(parents=True)
+        files = {"c.svg": "late\n", "b.csv": [b"x\n"], "a.csv": [b"early\n"]}
+        with pytest.raises(ConfigError, match=f"^cannot write {re.escape(str(out / 'b.csv'))}: "):
+            cli._write(out, files)
+        # written in name order: the file before the failure, not the one after it
+        assert sorted(p.name for p in out.iterdir() if p.is_file()) == ["a.csv"]
+        assert (out / "a.csv").read_bytes() == b"early\n"
 
 
 class TestOutputDirectory:
@@ -582,6 +609,9 @@ class TestOutputDirectory:
         (["analyze"], "report.json", ["depth0.csv", "depth1.csv", "loci.svg"]),
         (["figure", "fig2"], "fig2.svg", ["fig2.depth0.csv", "fig2.depth1.csv"]),
         (["suite"], "suite_report.json", []),
+        # a CSV file, written from byte blocks
+        (["analyze"], "depth1.csv", ["depth0.csv"]),
+        (["figure", "fig2"], "fig2.depth1.csv", ["fig2.depth0.csv"]),
     ])
     def test_unwritable_file_exit_2(self, tmp_path, capsys, argv, blocked, before):
         out = tmp_path / "out"
@@ -692,6 +722,90 @@ class TestRenderSvg:
                 for x, y in zip(xs[::step].tolist(), ys[::step].tolist())))
         svg = cli.render_svg([panel], "title")
         assert re.findall(r'<polyline points="([^"]*)"', svg) == expected
+
+    def test_empty_panel_raises(self):
+        with pytest.raises(DomainError, match="panel 'a' has no sample or marker to draw"):
+            cli.render_svg([cli.Panel("a", "x", "y")])
+
+    @pytest.mark.parametrize("x, marker", [([0.0, np.inf], (0.0, 0.0)),
+                                           ([0.0, 1.0], (np.nan, 0.0))])
+    def test_non_finite_sample_or_marker_raises(self, x, marker):
+        # refused, not drawn as "nan" coordinates, and without a RuntimeWarning
+        drawable, panel = cli.Panel("b", "x", "y"), cli.Panel("a", "x", "y")
+        drawable.add_series("s", [0.0, 1.0], [1.0, 2.0])
+        panel.add_series("s", x, [1.0, 2.0])
+        panel.add_marker(*marker, "m")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="panel 'a' has a sample or marker that is "
+                                                  "not finite"):
+                cli.render_svg([drawable, panel])
+
+    def test_unequal_series_raises(self):
+        with pytest.raises(DomainError, match=r"series 's' of panel 'a': .* shapes \(2,\) "
+                                              r"and \(3,\)"):
+            cli.Panel("a", "x", "y").add_series("s", [0.0, 1.0], [0.0, 1.0, 2.0])
+
+
+def format_points(xs, ys):
+    """The reference polyline text: each point through str.format."""
+    return " ".join(map("{:.2f},{:.2f}".format, xs, ys))
+
+
+def nudged(x, steps):
+    """x moved steps floats up (steps > 0) or down."""
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.copysign(math.inf, steps))
+    return x
+
+
+_X_XX5 = np.array([0.005, 0.015, 0.285, 1.005, 1.115, 2.675, 421.125, 785.995, 999999.995])
+# binary ties k + {1, 3, 5, 7}/8; x.xx5 and the floats next to it; values
+# in (-0.005, 0) and both zeros; the 1e6 bound and its neighbours; values
+# far past it, subnormals, values whose product 100 v overflows to inf,
+# and the non-finite values
+AWKWARD_COORDS = np.concatenate([
+    np.add.outer([0.0, 1.0, 2.0, 421.0, -3.0, 123456.0], [1 / 8, 3 / 8, 5 / 8, 7 / 8]).ravel(),
+    _X_XX5, np.nextafter(_X_XX5, 0.0), np.nextafter(_X_XX5, np.inf),
+    [-0.004999, -0.001, -1e-300, -5e-324, -0.0, 0.0],
+    [1e6, np.nextafter(1e6, 0.0), np.nextafter(1e6, np.inf), 999999.99, 1e15, 1e300],
+    [5e-324, 1e-310, 2.2250738585072014e-308, 1e307, 1.7976931348623157e308],
+    [np.inf, np.nan],
+])
+AWKWARD_COORDS = np.concatenate([AWKWARD_COORDS, -AWKWARD_COORDS])
+
+_coords = st.one_of(
+    st.floats(),
+    st.floats(-1e3, 1e3),
+    # the floats nearest x.xx5 and their neighbours, where a tie in 100 v
+    # can round either way
+    st.builds(nudged, st.integers(-10 ** 8, 10 ** 8).map(lambda k: (k + 0.5) / 100),
+              st.integers(-2, 2)),
+    st.sampled_from(AWKWARD_COORDS.tolist()),
+)
+
+
+class TestPolylinePoints:
+    """cli._points writes each point as "{:.2f},{:.2f}".format does."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(_coords, _coords), max_size=40))
+    def test_matches_format(self, points):
+        xs, ys = [p[0] for p in points], [p[1] for p in points]
+        assert cli._points(np.array(xs), np.array(ys)) == format_points(xs, ys)
+
+    def test_awkward_values(self):
+        xs = AWKWARD_COORDS
+        for ys in (xs[::-1], np.roll(xs, 7)):
+            assert cli._points(xs, ys) == format_points(xs.tolist(), ys.tolist())
+
+    def test_signed_zeros(self):
+        assert cli._points(np.array([-0.0, -0.001, 0.0]),
+                           np.array([0.0, -0.004999, -1e-300])) == (
+            "-0.00,0.00 -0.00,-0.00 0.00,-0.00")
+
+    def test_empty(self):
+        assert cli._points(np.array([]), np.array([])) == ""
 
 
 class TestSuiteCommand:

@@ -678,20 +678,26 @@ class TestJetOverflow:
 class TestCsvRoundTrip:
     def test_header_and_exact_floats(self, cubic, drive):
         locus = analytic_locus(cubic, drive, 1, grid(drive, 64))
-        text = locus_to_csv(locus)
-        first, second = text.splitlines()[:2]
-        assert first == "t,u,w"
-        assert text.endswith("\n")
-        t, u, w = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1, unpack=True)
+        data = b"".join(locus_to_csv(locus))
+        first, second = data.splitlines()[:2]
+        assert first == b"t,u,w"
+        assert data.endswith(b"\n")
+        t, u, w = np.loadtxt(io.BytesIO(data), delimiter=",", skiprows=1, unpack=True)
         assert np.array_equal(t, locus.t_values)
         assert np.array_equal(u, locus.u_values)
         assert np.array_equal(w, locus.w_values)
 
 
 def oracle_csv(header, *columns):
-    """CSV text from plain Python lists, one row at a time."""
+    """The CSV file's bytes from plain Python lists, one row at a time."""
     rows = zip(*([float(v) for v in col] for col in columns))
-    return "".join(line + "\n" for line in [header, *(",".join(map(repr, r)) for r in rows)])
+    text = "".join(line + "\n" for line in [header, *(",".join(map(repr, r)) for r in rows)])
+    return text.encode()
+
+
+def csv_file(header, lead, *columns):
+    """The file that columns_to_csv's blocks make."""
+    return b"".join(transform.columns_to_csv(header, lead, *columns))
 
 
 BLOCK = transform._CSV_BLOCK
@@ -712,16 +718,20 @@ class TestCsvWriter:
         t = np.sort(rng.uniform(-5, 5, rows))
         tables = [rng.normal(size=(2, rows)) * 10.0 ** rng.integers(-300, 300, size=(2, rows))
                   for _ in range(3)]
-        texts = [transform.columns_to_csv("t,u,w", t, *cols) for cols in tables]
-        assert texts == [oracle_csv("t,u,w", t, *cols) for cols in tables]
-        assert all(text.count("\n") == rows + 1 for text in texts)
+        blocks = [transform.columns_to_csv("t,u,w", t, *cols) for cols in tables]
+        assert [b"".join(b) for b in blocks] == [oracle_csv("t,u,w", t, *cols) for cols in tables]
+        for table in blocks:
+            # the header line, then one block per BLOCK rows, each ending its last row
+            assert [len(block.splitlines()) for block in table] == [
+                1, *(min(BLOCK, rows - start) for start in range(0, rows, BLOCK))]
+            assert all(type(block) is bytes and block.endswith(b"\n") for block in table)
 
     def test_edge_floats(self):
         values = np.array(EDGE_FLOATS)
-        text = transform.columns_to_csv("a,b,c", values, -values, values[::-1])
-        assert text == oracle_csv("a,b,c", values, -values, values[::-1])
-        assert text.splitlines()[1] == "-0.0,0.0,1e+16"
-        back = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1, unpack=True)
+        data = csv_file("a,b,c", values, -values, values[::-1])
+        assert data == oracle_csv("a,b,c", values, -values, values[::-1])
+        assert data.splitlines()[1] == b"-0.0,0.0,1e+16"
+        back = np.loadtxt(io.BytesIO(data), delimiter=",", skiprows=1, unpack=True)
         assert np.array_equal(back[0], values) and np.array_equal(np.signbit(back[0]),
                                                                   np.signbit(values))
 
@@ -733,15 +743,14 @@ class TestCsvWriter:
                           min_size=rows, max_size=rows)
         lead = data.draw(floats, label="lead")
         cols = [(data.draw(floats), data.draw(floats)) for _ in range(tables)]
-        assert [transform.columns_to_csv("x,y,z", lead, *c) for c in cols] == [
+        assert [csv_file("x,y,z", lead, *c) for c in cols] == [
             oracle_csv("x,y,z", lead, *c) for c in cols]
 
     def test_locus_and_columns_are_one_table_calls(self, cubic, drive):
         locus = analytic_locus(cubic, drive, 2, grid(drive, 256))
         expected = oracle_csv("t,u,w", locus.t_values, locus.u_values, locus.w_values)
-        assert locus_to_csv(locus) == expected
-        assert transform.columns_to_csv(
-            "t,u,w", locus.t_values, locus.u_values, locus.w_values) == expected
+        assert b"".join(locus_to_csv(locus)) == expected
+        assert csv_file("t,u,w", locus.t_values, locus.u_values, locus.w_values) == expected
 
     @pytest.mark.parametrize("header, columns, message", [
         ("a,b", ([0.0, 1.0, 2.0], [5.0]), "columns of unequal length: 3 and 1"),
@@ -764,14 +773,14 @@ class TestCsvWriter:
         locus = analytic_locus(cubic, drive, 1, grid(drive, 65536))
         tracemalloc.start()
         try:
-            text = locus_to_csv(locus)
+            blocks = locus_to_csv(locus)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert len(locus.t_values) == 65537
-        # the block strings and the one joined text; whole columns of row
-        # strings would hold about four times the text
-        assert peak <= 2.5 * len(text)
+        # the blocks and one block's dump; whole columns of row strings
+        # would hold about four times the text
+        assert peak <= 2.5 * sum(map(len, blocks))
 
 
 class TestReprs:
@@ -781,7 +790,7 @@ class TestReprs:
     @staticmethod
     def texts(col):
         # one value per row
-        return transform._rows(col[:, None]).split("\n")
+        return transform._rows(col[:, None]).decode("ascii").splitlines()
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.floats(), min_size=1, max_size=40))
@@ -825,15 +834,14 @@ class TestReprs:
         if "block" in places:
             table[block * BLOCK:last + 1] = awkward((last + 1 - block * BLOCK, k))
         header = ",".join("abcde"[:k])
-        text = transform.columns_to_csv(header, table[:, 0], *table[:, 1:].T)
+        data = csv_file(header, table[:, 0], *table[:, 1:].T)
         # line lists, which pytest compares far faster than long strings
-        assert text.split("\n") == oracle_csv(header, *table.T).split("\n")
+        assert data.split(b"\n") == oracle_csv(header, *table.T).split(b"\n")
 
     def test_strided_column(self):
         a = np.linspace(-3.0, 3.0, 12) ** 9 * 1e-6
         assert not a[::2].flags.c_contiguous
-        text = transform.columns_to_csv("t,u", a[::2], a[1::2])
-        assert text == oracle_csv("t,u", a[::2], a[1::2])
+        assert csv_file("t,u", a[::2], a[1::2]) == oracle_csv("t,u", a[::2], a[1::2])
 
     def test_package_import_leaves_orjson_unloaded(self):
         src = pathlib.Path(transform.__file__).parents[1]

@@ -29,9 +29,13 @@ base, all from the same runs.
 With ``--csv`` the ops are the ``analyze`` ops among the first ``--ops``
 of emit-fine.  Each op's loci are built once, by the change, and
 ``transform.locus_to_csv`` of each side writes the op's ``depth{k}.csv``
-texts from those same loci.  The texts must be equal on both sides,
-else the run stops naming the op.  Printed: each side's mean best-of-k
-time per op, and the ratio, change over base.
+files from those same loci.  Only those calls are timed.  Each side's
+result is then made the file's bytes: ``str.encode()`` of the text a
+tree older than the byte-block writer returns, ``b"".join`` of the
+blocks a newer one returns, so trees on either side of that API change
+compare.  The bytes must be equal on both sides, else the run stops
+naming the op.  Printed: each side's mean best-of-k time per op, and
+the ratio, change over base.
 
 The ratio is an in-process diagnostic (for instance, the share of one
 change in a larger one); the benchmark's end-to-end metrics come from
@@ -149,20 +153,21 @@ def csv_ab(sides, args, work: Path) -> None:
             continue
         loci = change.classify(*change.cli._classify_args(op.expect)).loci
         order = (0, 1) if count % 2 == 0 else (1, 0)
-        texts = [None, None]
+        files = [None, None]
         gc.collect()
         for s in order:
-            dt, texts[s] = best_of(lambda pkg: [pkg.transform.locus_to_csv(lo) for lo in loci],
-                                   (sides[s],), args.best_of)
+            dt, csvs = best_of(lambda pkg: [pkg.transform.locus_to_csv(lo) for lo in loci],
+                               (sides[s],), args.best_of)
             total[s] += dt
-        if texts[0] != texts[1]:
-            raise SystemExit(f"op {i} (seed {args.seed}): the CSV texts differ")
+            files[s] = [csv.encode() if isinstance(csv, str) else b"".join(csv) for csv in csvs]
+        if files[0] != files[1]:
+            raise SystemExit(f"op {i} (seed {args.seed}): the CSV bytes differ")
         count += 1
     if not count:
         raise SystemExit(f"no analyze op among the first {args.ops} emit-fine ops")
     base_ms, change_ms = (1e3 * s / count for s in total)
     print(f"emit-fine seed {args.seed}, {count} analyze ops of {args.ops}, "
-          f"best of {args.best_of}: CSV texts equal")
+          f"best of {args.best_of}: CSV bytes equal")
     for label, ms in zip(("base  ", "change"), (base_ms, change_ms)):
         print(f"{label} {ms:.4f} ms/op")
     print(f"ratio  {change_ms / base_ms:.4f}")
@@ -174,7 +179,8 @@ def main(argv=None) -> None:
     ap.add_argument("change", type=Path, nargs="?", default=ROOT / "src",
                     help="src/ directory of the changed tree (default: this checkout's)")
     ap.add_argument("--csv", action="store_true",
-                    help="time locus_to_csv on emit-fine's analyze ops, not classify")
+                    help="time locus_to_csv on emit-fine's analyze ops, not classify, "
+                         "and compare the files' bytes (encoded text or joined blocks)")
     ap.add_argument("--seed", type=int, default=13)
     ap.add_argument("--ops", type=int, default=240)
     ap.add_argument("--best-of", type=int, default=6)
