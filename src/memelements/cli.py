@@ -18,6 +18,7 @@ import itertools
 import json
 import math
 import os
+import re
 import stat
 import sys
 from collections import Counter
@@ -274,6 +275,11 @@ def _classify_args(cfg: dict) -> tuple:
 # JSON serialization
 # ----------------------------------------------------------------------
 
+@functools.cache
+def _compared_fields(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in dataclasses.fields(cls) if f.compare)
+
+
 def _plain(obj):
     """obj as JSON-ready data: dataclasses by their compared fields, enums by value."""
     if obj is None or isinstance(obj, (str, int, float)):
@@ -284,8 +290,7 @@ def _plain(obj):
         return [_plain(v) for v in obj]
     if isinstance(obj, Mapping):
         return {k: _plain(v) for k, v in obj.items()}
-    return {f.name: _plain(getattr(obj, f.name))
-            for f in dataclasses.fields(obj) if f.compare}
+    return {name: _plain(getattr(obj, name)) for name in _compared_fields(type(obj))}
 
 
 def report_to_dict(rpt: ClassificationReport) -> dict:
@@ -305,8 +310,38 @@ def suite_to_dict(rep: SuiteReport) -> dict:
     return out
 
 
-def _dump_json(obj: dict) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+# orjson's spellings of a float that repr spells otherwise, each a value ending
+# a line (a JSON string holds no raw newline, so no text in one matches): an
+# exponent, e-6 or e16 for repr's e-06 or e+16, and 1e-5 <= |x| < 1e-4 written
+# out, 0.00001 for repr's 1e-05.  Each pattern opens with a literal, which
+# re finds fast.
+_EXPONENT = re.compile(rb"e(-?)([0-9]+)(?=,?(?:\n|\Z))")
+_POSITIONAL = re.compile(rb"0(?<![0-9]0)\.0000[0-9]+(?=,?(?:\n|\Z))")
+
+
+def _dump_json(obj) -> str:
+    """json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False) + "\n", through orjson.
+
+    orjson writes the same text but for some floats' spelling, which is
+    rewritten to repr's, and for NaN and +-inf, which it writes as null:
+    when orjson's text holds a null and json's C encoder finds a value
+    that is not finite, the text is json's own, which spells them NaN,
+    Infinity and -Infinity.  What orjson refuses (an integer beyond 64
+    bits, a string that is not valid UTF-8, a key that is not a string)
+    takes json's path too.  orjson is imported here, so that importing
+    the package does not load it.
+    """
+    import orjson
+
+    try:
+        out = orjson.dumps(obj, option=orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS)
+        if b"null" in out:
+            json.dumps(obj, allow_nan=False)  # ValueError on NaN or +-inf
+    except (TypeError, ValueError):  # orjson.JSONEncodeError is a TypeError
+        return json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    out = _EXPONENT.sub(lambda m: b"e" + (m[1] or b"+") + m[2].zfill(2), out)
+    out = _POSITIONAL.sub(lambda m: repr(float(m[0])).encode(), out)
+    return out.decode("utf-8") + "\n"
 
 
 def _output_dir(output_dir) -> Path:
@@ -390,7 +425,8 @@ class Panel:
 
     def _bounds(self) -> tuple[float, float, float, float]:
         """The drawn x and y ranges, padded; DomainError for a panel with
-        nothing to draw or a sample or marker that is not finite."""
+        nothing to draw, a sample or marker that is not finite, or padded
+        ranges whose span is not finite."""
         xs = [s[1] for s in self.series] + [np.array([m[0] for m in self.markers])]
         ys = [s[2] for s in self.series] + [np.array([m[1] for m in self.markers])]
         allx = np.concatenate(xs)
@@ -410,7 +446,10 @@ class Panel:
             y0, y1 = y0 - 1.0, y1 + 1.0
         padx = 0.06 * (x1 - x0)
         pady = 0.08 * (y1 - y0)
-        return x0 - padx, x1 + padx, y0 - pady, y1 + pady
+        bounds = x0 - padx, x1 + padx, y0 - pady, y1 + pady
+        if not (math.isfinite(bounds[1] - bounds[0]) and math.isfinite(bounds[3] - bounds[2])):
+            raise DomainError(f"panel {self.title!r} spans a range too wide to draw")
+        return bounds
 
 
 def _points(px: np.ndarray, py: np.ndarray) -> str:
@@ -452,7 +491,8 @@ def render_svg(panels: list[Panel], title: str | None = None) -> str:
     """Self-contained deterministic 800 x 600 SVG with the panels side by side.
 
     Raises DomainError, before any text is built, for a panel with nothing
-    to draw or a sample or marker that is not finite.
+    to draw, a sample or marker that is not finite, or a range too wide to
+    draw.
     """
     parts: list[str] = []
     parts.append('<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 800 600" '

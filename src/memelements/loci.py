@@ -612,14 +612,27 @@ def valuedness(locus: ParametricLocus, tol: float = 1e-9) -> ValuednessReport:
     """Single- vs double-valuedness via the time pairing of equal abscissae.
 
     Odd-depth loci revisit each abscissa at (T/2 - t) mod T, even-depth
-    loci at T - t (_pairs).  A locus is double-valued when the
-    paired ordinates disagree anywhere beyond tol * max(1, max |w|); its
-    witnesses are up to four of the largest gaps, T/64 apart, and equal
-    gaps, such as a mirror pair's, rank in time order.
+    loci at (T - t) mod T.  On the grid i*T/n every locus lies on, that
+    is the time of sample i's mirror, up to rounding: (h - i) mod n for
+    h = 0 at even depth and, for even n, h = n/2 at odd depth, so the
+    gaps are read off reversed slices of the samples.  Odd depth on an
+    odd n has no mirror, and is read by point_at at the pair times.  A
+    locus is double-valued when the paired ordinates disagree anywhere
+    beyond tol * max(1, max |w|); its witnesses are up to four of the
+    largest gaps, T/64 apart, and equal gaps, such as a mirror pair's,
+    rank in time order.
     """
     t, w = locus.t_values, locus.w_values
-    t_pair, w_pair = _pairs(locus)
-    gap = np.abs(w - w_pair)
+    n = t.size - 1
+    odd = locus.depth % 2
+    if odd and n % 2:
+        t_pair = np.mod(0.5 * locus.period - t, locus.period)
+        w_pair, h = point_at(locus, t_pair)[1], None
+        gap = np.abs(w - w_pair)
+    else:
+        # sample i pairs with sample (h - i) mod n: h down to 0, then n - 1 down to h
+        t_pair, w_pair, h = t, w, n // 2 * odd
+        gap = np.concatenate((np.abs(w[:h + 1] - w[h::-1]), np.abs(w[h + 1:] - w[h:-1][::-1])))
     bar = tol * max(1.0, _plane_roots(locus).peak[1])
     max_gap = float(np.max(gap))
     if max_gap <= bar:
@@ -628,36 +641,16 @@ def valuedness(locus: ParametricLocus, tol: float = 1e-9) -> ValuednessReport:
     # the largest gap left, T/64 clear of the witnesses before it, is the
     # next; argmax takes the first of equal gaps, so ties rank in time order
     rest = np.where(gap > bar, gap, -np.inf)
-    reach = (len(t) - 1) // 64 + 2
+    reach = n // 64 + 2
     witnesses: list[ValuednessWitness] = []
     while len(witnesses) < 4 and rest.max() > -np.inf:
         i = int(np.argmax(rest))
-        witnesses.append(ValuednessWitness(
-            *map(float, (t[i], t_pair[i], w[i], w_pair[i]))))
+        j = i if h is None else (h - i) % n
+        witnesses.append(ValuednessWitness(*map(float, (t[i], t_pair[j], w[i], w_pair[j]))))
         # on the grid contract no sample T/64 away lies beyond n/64 + 2 samples
         near = slice(max(i - reach, 0), i + reach + 1)
         rest[near][np.abs(t[near] - t[i]) < locus.period / 64.0] = -np.inf
     return ValuednessReport(Valuedness.DOUBLE, max_gap, tuple(witnesses))
-
-
-def _pairs(locus: ParametricLocus) -> tuple[np.ndarray, np.ndarray]:
-    """The locus's valuedness pair times, and its ordinate at them.
-
-    Odd-depth loci revisit each abscissa at (T/2 - t) mod T, even-depth
-    loci at (T - t) mod T.  On the grid i*T/n every locus lies on, that
-    is the time of sample i's mirror, up to rounding: (n - i) mod n at
-    even depth and, for even n, (n/2 - i) mod n at odd depth, which is
-    read by index.  Odd depth on an odd n has no mirror, and is read by
-    point_at at the pair times.
-    """
-    n = locus.t_values.size - 1
-    odd = locus.depth % 2
-    if odd and n % 2:
-        t_pair = np.mod(0.5 * locus.period - locus.t_values, locus.period)
-        return t_pair, point_at(locus, t_pair)[1]
-    h = n // 2 * odd  # (h - i) mod n for i = 0..n: h down to 0, then n - 1 to h
-    j = np.concatenate((np.arange(h, -1, -1), np.arange(n - 1, h - 1, -1)))
-    return locus.t_values[j], locus.w_values[j]
 
 
 def odd_symmetry(locus: ParametricLocus, tol: float = 1e-9) -> SymmetryReport:

@@ -20,7 +20,7 @@ import numbers
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -319,14 +319,29 @@ def _select_witnesses(
     return eq_axis + c_off + q_off
 
 
+class _Reading(NamedTuple):
+    """What a verdict plane says: the verdict, its witnesses, the largest
+    candidate when it is inconclusive, and the caveats it adds."""
+
+    verdict: Verdict
+    witnesses: tuple[SpecialPoint, ...]
+    candidate: float | None
+    caveats: tuple[str, ...]
+
+
 def _verdict(
     descriptor: ElementDescriptor,
-    chain: tuple[ParametricLocus, ...],
+    loci: tuple[ParametricLocus, ...],
     planes: tuple[PlaneAnalysis, ...],
     tol: ToleranceSet,
-) -> tuple[Verdict, tuple[SpecialPoint, ...], float | None, tuple[str, ...]]:
+) -> _Reading:
+    """The descriptor's verdict, read off loci and planes that end at its verdict plane.
+
+    Only the verdict plane and, two or more transforms deep, the plane
+    before it (the source of the tangent-landmark route) are read.
+    """
     k = descriptor.transforms_to_verdict_plane
-    vp = planes[k]
+    vp = planes[-1]
     wtol = tol.witness_tol
 
     if k <= 1:
@@ -335,23 +350,22 @@ def _verdict(
             if p.kind is not PointKind.PINCH and abs(p.w) > wtol
         )
         if off:
-            return Verdict.LOCALLY_ACTIVE, off, None, ()
+            return _Reading(Verdict.LOCALLY_ACTIVE, off, None, ())
         if vp.pinched:
-            return Verdict.LOCALLY_PASSIVE, vp.pinch_points, None, ()
+            return _Reading(Verdict.LOCALLY_PASSIVE, vp.pinch_points, None, ())
         cand = max((abs(p.w) for p in vp.abscissa_zeros), default=0.0)
-        return (
+        return _Reading(
             Verdict.INCONCLUSIVE,
             (),
             cand,
             ("verdict plane neither crosses the origin nor shows a witness",),
         )
 
-    vlocus = chain[k]
-    src = planes[k - 1]
+    vlocus, source, src = loci[-1], loci[-2], planes[-2]
     eq_axis = tuple(p for p in vp.abscissa_zeros if abs(p.w) > wtol)
     # the verdict plane's points at the source plane's tangent landmarks
-    c_proj = project_landmarks(chain[k - 1], src.zero_tangents)
-    q_proj = project_landmarks(chain[k - 1], src.vertical_tangents)
+    c_proj = project_landmarks(source, src.zero_tangents)
+    q_proj = project_landmarks(source, src.vertical_tangents)
     _check_route_agreement(vlocus, eq_axis, q_proj, tol)
 
     c_off = tuple(p for p in c_proj if abs(p.u) > wtol)
@@ -359,7 +373,7 @@ def _verdict(
 
     if eq_axis or c_off or q_off:
         witnesses = _select_witnesses(descriptor.kind, eq_axis, c_off, q_off)
-        return Verdict.LOCALLY_ACTIVE, witnesses, None, ()
+        return _Reading(Verdict.LOCALLY_ACTIVE, witnesses, None, ())
 
     cand = max(
         [abs(p.w) for p in vp.abscissa_zeros]
@@ -367,7 +381,7 @@ def _verdict(
         + [abs(p.w) for p in q_proj],
         default=0.0,
     )
-    return (
+    return _Reading(
         Verdict.INCONCLUSIVE,
         (),
         cand,
@@ -397,11 +411,10 @@ def _consequences(
 
 @dataclass(frozen=True)
 class _ChainAnalysis:
-    """One locus chain, built with default labels, and its plane geometry."""
+    """The analysed part of one locus chain, built with default labels, and its
+    plane geometry: loci[i] and planes[i] are plane first + i."""
 
-    excitation: Excitation
     grid_n: int
-    tolerances: ToleranceSet
     provenance: str
     loci: tuple[ParametricLocus, ...]
     planes: tuple[PlaneAnalysis, ...]
@@ -414,11 +427,13 @@ def _analyze_chain(
     tol: ToleranceSet,
     grid_n: int,
     numeric_chain: bool,
+    first: int = 0,
 ) -> _ChainAnalysis:
-    """Build the chain from the constitutive plane to depth, analyse each plane.
+    """Build the chain from the constitutive plane to depth, analyse planes first..depth.
 
-    Every root the plane analyses need is refined first, for the whole
-    chain in one lock-step bisection.
+    Every root the plane analyses need is refined first, for those planes
+    in one lock-step bisection.  classify reads every plane; the theorem
+    suite reads planes 1 and 2 only.
     """
     if curve.max_derivative_order < depth:
         raise CapabilityError(
@@ -441,54 +456,13 @@ def _analyze_chain(
         rates = None
     else:
         chain, rates = analytic_chain(curve, exc, depth, g)
-    refine_chain(chain, rates)
+    loci = tuple(chain[first:])
+    refine_chain(loci, rates)
     return _ChainAnalysis(
-        excitation=exc,
         grid_n=g.count,
-        tolerances=tol,
         provenance="numeric" if numeric_chain else "analytic",
-        loci=tuple(chain),
-        planes=tuple(_analyze_plane(locus, tol) for locus in chain),
-    )
-
-
-def _read_cell(
-    descriptor: ElementDescriptor, analysis: _ChainAnalysis, ideality: IdealityReport
-) -> ClassificationReport:
-    """The report of one table cell, read off a deep enough chain analysis."""
-    k = descriptor.transforms_to_verdict_plane
-    chain = analysis.loci[: k + 1]
-    planes = tuple(
-        replace(plane, axis_labels=plane_labels(descriptor, d))
-        for d, plane in enumerate(analysis.planes[: k + 1])
-    )
-    caveats: list[str] = []
-    if not ideality.ideal:
-        caveats.append(
-            "curve is not ideal: fails " + ", ".join(ideality.failed_criteria())
-        )
-    verdict, witnesses, cand, extra = _verdict(
-        descriptor, chain, planes, analysis.tolerances
-    )
-    caveats.extend(extra)
-    degeneration, source = _consequences(descriptor, verdict)
-
-    return ClassificationReport(
-        descriptor=descriptor,
-        element=table_position(descriptor),
-        excitation=analysis.excitation,
-        grid_n=analysis.grid_n,
-        provenance=analysis.provenance,
-        tolerances=analysis.tolerances,
-        ideality=ideality,
-        planes=planes,
-        verdict=verdict,
-        witnesses=witnesses,
-        candidate_witness_magnitude=cand,
-        degeneration=degeneration,
-        internal_source=source,
-        caveats=tuple(caveats),
-        loci=chain,
+        loci=loci,
+        planes=tuple(_analyze_plane(locus, tol) for locus in loci),
     )
 
 
@@ -513,7 +487,33 @@ def classify(
     analysis = _analyze_chain(
         curve, exc, descriptor.transforms_to_verdict_plane, tol, grid_n, numeric_chain
     )
-    return _read_cell(descriptor, analysis, check_ideality(curve, tol))
+    planes = tuple(replace(plane, axis_labels=plane_labels(descriptor, d))
+                   for d, plane in enumerate(analysis.planes))
+    ideality = check_ideality(curve, tol)
+    caveats: list[str] = []
+    if not ideality.ideal:
+        caveats.append("curve is not ideal: fails " + ", ".join(ideality.failed_criteria()))
+    reading = _verdict(descriptor, analysis.loci, planes, tol)
+    caveats.extend(reading.caveats)
+    degeneration, source = _consequences(descriptor, reading.verdict)
+
+    return ClassificationReport(
+        descriptor=descriptor,
+        element=table_position(descriptor),
+        excitation=exc,
+        grid_n=analysis.grid_n,
+        provenance=analysis.provenance,
+        tolerances=tol,
+        ideality=ideality,
+        planes=planes,
+        verdict=reading.verdict,
+        witnesses=reading.witnesses,
+        candidate_witness_magnitude=reading.candidate,
+        degeneration=degeneration,
+        internal_source=source,
+        caveats=tuple(caveats),
+        loci=analysis.loci,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -595,11 +595,12 @@ def _skipped_checks(reason: str, names: tuple[str, ...] = ALL_CHECKS) -> dict:
     return {name: CheckResult(CheckStatus.SKIPPED, reason, {}) for name in names}
 
 
-def _first_order_check(rpt: ClassificationReport, period: float) -> CheckResult:
+def _first_order_check(reading: _Reading, period: float) -> CheckResult:
     """First order is passive, pinched at the drive-rate zeros 0, T/2 and T."""
-    if rpt.verdict is not Verdict.LOCALLY_PASSIVE:
-        return CheckResult(CheckStatus.FAIL, f"first-order verdict was {rpt.verdict.value}", {})
-    got = np.array(sorted(p.t for p in rpt.witnesses))
+    if reading.verdict is not Verdict.LOCALLY_PASSIVE:
+        return CheckResult(CheckStatus.FAIL,
+                           f"first-order verdict was {reading.verdict.value}", {})
+    got = np.array(sorted(p.t for p in reading.witnesses))
     expected = np.array([0.0, 0.5 * period, period])
     if len(got) == len(expected) and np.max(np.abs(got - expected)) < 1e-6:
         status, detail = CheckStatus.PASS, "pinched at every drive-rate zero"
@@ -608,16 +609,16 @@ def _first_order_check(rpt: ClassificationReport, period: float) -> CheckResult:
     return CheckResult(status, detail, {"pinch_times": [float(v) for v in got]})
 
 
-def _activity_check(rpt: ClassificationReport) -> CheckResult:
-    if rpt.verdict is Verdict.LOCALLY_ACTIVE:
-        best = max((abs(p.w) + abs(p.u) for p in rpt.witnesses), default=0.0)
+def _activity_check(reading: _Reading) -> CheckResult:
+    if reading.verdict is Verdict.LOCALLY_ACTIVE:
+        best = max((abs(p.w) + abs(p.u) for p in reading.witnesses), default=0.0)
         return CheckResult(CheckStatus.PASS, "locally active with off-origin witness",
                            {"witness_magnitude": best})
-    if rpt.verdict is Verdict.INCONCLUSIVE:
+    if reading.verdict is Verdict.INCONCLUSIVE:
         return CheckResult(
             CheckStatus.INCONCLUSIVE,
             "witness degenerates at this operating point; activity undecided",
-            {"candidate_witness_magnitude": rpt.candidate_witness_magnitude or 0.0})
+            {"candidate_witness_magnitude": reading.candidate or 0.0})
     return CheckResult(CheckStatus.FAIL, "expected local activity, classified locally passive", {})
 
 
@@ -628,22 +629,24 @@ def _suite_checks(
     grid_n: int,
     ideality: IdealityReport,
 ) -> dict[str, CheckResult]:
-    """The five checks of one curve, in ALL_CHECKS order, read off one chain."""
+    """The five checks of one curve, in ALL_CHECKS order, read off planes 1 and 2 of one chain."""
     if not ideality.ideal:
         return _skipped_checks("curve not ideal: fails " + ", ".join(ideality.failed_criteria()))
-    analysis = _analyze_chain(curve, exc, min(2, curve.max_derivative_order), tol, grid_n, False)
-    first = _read_cell(ElementDescriptor(-1, -1), analysis, ideality)
+    analysis = _analyze_chain(curve, exc, min(2, curve.max_derivative_order), tol, grid_n, False,
+                              first=1)
+    loci, planes = analysis.loci, analysis.planes
+    first = _verdict(ElementDescriptor(-1, -1), loci[:1], planes[:1], tol)
     checks = {CHECK_FIRST_ORDER: _first_order_check(first, exc.period)}
     if curve.max_derivative_order < 2:
         return checks | _skipped_checks("needs second derivatives", ALL_CHECKS[1:])
-    plane2 = analysis.planes[2]
+    plane2 = planes[1]
     checks[CHECK_SINGLE_VALUED] = CheckResult(
         CheckStatus.PASS if plane2.valuedness is Valuedness.SINGLE else CheckStatus.FAIL,
         f"depth-2 locus is {plane2.valuedness.value}-valued",
         {"max_pair_gap": plane2.max_pair_gap},
     )
     for name, cell in _ACTIVITY_CELLS.items():
-        checks[name] = _activity_check(_read_cell(cell, analysis, ideality))
+        checks[name] = _activity_check(_verdict(cell, loci, planes, tol))
     return checks
 
 

@@ -741,6 +741,16 @@ class TestRenderSvg:
                                                   "not finite"):
                 cli.render_svg([drawable, panel])
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("x, y", [([-1e308, 0.0, 1e308], [0.0, 1.0, 2.0]),
+                                      ([0.0, 1.0, 2.0], [-1.7e308, 0.0, 1.7e308])])
+    def test_range_too_wide_to_draw_raises(self, x, y):
+        # finite samples whose padded span overflows: refused, not drawn as "nan"
+        panel = cli.Panel("a", "x", "y")
+        panel.add_series("s", x, y)
+        with pytest.raises(DomainError, match="panel 'a' spans a range too wide to draw"):
+            cli.render_svg([panel])
+
     def test_unequal_series_raises(self):
         with pytest.raises(DomainError, match=r"series 's' of panel 'a': .* shapes \(2,\) "
                                               r"and \(3,\)"):
@@ -806,6 +816,73 @@ class TestPolylinePoints:
 
     def test_empty(self):
         assert cli._points(np.array([]), np.array([])) == ""
+
+
+def json_text(obj):
+    """The reference report text: the json module's, indented and key-sorted."""
+    return json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+
+
+# text that reads like a number, or like a value line of the indented text
+_NUMBER_LIKE = ["1e5", "0.00001", "a 2e-7 b", "1e-06", "-0.000015", " 1e16", "1e-6,", "x\n1e-6",
+                ": 3e-5", "null", "NaN", "é ß 中 1e16", "  1e-7"]
+_json_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    # repr writes these with an exponent, orjson positionally
+    st.floats(1e-5, 1e-4, exclude_max=True).flatmap(lambda v: st.sampled_from([v, -v])),
+    # subnormals included; orjson's exponent has no leading zero
+    st.floats(-1e-5, 1e-5, exclude_min=True, exclude_max=True),
+    # repr writes e+16, orjson e16
+    st.floats(min_value=1e16, allow_infinity=False).flatmap(lambda v: st.sampled_from([v, -v])),
+    st.floats(1e15, 1e16),
+    # and the positional text of values that holds "0.0000" after a digit
+    st.sampled_from([0.0, -0.0, 1e-5, 1e-4, 1e16, 5e-324, 1.7976931348623157e308, 10.00001,
+                     -20.0000125, 100.00007]),
+)
+_json_scalars = st.one_of(
+    _json_floats,
+    st.integers(-10 ** 16, 10 ** 16),
+    st.integers(10 ** 15 - 10, 10 ** 15 + 10),
+    st.none(),
+    st.booleans(),
+    st.text(),
+    st.sampled_from(_NUMBER_LIKE),
+)
+_json_keys = st.one_of(st.text(), st.sampled_from(_NUMBER_LIKE))
+_json_docs = st.recursive(
+    _json_scalars,
+    lambda children: st.lists(children, max_size=6) | st.dictionaries(_json_keys, children,
+                                                                       max_size=6),
+    max_leaves=30,
+).filter(lambda doc: isinstance(doc, (list, dict)))
+
+
+class TestDumpJson:
+    """cli._dump_json writes the json module's indented, key-sorted text."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_json_docs)
+    def test_matches_json(self, doc):
+        assert cli._dump_json(doc) == json_text(doc)
+
+    def test_float_spelling_boundaries(self):
+        values = [1e-5, -1.5e-5, 9.99e-5, 1e-4, 1e-6, 5e-324, 1e16, -1.5e16, 9999000000000000.0,
+                  1e22, -0.0, 10 ** 15, 10.00001, "1e5", "0.00001", "a 2e-7 b"]
+        text = cli._dump_json({"v": values, "1e-6": 3e-5})
+        assert text == json_text({"v": values, "1e-6": 3e-5})
+        assert '"1e-6": 3e-05' in text and "    1e+16," in text and '    "0.00001"' in text
+
+    def test_non_finite_keeps_jsons_spelling(self):
+        # orjson writes NaN and +-inf as null; the text never does
+        doc = {"a": [math.nan, None, math.inf], "b": -math.inf, "c": None}
+        text = cli._dump_json(doc)
+        assert text == json_text(doc)
+        assert text.count("null") == 2
+        assert "NaN" in text and "    Infinity" in text and '"b": -Infinity' in text
+
+    def test_what_orjson_refuses_takes_jsons_path(self):
+        for doc in ({"big": 2 ** 70}, [-(2 ** 64)], {"surrogate": "\ud800"}, {1: "a", 2: "b"}):
+            assert cli._dump_json(doc) == json_text(doc)
 
 
 class TestSuiteCommand:

@@ -13,9 +13,9 @@ checked by running this script on two checkouts and diffing the output:
     diff before.txt after.txt
 
 The script imports the package from the ``src/`` next to it, the
-classify-distinct inputs from ``bench/workloads.py`` and the malformed
-configs from ``tests/malformed_configs.py``, so each checkout
-fingerprints its own code; to fingerprint a commit older than the
+classify-distinct and suite-shared inputs from ``bench/workloads.py``
+and the malformed configs from ``tests/malformed_configs.py``, so each
+checkout fingerprints its own code; to fingerprint a commit older than the
 script, copy the script into that checkout's ``tools/`` (and the config
 table into its ``tests/``).  It takes about a minute on two cores.
 
@@ -46,7 +46,10 @@ Covered:
     closed-form and numeric chains, of the cubic at (-2,-2) with grid_n
     256, 4095, 8191 and 16384 (4096 and 8192 rows are one and two whole
     blocks of the CSV writer), every figure, the default ``suite``
-    and three configured ones (one with tolerances and grid_n), ``analyze``
+    and three configured ones (one with tolerances and grid_n), the
+    ``suite --strict`` runs of suite-shared ops 0-29 for seed 13 (cubic,
+    quintic, tanh, piecewise-linear, two-branch and degenerate curves,
+    read from ``bench/workloads.py``), ``analyze``
     with format subsets from ``--formats`` or the config (and two bad
     ones), ``sweep`` over drive, descriptor, grid_n and numeric_chain axes
     (one trial ends in an error row), over the nine cells of depths 0-2 and
@@ -108,10 +111,11 @@ from memelements import (  # noqa: E402
     cli,
 )
 from malformed_configs import MALFORMED  # noqa: E402
-from workloads import ClassifyDistinct  # noqa: E402
+from workloads import ClassifyDistinct, SuiteShared  # noqa: E402
 
 SEEDS = (7, 13, 90210)
 OPS = 120
+SUITE_SHARED_OPS = 30
 CELLS = ((0, 0), (-1, 0), (0, -1), (-1, -1), (-2, -1), (-1, -2), (-2, -2),
          (-3, -2), (-2, -3), (-3, -3), (-4, -4), (-6, -6), (-9, -1))
 
@@ -402,6 +406,10 @@ def commands() -> None:
     run_cli("suite/config-tolerances", ["suite", "--config", write("suite.json", cfg)], "out")
     cfg = {"curves": [FIRST_ORDER_CUBIC, SPECS["tanh"]]}
     run_cli("suite/first-order", ["suite", "--config", write("suite.json", cfg)], "out")
+    suite_shared = SuiteShared(13, Path(tempfile.mkdtemp()))
+    for i in range(SUITE_SHARED_OPS):
+        run_cli(f"suite-shared/13/{i}", suite_shared.op(i).payload, "out")
+    shutil.rmtree(suite_shared.workdir)
     formats()
     sweeps()
     failing = {
