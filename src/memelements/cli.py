@@ -280,34 +280,51 @@ def _compared_fields(cls) -> tuple[str, ...]:
     return tuple(f.name for f in dataclasses.fields(cls) if f.compare)
 
 
-def _plain(obj):
-    """obj as JSON-ready data: dataclasses by their compared fields, enums by value."""
-    if obj is None or isinstance(obj, (str, int, float)):
+def _plain(obj, nonfinite: list):
+    """obj as JSON-ready data: dataclasses by their compared fields, enums by value.
+
+    Each float that is not finite is appended to nonfinite as well.
+    """
+    if isinstance(obj, float):
+        if obj - obj != 0.0:  # NaN or +-inf
+            nonfinite.append(obj)
+        return obj
+    if obj is None or isinstance(obj, (str, int)):
         return obj
     if isinstance(obj, Enum):
         return obj.value
     if isinstance(obj, (tuple, list)):
-        return [_plain(v) for v in obj]
+        return [_plain(v, nonfinite) for v in obj]
     if isinstance(obj, Mapping):
-        return {k: _plain(v) for k, v in obj.items()}
-    return {name: _plain(getattr(obj, name)) for name in _compared_fields(type(obj))}
+        return {k: _plain(v, nonfinite) for k, v in obj.items()}
+    return {name: _plain(getattr(obj, name), nonfinite) for name in _compared_fields(type(obj))}
+
+
+class _Payload(dict):
+    """A report's JSON-ready data and header, and whether _plain found each float in it
+    finite, so that every null orjson writes for it is a None (_dump_json)."""
+
+    __slots__ = ("finite",)
+
+    def __init__(self, data: dict, nonfinite: list, kind: str) -> None:
+        super().__init__(data, schema_version=SCHEMA_VERSION, package_version=__version__,
+                         kind=kind)
+        self.finite = not nonfinite
 
 
 def report_to_dict(rpt: ClassificationReport) -> dict:
     """JSON-ready dictionary for a classification report: its fields plus a header."""
-    out = _plain(rpt)
-    out.update(schema_version=SCHEMA_VERSION, package_version=__version__,
-               kind="classification_report")
-    out["excitation"]["period"] = rpt.excitation.period
+    nonfinite: list = []
+    out = _plain(rpt, nonfinite)
+    out["excitation"]["period"] = _plain(rpt.excitation.period, nonfinite)
     out["ideality"]["ideal"] = rpt.ideality.ideal
-    return out
+    return _Payload(out, nonfinite, "classification_report")
 
 
 def suite_to_dict(rep: SuiteReport) -> dict:
     """JSON-ready dictionary for a theorem-suite report: its fields plus a header."""
-    out = _plain(rep)
-    out.update(schema_version=SCHEMA_VERSION, package_version=__version__, kind="suite_report")
-    return out
+    nonfinite: list = []
+    return _Payload(_plain(rep, nonfinite), nonfinite, "suite_report")
 
 
 # orjson's spellings of a float that repr spells otherwise, each a value ending
@@ -324,18 +341,19 @@ def _dump_json(obj) -> str:
 
     orjson writes the same text but for some floats' spelling, which is
     rewritten to repr's, and for NaN and +-inf, which it writes as null:
-    when orjson's text holds a null and json's C encoder finds a value
-    that is not finite, the text is json's own, which spells them NaN,
-    Infinity and -Infinity.  What orjson refuses (an integer beyond 64
-    bits, a string that is not valid UTF-8, a key that is not a string)
-    takes json's path too.  orjson is imported here, so that importing
-    the package does not load it.
+    when orjson's text holds a null and obj holds a value that is not
+    finite, the text is json's own, which spells them NaN, Infinity and
+    -Infinity.  A report's _Payload says whether it holds one; any other
+    obj is asked json's C encoder.  What orjson refuses (an integer
+    beyond 64 bits, a string that is not valid UTF-8, a key that is not a
+    string) takes json's path too.  orjson is imported here, so that
+    importing the package does not load it.
     """
     import orjson
 
     try:
         out = orjson.dumps(obj, option=orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS)
-        if b"null" in out:
+        if b"null" in out and not (isinstance(obj, _Payload) and obj.finite):
             json.dumps(obj, allow_nan=False)  # ValueError on NaN or +-inf
     except (TypeError, ValueError):  # orjson.JSONEncodeError is a TypeError
         return json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False) + "\n"

@@ -29,9 +29,14 @@ pass over all of them; each plane's results are its rows' slices:
   d and d + 1, which origin_crossing, rate_landmarks and
   project_landmarks read.
 
-A locus analysed on its own is prepared as a one-plane chain, with the
-same results.  phase_shift is one too: it reads its peaks off the roots
-and slope-span values refine_chain stores for the depth-1 locus.
+The last plane's rates are refined only when its caller passes them, so
+a chain whose top plane is read for its origin crossing and valuedness
+alone (the theorem suite's depth-2 plane) brackets and evaluates no
+rate of it; rate_landmarks and project_landmarks on such a plane refine
+it again, alone and with its rates.  A locus analysed on its own is
+prepared as a one-plane chain with its rates, with the same results.
+phase_shift is one too: it reads its peaks off the roots and slope-span
+values refine_chain stores for the depth-1 locus.
 """
 
 from __future__ import annotations
@@ -403,15 +408,17 @@ class _PlaneRoots:
     the scales the analyses' tolerances are relative to.  at maps every
     root and every span midpoint to (u, w, du/dt, dw/dt) there.  Each is
     read off refine_chain's one pass over the chain's distinct rows: a row
-    two planes share gives both the same roots and peak.
+    two planes share gives both the same roots and peak.  On a plane
+    refined without its rates, du, dw and spans are None, and peak and at
+    hold max |u|, max |w| and the abscissa roots' (u, w) alone.
     """
 
     abscissa: list[float]
-    du: list[float]
-    dw: list[float]
-    spans: list[tuple[float, float]]
-    peak: tuple[float, float, float, float]
-    at: dict[float, tuple[float, float, float, float]]
+    du: list[float] | None
+    dw: list[float] | None
+    spans: list[tuple[float, float]] | None
+    peak: tuple[float, ...]
+    at: dict[float, tuple[float, ...]]
 
 
 def refine_chain(chain, top_rates: tuple[np.ndarray, np.ndarray] | None = None) -> None:
@@ -420,13 +427,14 @@ def refine_chain(chain, top_rates: tuple[np.ndarray, np.ndarray] | None = None) 
     The loci of a chain are taken to share one jet and one grid, and
     chain[d + 1] to be the transform of chain[d], so its samples serve as
     plane d's rates when both come from the same kind of evaluation (the
-    jet, or finite differences); top_rates, when given, are the last
-    plane's rates on the grid.  A plane's signal rows are its abscissa u
-    (for origin_crossing) and its rates du/dt and dw/dt (for
-    rate_landmarks); a row two planes share, such as plane d's du/dt and
-    plane d + 1's u, is one array, taken once.  The distinct rows get one
-    scan for sign changes, one stencil gather, one peaks pass and one
-    search for exact zeros (_zero_roots).  Every bracket the jet covers is
+    jet, or finite differences).  top_rates, when given, are the last
+    plane's rates on the grid; without them its rates are not refined
+    (_PlaneRoots), which origin_crossing and valuedness do not read.  A
+    plane's signal rows are its abscissa u (for origin_crossing) and its
+    rates du/dt and dw/dt (for rate_landmarks); a row two planes share,
+    such as plane d's du/dt and plane d + 1's u, is one array, taken
+    once.  The distinct rows get one scan for sign changes, one stencil
+    gather, one peaks pass and one search for exact zeros (_zero_roots).  Every bracket the jet covers is
     refined in one lock-step bisection through jet_signals, seeded by
     _inverse_root; the others keep their linear-interpolation root.  One
     _jet block at every jet plane's roots and slope-span midpoints gives
@@ -447,17 +455,18 @@ def refine_chain(chain, top_rates: tuple[np.ndarray, np.ndarray] | None = None) 
     planes = []
     for d, locus in enumerate(chain):
         after = chain[d + 1] if d + 1 < len(chain) else None
-        if after is not None and _has_rates(locus) == (after.jet is not None):
-            rates = (after.u_values, after.w_values)
-        elif after is None and top_rates is not None:
+        if after is None:
             rates = top_rates
+        elif _has_rates(locus) == (after.jet is not None):
+            rates = (after.u_values, after.w_values)
         else:
             rates = _derivative_arrays(locus)
         # (depth, is ordinate) of each row the jet gives
         k, exact = locus.depth, _has_rates(locus)
-        planes.append((locus, rates, row(locus.u_values, (k, False) if locus.jet else None),
-                       row(rates[0], (k + 1, False) if exact else None),
-                       row(rates[1], (k + 1, True) if exact else None)))
+        u = row(locus.u_values, (k, False) if locus.jet else None)
+        planes.append((locus, rates, u) if rates is None else (
+            locus, rates, u, row(rates[0], (k + 1, False) if exact else None),
+            row(rates[1], (k + 1, True) if exact else None)))
 
     t = chain[0].t_values
     n = t.size - 1
@@ -495,27 +504,35 @@ def refine_chain(chain, top_rates: tuple[np.ndarray, np.ndarray] | None = None) 
                        + _zero_roots(t, rows[r], zeros[r], transversal_only), 10.0 * _REFINE_XTOL)
 
     found = []
-    for locus, rates, u, du, dw in planes:
+    for locus, rates, u, *rate_rows in planes:
         w = locus.w_values
         peak_w = peaks[index[id(w)]] if id(w) in index else float(np.maximum(w.max(), -w.min()))
-        abscissa, du_roots, dw_roots = roots(u, False), roots(du, True), roots(dw, True)
+        abscissa = roots(u, False)
+        if rates is None:
+            found.append(([abscissa, None, None, None, (peaks[u], peak_w)], abscissa))
+            continue
+        du, dw = rate_rows
+        du_roots, dw_roots = roots(du, True), roots(dw, True)
         spans = _spans(t, du_roots + dw_roots)
         times = abscissa + du_roots + dw_roots + [0.5 * (a + b) for a, b in spans]
         found.append(([abscissa, du_roots, dw_roots, spans,
                        (peaks[u], peak_w, peaks[du], peaks[dw])], times))
 
-    # one jet block at every jet plane's times; plane d reads rows d and d + 1
+    # one jet block at every jet plane's times; plane d reads rows d and, with
+    # its rates, d + 1
     jets = [times for (locus, *_), (_, times) in zip(planes, found) if locus.jet]
     if jets:
-        top = max(locus.depth + _has_rates(locus) for locus, *_ in planes if locus.jet)
+        top = max(locus.depth + (rates is not None and _has_rates(locus))
+                  for locus, rates, *_ in planes if locus.jet)
         block = iter(np.split(np.stack(_jet(*jet, np.concatenate(jets), top)),
                               np.cumsum([len(times) for times in jets])[:-1], axis=2))
     for (locus, rates, *_), (plane, times) in zip(planes, found):
         k, xy = locus.depth, next(block) if locus.jet else None
-        values = [*(xy[:, k] if locus.jet else
-                    [np.interp(times, t, v) for v in (locus.u_values, locus.w_values)]),
-                  *(xy[:, k + 1] if _has_rates(locus) else
-                    [np.interp(times, t, v) for v in rates])]
+        values = list(xy[:, k] if locus.jet else
+                      [np.interp(times, t, v) for v in (locus.u_values, locus.w_values)])
+        if rates is not None:
+            values.extend(xy[:, k + 1] if _has_rates(locus) else
+                          [np.interp(times, t, v) for v in rates])
         at = dict(zip(times, zip(*(v.tolist() for v in values))))
         object.__setattr__(locus, "_roots", _PlaneRoots(*plane, at))
 
@@ -540,11 +557,17 @@ def _spans(t: np.ndarray, roots: list[float]) -> list[tuple[float, float]]:
     return [(a, b) for a, b in zip(bps[:-1], bps[1:]) if b - a > 1e-9]
 
 
-def _plane_roots(locus: ParametricLocus) -> _PlaneRoots:
-    """The roots refine_chain stored on the locus, refining it alone if none are."""
-    if "_roots" not in vars(locus):
-        refine_chain((locus,))
-    return vars(locus)["_roots"]
+def _plane_roots(locus: ParametricLocus, rates: bool = False) -> _PlaneRoots:
+    """The roots refine_chain stored on the locus, with its rates' if rates is set.
+
+    Where none are stored, or rates is set and the locus was refined
+    without its rates, the locus is refined alone, with its rates.
+    """
+    roots = vars(locus).get("_roots")
+    if roots is None or (rates and roots.du is None):
+        refine_chain((locus,), _derivative_arrays(locus))
+        roots = vars(locus)["_roots"]
+    return roots
 
 
 def _dedupe(values: list[float], tol: float) -> list[float]:
@@ -675,9 +698,10 @@ def rate_landmarks(locus: ParametricLocus, root_tol: float = 1e-10
     """Zero tangents, vertical tangents and negative-slope arcs of a locus.
 
     The transversal roots of du/dt and dw/dt are refined once each and
-    shared by all three results.
+    shared by all three results.  A locus refined without its rates is
+    refined again, alone and with them (_plane_roots).
     """
-    plane = _plane_roots(locus)
+    plane = _plane_roots(locus, rates=True)
     return (
         _tangent_points(plane, plane.dw, root_tol, vertical=False),
         _tangent_points(plane, plane.du, root_tol, vertical=True),
@@ -728,7 +752,7 @@ def project_landmarks(locus: ParametricLocus, points) -> tuple[SpecialPoint, ...
     off the values stored at the locus's roots, so every point must sit at
     one of its du/dt or dw/dt roots.
     """
-    at = _plane_roots(locus).at
+    at = _plane_roots(locus, rates=True).at
     images = []
     for p in points:
         u, w = at[p.t][2:]

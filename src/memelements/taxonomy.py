@@ -26,12 +26,13 @@ import numpy as np
 
 from .constitutive import _RANGE_EPS, ConstitutiveCurve, IdealityReport, check_ideality
 from .errors import CapabilityError, ConsistencyError, DomainError
-from .excitation import DEFAULT_GRID_N, Excitation, grid
+from .excitation import DEFAULT_GRID_N, Excitation, SampleGrid, grid
 from .loci import (
     ArcInterval,
     PointKind,
     SpecialPoint,
     Valuedness,
+    _derivative_arrays,
     odd_symmetry,
     origin_crossing,
     project_landmarks,
@@ -332,28 +333,28 @@ class _Reading(NamedTuple):
 def _verdict(
     descriptor: ElementDescriptor,
     loci: tuple[ParametricLocus, ...],
-    planes: tuple[PlaneAnalysis, ...],
+    zeros: tuple[SpecialPoint, ...],
+    tangents: tuple[tuple[SpecialPoint, ...], ...],
     tol: ToleranceSet,
 ) -> _Reading:
-    """The descriptor's verdict, read off loci and planes that end at its verdict plane.
+    """The descriptor's verdict, read off loci that end at its verdict plane.
 
-    Only the verdict plane and, two or more transforms deep, the plane
-    before it (the source of the tangent-landmark route) are read.
+    zeros are the verdict plane's abscissa zeros (origin_crossing).  Two
+    or more transforms deep, tangents are the zero and vertical tangents
+    of the plane before it, the source of the tangent-landmark route, and
+    loci[-2] is that plane; nearer, neither is read.
     """
     k = descriptor.transforms_to_verdict_plane
-    vp = planes[-1]
     wtol = tol.witness_tol
 
     if k <= 1:
-        off = tuple(
-            p for p in vp.abscissa_zeros
-            if p.kind is not PointKind.PINCH and abs(p.w) > wtol
-        )
+        off = tuple(p for p in zeros if p.kind is not PointKind.PINCH and abs(p.w) > wtol)
         if off:
             return _Reading(Verdict.LOCALLY_ACTIVE, off, None, ())
-        if vp.pinched:
-            return _Reading(Verdict.LOCALLY_PASSIVE, vp.pinch_points, None, ())
-        cand = max((abs(p.w) for p in vp.abscissa_zeros), default=0.0)
+        pinches = tuple(p for p in zeros if p.kind is PointKind.PINCH)
+        if pinches:
+            return _Reading(Verdict.LOCALLY_PASSIVE, pinches, None, ())
+        cand = max((abs(p.w) for p in zeros), default=0.0)
         return _Reading(
             Verdict.INCONCLUSIVE,
             (),
@@ -361,11 +362,11 @@ def _verdict(
             ("verdict plane neither crosses the origin nor shows a witness",),
         )
 
-    vlocus, source, src = loci[-1], loci[-2], planes[-2]
-    eq_axis = tuple(p for p in vp.abscissa_zeros if abs(p.w) > wtol)
+    vlocus, source = loci[-1], loci[-2]
+    eq_axis = tuple(p for p in zeros if abs(p.w) > wtol)
     # the verdict plane's points at the source plane's tangent landmarks
-    c_proj = project_landmarks(source, src.zero_tangents)
-    q_proj = project_landmarks(source, src.vertical_tangents)
+    c_proj = project_landmarks(source, tangents[0])
+    q_proj = project_landmarks(source, tangents[1])
     _check_route_agreement(vlocus, eq_axis, q_proj, tol)
 
     c_off = tuple(p for p in c_proj if abs(p.u) > wtol)
@@ -376,7 +377,7 @@ def _verdict(
         return _Reading(Verdict.LOCALLY_ACTIVE, witnesses, None, ())
 
     cand = max(
-        [abs(p.w) for p in vp.abscissa_zeros]
+        [abs(p.w) for p in zeros]
         + [abs(p.u) for p in c_proj]
         + [abs(p.w) for p in q_proj],
         default=0.0,
@@ -411,8 +412,7 @@ def _consequences(
 
 @dataclass(frozen=True)
 class _ChainAnalysis:
-    """The analysed part of one locus chain, built with default labels, and its
-    plane geometry: loci[i] and planes[i] are plane first + i."""
+    """One locus chain, built with default labels, and its plane geometry."""
 
     grid_n: int
     provenance: str
@@ -420,21 +420,10 @@ class _ChainAnalysis:
     planes: tuple[PlaneAnalysis, ...]
 
 
-def _analyze_chain(
-    curve: ConstitutiveCurve,
-    exc: Excitation,
-    depth: int,
-    tol: ToleranceSet,
-    grid_n: int,
-    numeric_chain: bool,
-    first: int = 0,
-) -> _ChainAnalysis:
-    """Build the chain from the constitutive plane to depth, analyse planes first..depth.
-
-    Every root the plane analyses need is refined first, for those planes
-    in one lock-step bisection.  classify reads every plane; the theorem
-    suite reads planes 1 and 2 only.
-    """
+def _chain_grid(curve: ConstitutiveCurve, exc: Excitation, depth: int,
+                grid_n: int) -> SampleGrid:
+    """The grid of a chain to depth, once the curve reaches depth and the drive stays
+    within its operating range."""
     if curve.max_derivative_order < depth:
         raise CapabilityError(
             f"classification to the verdict plane needs {depth} transforms; "
@@ -448,7 +437,23 @@ def _analyze_chain(
             f"drive sweep [{sw_lo}, {sw_hi}] exceeds the curve operating "
             f"range [{lo}, {hi}]"
         )
-    g = grid(exc, grid_n)
+    return grid(exc, grid_n)
+
+
+def _analyze_chain(
+    curve: ConstitutiveCurve,
+    exc: Excitation,
+    depth: int,
+    tol: ToleranceSet,
+    grid_n: int,
+    numeric_chain: bool,
+) -> _ChainAnalysis:
+    """Build the chain from the constitutive plane to depth and analyse every plane.
+
+    Every root the plane analyses need, the last plane's rates' included,
+    is refined first, in one lock-step bisection.
+    """
+    g = _chain_grid(curve, exc, depth, grid_n)
     if numeric_chain:
         chain = [analytic_locus(curve, exc, 0, g)]
         for _ in range(depth):
@@ -456,13 +461,13 @@ def _analyze_chain(
         rates = None
     else:
         chain, rates = analytic_chain(curve, exc, depth, g)
-    loci = tuple(chain[first:])
-    refine_chain(loci, rates)
+    chain = tuple(chain)
+    refine_chain(chain, rates if rates is not None else _derivative_arrays(chain[-1]))
     return _ChainAnalysis(
         grid_n=g.count,
         provenance="numeric" if numeric_chain else "analytic",
-        loci=loci,
-        planes=tuple(_analyze_plane(locus, tol) for locus in loci),
+        loci=chain,
+        planes=tuple(_analyze_plane(locus, tol) for locus in chain),
     )
 
 
@@ -493,7 +498,8 @@ def classify(
     caveats: list[str] = []
     if not ideality.ideal:
         caveats.append("curve is not ideal: fails " + ", ".join(ideality.failed_criteria()))
-    reading = _verdict(descriptor, analysis.loci, planes, tol)
+    tangents = (planes[-2].zero_tangents, planes[-2].vertical_tangents) if len(planes) > 1 else ()
+    reading = _verdict(descriptor, analysis.loci, planes[-1].abscissa_zeros, tangents, tol)
     caveats.extend(reading.caveats)
     degeneration, source = _consequences(descriptor, reading.verdict)
 
@@ -629,24 +635,35 @@ def _suite_checks(
     grid_n: int,
     ideality: IdealityReport,
 ) -> dict[str, CheckResult]:
-    """The five checks of one curve, in ALL_CHECKS order, read off planes 1 and 2 of one chain."""
+    """The five checks of one curve, in ALL_CHECKS order, read off planes 1 and 2.
+
+    Plane 2 is the depth-1 chain's rates, so the grid jet stops at depth
+    2.  The checks read plane 1's origin crossing and tangent landmarks
+    and plane 2's origin crossing and valuedness, so plane 2's own rates
+    are neither built nor refined.
+    """
     if not ideality.ideal:
         return _skipped_checks("curve not ideal: fails " + ", ".join(ideality.failed_criteria()))
-    analysis = _analyze_chain(curve, exc, min(2, curve.max_derivative_order), tol, grid_n, False,
-                              first=1)
-    loci, planes = analysis.loci, analysis.planes
-    first = _verdict(ElementDescriptor(-1, -1), loci[:1], planes[:1], tol)
+    chain, rates = analytic_chain(curve, exc, 1, _chain_grid(curve, exc, 1, grid_n))
+    plane1 = chain[1]
+    loci = (plane1,) if rates is None else (
+        plane1, ParametricLocus._view(plane1.t_values, *rates, 2, plane1.jet))
+    refine_chain(loci)
+    first = _verdict(ElementDescriptor(-1, -1), loci[:1],
+                     origin_crossing(plane1, tol.pinch_tol).abscissa_zeros, (), tol)
     checks = {CHECK_FIRST_ORDER: _first_order_check(first, exc.period)}
-    if curve.max_derivative_order < 2:
+    if rates is None:
         return checks | _skipped_checks("needs second derivatives", ALL_CHECKS[1:])
-    plane2 = planes[1]
+    val = valuedness(loci[1], tol.valuedness_tol)
     checks[CHECK_SINGLE_VALUED] = CheckResult(
-        CheckStatus.PASS if plane2.valuedness is Valuedness.SINGLE else CheckStatus.FAIL,
-        f"depth-2 locus is {plane2.valuedness.value}-valued",
-        {"max_pair_gap": plane2.max_pair_gap},
+        CheckStatus.PASS if val.kind is Valuedness.SINGLE else CheckStatus.FAIL,
+        f"depth-2 locus is {val.kind.value}-valued",
+        {"max_pair_gap": val.max_gap},
     )
+    zeros = origin_crossing(loci[1], tol.pinch_tol).abscissa_zeros
+    tangents = rate_landmarks(plane1, tol.root_tol)[:2]
     for name, cell in _ACTIVITY_CELLS.items():
-        checks[name] = _activity_check(_verdict(cell, loci, planes, tol))
+        checks[name] = _activity_check(_verdict(cell, loci, zeros, tangents, tol))
     return checks
 
 

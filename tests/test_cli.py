@@ -885,6 +885,33 @@ class TestDumpJson:
             assert cli._dump_json(doc) == json_text(doc)
 
 
+class TestReportDump:
+    """A report's finiteness is read off report_to_dict's walk, not a second encoding."""
+
+    def test_finite_report_with_nulls_is_not_encoded_twice(self, cubic, monkeypatch):
+        payload = report_to_dict(classify((-2, -2), cubic))
+        dumps, calls = json.dumps, []
+        monkeypatch.setattr(cli.json, "dumps", lambda *a, **k: calls.append(k) or dumps(*a, **k))
+        text = cli._dump_json(payload)
+        monkeypatch.undo()
+        assert calls == []
+        assert "null" in text
+        assert text == json_text(payload)
+
+    def test_non_finite_suite_data_keeps_jsons_spelling(self):
+        from memelements.taxonomy import CheckResult, CheckStatus, SuiteInstance, SuiteReport
+
+        check = CheckResult(CheckStatus.PASS, "forced", {"gap": math.inf, "none": None,
+                                                         "nan": math.nan})
+        rep = SuiteReport(instances=(SuiteInstance(0, "x", "polynomial", True, (),
+                                                   {"check": check}),),
+                          aggregate={}, counterexamples=(), all_passed=True)
+        payload = suite_to_dict(rep)
+        text = cli._dump_json(payload)
+        assert text == json_text(payload)
+        assert '"gap": Infinity' in text and '"nan": NaN' in text and '"none": null' in text
+
+
 class TestSuiteCommand:
     def test_default_set_passes_strict(self, tmp_path):
         out = tmp_path / "suite"
@@ -914,6 +941,21 @@ class TestSuiteCommand:
         assert len(payload["instances"]) == 1
         checks = payload["instances"][0]["checks"]
         assert all(entry["status"] == "pass" for entry in checks.values())
+
+    def test_drive_whose_third_level_overflows(self, tmp_path, capsys):
+        # no check reads drive level 3, which is beyond float range at omega
+        # 1e103, so the suite reports rather than failing its analysis
+        cfg = write_config(tmp_path, {
+            "curves": [{"family": "polynomial", "params": {"coefficients": [0, 1, 0, 1 / 3]}}],
+            "excitation": {"amplitude": 1.0, "omega": 1e103},
+        })
+        out = tmp_path / "suite"
+        assert run(["suite", "--config", cfg, "--output-dir", str(out)]) == 0
+        checks = json.loads((out / "suite_report.json").read_text())["instances"][0]["checks"]
+        for name in ("single_valued_after_two_transforms", "second_order_memristor_activity",
+                     "second_order_mem_inductor_activity", "second_order_mem_capacitor_activity"):
+            assert checks[name]["status"] == "pass"
+        assert "analysis failed" not in capsys.readouterr().err
 
     def test_default_set_equals_its_specs(self, tmp_path):
         # the defaults of a config-less suite are the readers' defaults

@@ -1353,6 +1353,45 @@ def _same_fields(got, want):
     return True
 
 
+class TestTopPlaneWithoutRates:
+    """A top plane refined without its rates refines them when they are read, never
+    answering with empty landmarks."""
+
+    def test_rate_landmarks_refine_the_rates_then(self, cubic, drive):
+        g = grid(drive, 1024)
+        chain, _ = transform.analytic_chain(cubic, drive, 2, g)
+        loci.refine_chain(chain)
+        assert vars(chain[-1])["_roots"].du is None
+        alone = analytic_locus(cubic, drive, 2, g)
+        got = loci.rate_landmarks(chain[-1])
+        assert got[0] and got[2]  # zero tangents and negative arcs, not empty tuples
+        assert repr(got) == repr(loci.rate_landmarks(alone))
+        assert vars(chain[-1])["_roots"].du is not None
+        points = got[0] + got[1]
+        assert repr(loci.project_landmarks(chain[-1], points)) == repr(
+            loci.project_landmarks(alone, points))
+
+    def test_project_landmarks_refine_the_rates_then(self, cubic, drive):
+        g = grid(drive, 1024)
+        chain, _ = transform.analytic_chain(cubic, drive, 2, g)
+        loci.refine_chain(chain)
+        alone = analytic_locus(cubic, drive, 2, g)
+        points = zero_tangent_points(alone)
+        assert points
+        assert repr(loci.project_landmarks(chain[-1], points)) == repr(
+            loci.project_landmarks(alone, points))
+
+    def test_rates_beyond_float_range_raise(self, cubic):
+        # the depth-2 plane's own rates need drive level 3, which overflows
+        exc = Excitation(amplitude=1.0, omega=1e103)
+        chain, rates = transform.analytic_chain(cubic, exc, 1, grid(exc, 256))
+        top = ParametricLocus._view(chain[1].t_values, *rates, 2, chain[1].jet)
+        loci.refine_chain((chain[1], top))
+        origin_crossing(top)
+        with pytest.raises(NumericalError, match="drive level 3 is beyond float range"):
+            loci.rate_landmarks(top)
+
+
 class TestOnePassRefinement:
     """The one pass over a chain's distinct rows stores what the per-plane pass stored."""
 
@@ -1380,11 +1419,8 @@ class TestOnePassRefinement:
         omega = data.draw(st.sampled_from([0.3, 1.0, 2.7, 13.0]), label="omega")
         return Excitation(amplitude, omega, offset)
 
-    @settings(max_examples=120, deadline=None)
-    @given(name=st.sampled_from(sorted(CURVES)), depth=st.integers(0, 4),
-           n=st.sampled_from([64, 257, 4095, 4096]),
-           kind=st.sampled_from(["closed", "numeric", "lone", "lone_numeric"]), data=st.data())
-    def test_every_field_equals_the_frozen_pass(self, name, depth, n, kind, data):
+    def _chain(self, name, depth, n, kind, data):
+        """A chain of the kind, and its last plane's rates as classify passes them."""
         curve, (lo, hi) = self.CURVES[name]
         exc = self._drive(data, lo, hi)
         g = grid(exc, n)
@@ -1397,10 +1433,36 @@ class TestOnePassRefinement:
                 chain.append(numeric_transform(chain[-1]))
         if kind.startswith("lone"):
             chain, rates = (chain[-1],), None
+        return chain, rates if rates is not None else loci._derivative_arrays(chain[-1])
+
+    @settings(max_examples=120, deadline=None)
+    @given(name=st.sampled_from(sorted(CURVES)), depth=st.integers(0, 4),
+           n=st.sampled_from([64, 257, 4095, 4096]),
+           kind=st.sampled_from(["closed", "numeric", "lone", "lone_numeric"]), data=st.data())
+    def test_every_field_equals_the_frozen_pass(self, name, depth, n, kind, data):
+        chain, rates = self._chain(name, depth, n, kind, data)
         want = _frozen_refine_chain(chain, rates)
         loci.refine_chain(chain, rates)
         for locus, plane in zip(chain, want, strict=True):
             assert _same_fields(vars(locus)["_roots"], plane)
+
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(sorted(CURVES)), depth=st.integers(0, 4),
+           n=st.sampled_from([64, 257, 4095, 4096]),
+           kind=st.sampled_from(["closed", "numeric", "lone", "lone_numeric"]), data=st.data())
+    def test_without_top_rates_the_top_keeps_its_abscissa_fields(self, name, depth, n, kind,
+                                                                 data):
+        # the planes below the top, and the top's abscissa roots, (u, w) peaks
+        # and values there, are the ones a pass with the top's rates stores
+        chain, rates = self._chain(name, depth, n, kind, data)
+        want = _frozen_refine_chain(chain, rates)
+        loci.refine_chain(chain)
+        for locus, plane in zip(chain[:-1], want[:-1], strict=True):
+            assert _same_fields(vars(locus)["_roots"], plane)
+        top, plane = vars(chain[-1])["_roots"], want[-1]
+        assert (top.du, top.dw, top.spans) == (None, None, None)
+        assert repr((top.abscissa, top.peak)) == repr((plane.abscissa, plane.peak[:2]))
+        assert repr(top.at) == repr({r: plane.at[r][:2] for r in plane.abscissa})
 
     @settings(max_examples=40, deadline=None)
     @given(name=st.sampled_from(sorted(CURVES)), n=st.sampled_from([64, 257, 4095, 8192]),

@@ -18,6 +18,7 @@ from memelements import (
     CHECK_MEM_INDUCTOR,
     CHECK_MEMRISTOR,
     CHECK_SINGLE_VALUED,
+    DEFAULT_GRID_N,
     CapabilityError,
     CheckStatus,
     Degeneration,
@@ -297,6 +298,17 @@ class TestTheoremSuite:
         for name in ALL_CHECKS:
             assert kinked.checks[name].status is CheckStatus.SKIPPED
 
+    def test_drive_whose_third_level_overflows(self, cubic):
+        # the checks read drive levels 0-2 only; level 3 (1e309 here) is not built
+        exc = Excitation(amplitude=1.0, omega=1e103)
+        checks = theorem_suite([cubic], exc).instances[0].checks
+        for name in (CHECK_SINGLE_VALUED, CHECK_MEMRISTOR, CHECK_MEM_INDUCTOR,
+                     CHECK_MEM_CAPACITOR):
+            assert checks[name].status is CheckStatus.PASS
+        # a (-2,-2) classification reads the depth-2 plane's rates, which need it
+        with pytest.raises(NumericalError, match="drive level 3 is beyond float range"):
+            classify((-2, -2), cubic, exc)
+
     def test_aggregate_counts(self, cubic):
         rep = theorem_suite([cubic])
         agg = rep.aggregate
@@ -314,6 +326,56 @@ class TestTheoremSuite:
         assert rep.all_passed  # skips never count as failures
 
 
+def _suite_drives(curve, count=5, seed=7):
+    """The default drive and count seeded drives inside the curve's operating range."""
+    lo, hi = curve.operating_range
+    rng = np.random.default_rng(seed)
+    drives = [Excitation()]
+    for k in range(count):
+        amplitude = rng.uniform(0.1, 0.5 * (hi - lo))
+        drives.append(Excitation(amplitude, (0.3, 1.0, 2.7, 13.0)[k % 4],
+                                 rng.uniform(lo + amplitude, hi - amplitude)))
+    return drives
+
+
+class TestSuiteAgreesWithClassify:
+    """Every figure a suite check reports is the one classify reports, float for float."""
+
+    CURVES = {
+        "cubic": PolynomialCurve((0.0, 1.0, 0.0, 1.0 / 3.0)),
+        "quintic": PolynomialCurve((0.0, 0.8, 0.1, 0.3, 0.0, 0.05)),
+        "tanh": TanhScaledCurve(),
+        "tanh_steep": TanhScaledCurve(a=1.3, b=0.8),
+        "degenerate": PolynomialCurve((0.0, 0.0, 0.5, -1.0 / 6.0)),
+    }
+
+    @pytest.mark.parametrize("drive", range(6))
+    @pytest.mark.parametrize("name", sorted(CURVES))
+    def test_checks_read_what_classify_reads(self, name, drive):
+        curve = self.CURVES[name]
+        exc = _suite_drives(curve)[drive]
+        checks = theorem_suite([curve], exc).instances[0].checks
+        first = classify((-1, -1), curve, exc)
+        assert first.verdict is Verdict.LOCALLY_PASSIVE
+        assert checks[CHECK_FIRST_ORDER].data["pinch_times"] == sorted(
+            p.t for p in first.witnesses)
+        second = classify((-2, -2), curve, exc)
+        assert checks[CHECK_SINGLE_VALUED].data["max_pair_gap"] == second.planes[2].max_pair_gap
+        for check, cell in ((CHECK_MEMRISTOR, (-2, -2)), (CHECK_MEM_INDUCTOR, (-3, -2)),
+                            (CHECK_MEM_CAPACITOR, (-2, -3))):
+            rpt = classify(cell, curve, exc)
+            result = checks[check]
+            if rpt.verdict is Verdict.LOCALLY_ACTIVE:
+                assert result.status is CheckStatus.PASS
+                assert dict(result.data) == {"witness_magnitude": max(
+                    abs(p.u) + abs(p.w) for p in rpt.witnesses)}
+            else:
+                assert rpt.verdict is Verdict.INCONCLUSIVE
+                assert result.status is CheckStatus.INCONCLUSIVE
+                assert dict(result.data) == {
+                    "candidate_witness_magnitude": rpt.candidate_witness_magnitude}
+
+
 class TestSuiteFailurePaths:
     """Each check's FAIL and SKIPPED detail, forced where a real curve passes."""
 
@@ -321,8 +383,8 @@ class TestSuiteFailurePaths:
     def _patch_cell(monkeypatch, cell, **changes):
         read = taxonomy._verdict
 
-        def patched(descriptor, loci, planes, tol):
-            reading = read(descriptor, loci, planes, tol)
+        def patched(descriptor, loci, zeros, tangents, tol):
+            reading = read(descriptor, loci, zeros, tangents, tol)
             if (descriptor.alpha, descriptor.beta) == cell:
                 reading = reading._replace(**changes)
             return reading
@@ -445,9 +507,10 @@ class TestChainAnalysedOnce:
     # and depth-2 planes and the rates of each plane give 15 brackets, of
     # which 3 are counted once only, since plane d's du/dt is plane d+1's u
     EXPECTED = {"planes": 3, "ideality": 1, "bisect_calls": 1, "brackets": 12}
-    # the suite reads planes 1 and 2 only, so plane 0's u and du/dt brackets go
-    # (3 planes and 12 brackets when it analysed plane 0 too)
-    SUITE_EXPECTED = {"planes": 2, "ideality": 1, "bisect_calls": 1, "brackets": 11}
+    # the suite reads planes 1 and 2 only, and plane 2's rates not at all: the
+    # rows x', x'' and y'' give 5 brackets (11 when plane 2's rates x''' and
+    # y''' were refined too, 12 with plane 0 analysed as well)
+    SUITE_EXPECTED = {"planes": 2, "ideality": 1, "bisect_calls": 1, "brackets": 5}
     # one on the paths aimed at the grid samples' estimates; the endpoint
     # values are the scanned samples (33 calls when each halving took one,
     # 3 when two Chandrupatla calls estimated the roots)
@@ -457,6 +520,23 @@ class TestChainAnalysedOnce:
         assert theorem_suite([cubic]).all_passed
         assert counts.pop("hook_calls") <= self.MAX_HOOK_CALLS
         assert counts == self.SUITE_EXPECTED
+
+    def test_suite_grid_jet_stops_at_depth_two(self, cubic, monkeypatch):
+        # plane 2 is the depth-1 chain's rates; no check reads depth 3, so
+        # neither the grid jet nor any later jet reaches it (depth 3 before)
+        calls = []
+        jet = transform._jet
+
+        def recording(curve, exc, t, depth, *args, **kwargs):
+            calls.append((np.size(t), depth))
+            return jet(curve, exc, t, depth, *args, **kwargs)
+
+        monkeypatch.setattr(transform, "_jet", recording)
+        monkeypatch.setattr(loci, "_jet", recording)
+        assert theorem_suite([cubic]).all_passed
+        assert [call for call in calls if call[0] == DEFAULT_GRID_N + 1] == [
+            (DEFAULT_GRID_N + 1, 2)]
+        assert max(depth for _, depth in calls) == 2
 
     def test_classify_builds_one_grid_jet(self, cubic, monkeypatch):
         # the grid jet, the jet of the bisection's one jet_signals call, and

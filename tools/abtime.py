@@ -2,6 +2,7 @@
 
     python tools/abtime.py BASE_SRC [CHANGE_SRC] [--seed 13] [--ops 240] [--best-of 6]
     python tools/abtime.py BASE_SRC [CHANGE_SRC] --csv [--seed 13] [--ops 240] [--best-of 6]
+    python tools/abtime.py BASE_SRC [CHANGE_SRC] --suite [--seed 13] [--ops 240] [--best-of 6]
 
 BASE_SRC and CHANGE_SRC are ``src/`` directories, each holding a
 ``memelements`` package; CHANGE_SRC defaults to the ``src/`` next to this
@@ -37,6 +38,15 @@ compare.  The bytes must be equal on both sides, else the run stops
 naming the op.  Printed: each side's mean best-of-k time per op, and
 the ratio, change over base.
 
+With ``--suite`` the ops are the first ``--ops`` of suite-shared: each
+side runs the op's ``suite --strict`` command through its own
+``cli.run``, stdout and stderr discarded, into an output directory of
+its own.  The whole command is timed.  The exit codes and the
+``suite_report.json`` bytes must be equal on both sides, else the run
+stops naming the op.  Printed: each side's mean best-of-k time per op,
+its ``loci.bisect`` brackets per op (the roots one suite refines), and
+the ratio, change over base.
+
 The ratio is an in-process diagnostic (for instance, the share of one
 change in a larger one); the benchmark's end-to-end metrics come from
 ``bench/run.py``.
@@ -45,9 +55,12 @@ change in a larger one); the benchmark's end-to-end metrics come from
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
+import io
 import importlib.util
 import json
+import shutil
 import sys
 import tempfile
 import time
@@ -173,6 +186,49 @@ def csv_ab(sides, args, work: Path) -> None:
     print(f"ratio  {change_ms / base_ms:.4f}")
 
 
+def suite_ab(sides, args, work: Path) -> None:
+    """Time suite-shared's suite --strict ops in both trees, and print the brackets."""
+    from workloads import SuiteShared  # imports the change as memelements
+
+    total, brackets = [0.0, 0.0], [[0], [0]]
+    for pkg, count in zip(sides, brackets):
+        bisect = pkg.loci.bisect
+
+        def counted(fn, a, *rest, bisect=bisect, count=count, **kwargs):
+            count[0] += np.size(a)
+            return bisect(fn, a, *rest, **kwargs)
+
+        pkg.loci.bisect = counted
+    ops = SuiteShared(args.seed, work)
+    sink = io.StringIO()
+    for i in range(args.ops):
+        command = ops.make(i).payload
+        order = (0, 1) if i % 2 == 0 else (1, 0)
+        results = [None, None]
+        gc.collect()
+        for s in order:
+            outdir = work / f"side{s}"
+            argv = command + ["--output-dir", str(outdir)]
+            with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                dt, code = best_of(sides[s].cli.run, (argv,), args.best_of)
+            sink.seek(0)
+            sink.truncate()
+            total[s] += dt
+            report = outdir / "suite_report.json"
+            results[s] = (code, report.read_bytes() if report.is_file() else None)
+            shutil.rmtree(outdir, ignore_errors=True)
+        if results[0] != results[1]:
+            raise SystemExit(f"op {i} (seed {args.seed}): the exit codes or the "
+                             "suite_report.json bytes differ")
+    base_ms, change_ms = (1e3 * s / args.ops for s in total)
+    calls = args.ops * args.best_of
+    print(f"suite-shared seed {args.seed}, {args.ops} ops, best of {args.best_of}: "
+          f"exit codes and suite_report.json bytes equal")
+    for label, ms, (count,) in zip(("base  ", "change"), (base_ms, change_ms), brackets):
+        print(f"{label} {ms:.4f} ms/op  {count / calls:.2f} loci.bisect brackets/op")
+    print(f"ratio  {change_ms / base_ms:.4f}")
+
+
 def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("base", type=Path, help="src/ directory of the base tree")
@@ -181,6 +237,9 @@ def main(argv=None) -> None:
     ap.add_argument("--csv", action="store_true",
                     help="time locus_to_csv on emit-fine's analyze ops, not classify, "
                          "and compare the files' bytes (encoded text or joined blocks)")
+    ap.add_argument("--suite", action="store_true",
+                    help="time suite-shared's suite --strict ops, not classify, and compare "
+                         "their exit codes and suite_report.json bytes")
     ap.add_argument("--seed", type=int, default=13)
     ap.add_argument("--ops", type=int, default=240)
     ap.add_argument("--best-of", type=int, default=6)
@@ -190,7 +249,8 @@ def main(argv=None) -> None:
     base = load("memelements_base", args.base.resolve())
     sys.path.insert(0, str(ROOT / "bench"))
     with tempfile.TemporaryDirectory() as work:
-        (csv_ab if args.csv else classify_ab)((base, change), args, Path(work))
+        run = suite_ab if args.suite else csv_ab if args.csv else classify_ab
+        run((base, change), args, Path(work))
 
 
 if __name__ == "__main__":

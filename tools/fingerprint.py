@@ -258,7 +258,8 @@ def stored_roots(curves: dict, drives: dict) -> None:
                             chain = [memelements.analytic_locus(curve, drives[name], 0, g)]
                             for _ in range(depth):
                                 chain.append(memelements.numeric_transform(chain[-1]))
-                        memelements.loci.refine_chain(chain)
+                        memelements.loci.refine_chain(
+                            chain, memelements.loci._derivative_arrays(chain[-1]))
                     except Exception as err:
                         emit(tag, f"{type(err).__name__}: {err}")
                         continue
