@@ -49,7 +49,7 @@ import numpy as np
 from .constitutive import ConstitutiveCurve
 from .errors import CapabilityError, NumericalError
 from .excitation import Excitation, _finite_times, grid
-from .transform import ParametricLocus, _jet, analytic_chain, jet_signals, periodic_derivative
+from .transform import ParametricLocus, _jet, analytic_chain, jet_signals, numeric_transform
 
 __all__ = [
     "PointKind",
@@ -214,11 +214,8 @@ def point_at(locus: ParametricLocus, t):
 def _derivative_arrays(locus: ParametricLocus) -> tuple[np.ndarray, np.ndarray]:
     if _has_rates(locus):
         return _jet_rows(locus, locus.t_values, locus.depth + 1)
-    h = locus.spacing
-    return (
-        periodic_derivative(locus.u_values, h),
-        periodic_derivative(locus.w_values, h),
-    )
+    rates = numeric_transform(locus)
+    return rates.u_values, rates.w_values
 
 
 def _path(a: float, dm: float, aim: float, steps: int, xtol: float) -> tuple[list, list, bool]:

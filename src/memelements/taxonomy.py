@@ -17,7 +17,7 @@ disagreement is an internal error, never a verdict.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
@@ -242,14 +242,15 @@ def _as_descriptor(descriptor) -> ElementDescriptor:
     return ElementDescriptor(alpha, beta)
 
 
-def _analyze_plane(locus: ParametricLocus, tol: ToleranceSet) -> PlaneAnalysis:
+def _analyze_plane(locus: ParametricLocus, tol: ToleranceSet,
+                   axis_labels: tuple[str, str]) -> PlaneAnalysis:
     oc = origin_crossing(locus, tol.pinch_tol)
     val = valuedness(locus, tol.valuedness_tol)
     sym = odd_symmetry(locus, tol.valuedness_tol)
     zero, vertical, arcs = rate_landmarks(locus, tol.root_tol)
     return PlaneAnalysis(
         depth=locus.depth,
-        axis_labels=locus.axis_labels,
+        axis_labels=axis_labels,
         provenance=locus.provenance,
         pinched=oc.crosses_origin,
         pinch_points=oc.pinch_points,
@@ -268,7 +269,6 @@ def _check_route_agreement(
     vlocus: ParametricLocus,
     axis_witnesses: tuple[SpecialPoint, ...],
     q_projections: tuple[SpecialPoint, ...],
-    tol: ToleranceSet,
 ) -> None:
     """Axis-crossing witnesses must match the vertical-tangent projections.
 
@@ -367,7 +367,7 @@ def _verdict(
     # the verdict plane's points at the source plane's tangent landmarks
     c_proj = project_landmarks(source, tangents[0])
     q_proj = project_landmarks(source, tangents[1])
-    _check_route_agreement(vlocus, eq_axis, q_proj, tol)
+    _check_route_agreement(vlocus, eq_axis, q_proj)
 
     c_off = tuple(p for p in c_proj if abs(p.u) > wtol)
     q_off = tuple(p for p in q_proj if abs(p.w) > wtol)
@@ -410,16 +410,6 @@ def _consequences(
     return Degeneration.NONE, InternalSource.NONE
 
 
-@dataclass(frozen=True)
-class _ChainAnalysis:
-    """One locus chain, built with default labels, and its plane geometry."""
-
-    grid_n: int
-    provenance: str
-    loci: tuple[ParametricLocus, ...]
-    planes: tuple[PlaneAnalysis, ...]
-
-
 def _chain_grid(curve: ConstitutiveCurve, exc: Excitation, depth: int,
                 grid_n: int) -> SampleGrid:
     """The grid of a chain to depth, once the curve reaches depth and the drive stays
@@ -440,37 +430,6 @@ def _chain_grid(curve: ConstitutiveCurve, exc: Excitation, depth: int,
     return grid(exc, grid_n)
 
 
-def _analyze_chain(
-    curve: ConstitutiveCurve,
-    exc: Excitation,
-    depth: int,
-    tol: ToleranceSet,
-    grid_n: int,
-    numeric_chain: bool,
-) -> _ChainAnalysis:
-    """Build the chain from the constitutive plane to depth and analyse every plane.
-
-    Every root the plane analyses need, the last plane's rates' included,
-    is refined first, in one lock-step bisection.
-    """
-    g = _chain_grid(curve, exc, depth, grid_n)
-    if numeric_chain:
-        chain = [analytic_locus(curve, exc, 0, g)]
-        for _ in range(depth):
-            chain.append(numeric_transform(chain[-1]))
-        rates = None
-    else:
-        chain, rates = analytic_chain(curve, exc, depth, g)
-    chain = tuple(chain)
-    refine_chain(chain, rates if rates is not None else _derivative_arrays(chain[-1]))
-    return _ChainAnalysis(
-        grid_n=g.count,
-        provenance="numeric" if numeric_chain else "analytic",
-        loci=chain,
-        planes=tuple(_analyze_plane(locus, tol) for locus in chain),
-    )
-
-
 def classify(
     descriptor,
     curve: ConstitutiveCurve,
@@ -484,22 +443,32 @@ def classify(
     The locus chain runs from the constitutive plane to the verdict plane
     (one transform per level up to zero).  numeric_chain = True rebuilds
     the chain with finite differences instead of the closed-form rule;
-    tolerances then default to the relaxed numeric preset.
+    tolerances then default to the relaxed numeric preset.  Every root
+    the plane analyses need, the last plane's rates' included, is refined
+    first, in one lock-step bisection, and each plane is analysed once,
+    under the cell's labels for it.
     """
     descriptor = _as_descriptor(descriptor)
     exc = exc if exc is not None else Excitation()
     tol = tolerances or (NUMERIC_DEFAULTS if numeric_chain else ANALYTIC_DEFAULTS)
-    analysis = _analyze_chain(
-        curve, exc, descriptor.transforms_to_verdict_plane, tol, grid_n, numeric_chain
-    )
-    planes = tuple(replace(plane, axis_labels=plane_labels(descriptor, d))
-                   for d, plane in enumerate(analysis.planes))
+    depth = descriptor.transforms_to_verdict_plane
+    g = _chain_grid(curve, exc, depth, grid_n)
+    if numeric_chain:
+        chain = [analytic_locus(curve, exc, 0, g)]
+        for _ in range(depth):
+            chain.append(numeric_transform(chain[-1]))
+        chain, rates = tuple(chain), None
+    else:
+        chain, rates = analytic_chain(curve, exc, depth, g)
+    refine_chain(chain, rates if rates is not None else _derivative_arrays(chain[-1]))
+    planes = tuple(_analyze_plane(locus, tol, plane_labels(descriptor, d))
+                   for d, locus in enumerate(chain))
     ideality = check_ideality(curve, tol)
     caveats: list[str] = []
     if not ideality.ideal:
         caveats.append("curve is not ideal: fails " + ", ".join(ideality.failed_criteria()))
     tangents = (planes[-2].zero_tangents, planes[-2].vertical_tangents) if len(planes) > 1 else ()
-    reading = _verdict(descriptor, analysis.loci, planes[-1].abscissa_zeros, tangents, tol)
+    reading = _verdict(descriptor, chain, planes[-1].abscissa_zeros, tangents, tol)
     caveats.extend(reading.caveats)
     degeneration, source = _consequences(descriptor, reading.verdict)
 
@@ -507,8 +476,8 @@ def classify(
         descriptor=descriptor,
         element=table_position(descriptor),
         excitation=exc,
-        grid_n=analysis.grid_n,
-        provenance=analysis.provenance,
+        grid_n=g.count,
+        provenance="numeric" if numeric_chain else "analytic",
         tolerances=tol,
         ideality=ideality,
         planes=planes,
@@ -518,7 +487,7 @@ def classify(
         degeneration=degeneration,
         internal_source=source,
         caveats=tuple(caveats),
-        loci=analysis.loci,
+        loci=chain,
     )
 
 

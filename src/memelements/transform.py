@@ -61,14 +61,6 @@ __all__ = [
     "locus_to_csv",
 ]
 
-def default_labels(depth: int) -> tuple[str, str]:
-    """Generic axis labels for a depth-k locus."""
-    if depth == 0:
-        return ("x", "y")
-    suffix = "'" * depth if depth <= 3 else f"^({depth})"
-    return (f"x{suffix}", f"y{suffix}")
-
-
 @dataclass(frozen=True, eq=False)
 class ParametricLocus:
     """One closed locus (u(t), w(t)) sampled over a drive period.
@@ -91,8 +83,8 @@ class ParametricLocus:
     u_values: np.ndarray
     w_values: np.ndarray
     depth: int
-    axis_labels: tuple[str, str]
-    jet: tuple[ConstitutiveCurve, Excitation] | None = field(default=None, repr=False)
+    jet: tuple[ConstitutiveCurve, Excitation] | None = field(default=None, repr=False,
+                                                             kw_only=True)
 
     def __post_init__(self) -> None:
         t = np.asarray(self.t_values, dtype=float)
@@ -116,12 +108,11 @@ class ParametricLocus:
             arr = arr.copy()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "axis_labels", tuple(self.axis_labels))
 
     @classmethod
     def _view(cls, t: np.ndarray, u: np.ndarray, w: np.ndarray, depth: int,
               jet: tuple[ConstitutiveCurve, Excitation] | None = None) -> ParametricLocus:
-        """A locus with default labels holding its arrays as given, unchecked and uncopied.
+        """A locus holding its arrays as given, unchecked and uncopied.
 
         t must be a read-only, checked grid (a SampleGrid's or a locus's
         t_values), and u and w fresh rows that nothing else writes; they
@@ -129,8 +120,7 @@ class ParametricLocus:
         """
         u.flags.writeable = w.flags.writeable = False
         locus = object.__new__(cls)
-        vars(locus).update(t_values=t, u_values=u, w_values=w, depth=depth,
-                           axis_labels=default_labels(depth), jet=jet)
+        vars(locus).update(t_values=t, u_values=u, w_values=w, depth=depth, jet=jet)
         return locus
 
     @property

@@ -414,6 +414,23 @@ class TestAnalyzeCommand:
         assert err.startswith("analysis failed: drive level 2 ")
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    def test_finite_difference_rate_overflow_is_an_analysis_error(self, tmp_path, capsys):
+        # a curve with no third derivative, so the verdict plane's rates are
+        # finite differences, on either chain; at omega 1e120 they pass float range
+        for numeric in (False, True):
+            cfg = write_config(tmp_path, {
+                "descriptor": {"alpha": -2, "beta": -2},
+                "curve": dict(MEMRISTOR_CFG["curve"], max_derivative_order=2),
+                "excitation": {"omega": 1e120},
+                "numeric_chain": numeric})
+            assert run(["analyze", "--config", cfg,
+                        "--output-dir", str(tmp_path / "out")]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("analysis failed: depth 3 finite differences are beyond "
+                                  "float range")
+            assert err.count("\n") == 1
+            assert not (tmp_path / "out").exists()
+
     def test_jet_overflow_is_an_analysis_error(self, tmp_path, capsys):
         # finite drive levels, but a depth-1 ordinate, or difference quotient,
         # beyond float range

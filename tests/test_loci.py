@@ -163,7 +163,7 @@ class TestValuednessPairs:
         # i*T/257 its 258 times would stand for
         t = np.sort(np.append(np.linspace(0.0, drive.period, 257), 1.0 + 2.0 ** -20))
         with pytest.raises(DomainError, match=rf"t\[1\] = {float(t[1])!r} is off the grid"):
-            ParametricLocus(t, np.sin(t), np.cos(t) + 0.1 * np.cos(3.0 * t), 0, ("u", "w"))
+            ParametricLocus(t, np.sin(t), np.cos(t) + 0.1 * np.cos(3.0 * t), 0)
 
     def test_a_drifting_grid_is_rejected(self, drive):
         # steps 0.9e-9 apart passed SampleGrid's old check on the steps, yet
@@ -181,7 +181,7 @@ class TestValuednessPairs:
         # with its mirror's, bit for bit; the earlier sample ranks first
         n = 256
         t = np.linspace(0.0, 2.0 * np.pi, n + 1)
-        locus = ParametricLocus(t, np.cos(t), np.sin(t) + 0.25 * np.sin(3.0 * t), 0, ("u", "w"))
+        locus = ParametricLocus(t, np.cos(t), np.sin(t) + 0.25 * np.sin(3.0 * t), 0)
         report = valuedness(locus)
         gap = np.abs(locus.w_values - locus.w_values[_mirror(n, 0)])
         above = [i for i in range(n + 1) if gap[i] > 1e-9 * max(1.0, np.abs(locus.w_values).max())]
@@ -243,7 +243,7 @@ class TestGridContract:
                                         returning=PolynomialCurve((0.0, 4.0 / 3.0, 0.5)))}[name]
         exc = Excitation(amplitude=amplitude, omega=omega)
         made = analytic_locus(curve, exc, depth, grid(exc, n))
-        caller = ParametricLocus(made.t_values, made.u_values, made.w_values, depth, ("u", "w"),
+        caller = ParametricLocus(made.t_values, made.u_values, made.w_values, depth,
                                  jet=(curve, exc))
         for analysis in (valuedness, odd_symmetry, origin_crossing):
             assert repr(analysis(caller)) == repr(analysis(made))

@@ -143,6 +143,16 @@ class TestTablePosition:
         assert rpt.planes[-1].axis_labels == ("i", "∫^(999999997)ρ")
         assert rpt.element.constitutive_labels == ("q", "∫^(999999998)ρ")
 
+    @pytest.mark.parametrize("numeric", [False, True])
+    @pytest.mark.parametrize("cell", [(0, 0), (-1, -2), (-2, -2), (-3, -2), (-4, -4)])
+    def test_each_plane_carries_its_cell_labels(self, cubic, cell, numeric):
+        # one locus chain is a different run of planes at each cell
+        descriptor = ElementDescriptor(*cell)
+        rpt = classify(cell, cubic, numeric_chain=numeric)
+        assert [plane.axis_labels for plane in rpt.planes] == [
+            plane_labels(descriptor, d)
+            for d in range(descriptor.transforms_to_verdict_plane + 1)]
+
 
 class TestClassifyFirstOrder:
     def test_memristor_is_passive(self, cubic):
@@ -270,6 +280,18 @@ class TestClassifyGuards:
             warnings.simplefilter("error")
             with pytest.raises(NumericalError, match="depth 1 ordinate is beyond float range"):
                 classify(cell, huge, exc)
+
+    @pytest.mark.parametrize("numeric", [False, True])
+    def test_finite_difference_rates_beyond_float_range_raise(self, numeric):
+        # with no third derivative the verdict plane's rates are finite
+        # differences, here at spacing 1.5e-123; once they overflowed into a
+        # zero tangent at t = nan, or a NaN abscissa on the closed-form chain
+        cubic = PolynomialCurve((0.0, 1.0, 0.0, 1.0 / 3.0), max_derivative_order=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="depth 3 finite differences are beyond "
+                                                     "float range: sample spacing 1.5"):
+                classify((-2, -2), cubic, Excitation(omega=1e120), numeric_chain=numeric)
 
 
 class TestTheoremSuite:
@@ -675,9 +697,9 @@ def _standalone_landmarks(curve, exc, depth, tol, n, numeric):
 
 def _assert_chain_matches_standalone(curve, exc, depth, n, numeric):
     tol = NUMERIC_DEFAULTS if numeric else ANALYTIC_DEFAULTS
-    analysis = taxonomy._analyze_chain(curve, exc, depth, tol, n, numeric)
+    rpt = classify((-depth, -depth), curve, exc, grid_n=n, numeric_chain=numeric)
     for plane, locus, (oc, (zero, vertical, arcs), alone) in zip(
-            analysis.planes, analysis.loci,
+            rpt.planes, rpt.loci,
             _standalone_landmarks(curve, exc, depth, tol, n, numeric), strict=True):
         got = (plane.pinch_points, plane.abscissa_zeros, plane.zero_tangents,
                plane.vertical_tangents, plane.negative_arcs)

@@ -36,7 +36,6 @@ from memelements import (
 )
 from memelements import excitation, loci, transform
 from memelements.constitutive import _tanh_stack
-from memelements.transform import default_labels
 from oracles import chain_oracle, cubic_rate, tanh_rate
 
 
@@ -438,12 +437,11 @@ class TestJetMemory:
 
 
 class TestAnalyticLocus:
-    def test_shape_and_labels(self, cubic, drive):
+    def test_shape(self, cubic, drive):
         locus = analytic_locus(cubic, drive, 1)
         assert locus.depth == 1
         assert locus.provenance == "analytic"
         assert len(locus.t_values) == 4097
-        assert locus.axis_labels == default_labels(1)
         assert np.allclose(locus.u_values, np.sin(locus.t_values), atol=1e-15)
 
     def test_hooks_evaluate_off_grid(self, cubic, drive):
@@ -465,7 +463,7 @@ class TestAnalyticLocus:
     def test_hooks_are_views_of_the_jet(self, cubic, drive):
         # a locus names its (curve, drive) pair; a plain callable is no jet
         locus = analytic_locus(cubic, drive, 1, grid(drive, 64))
-        args = (locus.t_values, locus.u_values, locus.w_values, 1, locus.axis_labels)
+        args = (locus.t_values, locus.u_values, locus.w_values, 1)
 
         def hook(t):
             return point_at(locus, t)
@@ -474,7 +472,7 @@ class TestAnalyticLocus:
             with pytest.raises(DomainError):
                 ParametricLocus(*args, jet=jet)
         with pytest.raises(DomainError):  # the jet's curve has no derivative of order 5
-            ParametricLocus(*args[:3], 5, args[4], jet=(cubic, drive))
+            ParametricLocus(*args[:3], 5, jet=(cubic, drive))
         rebuilt = ParametricLocus(*args, jet=(cubic, drive))
         t = np.linspace(0.1, 6.0, 7)
         for got, want in zip(point_at(rebuilt, t), point_at(locus, t), strict=True):
@@ -538,18 +536,18 @@ class TestCallerLocus:
         arrays = list(self._arrays())
         arrays[which][7] = bad
         with pytest.raises(DomainError, match="finite"):
-            ParametricLocus(*arrays, depth=1, axis_labels=("x", "y"))
+            ParametricLocus(*arrays, depth=1)
 
     def test_rejects_non_increasing_t(self):
         t, u, w = self._arrays()
         t[10] = t[9]
         with pytest.raises(DomainError, match=r"increase.*t\[10\] = .* is off the grid"):
-            ParametricLocus(t, u, w, depth=1, axis_labels=("x", "y"))
+            ParametricLocus(t, u, w, depth=1)
 
     @staticmethod
     def _odd_single_locus(t):
         # single-valued and odd on the grid i*T/n: u = sin t, w = sin t + 0.1 sin 3t
-        return ParametricLocus(t, np.sin(t), np.sin(t) + 0.1 * np.sin(3.0 * t), 1, ("u", "w"))
+        return ParametricLocus(t, np.sin(t), np.sin(t) + 0.1 * np.sin(3.0 * t), 1)
 
     def test_an_odd_single_locus_on_the_grid(self):
         locus = self._odd_single_locus(np.linspace(0.0, 2.0 * np.pi, 1025))
@@ -574,18 +572,25 @@ class TestCallerLocus:
 
     def test_holds_read_only_copies(self):
         t, u, w = self._arrays()
-        locus = ParametricLocus(t, u, w, depth=1, axis_labels=["x", "y"])
+        locus = ParametricLocus(t, u, w, depth=1)
         before = [arr.copy() for arr in (t, u, w)]
         for arr in (t, u, w):
             arr[3] = 42.0
         for held, want in zip((locus.t_values, locus.u_values, locus.w_values), before):
             assert held.tobytes() == want.tobytes()
             assert not held.flags.writeable
-        assert locus.axis_labels == ("x", "y")
+
+    def test_labels_are_no_argument(self):
+        # a plane's labels are its cell's (plane_labels); jet is keyword-only,
+        # so labels passed where they once went are refused, not read as a jet
+        t, u, w = self._arrays()
+        with pytest.raises(TypeError):
+            ParametricLocus(t, u, w, 1, ("u", "w"))
+        assert not hasattr(ParametricLocus(t, u, w, 1), "axis_labels")
 
     def test_provenance_follows_the_jet(self, cubic, drive):
         analytic = analytic_locus(cubic, drive, 1, grid(drive, 64))
-        args = (analytic.t_values, analytic.u_values, analytic.w_values, 1, ("x", "y"))
+        args = (analytic.t_values, analytic.u_values, analytic.w_values, 1)
         assert analytic.provenance == "analytic"
         assert numeric_transform(analytic).provenance == "numeric"
         assert ParametricLocus(*args).provenance == "numeric"
@@ -624,7 +629,7 @@ class TestNumericTransform:
         t = np.linspace(0.0, 2.0 * np.pi, n + 1)
         t[n // 2] += 1.5e-9 * (t[1] - t[0])
         excitation.SampleGrid(t_values=t)
-        numeric = numeric_transform(ParametricLocus(t, np.sin(t), np.cos(t), 0, ("x", "y")))
+        numeric = numeric_transform(ParametricLocus(t, np.sin(t), np.cos(t), 0))
         assert numeric.depth == 1
 
     def test_rejects_a_grid_a_sample_grid_rejects(self):
@@ -635,7 +640,7 @@ class TestNumericTransform:
         with pytest.raises(ConfigError, match=r"uniform.*t\[2048\] = .* is off the grid"):
             excitation.SampleGrid(t_values=t)
         with pytest.raises(DomainError, match=r"uniform.*t\[2048\] = .* is off the grid"):
-            ParametricLocus(t, np.sin(t), np.cos(t), 0, ("x", "y"))
+            ParametricLocus(t, np.sin(t), np.cos(t), 0)
 
     def test_periodic_derivative_of_sin(self):
         t = np.linspace(0.0, 2.0 * np.pi, 4097)

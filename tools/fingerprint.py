@@ -72,11 +72,14 @@ Covered:
     curve (t = 0, T/2, T and 29 random times, each at a random depth from
     0 to the curve's order and a random coordinate), and the error line of
     an ``analytic_locus`` on a grid over another drive's period;
-  * last, the ``DomainError`` line of each time or abscissa that is not
+  * then the ``DomainError`` line of each time or abscissa that is not
     finite where the package once returned NaN or a value quietly:
     ``eval`` and ``derivative`` at NaN, and ``excite``, ``chain_ordinate``
     and ``point_at`` (on a closed-form and a finite-difference locus) at
-    NaN, inf and -inf.
+    NaN, inf and -inf;
+  * and after them the outcome of ``classify`` at (-2,-2), on each chain,
+    of a cubic with no third derivative at omega = 1e120, where the verdict
+    plane's finite-difference rates pass float range.
 
 An error that escapes ``cli.run`` is fingerprinted as the run's exit line.
 """
@@ -304,11 +307,11 @@ def grid_contract() -> None:
                    ("warped", s + 0.05 * np.sin(s)),
                    ("drifting", np.append(0.0, np.cumsum(steps)) / steps.sum() * (2.0 * np.pi))):
         emit(f"grid-contract/{tag}", outcome(memelements.ParametricLocus, t, np.sin(t),
-                                             np.sin(t) + 0.1 * np.sin(3.0 * t), 1, ("u", "w")))
+                                             np.sin(t) + 0.1 * np.sin(3.0 * t), 1))
     cubic, exc = PolynomialCurve((0.0, 1.0, 0.0, 1.0 / 3.0)), Excitation()
     made = memelements.analytic_locus(cubic, exc, 2, memelements.grid(exc, 4096))
     copy = memelements.ParametricLocus(made.t_values, made.u_values, made.w_values, 2,
-                                       ("u", "w"), jet=(cubic, exc))
+                                       jet=(cubic, exc))
     emit("grid-contract/caller-cubic-depth2", " ".join(map(float.hex, (
         memelements.valuedness(copy).max_gap, memelements.odd_symmetry(copy).max_violation))))
 
@@ -348,6 +351,14 @@ def non_finite() -> None:
              ("nan", "inf", "-inf"))):
         for value in values:
             emit(f"non-finite/{name}/{value}", outcome(fn, float(value)))
+
+
+def rate_overflow() -> None:
+    """A (-2,-2) classify whose finite-difference verdict-plane rates pass float range."""
+    cubic = PolynomialCurve((0.0, 1.0, 0.0, 1.0 / 3.0), max_derivative_order=2)
+    for kind, numeric in (("analytic", False), ("numeric", True)):
+        emit(f"rate-overflow/{kind}", outcome(memelements.classify, (-2, -2), cubic,
+                                              Excitation(omega=1e120), numeric_chain=numeric))
 
 
 def run_cli(name: str, argv: list[str], outdir: str | None) -> None:
@@ -496,6 +507,7 @@ def main() -> None:
     grid_contract()
     jet_batches()
     non_finite()
+    rate_overflow()
 
 
 if __name__ == "__main__":
