@@ -22,7 +22,7 @@ import re
 import stat
 import sys
 from collections import Counter
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from enum import Enum
 from pathlib import Path
 
@@ -376,11 +376,11 @@ def _output_dir(output_dir) -> Path:
     return outdir
 
 
-def _write(outdir: Path, files: dict[str, str | list[bytes]]) -> str:
+def _write(outdir: Path, files: dict[str, str | Iterable[bytes]]) -> str:
     """Write files into outdir, creating it, in name order; the 'wrote:' line naming them.
 
     A file's content is its text, written as UTF-8, or its byte blocks
-    (columns_to_csv's), written as they are.  A directory that cannot be
+    (columns_to_csv's), each written as it is made.  A directory that cannot be
     made and a file that cannot be written are each a ConfigError naming
     the path.  The files sorted before one that cannot be written stay
     written.
@@ -632,11 +632,11 @@ def render_svg(panels: list[Panel], title: str | None = None) -> str:
 # ----------------------------------------------------------------------
 
 def _analysis_files(rpt: ClassificationReport, formats: tuple[str, ...],
-                    title: str | None = None) -> dict[str, str | list[bytes]]:
+                    title: str | None = None) -> dict[str, str | Iterable[bytes]]:
     """File name -> content, as _write takes it, for one classification run;
     title heads the SVG figure, which by default names the element and its
     verdict."""
-    files: dict[str, str | list[bytes]] = {}
+    files: dict[str, str | Iterable[bytes]] = {}
     if "json" in formats:
         files["report.json"] = _dump_json(report_to_dict(rpt))
     if "csv" in formats:
@@ -700,13 +700,13 @@ def _degenerate() -> PolynomialCurve:
 
 
 def _chain_figure(curve: ConstitutiveCurve, cell: tuple[int, int],
-                  stem: str, title: str) -> dict[str, str | list[bytes]]:
+                  stem: str, title: str) -> dict[str, str | Iterable[bytes]]:
     files = _analysis_files(classify(cell, curve), ("csv", "svg"), title)
     return {f"{stem}.{name.removeprefix('loci.')}": content for name, content in files.items()}
 
 
 def _waveform_figure(curve: ConstitutiveCurve, stem: str,
-                     title: str) -> dict[str, str | list[bytes]]:
+                     title: str) -> dict[str, str | Iterable[bytes]]:
     """Depth-1 ordinate and drive rate over one period: the depth-1 locus's w and u."""
     exc = Excitation()
     locus = analytic_locus(curve, exc, 1)
@@ -730,7 +730,7 @@ def _waveform_figure(curve: ConstitutiveCurve, stem: str,
     return {f"{stem}.csv": table, f"{stem}.svg": svg}
 
 
-def _fig10() -> dict[str, str | list[bytes]]:
+def _fig10() -> dict[str, str | Iterable[bytes]]:
     curve = _degenerate()
     lo, hi = curve.operating_range
     xs = np.linspace(lo, hi, 1025)

@@ -40,6 +40,8 @@ is the curve's max_derivative_order.
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
@@ -357,34 +359,33 @@ def numeric_transform(locus: ParametricLocus) -> ParametricLocus:
 # serialization
 # ----------------------------------------------------------------------
 
-# Rows are dumped this many at a time, so that besides the finished
-# blocks only one block's dump is held at once.
+# Rows are dumped this many at a time, so that only one block's dump is
+# held at once.
 _CSV_BLOCK = 4096
 
 
-def columns_to_csv(header: str, lead, *columns) -> list[bytes]:
-    """The CSV file as byte blocks: the header line, then one block per 4096 rows.
+def columns_to_csv(header: str, lead, *columns) -> Iterator[bytes]:
+    """The CSV file as a one-shot iterator of byte blocks: the header line,
+    then one block per 4096 rows.
 
     Each row is the lead value, then the columns' values, each float as
     repr writes it (_rows), so it round-trips exactly.  The blocks are
     ASCII but for the header, which is UTF-8; b"".join(blocks) is the file.
-    Raises DomainError for a column that is not one-dimensional, columns
-    of unequal length, or a header whose field count is not the column
-    count.
+    A block's rows are formatted when the iterator reaches it, so the
+    columns must not change before it is exhausted.  Raises DomainError,
+    at the call, for a column that is not one-dimensional, columns of
+    unequal length, or a header whose field count is not the column count.
     """
-    lead = _csv_column(lead)
-    cols = [_csv_column(col) for col in columns]
+    table = [_csv_column(lead), *(_csv_column(col) for col in columns)]
     fields = header.count(",") + 1
-    if len(cols) + 1 != fields:
-        raise DomainError(f"header has {fields} fields for {len(cols) + 1} columns")
-    for col in cols:
-        if len(col) != len(lead):
-            raise DomainError(f"columns of unequal length: {len(lead)} and {len(col)}")
-    blocks = [header.encode() + b"\n"]
-    for start in range(0, len(lead), _CSV_BLOCK):
-        block = slice(start, start + _CSV_BLOCK)
-        blocks.append(_rows(np.column_stack([lead[block], *(col[block] for col in cols)])))
-    return blocks
+    if len(table) != fields:
+        raise DomainError(f"header has {fields} fields for {len(table)} columns")
+    for col in table[1:]:
+        if len(col) != len(table[0]):
+            raise DomainError(f"columns of unequal length: {len(table[0])} and {len(col)}")
+    blocks = (_rows(np.column_stack([col[start:start + _CSV_BLOCK] for col in table]))
+              for start in range(0, len(table[0]), _CSV_BLOCK))
+    return itertools.chain([header.encode() + b"\n"], blocks)
 
 
 def _rows(block: np.ndarray) -> bytes:
@@ -436,7 +437,7 @@ def _csv_column(col) -> np.ndarray:
     return arr
 
 
-def locus_to_csv(locus: ParametricLocus) -> list[bytes]:
+def locus_to_csv(locus: ParametricLocus) -> Iterator[bytes]:
     """The CSV file of the locus as columns_to_csv's byte blocks, with header
     t,u,w; full float precision, round-trip exact."""
     return columns_to_csv("t,u,w", locus.t_values, locus.u_values, locus.w_values)

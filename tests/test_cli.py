@@ -5,6 +5,7 @@ import json
 import math
 import pathlib
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -543,7 +544,8 @@ class TestDepthCsvFiles:
 
     @pytest.mark.parametrize("depth", [0, 1, 2])
     def test_each_file_is_one_locus_to_csv_call(self, tmp_path, monkeypatch, depth):
-        # per-layer timings of analyze's CSV work wrap cli.locus_to_csv
+        # per-layer call counts of analyze's CSV work wrap cli.locus_to_csv;
+        # its rows are formatted later, as _write consumes the blocks
         depths = []
 
         def counting_locus_to_csv(locus):
@@ -556,6 +558,30 @@ class TestDepthCsvFiles:
         monkeypatch.setattr(cli, "locus_to_csv", counting_locus_to_csv)
         assert run(argv) == 0
         assert depths == list(range(depth + 1))
+
+    def test_csv_peak_is_classifys_within_one_block(self, tmp_path):
+        # each block is written and dropped before the next is formatted, so
+        # writing the depth files adds at most one block to classify's peak
+        cfg = dict(MEMRISTOR_CFG, descriptor={"alpha": -2, "beta": -2}, grid_n=16384)
+        argv = ["analyze", "--config", write_config(tmp_path, cfg),
+                "--output-dir", str(tmp_path / "out"), "--formats", "csv"]
+        curve = curve_from_spec(cfg["curve"])
+        assert run(argv) == 0  # imports and caches outside the trace
+        rpt = classify((-2, -2), curve, grid_n=16384)
+        block = max(len(b) for locus in rpt.loci for b in locus_to_csv(locus))
+        del rpt
+        (tmp_path / "out" / "depth2.csv").unlink()
+        peaks, results = [], []
+        for call in (lambda: classify((-2, -2), curve, grid_n=16384), lambda: run(argv)):
+            tracemalloc.start()
+            try:
+                results.append(call())
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert results[1] == 0
+        assert (tmp_path / "out" / "depth2.csv").stat().st_size > 3 * block
+        assert peaks[1] <= peaks[0] + block
 
 
 class TestWrite:

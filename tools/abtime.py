@@ -3,6 +3,7 @@
     python tools/abtime.py BASE_SRC [CHANGE_SRC] [--seed 13] [--ops 240] [--best-of 6]
     python tools/abtime.py BASE_SRC [CHANGE_SRC] --csv [--seed 13] [--ops 240] [--best-of 6]
     python tools/abtime.py BASE_SRC [CHANGE_SRC] --suite [--seed 13] [--ops 240] [--best-of 6]
+    python tools/abtime.py BASE_SRC [CHANGE_SRC] --emit [--seed 13] [--ops 240] [--best-of 6]
 
 BASE_SRC and CHANGE_SRC are ``src/`` directories, each holding a
 ``memelements`` package; CHANGE_SRC defaults to the ``src/`` next to this
@@ -29,14 +30,14 @@ base, all from the same runs.
 
 With ``--csv`` the ops are the ``analyze`` ops among the first ``--ops``
 of emit-fine.  Each op's loci are built once, by the change, and
-``transform.locus_to_csv`` of each side writes the op's ``depth{k}.csv``
-files from those same loci.  Only those calls are timed.  Each side's
-result is then made the file's bytes: ``str.encode()`` of the text a
-tree older than the byte-block writer returns, ``b"".join`` of the
-blocks a newer one returns, so trees on either side of that API change
-compare.  The bytes must be equal on both sides, else the run stops
-naming the op.  Printed: each side's mean best-of-k time per op, and
-the ratio, change over base.
+``transform.locus_to_csv`` of each side makes the bytes of the op's
+``depth{k}.csv`` files from those same loci: ``str.encode()`` of the text
+a tree older than the byte-block writer returns, ``b"".join`` of the
+blocks (a list, or an iterator that formats each block as it is
+consumed) a newer one returns, so trees on either side of those API
+changes compare.  Only those calls and the joins are timed.  The bytes
+must be equal on both sides, else the run stops naming the op.  Printed:
+each side's mean best-of-k time per op, and the ratio, change over base.
 
 With ``--suite`` the ops are the first ``--ops`` of suite-shared: each
 side runs the op's ``suite --strict`` command through its own
@@ -46,6 +47,13 @@ its own.  The whole command is timed.  The exit codes and the
 stops naming the op.  Printed: each side's mean best-of-k time per op,
 its ``loci.bisect`` brackets per op (the roots one suite refines), and
 the ratio, change over base.
+
+With ``--emit`` the ops are the first ``--ops`` of emit-fine, its
+``analyze`` and ``figure`` commands, each run as ``--suite`` runs its
+ops.  The exit codes and the bytes of every file written must be equal
+on both sides, else the run stops naming the op.  Printed: each side's
+mean and 90th percentile of the best-of-k op times, and the ratios,
+change over base.
 
 The ratio is an in-process diagnostic (for instance, the share of one
 change in a larger one); the benchmark's end-to-end metrics come from
@@ -153,6 +161,11 @@ def classify_ab(sides, args, work: Path) -> None:
     print(f"ratio  {change_ms / base_ms:.4f}")
 
 
+def csv_bytes(csv) -> bytes:
+    """The file's bytes from what locus_to_csv returned: text, or byte blocks."""
+    return csv.encode() if isinstance(csv, str) else b"".join(csv)
+
+
 def csv_ab(sides, args, work: Path) -> None:
     """Time locus_to_csv on the loci of emit-fine's analyze ops in both trees."""
     from workloads import EmitFine  # imports the change as memelements
@@ -169,10 +182,9 @@ def csv_ab(sides, args, work: Path) -> None:
         files = [None, None]
         gc.collect()
         for s in order:
-            dt, csvs = best_of(lambda pkg: [pkg.transform.locus_to_csv(lo) for lo in loci],
-                               (sides[s],), args.best_of)
+            dt, files[s] = best_of(lambda pkg: [csv_bytes(pkg.transform.locus_to_csv(lo))
+                                                for lo in loci], (sides[s],), args.best_of)
             total[s] += dt
-            files[s] = [csv.encode() if isinstance(csv, str) else b"".join(csv) for csv in csvs]
         if files[0] != files[1]:
             raise SystemExit(f"op {i} (seed {args.seed}): the CSV bytes differ")
         count += 1
@@ -184,6 +196,18 @@ def csv_ab(sides, args, work: Path) -> None:
     for label, ms in zip(("base  ", "change"), (base_ms, change_ms)):
         print(f"{label} {ms:.4f} ms/op")
     print(f"ratio  {change_ms / base_ms:.4f}")
+
+
+def cli_side(pkg, command: list[str], outdir: Path, k: int):
+    """Least wall time of k runs of command by pkg's cli.run into outdir, with
+    stdout and stderr discarded; its exit code; and the bytes of every file
+    it wrote, by name.  outdir is removed afterwards."""
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        dt, code = best_of(pkg.cli.run, (command + ["--output-dir", str(outdir)],), k)
+    files = {p.name: p.read_bytes() for p in sorted(outdir.iterdir())} if outdir.is_dir() else {}
+    shutil.rmtree(outdir, ignore_errors=True)
+    return dt, code, files
 
 
 def suite_ab(sides, args, work: Path) -> None:
@@ -200,23 +224,15 @@ def suite_ab(sides, args, work: Path) -> None:
 
         pkg.loci.bisect = counted
     ops = SuiteShared(args.seed, work)
-    sink = io.StringIO()
     for i in range(args.ops):
         command = ops.make(i).payload
         order = (0, 1) if i % 2 == 0 else (1, 0)
         results = [None, None]
         gc.collect()
         for s in order:
-            outdir = work / f"side{s}"
-            argv = command + ["--output-dir", str(outdir)]
-            with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-                dt, code = best_of(sides[s].cli.run, (argv,), args.best_of)
-            sink.seek(0)
-            sink.truncate()
+            dt, code, files = cli_side(sides[s], command, work / f"side{s}", args.best_of)
             total[s] += dt
-            report = outdir / "suite_report.json"
-            results[s] = (code, report.read_bytes() if report.is_file() else None)
-            shutil.rmtree(outdir, ignore_errors=True)
+            results[s] = (code, files.get("suite_report.json"))
         if results[0] != results[1]:
             raise SystemExit(f"op {i} (seed {args.seed}): the exit codes or the "
                              "suite_report.json bytes differ")
@@ -227,6 +243,33 @@ def suite_ab(sides, args, work: Path) -> None:
     for label, ms, (count,) in zip(("base  ", "change"), (base_ms, change_ms), brackets):
         print(f"{label} {ms:.4f} ms/op  {count / calls:.2f} loci.bisect brackets/op")
     print(f"ratio  {change_ms / base_ms:.4f}")
+
+
+def emit_ab(sides, args, work: Path) -> None:
+    """Time emit-fine's analyze and figure ops in both trees, comparing every file written."""
+    from workloads import EmitFine  # imports the change as memelements
+
+    times = [[], []]
+    ops = EmitFine(args.seed, work)
+    for i in range(args.ops):
+        command = ops.make(i).payload
+        order = (0, 1) if i % 2 == 0 else (1, 0)
+        results = [None, None]
+        gc.collect()
+        for s in order:
+            dt, code, files = cli_side(sides[s], command, work / f"side{s}", args.best_of)
+            times[s].append(1e3 * dt)
+            results[s] = (code, files)
+        if results[0] != results[1]:
+            raise SystemExit(f"op {i} (seed {args.seed}): the exit codes or the "
+                             "written bytes differ")
+    means = [np.mean(t) for t in times]
+    p90s = [np.percentile(t, 90) for t in times]
+    print(f"emit-fine seed {args.seed}, {args.ops} ops, best of {args.best_of}: "
+          f"exit codes and written bytes equal")
+    for label, mean, p90 in zip(("base  ", "change"), means, p90s):
+        print(f"{label} {mean:.4f} ms/op mean  {p90:.4f} ms/op p90")
+    print(f"ratio  {means[1] / means[0]:.4f} mean  {p90s[1] / p90s[0]:.4f} p90")
 
 
 def main(argv=None) -> None:
@@ -240,6 +283,9 @@ def main(argv=None) -> None:
     ap.add_argument("--suite", action="store_true",
                     help="time suite-shared's suite --strict ops, not classify, and compare "
                          "their exit codes and suite_report.json bytes")
+    ap.add_argument("--emit", action="store_true",
+                    help="time emit-fine's analyze and figure ops, not classify, and compare "
+                         "their exit codes and the bytes of every file they write")
     ap.add_argument("--seed", type=int, default=13)
     ap.add_argument("--ops", type=int, default=240)
     ap.add_argument("--best-of", type=int, default=6)
@@ -249,7 +295,8 @@ def main(argv=None) -> None:
     base = load("memelements_base", args.base.resolve())
     sys.path.insert(0, str(ROOT / "bench"))
     with tempfile.TemporaryDirectory() as work:
-        run = suite_ab if args.suite else csv_ab if args.csv else classify_ab
+        run = (suite_ab if args.suite else csv_ab if args.csv else emit_ab if args.emit
+               else classify_ab)
         run((base, change), args, Path(work))
 
 
