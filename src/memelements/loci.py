@@ -29,14 +29,13 @@ pass over all of them; each plane's results are its rows' slices:
   d and d + 1, which origin_crossing, rate_landmarks and
   project_landmarks read.
 
-The last plane's rates are refined only when its caller passes them, so
-a chain whose top plane is read for its origin crossing and valuedness
-alone (the theorem suite's depth-2 plane) brackets and evaluates no
-rate of it; rate_landmarks and project_landmarks on such a plane refine
-it again, alone and with its rates.  A locus analysed on its own is
-prepared as a one-plane chain with its rates, with the same results.
-phase_shift is one too: it reads its peaks off the roots and slope-span
-values refine_chain stores for the depth-1 locus.
+A chain's last locus gives the plane before it its rates and is
+refined for its abscissa alone, so a chain ends one plane past the
+deepest plane whose rates are read: classify's ends past the verdict
+plane, the theorem suite's and phase_shift's at depth 2.  rate_landmarks
+and project_landmarks on a last locus refine it again, alone and with
+its rates.  A locus analysed on its own is prepared as the chain of it
+and its transform (_transform), with the same results.
 """
 
 from __future__ import annotations
@@ -211,11 +210,13 @@ def point_at(locus: ParametricLocus, t):
     return np.asarray(u, dtype=float), np.asarray(w, dtype=float)
 
 
-def _derivative_arrays(locus: ParametricLocus) -> tuple[np.ndarray, np.ndarray]:
-    if _has_rates(locus):
-        return _jet_rows(locus, locus.t_values, locus.depth + 1)
-    rates = numeric_transform(locus)
-    return rates.u_values, rates.w_values
+def _transform(locus: ParametricLocus) -> ParametricLocus:
+    """The locus's transform: its jet at depth + 1 where that gives its rates, else
+    finite differences."""
+    if not _has_rates(locus):
+        return numeric_transform(locus)
+    u, w = _jet_rows(locus, locus.t_values, locus.depth + 1)
+    return ParametricLocus._view(locus.t_values, u, w, locus.depth + 1, locus.jet)
 
 
 def _path(a: float, dm: float, aim: float, steps: int, xtol: float) -> tuple[list, list, bool]:
@@ -405,9 +406,10 @@ class _PlaneRoots:
     the scales the analyses' tolerances are relative to.  at maps every
     root and every span midpoint to (u, w, du/dt, dw/dt) there.  Each is
     read off refine_chain's one pass over the chain's distinct rows: a row
-    two planes share gives both the same roots and peak.  On a plane
-    refined without its rates, du, dw and spans are None, and peak and at
-    hold max |u|, max |w| and the abscissa roots' (u, w) alone.
+    two planes share gives both the same roots and peak.  On a chain's
+    last plane, refined for its abscissa alone, du, dw and spans are
+    None, and peak and at hold max |u|, max |w| and the abscissa roots'
+    (u, w) alone.
     """
 
     abscissa: list[float]
@@ -418,27 +420,26 @@ class _PlaneRoots:
     at: dict[float, tuple[float, ...]]
 
 
-def refine_chain(chain, top_rates: tuple[np.ndarray, np.ndarray] | None = None) -> None:
+def refine_chain(chain) -> None:
     """Refine every root the analyses of a locus chain need, and read their values there.
 
     The loci of a chain are taken to share one jet and one grid, and
-    chain[d + 1] to be the transform of chain[d], so its samples serve as
-    plane d's rates when both come from the same kind of evaluation (the
-    jet, or finite differences).  top_rates, when given, are the last
-    plane's rates on the grid; without them its rates are not refined
-    (_PlaneRoots), which origin_crossing and valuedness do not read.  A
-    plane's signal rows are its abscissa u (for origin_crossing) and its
-    rates du/dt and dw/dt (for rate_landmarks); a row two planes share,
-    such as plane d's du/dt and plane d + 1's u, is one array, taken
-    once.  The distinct rows get one scan for sign changes, one stencil
-    gather, one peaks pass and one search for exact zeros (_zero_roots).  Every bracket the jet covers is
-    refined in one lock-step bisection through jet_signals, seeded by
-    _inverse_root; the others keep their linear-interpolation root.  One
-    _jet block at every jet plane's roots and slope-span midpoints gives
-    (u, w, du/dt, dw/dt) there, plane d reading rows d and d + 1; what the
-    jet does not give is interpolated in the grid samples or rates.  Each
-    plane's _PlaneRoots, its rows' slices of all this, is stored on its
-    locus.
+    chain[d + 1] to be the transform of chain[d]: its samples are plane
+    d's rates, unless plane d's jet gives them and chain[d + 1] is finite
+    differences (_transform).  The last locus has no next one, so only
+    its abscissa is refined (_PlaneRoots), which is all origin_crossing
+    and valuedness read.  A plane's signal rows are its abscissa u (for
+    origin_crossing) and its rates du/dt and dw/dt (for rate_landmarks);
+    a row two planes share, such as plane d's du/dt and plane d + 1's u,
+    is one array, taken once.  The distinct rows get one scan for sign
+    changes, one stencil gather, one peaks pass and one search for exact
+    zeros (_zero_roots).  Every bracket the jet covers is refined in one
+    lock-step bisection through jet_signals, seeded by _inverse_root; the
+    others keep their linear-interpolation root.  One _jet block at every
+    jet plane's roots and slope-span midpoints gives (u, w, du/dt, dw/dt)
+    there, plane d reading rows d and d + 1; what the jet does not give
+    is interpolated in the grid samples or rates.  Each plane's
+    _PlaneRoots, its rows' slices of all this, is stored on its locus.
     """
     rows, signals, index = [], [], {}  # distinct rows, their jet signals, id -> row
 
@@ -452,12 +453,9 @@ def refine_chain(chain, top_rates: tuple[np.ndarray, np.ndarray] | None = None) 
     planes = []
     for d, locus in enumerate(chain):
         after = chain[d + 1] if d + 1 < len(chain) else None
-        if after is None:
-            rates = top_rates
-        elif _has_rates(locus) == (after.jet is not None):
-            rates = (after.u_values, after.w_values)
-        else:
-            rates = _derivative_arrays(locus)
+        if after is not None and _has_rates(locus) != (after.jet is not None):
+            after = _transform(locus)
+        rates = None if after is None else (after.u_values, after.w_values)
         # (depth, is ordinate) of each row the jet gives
         k, exact = locus.depth, _has_rates(locus)
         u = row(locus.u_values, (k, False) if locus.jet else None)
@@ -557,12 +555,12 @@ def _spans(t: np.ndarray, roots: list[float]) -> list[tuple[float, float]]:
 def _plane_roots(locus: ParametricLocus, rates: bool = False) -> _PlaneRoots:
     """The roots refine_chain stored on the locus, with its rates' if rates is set.
 
-    Where none are stored, or rates is set and the locus was refined
-    without its rates, the locus is refined alone, with its rates.
+    Where none are stored, or rates is set and only the abscissa was
+    refined, the locus is refined as the chain of it and its transform.
     """
     roots = vars(locus).get("_roots")
     if roots is None or (rates and roots.du is None):
-        refine_chain((locus,), _derivative_arrays(locus))
+        refine_chain((locus, _transform(locus)))
         roots = vars(locus)["_roots"]
     return roots
 
@@ -695,8 +693,8 @@ def rate_landmarks(locus: ParametricLocus, root_tol: float = 1e-10
     """Zero tangents, vertical tangents and negative-slope arcs of a locus.
 
     The transversal roots of du/dt and dw/dt are refined once each and
-    shared by all three results.  A locus refined without its rates is
-    refined again, alone and with them (_plane_roots).
+    shared by all three results.  A chain's last locus, refined for its
+    abscissa alone, is refined again with its rates (_plane_roots).
     """
     plane = _plane_roots(locus, rates=True)
     return (
@@ -791,19 +789,19 @@ def phase_shift(curve: ConstitutiveCurve, exc: Excitation) -> PhaseReport:
 
     Peaks are maxima: transversal roots of the depth-1 locus's rates
     dw/dt and du/dt crossed from positive to negative, located on the
-    outgoing half-period.  The depth-1 locus is analysed as a one-plane
-    chain on an 8192-interval grid, whose first half is a 4096-interval
-    grid of the outgoing half-period, so the peaks are roots refine_chain
-    finds.  A shift within 1e-6 counts as in phase.  Requires second
-    derivatives of the curve.
+    outgoing half-period.  The depth-1 and depth-2 loci are refined as
+    one chain on an 8192-interval grid, whose first half is a
+    4096-interval grid of the outgoing half-period, so the peaks are
+    roots refine_chain finds.  A shift within 1e-6 counts as in phase.
+    Requires second derivatives of the curve.
     """
     if curve.max_derivative_order < 2:
         raise CapabilityError("phase analysis needs curve second derivatives")
 
-    chain, rates = analytic_chain(curve, exc, 1, grid(exc, 8192))
-    refine_chain(chain[1:], rates)
-    plane = _plane_roots(chain[1])
-    half = 0.5 * chain[1].period
+    chain = analytic_chain(curve, exc, 2, grid(exc, 8192))[1:]
+    refine_chain(chain)
+    plane = _plane_roots(chain[0])
+    half = 0.5 * chain[0].period
     t_w = _first_maximum(plane, plane.dw, 3, half)
     t_u = _first_maximum(plane, plane.du, 2, half)
     shift = t_w - t_u

@@ -32,7 +32,7 @@ from .loci import (
     PointKind,
     SpecialPoint,
     Valuedness,
-    _derivative_arrays,
+    _transform,
     odd_symmetry,
     origin_crossing,
     project_landmarks,
@@ -41,7 +41,7 @@ from .loci import (
     valuedness,
 )
 from .tolerances import ANALYTIC_DEFAULTS, NUMERIC_DEFAULTS, ToleranceSet
-from .transform import ParametricLocus, analytic_chain, analytic_locus, numeric_transform
+from .transform import ParametricLocus, analytic_chain, numeric_transform
 
 __all__ = [
     "ElementDescriptor",
@@ -443,10 +443,11 @@ def classify(
     The locus chain runs from the constitutive plane to the verdict plane
     (one transform per level up to zero).  numeric_chain = True rebuilds
     the chain with finite differences instead of the closed-form rule;
-    tolerances then default to the relaxed numeric preset.  Every root
-    the plane analyses need, the last plane's rates' included, is refined
-    first, in one lock-step bisection, and each plane is analysed once,
-    under the cell's labels for it.
+    tolerances then default to the relaxed numeric preset.  The chain is
+    built one plane past the verdict plane, whose coordinates are the
+    verdict plane's rates; every root the plane analyses need is refined
+    first, in one lock-step bisection, and each plane up to the verdict
+    plane is analysed once, under the cell's labels for it.
     """
     descriptor = _as_descriptor(descriptor)
     exc = exc if exc is not None else Excitation()
@@ -454,13 +455,15 @@ def classify(
     depth = descriptor.transforms_to_verdict_plane
     g = _chain_grid(curve, exc, depth, grid_n)
     if numeric_chain:
-        chain = [analytic_locus(curve, exc, 0, g)]
+        chain = list(analytic_chain(curve, exc, 0, g))
         for _ in range(depth):
             chain.append(numeric_transform(chain[-1]))
-        chain, rates = tuple(chain), None
     else:
-        chain, rates = analytic_chain(curve, exc, depth, g)
-    refine_chain(chain, rates if rates is not None else _derivative_arrays(chain[-1]))
+        chain = list(analytic_chain(curve, exc, min(depth + 1, curve.max_derivative_order), g))
+    if len(chain) == depth + 1:  # it stops at the verdict plane
+        chain.append(_transform(chain[-1]))
+    refine_chain(chain)
+    chain = tuple(chain[:-1])
     planes = tuple(_analyze_plane(locus, tol, plane_labels(descriptor, d))
                    for d, locus in enumerate(chain))
     ideality = check_ideality(curve, tol)
@@ -606,22 +609,21 @@ def _suite_checks(
 ) -> dict[str, CheckResult]:
     """The five checks of one curve, in ALL_CHECKS order, read off planes 1 and 2.
 
-    Plane 2 is the depth-1 chain's rates, so the grid jet stops at depth
-    2.  The checks read plane 1's origin crossing and tangent landmarks
-    and plane 2's origin crossing and valuedness, so plane 2's own rates
-    are neither built nor refined.
+    The checks read plane 1's origin crossing and tangent landmarks and
+    plane 2's origin crossing and valuedness, so the chain is planes 1
+    and 2, its grid jet stops at depth 2, and plane 2's own rates are
+    neither built nor refined.
     """
     if not ideality.ideal:
         return _skipped_checks("curve not ideal: fails " + ", ".join(ideality.failed_criteria()))
-    chain, rates = analytic_chain(curve, exc, 1, _chain_grid(curve, exc, 1, grid_n))
-    plane1 = chain[1]
-    loci = (plane1,) if rates is None else (
-        plane1, ParametricLocus._view(plane1.t_values, *rates, 2, plane1.jet))
+    loci = analytic_chain(curve, exc, min(2, curve.max_derivative_order),
+                          _chain_grid(curve, exc, 1, grid_n))[1:]
+    plane1 = loci[0]
     refine_chain(loci)
     first = _verdict(ElementDescriptor(-1, -1), loci[:1],
                      origin_crossing(plane1, tol.pinch_tol).abscissa_zeros, (), tol)
     checks = {CHECK_FIRST_ORDER: _first_order_check(first, exc.period)}
-    if rates is None:
+    if len(loci) == 1:
         return checks | _skipped_checks("needs second derivatives", ALL_CHECKS[1:])
     val = valuedness(loci[1], tol.valuedness_tol)
     checks[CHECK_SINGLE_VALUED] = CheckResult(

@@ -29,8 +29,8 @@ reordered or fused, so the values are that kernel's bit for bit.  Every
 operation is elementwise, so a value does not depend on the other times
 the jet is taken at, bit for bit; grid samples therefore stand in for
 any later jet evaluation at grid times.  The loci of a chain are views
-of one jet on the grid (analytic_chain), which runs one level deeper to
-give the last plane's rates.  Off the grid, jet_signals evaluates any
+of one jet on the grid (analytic_chain), each past the first holding
+the rates of the one before.  Off the grid, jet_signals evaluates any
 mix of depths and coordinates in one call, the ordinate rows on its
 ordinate elements alone.  An analytic locus names its (curve, drive)
 pair as its jet, which loci.point_at reads at depth k for coordinates
@@ -310,20 +310,16 @@ def analytic_locus(
 
 def analytic_chain(
     curve: ConstitutiveCurve, exc: Excitation, depth: int, sample_grid: SampleGrid
-) -> tuple[tuple[ParametricLocus, ...], tuple[np.ndarray, np.ndarray] | None]:
-    """The loci of depths 0..k, and the depth-k coordinate rates, off one grid jet.
+) -> tuple[ParametricLocus, ...]:
+    """The loci of depths 0..k, off one grid jet to depth k.
 
-    Each locus equals analytic_locus's for its depth, bit for bit.  The
-    jet runs one level past k where the curve has a derivative of order
-    k + 1, and its depth-(k+1) rows are then the rates (du/dt, dw/dt) of
-    the last locus; without that derivative the rates are None.
+    Each locus equals analytic_locus's for its depth, bit for bit, and
+    each past the first holds the rates (du/dt, dw/dt) of the one before.
     """
     depth = _checked_depth(curve, depth)
     t = sample_grid.t_values
-    top = min(depth + 1, curve.max_derivative_order)
-    rows = _grid_jet(curve, exc, t, top, range(top + 1))
-    chain = tuple(ParametricLocus._view(t, *rows[d], d, (curve, exc)) for d in range(depth + 1))
-    return chain, rows[top] if top > depth else None
+    rows = _grid_jet(curve, exc, t, depth, range(depth + 1))
+    return tuple(ParametricLocus._view(t, *rows[d], d, (curve, exc)) for d in range(depth + 1))
 
 
 def periodic_derivative(values: np.ndarray, spacing: float) -> np.ndarray:

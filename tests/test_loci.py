@@ -437,11 +437,13 @@ class TestPhaseShift:
         assert events.count(("bisect", None)) == 1
         # the peaks are among the roots refine_chain finds on the same grid
         roots = loci._plane_roots(analytic_locus(tanh_curve, drive, 1, grid(drive, 8192)))
+        top = loci._plane_roots(analytic_locus(tanh_curve, drive, 2, grid(drive, 8192)))
         # after the bisection, the landmark values are one jet block, at the
-        # locus's roots and slope-span midpoints, and no jet_signals call
+        # depth-1 locus's roots and slope-span midpoints and the depth-2
+        # locus's abscissa roots, and no jet_signals call
         after = events[events.index(("bisect", None)) + 1:]
         times = roots.abscissa + roots.du + roots.dw + [0.5 * (a + b) for a, b in roots.spans]
-        assert after == [("jet", len(times))]
+        assert after == [("jet", len(times) + len(top.abscissa))]
         assert rpt.t_peak_ordinate in roots.dw
         assert rpt.t_peak_abscissa in roots.du
 
@@ -970,8 +972,8 @@ class TestGridSeed:
         bisect, guessed = loci.bisect, []
 
         def refined():
-            chain, rates = transform.analytic_chain(curve, exc, 4, grid(exc, n))
-            loci.refine_chain(chain, rates)
+            chain = transform.analytic_chain(curve, exc, 5, grid(exc, n))
+            loci.refine_chain(chain)
             return [vars(locus)["_roots"] for locus in chain]
 
         def recording(*args, guess=None, **kwargs):
@@ -1297,7 +1299,8 @@ def _frozen_refine_chain(chain, top_rates=None):
         elif after is None and top_rates is not None:
             rates = top_rates
         else:
-            rates = loci._derivative_arrays(locus)
+            after = loci._transform(locus)
+            rates = (after.u_values, after.w_values)
         t = locus.t_values
         vals = np.stack((locus.u_values, *rates))
         rows, left = _frozen_scan(vals)
@@ -1359,7 +1362,7 @@ class TestTopPlaneWithoutRates:
 
     def test_rate_landmarks_refine_the_rates_then(self, cubic, drive):
         g = grid(drive, 1024)
-        chain, _ = transform.analytic_chain(cubic, drive, 2, g)
+        chain = transform.analytic_chain(cubic, drive, 2, g)
         loci.refine_chain(chain)
         assert vars(chain[-1])["_roots"].du is None
         alone = analytic_locus(cubic, drive, 2, g)
@@ -1373,7 +1376,7 @@ class TestTopPlaneWithoutRates:
 
     def test_project_landmarks_refine_the_rates_then(self, cubic, drive):
         g = grid(drive, 1024)
-        chain, _ = transform.analytic_chain(cubic, drive, 2, g)
+        chain = transform.analytic_chain(cubic, drive, 2, g)
         loci.refine_chain(chain)
         alone = analytic_locus(cubic, drive, 2, g)
         points = zero_tangent_points(alone)
@@ -1381,12 +1384,36 @@ class TestTopPlaneWithoutRates:
         assert repr(loci.project_landmarks(chain[-1], points)) == repr(
             loci.project_landmarks(alone, points))
 
+    @pytest.mark.parametrize("kind", ["closed", "capped", "numeric"])
+    def test_last_locus_keeps_its_abscissa_fields_until_its_rates_are_read(self, kind,
+                                                                          drive):
+        # the last locus's transform would be the jet one level deeper, the
+        # differences of a jet plane at the curve's order cap, or differences
+        # of differences; none is built until its rates are read
+        g = grid(drive, 1024)
+        cubic = PolynomialCurve((0.0, 1.0, 0.0, 1.0 / 3.0),
+                                max_derivative_order=2 if kind == "capped" else 4)
+        if kind == "numeric":
+            chain = (analytic_locus(cubic, drive, 0, g),)
+            chain += (numeric_transform(chain[0]),)
+            alone = numeric_transform(analytic_locus(cubic, drive, 0, g))
+        else:
+            chain = transform.analytic_chain(cubic, drive, 2, g)
+            alone = analytic_locus(cubic, drive, 2, g)
+        loci.refine_chain(chain)
+        top = vars(chain[-1])["_roots"]
+        assert (top.du, top.dw, top.spans) == (None, None, None)
+        assert len(top.peak) == 2 and all(len(v) == 2 for v in top.at.values())
+        got = loci.rate_landmarks(chain[-1])
+        assert repr(got) == repr(loci.rate_landmarks(alone))
+        assert _same_fields(vars(chain[-1])["_roots"], loci._plane_roots(alone, rates=True))
+
     def test_rates_beyond_float_range_raise(self, cubic):
         # the depth-2 plane's own rates need drive level 3, which overflows
         exc = Excitation(amplitude=1.0, omega=1e103)
-        chain, rates = transform.analytic_chain(cubic, exc, 1, grid(exc, 256))
-        top = ParametricLocus._view(chain[1].t_values, *rates, 2, chain[1].jet)
-        loci.refine_chain((chain[1], top))
+        chain = transform.analytic_chain(cubic, exc, 2, grid(exc, 256))
+        top = chain[2]
+        loci.refine_chain(chain[1:])
         origin_crossing(top)
         with pytest.raises(NumericalError, match="drive level 3 is beyond float range"):
             loci.rate_landmarks(top)
@@ -1420,30 +1447,34 @@ class TestOnePassRefinement:
         return Excitation(amplitude, omega, offset)
 
     def _chain(self, name, depth, n, kind, data):
-        """A chain of the kind, and its last plane's rates as classify passes them."""
+        """A chain of the kind, one plane past depth, as classify builds it; a lone
+        depth-d locus and its transform, as _plane_roots refines it."""
         curve, (lo, hi) = self.CURVES[name]
         exc = self._drive(data, lo, hi)
         g = grid(exc, n)
-        rates = None
         if kind in ("closed", "lone"):
-            chain, rates = transform.analytic_chain(curve, exc, depth, g)
+            chain = list(transform.analytic_chain(
+                curve, exc, min(depth + 1, curve.max_derivative_order), g))
         else:
             chain = [analytic_locus(curve, exc, 0, g)]
             for _ in range(depth):
                 chain.append(numeric_transform(chain[-1]))
         if kind.startswith("lone"):
-            chain, rates = (chain[-1],), None
-        return chain, rates if rates is not None else loci._derivative_arrays(chain[-1])
+            return [chain[depth], loci._transform(chain[depth])]
+        if len(chain) == depth + 1:
+            chain.append(loci._transform(chain[-1]))
+        return chain
 
     @settings(max_examples=120, deadline=None)
     @given(name=st.sampled_from(sorted(CURVES)), depth=st.integers(0, 4),
            n=st.sampled_from([64, 257, 4095, 4096]),
            kind=st.sampled_from(["closed", "numeric", "lone", "lone_numeric"]), data=st.data())
     def test_every_field_equals_the_frozen_pass(self, name, depth, n, kind, data):
-        chain, rates = self._chain(name, depth, n, kind, data)
-        want = _frozen_refine_chain(chain, rates)
-        loci.refine_chain(chain, rates)
-        for locus, plane in zip(chain, want, strict=True):
+        # every plane but the last, whose coordinates are the one before's rates
+        chain = self._chain(name, depth, n, kind, data)
+        want = _frozen_refine_chain(chain[:-1], (chain[-1].u_values, chain[-1].w_values))
+        loci.refine_chain(chain)
+        for locus, plane in zip(chain[:-1], want, strict=True):
             assert _same_fields(vars(locus)["_roots"], plane)
 
     @settings(max_examples=60, deadline=None)
@@ -1452,9 +1483,12 @@ class TestOnePassRefinement:
            kind=st.sampled_from(["closed", "numeric", "lone", "lone_numeric"]), data=st.data())
     def test_without_top_rates_the_top_keeps_its_abscissa_fields(self, name, depth, n, kind,
                                                                  data):
-        # the planes below the top, and the top's abscissa roots, (u, w) peaks
-        # and values there, are the ones a pass with the top's rates stores
-        chain, rates = self._chain(name, depth, n, kind, data)
+        # the chain stops at the top: the planes below it, and its abscissa
+        # roots, (u, w) peaks and values there, are the ones a pass with the
+        # top's rates stores
+        chain = self._chain(name, depth, n, kind, data)
+        rates = (chain[-1].u_values, chain[-1].w_values)
+        chain = chain[:-1]
         want = _frozen_refine_chain(chain, rates)
         loci.refine_chain(chain)
         for locus, plane in zip(chain[:-1], want[:-1], strict=True):
@@ -1468,11 +1502,12 @@ class TestOnePassRefinement:
     @given(name=st.sampled_from(sorted(CURVES)), n=st.sampled_from([64, 257, 4095, 8192]),
            data=st.data())
     def test_phase_shift_chain_equals_the_frozen_pass(self, name, n, data):
-        # phase_shift refines the depth-1 locus alone, with the jet's depth-2 rows as its rates
+        # phase_shift refines the depth-1 and depth-2 loci as one chain, so the
+        # depth-2 locus gives the depth-1 locus its rates
         curve, (lo, hi) = self.CURVES[name]
         exc = self._drive(data, lo, hi)
-        chain, rates = transform.analytic_chain(curve, exc, 1, grid(exc, n))
-        (want,) = _frozen_refine_chain(chain[1:], rates)
-        loci.refine_chain(chain[1:], rates)
+        chain = transform.analytic_chain(curve, exc, 2, grid(exc, n))
+        (want,) = _frozen_refine_chain(chain[1:2], (chain[2].u_values, chain[2].w_values))
+        loci.refine_chain(chain[1:])
         assert _same_fields(vars(chain[1])["_roots"], want)
         assert "_roots" not in vars(chain[0])

@@ -602,7 +602,7 @@ class TestChainAnalysedOnce:
 
     def test_chain_loci_are_read_only_views_of_one_grid(self, cubic):
         g = grid(Excitation(), 1024)
-        chain, rates = transform.analytic_chain(cubic, Excitation(), 2, g)
+        chain = transform.analytic_chain(cubic, Excitation(), 2, g)
         assert all(locus.t_values is g.t_values for locus in chain)
         numeric = transform.numeric_transform(chain[-1])
         assert numeric.t_values is g.t_values
@@ -618,6 +618,45 @@ class TestChainAnalysedOnce:
         classify((-2, -2), cubic)
         assert counts.pop("hook_calls") <= self.MAX_HOOK_CALLS
         assert counts == self.EXPECTED
+
+
+class TestChainEndsPastTheVerdictPlane:
+    """classify's chain ends one plane past the verdict plane, which it does not report:
+    off the grid jet where the curve has the derivative, else by finite differences."""
+
+    # (verdict depth, curve order, numeric_chain, the source depths of the
+    # finite-difference transforms taken, the depths of the jets on the grid);
+    # a numeric chain reads plane 0's rates off its jet, so at depth 0 finite
+    # differences would only hold two more grid rows
+    CASES = [(0, 4, False, [], [1]), (1, 4, False, [], [2]), (3, 4, False, [], [4]),
+             (1, 1, False, [1], [1]), (3, 3, False, [3], [3]),
+             (0, 4, True, [], [0, 1]), (1, 4, True, [0, 1], [0, 1]),
+             (3, 4, True, [0, 1, 2, 3], [0, 1])]
+
+    @pytest.mark.parametrize("depth, order, numeric, transforms, grid_jets", CASES)
+    def test_chain_takes_only_the_evaluations_it_needs(self, depth, order, numeric, transforms,
+                                                        grid_jets, monkeypatch):
+        taken, jets = [], []
+        jet, differences = transform._jet, transform.numeric_transform
+
+        def recording_jet(curve, exc, t, top, *args, **kwargs):
+            if np.size(t) == DEFAULT_GRID_N + 1:
+                jets.append(top)
+            return jet(curve, exc, t, top, *args, **kwargs)
+
+        def recording_differences(locus):
+            taken.append(locus.depth)
+            return differences(locus)
+
+        monkeypatch.setattr(transform, "_jet", recording_jet)
+        monkeypatch.setattr(loci, "_jet", recording_jet)
+        monkeypatch.setattr(taxonomy, "numeric_transform", recording_differences)
+        monkeypatch.setattr(loci, "numeric_transform", recording_differences)
+        curve = PolynomialCurve((0.0, 1.0, 0.0, 1.0 / 3.0), max_derivative_order=order)
+        rpt = classify((-depth, -depth), curve, numeric_chain=numeric)
+        assert (taken, jets) == (transforms, grid_jets)
+        assert len(rpt.loci) == len(rpt.planes) == depth + 1
+        assert [locus.depth for locus in rpt.loci] == list(range(depth + 1))
 
 
 def _classify_distinct(seed: int, workdir, monkeypatch):

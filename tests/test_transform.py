@@ -395,30 +395,29 @@ class TestFrozenKernel:
         exc = self._drive(data, lo, hi)
         depth = data.draw(st.integers(0, curve.max_derivative_order), label="depth")
         g = grid(exc, n)
-        chain, rates = transform.analytic_chain(curve, exc, depth, g)
-        top = min(depth + 1, curve.max_derivative_order)
-        want_x, want_y = _frozen_jet(curve, exc, g.t_values, top)
+        chain = transform.analytic_chain(curve, exc, depth, g)
+        want_x, want_y = _frozen_jet(curve, exc, g.t_values, depth)
+        assert len(chain) == depth + 1
         for d, locus in enumerate(chain):
             assert _equal_bits(locus.u_values, want_x[d]) and _equal_bits(locus.w_values, want_y[d])
-        if top > depth:
-            assert _equal_bits(rates[0], want_x[top]) and _equal_bits(rates[1], want_y[top])
 
 
 class TestJetMemory:
     def test_grid_jet_peak_is_its_blocks_and_the_bell_rows(self, cubic, drive):
-        # the depth-2 chain's jet runs to depth 3: blocks of 4 level and 4 ordinate
-        # rows, which the loci and rates hold, plus the Bell rows B_{2,2}, B_{3,2}
-        # and B_{3,3} and one term row while it sums, 1.5 times the blocks; the
-        # jet that pushed lists of rows through np.where peaked at 2.38 times
+        # the depth-3 chain (classify's for a depth-2 verdict plane) reads one
+        # jet: blocks of 4 level and 4 ordinate rows, which the loci hold, plus
+        # the Bell rows B_{2,2}, B_{3,2} and B_{3,3} and one term row while it
+        # sums, 1.5 times the blocks; the jet that pushed lists of rows through
+        # np.where peaked at 2.38 times
         g = grid(drive, 65536)
         tracemalloc.start()
         try:
-            chain, rates = transform.analytic_chain(cubic, drive, 2, g)
+            chain = transform.analytic_chain(cubic, drive, 3, g)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         blocks = 2 * 4 * len(g) * 8
-        assert rates[0].base is chain[0].u_values.base  # the levels block
+        assert chain[3].u_values.base is chain[0].u_values.base  # the levels block
         assert peak <= 1.6 * blocks
 
     def test_held_locus_keeps_its_own_rows_alone(self, cubic, drive):
@@ -508,7 +507,7 @@ class TestAnalyticLocus:
                     build(cubic, exc, 1, other)
         locus = analytic_locus(cubic, exc, 1, near)
         assert loci.odd_symmetry(locus).odd_symmetric
-        assert transform.analytic_chain(cubic, exc, 1, near)[0][1].t_values is near.t_values
+        assert transform.analytic_chain(cubic, exc, 1, near)[1].t_values is near.t_values
 
     def test_deep_locus_is_closed_form(self):
         curve, _, _, exc = SYMBOLIC["tanh"]
@@ -665,11 +664,13 @@ class TestJetOverflow:
 
     @pytest.mark.parametrize("depth", [0, 1, 2])
     def test_chain_rows_and_rates(self, depth):
-        # depth 0 fails at its rates, the depth-1 row one level deeper
+        # the chain one plane past depth d, whose last plane is plane d's
+        # rates: depth 0 fails at its rates, deeper chains at their depth-1 row
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalError, match="depth 1 ordinate"):
-                transform.analytic_chain(HUGE_CUBIC, HUGE_DRIVE, depth, grid(HUGE_DRIVE, 256))
+                transform.analytic_chain(HUGE_CUBIC, HUGE_DRIVE, depth + 1,
+                                         grid(HUGE_DRIVE, 256))
 
     def test_numeric_transform_row(self):
         # the depth-0 rows are finite, their difference quotients are not

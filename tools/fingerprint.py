@@ -263,7 +263,7 @@ def stored_roots(curves: dict, drives: dict) -> None:
                             for _ in range(depth):
                                 chain.append(memelements.numeric_transform(chain[-1]))
                         memelements.loci.refine_chain(
-                            chain, memelements.loci._derivative_arrays(chain[-1]))
+                            chain + [memelements.loci._transform(chain[-1])])
                     except Exception as err:
                         emit(tag, f"{type(err).__name__}: {err}")
                         continue
