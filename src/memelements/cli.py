@@ -445,16 +445,15 @@ class Panel:
         """The drawn x and y ranges, padded; DomainError for a panel with
         nothing to draw, a sample or marker that is not finite, or padded
         ranges whose span is not finite."""
-        xs = [s[1] for s in self.series] + [np.array([m[0] for m in self.markers])]
-        ys = [s[2] for s in self.series] + [np.array([m[1] for m in self.markers])]
-        allx = np.concatenate(xs)
-        ally = np.concatenate(ys)
-        if not allx.size:
+        markers = np.array([m[:2] for m in self.markers]).reshape(-1, 2).T
+        # each series is reduced on its own, so that no copy of all the samples is made
+        parts = [(x, y) for x, y in [s[1:] for s in self.series] + [markers] if x.size]
+        if not parts:
             raise DomainError(f"panel {self.title!r} has no sample or marker to draw")
-        if not (np.isfinite(allx).all() and np.isfinite(ally).all()):
+        if not all(np.isfinite(x).all() and np.isfinite(y).all() for x, y in parts):
             raise DomainError(f"panel {self.title!r} has a sample or marker that is not finite")
-        x0, x1 = float(allx.min()), float(allx.max())
-        y0, y1 = float(ally.min()), float(ally.max())
+        x0, y0 = np.array([(x.min(), y.min()) for x, y in parts]).min(0).tolist()
+        x1, y1 = np.array([(x.max(), y.max()) for x, y in parts]).max(0).tolist()
         if self.include_origin:
             x0, x1 = min(x0, 0.0), max(x1, 0.0)
             y0, y1 = min(y0, 0.0), max(y1, 0.0)

@@ -11,7 +11,8 @@ d's rates are plane d + 1's coordinates, so the chain's signal rows
 of them on a closed-form depth-k chain, and every step below is one
 pass over all of them; each plane's results are its rows' slices:
 
-* roots: the rows are scanned for sign changes over the grid, and when
+* roots: the rows are scanned for sign changes over the grid, a column
+  block at a time so that no full-size stack of them is made, and when
   the locus has a jet, all the brackets are refined by one lock-step
   bisection.  Its endpoint values are the scanned samples, so the jet
   is not evaluated there again.  Each root is estimated from the
@@ -48,7 +49,8 @@ import numpy as np
 from .constitutive import ConstitutiveCurve
 from .errors import CapabilityError, NumericalError
 from .excitation import Excitation, _finite_times, grid
-from .transform import ParametricLocus, _jet, analytic_chain, jet_signals, numeric_transform
+from .transform import (ParametricLocus, _grid_jet, _jet, analytic_chain, jet_signals,
+                        numeric_transform)
 
 __all__ = [
     "PointKind",
@@ -77,6 +79,9 @@ __all__ = [
 _BISECT_RTOL = 4.0 * np.finfo(float).eps
 # refine_chain's bisection xtol; roots of one signal within ten times it are one root
 _REFINE_XTOL = 1e-12
+# refine_chain scans a chain's rows this many grid intervals at a time; the
+# default grid is one block
+_SCAN_BLOCK = 4096
 _BISECT_MAXITER = 100
 # grid offsets of the samples whose inverse interpolant seeds a bracket's root
 _STENCIL = np.arange(-2, 4)
@@ -211,12 +216,21 @@ def point_at(locus: ParametricLocus, t):
 
 
 def _transform(locus: ParametricLocus) -> ParametricLocus:
-    """The locus's transform: its jet at depth + 1 where that gives its rates, else
-    finite differences."""
+    """The locus's transform: the next locus of its grid jet where that gives its rates,
+    else finite differences.
+
+    A locus of analytic_chain holds the next one, unless it is the last;
+    for any other, the jet is taken on the grid again, and raises
+    NumericalError where the rates pass float range (_grid_jet).
+    """
     if not _has_rates(locus):
         return numeric_transform(locus)
-    u, w = _jet_rows(locus, locus.t_values, locus.depth + 1)
-    return ParametricLocus._view(locus.t_values, u, w, locus.depth + 1, locus.jet)
+    after = vars(locus).get("_next")
+    if after is None:
+        k = locus.depth + 1
+        [(u, w)] = _grid_jet(*locus.jet, locus.t_values, k, [k])
+        after = ParametricLocus._view(locus.t_values, u, w, k, locus.jet)
+    return after
 
 
 def _path(a: float, dm: float, aim: float, steps: int, xtol: float) -> tuple[list, list, bool]:
@@ -351,10 +365,54 @@ def _scan(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.divmod(np.flatnonzero(change), change.shape[1])
 
 
-def _interpolated(t: np.ndarray, vals: np.ndarray, rows: np.ndarray,
-                  left: np.ndarray) -> np.ndarray:
-    """Linear-interpolation roots in the brackets, for signals without a jet."""
-    a, b = vals[rows, left], vals[rows, left + 1]
+def _scan_rows(rows: list[np.ndarray], n: int) -> tuple[list[float], np.ndarray, np.ndarray,
+                                                        np.ndarray, list[list[int]]]:
+    """Peaks, sign-change brackets and exact zeros of signal rows of n + 1 samples.
+
+    Returns each row's max |v|; the row and left sample index of each
+    bracket (_scan), row by row and, within a row, in time order; the
+    samples at _STENCIL's offsets round each bracket, wrapped round the
+    period (sample n is sample 0 one period later), so that columns 2
+    and 3 are its ends; and each row's exact-zero sample indices.  The
+    rows are stacked _SCAN_BLOCK intervals at a time, so that a fine grid
+    holds no full-size stack of them.  A grid of one block gathers the
+    stencils from that block's stack, a finer one from a stack of the
+    columns they read.
+    """
+    blocks = range(0, n, _SCAN_BLOCK)
+    peaks, at_row, left, zeros = [], [], [], [[] for _ in rows]
+    for start in blocks:
+        stop = min(start + _SCAN_BLOCK, n)
+        vals = np.stack([r[start:stop + 1] for r in rows])
+        # max |v| without an |v| temporary: negation and abs are exact
+        peaks.append(np.maximum(vals.max(1), -vals.min(1)))
+        r, i = _scan(vals)
+        at_row.append(r)
+        left.append(i)
+        # a block's last column is the next block's first
+        last = stop - start + (stop == n)
+        for row, i in zip(*(v.tolist() for v in np.divmod(np.flatnonzero(vals[:, :last] == 0.0),
+                                                            last))):
+            zeros[row].append(start + i)
+    if len(blocks) == 1:
+        (peaks,), (at_row,), (left,) = peaks, at_row, left
+    else:
+        peaks = np.maximum.reduce(peaks)
+        at_row = np.concatenate(at_row)
+        left = np.concatenate([i + start for i, start in zip(left, blocks)])
+        order = np.argsort(at_row, kind="stable")  # the blocks come in time order
+        at_row, left = at_row[order], left[order]
+    k = left[:, None] + _STENCIL
+    k = np.where((k < 0) | (k > n), k % n, k)
+    if len(blocks) > 1:
+        cols = np.unique(k)
+        vals, k = np.stack([r[cols] for r in rows]), np.searchsorted(cols, k)
+    return peaks.tolist(), at_row, left, vals[at_row[:, None], k], zeros
+
+
+def _interpolated(t: np.ndarray, left: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Linear-interpolation roots in the brackets from t[left] to t[left + 1], whose end
+    samples are a and b, for signals without a jet."""
     return t[left] - a * (t[left + 1] - t[left]) / (b - a)
 
 
@@ -431,15 +489,16 @@ def refine_chain(chain) -> None:
     and valuedness read.  A plane's signal rows are its abscissa u (for
     origin_crossing) and its rates du/dt and dw/dt (for rate_landmarks);
     a row two planes share, such as plane d's du/dt and plane d + 1's u,
-    is one array, taken once.  The distinct rows get one scan for sign
-    changes, one stencil gather, one peaks pass and one search for exact
-    zeros (_zero_roots).  Every bracket the jet covers is refined in one
-    lock-step bisection through jet_signals, seeded by _inverse_root; the
-    others keep their linear-interpolation root.  One _jet block at every
-    jet plane's roots and slope-span midpoints gives (u, w, du/dt, dw/dt)
-    there, plane d reading rows d and d + 1; what the jet does not give
-    is interpolated in the grid samples or rates.  Each plane's
-    _PlaneRoots, its rows' slices of all this, is stored on its locus.
+    is one array, taken once.  The distinct rows are scanned for sign
+    changes, peaks and exact zeros (_zero_roots), a column block at a
+    time, and the samples round each bracket gathered (_scan_rows).  Every
+    bracket the jet covers is refined in one lock-step bisection through
+    jet_signals, seeded by _inverse_root; the others keep their
+    linear-interpolation root.  One _jet block at every jet plane's roots
+    and slope-span midpoints gives (u, w, du/dt, dw/dt) there, plane d
+    reading rows d and d + 1; what the jet does not give is interpolated
+    in the grid samples or rates.  Each plane's _PlaneRoots, its rows'
+    slices of all this, is stored on its locus.
     """
     rows, signals, index = [], [], {}  # distinct rows, their jet signals, id -> row
 
@@ -465,11 +524,8 @@ def refine_chain(chain) -> None:
 
     t = chain[0].t_values
     n = t.size - 1
-    vals = np.stack(rows)
-    # max |v| without an |v| temporary: negation and abs are exact
-    peaks = np.maximum(vals.max(1), -vals.min(1)).tolist()
-    at_row, left = _scan(vals)
-    crossings = _interpolated(t, vals, at_row, left)
+    peaks, at_row, left, samples, zeros = _scan_rows(rows, n)
+    crossings = _interpolated(t, left, samples[:, 2], samples[:, 3])
     # the brackets the jet covers
     hooked = np.flatnonzero(np.array([s is not None for s in signals])[at_row])
     jet = next((locus.jet for locus in chain if locus.jet is not None), None)
@@ -477,22 +533,15 @@ def refine_chain(chain) -> None:
         depth, ordinate = map(np.array, zip(*(signals[r] for r in at_row[hooked].tolist())))
         i = left[hooked]
         a, b = t[i], t[i + 1]
-        # samples i - 2 ... i + 3 round each bracket, wrapped round the
-        # period (t[-1] is t[0] one period later); the bracket ends are 2 and 3
-        k = i[:, None] + _STENCIL
-        samples = vals[at_row[hooked, None], np.where((k < 0) | (k > n), k % n, k)]
+        stencil = samples[hooked]
         crossings[hooked] = bisect(
             lambda x, live: jet_signals(*jet, x, depth[live], ordinate[live]),
-            a, b, samples[:, 2], samples[:, 3], xtol=_REFINE_XTOL,
-            guess=a + _inverse_root(samples) * (b - a))
+            a, b, stencil[:, 2], stencil[:, 3], xtol=_REFINE_XTOL,
+            guess=a + _inverse_root(stencil) * (b - a))
 
-    # each row's crossings, in scan order, and its exact-zero sample indices
+    # each row's crossings, in scan order
     stops = np.cumsum(np.bincount(at_row, minlength=len(rows))).tolist()
     crossings = crossings.tolist()
-    zeros = [[] for _ in rows]
-    for r, i in zip(*(v.tolist() for v in np.divmod(np.flatnonzero(vals == 0.0), n + 1))):
-        zeros[r].append(i)
-    del vals
 
     def roots(r: int, transversal_only: bool) -> list[float]:
         return _dedupe(crossings[stops[r - 1] if r else 0:stops[r]]
@@ -661,8 +710,10 @@ def valuedness(locus: ParametricLocus, tol: float = 1e-9) -> ValuednessReport:
     rest = np.where(gap > bar, gap, -np.inf)
     reach = n // 64 + 2
     witnesses: list[ValuednessWitness] = []
-    while len(witnesses) < 4 and rest.max() > -np.inf:
+    while len(witnesses) < 4:
         i = int(np.argmax(rest))
+        if rest[i] == -np.inf:
+            break
         j = i if h is None else (h - i) % n
         witnesses.append(ValuednessWitness(*map(float, (t[i], t_pair[j], w[i], w_pair[j]))))
         # on the grid contract no sample T/64 away lies beyond n/64 + 2 samples
@@ -672,13 +723,20 @@ def valuedness(locus: ParametricLocus, tol: float = 1e-9) -> ValuednessReport:
 
 
 def odd_symmetry(locus: ParametricLocus, tol: float = 1e-9) -> SymmetryReport:
-    """Point symmetry through the origin under time reversal t_i -> T - t_i = t_(n-i)."""
+    """Point symmetry through the origin under time reversal t_i -> T - t_i = t_(n-i).
+
+    The scale is max(1, max |u|, max |w|), read off the refined plane's
+    peaks where refine_chain has stored them.
+    """
     u = locus.u_values
     w = locus.w_values
     viol_u = float(np.max(np.abs(u + u[::-1])))
     viol_w = float(np.max(np.abs(w + w[::-1])))
     violation = max(viol_u, viol_w)
-    scale = max(1.0, float(np.max(np.abs(u))), float(np.max(np.abs(w))))
+    roots = vars(locus).get("_roots")
+    peaks = (roots.peak[:2] if roots is not None else
+             (float(np.max(np.abs(u))), float(np.max(np.abs(w)))))
+    scale = max(1.0, *peaks)
     return SymmetryReport(odd_symmetric=violation <= tol * scale,
                           max_violation=violation)
 

@@ -455,9 +455,13 @@ def classify(
     depth = descriptor.transforms_to_verdict_plane
     g = _chain_grid(curve, exc, depth, grid_n)
     if numeric_chain:
-        chain = list(analytic_chain(curve, exc, 0, g))
-        for _ in range(depth):
-            chain.append(numeric_transform(chain[-1]))
+        # one jet gives plane 0 and its rates, which refine_chain reads off the
+        # jet (_transform) when the next plane is finite differences
+        chain = list(analytic_chain(curve, exc, min(1, curve.max_derivative_order), g))
+        if depth:
+            chain = chain[:1]
+            for _ in range(depth):
+                chain.append(numeric_transform(chain[-1]))
     else:
         chain = list(analytic_chain(curve, exc, min(depth + 1, curve.max_derivative_order), g))
     if len(chain) == depth + 1:  # it stops at the verdict plane

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -1050,7 +1051,7 @@ def _chain_roots(t, vals, hook=None, transversal_only=False):
     t = np.asarray(t, dtype=float)
     vals = np.atleast_2d(np.asarray(vals, dtype=float))
     rows, left = loci._scan(vals)
-    crossings = loci._interpolated(t, vals, rows, left)
+    crossings = loci._interpolated(t, left, vals[rows, left], vals[rows, left + 1])
     if hook is not None and rows.size:
         crossings = loci.bisect(
             lambda x, live: np.asarray(hook(x))[rows[live], np.arange(x.size)],
@@ -1138,6 +1139,24 @@ class TestScan:
         vals = np.array([[1.0, 0.0, -1.0, np.nan, 1.0, -0.0, 2.0, -np.inf]])
         rows, left = loci._scan(vals)
         assert rows.tolist() == [0] and left.tolist() == [6]
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 40), block=st.integers(1, 12),
+           samples=st.lists(st.sampled_from([-1.0, -0.0, 0.0, 1e-300, 2.5, -3.0]),
+                            min_size=3 * 41, max_size=3 * 41))
+    def test_column_blocks_give_what_one_block_gives(self, n, block, samples):
+        # brackets, stencils and zero runs at a block's ends and round the
+        # seam come out of the blocks as out of one stack of the rows
+        rows = [np.array(samples[i * 41:i * 41 + n + 1]) for i in range(3)]
+
+        def scanned():
+            return repr([v.tolist() if isinstance(v, np.ndarray) else v
+                         for v in loci._scan_rows(rows, n)])
+
+        whole = scanned()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(loci, "_SCAN_BLOCK", block)
+            assert scanned() == whole
 
 
 class TestRefinedRoots:
@@ -1268,7 +1287,7 @@ def _frozen_signal_roots(t, row, crossings, transversal_only):
 def _frozen_roots(t, row, transversal_only):
     """A row's roots as the per-plane pass found them without a jet."""
     rows, left = _frozen_scan(row[None])
-    crossings = loci._interpolated(t, row[None], rows, left)
+    crossings = loci._interpolated(t, left, row[left], row[left + 1])
     return _frozen_signal_roots(t, row, crossings, transversal_only)
 
 
@@ -1317,7 +1336,8 @@ def _frozen_refine_chain(chain, top_rates=None):
         peak_u, peak_du, peak_dw = np.maximum(vals.max(1), -vals.min(1)).tolist()
         w = locus.w_values
         peak = (peak_u, float(np.maximum(w.max(), -w.min())), peak_du, peak_dw)
-        scans.append((locus, rates, rows, loci._interpolated(t, vals, rows, left), slots, peak))
+        crossings = loci._interpolated(t, left, vals[rows, left], vals[rows, left + 1])
+        scans.append((locus, rates, rows, crossings, slots, peak))
 
     jet = next((locus.jet for locus in chain if locus.jet is not None), None)
     if ends:
@@ -1418,6 +1438,25 @@ class TestTopPlaneWithoutRates:
         with pytest.raises(NumericalError, match="drive level 3 is beyond float range"):
             loci.rate_landmarks(top)
 
+    def test_lone_locus_rates_beyond_float_range_raise(self):
+        # finite drive levels, but a depth-1 ordinate beyond float range
+        curve = PolynomialCurve((0.0, 1.0, 0.0, 1.0 / 3.0), operating_range=(0.0, 2e100))
+        exc = Excitation(amplitude=1e100, omega=1e50)
+        alone = analytic_locus(curve, exc, 0, grid(exc, 256))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="depth 1 ordinate is beyond float range"):
+                loci.rate_landmarks(alone)
+
+    def test_lone_locus_on_another_period_raises(self, cubic):
+        # its rates are taken on its grid, which must span the drive's period
+        drive = Excitation()
+        t = grid(Excitation(omega=2.0), 256).t_values
+        locus = ParametricLocus(t, *(v[0] for v in transform._jet(cubic, drive, t, 0)), 0,
+                                jet=(cubic, drive))
+        with pytest.raises(DomainError, match="the grid spans period 3.14"):
+            loci.rate_landmarks(locus)
+
 
 class TestOnePassRefinement:
     """The one pass over a chain's distinct rows stores what the per-plane pass stored."""
@@ -1474,6 +1513,21 @@ class TestOnePassRefinement:
         chain = self._chain(name, depth, n, kind, data)
         want = _frozen_refine_chain(chain[:-1], (chain[-1].u_values, chain[-1].w_values))
         loci.refine_chain(chain)
+        for locus, plane in zip(chain[:-1], want, strict=True):
+            assert _same_fields(vars(locus)["_roots"], plane)
+
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(sorted(CURVES)), depth=st.integers(0, 4),
+           n=st.sampled_from([64, 257, 4095]), block=st.sampled_from([1, 7, 64, 1000]),
+           kind=st.sampled_from(["closed", "numeric", "lone", "lone_numeric"]), data=st.data())
+    def test_column_blocks_equal_the_frozen_pass(self, name, depth, n, block, kind, data):
+        # a grid of more than one block is scanned a block at a time, and its
+        # stencils gathered from a stack of the columns they read
+        chain = self._chain(name, depth, n, kind, data)
+        want = _frozen_refine_chain(chain[:-1], (chain[-1].u_values, chain[-1].w_values))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(loci, "_SCAN_BLOCK", block)
+            loci.refine_chain(chain)
         for locus, plane in zip(chain[:-1], want, strict=True):
             assert _same_fields(vars(locus)["_roots"], plane)
 

@@ -1,6 +1,7 @@
 import dataclasses
 import importlib.util
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -270,16 +271,18 @@ class TestClassifyGuards:
         rpt = classify((-1, -1), wide, Excitation(amplitude=2.0))
         assert rpt.verdict is Verdict.LOCALLY_PASSIVE
 
+    @pytest.mark.parametrize("numeric", [False, True])
     @pytest.mark.parametrize("cell", [(0, 0), (-1, -1), (-2, -2)])
-    def test_jet_beyond_float_range_raises(self, cell):
-        # the drive levels A w^k are finite; the depth-1 ordinate, about (A w)^3, is not
+    def test_jet_beyond_float_range_raises(self, cell, numeric):
+        # the drive levels A w^k are finite; the depth-1 ordinate, about (A w)^3,
+        # is not, and a numeric chain reads it too, as plane 0's rates
         huge = PolynomialCurve(coefficients=(0.0, 1.0, 0.0, 1.0 / 3.0),
                                operating_range=(0.0, 2e100))
         exc = Excitation(amplitude=1e100, omega=1e50)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalError, match="depth 1 ordinate is beyond float range"):
-                classify(cell, huge, exc)
+                classify(cell, huge, exc, numeric_chain=numeric)
 
     @pytest.mark.parametrize("numeric", [False, True])
     def test_finite_difference_rates_beyond_float_range_raise(self, numeric):
@@ -587,9 +590,13 @@ class TestChainAnalysedOnce:
         assert len(sizes) == 3
         assert len(calls) == 1
 
-    def test_classify_scans_each_distinct_row_once(self, cubic, monkeypatch):
+    @pytest.mark.parametrize("n", [DEFAULT_GRID_N, 4 * DEFAULT_GRID_N + 8])
+    def test_classify_scans_each_distinct_row_once(self, cubic, monkeypatch, n):
         # u0, u1 and u2, w1 and w2, and the depth-2 plane's rates: plane d's
-        # rates are plane d + 1's coordinates, so 7 rows, not 3 per plane
+        # rates are plane d + 1's coordinates, so 7 rows, not 3 per plane.
+        # A fine grid is scanned a column block at a time, each block
+        # starting at the last column of the one before; the default grid
+        # is one block
         scan, shapes = loci._scan, []
 
         def recording(vals):
@@ -597,8 +604,13 @@ class TestChainAnalysedOnce:
             return scan(vals)
 
         monkeypatch.setattr(loci, "_scan", recording)
-        rpt = classify((-2, -2), cubic)
-        assert shapes == [(7, rpt.grid_n + 1)]
+        rpt = classify((-2, -2), cubic, grid_n=n)
+        assert rpt.grid_n == n
+        assert {rows for rows, _ in shapes} == {7}
+        assert sum(columns - 1 for _, columns in shapes) == n
+        assert len(shapes) == -(-n // loci._SCAN_BLOCK)
+        if n <= loci._SCAN_BLOCK:
+            assert shapes == [(7, n + 1)]
 
     def test_chain_loci_are_read_only_views_of_one_grid(self, cubic):
         g = grid(Excitation(), 1024)
@@ -626,12 +638,12 @@ class TestChainEndsPastTheVerdictPlane:
 
     # (verdict depth, curve order, numeric_chain, the source depths of the
     # finite-difference transforms taken, the depths of the jets on the grid);
-    # a numeric chain reads plane 0's rates off its jet, so at depth 0 finite
-    # differences would only hold two more grid rows
+    # a numeric chain reads plane 0 and its rates off one jet to depth 1, so
+    # at depth 0 finite differences would only hold two more grid rows
     CASES = [(0, 4, False, [], [1]), (1, 4, False, [], [2]), (3, 4, False, [], [4]),
              (1, 1, False, [1], [1]), (3, 3, False, [3], [3]),
-             (0, 4, True, [], [0, 1]), (1, 4, True, [0, 1], [0, 1]),
-             (3, 4, True, [0, 1, 2, 3], [0, 1])]
+             (0, 4, True, [], [1]), (1, 4, True, [0, 1], [1]),
+             (3, 4, True, [0, 1, 2, 3], [1])]
 
     @pytest.mark.parametrize("depth, order, numeric, transforms, grid_jets", CASES)
     def test_chain_takes_only_the_evaluations_it_needs(self, depth, order, numeric, transforms,
@@ -657,6 +669,26 @@ class TestChainEndsPastTheVerdictPlane:
         assert (taken, jets) == (transforms, grid_jets)
         assert len(rpt.loci) == len(rpt.planes) == depth + 1
         assert [locus.depth for locus in rpt.loci] == list(range(depth + 1))
+
+
+class TestLargeGridMemory:
+    """A large-grid classify holds its chain's grid rows once: the rows it scans
+    are stacked a column block at a time, and a numeric chain takes one grid jet."""
+
+    @pytest.mark.parametrize("numeric", [False, True])
+    def test_peak_is_the_report_and_a_few_rows(self, cubic, numeric):
+        n = 65536
+        classify((-2, -2), cubic, grid_n=n, numeric_chain=numeric)  # caches outside the trace
+        tracemalloc.start()
+        try:
+            rpt = classify((-2, -2), cubic, grid_n=n, numeric_chain=numeric)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rpt.grid_n == n
+        # beyond what the report holds: the jet's Bell rows, or an analysis's
+        # temporaries, not a stack of the chain's rows and its masks
+        assert peak - held <= 5 * 8 * (n + 1)
 
 
 def _classify_distinct(seed: int, workdir, monkeypatch):

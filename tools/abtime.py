@@ -5,6 +5,8 @@
     python tools/abtime.py BASE_SRC [CHANGE_SRC] --suite [--seed 13] [--ops 240] [--best-of 6]
     python tools/abtime.py BASE_SRC [CHANGE_SRC] --emit [--seed 13] [--ops 240] [--best-of 6]
 
+Any of these takes ``--peak`` as well.
+
 BASE_SRC and CHANGE_SRC are ``src/`` directories, each holding a
 ``memelements`` package; CHANGE_SRC defaults to the ``src/`` next to this
 script.  The change is loaded as ``memelements`` and the base, through
@@ -55,6 +57,14 @@ on both sides, else the run stops naming the op.  Printed: each side's
 mean and 90th percentile of the best-of-k op times, and the ratios,
 change over base.
 
+With ``--peak``, each op is run once more on each side, untimed, under
+``tracemalloc``, and each side's line also prints the traced peak per op
+(the most memory the op's own allocations held at once), its mean and
+its largest over the ops of each kind: ``classify``, ``csv`` (the op's
+``locus_to_csv`` calls), ``suite``, or emit-fine's ``analyze`` and each
+figure.  The outputs of that run are compared too.  So a change to the
+memory an op holds is A/B'd in one process, next to the times.
+
 The ratio is an in-process diagnostic (for instance, the share of one
 change in a larger one); the benchmark's end-to-end metrics come from
 ``bench/run.py``.
@@ -72,6 +82,7 @@ import shutil
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -129,11 +140,28 @@ def best_of(fn, args, k: int) -> tuple[float, object]:
     return best, out
 
 
+def traced_peak(fn, args):
+    """One call of fn on args under tracemalloc: the peak bytes it traced, and its result."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return tracemalloc.get_traced_memory()[1], out
+    finally:
+        tracemalloc.stop()
+
+
+def peak_text(peaks: dict) -> str:
+    """'  kind peak mean/max MB' per op kind, or nothing when no peak was traced."""
+    return "".join(f"  {kind} peak {np.mean(v) / 1e6:.3f}/{max(v) / 1e6:.3f} MB mean/max"
+                   for kind, v in sorted(peaks.items()))
+
+
 def classify_ab(sides, args, work: Path) -> None:
     """Time classify on classify-distinct's ops in both trees, and print the counts."""
     from workloads import ClassifyDistinct  # imports the change as memelements
 
-    total = [0.0, 0.0]
+    total, peaks = [0.0, 0.0], [{}, {}]
     signals = [count_calls("jet_signals", pkg.loci) for pkg in sides]
     # loci imports _jet by name, for its own evaluations
     jets = [count_calls("_jet", pkg.transform, pkg.loci) for pkg in sides]
@@ -148,16 +176,22 @@ def classify_ab(sides, args, work: Path) -> None:
             dt, rpt = best_of(pkg.classify, rebuild(pkg, expect), args.best_of)
             total[s] += dt
             reports[s] = json.dumps(pkg.cli.report_to_dict(rpt), sort_keys=True)
+            if args.peak:
+                peak, rpt = traced_peak(pkg.classify, rebuild(pkg, expect))
+                peaks[s].setdefault("classify", []).append(peak)
+                if json.dumps(pkg.cli.report_to_dict(rpt), sort_keys=True) != reports[s]:
+                    raise SystemExit(f"op {i} (seed {args.seed}): the traced report differs")
         if reports[0] != reports[1]:
             raise SystemExit(f"op {i} (seed {args.seed}): the reports differ")
     base_ms, change_ms = (1e3 * s / args.ops for s in total)
-    calls = args.ops * args.best_of
+    calls = args.ops * (args.best_of + args.peak)
     print(f"classify-distinct seed {args.seed}, {args.ops} ops, best of {args.best_of}: "
           f"reports equal")
-    for label, ms, (n_signals, n_points), (n_jets, _) in zip(
-            ("base  ", "change"), (base_ms, change_ms), signals, jets):
+    for label, ms, (n_signals, n_points), (n_jets, _), peak in zip(
+            ("base  ", "change"), (base_ms, change_ms), signals, jets, peaks):
         print(f"{label} {ms:.4f} ms/op  {n_signals / calls:.3f} jet_signals calls/op  "
-              f"{n_points / calls:.1f} hook points/op  {n_jets / calls:.3f} _jet calls/op")
+              f"{n_points / calls:.1f} hook points/op  {n_jets / calls:.3f} _jet calls/op"
+              f"{peak_text(peak)}")
     print(f"ratio  {change_ms / base_ms:.4f}")
 
 
@@ -171,7 +205,7 @@ def csv_ab(sides, args, work: Path) -> None:
     from workloads import EmitFine  # imports the change as memelements
 
     change = sides[1]
-    total, count = [0.0, 0.0], 0
+    total, count, peaks = [0.0, 0.0], 0, [{}, {}]
     ops = EmitFine(args.seed, work)
     for i in range(args.ops):
         op = ops.make(i)
@@ -182,9 +216,16 @@ def csv_ab(sides, args, work: Path) -> None:
         files = [None, None]
         gc.collect()
         for s in order:
-            dt, files[s] = best_of(lambda pkg: [csv_bytes(pkg.transform.locus_to_csv(lo))
-                                                for lo in loci], (sides[s],), args.best_of)
+            def write(pkg):
+                return [csv_bytes(pkg.transform.locus_to_csv(lo)) for lo in loci]
+
+            dt, files[s] = best_of(write, (sides[s],), args.best_of)
             total[s] += dt
+            if args.peak:
+                peak, traced = traced_peak(write, (sides[s],))
+                peaks[s].setdefault("csv", []).append(peak)
+                if traced != files[s]:
+                    raise SystemExit(f"op {i} (seed {args.seed}): the traced CSV bytes differ")
         if files[0] != files[1]:
             raise SystemExit(f"op {i} (seed {args.seed}): the CSV bytes differ")
         count += 1
@@ -193,28 +234,44 @@ def csv_ab(sides, args, work: Path) -> None:
     base_ms, change_ms = (1e3 * s / count for s in total)
     print(f"emit-fine seed {args.seed}, {count} analyze ops of {args.ops}, "
           f"best of {args.best_of}: CSV bytes equal")
-    for label, ms in zip(("base  ", "change"), (base_ms, change_ms)):
-        print(f"{label} {ms:.4f} ms/op")
+    for label, ms, peak in zip(("base  ", "change"), (base_ms, change_ms), peaks):
+        print(f"{label} {ms:.4f} ms/op{peak_text(peak)}")
     print(f"ratio  {change_ms / base_ms:.4f}")
 
 
-def cli_side(pkg, command: list[str], outdir: Path, k: int):
+def cli_side(pkg, command: list[str], outdir: Path, k: int, peaks: dict | None = None,
+             kind: str = ""):
     """Least wall time of k runs of command by pkg's cli.run into outdir, with
     stdout and stderr discarded; its exit code; and the bytes of every file
-    it wrote, by name.  outdir is removed afterwards."""
+    it wrote, by name.  outdir is removed afterwards.  With peaks, the
+    command is run once more, untimed, into an empty outdir under
+    tracemalloc, its peak appended to peaks[kind], and its exit code and
+    files must be the timed runs'."""
     sink = io.StringIO()
+    argv = command + ["--output-dir", str(outdir)]
+
+    def files() -> dict:
+        out = {p.name: p.read_bytes() for p in sorted(outdir.iterdir())} if outdir.is_dir() else {}
+        shutil.rmtree(outdir, ignore_errors=True)
+        return out
+
     with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-        dt, code = best_of(pkg.cli.run, (command + ["--output-dir", str(outdir)],), k)
-    files = {p.name: p.read_bytes() for p in sorted(outdir.iterdir())} if outdir.is_dir() else {}
-    shutil.rmtree(outdir, ignore_errors=True)
-    return dt, code, files
+        dt, code = best_of(pkg.cli.run, (argv,), k)
+    written = files()
+    if peaks is not None:
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            peak, traced = traced_peak(pkg.cli.run, (argv,))
+        peaks.setdefault(kind, []).append(peak)
+        if (traced, files()) != (code, written):
+            raise SystemExit(f"{' '.join(command)}: the traced run's exit code or files differ")
+    return dt, code, written
 
 
 def suite_ab(sides, args, work: Path) -> None:
     """Time suite-shared's suite --strict ops in both trees, and print the brackets."""
     from workloads import SuiteShared  # imports the change as memelements
 
-    total, brackets = [0.0, 0.0], [[0], [0]]
+    total, brackets, peaks = [0.0, 0.0], [[0], [0]], [{}, {}]
     for pkg, count in zip(sides, brackets):
         bisect = pkg.loci.bisect
 
@@ -230,18 +287,21 @@ def suite_ab(sides, args, work: Path) -> None:
         results = [None, None]
         gc.collect()
         for s in order:
-            dt, code, files = cli_side(sides[s], command, work / f"side{s}", args.best_of)
+            dt, code, files = cli_side(sides[s], command, work / f"side{s}", args.best_of,
+                                       peaks[s] if args.peak else None, "suite")
             total[s] += dt
             results[s] = (code, files.get("suite_report.json"))
         if results[0] != results[1]:
             raise SystemExit(f"op {i} (seed {args.seed}): the exit codes or the "
                              "suite_report.json bytes differ")
     base_ms, change_ms = (1e3 * s / args.ops for s in total)
-    calls = args.ops * args.best_of
+    calls = args.ops * (args.best_of + args.peak)
     print(f"suite-shared seed {args.seed}, {args.ops} ops, best of {args.best_of}: "
           f"exit codes and suite_report.json bytes equal")
-    for label, ms, (count,) in zip(("base  ", "change"), (base_ms, change_ms), brackets):
-        print(f"{label} {ms:.4f} ms/op  {count / calls:.2f} loci.bisect brackets/op")
+    for label, ms, (count,), peak in zip(("base  ", "change"), (base_ms, change_ms), brackets,
+                                         peaks):
+        print(f"{label} {ms:.4f} ms/op  {count / calls:.2f} loci.bisect brackets/op"
+              f"{peak_text(peak)}")
     print(f"ratio  {change_ms / base_ms:.4f}")
 
 
@@ -249,15 +309,17 @@ def emit_ab(sides, args, work: Path) -> None:
     """Time emit-fine's analyze and figure ops in both trees, comparing every file written."""
     from workloads import EmitFine  # imports the change as memelements
 
-    times = [[], []]
+    times, peaks = [[], []], [{}, {}]
     ops = EmitFine(args.seed, work)
     for i in range(args.ops):
-        command = ops.make(i).payload
+        op = ops.make(i)
+        command = op.payload
         order = (0, 1) if i % 2 == 0 else (1, 0)
         results = [None, None]
         gc.collect()
         for s in order:
-            dt, code, files = cli_side(sides[s], command, work / f"side{s}", args.best_of)
+            dt, code, files = cli_side(sides[s], command, work / f"side{s}", args.best_of,
+                                       peaks[s] if args.peak else None, op.kind)
             times[s].append(1e3 * dt)
             results[s] = (code, files)
         if results[0] != results[1]:
@@ -267,8 +329,8 @@ def emit_ab(sides, args, work: Path) -> None:
     p90s = [np.percentile(t, 90) for t in times]
     print(f"emit-fine seed {args.seed}, {args.ops} ops, best of {args.best_of}: "
           f"exit codes and written bytes equal")
-    for label, mean, p90 in zip(("base  ", "change"), means, p90s):
-        print(f"{label} {mean:.4f} ms/op mean  {p90:.4f} ms/op p90")
+    for label, mean, p90, peak in zip(("base  ", "change"), means, p90s, peaks):
+        print(f"{label} {mean:.4f} ms/op mean  {p90:.4f} ms/op p90{peak_text(peak)}")
     print(f"ratio  {means[1] / means[0]:.4f} mean  {p90s[1] / p90s[0]:.4f} p90")
 
 
@@ -286,6 +348,9 @@ def main(argv=None) -> None:
     ap.add_argument("--emit", action="store_true",
                     help="time emit-fine's analyze and figure ops, not classify, and compare "
                          "their exit codes and the bytes of every file they write")
+    ap.add_argument("--peak", action="store_true",
+                    help="also run each op once more per side, untimed, under tracemalloc, and "
+                         "print its traced peak (mean and max per op kind)")
     ap.add_argument("--seed", type=int, default=13)
     ap.add_argument("--ops", type=int, default=240)
     ap.add_argument("--best-of", type=int, default=6)
