@@ -271,18 +271,25 @@ class TestClassifyGuards:
         rpt = classify((-1, -1), wide, Excitation(amplitude=2.0))
         assert rpt.verdict is Verdict.LOCALLY_PASSIVE
 
-    @pytest.mark.parametrize("numeric", [False, True])
-    @pytest.mark.parametrize("cell", [(0, 0), (-1, -1), (-2, -2)])
-    def test_jet_beyond_float_range_raises(self, cell, numeric):
-        # the drive levels A w^k are finite; the depth-1 ordinate, about (A w)^3,
-        # is not, and a numeric chain reads it too, as plane 0's rates
+    @staticmethod
+    def _classify_huge(cell, numeric_chain=False):
         huge = PolynomialCurve(coefficients=(0.0, 1.0, 0.0, 1.0 / 3.0),
                                operating_range=(0.0, 2e100))
         exc = Excitation(amplitude=1e100, omega=1e50)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalError, match="depth 1 ordinate is beyond float range"):
-                classify(cell, huge, exc, numeric_chain=numeric)
+                classify(cell, huge, exc, numeric_chain=numeric_chain)
+
+    @pytest.mark.parametrize("cell", [(0, 0), (-1, -1), (-2, -2)])
+    def test_jet_beyond_float_range_raises(self, cell):
+        # the drive levels A w^k are finite; the depth-1 ordinate, about (A w)^3, is not
+        self._classify_huge(cell)
+
+    @pytest.mark.parametrize("cell", [(0, 0), (-1, -1), (-2, -2)])
+    def test_numeric_chain_jet_beyond_float_range_raises(self, cell):
+        # a numeric chain reads the depth-1 ordinate too, as plane 0's rates
+        self._classify_huge(cell, numeric_chain=True)
 
     @pytest.mark.parametrize("numeric", [False, True])
     def test_finite_difference_rates_beyond_float_range_raise(self, numeric):
@@ -590,13 +597,8 @@ class TestChainAnalysedOnce:
         assert len(sizes) == 3
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("n", [DEFAULT_GRID_N, 4 * DEFAULT_GRID_N + 8])
-    def test_classify_scans_each_distinct_row_once(self, cubic, monkeypatch, n):
-        # u0, u1 and u2, w1 and w2, and the depth-2 plane's rates: plane d's
-        # rates are plane d + 1's coordinates, so 7 rows, not 3 per plane.
-        # A fine grid is scanned a column block at a time, each block
-        # starting at the last column of the one before; the default grid
-        # is one block
+    @staticmethod
+    def _scanned_shapes(cubic, monkeypatch, n):
         scan, shapes = loci._scan, []
 
         def recording(vals):
@@ -606,11 +608,22 @@ class TestChainAnalysedOnce:
         monkeypatch.setattr(loci, "_scan", recording)
         rpt = classify((-2, -2), cubic, grid_n=n)
         assert rpt.grid_n == n
+        return shapes
+
+    def test_classify_scans_each_distinct_row_once(self, cubic, monkeypatch):
+        # u0, u1 and u2, w1 and w2, and the depth-2 plane's rates: plane d's
+        # rates are plane d + 1's coordinates, so 7 rows, not 3 per plane;
+        # the default grid is one column block
+        assert self._scanned_shapes(cubic, monkeypatch, DEFAULT_GRID_N) == [(7, DEFAULT_GRID_N + 1)]
+
+    def test_fine_grid_scans_each_distinct_row_a_block_at_a_time(self, cubic, monkeypatch):
+        # a fine grid is scanned a column block at a time, each block
+        # starting at the last column of the one before
+        n = 4 * DEFAULT_GRID_N + 8
+        shapes = self._scanned_shapes(cubic, monkeypatch, n)
         assert {rows for rows, _ in shapes} == {7}
         assert sum(columns - 1 for _, columns in shapes) == n
         assert len(shapes) == -(-n // loci._SCAN_BLOCK)
-        if n <= loci._SCAN_BLOCK:
-            assert shapes == [(7, n + 1)]
 
     def test_chain_loci_are_read_only_views_of_one_grid(self, cubic):
         g = grid(Excitation(), 1024)
