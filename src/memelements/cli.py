@@ -39,7 +39,7 @@ from .constitutive import (
 )
 from .errors import ConfigError, DomainError, MemElementsError
 from .excitation import DEFAULT_GRID_N, Excitation
-from .loci import phase_shift, point_at
+from .loci import _plane_roots, phase_shift
 from .taxonomy import (
     ClassificationReport,
     ElementDescriptor,
@@ -48,7 +48,7 @@ from .taxonomy import (
     theorem_suite,
 )
 from .tolerances import ANALYTIC_DEFAULTS, NUMERIC_DEFAULTS, ToleranceSet
-from .transform import _splice, analytic_locus, columns_to_csv, locus_to_csv
+from .transform import _splice, columns_to_csv, locus_to_csv
 
 SCHEMA_VERSION = "2"
 _ALL_FORMATS = ("csv", "json", "svg")
@@ -706,21 +706,21 @@ def _chain_figure(curve: ConstitutiveCurve, cell: tuple[int, int],
 
 def _waveform_figure(curve: ConstitutiveCurve, stem: str,
                      title: str) -> dict[str, str | Iterable[bytes]]:
-    """Depth-1 ordinate and drive rate over one period: the depth-1 locus's w and u."""
-    exc = Excitation()
-    locus = analytic_locus(curve, exc, 1)
-    t, rate, ordinate = locus.t_values, locus.u_values, locus.w_values
+    """Depth-1 ordinate and drive rate over one period: the w and u of phase_shift's
+    locus, whose even samples are the default grid's and landmark table holds the peaks."""
+    ph = phase_shift(curve, Excitation())
+    t, rate, ordinate = (v[::2] for v in (ph.locus.t_values, ph.locus.u_values, ph.locus.w_values))
     table = columns_to_csv("t,ordinate,abscissa_rate", t, ordinate, rate)
 
     # overlay convention: drive rate rescaled to share the ordinate's peak
     scale = float(np.max(ordinate)) / float(np.max(rate))
-    ph = phase_shift(curve, exc)
+    at = _plane_roots(ph.locus).at
     panel = Panel(title=title, xlabel="t", ylabel="rate", include_origin=False)
     panel.add_series("depth-1 ordinate", t, ordinate)
     panel.add_series(f"drive rate (scaled {scale:.3g}x)", t, rate * scale)
-    panel.add_marker(ph.t_peak_ordinate, point_at(locus, ph.t_peak_ordinate)[1],
+    panel.add_marker(ph.t_peak_ordinate, at[ph.t_peak_ordinate][1],
                      f"peak t = {ph.t_peak_ordinate:.4g}")
-    panel.add_marker(ph.t_peak_abscissa, point_at(locus, ph.t_peak_abscissa)[0] * scale,
+    panel.add_marker(ph.t_peak_abscissa, at[ph.t_peak_abscissa][0] * scale,
                      f"peak t = {ph.t_peak_abscissa:.4g}")
     svg = render_svg(
         [panel],

@@ -18,7 +18,7 @@ class NumericalError(MemElementsError):
 
 
 class ConsistencyError(MemElementsError):
-    """Two independent computation routes disagreed beyond tolerance."""
+    """Two computations of one quantity disagreed beyond tolerance."""
 
 
 class ConfigError(MemElementsError):

@@ -167,9 +167,14 @@ class SampleGrid:
 
 
 def grid(exc: Excitation, n: int = DEFAULT_GRID_N) -> SampleGrid:
-    """Uniform grid of n intervals spanning one period of the drive."""
+    """Uniform grid of n intervals spanning one period of the drive; ConfigError for an
+    n below the minimum or too large for numpy to allocate."""
     n = int(n)
     if n < _MIN_GRID_N:
         raise ConfigError(f"grid needs at least {_MIN_GRID_N} intervals, got {n}")
+    try:
+        t = np.linspace(0.0, exc.period, n + 1)
+    except (MemoryError, ValueError) as err:  # ValueError: beyond numpy's size limit
+        raise ConfigError(f"grid of {n} intervals is too large to allocate: {err}") from None
     # checked all the same: subnormal steps leave the grid (omega = 1e305, n = 2**20)
-    return SampleGrid(t_values=np.linspace(0.0, exc.period, n + 1))
+    return SampleGrid(t_values=t)

@@ -41,7 +41,7 @@ and its transform (_transform), with the same results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -182,6 +182,8 @@ class PhaseReport:
     t_peak_abscissa: float
     shift: float
     classification: PhaseClass
+    # the refined depth-1 locus the peaks were read from
+    locus: ParametricLocus = field(repr=False, compare=False)
 
 
 # ----------------------------------------------------------------------
@@ -614,6 +616,13 @@ def _plane_roots(locus: ParametricLocus, rates: bool = False) -> _PlaneRoots:
     return roots
 
 
+def _peaks(locus: ParametricLocus) -> tuple[float, float]:
+    """max |u| and max |w|: stored where refine_chain refined the locus, else off its samples."""
+    roots = vars(locus).get("_roots")
+    return roots.peak[:2] if roots is not None else tuple(
+        float(max(v.max(), -v.min())) for v in (locus.u_values, locus.w_values))
+
+
 def _dedupe(values: list[float], tol: float) -> list[float]:
     out: list[float] = []
     for v in sorted(values):
@@ -685,7 +694,7 @@ def valuedness(locus: ParametricLocus, tol: float = 1e-9) -> ValuednessReport:
     gaps are read off reversed slices of the samples.  Odd depth on an
     odd n has no mirror, and is read by point_at at the pair times.  A
     locus is double-valued when the paired ordinates disagree anywhere
-    beyond tol * max(1, max |w|); its witnesses are up to four of the
+    beyond tol * max(1, max |w|) (_peaks); its witnesses are up to four of the
     largest gaps, T/64 apart, and equal gaps, such as a mirror pair's,
     rank in time order.
     """
@@ -700,7 +709,7 @@ def valuedness(locus: ParametricLocus, tol: float = 1e-9) -> ValuednessReport:
         # sample i pairs with sample (h - i) mod n: h down to 0, then n - 1 down to h
         t_pair, w_pair, h = t, w, n // 2 * odd
         gap = np.concatenate((np.abs(w[:h + 1] - w[h::-1]), np.abs(w[h + 1:] - w[h:-1][::-1])))
-    bar = tol * max(1.0, _plane_roots(locus).peak[1])
+    bar = tol * max(1.0, _peaks(locus)[1])
     max_gap = float(np.max(gap))
     if max_gap <= bar:
         return ValuednessReport(Valuedness.SINGLE, max_gap, ())
@@ -725,19 +734,11 @@ def valuedness(locus: ParametricLocus, tol: float = 1e-9) -> ValuednessReport:
 def odd_symmetry(locus: ParametricLocus, tol: float = 1e-9) -> SymmetryReport:
     """Point symmetry through the origin under time reversal t_i -> T - t_i = t_(n-i).
 
-    The scale is max(1, max |u|, max |w|), read off the refined plane's
-    peaks where refine_chain has stored them.
+    The scale is max(1, max |u|, max |w|) (_peaks).
     """
-    u = locus.u_values
-    w = locus.w_values
-    viol_u = float(np.max(np.abs(u + u[::-1])))
-    viol_w = float(np.max(np.abs(w + w[::-1])))
-    violation = max(viol_u, viol_w)
-    roots = vars(locus).get("_roots")
-    peaks = (roots.peak[:2] if roots is not None else
-             (float(np.max(np.abs(u))), float(np.max(np.abs(w)))))
-    scale = max(1.0, *peaks)
-    return SymmetryReport(odd_symmetric=violation <= tol * scale,
+    u, w = locus.u_values, locus.w_values
+    violation = max(float(np.max(np.abs(u + u[::-1]))), float(np.max(np.abs(w + w[::-1]))))
+    return SymmetryReport(odd_symmetric=violation <= tol * max(1.0, *_peaks(locus)),
                           max_violation=violation)
 
 
@@ -851,7 +852,8 @@ def phase_shift(curve: ConstitutiveCurve, exc: Excitation) -> PhaseReport:
     one chain on an 8192-interval grid, whose first half is a
     4096-interval grid of the outgoing half-period, so the peaks are
     roots refine_chain finds.  A shift within 1e-6 counts as in phase.
-    Requires second derivatives of the curve.
+    The report holds the refined depth-1 locus, whose even samples are
+    the default grid's.  Requires second derivatives of the curve.
     """
     if curve.max_derivative_order < 2:
         raise CapabilityError("phase analysis needs curve second derivatives")
@@ -870,7 +872,8 @@ def phase_shift(curve: ConstitutiveCurve, exc: Excitation) -> PhaseReport:
     else:
         cls = PhaseClass.IN_PHASE
     return PhaseReport(
-        t_peak_ordinate=t_w, t_peak_abscissa=t_u, shift=shift, classification=cls
+        t_peak_ordinate=t_w, t_peak_abscissa=t_u, shift=shift, classification=cls,
+        locus=chain[0],
     )
 
 

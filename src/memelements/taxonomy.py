@@ -8,10 +8,12 @@ the mem-capacitor diagonal.  Classification walks the differential locus
 chain of a concrete curve up to the verdict plane, collects geometric
 witnesses, and decides local passivity or activity.
 
-Two independent witness routes back every activity verdict: ordinates
-read at the verdict-plane abscissa zeros, and tangent landmarks of the
-previous plane projected forward.  The routes must agree numerically;
-disagreement is an internal error, never a verdict.
+Two or more transforms deep, axis-crossing witnesses (u = 0, off the
+origin) are read once, off the verdict plane's abscissa zeros;
+ordinate-crossing ones (w = 0) come off the previous plane's zero
+tangents, which the transform sends there; and that plane's vertical
+tangents, which it sends onto u = 0, must meet every axis-crossing
+witness, else ConsistencyError, an internal error and never a verdict.
 """
 
 from __future__ import annotations
@@ -272,52 +274,42 @@ def _check_route_agreement(
 ) -> None:
     """Axis-crossing witnesses must match the vertical-tangent projections.
 
-    Both routes locate the same verdict-plane points through different
-    code paths (abscissa roots of the verdict locus vs tangent roots of
-    the source locus).  Any numerical disagreement is an internal bug,
-    so it raises instead of shading the verdict.
+    The source plane's du/dt is the verdict plane's abscissa, so its
+    transversal roots are abscissa zeros; an axis-crossing witness with
+    no vertical tangent at its time and ordinate, such as a zero picked
+    off the grid samples alone, is an internal bug, so it raises instead
+    of shading the verdict.
     """
-    if not axis_witnesses:
-        return
-    T = vlocus.period
-    if vlocus.provenance == "analytic":
-        t_tol = 1e-6 * T
-        v_tol = 1e-6
-    else:
-        t_tol = 8.0 * vlocus.spacing
-        v_tol = 1e-2
+    analytic = vlocus.provenance == "analytic"
+    t_tol = 1e-6 * vlocus.period if analytic else 8.0 * vlocus.spacing
+    v_tol = 1e-6 if analytic else 1e-2
     for p in axis_witnesses:
-        if not q_projections:
+        q = min(q_projections, key=lambda s: abs(s.t - p.t), default=None)
+        if q is None or abs(q.t - p.t) > t_tol:
             raise ConsistencyError(
-                f"axis-crossing witness at t = {p.t} has no vertical-tangent "
-                "counterpart"
-            )
-        q = min(q_projections, key=lambda s: abs(s.t - p.t))
-        if abs(q.t - p.t) > t_tol:
-            raise ConsistencyError(
-                f"axis-crossing witness at t = {p.t} has no vertical-tangent "
-                f"counterpart (nearest at t = {q.t})"
-            )
+                f"axis-crossing witness at t = {p.t} has no vertical-tangent counterpart"
+                + ("" if q is None else f" (nearest at t = {q.t})"))
         if abs(q.w - p.w) > v_tol * max(1.0, abs(p.w)):
-            raise ConsistencyError(
-                f"witness ordinate mismatch at t = {p.t}: axis route {p.w} "
-                f"vs tangent route {q.w}"
-            )
+            raise ConsistencyError(f"witness ordinate mismatch at t = {p.t}: axis route "
+                                   f"{p.w} vs tangent route {q.w}")
 
 
 def _select_witnesses(
     kind: str,
     eq_axis: tuple[SpecialPoint, ...],
     c_off: tuple[SpecialPoint, ...],
-    q_off: tuple[SpecialPoint, ...],
 ) -> tuple[SpecialPoint, ...]:
-    if kind == "memristor":
-        return eq_axis or (c_off + q_off)
+    """The witnesses of an active cell, from its axis and ordinate crossings.
+
+    * memristor, mem-capacitor: the axis crossings, else the ordinate crossings;
+    * mem-inductor: the ordinate crossings, else the axis crossings;
+    * mixed: both, axis crossings first.
+    """
     if kind == "mem-inductor":
-        return c_off or (eq_axis + q_off)
-    if kind == "mem-capacitor":
-        return q_off or (eq_axis + c_off)
-    return eq_axis + c_off + q_off
+        return c_off or eq_axis
+    if kind == "mixed":
+        return eq_axis + c_off
+    return eq_axis or c_off
 
 
 class _Reading(NamedTuple):
@@ -341,8 +333,9 @@ def _verdict(
 
     zeros are the verdict plane's abscissa zeros (origin_crossing).  Two
     or more transforms deep, tangents are the zero and vertical tangents
-    of the plane before it, the source of the tangent-landmark route, and
-    loci[-2] is that plane; nearer, neither is read.
+    of the plane before it, whose images give the ordinate crossings and
+    check the axis crossings, and loci[-2] is that plane; nearer, neither
+    is read.
     """
     k = descriptor.transforms_to_verdict_plane
     wtol = tol.witness_tol
@@ -370,18 +363,13 @@ def _verdict(
     _check_route_agreement(vlocus, eq_axis, q_proj)
 
     c_off = tuple(p for p in c_proj if abs(p.u) > wtol)
-    q_off = tuple(p for p in q_proj if abs(p.w) > wtol)
 
-    if eq_axis or c_off or q_off:
-        witnesses = _select_witnesses(descriptor.kind, eq_axis, c_off, q_off)
+    if eq_axis or c_off:
+        witnesses = _select_witnesses(descriptor.kind, eq_axis, c_off)
         return _Reading(Verdict.LOCALLY_ACTIVE, witnesses, None, ())
 
-    cand = max(
-        [abs(p.w) for p in zeros]
-        + [abs(p.u) for p in c_proj]
-        + [abs(p.w) for p in q_proj],
-        default=0.0,
-    )
+    # every projected vertical tangent is an abscissa zero with the same w
+    cand = max([abs(p.w) for p in zeros] + [abs(p.u) for p in c_proj], default=0.0)
     return _Reading(
         Verdict.INCONCLUSIVE,
         (),

@@ -32,7 +32,8 @@ from memelements import (
     locus_to_csv,
     numeric_transform,
 )
-from memelements import cli
+import memelements
+from memelements import cli, loci, transform
 from memelements.cli import (
     FIGURES,
     _set_path,
@@ -46,7 +47,7 @@ from memelements.cli import (
     tolerances_from_spec,
 )
 from memelements.errors import ConfigError, DomainError, NumericalError
-from malformed_configs import MALFORMED
+from malformed_configs import ANALYZE, MALFORMED, SUITE, SWEEP
 
 
 def load_schema(name):
@@ -271,6 +272,24 @@ class TestMalformedConfigs:
                     "--output-dir", str(out)]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
+
+
+class TestGridTooLargeToAllocate:
+    """A grid_n numpy refuses to allocate is a config error, not a traceback.
+
+    Only sizes numpy refuses without allocating are run: 10**15 samples ask
+    7 PiB, and 10**19 pass its size limit.
+    """
+
+    @pytest.mark.parametrize("n", [10 ** 15, 10 ** 19])
+    @pytest.mark.parametrize("command, cfg", [("analyze", ANALYZE), ("suite", SUITE),
+                                              ("sweep", SWEEP)])
+    def test_stderr_line_and_exit_2(self, tmp_path, capsys, command, cfg, n):
+        assert run([command, "--config", write_config(tmp_path, dict(cfg, grid_n=n)),
+                    "--output-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: grid of {n} intervals is too large to allocate")
+        assert err.count("\n") == 1 and err.endswith("\n")
 
 
 class TestSetPath:
@@ -745,6 +764,28 @@ class TestFigureCommand:
         text = svg.read_text()
         assert text.startswith("<svg ")
         assert text.rstrip().endswith("</svg>")
+
+    @pytest.mark.parametrize("fig_id, curve", [
+        ("fig6", PolynomialCurve(coefficients=(0.0, 1.0, 0.0, 1.0 / 3.0))),
+        ("fig8", TanhScaledCurve()),
+    ])
+    def test_waveforms_are_read_off_phase_shift(self, tmp_path, monkeypatch, fig_id, curve):
+        # the waveform and its peak heights come from phase_shift's refined
+        # locus: no second locus is built and the jet is not read at the peaks
+        # again; its even samples are the default grid's depth-1 locus
+        locus = analytic_locus(curve, Excitation(), 1)
+        want = b"".join(cli.columns_to_csv("t,ordinate,abscissa_rate", locus.t_values,
+                                           locus.w_values, locus.u_values))
+
+        def fail(*args, **kwargs):
+            pytest.fail("waveform figure evaluated a locus again")
+
+        for module in (memelements, transform, loci, cli):
+            for name in ("analytic_locus", "point_at"):
+                monkeypatch.setattr(module, name, fail, raising=False)
+        out = tmp_path / fig_id
+        assert run(["figure", fig_id, "--output-dir", str(out)]) == 0
+        assert (out / f"{fig_id}.csv").read_bytes() == want
 
     def test_runs_are_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

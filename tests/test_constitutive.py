@@ -214,6 +214,14 @@ class TestTwoBranch:
                 returning=PolynomialCurve(coefficients=(0.0, 2.0)),
             )
 
+    def test_kink_points_gather_both_branches(self):
+        loop = TwoBranchCurve(
+            outgoing=PiecewiseLinearCurve(knots=((0.0, 0.0), (1.0, 0.5), (2.0, 2.0))),
+            returning=PiecewiseLinearCurve(knots=((0.0, 0.0), (1.5, 1.0), (2.0, 2.0))),
+        )
+        assert loop.kink_points() == (1.0, 1.5)
+        assert not loop.smooth
+
     def test_mismatched_ranges_rejected(self):
         with pytest.raises(DomainError):
             TwoBranchCurve(
@@ -255,6 +263,20 @@ class TestIdeality:
         rpt = check_ideality(curve)
         assert not rpt.continuously_differentiable
         assert rpt.worst_slope_jump_at == pytest.approx(1.0)
+
+    def test_piecewise_linear_branch_breaks_differentiability(self, cubic):
+        # a smooth outgoing branch and a kinked returning one: the loop has the
+        # returning branch's kink, and its slope jump is the worst
+        loop = TwoBranchCurve(
+            outgoing=cubic,
+            returning=PiecewiseLinearCurve(knots=((0.0, 0.0), (1.0, 2.0), (2.0, 14.0 / 3.0))),
+        )
+        assert loop.kink_points() == (1.0,)
+        rpt = check_ideality(loop)
+        assert not rpt.continuously_differentiable
+        assert "continuously_differentiable" in rpt.failed_criteria()
+        assert rpt.worst_slope_jump == pytest.approx(2.0 / 3.0)
+        assert rpt.worst_slope_jump_at == 1.0
 
     def test_flat_segment_breaks_monotonicity(self):
         curve = PiecewiseLinearCurve(

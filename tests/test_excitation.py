@@ -160,6 +160,14 @@ class TestGrid:
         with pytest.raises(ConfigError, match="uniform"):
             grid(Excitation(omega=1e305), 2 ** 20)
 
+    @pytest.mark.parametrize("n", [10 ** 15, 10 ** 19])
+    def test_a_grid_too_large_to_allocate_is_a_config_error(self, cubic, n):
+        # numpy refuses these without allocating: 10**15 samples ask 7 PiB,
+        # and 10**19 pass its size limit
+        for call in (lambda: grid(Excitation(), n), lambda: classify((-1, -1), cubic, grid_n=n)):
+            with pytest.raises(ConfigError, match=f"grid of {n} intervals is too large to allocate"):
+                call()
+
     def test_minimum_resolution(self):
         exc = Excitation()
         with pytest.raises(ConfigError):

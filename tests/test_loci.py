@@ -61,6 +61,19 @@ class TestPointAt:
             with pytest.raises(DomainError, match=f"got {value!r}"):
                 point_at(locus, np.array([0.5, value]))
 
+    def test_finite_differences_are_interpolated(self, cubic, drive):
+        # a locus without a jet is read by linear interpolation in its samples
+        locus = numeric_transform(analytic_locus(cubic, drive, 0, grid(drive, 256)))
+        assert locus.jet is None
+        t = np.array([0.0, 0.3, 1.7, 0.5 * locus.period, locus.period])
+        u, w = point_at(locus, t)
+        assert u.dtype == w.dtype == np.float64
+        assert np.array_equal(u, np.interp(t, locus.t_values, locus.u_values))
+        assert np.array_equal(w, np.interp(t, locus.t_values, locus.w_values))
+        got = point_at(locus, 1.7)
+        assert type(got[0]) is type(got[1]) is float
+        assert got == (u[2], w[2])
+
 
 class TestOriginCrossing:
     def test_first_order_pinch_times(self, cubic_loop, drive):
@@ -285,15 +298,16 @@ class TestOddSymmetry:
         assert report.max_violation > 0.1
 
     def test_lone_locus_is_not_refined(self, cubic, drive, monkeypatch):
-        # a lone locus takes its scale from two reductions; refined or not,
-        # the report is the same
-        locus = analytic_locus(cubic, drive, 1)
-        monkeypatch.setattr(loci, "refine_chain", lambda *a, **k: pytest.fail("refined"))
-        report = odd_symmetry(locus)
-        assert "_roots" not in vars(locus)
-        monkeypatch.undo()
-        loci.refine_chain((locus,))
-        assert odd_symmetry(locus) == report
+        # a lone locus takes its scales from reductions of its samples, in
+        # odd_symmetry and valuedness alike; refined or not, the reports are the same
+        for analysis in (odd_symmetry, valuedness):
+            locus = analytic_locus(cubic, drive, 1)
+            monkeypatch.setattr(loci, "refine_chain", lambda *a, **k: pytest.fail("refined"))
+            report = analysis(locus)
+            assert "_roots" not in vars(locus)
+            monkeypatch.undo()
+            loci.refine_chain((locus,))
+            assert analysis(locus) == report
 
 
 class TestTangentLandmarks:
@@ -410,6 +424,23 @@ class TestPhaseShift:
             for key in ("t_peak_ordinate", "t_peak_abscissa", "shift"):
                 assert omega * getattr(report, key) == pytest.approx(getattr(base, key),
                                                                      abs=1e-9)
+
+    @pytest.mark.parametrize("name", ["cubic", "tanh_curve"])
+    def test_report_holds_the_refined_depth_1_locus(self, name, drive, request):
+        # its even samples are the default grid's depth-1 locus, and its
+        # landmark table holds the locus at the peaks, bit for bit
+        curve = request.getfixturevalue(name)
+        report = phase_shift(curve, drive)
+        locus = analytic_locus(curve, drive, 1)
+        assert report.locus.depth == 1 and report.locus.t_values.size == 8193
+        for got, want in zip((report.locus.t_values, report.locus.u_values,
+                              report.locus.w_values),
+                             (locus.t_values, locus.u_values, locus.w_values)):
+            assert np.array_equal(got[::2], want)
+        at = loci._plane_roots(report.locus).at
+        assert at[report.t_peak_ordinate][1] == point_at(locus, report.t_peak_ordinate)[1]
+        assert at[report.t_peak_abscissa][0] == point_at(locus, report.t_peak_abscissa)[0]
+        assert "locus" not in repr(report)
 
     def test_reads_one_grid_jet_and_no_probe(self, tanh_curve, drive, monkeypatch):
         events = []

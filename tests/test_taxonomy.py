@@ -22,6 +22,7 @@ from memelements import (
     DEFAULT_GRID_N,
     CapabilityError,
     CheckStatus,
+    ConsistencyError,
     Degeneration,
     DomainError,
     ElementDescriptor,
@@ -220,6 +221,47 @@ class TestClassifySecondOrder:
         assert rpt.verdict is Verdict.LOCALLY_ACTIVE
         mags = [abs(p.w) for p in rpt.witnesses]
         assert max(mags) == pytest.approx(2.0, abs=1e-3)
+
+
+def _cell_id(cell) -> str:
+    return f"{cell[0]},{cell[1]}"
+
+
+class TestWitnessesReadOnce:
+    """An axis-crossing witness is one abscissa zero of the verdict plane, listed once."""
+
+    @pytest.mark.parametrize("cell", [(a, b) for a in range(-2, -5, -1) for b in range(-2, -5, -1)],
+                             ids=_cell_id)
+    def test_no_point_repeats(self, cubic, cell):
+        rpt = classify(cell, cubic)
+        points = [(p.t, p.u, p.w) for p in rpt.witnesses]
+        assert len(set(points)) == len(points)
+
+    @pytest.mark.parametrize("numeric", [False, True], ids=["closed", "numeric"])
+    @pytest.mark.parametrize("cell", [(-4, -2), (-2, -4)], ids=_cell_id)
+    def test_mixed_cells_list_each_crossing_once(self, cubic, cell, numeric):
+        # the axis crossings, then the ordinate crossings, each once
+        rpt = classify(cell, cubic, grid_n=16384, numeric_chain=numeric)
+        assert rpt.verdict is Verdict.LOCALLY_ACTIVE
+        points = [(p.t, p.u, p.w) for p in rpt.witnesses]
+        assert len(set(points)) == len(points) == 4
+        assert [abs(p.u) < 1e-9 < abs(p.w) for p in rpt.witnesses] == [True] * 2 + [False] * 2
+        assert all(abs(p.w) < 1e-9 < abs(p.u) for p in rpt.witnesses[2:])
+
+    def test_an_axis_witness_without_its_vertical_tangent_is_an_internal_error(self, cubic):
+        # every axis-crossing witness must meet a projected vertical tangent at
+        # its time and ordinate; one that does not is a bug, never a verdict
+        rpt = classify((-2, -2), cubic)
+        vlocus, axis = rpt.loci[-1], rpt.witnesses
+        taxonomy._check_route_agreement(vlocus, axis, axis)
+        moved = [dataclasses.replace(p, t=p.t + 1e-3) for p in axis]
+        for projections, message in (
+                ((), "has no vertical-tangent counterpart$"),
+                (moved, r"has no vertical-tangent counterpart \(nearest at t = "),
+                ([dataclasses.replace(p, w=p.w + 1e-3) for p in axis],
+                 "witness ordinate mismatch")):
+            with pytest.raises(ConsistencyError, match=message):
+                taxonomy._check_route_agreement(vlocus, axis, projections)
 
 
 class TestClassifyDeep:
