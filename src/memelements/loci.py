@@ -30,13 +30,15 @@ pass over all of them; each plane's results are its rows' slices:
   d and d + 1, which origin_crossing, rate_landmarks and
   project_landmarks read.
 
-A chain's last locus gives the plane before it its rates and is
-refined for its abscissa alone, so a chain ends one plane past the
-deepest plane whose rates are read: classify's ends past the verdict
-plane, the theorem suite's and phase_shift's at depth 2.  rate_landmarks
-and project_landmarks on a last locus refine it again, alone and with
-its rates.  A locus analysed on its own is prepared as the chain of it
-and its transform (_transform), with the same results.
+Every locus of a chain takes its rates from the next one, with no
+exception: plane d's rates are plane d + 1's samples, jet signals
+exactly when that locus has the jet.  The last locus is refined for its
+abscissa alone, so a chain ends one plane past the deepest plane whose
+rates are read: classify's ends past the verdict plane, the theorem
+suite's and phase_shift's at depth 2.  rate_landmarks and
+project_landmarks on a last locus refine it again, alone and with its
+rates.  A locus analysed on its own is prepared as the chain of it and
+its transform (_transform), with the same results.
 """
 
 from __future__ import annotations
@@ -218,21 +220,17 @@ def point_at(locus: ParametricLocus, t):
 
 
 def _transform(locus: ParametricLocus) -> ParametricLocus:
-    """The locus's transform: the next locus of its grid jet where that gives its rates,
-    else finite differences.
+    """A lone locus's transform: its jet one level deeper, taken on its grid, where
+    that gives its rates, else finite differences.
 
-    A locus of analytic_chain holds the next one, unless it is the last;
-    for any other, the jet is taken on the grid again, and raises
-    NumericalError where the rates pass float range (_grid_jet).
+    The grid jet raises NumericalError where the rates pass float range
+    (_grid_jet).
     """
     if not _has_rates(locus):
         return numeric_transform(locus)
-    after = vars(locus).get("_next")
-    if after is None:
-        k = locus.depth + 1
-        [(u, w)] = _grid_jet(*locus.jet, locus.t_values, k, [k])
-        after = ParametricLocus._view(locus.t_values, u, w, k, locus.jet)
-    return after
+    k = locus.depth + 1
+    [(u, w)] = _grid_jet(*locus.jet, locus.t_values, k, [k])
+    return ParametricLocus._view(locus.t_values, u, w, k, locus.jet)
 
 
 def _path(a: float, dm: float, aim: float, steps: int, xtol: float) -> tuple[list, list, bool]:
@@ -485,10 +483,10 @@ def refine_chain(chain) -> None:
 
     The loci of a chain are taken to share one jet and one grid, and
     chain[d + 1] to be the transform of chain[d]: its samples are plane
-    d's rates, unless plane d's jet gives them and chain[d + 1] is finite
-    differences (_transform).  The last locus has no next one, so only
-    its abscissa is refined (_PlaneRoots), which is all origin_crossing
-    and valuedness read.  A plane's signal rows are its abscissa u (for
+    d's rates, always, and they are jet signals exactly when chain[d + 1]
+    has the jet.  The last locus has no next one, so only its abscissa
+    is refined (_PlaneRoots), which is all origin_crossing and valuedness
+    read.  A plane's signal rows are its abscissa u (for
     origin_crossing) and its rates du/dt and dw/dt (for rate_landmarks);
     a row two planes share, such as plane d's du/dt and plane d + 1's u,
     is one array, taken once.  The distinct rows are scanned for sign
@@ -496,33 +494,28 @@ def refine_chain(chain) -> None:
     time, and the samples round each bracket gathered (_scan_rows).  Every
     bracket the jet covers is refined in one lock-step bisection through
     jet_signals, seeded by _inverse_root; the others keep their
-    linear-interpolation root.  One _jet block at every jet plane's roots
+    linear-interpolation root.  One _jet block at every plane's roots
     and slope-span midpoints gives (u, w, du/dt, dw/dt) there, plane d
     reading rows d and d + 1; what the jet does not give is interpolated
-    in the grid samples or rates.  Each plane's _PlaneRoots, its rows'
+    in the samples of the locus or the next one.  Each plane's _PlaneRoots, its rows'
     slices of all this, is stored on its locus.
     """
     rows, signals, index = [], [], {}  # distinct rows, their jet signals, id -> row
 
-    def row(values: np.ndarray, signal: tuple[int, bool] | None) -> int:
+    def row(locus: ParametricLocus, ordinate: bool) -> int:
+        values = locus.w_values if ordinate else locus.u_values
         if id(values) not in index:
             index[id(values)] = len(rows)
             rows.append(values)
-            signals.append(signal)
+            signals.append((locus.depth, ordinate) if locus.jet else None)
         return index[id(values)]
 
+    # each plane's locus and the next one, whose samples are its rates, and their rows
     planes = []
     for d, locus in enumerate(chain):
-        after = chain[d + 1] if d + 1 < len(chain) else None
-        if after is not None and _has_rates(locus) != (after.jet is not None):
-            after = _transform(locus)
-        rates = None if after is None else (after.u_values, after.w_values)
-        # (depth, is ordinate) of each row the jet gives
-        k, exact = locus.depth, _has_rates(locus)
-        u = row(locus.u_values, (k, False) if locus.jet else None)
-        planes.append((locus, rates, u) if rates is None else (
-            locus, rates, u, row(rates[0], (k + 1, False) if exact else None),
-            row(rates[1], (k + 1, True) if exact else None)))
+        u = row(locus, False)
+        after = chain[d + 1:d + 2]
+        planes.append(((locus, *after), u, *(row(a, o) for a in after for o in (False, True))))
 
     t = chain[0].t_values
     n = t.size - 1
@@ -550,11 +543,11 @@ def refine_chain(chain) -> None:
                        + _zero_roots(t, rows[r], zeros[r], transversal_only), 10.0 * _REFINE_XTOL)
 
     found = []
-    for locus, rates, u, *rate_rows in planes:
+    for (locus, *_), u, *rate_rows in planes:
         w = locus.w_values
         peak_w = peaks[index[id(w)]] if id(w) in index else float(np.maximum(w.max(), -w.min()))
         abscissa = roots(u, False)
-        if rates is None:
+        if not rate_rows:
             found.append(([abscissa, None, None, None, (peaks[u], peak_w)], abscissa))
             continue
         du, dw = rate_rows
@@ -564,23 +557,20 @@ def refine_chain(chain) -> None:
         found.append(([abscissa, du_roots, dw_roots, spans,
                        (peaks[u], peak_w, peaks[du], peaks[dw])], times))
 
-    # one jet block at every jet plane's times; plane d reads rows d and, with
-    # its rates, d + 1
-    jets = [times for (locus, *_), (_, times) in zip(planes, found) if locus.jet]
-    if jets:
-        top = max(locus.depth + (rates is not None and _has_rates(locus))
-                  for locus, rates, *_ in planes if locus.jet)
-        block = iter(np.split(np.stack(_jet(*jet, np.concatenate(jets), top)),
-                              np.cumsum([len(times) for times in jets])[:-1], axis=2))
-    for (locus, rates, *_), (plane, times) in zip(planes, found):
-        k, xy = locus.depth, next(block) if locus.jet else None
-        values = list(xy[:, k] if locus.jet else
-                      [np.interp(times, t, v) for v in (locus.u_values, locus.w_values)])
-        if rates is not None:
-            values.extend(xy[:, k + 1] if _has_rates(locus) else
-                          [np.interp(times, t, v) for v in rates])
+    # one jet block at every plane's times; plane d reads the rows of its locus's
+    # depth and of the next one's where they have the jet
+    blocks = [None] * len(found)
+    if jet is not None:
+        top = max(p.depth for pair, *_ in planes for p in pair if p.jet)
+        blocks = np.split(np.stack(_jet(*jet, np.concatenate([times for _, times in found]), top)),
+                          np.cumsum([len(times) for _, times in found])[:-1], axis=2)
+    for (pair, *_), (plane, times), xy in zip(planes, found, blocks):
+        values = []
+        for p in pair:
+            values.extend(xy[:, p.depth] if p.jet else
+                          [np.interp(times, t, v) for v in (p.u_values, p.w_values)])
         at = dict(zip(times, zip(*(v.tolist() for v in values))))
-        object.__setattr__(locus, "_roots", _PlaneRoots(*plane, at))
+        object.__setattr__(pair[0], "_roots", _PlaneRoots(*plane, at))
 
 
 def _inverse_root(samples: np.ndarray) -> np.ndarray:

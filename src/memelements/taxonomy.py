@@ -34,7 +34,6 @@ from .loci import (
     PointKind,
     SpecialPoint,
     Valuedness,
-    _transform,
     odd_symmetry,
     origin_crossing,
     project_landmarks,
@@ -429,32 +428,35 @@ def classify(
     """Full local-activity classification of a curve placed at a table cell.
 
     The locus chain runs from the constitutive plane to the verdict plane
-    (one transform per level up to zero).  numeric_chain = True rebuilds
-    the chain with finite differences instead of the closed-form rule;
-    tolerances then default to the relaxed numeric preset.  The chain is
-    built one plane past the verdict plane, whose coordinates are the
-    verdict plane's rates; every root the plane analyses need is refined
-    first, in one lock-step bisection, and each plane up to the verdict
-    plane is analysed once, under the cell's labels for it.
+    (one transform per level up to zero).  numeric_chain = True builds
+    the planes past the constitutive plane with finite differences
+    instead of the closed-form rule, and refines them as a chain of their
+    own, after plane 0 and its closed-form rates; tolerances then default
+    to the relaxed numeric preset.  The chain is built one plane past the
+    verdict plane, whose coordinates are the verdict plane's rates; every
+    root the plane analyses need is refined first, in one lock-step
+    bisection per chain, and each plane up to the verdict plane is
+    analysed once, under the cell's labels for it.
     """
     descriptor = _as_descriptor(descriptor)
     exc = exc if exc is not None else Excitation()
     tol = tolerances or (NUMERIC_DEFAULTS if numeric_chain else ANALYTIC_DEFAULTS)
     depth = descriptor.transforms_to_verdict_plane
     g = _chain_grid(curve, exc, depth, grid_n)
-    if numeric_chain:
-        # one jet gives plane 0 and its rates, which refine_chain reads off the
-        # jet (_transform) when the next plane is finite differences
-        chain = list(analytic_chain(curve, exc, min(1, curve.max_derivative_order), g))
-        if depth:
-            chain = chain[:1]
-            for _ in range(depth):
-                chain.append(numeric_transform(chain[-1]))
-    else:
-        chain = list(analytic_chain(curve, exc, min(depth + 1, curve.max_derivative_order), g))
-    if len(chain) == depth + 1:  # it stops at the verdict plane
-        chain.append(_transform(chain[-1]))
-    refine_chain(chain)
+    # a numeric chain reads plane 0 and its closed-form rates off one grid jet
+    top = 1 if numeric_chain else depth + 1
+    chain = list(analytic_chain(curve, exc, min(top, curve.max_derivative_order), g))
+    if len(chain) == top:  # the curve's order cap stops the jet a plane short
+        chain.append(numeric_transform(chain[-1]))
+    chains = [chain]
+    if numeric_chain and depth:
+        # planes 1 ... depth + 1 by finite differences, refined as a chain of their own
+        chain = chain[:1]
+        for _ in range(depth + 1):
+            chain.append(numeric_transform(chain[-1]))
+        chains.append(chain[1:])
+    for part in chains:  # once every plane is built, so a transform's error comes first
+        refine_chain(part)
     chain = tuple(chain[:-1])
     planes = tuple(_analyze_plane(locus, tol, plane_labels(descriptor, d))
                    for d, locus in enumerate(chain))

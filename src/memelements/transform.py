@@ -314,16 +314,12 @@ def analytic_chain(
     """The loci of depths 0..k, off one grid jet to depth k.
 
     Each locus equals analytic_locus's for its depth, bit for bit, and
-    each past the first holds the rates (du/dt, dw/dt) of the one before,
-    which that one names as its next (_next, read by loci._transform).
+    each past the first holds the rates (du/dt, dw/dt) of the one before.
     """
     depth = _checked_depth(curve, depth)
     t = sample_grid.t_values
     rows = _grid_jet(curve, exc, t, depth, range(depth + 1))
-    chain = tuple(ParametricLocus._view(t, *rows[d], d, (curve, exc)) for d in range(depth + 1))
-    for locus, after in zip(chain, chain[1:]):
-        vars(locus)["_next"] = after
-    return chain
+    return tuple(ParametricLocus._view(t, *rows[d], d, (curve, exc)) for d in range(depth + 1))
 
 
 def periodic_derivative(values: np.ndarray, spacing: float) -> np.ndarray:

@@ -7,6 +7,7 @@ from memelements import (
     DomainError,
     Excitation,
     LogisticCurve,
+    NumericalError,
     PiecewiseLinearCurve,
     PolynomialCurve,
     TanhScaledCurve,
@@ -15,6 +16,7 @@ from memelements import (
     check_ideality,
     mvt_point,
 )
+from memelements import constitutive
 from memelements.constitutive import _tanh_poly
 from oracles import MVT_POINT_CUBIC
 
@@ -312,6 +314,40 @@ class TestMvtPoint:
         c = mvt_point(cube, -1.0, 2.0)
         assert c == pytest.approx(1.0, abs=1e-9)
         assert cube.derivative(c, 1) == pytest.approx(3.0, abs=1e-9)
+
+    def test_interior_exact_zero_needs_no_bisection(self, monkeypatch):
+        # f' - secant = 2x - 2 is exactly 0 at the sample x = 1
+        def refused(*args, **kwargs):
+            raise AssertionError("bisect called")
+
+        monkeypatch.setattr(constitutive, "bisect", refused)
+        assert mvt_point(PolynomialCurve(coefficients=(0.0, 0.0, 1.0)), 0.0, 2.0) == 1.0
+
+    # the sample step of mvt_point's 2049-sample scan of [0, 2]
+    H = 2.0 / 2048
+
+    def test_dip_between_samples_is_not_bracketed(self):
+        # slope 1.001 at every sample, and a dip of slope about -5.8 between
+        # the samples 1 and 1 + H that brings f(2) back to the secant's 2
+        a, x1, x2 = 1.001, 1.0 + 0.2 * self.H, 1.0 + 0.5 * self.H
+        y2 = 2.0 - a * (2.0 - x2)
+        curve = PiecewiseLinearCurve(knots=((0.0, 0.0), (x1, a * x1), (x2, y2),
+                                            (2.0, y2 + a * (2.0 - x2))))
+        with pytest.raises(NumericalError, match="no mean-value tangency bracketed"):
+            mvt_point(curve, 0.0, 2.0)
+
+    def test_tangency_between_the_first_samples_is_found_on_the_fine_scan(self):
+        # as above, but the sample 0 alone has the smaller residual 0.0005, and
+        # between it and sample 1 a segment of the secant's slope 1 lies
+        a, x1, x2 = 1.001, 1.0 + 0.2 * self.H, 1.0 + 0.5 * self.H
+        p1, p2 = 0.3 * self.H, 0.6 * self.H
+        y1 = 1.0005 * p1 + (p2 - p1)
+        curve = PiecewiseLinearCurve(knots=((0.0, 0.0), (p1, 1.0005 * p1), (p2, y1),
+                                            (x1, y1 + a * (x1 - p2)), (x2, 2.0 - a * (2.0 - x2)),
+                                            (2.0, 2.0)))
+        c = mvt_point(curve, 0.0, 2.0)
+        assert p1 <= c < p2
+        assert curve.derivative(c, 1) == pytest.approx(1.0, abs=1e-12)
 
 
 NAN, INF = float("nan"), float("inf")

@@ -1322,39 +1322,35 @@ def _frozen_roots(t, row, transversal_only):
     return _frozen_signal_roots(t, row, crossings, transversal_only)
 
 
-def _frozen_landmark_values(chain, rates, times, jet):
-    def hooked(locus, row):
-        return locus.jet is not None if row < 2 else loci._has_rates(locus)
+def _frozen_landmark_values(pairs, times, jet):
+    # each pair is a plane's locus and the next one, whose samples are its rates
+    def hooked(pair, row):
+        return pair[row // 2].jet is not None
 
-    asks = [(tp, np.full(tp.size, locus.depth + row // 2), np.full(tp.size, row % 2 == 1))
-            for locus, tp in zip(chain, times) for row in range(4) if hooked(locus, row)]
+    asks = [(tp, np.full(tp.size, pair[0].depth + row // 2), np.full(tp.size, row % 2 == 1))
+            for pair, tp in zip(pairs, times) for row in range(4) if hooked(pair, row)]
     got = iter(())
     if asks:
         t, depth, ordinate = (np.concatenate(col) for col in zip(*asks))
         got = iter(np.split(transform.jet_signals(*jet, t, depth, ordinate),
                             np.cumsum([tp.size for tp, _, _ in asks])[:-1]))
-    return [np.array([next(got) if hooked(locus, row) else np.interp(tp, locus.t_values, samples)
-                      for row, samples in enumerate((locus.u_values, locus.w_values, *plane))])
-            for locus, plane, tp in zip(chain, rates, times)]
+    return [np.array([next(got) if hooked(pair, row) else np.interp(tp, pair[0].t_values, samples)
+                      for row, samples in enumerate((pair[0].u_values, pair[0].w_values,
+                                                     pair[1].u_values, pair[1].w_values))])
+            for pair, tp in zip(pairs, times)]
 
 
-def _frozen_refine_chain(chain, top_rates=None):
-    """The _PlaneRoots of each plane of the chain, as the per-plane pass made them."""
+def _frozen_refine_chain(chain, top):
+    """The _PlaneRoots of each plane of the chain, as the per-plane pass made them; top is
+    the locus past the chain's last, whose samples are the last plane's rates."""
     scans, stencils = [], []
     ends = {}
     for d, locus in enumerate(chain):
-        after = chain[d + 1] if d + 1 < len(chain) else None
-        if after is not None and loci._has_rates(locus) == (after.jet is not None):
-            rates = (after.u_values, after.w_values)
-        elif after is None and top_rates is not None:
-            rates = top_rates
-        else:
-            after = loci._transform(locus)
-            rates = (after.u_values, after.w_values)
+        after = chain[d + 1] if d + 1 < len(chain) else top
         t = locus.t_values
-        vals = np.stack((locus.u_values, *rates))
+        vals = np.stack((locus.u_values, after.u_values, after.w_values))
         rows, left = _frozen_scan(vals)
-        hooked = (locus.jet is not None, loci._has_rates(locus))
+        hooked = (locus.jet is not None, after.jet is not None)
         slots = [(locus.depth + min(r, 1), r == 2, t[i], t[i + 1]) if hooked[min(r, 1)] else None
                  for r, i in zip(rows.tolist(), left.tolist())]
         first = sum(map(len, stencils))
@@ -1368,7 +1364,7 @@ def _frozen_refine_chain(chain, top_rates=None):
         w = locus.w_values
         peak = (peak_u, float(np.maximum(w.max(), -w.min())), peak_du, peak_dw)
         crossings = loci._interpolated(t, left, vals[rows, left], vals[rows, left + 1])
-        scans.append((locus, rates, rows, crossings, slots, peak))
+        scans.append((locus, after, rows, crossings, slots, peak))
 
     jet = next((locus.jet for locus in chain if locus.jet is not None), None)
     if ends:
@@ -1380,20 +1376,19 @@ def _frozen_refine_chain(chain, top_rates=None):
             guess=a + loci._inverse_root(samples) * (b - a)).tolist()))
 
     planes = []
-    for locus, rates, rows, crossings, slots, peak in scans:
+    for locus, after, rows, crossings, slots, peak in scans:
         t = locus.t_values
         for j, key in enumerate(slots):
             if key is not None:
                 crossings[j] = roots[key]
         abscissa, du, dw = (
             _frozen_signal_roots(t, row, crossings[rows == r], transversal_only=r > 0)
-            for r, row in enumerate((locus.u_values, *rates)))
+            for r, row in enumerate((locus.u_values, after.u_values, after.w_values)))
         spans = loci._spans(t, du + dw)
         times = np.array(abscissa + du + dw + [0.5 * (a + b) for a, b in spans])
         planes.append((abscissa, du, dw, spans, peak, times))
 
-    values = _frozen_landmark_values(chain, [scan[1] for scan in scans],
-                                     [p[-1] for p in planes], jet)
+    values = _frozen_landmark_values([scan[:2] for scan in scans], [p[-1] for p in planes], jet)
     return [loci._PlaneRoots(*plane, dict(zip(times.tolist(), zip(*v.tolist()))))
             for (*plane, times), v in zip(planes, values)]
 
@@ -1489,6 +1484,23 @@ class TestTopPlaneWithoutRates:
             loci.rate_landmarks(locus)
 
 
+class TestRatesAreTheNextLocus:
+    """A plane's rates are the next locus's samples, whatever its own jet could give."""
+
+    @pytest.mark.parametrize("depth", range(3))
+    def test_jet_plane_before_differences_reads_the_differences(self, cubic, drive, depth):
+        g = grid(drive, 1024)
+        locus = analytic_locus(cubic, drive, depth, g)
+        assert loci._has_rates(locus)
+        differences = numeric_transform(locus)
+        bare = ParametricLocus(locus.t_values, locus.u_values, locus.w_values, depth)
+        loci.refine_chain((locus, differences))
+        loci.refine_chain((bare, differences))
+        got, want = vars(locus)["_roots"], vars(bare)["_roots"]
+        assert got.du and got.dw
+        assert repr((got.du, got.dw)) == repr((want.du, want.dw))
+
+
 class TestOnePassRefinement:
     """The one pass over a chain's distinct rows stores what the per-plane pass stored."""
 
@@ -1516,24 +1528,34 @@ class TestOnePassRefinement:
         omega = data.draw(st.sampled_from([0.3, 1.0, 2.7, 13.0]), label="omega")
         return Excitation(amplitude, omega, offset)
 
-    def _chain(self, name, depth, n, kind, data):
-        """A chain of the kind, one plane past depth, as classify builds it; a lone
-        depth-d locus and its transform, as _plane_roots refines it."""
+    def _chains(self, name, depth, n, kind, data):
+        """The chains classify refines for a verdict plane at depth on a chain of the
+        kind, each one plane past the deepest plane it analyses: a numeric chain's
+        plane 0 with its closed-form rates, then its finite-difference planes.  Or a
+        lone depth-d locus and its transform, as _plane_roots refines it."""
         curve, (lo, hi) = self.CURVES[name]
         exc = self._drive(data, lo, hi)
         g = grid(exc, n)
         if kind in ("closed", "lone"):
             chain = list(transform.analytic_chain(
                 curve, exc, min(depth + 1, curve.max_derivative_order), g))
-        else:
+        elif kind == "lone_numeric":
             chain = [analytic_locus(curve, exc, 0, g)]
             for _ in range(depth):
                 chain.append(numeric_transform(chain[-1]))
+        else:
+            chain = list(transform.analytic_chain(
+                curve, exc, min(1, curve.max_derivative_order), g))
         if kind.startswith("lone"):
-            return [chain[depth], loci._transform(chain[depth])]
-        if len(chain) == depth + 1:
-            chain.append(loci._transform(chain[-1]))
-        return chain
+            return [[chain[depth], loci._transform(chain[depth])]]
+        if len(chain) == (1 if kind == "numeric" else depth + 1):  # the curve's order cap
+            chain.append(numeric_transform(chain[-1]))
+        if kind == "closed" or not depth:
+            return [chain]
+        differences = [numeric_transform(chain[0])]
+        for _ in range(depth):
+            differences.append(numeric_transform(differences[-1]))
+        return [chain, differences]
 
     @settings(max_examples=120, deadline=None)
     @given(name=st.sampled_from(sorted(CURVES)), depth=st.integers(0, 4),
@@ -1541,11 +1563,11 @@ class TestOnePassRefinement:
            kind=st.sampled_from(["closed", "numeric", "lone", "lone_numeric"]), data=st.data())
     def test_every_field_equals_the_frozen_pass(self, name, depth, n, kind, data):
         # every plane but the last, whose coordinates are the one before's rates
-        chain = self._chain(name, depth, n, kind, data)
-        want = _frozen_refine_chain(chain[:-1], (chain[-1].u_values, chain[-1].w_values))
-        loci.refine_chain(chain)
-        for locus, plane in zip(chain[:-1], want, strict=True):
-            assert _same_fields(vars(locus)["_roots"], plane)
+        for chain in self._chains(name, depth, n, kind, data):
+            want = _frozen_refine_chain(chain[:-1], chain[-1])
+            loci.refine_chain(chain)
+            for locus, plane in zip(chain[:-1], want, strict=True):
+                assert _same_fields(vars(locus)["_roots"], plane)
 
     @settings(max_examples=60, deadline=None)
     @given(name=st.sampled_from(sorted(CURVES)), depth=st.integers(0, 4),
@@ -1554,13 +1576,13 @@ class TestOnePassRefinement:
     def test_column_blocks_equal_the_frozen_pass(self, name, depth, n, block, kind, data):
         # a grid of more than one block is scanned a block at a time, and its
         # stencils gathered from a stack of the columns they read
-        chain = self._chain(name, depth, n, kind, data)
-        want = _frozen_refine_chain(chain[:-1], (chain[-1].u_values, chain[-1].w_values))
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(loci, "_SCAN_BLOCK", block)
-            loci.refine_chain(chain)
-        for locus, plane in zip(chain[:-1], want, strict=True):
-            assert _same_fields(vars(locus)["_roots"], plane)
+        for chain in self._chains(name, depth, n, kind, data):
+            want = _frozen_refine_chain(chain[:-1], chain[-1])
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(loci, "_SCAN_BLOCK", block)
+                loci.refine_chain(chain)
+            for locus, plane in zip(chain[:-1], want, strict=True):
+                assert _same_fields(vars(locus)["_roots"], plane)
 
     @settings(max_examples=60, deadline=None)
     @given(name=st.sampled_from(sorted(CURVES)), depth=st.integers(0, 4),
@@ -1571,17 +1593,16 @@ class TestOnePassRefinement:
         # the chain stops at the top: the planes below it, and its abscissa
         # roots, (u, w) peaks and values there, are the ones a pass with the
         # top's rates stores
-        chain = self._chain(name, depth, n, kind, data)
-        rates = (chain[-1].u_values, chain[-1].w_values)
-        chain = chain[:-1]
-        want = _frozen_refine_chain(chain, rates)
-        loci.refine_chain(chain)
-        for locus, plane in zip(chain[:-1], want[:-1], strict=True):
-            assert _same_fields(vars(locus)["_roots"], plane)
-        top, plane = vars(chain[-1])["_roots"], want[-1]
-        assert (top.du, top.dw, top.spans) == (None, None, None)
-        assert repr((top.abscissa, top.peak)) == repr((plane.abscissa, plane.peak[:2]))
-        assert repr(top.at) == repr({r: plane.at[r][:2] for r in plane.abscissa})
+        for chain in self._chains(name, depth, n, kind, data):
+            chain, after = chain[:-1], chain[-1]
+            want = _frozen_refine_chain(chain, after)
+            loci.refine_chain(chain)
+            for locus, plane in zip(chain[:-1], want[:-1], strict=True):
+                assert _same_fields(vars(locus)["_roots"], plane)
+            top, plane = vars(chain[-1])["_roots"], want[-1]
+            assert (top.du, top.dw, top.spans) == (None, None, None)
+            assert repr((top.abscissa, top.peak)) == repr((plane.abscissa, plane.peak[:2]))
+            assert repr(top.at) == repr({r: plane.at[r][:2] for r in plane.abscissa})
 
     @settings(max_examples=40, deadline=None)
     @given(name=st.sampled_from(sorted(CURVES)), n=st.sampled_from([64, 257, 4095, 8192]),
@@ -1592,7 +1613,7 @@ class TestOnePassRefinement:
         curve, (lo, hi) = self.CURVES[name]
         exc = self._drive(data, lo, hi)
         chain = transform.analytic_chain(curve, exc, 2, grid(exc, n))
-        (want,) = _frozen_refine_chain(chain[1:2], (chain[2].u_values, chain[2].w_values))
+        (want,) = _frozen_refine_chain(chain[1:2], chain[2])
         loci.refine_chain(chain[1:])
         assert _same_fields(vars(chain[1])["_roots"], want)
         assert "_roots" not in vars(chain[0])

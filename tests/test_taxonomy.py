@@ -725,6 +725,21 @@ class TestChainEndsPastTheVerdictPlane:
         assert len(rpt.loci) == len(rpt.planes) == depth + 1
         assert [locus.depth for locus in rpt.loci] == list(range(depth + 1))
 
+    @pytest.mark.parametrize("depth", range(4))
+    def test_numeric_chain_refines_its_chains_as_given(self, cubic, depth, monkeypatch):
+        # plane 0 with its closed-form rates is one chain and the finite
+        # differences another, so no locus's transform is taken on the side,
+        # and plane 0 is the closed-form chain's
+        cell = (-depth, -depth)
+        closed = classify(cell, cubic, tolerances=NUMERIC_DEFAULTS)
+
+        def refused(locus):
+            raise AssertionError(f"a depth-{locus.depth} locus's transform was taken")
+
+        monkeypatch.setattr(loci, "_transform", refused)
+        numeric = classify(cell, cubic, tolerances=NUMERIC_DEFAULTS, numeric_chain=True)
+        assert repr(numeric.planes[0]) == repr(closed.planes[0])
+
 
 class TestLargeGridMemory:
     """A large-grid classify holds its chain's grid rows once: the rows it scans

@@ -509,6 +509,13 @@ class TestAnalyticLocus:
         assert loci.odd_symmetry(locus).odd_symmetric
         assert transform.analytic_chain(cubic, exc, 1, near)[1].t_values is near.t_values
 
+    @pytest.mark.parametrize("depth", range(4))
+    def test_chain_loci_hold_their_fields_alone(self, cubic, drive, depth):
+        # a chain is its sequence: no locus names the next one on the side
+        chain = transform.analytic_chain(cubic, drive, depth, grid(drive, 64))
+        fields = {"t_values", "u_values", "w_values", "depth", "jet"}
+        assert [set(vars(locus)) for locus in chain] == [fields] * (depth + 1)
+
     def test_deep_locus_is_closed_form(self):
         curve, _, _, exc = SYMBOLIC["tanh"]
         locus = analytic_locus(curve, exc, DEEP, grid(exc, 64))

@@ -255,15 +255,20 @@ def stored_roots(curves: dict, drives: dict) -> None:
                     tag = f"{kind}/{name}/depth{depth}/n{n}"
                     try:
                         g = memelements.grid(drives[name], n)
+                        transform = memelements.loci._transform
                         if kind == "roots":
                             chain = [memelements.analytic_locus(curve, drives[name], d, g)
                                      for d in range(depth + 1)]
+                            memelements.loci.refine_chain(chain + [transform(chain[-1])])
                         else:
+                            # plane 0 with its closed-form rates, as classify refines it,
+                            # then the finite-difference planes as a chain of their own
                             chain = [memelements.analytic_locus(curve, drives[name], 0, g)]
+                            memelements.loci.refine_chain(chain + [transform(chain[0])])
                             for _ in range(depth):
                                 chain.append(memelements.numeric_transform(chain[-1]))
-                        memelements.loci.refine_chain(
-                            chain + [memelements.loci._transform(chain[-1])])
+                            if depth:
+                                memelements.loci.refine_chain(chain[1:] + [transform(chain[-1])])
                     except Exception as err:
                         emit(tag, f"{type(err).__name__}: {err}")
                         continue
