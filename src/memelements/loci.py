@@ -4,11 +4,11 @@ Everything here consumes a ParametricLocus and reports geometry with
 numerical witnesses: origin crossings, tangent landmarks, symmetry,
 valuedness, negative-slope arcs, and the ordinate/abscissa phase lag.
 
-The analyses read what refine_chain prepares for a whole locus chain,
-from the samples of its grid jet and one more jet evaluation.  Plane
-d's rates are plane d + 1's coordinates, so the chain's signal rows
-(each plane's abscissa and coordinate rates) are taken once each, 2k + 3
-of them on a closed-form depth-k chain, and every step below is one
+The analyses read what refine_planes prepares for the planes a caller
+reads, from the samples of their grid jet and one more jet evaluation.
+Plane d's rates are plane d + 1's coordinates, so the signal rows (each
+plane's abscissa and coordinate rates) are taken once each, 2k + 3 of
+them for the closed-form planes 0 ... k, and every step below is one
 pass over all of them; each plane's results are its rows' slices:
 
 * roots: the rows are scanned for sign changes over the grid, a column
@@ -30,15 +30,16 @@ pass over all of them; each plane's results are its rows' slices:
   d and d + 1, which origin_crossing, rate_landmarks and
   project_landmarks read.
 
-Every locus of a chain takes its rates from the next one, with no
-exception: plane d's rates are plane d + 1's samples, jet signals
-exactly when that locus has the jet.  The last locus is refined for its
-abscissa alone, so a chain ends one plane past the deepest plane whose
-rates are read: classify's ends past the verdict plane, the theorem
-suite's and phase_shift's at depth 2.  rate_landmarks and
-project_landmarks on a last locus refine it again, alone and with its
-rates.  A locus analysed on its own is prepared as the chain of it and
-its transform (_transform), with the same results.
+Each caller names the planes it reads, each refined with the locus
+that holds its rates, with no exception: plane d's rates are plane
+d + 1's samples, jet signals exactly when that locus has the jet.  A
+locus that only holds rates is not refined, so classify never refines
+the locus past its verdict plane, nor phase_shift its depth-2 locus.
+A plane whose rates are not read is refined for its abscissa alone, as
+the theorem suite's plane 2 is; rate_landmarks and project_landmarks on
+it refine it again, with its rates.  A locus analysed on its own is
+refined with its transform (_transform) as its rates, with the same
+results.
 """
 
 from __future__ import annotations
@@ -79,9 +80,9 @@ __all__ = [
 
 # scipy.optimize.bisect's defaults, which bisect below reproduces
 _BISECT_RTOL = 4.0 * np.finfo(float).eps
-# refine_chain's bisection xtol; roots of one signal within ten times it are one root
+# refine_planes's bisection xtol; roots of one signal within ten times it are one root
 _REFINE_XTOL = 1e-12
-# refine_chain scans a chain's rows this many grid intervals at a time; the
+# refine_planes scans its rows this many grid intervals at a time; the
 # default grid is one block
 _SCAN_BLOCK = 4096
 _BISECT_MAXITER = 100
@@ -198,11 +199,6 @@ def _jet_rows(locus: ParametricLocus, t, depth: int):
     return x[depth], y[depth]
 
 
-def _has_rates(locus: ParametricLocus) -> bool:
-    """Whether the locus's jet gives its exact rates: it has one, below the order cap."""
-    return locus.jet is not None and locus.depth < locus.jet[0].max_derivative_order
-
-
 def point_at(locus: ParametricLocus, t):
     """Locus coordinates at arbitrary time: exact off its jet, else interpolated.
 
@@ -221,12 +217,13 @@ def point_at(locus: ParametricLocus, t):
 
 def _transform(locus: ParametricLocus) -> ParametricLocus:
     """A lone locus's transform: its jet one level deeper, taken on its grid, where
-    that gives its rates, else finite differences.
+    that gives its rates (it has a jet, below the curve's order cap), else finite
+    differences.
 
     The grid jet raises NumericalError where the rates pass float range
     (_grid_jet).
     """
-    if not _has_rates(locus):
+    if locus.jet is None or locus.depth >= locus.jet[0].max_derivative_order:
         return numeric_transform(locus)
     k = locus.depth + 1
     [(u, w)] = _grid_jet(*locus.jet, locus.t_values, k, [k])
@@ -463,11 +460,11 @@ class _PlaneRoots:
     holds max |u|, max |w|, max |du/dt| and max |dw/dt| over the grid,
     the scales the analyses' tolerances are relative to.  at maps every
     root and every span midpoint to (u, w, du/dt, dw/dt) there.  Each is
-    read off refine_chain's one pass over the chain's distinct rows: a row
-    two planes share gives both the same roots and peak.  On a chain's
-    last plane, refined for its abscissa alone, du, dw and spans are
-    None, and peak and at hold max |u|, max |w| and the abscissa roots'
-    (u, w) alone.
+    read off refine_planes's one pass over the distinct rows of the
+    planes it is given: a row two planes share gives both the same roots
+    and peak.  On a plane given without its rates, refined for its
+    abscissa alone, du, dw and spans are None, and peak and at hold
+    max |u|, max |w| and the abscissa roots' (u, w) alone.
     """
 
     abscissa: list[float]
@@ -478,27 +475,27 @@ class _PlaneRoots:
     at: dict[float, tuple[float, ...]]
 
 
-def refine_chain(chain) -> None:
-    """Refine every root the analyses of a locus chain need, and read their values there.
+def refine_planes(planes) -> None:
+    """Refine every root the analyses of some planes need, and read their values there.
 
-    The loci of a chain are taken to share one jet and one grid, and
-    chain[d + 1] to be the transform of chain[d]: its samples are plane
-    d's rates, always, and they are jet signals exactly when chain[d + 1]
-    has the jet.  The last locus has no next one, so only its abscissa
-    is refined (_PlaneRoots), which is all origin_crossing and valuedness
-    read.  A plane's signal rows are its abscissa u (for
-    origin_crossing) and its rates du/dt and dw/dt (for rate_landmarks);
-    a row two planes share, such as plane d's du/dt and plane d + 1's u,
-    is one array, taken once.  The distinct rows are scanned for sign
-    changes, peaks and exact zeros (_zero_roots), a column block at a
-    time, and the samples round each bracket gathered (_scan_rows).  Every
-    bracket the jet covers is refined in one lock-step bisection through
-    jet_signals, seeded by _inverse_root; the others keep their
-    linear-interpolation root.  One _jet block at every plane's roots
-    and slope-span midpoints gives (u, w, du/dt, dw/dt) there, plane d
-    reading rows d and d + 1; what the jet does not give is interpolated
-    in the samples of the locus or the next one.  Each plane's _PlaneRoots, its rows'
-    slices of all this, is stored on its locus.
+    Each element of planes is (locus, rates), rates being the locus whose
+    samples are the plane's rates (du/dt, dw/dt), jet signals exactly
+    when it has the jet, or (locus,) for a plane whose abscissa alone is
+    read, which is all origin_crossing and valuedness read (_PlaneRoots).
+    The loci are taken to share one jet and one grid.  A plane's signal rows
+    are its abscissa u (for origin_crossing) and its rates du/dt and
+    dw/dt (for rate_landmarks); a row two planes share, such as plane d's
+    du/dt and plane d + 1's u, is one array, taken once.  The distinct
+    rows are scanned for sign changes, peaks and exact zeros
+    (_zero_roots), a column block at a time, and the samples round each
+    bracket gathered (_scan_rows).  Every bracket the jet covers is
+    refined in one lock-step bisection through jet_signals, seeded by
+    _inverse_root; the others keep their linear-interpolation root.  One
+    _jet block at every plane's roots and slope-span midpoints gives
+    (u, w, du/dt, dw/dt) there, each plane reading the rows of its locus
+    and its rates; what the jet does not give is interpolated in their
+    samples.  Each plane's _PlaneRoots, its rows' slices of all this, is
+    stored on its locus; a locus that only holds rates is not refined.
     """
     rows, signals, index = [], [], {}  # distinct rows, their jet signals, id -> row
 
@@ -510,20 +507,17 @@ def refine_chain(chain) -> None:
             signals.append((locus.depth, ordinate) if locus.jet else None)
         return index[id(values)]
 
-    # each plane's locus and the next one, whose samples are its rates, and their rows
-    planes = []
-    for d, locus in enumerate(chain):
-        u = row(locus, False)
-        after = chain[d + 1:d + 2]
-        planes.append(((locus, *after), u, *(row(a, o) for a in after for o in (False, True))))
-
-    t = chain[0].t_values
+    t = planes[0][0].t_values
     n = t.size - 1
+    # each plane's locus and rates, and their rows
+    planes = [(pair, row(pair[0], False), *(row(a, o) for a in pair[1:] for o in (False, True)))
+              for pair in planes]
+
     peaks, at_row, left, samples, zeros = _scan_rows(rows, n)
     crossings = _interpolated(t, left, samples[:, 2], samples[:, 3])
     # the brackets the jet covers
     hooked = np.flatnonzero(np.array([s is not None for s in signals])[at_row])
-    jet = next((locus.jet for locus in chain if locus.jet is not None), None)
+    jet = next((p.jet for pair, *_ in planes for p in pair if p.jet is not None), None)
     if hooked.size:
         depth, ordinate = map(np.array, zip(*(signals[r] for r in at_row[hooked].tolist())))
         i = left[hooked]
@@ -557,8 +551,8 @@ def refine_chain(chain) -> None:
         found.append(([abscissa, du_roots, dw_roots, spans,
                        (peaks[u], peak_w, peaks[du], peaks[dw])], times))
 
-    # one jet block at every plane's times; plane d reads the rows of its locus's
-    # depth and of the next one's where they have the jet
+    # one jet block at every plane's times; a plane reads the rows of its locus's
+    # depth and of its rates' where they have the jet
     blocks = [None] * len(found)
     if jet is not None:
         top = max(p.depth for pair, *_ in planes for p in pair if p.jet)
@@ -594,20 +588,20 @@ def _spans(t: np.ndarray, roots: list[float]) -> list[tuple[float, float]]:
 
 
 def _plane_roots(locus: ParametricLocus, rates: bool = False) -> _PlaneRoots:
-    """The roots refine_chain stored on the locus, with its rates' if rates is set.
+    """The roots refine_planes stored on the locus, with its rates' if rates is set.
 
     Where none are stored, or rates is set and only the abscissa was
-    refined, the locus is refined as the chain of it and its transform.
+    refined, the locus is refined with its transform as its rates.
     """
     roots = vars(locus).get("_roots")
     if roots is None or (rates and roots.du is None):
-        refine_chain((locus, _transform(locus)))
+        refine_planes([(locus, _transform(locus))])
         roots = vars(locus)["_roots"]
     return roots
 
 
 def _peaks(locus: ParametricLocus) -> tuple[float, float]:
-    """max |u| and max |w|: stored where refine_chain refined the locus, else off its samples."""
+    """max |u| and max |w|: stored where refine_planes refined the locus, else off its samples."""
     roots = vars(locus).get("_roots")
     return roots.peak[:2] if roots is not None else tuple(
         float(max(v.max(), -v.min())) for v in (locus.u_values, locus.w_values))
@@ -742,8 +736,8 @@ def rate_landmarks(locus: ParametricLocus, root_tol: float = 1e-10
     """Zero tangents, vertical tangents and negative-slope arcs of a locus.
 
     The transversal roots of du/dt and dw/dt are refined once each and
-    shared by all three results.  A chain's last locus, refined for its
-    abscissa alone, is refined again with its rates (_plane_roots).
+    shared by all three results.  A locus refined for its abscissa alone
+    is refined again with its rates (_plane_roots).
     """
     plane = _plane_roots(locus, rates=True)
     return (
@@ -838,20 +832,21 @@ def phase_shift(curve: ConstitutiveCurve, exc: Excitation) -> PhaseReport:
 
     Peaks are maxima: transversal roots of the depth-1 locus's rates
     dw/dt and du/dt crossed from positive to negative, located on the
-    outgoing half-period.  The depth-1 and depth-2 loci are refined as
-    one chain on an 8192-interval grid, whose first half is a
+    outgoing half-period.  The depth-1 locus is refined with the depth-2
+    locus as its rates on an 8192-interval grid, whose first half is a
     4096-interval grid of the outgoing half-period, so the peaks are
-    roots refine_chain finds.  A shift within 1e-6 counts as in phase.
+    roots refine_planes finds; nothing reads the depth-2 locus's own
+    roots, so it is not refined.  A shift within 1e-6 counts as in phase.
     The report holds the refined depth-1 locus, whose even samples are
     the default grid's.  Requires second derivatives of the curve.
     """
     if curve.max_derivative_order < 2:
         raise CapabilityError("phase analysis needs curve second derivatives")
 
-    chain = analytic_chain(curve, exc, 2, grid(exc, 8192))[1:]
-    refine_chain(chain)
-    plane = _plane_roots(chain[0])
-    half = 0.5 * chain[0].period
+    _, locus, rates = analytic_chain(curve, exc, 2, grid(exc, 8192))
+    refine_planes([(locus, rates)])
+    plane = _plane_roots(locus)
+    half = 0.5 * locus.period
     t_w = _first_maximum(plane, plane.dw, 3, half)
     t_u = _first_maximum(plane, plane.du, 2, half)
     shift = t_w - t_u
@@ -863,7 +858,7 @@ def phase_shift(curve: ConstitutiveCurve, exc: Excitation) -> PhaseReport:
         cls = PhaseClass.IN_PHASE
     return PhaseReport(
         t_peak_ordinate=t_w, t_peak_abscissa=t_u, shift=shift, classification=cls,
-        locus=chain[0],
+        locus=locus,
     )
 
 

@@ -38,7 +38,7 @@ from .loci import (
     origin_crossing,
     project_landmarks,
     rate_landmarks,
-    refine_chain,
+    refine_planes,
     valuedness,
 )
 from .tolerances import ANALYTIC_DEFAULTS, NUMERIC_DEFAULTS, ToleranceSet
@@ -430,12 +430,13 @@ def classify(
     The locus chain runs from the constitutive plane to the verdict plane
     (one transform per level up to zero).  numeric_chain = True builds
     the planes past the constitutive plane with finite differences
-    instead of the closed-form rule, and refines them as a chain of their
-    own, after plane 0 and its closed-form rates; tolerances then default
-    to the relaxed numeric preset.  The chain is built one plane past the
-    verdict plane, whose coordinates are the verdict plane's rates; every
-    root the plane analyses need is refined first, in one lock-step
-    bisection per chain, and each plane up to the verdict plane is
+    instead of the closed-form rule, plane 0 keeping its closed-form
+    rates; tolerances then default to the relaxed numeric preset.  The
+    chain is built one plane past the verdict plane, whose coordinates
+    are the verdict plane's rates and which is itself neither refined
+    nor reported.  Every root the plane analyses need is refined first,
+    each plane with the locus that holds its rates, in one refine_planes
+    call on either chain, and each plane up to the verdict plane is
     analysed once, under the cell's labels for it.
     """
     descriptor = _as_descriptor(descriptor)
@@ -448,15 +449,14 @@ def classify(
     chain = list(analytic_chain(curve, exc, min(top, curve.max_derivative_order), g))
     if len(chain) == top:  # the curve's order cap stops the jet a plane short
         chain.append(numeric_transform(chain[-1]))
-    chains = [chain]
+    pairs = list(zip(chain, chain[1:]))
     if numeric_chain and depth:
-        # planes 1 ... depth + 1 by finite differences, refined as a chain of their own
+        # planes 1 ... depth + 1 by finite differences, each the one before's rates
         chain = chain[:1]
         for _ in range(depth + 1):
             chain.append(numeric_transform(chain[-1]))
-        chains.append(chain[1:])
-    for part in chains:  # once every plane is built, so a transform's error comes first
-        refine_chain(part)
+        pairs += zip(chain[1:], chain[2:])
+    refine_planes(pairs)  # once every plane is built, so a transform's error comes first
     chain = tuple(chain[:-1])
     planes = tuple(_analyze_plane(locus, tol, plane_labels(descriptor, d))
                    for d, locus in enumerate(chain))
@@ -604,16 +604,17 @@ def _suite_checks(
     """The five checks of one curve, in ALL_CHECKS order, read off planes 1 and 2.
 
     The checks read plane 1's origin crossing and tangent landmarks and
-    plane 2's origin crossing and valuedness, so the chain is planes 1
-    and 2, its grid jet stops at depth 2, and plane 2's own rates are
-    neither built nor refined.
+    plane 2's origin crossing and valuedness, so plane 1 is refined with
+    plane 2 as its rates and plane 2 for its abscissa alone: the grid jet
+    stops at depth 2, and plane 2's own rates are neither built nor
+    refined.
     """
     if not ideality.ideal:
         return _skipped_checks("curve not ideal: fails " + ", ".join(ideality.failed_criteria()))
     loci = analytic_chain(curve, exc, min(2, curve.max_derivative_order),
                           _chain_grid(curve, exc, 1, grid_n))[1:]
     plane1 = loci[0]
-    refine_chain(loci)
+    refine_planes([*zip(loci, loci[1:]), loci[-1:]])
     first = _verdict(ElementDescriptor(-1, -1), loci[:1],
                      origin_crossing(plane1, tol.pinch_tol).abscissa_zeros, (), tol)
     checks = {CHECK_FIRST_ORDER: _first_order_check(first, exc.period)}

@@ -49,6 +49,12 @@ def tanh_loop(tanh_curve, drive):
     return analytic_locus(tanh_curve, drive, 1)
 
 
+def _as_chain(chain):
+    """The planes of a chain refined whole: each locus with the next one as its rates,
+    and the last one alone, for its abscissa."""
+    return [*zip(chain, chain[1:]), tuple(chain[-1:])]
+
+
 class TestPointAt:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     def test_rejects_non_finite_times(self, cubic, drive, value):
@@ -302,11 +308,11 @@ class TestOddSymmetry:
         # odd_symmetry and valuedness alike; refined or not, the reports are the same
         for analysis in (odd_symmetry, valuedness):
             locus = analytic_locus(cubic, drive, 1)
-            monkeypatch.setattr(loci, "refine_chain", lambda *a, **k: pytest.fail("refined"))
+            monkeypatch.setattr(loci, "refine_planes", lambda *a, **k: pytest.fail("refined"))
             report = analysis(locus)
             assert "_roots" not in vars(locus)
             monkeypatch.undo()
-            loci.refine_chain((locus,))
+            loci.refine_planes(_as_chain((locus,)))
             assert analysis(locus) == report
 
 
@@ -467,15 +473,15 @@ class TestPhaseShift:
         monkeypatch.undo()
         assert events.count(("jet", 8193)) == 1
         assert events.count(("bisect", None)) == 1
-        # the peaks are among the roots refine_chain finds on the same grid
+        # the peaks are among the roots refine_planes finds on the same grid
         roots = loci._plane_roots(analytic_locus(tanh_curve, drive, 1, grid(drive, 8192)))
-        top = loci._plane_roots(analytic_locus(tanh_curve, drive, 2, grid(drive, 8192)))
         # after the bisection, the landmark values are one jet block, at the
-        # depth-1 locus's roots and slope-span midpoints and the depth-2
-        # locus's abscissa roots, and no jet_signals call
+        # depth-1 locus's roots and slope-span midpoints alone (the depth-2
+        # locus only holds its rates, so its abscissa roots are not refined),
+        # and no jet_signals call
         after = events[events.index(("bisect", None)) + 1:]
         times = roots.abscissa + roots.du + roots.dw + [0.5 * (a + b) for a, b in roots.spans]
-        assert after == [("jet", len(times) + len(top.abscissa))]
+        assert after == [("jet", len(times))]
         assert rpt.t_peak_ordinate in roots.dw
         assert rpt.t_peak_abscissa in roots.du
 
@@ -982,7 +988,7 @@ class TestOneWalk:
 
 
 class TestGridSeed:
-    """refine_chain's inverse-interpolation seed steers the bisection, never its roots."""
+    """refine_planes's inverse-interpolation seed steers the bisection, never its roots."""
 
     # a curve with derivatives to order 5 and a drive inside its range
     CHAINS = {
@@ -1005,7 +1011,7 @@ class TestGridSeed:
 
         def refined():
             chain = transform.analytic_chain(curve, exc, 5, grid(exc, n))
-            loci.refine_chain(chain)
+            loci.refine_planes(_as_chain(chain))
             return [vars(locus)["_roots"] for locus in chain]
 
         def recording(*args, guess=None, **kwargs):
@@ -1072,7 +1078,7 @@ def _reference_roots(t, vals, fn=None, xtol=1e-12, transversal_only=False):
 
 
 def _chain_roots(t, vals, hook=None, transversal_only=False):
-    """Roots of each row of vals, found the way refine_chain finds them.
+    """Roots of each row of vals, found the way refine_planes finds them.
 
     _scan brackets the sign changes, _interpolated places a root in each,
     bisect refines them all in one call from the samples at their ends
@@ -1265,8 +1271,8 @@ class TestRefinedRoots:
 
 
 # ----------------------------------------------------------------------
-# refine_chain as it was written plane by plane, three rows to a plane,
-# before it took each distinct row of a chain once, kept frozen with the
+# the refinement as it was written plane by plane, three rows to a plane,
+# before it took each distinct row of its planes once, kept frozen with the
 # helpers it alone used: the one-pass version must store the same fields
 # bit for bit.  The helpers both versions share are called from loci.
 # ----------------------------------------------------------------------
@@ -1340,13 +1346,12 @@ def _frozen_landmark_values(pairs, times, jet):
             for pair, tp in zip(pairs, times)]
 
 
-def _frozen_refine_chain(chain, top):
-    """The _PlaneRoots of each plane of the chain, as the per-plane pass made them; top is
-    the locus past the chain's last, whose samples are the last plane's rates."""
+def _frozen_refine(pairs):
+    """The _PlaneRoots of each plane, as the per-plane pass made them; each of pairs is a
+    plane's locus and the locus whose samples are its rates."""
     scans, stencils = [], []
     ends = {}
-    for d, locus in enumerate(chain):
-        after = chain[d + 1] if d + 1 < len(chain) else top
+    for locus, after in pairs:
         t = locus.t_values
         vals = np.stack((locus.u_values, after.u_values, after.w_values))
         rows, left = _frozen_scan(vals)
@@ -1366,7 +1371,7 @@ def _frozen_refine_chain(chain, top):
         crossings = loci._interpolated(t, left, vals[rows, left], vals[rows, left + 1])
         scans.append((locus, after, rows, crossings, slots, peak))
 
-    jet = next((locus.jet for locus in chain if locus.jet is not None), None)
+    jet = next((locus.jet for locus, _ in pairs if locus.jet is not None), None)
     if ends:
         depth, ordinate, a, b = (np.array(col) for col in zip(*ends))
         samples = np.concatenate(stencils)[list(ends.values())]
@@ -1409,7 +1414,7 @@ class TestTopPlaneWithoutRates:
     def test_rate_landmarks_refine_the_rates_then(self, cubic, drive):
         g = grid(drive, 1024)
         chain = transform.analytic_chain(cubic, drive, 2, g)
-        loci.refine_chain(chain)
+        loci.refine_planes(_as_chain(chain))
         assert vars(chain[-1])["_roots"].du is None
         alone = analytic_locus(cubic, drive, 2, g)
         got = loci.rate_landmarks(chain[-1])
@@ -1423,7 +1428,7 @@ class TestTopPlaneWithoutRates:
     def test_project_landmarks_refine_the_rates_then(self, cubic, drive):
         g = grid(drive, 1024)
         chain = transform.analytic_chain(cubic, drive, 2, g)
-        loci.refine_chain(chain)
+        loci.refine_planes(_as_chain(chain))
         alone = analytic_locus(cubic, drive, 2, g)
         points = zero_tangent_points(alone)
         assert points
@@ -1446,7 +1451,7 @@ class TestTopPlaneWithoutRates:
         else:
             chain = transform.analytic_chain(cubic, drive, 2, g)
             alone = analytic_locus(cubic, drive, 2, g)
-        loci.refine_chain(chain)
+        loci.refine_planes(_as_chain(chain))
         top = vars(chain[-1])["_roots"]
         assert (top.du, top.dw, top.spans) == (None, None, None)
         assert len(top.peak) == 2 and all(len(v) == 2 for v in top.at.values())
@@ -1459,7 +1464,7 @@ class TestTopPlaneWithoutRates:
         exc = Excitation(amplitude=1.0, omega=1e103)
         chain = transform.analytic_chain(cubic, exc, 2, grid(exc, 256))
         top = chain[2]
-        loci.refine_chain(chain[1:])
+        loci.refine_planes(_as_chain(chain[1:]))
         origin_crossing(top)
         with pytest.raises(NumericalError, match="drive level 3 is beyond float range"):
             loci.rate_landmarks(top)
@@ -1491,11 +1496,11 @@ class TestRatesAreTheNextLocus:
     def test_jet_plane_before_differences_reads_the_differences(self, cubic, drive, depth):
         g = grid(drive, 1024)
         locus = analytic_locus(cubic, drive, depth, g)
-        assert loci._has_rates(locus)
+        assert locus.depth < locus.jet[0].max_derivative_order  # its jet gives its rates
         differences = numeric_transform(locus)
         bare = ParametricLocus(locus.t_values, locus.u_values, locus.w_values, depth)
-        loci.refine_chain((locus, differences))
-        loci.refine_chain((bare, differences))
+        loci.refine_planes(_as_chain((locus, differences)))
+        loci.refine_planes(_as_chain((bare, differences)))
         got, want = vars(locus)["_roots"], vars(bare)["_roots"]
         assert got.du and got.dw
         assert repr((got.du, got.dw)) == repr((want.du, want.dw))
@@ -1528,11 +1533,12 @@ class TestOnePassRefinement:
         omega = data.draw(st.sampled_from([0.3, 1.0, 2.7, 13.0]), label="omega")
         return Excitation(amplitude, omega, offset)
 
-    def _chains(self, name, depth, n, kind, data):
-        """The chains classify refines for a verdict plane at depth on a chain of the
-        kind, each one plane past the deepest plane it analyses: a numeric chain's
-        plane 0 with its closed-form rates, then its finite-difference planes.  Or a
-        lone depth-d locus and its transform, as _plane_roots refines it."""
+    def _pairs(self, name, depth, n, kind, data):
+        """The planes classify refines for a verdict plane at depth on a chain of the
+        kind, each with the locus that holds its rates, in its one refine_planes call:
+        a numeric chain's plane 0 with its closed-form rates, then each
+        finite-difference plane with the next one.  Or a lone depth-d locus and its
+        transform, as _plane_roots refines it."""
         curve, (lo, hi) = self.CURVES[name]
         exc = self._drive(data, lo, hi)
         g = grid(exc, n)
@@ -1547,27 +1553,30 @@ class TestOnePassRefinement:
             chain = list(transform.analytic_chain(
                 curve, exc, min(1, curve.max_derivative_order), g))
         if kind.startswith("lone"):
-            return [[chain[depth], loci._transform(chain[depth])]]
+            return [(chain[depth], loci._transform(chain[depth]))]
         if len(chain) == (1 if kind == "numeric" else depth + 1):  # the curve's order cap
             chain.append(numeric_transform(chain[-1]))
-        if kind == "closed" or not depth:
-            return [chain]
-        differences = [numeric_transform(chain[0])]
-        for _ in range(depth):
-            differences.append(numeric_transform(differences[-1]))
-        return [chain, differences]
+        pairs = list(zip(chain, chain[1:]))
+        if kind == "numeric" and depth:
+            differences = [numeric_transform(chain[0])]
+            for _ in range(depth):
+                differences.append(numeric_transform(differences[-1]))
+            pairs += zip(differences, differences[1:])
+        return pairs
 
     @settings(max_examples=120, deadline=None)
     @given(name=st.sampled_from(sorted(CURVES)), depth=st.integers(0, 4),
            n=st.sampled_from([64, 257, 4095, 4096]),
            kind=st.sampled_from(["closed", "numeric", "lone", "lone_numeric"]), data=st.data())
     def test_every_field_equals_the_frozen_pass(self, name, depth, n, kind, data):
-        # every plane but the last, whose coordinates are the one before's rates
-        for chain in self._chains(name, depth, n, kind, data):
-            want = _frozen_refine_chain(chain[:-1], chain[-1])
-            loci.refine_chain(chain)
-            for locus, plane in zip(chain[:-1], want, strict=True):
-                assert _same_fields(vars(locus)["_roots"], plane)
+        # every plane is refined with its rates; the locus past the last plane,
+        # which only holds its rates, is not refined
+        pairs = self._pairs(name, depth, n, kind, data)
+        want = _frozen_refine(pairs)
+        loci.refine_planes(pairs)
+        for (locus, _), plane in zip(pairs, want, strict=True):
+            assert _same_fields(vars(locus)["_roots"], plane)
+        assert "_roots" not in vars(pairs[-1][1])
 
     @settings(max_examples=60, deadline=None)
     @given(name=st.sampled_from(sorted(CURVES)), depth=st.integers(0, 4),
@@ -1576,13 +1585,13 @@ class TestOnePassRefinement:
     def test_column_blocks_equal_the_frozen_pass(self, name, depth, n, block, kind, data):
         # a grid of more than one block is scanned a block at a time, and its
         # stencils gathered from a stack of the columns they read
-        for chain in self._chains(name, depth, n, kind, data):
-            want = _frozen_refine_chain(chain[:-1], chain[-1])
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(loci, "_SCAN_BLOCK", block)
-                loci.refine_chain(chain)
-            for locus, plane in zip(chain[:-1], want, strict=True):
-                assert _same_fields(vars(locus)["_roots"], plane)
+        pairs = self._pairs(name, depth, n, kind, data)
+        want = _frozen_refine(pairs)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(loci, "_SCAN_BLOCK", block)
+            loci.refine_planes(pairs)
+        for (locus, _), plane in zip(pairs, want, strict=True):
+            assert _same_fields(vars(locus)["_roots"], plane)
 
     @settings(max_examples=60, deadline=None)
     @given(name=st.sampled_from(sorted(CURVES)), depth=st.integers(0, 4),
@@ -1590,30 +1599,29 @@ class TestOnePassRefinement:
            kind=st.sampled_from(["closed", "numeric", "lone", "lone_numeric"]), data=st.data())
     def test_without_top_rates_the_top_keeps_its_abscissa_fields(self, name, depth, n, kind,
                                                                  data):
-        # the chain stops at the top: the planes below it, and its abscissa
-        # roots, (u, w) peaks and values there, are the ones a pass with the
-        # top's rates stores
-        for chain in self._chains(name, depth, n, kind, data):
-            chain, after = chain[:-1], chain[-1]
-            want = _frozen_refine_chain(chain, after)
-            loci.refine_chain(chain)
-            for locus, plane in zip(chain[:-1], want[:-1], strict=True):
-                assert _same_fields(vars(locus)["_roots"], plane)
-            top, plane = vars(chain[-1])["_roots"], want[-1]
-            assert (top.du, top.dw, top.spans) == (None, None, None)
-            assert repr((top.abscissa, top.peak)) == repr((plane.abscissa, plane.peak[:2]))
-            assert repr(top.at) == repr({r: plane.at[r][:2] for r in plane.abscissa})
+        # the top plane is given without its rates: the planes below it, and
+        # its abscissa roots, (u, w) peaks and values there, are the ones a
+        # pass with the top's rates stores
+        pairs = self._pairs(name, depth, n, kind, data)
+        want = _frozen_refine(pairs)
+        loci.refine_planes(pairs[:-1] + [pairs[-1][:1]])
+        for (locus, _), plane in zip(pairs[:-1], want[:-1], strict=True):
+            assert _same_fields(vars(locus)["_roots"], plane)
+        top, plane = vars(pairs[-1][0])["_roots"], want[-1]
+        assert (top.du, top.dw, top.spans) == (None, None, None)
+        assert repr((top.abscissa, top.peak)) == repr((plane.abscissa, plane.peak[:2]))
+        assert repr(top.at) == repr({r: plane.at[r][:2] for r in plane.abscissa})
 
     @settings(max_examples=40, deadline=None)
     @given(name=st.sampled_from(sorted(CURVES)), n=st.sampled_from([64, 257, 4095, 8192]),
            data=st.data())
     def test_phase_shift_chain_equals_the_frozen_pass(self, name, n, data):
-        # phase_shift refines the depth-1 and depth-2 loci as one chain, so the
-        # depth-2 locus gives the depth-1 locus its rates
+        # phase_shift refines the depth-1 locus with the depth-2 locus as its
+        # rates, and neither the depth-0 nor the depth-2 locus
         curve, (lo, hi) = self.CURVES[name]
         exc = self._drive(data, lo, hi)
         chain = transform.analytic_chain(curve, exc, 2, grid(exc, n))
-        (want,) = _frozen_refine_chain(chain[1:2], chain[2])
-        loci.refine_chain(chain[1:])
+        (want,) = _frozen_refine([chain[1:]])
+        loci.refine_planes([chain[1:]])
         assert _same_fields(vars(chain[1])["_roots"], want)
-        assert "_roots" not in vars(chain[0])
+        assert "_roots" not in vars(chain[0]) and "_roots" not in vars(chain[2])

@@ -687,6 +687,56 @@ class TestChainAnalysedOnce:
         assert counts == self.EXPECTED
 
 
+class TestOnlyReadPlanesAreRefined:
+    """Each analysis refines the planes it reads, each with the locus that holds its
+    rates, in one pass, and no locus that only holds rates."""
+
+    @pytest.fixture
+    def stored(self, monkeypatch):
+        made = []
+        plane_roots = loci._PlaneRoots
+
+        def counting(*args):
+            made.append(args)
+            return plane_roots(*args)
+
+        monkeypatch.setattr(loci, "_PlaneRoots", counting)
+        return made
+
+    @pytest.mark.parametrize("numeric_chain", [False, True], ids=["closed", "numeric"])
+    @pytest.mark.parametrize("depth", range(4))
+    def test_classify_stores_the_planes_it_reports(self, cubic, stored, depth, numeric_chain):
+        # planes 0 ... depth; the locus past the verdict plane only holds its
+        # rates (depth + 2 stored when it was refined too, depth + 3 on a
+        # numeric chain past depth 0)
+        rpt = classify((-depth, -depth), cubic, numeric_chain=numeric_chain)
+        assert len(rpt.planes) == len(stored) == depth + 1
+
+    def test_phase_shift_stores_the_depth_1_plane(self, cubic, stored):
+        # the depth-2 locus only holds its rates (2 stored when it was refined)
+        loci.phase_shift(cubic, Excitation())
+        assert len(stored) == 1
+
+    def test_suite_stores_planes_1_and_2(self, cubic, stored):
+        # plane 2's origin crossing and valuedness read its abscissa roots
+        assert theorem_suite([cubic]).all_passed
+        assert len(stored) == 2
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_numeric_classify_is_one_pass(self, cubic, monkeypatch, depth):
+        # plane 0 with its closed-form rates and the finite-difference planes
+        # are refined together: one scan of their rows (two when they were
+        # two chains) and one bisection
+        calls = []
+        for name in ("_scan_rows", "bisect"):
+            def recording(*args, _fn=getattr(loci, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(loci, name, recording)
+        classify((-depth, -depth), cubic, numeric_chain=True)
+        assert sorted(calls) == ["_scan_rows", "bisect"]
+
+
 class TestChainEndsPastTheVerdictPlane:
     """classify's chain ends one plane past the verdict plane, which it does not report:
     off the grid jet where the curve has the derivative, else by finite differences."""

@@ -456,8 +456,8 @@ class TestAnalyticLocus:
         # the jet gives a locus's rates below the curve's order cap only
         curve, _, _, exc = SYMBOLIC["cubic"]
         locus = analytic_locus(curve, exc, depth, grid(exc, 64))
-        assert loci._has_rates(locus) == (depth < curve.max_derivative_order)
-        assert not loci._has_rates(numeric_transform(locus))
+        assert (loci._transform(locus).jet is not None) == (depth < curve.max_derivative_order)
+        assert loci._transform(numeric_transform(locus)).jet is None
 
     def test_hooks_are_views_of_the_jet(self, cubic, drive):
         # a locus names its (curve, drive) pair; a plain callable is no jet

@@ -34,7 +34,7 @@ Covered:
     14 seeded drives of varied amplitude, offset and omega in
     {0.3, 1, 2.7, 13}, printed as ``float.hex`` of the ordinate and
     abscissa peak times and the shift, and the class;
-  * ``float.hex`` of every root ``loci.refine_chain`` stores (each plane's
+  * ``float.hex`` of every root ``loci.refine_planes`` stores (each plane's
     abscissa zeros and transversal du/dt and dw/dt zeros, including the
     ones no report shows), of each plane's slope spans and peaks, and of
     every time and value of its landmark table, on closed-form and
@@ -247,7 +247,7 @@ def phase_drives(rng: random.Random, default: Excitation, operating_range) -> li
 
 
 def stored_roots(curves: dict, drives: dict) -> None:
-    """Everything refine_chain stores but the pairs, whether a report shows it or not."""
+    """Everything refine_planes stores, whether a report shows it or not."""
     for kind in ("roots", "roots-numeric"):
         for name, curve in curves.items():
             for n in (256, 257, 4095, 4096):
@@ -259,16 +259,16 @@ def stored_roots(curves: dict, drives: dict) -> None:
                         if kind == "roots":
                             chain = [memelements.analytic_locus(curve, drives[name], d, g)
                                      for d in range(depth + 1)]
-                            memelements.loci.refine_chain(chain + [transform(chain[-1])])
+                            pairs = list(zip(chain, chain[1:] + [transform(chain[-1])]))
                         else:
                             # plane 0 with its closed-form rates, as classify refines it,
-                            # then the finite-difference planes as a chain of their own
+                            # then each finite-difference plane with the next one's
                             chain = [memelements.analytic_locus(curve, drives[name], 0, g)]
-                            memelements.loci.refine_chain(chain + [transform(chain[0])])
                             for _ in range(depth):
                                 chain.append(memelements.numeric_transform(chain[-1]))
-                            if depth:
-                                memelements.loci.refine_chain(chain[1:] + [transform(chain[-1])])
+                            pairs = [(chain[0], transform(chain[0]))] + list(
+                                zip(chain[1:], chain[2:] + [transform(chain[-1])]))
+                        memelements.loci.refine_planes(pairs)
                     except Exception as err:
                         emit(tag, f"{type(err).__name__}: {err}")
                         continue
