@@ -39,7 +39,7 @@ from .constitutive import (
 )
 from .errors import ConfigError, DomainError, MemElementsError
 from .excitation import DEFAULT_GRID_N, Excitation
-from .loci import _plane_roots, phase_shift
+from .loci import phase_shift, point_at
 from .taxonomy import (
     ClassificationReport,
     ElementDescriptor,
@@ -175,19 +175,17 @@ def _family(value, path: str) -> tuple:
 
 
 # a curve node's keys; range sets the class field operating_range
-_CURVE_KEYS = {"params": _object, "family": _family, "range": _pair,
-               "max_derivative_order": _integer}
+_CURVE_KEYS = {"params": _object, "family": _family, "range": _pair}
 
 
 def curve_from_spec(node, path: str = "curve") -> ConstitutiveCurve:
     """Build a curve from its JSON description.
 
-    Shape: {"family": ..., "params": {...}, "range": [lo, hi],
-    "max_derivative_order": n}; a param is required where its class field
-    has no default.  two_branch nests full sub-specs under params.outgoing
-    and params.returning, and its range and order come from the branches,
-    so when given they must equal the branches'.  Every curve's spec() is
-    such a node.
+    Shape: {"family": ..., "params": {...}, "range": [lo, hi]}; a param is
+    required where its class field has no default.  two_branch nests full
+    sub-specs under params.outgoing and params.returning, and its range
+    comes from the branches, so when given it must equal theirs.  Every
+    curve's spec() is such a node.
     """
     spec = _read(node, path, _CURVE_KEYS, required=("family",))
     cls, readers = spec.pop("family")
@@ -707,20 +705,19 @@ def _chain_figure(curve: ConstitutiveCurve, cell: tuple[int, int],
 def _waveform_figure(curve: ConstitutiveCurve, stem: str,
                      title: str) -> dict[str, str | Iterable[bytes]]:
     """Depth-1 ordinate and drive rate over one period: the w and u of phase_shift's
-    locus, whose even samples are the default grid's and landmark table holds the peaks."""
+    locus, whose even samples are the default grid's, each peak marked at its value."""
     ph = phase_shift(curve, Excitation())
     t, rate, ordinate = (v[::2] for v in (ph.locus.t_values, ph.locus.u_values, ph.locus.w_values))
     table = columns_to_csv("t,ordinate,abscissa_rate", t, ordinate, rate)
 
     # overlay convention: drive rate rescaled to share the ordinate's peak
     scale = float(np.max(ordinate)) / float(np.max(rate))
-    at = _plane_roots(ph.locus).at
     panel = Panel(title=title, xlabel="t", ylabel="rate", include_origin=False)
     panel.add_series("depth-1 ordinate", t, ordinate)
     panel.add_series(f"drive rate (scaled {scale:.3g}x)", t, rate * scale)
-    panel.add_marker(ph.t_peak_ordinate, at[ph.t_peak_ordinate][1],
+    panel.add_marker(ph.t_peak_ordinate, point_at(ph.locus, ph.t_peak_ordinate)[1],
                      f"peak t = {ph.t_peak_ordinate:.4g}")
-    panel.add_marker(ph.t_peak_abscissa, at[ph.t_peak_abscissa][0] * scale,
+    panel.add_marker(ph.t_peak_abscissa, point_at(ph.locus, ph.t_peak_abscissa)[0] * scale,
                      f"peak t = {ph.t_peak_abscissa:.4g}")
     svg = render_svg(
         [panel],

@@ -2,8 +2,8 @@
 
 A constitutive curve ties two integrated circuit attributes together
 (charge vs flux, or deeper time integrals of either).  Every family here
-is closed form, so values and derivatives up to a configured order are
-exact and the differential locus chain stays free of sampling error.
+is closed form, so values and derivatives of every order are exact and
+the differential locus chain stays free of sampling error.
 
 All families enforce the origin-crossing requirement: whenever x = 0
 lies inside the operating range, f(0) must vanish.  Curves that fail it
@@ -34,6 +34,7 @@ __all__ = [
     "IdealityReport",
     "check_ideality",
     "mvt_point",
+    "MAX_DERIVATIVE_ORDER",
 ]
 
 # Fraction of the operating span tolerated outside the range (float fuzz).
@@ -42,6 +43,11 @@ _RANGE_EPS = 1e-12
 _ORIGIN_TOL = 1e-9
 # Sample count of the grid the ideality checks run on.
 IDEALITY_SAMPLES = 4097
+# The deepest derivative, and so the deepest chain, the package computes.
+# It bounds the work one request can cause (a chain's Bell rows grow as
+# its depth squared), not what any curve supports: every family is closed
+# form at every order.
+MAX_DERIVATIVE_ORDER = 16
 
 
 # ----------------------------------------------------------------------
@@ -52,13 +58,11 @@ class ConstitutiveCurve(abc.ABC):
     """Common behaviour shared by all curve families.
 
     Concrete families are frozen dataclasses carrying their parameters
-    plus an ``operating_range`` and a ``max_derivative_order`` that caps
-    how many differential transforms the curve may undergo.
+    plus an ``operating_range``.
     """
 
     family: str = "abstract"
     operating_range: tuple[float, float]
-    max_derivative_order: int
 
     # -- validation helpers -------------------------------------------
 
@@ -66,8 +70,6 @@ class ConstitutiveCurve(abc.ABC):
         lo, hi = self.operating_range
         if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
             raise DomainError(f"operating range must satisfy lo < hi, got ({lo}, {hi})")
-        if int(self.max_derivative_order) < 1:
-            raise DomainError("max_derivative_order must be a positive integer")
         for name, value in self._params().items():
             if not np.all(np.isfinite(np.asarray(value, dtype=float))):
                 raise DomainError(f"{self.family} {name} must be finite, got {value!r}")
@@ -116,16 +118,15 @@ class ConstitutiveCurve(abc.ABC):
         """Derivatives 0..order of f at x, stacked: row k is derivative(x, k).
 
         One range check covers every row; the Taylor jet in transform
-        reads all orders it needs from one call.
+        reads all orders it needs from one call.  Raises CapabilityError
+        above MAX_DERIVATIVE_ORDER.
         """
         order = int(order)
         if order < 0:
             raise DomainError("derivative order must be non-negative")
-        if order > self.max_derivative_order:
-            raise CapabilityError(
-                f"derivative order {order} exceeds max_derivative_order "
-                f"{self.max_derivative_order} for this {self.family} curve"
-            )
+        if order > MAX_DERIVATIVE_ORDER:
+            raise CapabilityError(f"derivative order {order} exceeds "
+                                  f"MAX_DERIVATIVE_ORDER {MAX_DERIVATIVE_ORDER}")
         xa = np.asarray(x, dtype=float)
         self._check_range(xa)
         return self._derivatives(xa, order)
@@ -151,13 +152,12 @@ class ConstitutiveCurve(abc.ABC):
             "family": self.family,
             "params": self._params(),
             "range": list(self.operating_range),
-            "max_derivative_order": self.max_derivative_order,
         }
 
     def _params(self) -> dict:
         """The family's own fields, JSON-ready: tuples as lists, branches as their specs."""
         return {f.name: _plain(getattr(self, f.name)) for f in fields(self)
-                if f.name not in ("operating_range", "max_derivative_order")}
+                if f.name != "operating_range"}
 
 
 def _plain(value):
@@ -172,7 +172,6 @@ class PolynomialCurve(ConstitutiveCurve):
 
     coefficients: tuple[float, ...]
     operating_range: tuple[float, float] = (0.0, 2.0)
-    max_derivative_order: int = 4
 
     family = "polynomial"
 
@@ -183,11 +182,10 @@ class PolynomialCurve(ConstitutiveCurve):
         object.__setattr__(self, "coefficients", coeffs)
         object.__setattr__(self, "operating_range", _as_range(self.operating_range))
         # column k holds the coefficients of f^(k), zero-padded at the top,
-        # for every order the curve may be asked for that is not identically
-        # zero; built once and not a field, so equality, repr and spec() see
-        # only parameters
+        # for every order that is not identically zero; built once and not a
+        # field, so equality, repr and spec() see only parameters
         n = len(coeffs)
-        stack = np.zeros((n, min(n, max(int(self.max_derivative_order), 0) + 1)))
+        stack = np.zeros((n, n))
         column = np.array(coeffs)
         for k in range(stack.shape[1]):
             stack[: column.size, k] = column
@@ -262,7 +260,6 @@ class TanhScaledCurve(ConstitutiveCurve):
     a: float = 1.0
     b: float = 1.0
     operating_range: tuple[float, float] = (0.0, 2.0)
-    max_derivative_order: int = 4
 
     family = "tanh_scaled"
 
@@ -286,7 +283,6 @@ class LogisticCurve(ConstitutiveCurve):
     """
 
     operating_range: tuple[float, float] = (0.5, 2.0)
-    max_derivative_order: int = 4
 
     family = "logistic"
 
@@ -312,7 +308,6 @@ class PiecewiseLinearCurve(ConstitutiveCurve):
 
     knots: tuple[tuple[float, float], ...]
     operating_range: tuple[float, float] | None = None
-    max_derivative_order: int = 4
 
     family = "piecewise_linear"
 
@@ -391,14 +386,10 @@ class TwoBranchCurve(ConstitutiveCurve):
                     f"branches must meet at range endpoint x = {x} (gap {gap!r})"
                 )
 
-    # range and capability come from the branches
+    # the range comes from the branches
     @property
     def operating_range(self) -> tuple[float, float]:  # type: ignore[override]
         return self.outgoing.operating_range
-
-    @property
-    def max_derivative_order(self) -> int:  # type: ignore[override]
-        return min(self.outgoing.max_derivative_order, self.returning.max_derivative_order)
 
     @property
     def is_two_branch(self) -> bool:

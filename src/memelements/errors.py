@@ -10,7 +10,11 @@ class DomainError(MemElementsError):
 
 
 class CapabilityError(MemElementsError):
-    """A requested derivative or transform depth exceeds what a curve supports."""
+    """A requested derivative or transform depth exceeds constitutive.MAX_DERIVATIVE_ORDER.
+
+    The bound caps the work one request can cause; every curve is closed
+    form at every order.
+    """
 
 
 class NumericalError(MemElementsError):

@@ -50,10 +50,10 @@ from enum import Enum
 import numpy as np
 
 from .constitutive import ConstitutiveCurve
-from .errors import CapabilityError, NumericalError
+from .errors import NumericalError
 from .excitation import Excitation, _finite_times, grid
-from .transform import (ParametricLocus, _grid_jet, _jet, analytic_chain, jet_signals,
-                        numeric_transform)
+from .transform import (ParametricLocus, _checked_depth, _grid_jet, _jet, analytic_chain,
+                        jet_signals, numeric_transform)
 
 __all__ = [
     "PointKind",
@@ -217,15 +217,14 @@ def point_at(locus: ParametricLocus, t):
 
 def _transform(locus: ParametricLocus) -> ParametricLocus:
     """A lone locus's transform: its jet one level deeper, taken on its grid, where
-    that gives its rates (it has a jet, below the curve's order cap), else finite
-    differences.
+    it has a jet, else finite differences.
 
-    The grid jet raises NumericalError where the rates pass float range
-    (_grid_jet).
+    Raises CapabilityError where the rates lie past MAX_DERIVATIVE_ORDER
+    (_checked_depth), and NumericalError where they pass float range (_grid_jet).
     """
-    if locus.jet is None or locus.depth >= locus.jet[0].max_derivative_order:
+    if locus.jet is None:
         return numeric_transform(locus)
-    k = locus.depth + 1
+    k = _checked_depth(locus.depth + 1)
     [(u, w)] = _grid_jet(*locus.jet, locus.t_values, k, [k])
     return ParametricLocus._view(locus.t_values, u, w, k, locus.jet)
 
@@ -838,11 +837,8 @@ def phase_shift(curve: ConstitutiveCurve, exc: Excitation) -> PhaseReport:
     roots refine_planes finds; nothing reads the depth-2 locus's own
     roots, so it is not refined.  A shift within 1e-6 counts as in phase.
     The report holds the refined depth-1 locus, whose even samples are
-    the default grid's.  Requires second derivatives of the curve.
+    the default grid's.
     """
-    if curve.max_derivative_order < 2:
-        raise CapabilityError("phase analysis needs curve second derivatives")
-
     _, locus, rates = analytic_chain(curve, exc, 2, grid(exc, 8192))
     refine_planes([(locus, rates)])
     plane = _plane_roots(locus)

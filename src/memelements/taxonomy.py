@@ -26,7 +26,8 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .constitutive import _RANGE_EPS, ConstitutiveCurve, IdealityReport, check_ideality
+from .constitutive import (_RANGE_EPS, MAX_DERIVATIVE_ORDER, ConstitutiveCurve, IdealityReport,
+                           check_ideality)
 from .errors import CapabilityError, ConsistencyError, DomainError
 from .excitation import DEFAULT_GRID_N, Excitation, SampleGrid, grid
 from .loci import (
@@ -399,13 +400,11 @@ def _consequences(
 
 def _chain_grid(curve: ConstitutiveCurve, exc: Excitation, depth: int,
                 grid_n: int) -> SampleGrid:
-    """The grid of a chain to depth, once the curve reaches depth and the drive stays
-    within its operating range."""
-    if curve.max_derivative_order < depth:
-        raise CapabilityError(
-            f"classification to the verdict plane needs {depth} transforms; "
-            f"curve supports {curve.max_derivative_order}"
-        )
+    """The grid of a chain to depth, once depth is within MAX_DERIVATIVE_ORDER and the
+    drive stays within the curve's operating range."""
+    if depth > MAX_DERIVATIVE_ORDER:
+        raise CapabilityError(f"the chain needs depth {depth}, past MAX_DERIVATIVE_ORDER "
+                              f"{MAX_DERIVATIVE_ORDER}, the deepest the package builds")
     lo, hi = curve.operating_range
     sw_lo, sw_hi = exc.sweep_range
     span = hi - lo
@@ -434,21 +433,20 @@ def classify(
     rates; tolerances then default to the relaxed numeric preset.  The
     chain is built one plane past the verdict plane, whose coordinates
     are the verdict plane's rates and which is itself neither refined
-    nor reported.  Every root the plane analyses need is refined first,
-    each plane with the locus that holds its rates, in one refine_planes
-    call on either chain, and each plane up to the verdict plane is
-    analysed once, under the cell's labels for it.
+    nor reported; a chain deeper than MAX_DERIVATIVE_ORDER raises
+    CapabilityError before any plane is built.  Every root the plane
+    analyses need is refined first, each plane with the locus that holds
+    its rates, in one refine_planes call on either chain, and each plane
+    up to the verdict plane is analysed once, under the cell's labels for
+    it.
     """
     descriptor = _as_descriptor(descriptor)
     exc = exc if exc is not None else Excitation()
     tol = tolerances or (NUMERIC_DEFAULTS if numeric_chain else ANALYTIC_DEFAULTS)
     depth = descriptor.transforms_to_verdict_plane
-    g = _chain_grid(curve, exc, depth, grid_n)
+    g = _chain_grid(curve, exc, depth + 1, grid_n)
     # a numeric chain reads plane 0 and its closed-form rates off one grid jet
-    top = 1 if numeric_chain else depth + 1
-    chain = list(analytic_chain(curve, exc, min(top, curve.max_derivative_order), g))
-    if len(chain) == top:  # the curve's order cap stops the jet a plane short
-        chain.append(numeric_transform(chain[-1]))
+    chain = list(analytic_chain(curve, exc, 1 if numeric_chain else depth + 1, g))
     pairs = list(zip(chain, chain[1:]))
     if numeric_chain and depth:
         # planes 1 ... depth + 1 by finite differences, each the one before's rates
@@ -563,10 +561,6 @@ _ACTIVITY_CELLS = {
 }
 
 
-def _skipped_checks(reason: str, names: tuple[str, ...] = ALL_CHECKS) -> dict:
-    return {name: CheckResult(CheckStatus.SKIPPED, reason, {}) for name in names}
-
-
 def _first_order_check(reading: _Reading, period: float) -> CheckResult:
     """First order is passive, pinched at the drive-rate zeros 0, T/2 and T."""
     if reading.verdict is not Verdict.LOCALLY_PASSIVE:
@@ -610,23 +604,21 @@ def _suite_checks(
     refined.
     """
     if not ideality.ideal:
-        return _skipped_checks("curve not ideal: fails " + ", ".join(ideality.failed_criteria()))
-    loci = analytic_chain(curve, exc, min(2, curve.max_derivative_order),
-                          _chain_grid(curve, exc, 1, grid_n))[1:]
-    plane1 = loci[0]
-    refine_planes([*zip(loci, loci[1:]), loci[-1:]])
+        reason = "curve not ideal: fails " + ", ".join(ideality.failed_criteria())
+        return {name: CheckResult(CheckStatus.SKIPPED, reason, {}) for name in ALL_CHECKS}
+    loci = analytic_chain(curve, exc, 2, _chain_grid(curve, exc, 2, grid_n))[1:]
+    plane1, plane2 = loci
+    refine_planes([(plane1, plane2), (plane2,)])
     first = _verdict(ElementDescriptor(-1, -1), loci[:1],
                      origin_crossing(plane1, tol.pinch_tol).abscissa_zeros, (), tol)
     checks = {CHECK_FIRST_ORDER: _first_order_check(first, exc.period)}
-    if len(loci) == 1:
-        return checks | _skipped_checks("needs second derivatives", ALL_CHECKS[1:])
-    val = valuedness(loci[1], tol.valuedness_tol)
+    val = valuedness(plane2, tol.valuedness_tol)
     checks[CHECK_SINGLE_VALUED] = CheckResult(
         CheckStatus.PASS if val.kind is Valuedness.SINGLE else CheckStatus.FAIL,
         f"depth-2 locus is {val.kind.value}-valued",
         {"max_pair_gap": val.max_gap},
     )
-    zeros = origin_crossing(loci[1], tol.pinch_tol).abscissa_zeros
+    zeros = origin_crossing(plane2, tol.pinch_tol).abscissa_zeros
     tangents = rate_landmarks(plane1, tol.root_tol)[:2]
     for name, cell in _ACTIVITY_CELLS.items():
         checks[name] = _activity_check(_verdict(cell, loci, zeros, tangents, tol))

@@ -8,8 +8,8 @@ of the map, that the tangent direction at a source point equals the
 origin-chord direction of its image, is what the downstream geometry
 analyses rely on.
 
-Ordinates come from the chain rule in closed form at every depth the
-curve supports (Faa di Bruno's formula):
+Ordinates come from the chain rule in closed form at every depth (Faa di
+Bruno's formula):
 
     d^k/dt^k f(x(t)) = sum_{j=1..k} f^(j)(x) B_{k,j}(x', x'', ...)
 
@@ -34,8 +34,9 @@ the rates of the one before.  Off the grid, jet_signals evaluates any
 mix of depths and coordinates in one call, the ordinate rows on its
 ordinate elements alone.  An analytic locus names its (curve, drive)
 pair as its jet, which loci.point_at reads at depth k for coordinates
-and the analyses at depth k + 1 for rates.  The depth a chain may reach
-is the curve's max_derivative_order.
+and the analyses at depth k + 1 for rates.  No chain is built deeper
+than constitutive.MAX_DERIVATIVE_ORDER, a bound on the work one request
+can cause; _checked_depth raises CapabilityError before any row is made.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from math import comb
 
 import numpy as np
 
-from .constitutive import ConstitutiveCurve
+from .constitutive import MAX_DERIVATIVE_ORDER, ConstitutiveCurve
 from .errors import CapabilityError, DomainError, NumericalError
 from .excitation import (_MIN_GRID_N, Excitation, SampleGrid, _check_grid, _finite_times, _levels,
                          grid)
@@ -69,8 +70,8 @@ class ParametricLocus:
 
     jet, on an analytic locus, is the (curve, drive) pair whose depth-k
     transform the locus is.  Its Taylor jet gives exact coordinates at
-    depth k and exact coordinate rates at depth k + 1 (where the curve
-    has that derivative) at arbitrary times; analyses read it to refine
+    depth k and exact coordinate rates at depth k + 1 at arbitrary
+    times; analyses read it to refine
     roots far below the grid resolution, and loci.point_at to evaluate
     the locus off the grid.  Finite-difference loci carry no jet and are
     analysed at grid accuracy instead.
@@ -104,8 +105,9 @@ class ParametricLocus:
                 isinstance(self.jet, tuple) and len(self.jet) == 2
                 and isinstance(self.jet[0], ConstitutiveCurve)
                 and isinstance(self.jet[1], Excitation)
-                and self.depth <= self.jet[0].max_derivative_order):
-            raise DomainError("jet must be a (curve, drive) pair whose curve reaches the depth")
+                and self.depth <= MAX_DERIVATIVE_ORDER):
+            raise DomainError("jet must be a (curve, drive) pair, on a locus no deeper than "
+                              f"MAX_DERIVATIVE_ORDER {MAX_DERIVATIVE_ORDER}")
         for name, arr in (("t_values", t), ("u_values", u), ("w_values", w)):
             arr = arr.copy()
             arr.flags.writeable = False
@@ -221,14 +223,12 @@ def _jet(curve: ConstitutiveCurve, exc: Excitation, t, depth: int,
 def chain_ordinate(curve: ConstitutiveCurve, exc: Excitation, t, depth: int):
     """Exact depth-k ordinate d^k/dt^k f(x(t)) at time t.
 
-    Raises CapabilityError when k exceeds the curve's max_derivative_order.
+    Raises CapabilityError when k exceeds MAX_DERIVATIVE_ORDER (_checked_depth).
     On a two-branch curve the outgoing branch covers the first half-period
     and the returning branch the second, matching the direction the drive
     actually sweeps.  Raises DomainError for a time that is not finite.
     """
-    depth = int(depth)
-    if depth < 0:
-        raise DomainError("depth must be non-negative")
+    depth = _checked_depth(depth)
     out = _jet(curve, exc, _finite_times(t), depth)[1][depth]
     return float(out) if np.ndim(t) == 0 else out
 
@@ -239,7 +239,7 @@ def jet_signals(curve: ConstitutiveCurve, exc: Excitation, t: np.ndarray,
 
     The levels run to the deepest element, and the ordinate rows, on the
     ordinate elements alone, to the deepest of those; so an abscissa may
-    lie deeper than the curve's max_derivative_order.
+    lie deeper than MAX_DERIVATIVE_ORDER.
     """
     x = _levels(exc, t, int(np.maximum.reduce(depth, initial=0)))
     out = x[depth, np.arange(depth.size)]
@@ -256,15 +256,14 @@ def jet_signals(curve: ConstitutiveCurve, exc: Excitation, t: np.ndarray,
 # locus construction
 # ----------------------------------------------------------------------
 
-def _checked_depth(curve: ConstitutiveCurve, depth) -> int:
+def _checked_depth(depth) -> int:
+    """depth as an int; DomainError below zero, CapabilityError above MAX_DERIVATIVE_ORDER."""
     depth = int(depth)
     if depth < 0:
         raise DomainError("depth must be non-negative")
-    if depth > curve.max_derivative_order:
-        raise CapabilityError(
-            f"depth {depth} needs curve derivatives up to order {depth}; this "
-            f"{curve.family} curve supports {curve.max_derivative_order}"
-        )
+    if depth > MAX_DERIVATIVE_ORDER:
+        raise CapabilityError(f"depth {depth} exceeds MAX_DERIVATIVE_ORDER "
+                              f"{MAX_DERIVATIVE_ORDER}, the deepest chain the package builds")
     return depth
 
 
@@ -297,10 +296,10 @@ def analytic_locus(
     """Depth-k locus of the curve under the drive, from the closed-form chain rule.
 
     The locus's jet is (curve, exc), which gives its coordinates at depth k
-    and, where the curve has a derivative of order k + 1, its rates.  A grid
-    must span the drive's period (_grid_jet).
+    and its rates at depth k + 1.  A grid must span the drive's period
+    (_grid_jet).
     """
-    depth = _checked_depth(curve, depth)
+    depth = _checked_depth(depth)
     t = (sample_grid if sample_grid is not None else grid(exc)).t_values
     [(u, w)] = _grid_jet(curve, exc, t, depth, [depth])
     if depth:  # copies, so that the locus does not keep the jet's shallower rows alive
@@ -316,7 +315,7 @@ def analytic_chain(
     Each locus equals analytic_locus's for its depth, bit for bit, and
     each past the first holds the rates (du/dt, dw/dt) of the one before.
     """
-    depth = _checked_depth(curve, depth)
+    depth = _checked_depth(depth)
     t = sample_grid.t_values
     rows = _grid_jet(curve, exc, t, depth, range(depth + 1))
     return tuple(ParametricLocus._view(t, *rows[d], d, (curve, exc)) for d in range(depth + 1))

@@ -60,6 +60,15 @@ MALFORMED = [
     # a key no reader reads
     ("unknown-config-key", "analyze", dict(ANALYZE, grid=256), "config.grid is not a known key"),
     ("unknown-curve-key", "analyze", curve(rnage=[0, 2]), "curve.rnage is not a known key"),
+    # the derivative order is no curve key, whatever its value
+    ("order-float", "analyze", curve(max_derivative_order=4.0),
+     "curve.max_derivative_order is not a known key"),
+    ("order-bool", "analyze", curve(max_derivative_order=True),
+     "curve.max_derivative_order is not a known key"),
+    ("order-zero", "analyze", curve(max_derivative_order=0),
+     "curve.max_derivative_order is not a known key"),
+    ("two-branch-order", "analyze", loop(max_derivative_order=7),
+     "curve.max_derivative_order is not a known key"),
     ("unknown-param", "analyze", curve(params={"coefficients": [0, 1], "c": 1}),
      "curve.params.c is not a known key"),
     ("unknown-logistic-param", "analyze", params("logistic", a=2),
@@ -113,10 +122,6 @@ MALFORMED = [
      "descriptor.alpha must be an integer"),
     ("beta-float", "analyze", dict(ANALYZE, descriptor={"alpha": -1, "beta": -1.0}),
      "descriptor.beta must be an integer"),
-    ("order-float", "analyze", curve(max_derivative_order=4.0),
-     "curve.max_derivative_order must be an integer"),
-    ("order-bool", "analyze", curve(max_derivative_order=True),
-     "curve.max_derivative_order must be an integer"),
     ("grid-n-float", "analyze", dict(ANALYZE, grid_n=4096.0), "config.grid_n must be an integer"),
     ("suite-grid-n-bool", "suite", dict(SUITE, grid_n=True), "config.grid_n must be an integer"),
     ("sweep-grid-n-string", "sweep", dict(SWEEP, grid_n="4096"),
@@ -152,8 +157,6 @@ MALFORMED = [
      "curve: piecewise_linear knot abscissae must strictly increase"),
     ("range-reversed", "analyze", curve(range=[2, 0]),
      "curve: operating range must satisfy lo < hi, got (2.0, 0.0)"),
-    ("order-zero", "analyze", curve(max_derivative_order=0),
-     "curve: max_derivative_order must be a positive integer"),
     ("branches-apart", "analyze", branches(CUBIC, dict(CUBIC, range=[0, 1])),
      "curve: branches must share one operating range"),
     ("branch-error-path", "suite", {"curves": [dict(LOOP, params={
@@ -162,8 +165,6 @@ MALFORMED = [
      "config.curves[0].params.returning.params.coefficients must be a non-empty array"),
     ("two-branch-range", "analyze", loop(range=[0, 1.5]),
      "curve.range (0.0, 1.5) disagrees with the branches' (0.0, 2.0)"),
-    ("two-branch-order", "analyze", loop(max_derivative_order=7),
-     "curve.max_derivative_order 7 disagrees with the branches' 4"),
     # a drive, a descriptor and tolerances the package rejects
     ("amplitude-negative", "analyze", dict(ANALYZE, excitation={"amplitude": -1}),
      "excitation: amplitude must be positive"),

@@ -133,19 +133,17 @@ class TestConfigParsing:
             tolerances_from_spec({"witnes_tol": 1.0}, numeric=False)
 
     @pytest.mark.parametrize("curve", [
-        PolynomialCurve(coefficients=(0.0, 0.8, 0.1, 0.3), operating_range=(-1.0, 1.5),
-                        max_derivative_order=6),
-        TanhScaledCurve(a=1.3, b=0.7, max_derivative_order=5),
+        PolynomialCurve(coefficients=(0.0, 0.8, 0.1, 0.3), operating_range=(-1.0, 1.5)),
+        TanhScaledCurve(a=1.3, b=0.7),
         LogisticCurve(operating_range=(0.25, 3.0)),
         PiecewiseLinearCurve(knots=((0.0, 0.0), (1.0, 0.5), (2.0, 2.0)),
                              operating_range=(0.5, 2.0)),
         TwoBranchCurve(
-            outgoing=PolynomialCurve(coefficients=(0.0, 1.0, 0.0, 1.0 / 3.0),
-                                     max_derivative_order=5),
+            outgoing=PolynomialCurve(coefficients=(0.0, 1.0, 0.0, 1.0 / 3.0)),
             returning=PolynomialCurve(coefficients=(0.0, 4.0 / 3.0, 0.5))),
     ], ids=lambda curve: curve.family)
     def test_spec_round_trips(self, curve):
-        # spec() writes every key, two-branch's derived range and order included
+        # spec() writes every key, two-branch's derived range included
         assert curve_from_spec(json.loads(json.dumps(curve.spec()))) == curve
 
 
@@ -155,18 +153,16 @@ LOOP_SPEC = {"family": "two_branch", "params": {
 
 
 class TestTwoBranchDerivedKeys:
-    """A two-branch node's range and max_derivative_order must be the branches'."""
+    """A two-branch node's range must be the branches'."""
 
     def test_matching_keys_accepted(self):
-        curve = curve_from_spec(dict(LOOP_SPEC, range=[0, 2], max_derivative_order=4))
+        curve = curve_from_spec(dict(LOOP_SPEC, range=[0, 2]))
         assert curve == curve_from_spec(LOOP_SPEC)
 
     @pytest.mark.parametrize("key, value, message", [
         ("range", [0, 1.5], "curve.range"),
         ("range", [0, 2, 3], "curve.range"),
         ("range", [0, "2"], r"curve.range\[1\]"),
-        ("max_derivative_order", 3, "curve.max_derivative_order"),
-        ("max_derivative_order", 4.0, "curve.max_derivative_order"),
     ])
     def test_disagreeing_key_rejected(self, key, value, message):
         with pytest.raises(ConfigError, match=message):
@@ -177,7 +173,7 @@ class TestTwoBranchDerivedKeys:
         out = tmp_path / "out"
         assert run(["analyze", "--config", write_config(tmp_path, cfg),
                     "--output-dir", str(out)]) == 2
-        assert "curve.max_derivative_order" in capsys.readouterr().err
+        assert "curve.max_derivative_order is not a known key" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -343,7 +339,6 @@ class TestAnalyzeCommand:
 
     def test_deep_memristor_report(self, tmp_path):
         cfg = dict(MEMRISTOR_CFG, descriptor={"alpha": -6, "beta": -6})
-        cfg["curve"] = dict(cfg["curve"], max_derivative_order=7)
         out = tmp_path / "out"
         assert run(["analyze", "--config", write_config(tmp_path, cfg),
                     "--output-dir", str(out)]) == 0
@@ -435,19 +430,19 @@ class TestAnalyzeCommand:
         assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_finite_difference_rate_overflow_is_an_analysis_error(self, tmp_path, capsys):
-        # a curve with no third derivative, so the verdict plane's rates are
-        # finite differences, on either chain; at omega 1e120 they pass float range
-        for numeric in (False, True):
+        # at omega 1e120 the verdict plane's rates pass float range: a numeric
+        # chain's finite differences, and the closed-form chain's drive level 3
+        for numeric, message in ((True, "depth 3 finite differences are beyond float range"),
+                                 (False, "drive level 3 is beyond float range")):
             cfg = write_config(tmp_path, {
                 "descriptor": {"alpha": -2, "beta": -2},
-                "curve": dict(MEMRISTOR_CFG["curve"], max_derivative_order=2),
+                "curve": MEMRISTOR_CFG["curve"],
                 "excitation": {"omega": 1e120},
                 "numeric_chain": numeric})
             assert run(["analyze", "--config", cfg,
                         "--output-dir", str(tmp_path / "out")]) == 1
             err = capsys.readouterr().err
-            assert err.startswith("analysis failed: depth 3 finite differences are beyond "
-                                  "float range")
+            assert err.startswith(f"analysis failed: {message}")
             assert err.count("\n") == 1
             assert not (tmp_path / "out").exists()
 
@@ -771,21 +766,30 @@ class TestFigureCommand:
     ])
     def test_waveforms_are_read_off_phase_shift(self, tmp_path, monkeypatch, fig_id, curve):
         # the waveform and its peak heights come from phase_shift's refined
-        # locus: no second locus is built and the jet is not read at the peaks
-        # again; its even samples are the default grid's depth-1 locus
+        # locus: no second locus is built, and its jet is read at the two peaks
+        # alone, for the markers; its even samples are the default grid's
+        # depth-1 locus
         locus = analytic_locus(curve, Excitation(), 1)
         want = b"".join(cli.columns_to_csv("t,ordinate,abscissa_rate", locus.t_values,
                                            locus.w_values, locus.u_values))
+        ph = loci.phase_shift(curve, Excitation())
+        peaks, point_at = [], loci.point_at
 
         def fail(*args, **kwargs):
             pytest.fail("waveform figure evaluated a locus again")
 
+        def peak(at, t):
+            peaks.append((at.depth, t))
+            return point_at(at, t)
+
         for module in (memelements, transform, loci, cli):
             for name in ("analytic_locus", "point_at"):
                 monkeypatch.setattr(module, name, fail, raising=False)
+        monkeypatch.setattr(cli, "point_at", peak)
         out = tmp_path / fig_id
         assert run(["figure", fig_id, "--output-dir", str(out)]) == 0
         assert (out / f"{fig_id}.csv").read_bytes() == want
+        assert peaks == [(1, ph.t_peak_ordinate), (1, ph.t_peak_abscissa)]
 
     def test_runs_are_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -1067,15 +1071,13 @@ class TestSuiteCommand:
         payload = suite_to_dict(theorem_suite([cubic]))
         assert payload["kind"] == "suite_report"
         assert payload["all_passed"] is True
-        # a non-ideal curve and a first-order-only curve skip checks
-        first_order = PolynomialCurve(coefficients=(0.0, 1.0, 0.0, 1.0 / 3.0),
-                                      max_derivative_order=1)
-        payload = suite_to_dict(theorem_suite([cubic, curve_from_spec(FLAT_SPEC), first_order]))
+        # a non-ideal curve skips every check
+        payload = suite_to_dict(theorem_suite([cubic, curve_from_spec(FLAT_SPEC)]))
         jsonschema.validate(payload, load_schema("suite_report.schema.json"))
-        assert [inst["ideal"] for inst in payload["instances"]] == [True, False, True]
+        assert [inst["ideal"] for inst in payload["instances"]] == [True, False]
         skipped = [[c["status"] == "skipped" for c in inst["checks"].values()]
                    for inst in payload["instances"]]
-        assert not any(skipped[0]) and all(skipped[1]) and any(skipped[2])
+        assert not any(skipped[0]) and all(skipped[1])
 
 
 class TestSweepCommand:

@@ -17,7 +17,7 @@ from memelements import (
     mvt_point,
 )
 from memelements import constitutive
-from memelements.constitutive import _tanh_poly
+from memelements.constitutive import MAX_DERIVATIVE_ORDER, _tanh_poly
 from oracles import MVT_POINT_CUBIC
 
 
@@ -56,8 +56,20 @@ class TestPolynomial:
             cubic.eval(np.array([0.5, -0.1]))
 
     def test_derivative_order_capped(self, cubic):
-        with pytest.raises(CapabilityError):
-            cubic.derivative(1.0, 5)
+        # past order 3 the cubic's derivatives are zero up to the package's bound,
+        # and past the bound they raise
+        assert cubic.derivative(1.0, MAX_DERIVATIVE_ORDER) == 0.0
+        with pytest.raises(CapabilityError, match="order 17 exceeds MAX_DERIVATIVE_ORDER 16"):
+            cubic.derivative(1.0, MAX_DERIVATIVE_ORDER + 1)
+
+    @pytest.mark.parametrize("family", [PolynomialCurve, TanhScaledCurve, LogisticCurve,
+                                        PiecewiseLinearCurve], ids=lambda cls: cls.__name__)
+    def test_no_curve_takes_an_order_cap(self, family, cubic, loop_curve):
+        args = {PolynomialCurve: ((0.0, 1.0),), PiecewiseLinearCurve: (((0.0, 0.0), (2.0, 2.0)),)}
+        with pytest.raises(TypeError, match="max_derivative_order"):
+            family(*args.get(family, ()), max_derivative_order=4)
+        assert not hasattr(loop_curve, "max_derivative_order")
+        assert "max_derivative_order" not in cubic.spec()
 
     def test_origin_crossing_required(self):
         # range includes 0 but f(0) = 1
@@ -84,7 +96,7 @@ class TestStackedDerivatives:
 
     @pytest.mark.parametrize("coeffs", POLYS)
     def test_polynomial_rows_equal_polyval(self, coeffs):
-        curve = PolynomialCurve(coeffs, max_derivative_order=7)
+        curve = PolynomialCurve(coeffs)
         rows = curve._stack(self.XS, 7)
         for k in range(8):
             want = npoly.polyval(self.XS, npoly.polyder(coeffs, m=k)) if k < len(coeffs) \
@@ -94,10 +106,10 @@ class TestStackedDerivatives:
             assert _bits([curve.derivative(x, k) for x in self.XS]) == _bits(want)
 
     @pytest.mark.parametrize("curve, scale", [
-        (TanhScaledCurve(a=1.3, b=0.7, max_derivative_order=7), lambda k: 1.3 * 0.7 ** k),
-        (TanhScaledCurve(a=-2.0, b=-0.3, operating_range=(-2.0, 2.0), max_derivative_order=7),
+        (TanhScaledCurve(a=1.3, b=0.7), lambda k: 1.3 * 0.7 ** k),
+        (TanhScaledCurve(a=-2.0, b=-0.3, operating_range=(-2.0, 2.0)),
          lambda k: -2.0 * (-0.3) ** k),
-        (LogisticCurve(max_derivative_order=7), lambda k: 0.5 ** (k + 1)),
+        (LogisticCurve(), lambda k: 0.5 ** (k + 1)),
     ])
     def test_tanh_rows_equal_per_order_polyval(self, curve, scale):
         lo, hi = curve.operating_range
@@ -118,7 +130,7 @@ class TestStackedDerivatives:
             with pytest.raises(DomainError):
                 curve._stack(np.array([1.0, 2.5]), 2)
             with pytest.raises(CapabilityError):
-                curve._stack(1.0, 5)
+                curve._stack(1.0, MAX_DERIVATIVE_ORDER + 1)
         with pytest.raises(ValueError, match="no single value"):
             loop_curve._stack(1.0, 2)
 

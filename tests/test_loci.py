@@ -525,13 +525,6 @@ class TestPhaseShift:
             rpt = phase_shift(curve, exc)
             assert (rpt.t_peak_ordinate, rpt.t_peak_abscissa) == expect
 
-    def test_needs_second_derivatives(self, drive):
-        from memelements import CapabilityError, PolynomialCurve
-
-        curve = PolynomialCurve(coefficients=(0.0, 1.0, 0.0, 1.0 / 3.0), max_derivative_order=1)
-        with pytest.raises(CapabilityError):
-            phase_shift(curve, drive)
-
 
 def _probed_peak(curve, exc, roots, component):
     """First root in (0, T/2) where the depth-1 rate is positive just before and
@@ -990,16 +983,14 @@ class TestOneWalk:
 class TestGridSeed:
     """refine_planes's inverse-interpolation seed steers the bisection, never its roots."""
 
-    # a curve with derivatives to order 5 and a drive inside its range
+    # a curve and a drive inside its range
     CHAINS = {
-        "polynomial": (PolynomialCurve((0.0, 1.0, 0.0, 1.0 / 3.0), max_derivative_order=5),
-                       Excitation(0.8, 1.7, 1.0)),
-        "tanh": (TanhScaledCurve(a=1.3, b=0.8, max_derivative_order=5),
-                 Excitation(0.8, 1.7, 1.0)),
-        "logistic": (LogisticCurve(max_derivative_order=5), Excitation(0.7, 0.6, 1.25)),
+        "polynomial": (PolynomialCurve((0.0, 1.0, 0.0, 1.0 / 3.0)), Excitation(0.8, 1.7, 1.0)),
+        "tanh": (TanhScaledCurve(a=1.3, b=0.8), Excitation(0.8, 1.7, 1.0)),
+        "logistic": (LogisticCurve(), Excitation(0.7, 0.6, 1.25)),
         "two_branch": (TwoBranchCurve(
-            outgoing=PolynomialCurve((0.0, 1.0, 0.0, 1.0 / 3.0), max_derivative_order=5),
-            returning=PolynomialCurve((0.0, 4.0 / 3.0, 0.5), max_derivative_order=5)),
+            outgoing=PolynomialCurve((0.0, 1.0, 0.0, 1.0 / 3.0)),
+            returning=PolynomialCurve((0.0, 4.0 / 3.0, 0.5))),
             Excitation(0.9, 1.3)),
     }
 
@@ -1435,19 +1426,19 @@ class TestTopPlaneWithoutRates:
         assert repr(loci.project_landmarks(chain[-1], points)) == repr(
             loci.project_landmarks(alone, points))
 
-    @pytest.mark.parametrize("kind", ["closed", "capped", "numeric"])
-    def test_last_locus_keeps_its_abscissa_fields_until_its_rates_are_read(self, kind,
+    @pytest.mark.parametrize("kind", ["closed", "differenced", "numeric"])
+    def test_last_locus_keeps_its_abscissa_fields_until_its_rates_are_read(self, kind, cubic,
                                                                           drive):
-        # the last locus's transform would be the jet one level deeper, the
-        # differences of a jet plane at the curve's order cap, or differences
-        # of differences; none is built until its rates are read
+        # the last locus's transform would be the jet one level deeper or
+        # differences of differences, the last locus being the differences of
+        # plane 0 or, with a jet plane before it that they are the rates of,
+        # of plane 1; none is built until its rates are read
         g = grid(drive, 1024)
-        cubic = PolynomialCurve((0.0, 1.0, 0.0, 1.0 / 3.0),
-                                max_derivative_order=2 if kind == "capped" else 4)
-        if kind == "numeric":
-            chain = (analytic_locus(cubic, drive, 0, g),)
-            chain += (numeric_transform(chain[0]),)
-            alone = numeric_transform(analytic_locus(cubic, drive, 0, g))
+        if kind != "closed":
+            source = 0 if kind == "numeric" else 1
+            chain = transform.analytic_chain(cubic, drive, source, g)
+            chain += (numeric_transform(chain[-1]),)
+            alone = numeric_transform(analytic_locus(cubic, drive, source, g))
         else:
             chain = transform.analytic_chain(cubic, drive, 2, g)
             alone = analytic_locus(cubic, drive, 2, g)
@@ -1496,7 +1487,7 @@ class TestRatesAreTheNextLocus:
     def test_jet_plane_before_differences_reads_the_differences(self, cubic, drive, depth):
         g = grid(drive, 1024)
         locus = analytic_locus(cubic, drive, depth, g)
-        assert locus.depth < locus.jet[0].max_derivative_order  # its jet gives its rates
+        assert loci._transform(locus).jet is not None  # its jet gives its rates
         differences = numeric_transform(locus)
         bare = ParametricLocus(locus.t_values, locus.u_values, locus.w_values, depth)
         loci.refine_planes(_as_chain((locus, differences)))
@@ -1509,19 +1500,18 @@ class TestRatesAreTheNextLocus:
 class TestOnePassRefinement:
     """The one pass over a chain's distinct rows stores what the per-plane pass stored."""
 
-    # derivative orders 4 and 5, so some deepest planes have exact rates and some do not
     CURVES = {
-        "polynomial": (PolynomialCurve((0.0, 1.0, 0.0, 1.0 / 3.0), max_derivative_order=5),
-                       (0.0, 2.0)),
+        "polynomial": (PolynomialCurve((0.0, 1.0, 0.0, 1.0 / 3.0)), (0.0, 2.0)),
         "tanh": (TanhScaledCurve(a=1.3, b=0.8), (0.0, 2.0)),
-        "logistic": (LogisticCurve(max_derivative_order=5), (0.5, 2.0)),
+        "logistic": (LogisticCurve(), (0.5, 2.0)),
         "piecewise_linear": (PiecewiseLinearCurve(((0.0, 0.0), (1.0, 0.5), (2.0, 2.0))),
                              (0.0, 2.0)),
         "two_branch": (TwoBranchCurve(
-            outgoing=PolynomialCurve((0.0, 1.0, 0.0, 1.0 / 3.0), max_derivative_order=5),
-            returning=PolynomialCurve((0.0, 4.0 / 3.0, 0.5), max_derivative_order=5)),
+            outgoing=PolynomialCurve((0.0, 1.0, 0.0, 1.0 / 3.0)),
+            returning=PolynomialCurve((0.0, 4.0 / 3.0, 0.5))),
             (0.0, 2.0)),
     }
+    KINDS = ["closed", "differenced", "numeric", "lone", "lone_numeric"]
 
     @staticmethod
     def _drive(data, lo, hi):
@@ -1537,25 +1527,25 @@ class TestOnePassRefinement:
         """The planes classify refines for a verdict plane at depth on a chain of the
         kind, each with the locus that holds its rates, in its one refine_planes call:
         a numeric chain's plane 0 with its closed-form rates, then each
-        finite-difference plane with the next one.  Or a lone depth-d locus and its
-        transform, as _plane_roots refines it."""
+        finite-difference plane with the next one.  Or a closed chain whose verdict
+        plane's rates are its finite differences (differenced), or a lone depth-d locus
+        and its transform, as _plane_roots refines it."""
         curve, (lo, hi) = self.CURVES[name]
         exc = self._drive(data, lo, hi)
         g = grid(exc, n)
         if kind in ("closed", "lone"):
-            chain = list(transform.analytic_chain(
-                curve, exc, min(depth + 1, curve.max_derivative_order), g))
+            chain = list(transform.analytic_chain(curve, exc, depth + 1, g))
+        elif kind == "differenced":
+            chain = list(transform.analytic_chain(curve, exc, depth, g))
+            chain.append(numeric_transform(chain[-1]))
         elif kind == "lone_numeric":
             chain = [analytic_locus(curve, exc, 0, g)]
             for _ in range(depth):
                 chain.append(numeric_transform(chain[-1]))
         else:
-            chain = list(transform.analytic_chain(
-                curve, exc, min(1, curve.max_derivative_order), g))
+            chain = list(transform.analytic_chain(curve, exc, 1, g))
         if kind.startswith("lone"):
             return [(chain[depth], loci._transform(chain[depth]))]
-        if len(chain) == (1 if kind == "numeric" else depth + 1):  # the curve's order cap
-            chain.append(numeric_transform(chain[-1]))
         pairs = list(zip(chain, chain[1:]))
         if kind == "numeric" and depth:
             differences = [numeric_transform(chain[0])]
@@ -1567,7 +1557,7 @@ class TestOnePassRefinement:
     @settings(max_examples=120, deadline=None)
     @given(name=st.sampled_from(sorted(CURVES)), depth=st.integers(0, 4),
            n=st.sampled_from([64, 257, 4095, 4096]),
-           kind=st.sampled_from(["closed", "numeric", "lone", "lone_numeric"]), data=st.data())
+           kind=st.sampled_from(KINDS), data=st.data())
     def test_every_field_equals_the_frozen_pass(self, name, depth, n, kind, data):
         # every plane is refined with its rates; the locus past the last plane,
         # which only holds its rates, is not refined
@@ -1581,7 +1571,7 @@ class TestOnePassRefinement:
     @settings(max_examples=60, deadline=None)
     @given(name=st.sampled_from(sorted(CURVES)), depth=st.integers(0, 4),
            n=st.sampled_from([64, 257, 4095]), block=st.sampled_from([1, 7, 64, 1000]),
-           kind=st.sampled_from(["closed", "numeric", "lone", "lone_numeric"]), data=st.data())
+           kind=st.sampled_from(KINDS), data=st.data())
     def test_column_blocks_equal_the_frozen_pass(self, name, depth, n, block, kind, data):
         # a grid of more than one block is scanned a block at a time, and its
         # stencils gathered from a stack of the columns they read
@@ -1596,7 +1586,7 @@ class TestOnePassRefinement:
     @settings(max_examples=60, deadline=None)
     @given(name=st.sampled_from(sorted(CURVES)), depth=st.integers(0, 4),
            n=st.sampled_from([64, 257, 4095, 4096]),
-           kind=st.sampled_from(["closed", "numeric", "lone", "lone_numeric"]), data=st.data())
+           kind=st.sampled_from(KINDS), data=st.data())
     def test_without_top_rates_the_top_keeps_its_abscissa_fields(self, name, depth, n, kind,
                                                                  data):
         # the top plane is given without its rates: the planes below it, and

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -267,8 +268,7 @@ class TestWitnessesReadOnce:
 class TestClassifyDeep:
     @pytest.mark.parametrize("cell", [(-5, -5), (-6, -6)])
     def test_every_plane_closed_form_and_witnesses_exact(self, cell):
-        curve = PolynomialCurve(coefficients=(0.0, 1.0, 0.0, 1.0 / 3.0),
-                                max_derivative_order=7)
+        curve = PolynomialCurve(coefficients=(0.0, 1.0, 0.0, 1.0 / 3.0))
         rpt = classify(cell, curve)
         assert rpt.provenance == "analytic"
         assert [p.provenance for p in rpt.planes] == ["analytic"] * len(rpt.planes)
@@ -277,6 +277,25 @@ class TestClassifyDeep:
                                     [p.t for p in rpt.witnesses])
         assert np.max(np.abs([p.u for p in rpt.witnesses] - u)) <= 1e-9
         assert np.max(np.abs([p.w for p in rpt.witnesses] - w)) <= 1e-9
+
+    # default curves, each with its sympy form
+    CURVES = {
+        "cubic": (PolynomialCurve((0.0, 1.0, 0.0, 1.0 / 3.0)), lambda x: x + x**3 / 3.0),
+        "tanh": (TanhScaledCurve(), sp.tanh),
+        "quintic": (PolynomialCurve((0.0, 0.8, 0.1, 0.3, 0.0, 0.05)),
+                    lambda x: 0.8 * x + 0.1 * x**2 + 0.3 * x**3 + 0.05 * x**5),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CURVES))
+    def test_verdict_plane_zero_tangents_are_roots_of_the_exact_rate(self, name):
+        # the (-4,-4) verdict plane's rates are the depth-5 jet's: each zero
+        # tangent is a root of the exact dw/dt = d^5/dt^5 f(x(t))
+        curve, f = self.CURVES[name]
+        rpt = classify((-4, -4), curve)
+        times = [p.t for p in rpt.verdict_plane.zero_tangents]
+        assert times
+        scale = np.max(np.abs(oracles.chain_oracle(f, 5, np.linspace(0.0, 2.0 * np.pi, 257))[1]))
+        assert np.max(np.abs(oracles.chain_oracle(f, 5, times)[1])) <= 1e-9 * scale
 
 
 class TestSeamRun:
@@ -299,12 +318,27 @@ class TestClassifyGuards:
         with pytest.raises(DomainError):
             classify((-1, -1), narrow)
 
-    def test_capability_gate(self):
-        shallow = PolynomialCurve(
-            coefficients=(0.0, 1.0, 0.0, 1.0 / 3.0), max_derivative_order=1
-        )
-        with pytest.raises(CapabilityError):
-            classify((-2, -2), shallow)
+    def test_capability_gate(self, cubic, monkeypatch):
+        # a (-16,-16) chain ends at depth 17, past the bound: refused on either
+        # chain before any jet or finite difference is taken
+        def refused(*args, **kwargs):
+            raise AssertionError("a chain past MAX_DERIVATIVE_ORDER was built")
+
+        for module in (transform, loci):
+            monkeypatch.setattr(module, "_jet", refused)
+        for module in (transform, loci, taxonomy):
+            monkeypatch.setattr(module, "numeric_transform", refused)
+        for numeric in (False, True):
+            with pytest.raises(CapabilityError,
+                               match="the chain needs depth 17, past MAX_DERIVATIVE_ORDER 16"):
+                classify((-16, -16), cubic, numeric_chain=numeric)
+
+    def test_deep_cell_reads_the_closed_form_chain(self, cubic):
+        # every plane of a (-12,-12) chain, the one past the verdict plane too, is
+        # off the jet
+        rpt = classify((-12, -12), cubic)
+        assert [p.provenance for p in rpt.planes] == ["analytic"] * 13
+        assert rpt.verdict is Verdict.LOCALLY_ACTIVE and rpt.witnesses
 
     def test_scaled_drive_fits_scaled_range(self, drive):
         wide = PolynomialCurve(
@@ -334,16 +368,22 @@ class TestClassifyGuards:
         self._classify_huge(cell, numeric_chain=True)
 
     @pytest.mark.parametrize("numeric", [False, True])
-    def test_finite_difference_rates_beyond_float_range_raise(self, numeric):
-        # with no third derivative the verdict plane's rates are finite
-        # differences, here at spacing 1.5e-123; once they overflowed into a
-        # zero tangent at t = nan, or a NaN abscissa on the closed-form chain
-        cubic = PolynomialCurve((0.0, 1.0, 0.0, 1.0 / 3.0), max_derivative_order=2)
+    def test_finite_difference_rates_beyond_float_range_raise(self, cubic, numeric):
+        # the verdict plane's finite-difference rates, here at spacing 1.5e-123, of a
+        # numeric chain's plane or of the closed-form one; once they overflowed into
+        # a zero tangent at t = nan, or a NaN abscissa
+        exc = Excitation(omega=1e120)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalError, match="depth 3 finite differences are beyond "
                                                      "float range: sample spacing 1.5"):
-                classify((-2, -2), cubic, Excitation(omega=1e120), numeric_chain=numeric)
+                if numeric:
+                    classify((-2, -2), cubic, exc, numeric_chain=True)
+                else:
+                    numeric_transform(analytic_locus(cubic, exc, 2))
+            if not numeric:  # the closed-form chain's own rates need drive level 3
+                with pytest.raises(NumericalError, match="drive level 3 is beyond float range"):
+                    classify((-2, -2), cubic, exc)
 
 
 class TestTheoremSuite:
@@ -525,21 +565,6 @@ class TestSuiteFailurePaths:
             assert degen.detail == ("witness degenerates at this operating point; "
                                     "activity undecided")
             assert list(degen.data) == ["candidate_witness_magnitude"]
-
-    def test_first_order_only_curve(self):
-        curve = PolynomialCurve(coefficients=(0.0, 1.0, 0.0, 1.0 / 3.0),
-                                max_derivative_order=1)
-        rep = theorem_suite([curve])
-        assert rep.all_passed
-        checks = rep.instances[0].checks
-        assert list(checks) == list(ALL_CHECKS)
-        assert checks[CHECK_FIRST_ORDER].status is CheckStatus.PASS
-        assert list(checks[CHECK_FIRST_ORDER].data) == ["pinch_times"]
-        for name in ALL_CHECKS[1:]:
-            assert checks[name].status is CheckStatus.SKIPPED
-            assert checks[name].detail == "needs second derivatives"
-            assert dict(checks[name].data) == {}
-        assert rep.aggregate[CHECK_SINGLE_VALUED]["skipped"] == 1
 
     def test_skipped_non_ideal_curve_names_its_criteria(self):
         line = PolynomialCurve(coefficients=(0.0, 1.0))
@@ -739,19 +764,17 @@ class TestOnlyReadPlanesAreRefined:
 
 class TestChainEndsPastTheVerdictPlane:
     """classify's chain ends one plane past the verdict plane, which it does not report:
-    off the grid jet where the curve has the derivative, else by finite differences."""
+    off the grid jet on a closed-form chain, by finite differences on a numeric one."""
 
-    # (verdict depth, curve order, numeric_chain, the source depths of the
-    # finite-difference transforms taken, the depths of the jets on the grid);
-    # a numeric chain reads plane 0 and its rates off one jet to depth 1, so
-    # at depth 0 finite differences would only hold two more grid rows
-    CASES = [(0, 4, False, [], [1]), (1, 4, False, [], [2]), (3, 4, False, [], [4]),
-             (1, 1, False, [1], [1]), (3, 3, False, [3], [3]),
-             (0, 4, True, [], [1]), (1, 4, True, [0, 1], [1]),
-             (3, 4, True, [0, 1, 2, 3], [1])]
+    # (verdict depth, numeric_chain, the source depths of the finite-difference
+    # transforms taken, the depths of the jets on the grid); a numeric chain
+    # reads plane 0 and its rates off one jet to depth 1, so at depth 0 finite
+    # differences would only hold two more grid rows
+    CASES = [(0, False, [], [1]), (1, False, [], [2]), (3, False, [], [4]), (4, False, [], [5]),
+             (0, True, [], [1]), (1, True, [0, 1], [1]), (3, True, [0, 1, 2, 3], [1])]
 
-    @pytest.mark.parametrize("depth, order, numeric, transforms, grid_jets", CASES)
-    def test_chain_takes_only_the_evaluations_it_needs(self, depth, order, numeric, transforms,
+    @pytest.mark.parametrize("depth, numeric, transforms, grid_jets", CASES)
+    def test_chain_takes_only_the_evaluations_it_needs(self, cubic, depth, numeric, transforms,
                                                         grid_jets, monkeypatch):
         taken, jets = [], []
         jet, differences = transform._jet, transform.numeric_transform
@@ -769,8 +792,7 @@ class TestChainEndsPastTheVerdictPlane:
         monkeypatch.setattr(loci, "_jet", recording_jet)
         monkeypatch.setattr(taxonomy, "numeric_transform", recording_differences)
         monkeypatch.setattr(loci, "numeric_transform", recording_differences)
-        curve = PolynomialCurve((0.0, 1.0, 0.0, 1.0 / 3.0), max_derivative_order=order)
-        rpt = classify((-depth, -depth), curve, numeric_chain=numeric)
+        rpt = classify((-depth, -depth), cubic, numeric_chain=numeric)
         assert (taken, jets) == (transforms, grid_jets)
         assert len(rpt.loci) == len(rpt.planes) == depth + 1
         assert [locus.depth for locus in rpt.loci] == list(range(depth + 1))

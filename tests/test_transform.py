@@ -35,7 +35,7 @@ from memelements import (
     point_at,
 )
 from memelements import excitation, loci, transform
-from memelements.constitutive import _tanh_stack
+from memelements.constitutive import MAX_DERIVATIVE_ORDER, _tanh_stack
 from oracles import chain_oracle, cubic_rate, tanh_rate
 
 
@@ -43,16 +43,17 @@ def high_res_diff(fn, t, h=1e-5):
     return (fn(t + h) - fn(t - h)) / (2.0 * h)
 
 
+# the deepest depth the sympy and frozen-kernel comparisons take
 DEEP = 6
 LOOP = TwoBranchCurve(
-    outgoing=PolynomialCurve((0.0, 1.0, 0.0, 1.0 / 3.0), max_derivative_order=DEEP),
-    returning=PolynomialCurve((0.0, 4.0 / 3.0, 0.5), max_derivative_order=DEEP),
+    outgoing=PolynomialCurve((0.0, 1.0, 0.0, 1.0 / 3.0)),
+    returning=PolynomialCurve((0.0, 4.0 / 3.0, 0.5)),
 )
-CUBIC = PolynomialCurve((0.0, 1.0, 0.0, 1.0 / 3.0), max_derivative_order=DEEP)
-TANH = TanhScaledCurve(a=1.3, b=0.8, max_derivative_order=DEEP)
-LOGISTIC = LogisticCurve(max_derivative_order=DEEP)
-# curve with derivatives to order DEEP, the single-valued curve its sympy form is (the
-# curve or, on the loop, one branch), that form, a drive inside its range
+CUBIC = PolynomialCurve((0.0, 1.0, 0.0, 1.0 / 3.0))
+TANH = TanhScaledCurve(a=1.3, b=0.8)
+LOGISTIC = LogisticCurve()
+# curve, the single-valued curve its sympy form is (the curve or, on the loop, one
+# branch), that form, a drive inside its range
 SYMBOLIC = {
     "cubic": (CUBIC, CUBIC, lambda x: x + (1.0 / 3.0) * x**3, Excitation(0.8, 1.7, 1.0)),
     "tanh": (TANH, TANH, lambda x: 1.3 * sp.tanh(0.8 * x), Excitation(0.8, 1.7, 1.0)),
@@ -126,12 +127,15 @@ class TestChainOrdinate:
 
     @pytest.mark.parametrize("order", [1, 4, 7])
     def test_depth_beyond_curve_capability(self, drive, order):
-        curve = PolynomialCurve((0.0, 1.0, 0.0, 1.0 / 3.0), max_derivative_order=order)
-        assert np.isfinite(chain_ordinate(curve, drive, 1.0, order))
-        with pytest.raises(CapabilityError):
-            chain_ordinate(curve, drive, 1.0, order + 1)
-        with pytest.raises(CapabilityError):
-            analytic_locus(curve, drive, order + 1)
+        # a polynomial of any degree reaches MAX_DERIVATIVE_ORDER, its derivatives past
+        # the degree being zero; a depth past the bound raises for every curve
+        curve = PolynomialCurve((0.0,) + (1.0,) * order)
+        for depth in (order + 1, MAX_DERIVATIVE_ORDER):
+            assert np.isfinite(chain_ordinate(curve, drive, 1.0, depth))
+        with pytest.raises(CapabilityError, match="MAX_DERIVATIVE_ORDER 16"):
+            chain_ordinate(curve, drive, 1.0, MAX_DERIVATIVE_ORDER + 1)
+        with pytest.raises(CapabilityError, match="MAX_DERIVATIVE_ORDER 16"):
+            analytic_locus(curve, drive, MAX_DERIVATIVE_ORDER + 1)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     def test_rejects_non_finite_times(self, cubic, loop_curve, drive, value):
@@ -230,8 +234,8 @@ class TestJet:
         t = np.concatenate(([0.0, 0.5 * exc.period], rng.uniform(0.0, exc.period, 62)))
         depth = rng.integers(0, DEEP + 1, t.size)
         ordinate = rng.random(t.size) < 0.5
-        # an abscissa deeper than the curve's derivatives is still a drive level
-        t, depth = np.append(t, exc.period), np.append(depth, curve.max_derivative_order + 1)
+        # an abscissa deeper than MAX_DERIVATIVE_ORDER is still a drive level
+        t, depth = np.append(t, exc.period), np.append(depth, MAX_DERIVATIVE_ORDER + 1)
         ordinate = np.append(ordinate, False)
         got = transform.jet_signals(curve, exc, t, depth, ordinate)
         want = [chain_ordinate(curve, exc, s, d) if o else excite(exc, s, d)
@@ -374,7 +378,7 @@ class TestFrozenKernel:
         curve, rests, (lo, hi) = self.CURVES[name]
         exc = self._drive(data, lo, hi)
         t = self._times(data, exc, rests)
-        depth = data.draw(st.integers(0, curve.max_derivative_order), label="depth")
+        depth = data.draw(st.integers(0, DEEP), label="depth")
         x, y = transform._jet(curve, exc, t, depth)
         want_x, want_y = _frozen_jet(curve, exc, t, depth)
         assert _equal_bits(x, want_x) and _equal_bits(y, want_y)
@@ -393,7 +397,7 @@ class TestFrozenKernel:
     def test_chain_equals_the_frozen_kernel(self, name, n, data):
         curve, _, (lo, hi) = self.CURVES[name]
         exc = self._drive(data, lo, hi)
-        depth = data.draw(st.integers(0, curve.max_derivative_order), label="depth")
+        depth = data.draw(st.integers(0, DEEP), label="depth")
         g = grid(exc, n)
         chain = transform.analytic_chain(curve, exc, depth, g)
         want_x, want_y = _frozen_jet(curve, exc, g.t_values, depth)
@@ -451,12 +455,18 @@ class TestAnalyticLocus:
         du, dw = point_at(analytic_locus(cubic, drive, 2), 0.12345)
         assert du == pytest.approx(np.cos(0.12345))
 
-    @pytest.mark.parametrize("depth", range(DEEP + 1))
-    def test_derivative_hook_absent_exactly_at_capability_edge(self, depth):
-        # the jet gives a locus's rates below the curve's order cap only
+    @pytest.mark.parametrize("step", range(DEEP + 1))
+    def test_derivative_hook_absent_exactly_at_capability_edge(self, step):
+        # the jet gives a lone locus's rates at the depths up to MAX_DERIVATIVE_ORDER - 1;
+        # at the bound its transform raises, and no finite differences stand in
         curve, _, _, exc = SYMBOLIC["cubic"]
+        depth = MAX_DERIVATIVE_ORDER - DEEP + step
         locus = analytic_locus(curve, exc, depth, grid(exc, 64))
-        assert (loci._transform(locus).jet is not None) == (depth < curve.max_derivative_order)
+        if depth < MAX_DERIVATIVE_ORDER:
+            assert loci._transform(locus).jet is not None
+        else:
+            with pytest.raises(CapabilityError, match=f"depth {depth + 1} exceeds"):
+                loci._transform(locus)
         assert loci._transform(numeric_transform(locus)).jet is None
 
     def test_hooks_are_views_of_the_jet(self, cubic, drive):
@@ -470,8 +480,8 @@ class TestAnalyticLocus:
         for jet in (hook, lambda t: (t, t), (hook, drive), (cubic,)):
             with pytest.raises(DomainError):
                 ParametricLocus(*args, jet=jet)
-        with pytest.raises(DomainError):  # the jet's curve has no derivative of order 5
-            ParametricLocus(*args[:3], 5, jet=(cubic, drive))
+        with pytest.raises(DomainError):  # no jet is taken past MAX_DERIVATIVE_ORDER
+            ParametricLocus(*args[:3], MAX_DERIVATIVE_ORDER + 1, jet=(cubic, drive))
         rebuilt = ParametricLocus(*args, jet=(cubic, drive))
         t = np.linspace(0.1, 6.0, 7)
         for got, want in zip(point_at(rebuilt, t), point_at(locus, t), strict=True):
@@ -481,11 +491,11 @@ class TestAnalyticLocus:
     @given(name=st.sampled_from(["cubic", "tanh", "logistic", "outgoing"]),
            phases=st.lists(st.floats(0.0, 1.25), min_size=1, max_size=6))
     def test_point_at_is_the_scalar_chain(self, name, phases):
-        # exact coordinates at every depth up to the cap, at any time, scalar or array
+        # exact coordinates at every depth up to DEEP, at any time, scalar or array
         curve, _, _, exc = SYMBOLIC[name]
         t = np.array(phases) * exc.period
         g = grid(exc, 64)
-        for depth in range(curve.max_derivative_order + 1):
+        for depth in range(DEEP + 1):
             locus = analytic_locus(curve, exc, depth, g)
             u, w = point_at(locus, t)
             assert _same_bits(u, excite(exc, t, depth))
