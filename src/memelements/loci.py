@@ -9,7 +9,9 @@ reads, from the samples of their grid jet and one more jet evaluation.
 Plane d's rates are plane d + 1's coordinates, so the signal rows (each
 plane's abscissa and coordinate rates) are taken once each, 2k + 3 of
 them for the closed-form planes 0 ... k, and every step below is one
-pass over all of them; each plane's results are its rows' slices:
+pass over all of them; each plane's results are its rows' slices.  The
+abscissae x ... x^(k+1) are drive levels, whose zeros are exact phases
+and peaks A w^j (_level_roots), so only the k + 1 ordinate rows are:
 
 * roots: the rows are scanned for sign changes over the grid, a column
   block at a time so that no full-size stack of them is made, and when
@@ -375,6 +377,8 @@ def _scan_rows(rows: list[np.ndarray], n: int) -> tuple[list[float], np.ndarray,
     stencils from that block's stack, a finer one from a stack of the
     columns they read.
     """
+    if not rows:
+        return [], np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros((0, _STENCIL.size)), []
     blocks = range(0, n, _SCAN_BLOCK)
     peaks, at_row, left, zeros = [], [], [], [[] for _ in rows]
     for start in blocks:
@@ -461,7 +465,9 @@ class _PlaneRoots:
     root and every span midpoint to (u, w, du/dt, dw/dt) there.  Each is
     read off refine_planes's one pass over the distinct rows of the
     planes it is given: a row two planes share gives both the same roots
-    and peak.  On a plane given without its rates, refined for its
+    and peak.  Where u or du/dt is a drive level on the jet, its roots
+    are exact phases and its peak the level's over the period
+    (_level_roots).  On a plane given without its rates, refined for its
     abscissa alone, du, dw and spans are None, and peak and at hold
     max |u|, max |w| and the abscissa roots' (u, w) alone.
     """
@@ -484,26 +490,32 @@ def refine_planes(planes) -> None:
     The loci are taken to share one jet and one grid.  A plane's signal rows
     are its abscissa u (for origin_crossing) and its rates du/dt and
     dw/dt (for rate_landmarks); a row two planes share, such as plane d's
-    du/dt and plane d + 1's u, is one array, taken once.  The distinct
-    rows are scanned for sign changes, peaks and exact zeros
-    (_zero_roots), a column block at a time, and the samples round each
-    bracket gathered (_scan_rows).  Every bracket the jet covers is
-    refined in one lock-step bisection through jet_signals, seeded by
-    _inverse_root; the others keep their linear-interpolation root.  One
+    du/dt and plane d + 1's u, is one array, taken once.  A distinct row
+    that is a drive level on the jet (an abscissa row of a jet locus)
+    takes its zeros and peak from the phase (_level_roots).  The others,
+    the ordinate rows and every row off the jet, are scanned for sign
+    changes, peaks and exact zeros (_zero_roots), a column block at a
+    time, and the samples round each bracket gathered (_scan_rows).
+    Every bracket the jet covers, each on an ordinate row, is refined in
+    one lock-step bisection through jet_signals, seeded by _inverse_root;
+    the others keep their linear-interpolation root.  One
     _jet block at every plane's roots and slope-span midpoints gives
     (u, w, du/dt, dw/dt) there, each plane reading the rows of its locus
     and its rates; what the jet does not give is interpolated in their
     samples.  Each plane's _PlaneRoots, its rows' slices of all this, is
     stored on its locus; a locus that only holds rates is not refined.
     """
-    rows, signals, index = [], [], {}  # distinct rows, their jet signals, id -> row
+    rows, depths, index = [], [], {}  # distinct rows, their jet depths, id -> row
+    levels = {}  # row -> zeros and peak of a drive level on the jet, which is not scanned
 
     def row(locus: ParametricLocus, ordinate: bool) -> int:
         values = locus.w_values if ordinate else locus.u_values
         if id(values) not in index:
             index[id(values)] = len(rows)
+            if locus.jet and not ordinate:
+                levels[len(rows)] = _level_roots(locus.jet[1], locus.depth, float(t[-1]))
             rows.append(values)
-            signals.append((locus.depth, ordinate) if locus.jet else None)
+            depths.append(locus.depth if locus.jet else None)
         return index[id(values)]
 
     t = planes[0][0].t_values
@@ -511,19 +523,23 @@ def refine_planes(planes) -> None:
     # each plane's locus and rates, and their rows
     planes = [(pair, row(pair[0], False), *(row(a, o) for a in pair[1:] for o in (False, True)))
               for pair in planes]
-
-    peaks, at_row, left, samples, zeros = _scan_rows(rows, n)
-    crossings = _interpolated(t, left, samples[:, 2], samples[:, 3])
-    # the brackets the jet covers
-    hooked = np.flatnonzero(np.array([s is not None for s in signals])[at_row])
     jet = next((p.jet for pair, *_ in planes for p in pair if p.jet is not None), None)
+
+    scanned = np.array([r for r in range(len(rows)) if r not in levels], dtype=int)
+    peaks, at_row, left, samples, zeros = _scan_rows([rows[r] for r in scanned], n)
+    peaks = dict(zip(scanned.tolist(), peaks)) | {r: peak for r, (_, peak) in levels.items()}
+    zeros = dict(zip(scanned.tolist(), zeros))
+    at_row = scanned[at_row]
+    crossings = _interpolated(t, left, samples[:, 2], samples[:, 3])
+    # the brackets the jet covers, all on ordinate rows
+    hooked = np.flatnonzero(np.array([d is not None for d in depths])[at_row])
     if hooked.size:
-        depth, ordinate = map(np.array, zip(*(signals[r] for r in at_row[hooked].tolist())))
+        depth = np.array([depths[r] for r in at_row[hooked].tolist()])
         i = left[hooked]
         a, b = t[i], t[i + 1]
         stencil = samples[hooked]
         crossings[hooked] = bisect(
-            lambda x, live: jet_signals(*jet, x, depth[live], ordinate[live]),
+            lambda x, live: jet_signals(*jet, x, depth[live]),
             a, b, stencil[:, 2], stencil[:, 3], xtol=_REFINE_XTOL,
             guess=a + _inverse_root(stencil) * (b - a))
 
@@ -532,6 +548,8 @@ def refine_planes(planes) -> None:
     crossings = crossings.tolist()
 
     def roots(r: int, transversal_only: bool) -> list[float]:
+        if r in levels:
+            return levels[r][0]
         return _dedupe(crossings[stops[r - 1] if r else 0:stops[r]]
                        + _zero_roots(t, rows[r], zeros[r], transversal_only), 10.0 * _REFINE_XTOL)
 
@@ -564,6 +582,24 @@ def refine_planes(planes) -> None:
                           [np.interp(times, t, v) for v in (p.u_values, p.w_values)])
         at = dict(zip(times, zip(*(v.tolist() for v in values))))
         object.__setattr__(pair[0], "_roots", _PlaneRoots(*plane, at))
+
+
+def _level_roots(exc: Excitation, k: int, period: float) -> tuple[list[float], float]:
+    """Drive level k's zeros over a grid of the drive's period, and its peak, off the phase.
+
+    Level k > 0, -A w^k cos(w t + k pi/2), vanishes at the odd quarter
+    periods for even k, at the half periods for odd k; level 0,
+    offset - A cos(w t), where cos(w t) is offset/A.  A zero at phase 0 is
+    listed at 0 and at the period, as a scan lists a zero at the seam.
+    """
+    if k:
+        quarters = (0.25, 0.75) if k % 2 == 0 else (0.0, 0.5, 1.0)
+        return [q * period for q in quarters], exc.amplitude * exc.omega ** k
+    c, peak = exc.offset / exc.amplitude, abs(exc.offset) + exc.amplitude
+    if not -1.0 <= c <= 1.0:
+        return [], peak
+    first = float(np.arccos(c)) / exc.omega
+    return _dedupe([first, period - first], 0.0), peak
 
 
 def _inverse_root(samples: np.ndarray) -> np.ndarray:

@@ -30,9 +30,9 @@ operation is elementwise, so a value does not depend on the other times
 the jet is taken at, bit for bit; grid samples therefore stand in for
 any later jet evaluation at grid times.  The loci of a chain are views
 of one jet on the grid (analytic_chain), each past the first holding
-the rates of the one before.  Off the grid, jet_signals evaluates any
-mix of depths and coordinates in one call, the ordinate rows on its
-ordinate elements alone.  An analytic locus names its (curve, drive)
+the rates of the one before.  Off the grid, jet_signals evaluates
+ordinates of any mix of depths in one call; the drive levels need no
+such call, their zeros and peaks being closed form (loci).  An analytic locus names its (curve, drive)
 pair as its jet, which loci.point_at reads at depth k for coordinates
 and the analyses at depth k + 1 for rates.  No chain is built deeper
 than constitutive.MAX_DERIVATIVE_ORDER, a bound on the work one request
@@ -185,19 +185,18 @@ def _bell(x: np.ndarray, n: int) -> list:
     return rows
 
 
-def _jet(curve: ConstitutiveCurve, exc: Excitation, t, depth: int,
-         levels: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _jet(curve: ConstitutiveCurve, exc: Excitation, t,
+         depth: int) -> tuple[np.ndarray, np.ndarray]:
     """Taylor jet of f(x(t)) at times t: blocks of levels x^(d) and ordinates y^(d), d = 0..depth.
 
-    levels, when given, are the levels at one-dimensional t already.  The
-    ordinate rows are Faa di Bruno sums over one set of Bell rows, each
+    The ordinate rows are Faa di Bruno sums over one set of Bell rows, each
     accumulated in place in the derivative block of a single-valued curve;
     a two-branch curve follows the sweep (_branch_mask).  Every operation
     is elementwise, so a value does not depend on the other times in t.
     """
     t = np.asarray(t, dtype=float)
     flat = t.reshape(-1)
-    x = _levels(exc, flat, depth) if levels is None else levels
+    x = _levels(exc, flat, depth)
     bell = _bell(x, depth)
     term = np.empty_like(flat) if depth > 1 else None
 
@@ -234,22 +233,10 @@ def chain_ordinate(curve: ConstitutiveCurve, exc: Excitation, t, depth: int):
 
 
 def jet_signals(curve: ConstitutiveCurve, exc: Excitation, t: np.ndarray,
-                depth: np.ndarray, ordinate: np.ndarray) -> np.ndarray:
-    """Per element e, x^(depth[e]) or, where ordinate[e], d^depth[e]/dt f(x(t)).
-
-    The levels run to the deepest element, and the ordinate rows, on the
-    ordinate elements alone, to the deepest of those; so an abscissa may
-    lie deeper than MAX_DERIVATIVE_ORDER.
-    """
-    x = _levels(exc, t, int(np.maximum.reduce(depth, initial=0)))
-    out = x[depth, np.arange(depth.size)]
-    asks = ordinate.nonzero()[0]
-    if asks.size:
-        k = depth[asks]
-        top = int(np.maximum.reduce(k))
-        y = _jet(curve, exc, t[asks], top, levels=x[:top + 1, asks])[1]
-        out[asks] = y[k, np.arange(asks.size)]
-    return out
+                depth: np.ndarray) -> np.ndarray:
+    """Per element e, the ordinate d^depth[e]/dt f(x(t)) at t[e], off one jet to the deepest."""
+    y = _jet(curve, exc, t, int(np.maximum.reduce(depth, initial=0)))[1]
+    return y[depth, np.arange(depth.size)]
 
 
 # ----------------------------------------------------------------------

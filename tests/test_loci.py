@@ -20,6 +20,7 @@ from memelements import (
     TanhScaledCurve,
     TwoBranchCurve,
     classify,
+    excite,
     grid,
     PhaseClass,
     PointKind,
@@ -536,8 +537,8 @@ def _probed_peak(curve, exc, roots, component):
     for r in roots:
         if 0.0 < r < half:
             at = np.array([max(r - probe, 0.0), min(r + probe, half)])
-            before, after = transform.jet_signals(curve, exc, at, np.full(2, 2),
-                                                  np.full(2, component == 1))
+            before, after = (transform.jet_signals(curve, exc, at, np.full(2, 2)) if component
+                             else excite(exc, at, 2))
             if before > 0.0 > after:
                 return r
     return None
@@ -1319,27 +1320,38 @@ def _frozen_roots(t, row, transversal_only):
     return _frozen_signal_roots(t, row, crossings, transversal_only)
 
 
+def _frozen_level(exc, k, period):
+    """Drive level k's zeros over the period and its peak, from x^(k) = -A w^k cos(w t + k pi/2)
+    for k > 0, and x = offset - A cos(w t): a zero at phase 0 is listed at 0 and at T."""
+    if k == 0:
+        c = exc.offset / exc.amplitude
+        peak = abs(exc.offset) + exc.amplitude
+        if abs(c) > 1.0:
+            return [], peak
+        first = float(np.arccos(c)) / exc.omega
+        return sorted({first, period - first}), peak
+    # w t + k pi/2 is pi/2 mod pi at the quarters q of the period with q + k odd
+    return [q / 4 * period for q in range(5) if (q + k) % 2], exc.amplitude * exc.omega ** k
+
+
 def _frozen_landmark_values(pairs, times, jet):
     # each pair is a plane's locus and the next one, whose samples are its rates
-    def hooked(pair, row):
-        return pair[row // 2].jet is not None
+    def value(pair, row, tp):
+        locus = pair[row // 2]
+        if locus.jet is None:
+            return np.interp(tp, locus.t_values, (locus.u_values, locus.w_values)[row % 2])
+        if row % 2:
+            return transform.jet_signals(*jet, tp, np.full(tp.size, locus.depth))
+        return excite(jet[1], tp, locus.depth)
 
-    asks = [(tp, np.full(tp.size, pair[0].depth + row // 2), np.full(tp.size, row % 2 == 1))
-            for pair, tp in zip(pairs, times) for row in range(4) if hooked(pair, row)]
-    got = iter(())
-    if asks:
-        t, depth, ordinate = (np.concatenate(col) for col in zip(*asks))
-        got = iter(np.split(transform.jet_signals(*jet, t, depth, ordinate),
-                            np.cumsum([tp.size for tp, _, _ in asks])[:-1]))
-    return [np.array([next(got) if hooked(pair, row) else np.interp(tp, pair[0].t_values, samples)
-                      for row, samples in enumerate((pair[0].u_values, pair[0].w_values,
-                                                     pair[1].u_values, pair[1].w_values))])
-            for pair, tp in zip(pairs, times)]
+    return [np.array([value(pair, row, tp) for row in range(4)]) for pair, tp in zip(pairs, times)]
 
 
 def _frozen_refine(pairs):
     """The _PlaneRoots of each plane, as the per-plane pass made them; each of pairs is a
-    plane's locus and the locus whose samples are its rates."""
+    plane's locus and the locus whose samples are its rates.  A row that is a drive level
+    on the jet takes its zeros and peak from the phase (_frozen_level); the ordinate rows
+    on the jet are bisected, the rows off it interpolated."""
     scans, stencils = [], []
     ends = {}
     for locus, after in pairs:
@@ -1347,7 +1359,7 @@ def _frozen_refine(pairs):
         vals = np.stack((locus.u_values, after.u_values, after.w_values))
         rows, left = _frozen_scan(vals)
         hooked = (locus.jet is not None, after.jet is not None)
-        slots = [(locus.depth + min(r, 1), r == 2, t[i], t[i + 1]) if hooked[min(r, 1)] else None
+        slots = [(after.depth, t[i], t[i + 1]) if r == 2 and hooked[1] else None
                  for r, i in zip(rows.tolist(), left.tolist())]
         first = sum(map(len, stencils))
         for j, key in enumerate(slots):
@@ -1356,30 +1368,35 @@ def _frozen_refine(pairs):
         n = t.size - 1
         k = left[:, None] + loci._STENCIL
         stencils.append(vals[rows[:, None], np.where((k < 0) | (k > n), k % n, k)])
-        peak_u, peak_du, peak_dw = np.maximum(vals.max(1), -vals.min(1)).tolist()
+        levels = [_frozen_level(p.jet[1], p.depth, float(t[-1])) if p.jet else None
+                  for p in (locus, after)]
+        peak_u, peak_du, peak_dw = (level[1] if level else float(np.maximum(v.max(), -v.min()))
+                                    for level, v in zip(levels + [None], vals))
         w = locus.w_values
         peak = (peak_u, float(np.maximum(w.max(), -w.min())), peak_du, peak_dw)
         crossings = loci._interpolated(t, left, vals[rows, left], vals[rows, left + 1])
-        scans.append((locus, after, rows, crossings, slots, peak))
+        scans.append((locus, after, rows, crossings, slots, peak, levels))
 
     jet = next((locus.jet for locus, _ in pairs if locus.jet is not None), None)
     if ends:
-        depth, ordinate, a, b = (np.array(col) for col in zip(*ends))
+        depth, a, b = (np.array(col) for col in zip(*ends))
         samples = np.concatenate(stencils)[list(ends.values())]
         roots = dict(zip(ends, loci.bisect(
-            lambda x, live: transform.jet_signals(*jet, x, depth[live], ordinate[live]),
+            lambda x, live: transform.jet_signals(*jet, x, depth[live]),
             a, b, samples[:, 2], samples[:, 3], xtol=loci._REFINE_XTOL,
             guess=a + loci._inverse_root(samples) * (b - a)).tolist()))
 
     planes = []
-    for locus, after, rows, crossings, slots, peak in scans:
+    for locus, after, rows, crossings, slots, peak, levels in scans:
         t = locus.t_values
         for j, key in enumerate(slots):
             if key is not None:
                 crossings[j] = roots[key]
         abscissa, du, dw = (
+            level[0] if level else
             _frozen_signal_roots(t, row, crossings[rows == r], transversal_only=r > 0)
-            for r, row in enumerate((locus.u_values, after.u_values, after.w_values)))
+            for r, (row, level) in enumerate(zip((locus.u_values, after.u_values, after.w_values),
+                                                 levels + [None])))
         spans = loci._spans(t, du + dw)
         times = np.array(abscissa + du + dw + [0.5 * (a + b) for a, b in spans])
         planes.append((abscissa, du, dw, spans, peak, times))

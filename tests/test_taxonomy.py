@@ -298,6 +298,86 @@ class TestClassifyDeep:
         assert np.max(np.abs(oracles.chain_oracle(f, 5, times)[1])) <= 1e-9 * scale
 
 
+class TestDriveLevelsAreClosedForm:
+    """A drive level's zeros are its exact phases, so what is read there is the closed form."""
+
+    X = sp.Symbol("x")
+    CURVES = {
+        "cubic": (PolynomialCurve((0.0, 1.0, 0.0, 1.0 / 3.0)), (0.0, 1.0, 0.0, 1.0 / 3.0)),
+        "quintic": (PolynomialCurve((0.0, 1.0, 0.2, 0.3, 0.0, 0.05)),
+                    (0.0, 1.0, 0.2, 0.3, 0.0, 0.05)),
+        "tanh": (TanhScaledCurve(1.0, 1.5), None),
+    }
+
+    @classmethod
+    def _sympy(cls, name):
+        """The curve's sympy form, every float coefficient at its exact binary value."""
+        coefficients = cls.CURVES[name][1]
+        if coefficients is None:
+            return sp.tanh(sp.Float(1.5, 40) * cls.X)
+        return sum(sp.Float(c, 40) * cls.X**k for k, c in enumerate(coefficients))
+
+    # bisected phases made the cubic raise ConsistencyError at k = 11, 13
+    # and 15, and the quintic at k = 9 and 11
+    DEPTH_AXIS = ([(name, k) for name in ("cubic", "quintic", "tanh") for k in range(1, 12)]
+                  + [("cubic", k) for k in range(12, 16)])
+
+    @pytest.mark.parametrize("name, k", DEPTH_AXIS)
+    def test_diagonal_cell_classifies(self, name, k):
+        rpt = classify((-k, -k), self.CURVES[name][0])
+        assert rpt.verdict is (Verdict.LOCALLY_PASSIVE if k == 1 else Verdict.LOCALLY_ACTIVE)
+        assert rpt.witnesses
+
+    @pytest.mark.parametrize("name", ["cubic", "quintic"])
+    def test_first_order_theorem_holds_at_high_frequency(self, name):
+        # a bisected pi read y' = f'(x) x' off its zero, an activity witness
+        # above the absolute witness_tol at omega = 1e3
+        assert theorem_suite([self.CURVES[name][0]], Excitation(omega=1e3)).all_passed
+
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(sorted(CURVES)), amplitude=st.floats(0.2, 1.0),
+           log_omega=st.floats(-1.0, 2.0), place=st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
+    def test_memristor_witnesses_are_the_closed_form(self, name, amplitude, log_omega, place):
+        # where x'' = 0, x = offset and x' = +-A w, so y'' = f''(offset) (A w)^2
+        import mpmath
+
+        offset = amplitude + place * (2.0 - 2.0 * amplitude)
+        exc = Excitation(amplitude, 10.0 ** log_omega, offset)
+        rpt = classify((-2, -2), self.CURVES[name][0], exc)
+        second = sp.lambdify(self.X, sp.diff(self._sympy(name), self.X, 2), modules="mpmath")
+        with mpmath.workdps(40):
+            want = float(abs(second(mpmath.mpf(offset)))
+                         * (mpmath.mpf(exc.amplitude) * mpmath.mpf(exc.omega)) ** 2)
+        assert len(rpt.witnesses) == 2
+        for p in rpt.witnesses:
+            assert abs(abs(p.w) - want) <= 1e-12 * want
+        # every abscissa zero lies on its phase: x >= offset - A >= 0 touches 0
+        # at phase 0 alone, at 0 and T, and does when the offset is the
+        # amplitude; level d > 0 vanishes at the quarter periods q with q + d odd
+        period = rpt.loci[0].period
+        for plane in rpt.planes:
+            times = [p.t for p in plane.abscissa_zeros]
+            if plane.depth == 0:
+                assert set(times) <= {0.0, period}
+                assert offset != amplitude or times == [0.0, period]
+                continue
+            assert times
+            for t in times:
+                assert min(abs(t - q / 4.0 * period) for q in range(5) if (q + plane.depth) % 2) \
+                    <= 4.0 * np.spacing(period)
+
+    def test_tanh_fourth_order_witnesses_are_the_closed_form(self):
+        # where x'' = x'''' = 0 and x' = -x''' = +-1, y'''' = f''''(1) - 4 f''(1)
+        f = self._sympy("tanh")
+        want = float((sp.diff(f, self.X, 4) - 4 * sp.diff(f, self.X, 2)).subs(self.X, 1)
+                     .evalf(40))
+        assert want == pytest.approx(-0.089003517089492089, rel=1e-15)
+        rpt = classify((-4, -4), self.CURVES["tanh"][0])
+        assert len(rpt.witnesses) == 2
+        for p in rpt.witnesses:
+            assert abs(p.w - want) <= 1e-12 * abs(want)
+
+
 class TestSeamRun:
     def test_flat_run_through_the_seam_is_one_landmark(self):
         # f vanishes on [0, 0.1], so every rate is exactly zero around t = 0
@@ -602,14 +682,15 @@ class TestChainAnalysedOnce:
         monkeypatch.setattr(loci, "bisect", counting_bisect)
         return tally
 
-    # one lock-step call refines the whole chain: the abscissa of the depth-1
-    # and depth-2 planes and the rates of each plane give 15 brackets, of
-    # which 3 are counted once only, since plane d's du/dt is plane d+1's u
-    EXPECTED = {"planes": 3, "ideality": 1, "bisect_calls": 1, "brackets": 12}
+    # one lock-step call refines the whole chain: the ordinate rates y', y''
+    # and y''' of the three planes give 8 brackets; the drive levels x ... x'''
+    # take their zeros from the phase (12 brackets when their 4 sign changes
+    # were bisected too)
+    EXPECTED = {"planes": 3, "ideality": 1, "bisect_calls": 1, "brackets": 8}
     # the suite reads planes 1 and 2 only, and plane 2's rates not at all: the
-    # rows x', x'' and y'' give 5 brackets (11 when plane 2's rates x''' and
-    # y''' were refined too, 12 with plane 0 analysed as well)
-    SUITE_EXPECTED = {"planes": 2, "ideality": 1, "bisect_calls": 1, "brackets": 5}
+    # row y'' gives 2 brackets (5 when x' and x'' were bisected too, 11 when
+    # plane 2's rates x''' and y''' were refined, 12 with plane 0 analysed)
+    SUITE_EXPECTED = {"planes": 2, "ideality": 1, "bisect_calls": 1, "brackets": 2}
     # one on the paths aimed at the grid samples' estimates; the endpoint
     # values are the scanned samples (33 calls when each halving took one,
     # 3 when two Chandrupatla calls estimated the roots)
@@ -678,17 +759,18 @@ class TestChainAnalysedOnce:
         return shapes
 
     def test_classify_scans_each_distinct_row_once(self, cubic, monkeypatch):
-        # u0, u1 and u2, w1 and w2, and the depth-2 plane's rates: plane d's
-        # rates are plane d + 1's coordinates, so 7 rows, not 3 per plane;
-        # the default grid is one column block
-        assert self._scanned_shapes(cubic, monkeypatch, DEFAULT_GRID_N) == [(7, DEFAULT_GRID_N + 1)]
+        # w1, w2 and the depth-2 plane's dw/dt: plane d's rates are plane
+        # d + 1's coordinates, and the drive levels u0 ... u3 are not scanned,
+        # so 3 rows (7 with the levels, 3 per plane before that); the
+        # default grid is one column block
+        assert self._scanned_shapes(cubic, monkeypatch, DEFAULT_GRID_N) == [(3, DEFAULT_GRID_N + 1)]
 
     def test_fine_grid_scans_each_distinct_row_a_block_at_a_time(self, cubic, monkeypatch):
         # a fine grid is scanned a column block at a time, each block
         # starting at the last column of the one before
         n = 4 * DEFAULT_GRID_N + 8
         shapes = self._scanned_shapes(cubic, monkeypatch, n)
-        assert {rows for rows, _ in shapes} == {7}
+        assert {rows for rows, _ in shapes} == {3}
         assert sum(columns - 1 for _, columns in shapes) == n
         assert len(shapes) == -(-n // loci._SCAN_BLOCK)
 

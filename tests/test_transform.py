@@ -228,21 +228,14 @@ class TestJet:
 
     @pytest.mark.parametrize("name", ["cubic", "tanh", "logistic", "outgoing"])
     def test_signals_mix_depths_and_coordinates(self, name):
-        # jet_signals reads each element's own depth and coordinate off one jet
+        # jet_signals reads each element's own ordinate depth off one jet
         curve, _, _, exc = SYMBOLIC[name]
         rng = np.random.default_rng(5)
         t = np.concatenate(([0.0, 0.5 * exc.period], rng.uniform(0.0, exc.period, 62)))
         depth = rng.integers(0, DEEP + 1, t.size)
-        ordinate = rng.random(t.size) < 0.5
-        # an abscissa deeper than MAX_DERIVATIVE_ORDER is still a drive level
-        t, depth = np.append(t, exc.period), np.append(depth, MAX_DERIVATIVE_ORDER + 1)
-        ordinate = np.append(ordinate, False)
-        got = transform.jet_signals(curve, exc, t, depth, ordinate)
-        want = [chain_ordinate(curve, exc, s, d) if o else excite(exc, s, d)
-                for s, d, o in zip(t, depth, ordinate)]
+        got = transform.jet_signals(curve, exc, t, depth)
+        want = [chain_ordinate(curve, exc, s, d) for s, d in zip(t, depth)]
         assert _same_bits(got, want)
-        only_u = transform.jet_signals(curve, exc, t, depth, np.zeros(t.size, dtype=bool))
-        assert _same_bits(only_u, [excite(exc, s, d) for s, d in zip(t, depth)])
 
 
 class TestBatchIndependence:
@@ -263,10 +256,10 @@ class TestBatchIndependence:
         subset = np.random.default_rng(11).permutation(t.size)[:101]
         part = transform._jet(curve, exc, t[subset], 4)
         rng = np.random.default_rng(12)
-        depth, ordinate = rng.integers(0, 5, subset.size), rng.random(subset.size) < 0.5
-        mixed = transform.jet_signals(curve, exc, t[subset], depth, ordinate)
+        depth = rng.integers(0, 5, subset.size)
+        mixed = transform.jet_signals(curve, exc, t[subset], depth)
         rows = {d: (full[0][d], full[1][d]) for d in range(5)}
-        assert _same_bits(mixed, [rows[d][int(o)][i] for i, d, o in zip(subset, depth, ordinate)])
+        assert _same_bits(mixed, [rows[d][1][i] for i, d in zip(subset, depth)])
         for d, (u, w) in rows.items():
             assert _same_bits(part[0][d], u[subset])
             assert _same_bits(part[1][d], w[subset])
@@ -385,11 +378,8 @@ class TestFrozenKernel:
         t = np.atleast_1d(t)
         depths = np.array(data.draw(st.lists(st.integers(0, depth), min_size=t.size,
                                              max_size=t.size), label="depths"))
-        ordinate = np.array(data.draw(st.lists(st.booleans(), min_size=t.size, max_size=t.size),
-                                      label="ordinate"))
-        want_x, want_y = _frozen_jet(curve, exc, t, depth)
-        want = np.where(ordinate, want_y, want_x)[depths, np.arange(t.size)]
-        assert _equal_bits(transform.jet_signals(curve, exc, t, depths, ordinate), want)
+        want = _frozen_jet(curve, exc, t, depth)[1][depths, np.arange(t.size)]
+        assert _equal_bits(transform.jet_signals(curve, exc, t, depths), want)
 
     @settings(max_examples=40, deadline=None)
     @given(name=st.sampled_from(sorted(CURVES)), n=st.sampled_from([64, 65, 256]),

@@ -5,7 +5,7 @@
     python tools/abtime.py BASE_SRC [CHANGE_SRC] --suite [--seed 13] [--ops 240] [--best-of 6]
     python tools/abtime.py BASE_SRC [CHANGE_SRC] --emit [--seed 13] [--ops 240] [--best-of 6]
 
-Any of these takes ``--peak`` as well.
+Any of these takes ``--peak`` and ``--verdicts`` as well.
 
 BASE_SRC and CHANGE_SRC are ``src/`` directories, each holding a
 ``memelements`` package; CHANGE_SRC defaults to the ``src/`` next to this
@@ -21,6 +21,7 @@ is rebuilt in both packages from its spec, with ``cli.curve_from_spec``
 and ``Excitation``, and classified on each side.  Every report's JSON
 (verdict, planes, witnesses) must be equal on both sides, else the run
 stops naming the op.  Printed: each side's mean best-of-k op time, its
+``loci.bisect`` brackets per classify call (the roots it bisects), its
 ``loci.jet_signals`` calls per classify call (the hook calls of the
 root bisection; a tree older than the one-pass refinement also reads
 its landmark values through one) and hook points per classify call (the
@@ -56,6 +57,16 @@ ops.  The exit codes and the bytes of every file written must be equal
 on both sides, else the run stops naming the op.  Printed: each side's
 mean and 90th percentile of the best-of-k op times, and the ratios,
 change over base.
+
+With ``--verdicts``, a change that moves the last bits of its results is
+timed: the sides' outputs are not compared byte for byte.  Each op's
+outcome is compared instead (a classify report's verdict, degeneration,
+internal source and witness count; the names of the files a CLI command
+writes and, in each ``report.json``, those four, and in a
+``suite_report.json`` every check's status), and the workload's own
+``check`` runs on the change's result (a CLI command of the change writes
+into the workload's output directory for it), else the run stops naming
+the op.
 
 With ``--peak``, each op is run once more on each side, untimed, under
 ``tracemalloc``, and each side's line also prints the traced peak per op
@@ -116,7 +127,8 @@ def count_calls(name: str, *modules) -> list[int]:
     """Wrap the function name of modules[0], wherever modules hold it, to count its calls.
 
     The list holds the count of calls and the summed size of each call's
-    third argument (the times, for jet_signals and _jet).
+    third argument (the times, for jet_signals and _jet; the brackets' right
+    ends, one per bracket, for bisect).
     """
     fn, calls = getattr(modules[0], name), [0, 0]
 
@@ -157,39 +169,78 @@ def peak_text(peaks: dict) -> str:
                    for kind, v in sorted(peaks.items()))
 
 
+def report_outcome(rpt) -> tuple:
+    """What --verdicts compares of a classify report."""
+    return (rpt.verdict.value, rpt.degeneration.value, rpt.internal_source.value,
+            len(rpt.witnesses))
+
+
+def files_outcome(files: dict) -> dict:
+    """What --verdicts compares of the files a CLI command wrote, by name: a
+    report.json's report_outcome, a suite_report.json's check statuses, else None."""
+    out = {}
+    for name, data in files.items():
+        doc = json.loads(data) if name in ("report.json", "suite_report.json") else None
+        if name == "report.json":
+            out[name] = (doc["verdict"], doc["degeneration"], doc["internal_source"],
+                         len(doc["witnesses"]))
+        elif name == "suite_report.json":
+            out[name] = [sorted((check, v["status"]) for check, v in inst["checks"].items())
+                         for inst in doc["instances"]]
+        else:
+            out[name] = None
+    return out
+
+
+def compared(args, what: str) -> str:
+    """What the printed header says was compared on both sides: what, or the outcomes."""
+    return "outcomes equal, change's checks pass" if args.verdicts else f"{what} equal"
+
+
 def classify_ab(sides, args, work: Path) -> None:
     """Time classify on classify-distinct's ops in both trees, and print the counts."""
     from workloads import ClassifyDistinct  # imports the change as memelements
 
     total, peaks = [0.0, 0.0], [{}, {}]
     signals = [count_calls("jet_signals", pkg.loci) for pkg in sides]
+    brackets = [count_calls("bisect", pkg.loci) for pkg in sides]
     # loci imports _jet by name, for its own evaluations
     jets = [count_calls("_jet", pkg.transform, pkg.loci) for pkg in sides]
     ops = ClassifyDistinct(args.seed, work)
     for i in range(args.ops):
-        expect = ops.make(i).expect
+        op = ops.make(i)
         order = (0, 1) if i % 2 == 0 else (1, 0)
         reports = [None, None]
         gc.collect()
         for s in order:
             pkg = sides[s]
-            dt, rpt = best_of(pkg.classify, rebuild(pkg, expect), args.best_of)
+
+            def summary(rpt, pkg=pkg):
+                return (report_outcome(rpt) if args.verdicts
+                        else json.dumps(pkg.cli.report_to_dict(rpt), sort_keys=True))
+
+            dt, rpt = best_of(pkg.classify, rebuild(pkg, op.expect), args.best_of)
             total[s] += dt
-            reports[s] = json.dumps(pkg.cli.report_to_dict(rpt), sort_keys=True)
+            reports[s] = summary(rpt)
+            fault = ops.check(op, rpt) if args.verdicts and s == 1 else None
+            if fault:
+                raise SystemExit(f"op {i} (seed {args.seed}): the change's check: {fault}")
             if args.peak:
-                peak, rpt = traced_peak(pkg.classify, rebuild(pkg, expect))
+                peak, rpt = traced_peak(pkg.classify, rebuild(pkg, op.expect))
                 peaks[s].setdefault("classify", []).append(peak)
-                if json.dumps(pkg.cli.report_to_dict(rpt), sort_keys=True) != reports[s]:
+                if summary(rpt) != reports[s]:
                     raise SystemExit(f"op {i} (seed {args.seed}): the traced report differs")
         if reports[0] != reports[1]:
-            raise SystemExit(f"op {i} (seed {args.seed}): the reports differ")
+            raise SystemExit(f"op {i} (seed {args.seed}): the reports differ"
+                             + (f": {reports}" if args.verdicts else ""))
     base_ms, change_ms = (1e3 * s / args.ops for s in total)
     calls = args.ops * (args.best_of + args.peak)
     print(f"classify-distinct seed {args.seed}, {args.ops} ops, best of {args.best_of}: "
-          f"reports equal")
-    for label, ms, (n_signals, n_points), (n_jets, _), peak in zip(
-            ("base  ", "change"), (base_ms, change_ms), signals, jets, peaks):
-        print(f"{label} {ms:.4f} ms/op  {n_signals / calls:.3f} jet_signals calls/op  "
+          + compared(args, "reports"))
+    for label, ms, (n_signals, n_points), (_, n_brackets), (n_jets, _), peak in zip(
+            ("base  ", "change"), (base_ms, change_ms), signals, brackets, jets, peaks):
+        print(f"{label} {ms:.4f} ms/op  {n_brackets / calls:.3f} loci.bisect brackets/op  "
+              f"{n_signals / calls:.3f} jet_signals calls/op  "
               f"{n_points / calls:.1f} hook points/op  {n_jets / calls:.3f} _jet calls/op"
               f"{peak_text(peak)}")
     print(f"ratio  {change_ms / base_ms:.4f}")
@@ -240,10 +291,12 @@ def csv_ab(sides, args, work: Path) -> None:
 
 
 def cli_side(pkg, command: list[str], outdir: Path, k: int, peaks: dict | None = None,
-             kind: str = ""):
+             kind: str = "", check=None):
     """Least wall time of k runs of command by pkg's cli.run into outdir, with
     stdout and stderr discarded; its exit code; and the bytes of every file
-    it wrote, by name.  outdir is removed afterwards.  With peaks, the
+    it wrote, by name.  check, when given, is called on the exit code before
+    outdir is read, and what it returns is a fault that stops the run.
+    outdir is removed afterwards.  With peaks, the
     command is run once more, untimed, into an empty outdir under
     tracemalloc, its peak appended to peaks[kind], and its exit code and
     files must be the timed runs'."""
@@ -257,6 +310,9 @@ def cli_side(pkg, command: list[str], outdir: Path, k: int, peaks: dict | None =
 
     with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
         dt, code = best_of(pkg.cli.run, (argv,), k)
+    fault = check(code) if check is not None else None
+    if fault:
+        raise SystemExit(f"{' '.join(command)}: the change's check: {fault}")
     written = files()
     if peaks is not None:
         with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
@@ -265,6 +321,17 @@ def cli_side(pkg, command: list[str], outdir: Path, k: int, peaks: dict | None =
         if (traced, files()) != (code, written):
             raise SystemExit(f"{' '.join(command)}: the traced run's exit code or files differ")
     return dt, code, written
+
+
+def side_dir(args, ops, op, s: int, work: Path) -> Path:
+    """Side s's output directory for a CLI op: the workload's own for the change
+    under --verdicts, where its check reads the files, else one per side."""
+    return ops.outdir(op) if args.verdicts and s == 1 else work / f"side{s}"
+
+
+def side_check(args, ops, op, s: int):
+    """cli_side's check for side s: the workload's, on the change under --verdicts."""
+    return (lambda code: ops.check(op, code)) if args.verdicts and s == 1 else None
 
 
 def suite_ab(sides, args, work: Path) -> None:
@@ -282,22 +349,26 @@ def suite_ab(sides, args, work: Path) -> None:
         pkg.loci.bisect = counted
     ops = SuiteShared(args.seed, work)
     for i in range(args.ops):
-        command = ops.make(i).payload
+        op = ops.make(i)
+        command = op.payload
         order = (0, 1) if i % 2 == 0 else (1, 0)
         results = [None, None]
         gc.collect()
         for s in order:
-            dt, code, files = cli_side(sides[s], command, work / f"side{s}", args.best_of,
-                                       peaks[s] if args.peak else None, "suite")
+            dt, code, files = cli_side(sides[s], command, side_dir(args, ops, op, s, work),
+                                       args.best_of, peaks[s] if args.peak else None, "suite",
+                                       side_check(args, ops, op, s))
             total[s] += dt
-            results[s] = (code, files.get("suite_report.json"))
+            results[s] = (code, files_outcome(files) if args.verdicts
+                          else files.get("suite_report.json"))
         if results[0] != results[1]:
             raise SystemExit(f"op {i} (seed {args.seed}): the exit codes or the "
-                             "suite_report.json bytes differ")
+                             "suite_report.json " + ("outcomes" if args.verdicts else "bytes")
+                             + " differ")
     base_ms, change_ms = (1e3 * s / args.ops for s in total)
     calls = args.ops * (args.best_of + args.peak)
     print(f"suite-shared seed {args.seed}, {args.ops} ops, best of {args.best_of}: "
-          f"exit codes and suite_report.json bytes equal")
+          + compared(args, "exit codes and suite_report.json bytes"))
     for label, ms, (count,), peak in zip(("base  ", "change"), (base_ms, change_ms), brackets,
                                          peaks):
         print(f"{label} {ms:.4f} ms/op  {count / calls:.2f} loci.bisect brackets/op"
@@ -318,17 +389,18 @@ def emit_ab(sides, args, work: Path) -> None:
         results = [None, None]
         gc.collect()
         for s in order:
-            dt, code, files = cli_side(sides[s], command, work / f"side{s}", args.best_of,
-                                       peaks[s] if args.peak else None, op.kind)
+            dt, code, files = cli_side(sides[s], command, side_dir(args, ops, op, s, work),
+                                       args.best_of, peaks[s] if args.peak else None, op.kind,
+                                       side_check(args, ops, op, s))
             times[s].append(1e3 * dt)
-            results[s] = (code, files)
+            results[s] = (code, files_outcome(files) if args.verdicts else files)
         if results[0] != results[1]:
-            raise SystemExit(f"op {i} (seed {args.seed}): the exit codes or the "
-                             "written bytes differ")
+            raise SystemExit(f"op {i} (seed {args.seed}): the exit codes or the written "
+                             + ("outcomes" if args.verdicts else "bytes") + " differ")
     means = [np.mean(t) for t in times]
     p90s = [np.percentile(t, 90) for t in times]
     print(f"emit-fine seed {args.seed}, {args.ops} ops, best of {args.best_of}: "
-          f"exit codes and written bytes equal")
+          + compared(args, "exit codes and written bytes"))
     for label, mean, p90, peak in zip(("base  ", "change"), means, p90s, peaks):
         print(f"{label} {mean:.4f} ms/op mean  {p90:.4f} ms/op p90{peak_text(peak)}")
     print(f"ratio  {means[1] / means[0]:.4f} mean  {p90s[1] / p90s[0]:.4f} p90")
@@ -351,6 +423,10 @@ def main(argv=None) -> None:
     ap.add_argument("--peak", action="store_true",
                     help="also run each op once more per side, untimed, under tracemalloc, and "
                          "print its traced peak (mean and max per op kind)")
+    ap.add_argument("--verdicts", action="store_true",
+                    help="compare each op's outcome (verdict, degeneration, internal source, "
+                         "witness count; a suite's check statuses), not its bytes, and run the "
+                         "workload's check on the change's result")
     ap.add_argument("--seed", type=int, default=13)
     ap.add_argument("--ops", type=int, default=240)
     ap.add_argument("--best-of", type=int, default=6)

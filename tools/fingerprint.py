@@ -70,9 +70,10 @@ Covered:
     smooth warp, a drift of 0.45e-9 per step), and ``float.hex`` of the
     ``valuedness`` gap and ``odd_symmetry`` violation of a caller-built
     copy, jet included, of the cubic's depth-2 locus on the default grid;
-  * then ``float.hex`` of ``transform.jet_signals`` on one seeded batch per
-    curve (t = 0, T/2, T and 29 random times, each at a random depth from
-    0 to the curve's bound in ``JET_DEPTHS`` and a random coordinate), and
+  * then ``float.hex`` of one seeded batch per curve (t = 0, T/2, T and 29
+    random times, each at a random depth from 0 to the curve's bound in
+    ``JET_DEPTHS`` and a random coordinate: a drive level from ``excite``, an
+    ordinate from ``transform.jet_signals``), and
     the error line of an ``analytic_locus`` on a grid over another drive's
     period;
   * then the ``DomainError`` line of each time or abscissa that is not
@@ -324,7 +325,7 @@ def grid_contract() -> None:
 
 
 def jet_batches() -> None:
-    """Mixed-depth jet_signals batches of the seven curves, and a grid of another period."""
+    """Mixed-depth jet batches of the seven curves, and a grid of another period."""
     rng = np.random.default_rng(23)
     for name, spec in SPECS.items():
         curve, exc = cli.curve_from_spec(spec), cli.excitation_from_spec(DRIVES.get(name))
@@ -332,7 +333,11 @@ def jet_batches() -> None:
         depth = rng.integers(0, JET_DEPTHS.get(name, 4) + 1, t.size)
         ordinate = rng.random(t.size) < 0.5
         try:
-            values = memelements.transform.jet_signals(curve, exc, t, depth, ordinate).tolist()
+            # the drive levels are excite's, the ordinates jet_signals', bit for bit
+            values = np.array([memelements.excite(exc, s, d) for s, d in zip(t, depth)])
+            values[ordinate] = memelements.transform.jet_signals(curve, exc, t[ordinate],
+                                                                 depth[ordinate])
+            values = values.tolist()
         except Exception as err:
             emit(f"jet_signals/{name}", f"{type(err).__name__}: {err}")
             continue
